@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .bench import (
     run_benchmark,
     write_text_atomic,
 )
-from .data import DesignMatrix, encode, ingest_csv
+from .data import DesignMatrix, encode, ingest_csv, write_cohort_csv
 from .datagen import (
     GeneratorConfig,
     HazardSpec,
@@ -39,7 +38,6 @@ from .datagen import (
     write_ground_truth_csv,
 )
 from .mtlr import fit_mtlr, make_grid
-from .data import write_cohort_csv
 
 
 def _fmt6(v: float) -> str:

@@ -1,6 +1,18 @@
 """Random survival forest: log-rank splits, bootstrap ensemble, averaged
 Nelson-Aalen leaf estimates.
 
+The ensemble cumulative hazard is the mean of the B leaf curves a row
+falls into, so its mortality (that curve summed over the training
+event-time grid) is the mean of one scalar per leaf. Scoring therefore
+flattens each tree into arrays once per call, routes all rows down all
+trees together and averages the B leaf mortalities with math.fsum, which
+keeps the score independent of tree order. `predict_chf` still builds
+the averaged curve for callers who want it.
+
+Forest files store the training size n once instead of each tree's
+bootstrap rows: a tree's `inbag` is the first n draws of its own seed's
+stream, so loading rebuilds it.
+
 Per-tree randomness comes from a child seed mixed out of (master seed,
 tree index), so any tree is reproducible in isolation. Within a node the
 draw order is fixed: column subset first, then (for wide columns) the
@@ -12,6 +24,8 @@ tree structure invariant under monotone transforms of a column.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +36,7 @@ from .rng import CounterRng, derive_seed
 from .stepfun import StepFunction, average_step_functions
 
 _MAX_THRESHOLDS = 32
+_ROW_BLOCK = 128  # rows scored together
 
 
 @dataclass
@@ -55,16 +70,24 @@ class Forest:
     column_names: list[str]
 
 
-def _logrank_parts(times, events, left_masks):
-    """Vectorized two-sample log-rank over candidate left-memberships.
-
-    times must be sorted ascending; left_masks is (C, n). Returns the
-    statistic |O-E|/sqrt(V) per candidate, with nan where V = 0.
-    """
-    uniq, starts = np.unique(times, return_index=True)
+def _time_groups(times, events):
+    """Tie groups of time-sorted rows: the start index of each distinct
+    time, the events and the at-risk count at each, and which hold an
+    event."""
+    _, starts = np.unique(times, return_index=True)
     d = np.add.reduceat(events.astype(np.float64), starts)
     n_total = times.size - starts
-    has_event = d > 0
+    return starts, d, n_total, d > 0
+
+
+def _logrank_parts(groups, events, left_masks):
+    """Vectorized two-sample log-rank over candidate left-memberships.
+
+    groups is `_time_groups` of the time-sorted node; events and the
+    (C, n) left_masks follow the same order. Returns the statistic
+    |O-E|/sqrt(V) per candidate, with nan where V = 0.
+    """
+    starts, d, n_total, has_event = groups
     M = left_masks.astype(np.float64)
     n_left = np.cumsum(M[:, ::-1], axis=1)[:, ::-1][:, starts]
     d_left = np.add.reduceat(M * events, starts, axis=1)
@@ -96,7 +119,8 @@ def logrank_score(times, events, column_values, threshold) -> float:
     if events.sum() < 1:
         raise ValueError("no events; score undefined")
     order = np.argsort(times, kind="stable")
-    score = _logrank_parts(times[order], events[order], left[order][None, :])[0]
+    ts, es = times[order], events[order]
+    score = _logrank_parts(_time_groups(ts, es), es, left[order][None, :])[0]
     if np.isnan(score):
         raise ValueError("zero log-rank variance; score undefined")
     return float(score)
@@ -115,6 +139,7 @@ def _grow(rng, X, times, events, order, min_leaf, max_depth, mtry, depth):
     p = X.shape[1]
     cols = np.argsort(rng.uniform(p), kind="stable")[:mtry]
     ts, es = times[order], events[order]
+    groups = _time_groups(ts, es)
     best = (0.0, None, None)  # score, column, threshold
     for j in cols:
         x = X[:, j]
@@ -130,7 +155,7 @@ def _grow(rng, X, times, events, order, min_leaf, max_depth, mtry, depth):
         valid = (sizes >= min_leaf) & (n - sizes >= min_leaf)
         if not valid.any():
             continue
-        scores = _logrank_parts(ts, es, masks)
+        scores = _logrank_parts(groups, es, masks)
         scores = np.where(valid, scores, np.nan)
         with np.errstate(invalid="ignore"):
             ok = np.nonzero(~np.isnan(scores) & (scores > best[0]))[0]
@@ -215,6 +240,58 @@ def _leaf_of(node: TreeNode, x) -> StepFunction:
     return node.chf
 
 
+def _flatten(forest: Forest):
+    """All trees as one node table: split column, threshold, left and
+    right child (a leaf points at itself) and leaf curve (None at a
+    split), plus each tree's root index and the depth of the deepest
+    leaf."""
+    column, left, right, threshold = array("q"), array("q"), array("q"), array("d")
+    chf = []
+
+    def add(node: TreeNode) -> int:
+        i = len(column)
+        column.append(0 if node.is_leaf else node.column)
+        threshold.append(node.threshold)
+        left.append(i)
+        right.append(i)
+        chf.append(node.chf)
+        if node.is_leaf:
+            return 0
+        left[i] = len(column)
+        depth_left = add(node.left)
+        right[i] = len(column)
+        return 1 + max(depth_left, add(node.right))
+
+    roots, depth = array("q"), 0
+    for tree in forest.trees:
+        roots.append(len(column))
+        depth = max(depth, add(tree.root))
+    table = (column, threshold, left, right, roots)
+    return (*(np.asarray(a) for a in table), chf, depth)
+
+
+def _mortality(forest: Forest, X: np.ndarray) -> np.ndarray:
+    """Ensemble mortality of each row of X: the math.fsum of its B leaf
+    mortalities over B. Each block of rows descends all trees together,
+    one level per step, with <= going left; blocks keep the (B, rows)
+    index arrays small. A leaf's mortality, its curve summed over the
+    event grid, is computed the first time a row reaches it."""
+    column, threshold, left, right, roots, chf, depth = _flatten(forest)
+    mortality = np.full(len(chf), np.nan)
+    b = len(forest.trees)
+    out = np.empty(X.shape[0])
+    for start in range(0, X.shape[0], _ROW_BLOCK):
+        rows = np.arange(start, min(start + _ROW_BLOCK, X.shape[0]))
+        node = np.repeat(roots[:, None], rows.size, axis=1)
+        for _ in range(depth):
+            go_left = X[rows, column[node]] <= threshold[node]
+            node = np.where(go_left, left[node], right[node])
+        for i in np.unique(node[np.isnan(mortality[node])]):
+            mortality[i] = float(np.sum(chf[i](forest.event_grid)))
+        out[rows] = [math.fsum(leaves) / b for leaves in mortality[node].T]
+    return out
+
+
 def predict_chf(forest: Forest, x) -> StepFunction:
     """Ensemble cumulative hazard: arithmetic mean of the B leaf curves on
     the union of their knots."""
@@ -226,14 +303,14 @@ def predict_chf(forest: Forest, x) -> StepFunction:
 def mortality_score(forest: Forest, x) -> float:
     """Sum of the ensemble CHF over the training event-time grid; higher
     means earlier predicted purchase."""
-    chf = predict_chf(forest, x)
-    return float(np.sum(chf(forest.event_grid)))
+    x = np.asarray(x, dtype=np.float64)
+    return float(_mortality(forest, x[None, :])[0])
 
 
 def rsf_risk(forest: Forest, design: DesignMatrix) -> np.ndarray:
     if design.names != forest.column_names:
         raise ValueError("design columns do not match the fitted forest")
-    return np.array([mortality_score(forest, row) for row in design.X])
+    return _mortality(forest, np.asarray(design.X, dtype=np.float64))
 
 
 def _node_to_dict(node: TreeNode) -> dict:
@@ -276,19 +353,18 @@ def forest_to_dict(forest: Forest) -> dict:
         "max_depth": forest.max_depth,
         "seed": forest.seed,
         "event_grid": forest.event_grid.tolist(),
-        "trees": [
-            {"seed": t.seed, "inbag": t.inbag.tolist(), "root": _node_to_dict(t.root)}
-            for t in forest.trees
-        ],
+        "n": int(forest.trees[0].inbag.size),
+        "trees": [{"seed": t.seed, "root": _node_to_dict(t.root)} for t in forest.trees],
     }
 
 
 def forest_from_dict(doc: dict) -> Forest:
+    n = int(doc["n"])
     return Forest(
         trees=[
             SurvivalTree(
                 seed=int(t["seed"]),
-                inbag=np.asarray(t["inbag"], dtype=np.int64),
+                inbag=CounterRng(int(t["seed"])).integers(n, n),
                 root=_node_from_dict(t["root"]),
             )
             for t in doc["trees"]

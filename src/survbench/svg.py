@@ -7,6 +7,8 @@ not guarantee that across versions).
 
 from __future__ import annotations
 
+from html import escape
+
 from .stepfun import StepFunction
 
 _W, _H = 640, 400
@@ -29,7 +31,7 @@ def _frame(title: str, xlabel: str, ylabel: str, xticks, yticks, to_x, to_y) -> 
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W / 2:.1f}" y="24" text-anchor="middle" font-size="15">{title}</text>',
+        f'<text x="{_W / 2:.1f}" y="24" text-anchor="middle" font-size="15">{escape(title)}</text>',
     ]
     x0, x1 = _ML, _W - _MR
     y0, y1 = _H - _MB, _MT
@@ -40,20 +42,20 @@ def _frame(title: str, xlabel: str, ylabel: str, xticks, yticks, to_x, to_y) -> 
         px = to_x(t)
         parts.append(f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" y2="{y0 + 4}" stroke="black"/>')
         parts.append(
-            f'<text x="{px:.2f}" y="{y0 + 18}" text-anchor="middle">{_fmt(t)}</text>'
+            f'<text x="{px:.2f}" y="{y0 + 18}" text-anchor="middle">{escape(_fmt(t))}</text>'
         )
     for t in yticks:
         py = to_y(t)
         parts.append(f'<line x1="{x0 - 4}" y1="{py:.2f}" x2="{x0}" y2="{py:.2f}" stroke="black"/>')
         parts.append(
-            f'<text x="{x0 - 8}" y="{py + 4:.2f}" text-anchor="end">{_fmt(t)}</text>'
+            f'<text x="{x0 - 8}" y="{py + 4:.2f}" text-anchor="end">{escape(_fmt(t))}</text>'
         )
     parts.append(
-        f'<text x="{(x0 + x1) / 2:.1f}" y="{_H - 12}" text-anchor="middle">{xlabel}</text>'
+        f'<text x="{(x0 + x1) / 2:.1f}" y="{_H - 12}" text-anchor="middle">{escape(xlabel)}</text>'
     )
     parts.append(
         f'<text x="18" y="{(y0 + y1) / 2:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {(y0 + y1) / 2:.1f})">{ylabel}</text>'
+        f'transform="rotate(-90 18 {(y0 + y1) / 2:.1f})">{escape(ylabel)}</text>'
     )
     return parts
 
@@ -98,7 +100,7 @@ def step_chart(
             f'<line x1="{x1 - 150}" y1="{ly - 4}" x2="{x1 - 130}" y2="{ly - 4}" '
             f'stroke="{color}" stroke-width="2"/>'
         )
-        parts.append(f'<text x="{x1 - 124}" y="{ly}">{label}</text>')
+        parts.append(f'<text x="{x1 - 124}" y="{ly}">{escape(label)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -144,9 +146,9 @@ def bar_chart(
             f'height="{bar_h:.2f}" fill="{color}"/>'
         )
         parts.append(
-            f'<text x="{x0 - 6}" y="{cy + 4:.2f}" text-anchor="end">{label}</text>'
+            f'<text x="{x0 - 6}" y="{cy + 4:.2f}" text-anchor="end">{escape(label)}</text>'
         )
         anchor_x = max(px, zero_x) + 4
-        parts.append(f'<text x="{anchor_x:.2f}" y="{cy + 4:.2f}">{_fmt(v)}</text>')
+        parts.append(f'<text x="{anchor_x:.2f}" y="{cy + 4:.2f}">{escape(_fmt(v))}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

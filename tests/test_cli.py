@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -210,6 +211,24 @@ def test_km_cli(tmp_path, capsys):
         assert (out_dir / f"{name}.csv").exists()
         assert (out_dir / f"{name}.svg").exists()
     assert capsys.readouterr().out.count("wrote") == 6
+
+
+def test_every_written_svg_parses(tmp_path):
+    cohort_csv = make_cohort_csv(tmp_path)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"model_options": {"rsf": {"b": 5}}}))
+    for argv in (
+        ["bench", "--input", str(cohort_csv), "--models", "cox,mtlr,rsf",
+         "--config", str(config), "--out", str(tmp_path / "bench")],
+        ["km", "--input", str(cohort_csv), "--by", "Age", "--out", str(tmp_path / "km")],
+        ["weights", "--input", str(cohort_csv), "--k", "3", "--out", str(tmp_path / "w")],
+    ):
+        assert main(argv) == 0
+    svgs = sorted(tmp_path.rglob("*.svg"))
+    names = {p.relative_to(tmp_path).as_posix() for p in svgs}
+    assert {"bench/report.svg", "bench/weights.svg", "km/km_Age.svg", "w/weights.svg"} <= names
+    for path in svgs:
+        ET.parse(path)  # raises ParseError on malformed XML
 
 
 def test_km_cli_unknown_covariate(tmp_path):

@@ -182,6 +182,13 @@ def test_calibrate_censoring_hits_target():
     assert abs(pilot.censoring_rate - 0.30) <= 0.011
 
 
+def test_calibrate_censoring_horizon_is_pinned():
+    # the horizon found when each bisection step regenerated the pilot;
+    # re-thresholding a single pilot draw lands on the same float
+    cal = calibrate_censoring(GeneratorConfig(), 0.30)
+    assert cal.censor_horizon == 18.434229924091103
+
+
 def test_censoring_is_monotone_in_horizon():
     base = GeneratorConfig(n=10_000)
     fracs = [

@@ -5,9 +5,12 @@ leaf occupancy)."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survbench.metrics import concordance_index
 from survbench.nonparametric import nelson_aalen
@@ -150,18 +153,34 @@ def test_two_tree_averaging_hand_fixture():
     assert mortality_score(forest, np.zeros(1)) == pytest.approx(4.0)
 
 
-def test_split_routing_hand_fixture():
-    left = TreeNode(chf=StepFunction(times=[1.0], values=[5.0], initial=0.0))
-    right = TreeNode(chf=StepFunction(times=[1.0], values=[1.0], initial=0.0))
-    root = TreeNode(column=0, threshold=0.5, left=left, right=right)
-    forest = Forest(
+def routing_forest():
+    """Root splits x0 at 0.5; its left child is a leaf, its right child
+    splits x1 at -1.0, so leaves sit at depths 1 and 2."""
+
+    def leaf(v):
+        return TreeNode(chf=StepFunction(times=[1.0], values=[v], initial=0.0))
+
+    inner = TreeNode(column=1, threshold=-1.0, left=leaf(2.0), right=leaf(1.0))
+    root = TreeNode(column=0, threshold=0.5, left=leaf(5.0), right=inner)
+    return Forest(
         trees=[SurvivalTree(seed=0, inbag=np.arange(2), root=root)],
         mtry=1, min_leaf=1, max_depth=None, seed=0,
-        event_grid=np.array([1.0]), column_names=["x0"],
+        event_grid=np.array([1.0]), column_names=["x0", "x1"],
     )
-    assert mortality_score(forest, np.array([0.0])) == 5.0
-    assert mortality_score(forest, np.array([0.5])) == 5.0  # <= goes left
-    assert mortality_score(forest, np.array([0.51])) == 1.0
+
+
+def test_split_routing_hand_fixture():
+    forest = routing_forest()
+    assert mortality_score(forest, np.array([0.0, 0.0])) == 5.0
+    assert mortality_score(forest, np.array([0.5, 0.0])) == 5.0  # <= goes left
+    assert mortality_score(forest, np.array([0.51, -1.0])) == 2.0
+    assert mortality_score(forest, np.array([0.51, -0.99])) == 1.0
+
+
+def test_rows_on_a_threshold_go_left_in_batch_scoring():
+    X = np.array([[0.5, 7.0], [0.5, -9.0], [0.51, -1.0], [0.51, -0.99], [0.0, 0.0]])
+    d = numeric_design(X, np.arange(1.0, 6.0), np.ones(5, dtype=int))
+    np.testing.assert_array_equal(rsf_risk(routing_forest(), d), [5.0, 5.0, 2.0, 1.0, 5.0])
 
 
 # --- fitted forests ----------------------------------------------------------
@@ -240,6 +259,40 @@ def test_risk_matches_per_row_mortality():
     r = rsf_risk(f, d)
     for i in (0, 7, 33):
         assert r[i] == mortality_score(f, d.X[i])
+    # rows are scored in blocks of 128; check both sides of block edges
+    d = bigger_design(seed=4, n=300)
+    f = fit_forest(d, b=3, min_leaf=15, seed=2)
+    r = rsf_risk(f, d)
+    for i in (127, 128, 255, 256, 299):
+        assert r[i] == mortality_score(f, d.X[i])
+
+
+def test_risk_is_independent_of_tree_order():
+    d = bigger_design(seed=4, n=80)
+    f = fit_forest(d, b=7, min_leaf=10, seed=3)
+    reversed_forest = replace(f, trees=f.trees[::-1])
+    np.testing.assert_array_equal(rsf_risk(reversed_forest, d), rsf_risk(f, d))
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(20, 60),
+    st.integers(1, 6),
+    st.integers(2, 10),
+)
+@settings(max_examples=40, deadline=None)
+def test_risk_matches_mortality_of_the_ensemble_curve(data_seed, n, b, min_leaf):
+    rng = np.random.default_rng(data_seed)
+    X = np.round(rng.normal(size=(n, 2)), 1)  # ties in the columns
+    times = np.round(rng.exponential(1.0, n), 1) + 0.1  # ties in time
+    events = (rng.uniform(size=n) < 0.7).astype(int)
+    events[0] = 1
+    d = numeric_design(X, times, events)
+    f = fit_forest(d, b=b, min_leaf=min_leaf, seed=data_seed)
+    risk = rsf_risk(f, d)
+    for i in range(n):
+        want = float(np.sum(predict_chf(f, d.X[i])(f.event_grid)))
+        assert risk[i] == pytest.approx(want, rel=1e-12)
 
 
 def test_risk_validates_columns():
@@ -264,6 +317,17 @@ def test_serialization_round_trip_including_json():
     back = forest_from_dict(doc)
     np.testing.assert_allclose(rsf_risk(back, d), rsf_risk(f, d), rtol=1e-15)
     assert back.mtry == f.mtry and back.min_leaf == f.min_leaf
+
+
+def test_reloaded_forest_rebuilds_inbag():
+    d = bigger_design(seed=7, n=80)
+    f = fit_forest(d, b=3, min_leaf=15, seed=8)
+    doc = json.loads(json.dumps(forest_to_dict(f)))
+    assert doc["n"] == d.n
+    assert all("inbag" not in t for t in doc["trees"])
+    back = forest_from_dict(doc)
+    for fitted, reloaded in zip(f.trees, back.trees):
+        np.testing.assert_array_equal(reloaded.inbag, fitted.inbag)
 
 
 def test_rejects_eventless_design():
