@@ -19,10 +19,11 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import cox, deepsurv, ksvm, mtlr, rsf
+from .common import fmt6
 from .data import Cohort, encode, encode_like, ingest_csv, split
 from .datagen import GeneratorConfig, HazardSpec, generate
 from .metrics import concordance_index
-from .nonparametric import fit_km, fit_km_grouped, kaplan_meier
+from .nonparametric import fit_km_grouped, kaplan_meier
 from .rng import derive_seed
 from .svg import bar_chart, step_chart
 
@@ -139,10 +140,6 @@ def write_text_atomic(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _fmt6(v: float) -> str:
-    return format(float(v), ".6g")
 
 
 def _options(config: BenchConfig, name: str) -> dict:
@@ -318,7 +315,7 @@ def _write_report(config: BenchConfig, report: BenchReport) -> None:
     w.writerow(["model", "train_cindex", "test_cindex", "status", "converged"])
     for r in report.rows:
         w.writerow(
-            [r.name, _fmt6(r.train_cindex), _fmt6(r.test_cindex), r.status, r.converged]
+            [r.name, fmt6(r.train_cindex), fmt6(r.test_cindex), r.status, r.converged]
         )
     write_text_atomic(os.path.join(config.out_dir, "report.csv"), buf.getvalue())
     doc = {
@@ -326,15 +323,15 @@ def _write_report(config: BenchConfig, report: BenchReport) -> None:
             "seed": report.seed,
             "n": report.n,
             "n_events": report.n_events,
-            "censoring_rate": float(_fmt6(report.censoring_rate)),
+            "censoring_rate": float(fmt6(report.censoring_rate)),
             "train_n": report.train_n,
             "test_n": report.test_n,
         },
         "rows": [
             {
                 "model": r.name,
-                "train_cindex": float(_fmt6(r.train_cindex)) if np.isfinite(r.train_cindex) else None,
-                "test_cindex": float(_fmt6(r.test_cindex)) if np.isfinite(r.test_cindex) else None,
+                "train_cindex": float(fmt6(r.train_cindex)) if np.isfinite(r.train_cindex) else None,
+                "test_cindex": float(fmt6(r.test_cindex)) if np.isfinite(r.test_cindex) else None,
                 "wall_time_ms": round(r.wall_time_ms, 3),
                 "status": r.status,
                 "converged": r.converged,
@@ -350,7 +347,7 @@ def _write_report(config: BenchConfig, report: BenchReport) -> None:
         key=lambda r: (-r.test_cindex, r.name),
     )
     svg = bar_chart(
-        [(r.name, float(_fmt6(r.test_cindex))) for r in ranked],
+        [(r.name, float(fmt6(r.test_cindex))) for r in ranked],
         title="Test C-index by model",
         xlabel="C-index",
     )
@@ -379,7 +376,7 @@ def emit_km_figures(cohort: Cohort, group_specs: list[str], out_dir: str) -> lis
     binning rule so the output is self-describing."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    km, _ = fit_km(cohort)
+    km = kaplan_meier(cohort.time, cohort.event)
     specs = [("overall", [("all", km)], "Kaplan-Meier survival")]
     for name in group_specs:
         col = cohort.schema.column(name)  # raises KeyError on unknown names
@@ -391,8 +388,8 @@ def emit_km_figures(cohort: Cohort, group_specs: list[str], out_dir: str) -> lis
             med = float(np.median(vals))
             curves = []
             for label, mask in (
-                (f"{name} <= {_fmt6(med)}", vals <= med),
-                (f"{name} > {_fmt6(med)}", vals > med),
+                (f"{name} <= {fmt6(med)}", vals <= med),
+                (f"{name} > {fmt6(med)}", vals > med),
             ):
                 if mask.any():
                     curves.append(

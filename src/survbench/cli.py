@@ -29,6 +29,7 @@ from .bench import (
     run_benchmark,
     write_text_atomic,
 )
+from .common import fmt6
 from .data import DesignMatrix, encode, ingest_csv, write_cohort_csv
 from .datagen import (
     GeneratorConfig,
@@ -38,10 +39,6 @@ from .datagen import (
     write_ground_truth_csv,
 )
 from .mtlr import fit_mtlr, make_grid
-
-
-def _fmt6(v: float) -> str:
-    return format(float(v), ".6g")
 
 
 def _ensure_parent(path: str) -> None:
@@ -85,7 +82,7 @@ def _cmd_datagen(args) -> int:
     write_ground_truth_csv(truth, f"{stem}_truth{ext or '.csv'}")
     print(
         f"wrote {out}: n={cohort.n}, events={cohort.n_events}, "
-        f"censoring={_fmt6(cohort.censoring_rate)}"
+        f"censoring={fmt6(cohort.censoring_rate)}"
     )
     return 0
 
@@ -147,7 +144,7 @@ def _cmd_eval(args) -> int:
     from .metrics import concordance_index
 
     res = concordance_index(design.times, design.events, scores)
-    print(f"{name} C-index: {_fmt6(res.cindex)} ({res.comparable} comparable pairs)")
+    print(f"{name} C-index: {fmt6(res.cindex)} ({res.comparable} comparable pairs)")
     return 0
 
 
@@ -172,12 +169,12 @@ def _cmd_bench(args) -> int:
     report = run_benchmark(config)
     width = max(len(r.name) for r in report.rows)
     print(f"n={report.n} events={report.n_events} "
-          f"censoring={_fmt6(report.censoring_rate)} "
+          f"censoring={fmt6(report.censoring_rate)} "
           f"split={report.train_n}/{report.test_n} seed={report.seed}")
     for r in report.rows:
         print(
-            f"{r.name:<{width}}  train={_fmt6(r.train_cindex):<9} "
-            f"test={_fmt6(r.test_cindex):<9} "
+            f"{r.name:<{width}}  train={fmt6(r.train_cindex):<9} "
+            f"test={fmt6(r.test_cindex):<9} "
             f"[{r.status}{'' if r.converged else ', not converged'}]"
         )
     print(f"report written to {config.out_dir}/")

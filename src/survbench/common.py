@@ -1,8 +1,14 @@
-"""Small records shared by the fitters."""
+"""Small records and helpers shared across modules."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+
+def fmt6(v: float) -> str:
+    """A number at 6 significant digits, as every printed line, CSV cell
+    and figure label shows it."""
+    return format(float(v), ".6g")
 
 
 @dataclass(frozen=True)

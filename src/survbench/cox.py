@@ -4,6 +4,18 @@ fitting with step-halving, Breslow baseline hazard.
 The model is h(t|x) = h0(t) * exp(beta.x). Fitting maximizes the Breslow
 log partial likelihood, optionally ridge-penalized; the reported gradient
 norm is for the penalized objective (they coincide at ridge = 0).
+
+With eta = X beta, the likelihood and its eta-gradient come from
+`riskset.breslow_loglik`, and the beta-gradient is X^T of the latter.
+The Hessian is
+
+    sum_g d_g xbar_g xbar_g^T - X^T diag(w * c) X,
+
+where d_g is the number of events at distinct time g, xbar_g the
+w-weighted covariate mean over its risk set, w_j = exp(eta_j), and c_j
+the sum of d_g / W_g over every risk set holding row j (W_g the sum of w
+over risk set g). Since dl/deta_j = delta_j - w_j c_j, w * c is read off
+the eta-gradient. Only p x p sums are formed, never a p x p block per row.
 """
 
 from __future__ import annotations
@@ -14,9 +26,11 @@ import numpy as np
 
 from .common import Convergence
 from .data import DesignMatrix
+from .riskset import breslow_loglik, risk_set_sums, risk_sets
 from .stepfun import StepFunction
 
 _BETA_BOUND = 50.0
+_LL_TIE = 1e-12
 
 
 class MonotoneLikelihoodError(RuntimeError):
@@ -36,49 +50,22 @@ class CoxModel:
     convergence: Convergence
 
 
-def _groups(times, events):
-    """Risk-set bookkeeping under an ascending time sort.
-
-    Returns (order, distinct times, group start offsets into the sorted
-    arrays, event counts per distinct time). The risk set of a distinct
-    time is the sorted suffix starting at its first occurrence.
-    """
-    order = np.argsort(times, kind="stable")
-    uniq, starts = np.unique(times[order], return_index=True)
-    d = np.add.reduceat(events[order].astype(np.float64), starts)
-    return order, uniq, starts, d
-
-
 def cox_loglik_grad_hess(design: DesignMatrix, beta) -> tuple[float, np.ndarray, np.ndarray]:
-    """Breslow partial log-likelihood and its exact first two derivatives.
-
-    Risk-set sums are suffix sums over the time-sorted cohort, so ties
-    share one risk set; exp is stabilized by the max linear predictor.
-    """
+    """Breslow partial log-likelihood and its exact first two derivatives
+    (the Hessian in the form the module docstring gives)."""
     beta = np.asarray(beta, dtype=np.float64)
-    X, times, events = design.X, design.times, design.events
-    order, _, starts, d = _groups(times, events)
-    Xs, evs = X[order], events[order]
-    eta = Xs @ beta
-    m = eta.max() if eta.size else 0.0
-    w = np.exp(eta - m)
-    # suffix sums: W[i] = sum_{j >= i} w_j, and likewise for w*x, w*x*x^T
-    W = np.cumsum(w[::-1])[::-1]
-    Wx = np.cumsum((w[:, None] * Xs)[::-1], axis=0)[::-1]
-    Wxx = np.cumsum(np.einsum("i,ij,ik->ijk", w, Xs, Xs)[::-1], axis=0)[::-1]
-    loglik, grad = 0.0, np.zeros(design.p)
-    hess = np.zeros((design.p, design.p))
-    for g in np.nonzero(d > 0)[0]:
-        i = starts[g]
-        stop = starts[g + 1] if g + 1 < starts.size else len(evs)
-        in_group = np.nonzero(evs[i:stop] == 1)[0] + i
-        s = Xs[in_group].sum(axis=0)
-        dg = d[g]
-        loglik += eta[in_group].sum() - dg * (m + np.log(W[i]))
-        xbar = Wx[i] / W[i]
-        grad += s - dg * xbar
-        hess -= dg * (Wxx[i] / W[i] - np.outer(xbar, xbar))
-    return float(loglik), grad, hess
+    X = design.X
+    rs = risk_sets(design.times, design.events)
+    eta = X @ beta
+    loglik, dl_deta = breslow_loglik(rs, eta)
+    sorted_eta = eta[rs.order]
+    w = np.exp(sorted_eta - sorted_eta.max())
+    has = rs.n_events > 0
+    sums = risk_set_sums(rs, np.vstack([w, X[rs.order].T * w]))[:, has]
+    xbar = sums[1:] / sums[0]
+    wc = (design.events == 1) - dl_deta
+    hess = (xbar * rs.n_events[has]) @ xbar.T - (X.T * wc) @ X
+    return loglik, X.T @ dl_deta, hess
 
 
 def _penalized(design, beta, ridge):
@@ -97,7 +84,10 @@ def fit_cox(
     ridge: float = 0.0,
 ) -> CoxModel:
     """Newton-Raphson with step-halving; gradient-ascent step whenever the
-    Newton direction is not an ascent direction."""
+    Newton direction is not an ascent direction. A step is taken when it
+    raises the log-likelihood, or when it lowers the gradient norm and
+    leaves the log-likelihood within _LL_TIE (relative) of its value:
+    near the optimum the log-likelihood is flat to within rounding."""
     if design.events.sum() < 1:
         raise ValueError("need at least one event to fit")
     spans = design.X.max(axis=0) - design.X.min(axis=0) if design.n else np.array([])
@@ -127,7 +117,10 @@ def fit_cox(
         for _ in range(30):
             cand = beta + step * delta
             cll, cgrad, chess = _penalized(design, cand, ridge)
-            if cll > ll or (cll == ll and float(np.abs(cgrad).max()) < gnorm):
+            if cll > ll or (
+                abs(cll - ll) <= _LL_TIE * abs(ll)
+                and float(np.abs(cgrad).max()) < gnorm
+            ):
                 beta, ll, grad, hess = cand, cll, cgrad, chess
                 improved = True
                 break
@@ -151,13 +144,13 @@ def fit_cox(
 def _breslow_baseline(design: DesignMatrix, beta) -> StepFunction:
     """Jump at each distinct event time: d_g / sum of exp(eta) over its
     risk set (no stabilization needed at the fitted beta's scale)."""
-    order, uniq, starts, d = _groups(design.times, design.events)
-    eta = (design.X @ beta)[order]
-    m = eta.max() if eta.size else 0.0
-    W = np.cumsum(np.exp(eta - m)[::-1])[::-1]
-    keep = d > 0
-    jumps = d[keep] / (W[starts[keep]] * np.exp(m))
-    return StepFunction(times=uniq[keep], values=np.cumsum(jumps), initial=0.0)
+    rs = risk_sets(design.times, design.events)
+    eta = (design.X @ beta)[rs.order]
+    m = eta.max()
+    W = risk_set_sums(rs, np.exp(eta - m))
+    keep = rs.n_events > 0
+    jumps = rs.n_events[keep] / (W[keep] * np.exp(m))
+    return StepFunction(times=rs.times[keep], values=np.cumsum(jumps), initial=0.0)
 
 
 def predict_risk(model: CoxModel, design: DesignMatrix) -> np.ndarray:

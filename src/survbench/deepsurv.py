@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DesignMatrix
+from .riskset import breslow_loglik, risk_sets
 from .rng import CounterRng
 
 _ACTIVATIONS = ("relu", "tanh")
@@ -65,37 +66,16 @@ def init_parameters(spec: MlpSpec) -> tuple[list[np.ndarray], list[np.ndarray]]:
 
 
 def cox_nll_loss(log_risks, times, events) -> tuple[float, np.ndarray]:
-    """Negative partial likelihood of a batch and its exact gradient with
-    respect to the log-risks. Risk sets are suffixes of the time-sorted
-    batch (ties share a risk set); exp is max-shifted, which the loss is
-    invariant to."""
-    g = np.asarray(log_risks, dtype=np.float64)
-    times = np.asarray(times, dtype=np.float64)
-    events = np.asarray(events, dtype=np.int64)
-    n_events = int((events == 1).sum())
+    """Negative partial likelihood of a batch over its event count, and
+    its exact gradient with respect to the log-risks: -l/E and -dl/dg / E
+    for the Breslow likelihood l of `breslow_loglik` (ties share a risk
+    set, exp is max-shifted)."""
+    rs = risk_sets(times, events)
+    n_events = int(rs.n_events.sum())
     if n_events < 1:
         raise ValueError("batch has no events")
-    order = np.argsort(times, kind="stable")
-    gs, es = g[order], events[order]
-    uniq, starts = np.unique(times[order], return_index=True)
-    d = np.add.reduceat(es.astype(np.float64), starts)
-    m = gs.max()
-    w = np.exp(gs - m)
-    suffix = np.cumsum(w[::-1])[::-1]
-    denom = suffix[starts]
-    group_of = np.searchsorted(starts, np.arange(times.size), side="right") - 1
-    event_rows = es == 1
-    loss = -(
-        gs[event_rows].sum()
-        - float(((m + np.log(denom)) * d).sum())
-    ) / n_events
-    # gradient: (w_j * sum_{groups at or before j} d_g/denom_g - delta_j)/E
-    q = np.where(d > 0, d / denom, 0.0)
-    prefix_q = np.cumsum(q)
-    grad_sorted = (w * prefix_q[group_of] - event_rows) / n_events
-    grad = np.empty_like(g)
-    grad[order] = grad_sorted
-    return float(loss), grad
+    loglik, grad = breslow_loglik(rs, log_risks)
+    return -loglik / n_events, -grad / n_events
 
 
 def _forward(weights, biases, X, activation, drop_masks=None):

@@ -8,60 +8,28 @@ knot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import Cohort
+from .riskset import risk_sets
 from .stepfun import StepFunction
-
-
-@dataclass(frozen=True)
-class RiskTable:
-    """Distinct event times with the risk-set size just before each and
-    the number of events at each."""
-
-    event_times: np.ndarray
-    n_at_risk: np.ndarray
-    n_events: np.ndarray
-
-
-def _event_counts(time, event):
-    """(distinct event times, at-risk just before each, events at each)."""
-    time = np.asarray(time, dtype=np.float64)
-    event = np.asarray(event, dtype=np.int64)
-    if time.size == 0:
-        raise ValueError("empty sample")
-    uniq, inv = np.unique(time, return_inverse=True)
-    d = np.bincount(inv, weights=(event == 1), minlength=uniq.size).astype(np.int64)
-    total = np.bincount(inv, minlength=uniq.size).astype(np.int64)
-    removed_before = np.concatenate(([0], np.cumsum(total)[:-1]))
-    at_risk = time.size - removed_before
-    keep = d > 0
-    return uniq[keep], at_risk[keep], d[keep]
 
 
 def kaplan_meier(time, event) -> StepFunction:
     """Product-limit estimate of S(t), initial value 1. A sample with no
     events yields the constant function 1."""
-    times, at_risk, d = _event_counts(time, event)
-    return StepFunction(times=times, values=np.cumprod(1.0 - d / at_risk), initial=1.0)
+    rs = risk_sets(time, event)
+    keep = rs.n_events > 0
+    hazard = rs.n_events[keep] / rs.n_at_risk[keep]
+    return StepFunction(times=rs.times[keep], values=np.cumprod(1.0 - hazard), initial=1.0)
 
 
 def nelson_aalen(time, event) -> StepFunction:
     """Cumulative-hazard estimate H(t) = sum d_i/n_i, initial value 0."""
-    times, at_risk, d = _event_counts(time, event)
-    return StepFunction(times=times, values=np.cumsum(d / at_risk), initial=0.0)
-
-
-def fit_km(cohort: Cohort) -> tuple[StepFunction, RiskTable]:
-    times, at_risk, d = _event_counts(cohort.time, cohort.event)
-    km = StepFunction(times=times, values=np.cumprod(1.0 - d / at_risk), initial=1.0)
-    return km, RiskTable(event_times=times, n_at_risk=at_risk, n_events=d)
-
-
-def fit_nelson_aalen(cohort: Cohort) -> StepFunction:
-    return nelson_aalen(cohort.time, cohort.event)
+    rs = risk_sets(time, event)
+    keep = rs.n_events > 0
+    hazard = rs.n_events[keep] / rs.n_at_risk[keep]
+    return StepFunction(times=rs.times[keep], values=np.cumsum(hazard), initial=0.0)
 
 
 def fit_km_grouped(cohort: Cohort, group_by: str) -> dict[str, StepFunction]:

@@ -32,6 +32,7 @@ import numpy as np
 
 from .data import DesignMatrix
 from .nonparametric import nelson_aalen
+from .riskset import RiskSets, risk_set_sums, risk_sets
 from .rng import CounterRng, derive_seed
 from .stepfun import StepFunction, average_step_functions
 
@@ -70,30 +71,20 @@ class Forest:
     column_names: list[str]
 
 
-def _time_groups(times, events):
-    """Tie groups of time-sorted rows: the start index of each distinct
-    time, the events and the at-risk count at each, and which hold an
-    event."""
-    _, starts = np.unique(times, return_index=True)
-    d = np.add.reduceat(events.astype(np.float64), starts)
-    n_total = times.size - starts
-    return starts, d, n_total, d > 0
-
-
-def _logrank_parts(groups, events, left_masks):
+def _logrank_parts(rs: RiskSets, left_masks):
     """Vectorized two-sample log-rank over candidate left-memberships.
 
-    groups is `_time_groups` of the time-sorted node; events and the
-    (C, n) left_masks follow the same order. Returns the statistic
-    |O-E|/sqrt(V) per candidate, with nan where V = 0.
+    rs holds the node's risk sets; the (C, n) left_masks hold its rows in
+    `rs.order`. Returns the statistic |O-E|/sqrt(V) per candidate, with
+    nan where V = 0.
     """
-    starts, d, n_total, has_event = groups
     M = left_masks.astype(np.float64)
-    n_left = np.cumsum(M[:, ::-1], axis=1)[:, ::-1][:, starts]
-    d_left = np.add.reduceat(M * events, starts, axis=1)
-    frac = n_left[:, has_event] / n_total[has_event]
-    dd = d[has_event]
-    nn = n_total[has_event]
+    n_left = risk_set_sums(rs, M)
+    d_left = np.add.reduceat(M * rs.is_event, rs.starts, axis=1)
+    has_event = rs.n_events > 0
+    dd = rs.n_events[has_event]
+    nn = rs.n_at_risk[has_event]
+    frac = n_left[:, has_event] / nn
     observed = d_left[:, has_event].sum(axis=1)
     expected = (dd * frac).sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -110,7 +101,6 @@ def _logrank_parts(groups, events, left_masks):
 def logrank_score(times, events, column_values, threshold) -> float:
     """Absolute standardized two-sample log-rank statistic for the split
     column <= threshold vs >."""
-    times = np.asarray(times, dtype=np.float64)
     events = np.asarray(events, dtype=np.int64)
     x = np.asarray(column_values, dtype=np.float64)
     left = x <= threshold
@@ -118,17 +108,15 @@ def logrank_score(times, events, column_values, threshold) -> float:
         raise ValueError("split leaves one side empty; score undefined")
     if events.sum() < 1:
         raise ValueError("no events; score undefined")
-    order = np.argsort(times, kind="stable")
-    ts, es = times[order], events[order]
-    score = _logrank_parts(_time_groups(ts, es), es, left[order][None, :])[0]
+    rs = risk_sets(times, events)
+    score = _logrank_parts(rs, left[rs.order][None, :])[0]
     if np.isnan(score):
         raise ValueError("zero log-rank variance; score undefined")
     return float(score)
 
 
-def _grow(rng, X, times, events, order, min_leaf, max_depth, mtry, depth):
-    """order sorts the node's rows by time; X/times/events are the node
-    sample (bootstrap rows)."""
+def _grow(rng, X, times, events, min_leaf, max_depth, mtry, depth):
+    """X/times/events are the node sample (bootstrap rows)."""
     n = times.size
     if (
         n < 2 * min_leaf
@@ -138,8 +126,7 @@ def _grow(rng, X, times, events, order, min_leaf, max_depth, mtry, depth):
         return TreeNode(chf=nelson_aalen(times, events))
     p = X.shape[1]
     cols = np.argsort(rng.uniform(p), kind="stable")[:mtry]
-    ts, es = times[order], events[order]
-    groups = _time_groups(ts, es)
+    rs = risk_sets(times, events)
     best = (0.0, None, None)  # score, column, threshold
     for j in cols:
         x = X[:, j]
@@ -150,12 +137,12 @@ def _grow(rng, X, times, events, order, min_leaf, max_depth, mtry, depth):
         if mids.size > _MAX_THRESHOLDS:
             pick = np.argsort(rng.uniform(mids.size), kind="stable")[:_MAX_THRESHOLDS]
             mids = mids[np.sort(pick)]
-        masks = x[order][None, :] <= mids[:, None]
+        masks = x[rs.order][None, :] <= mids[:, None]
         sizes = masks.sum(axis=1)
         valid = (sizes >= min_leaf) & (n - sizes >= min_leaf)
         if not valid.any():
             continue
-        scores = _logrank_parts(groups, es, masks)
+        scores = _logrank_parts(rs, masks)
         scores = np.where(valid, scores, np.nan)
         with np.errstate(invalid="ignore"):
             ok = np.nonzero(~np.isnan(scores) & (scores > best[0]))[0]
@@ -169,22 +156,10 @@ def _grow(rng, X, times, events, order, min_leaf, max_depth, mtry, depth):
     go_left = X[:, j] <= thr
     left_idx = np.nonzero(go_left)[0]
     right_idx = np.nonzero(~go_left)[0]
-    children = []
-    for idx in (left_idx, right_idx):
-        sub_t, sub_e = times[idx], events[idx]
-        children.append(
-            _grow(
-                rng,
-                X[idx],
-                sub_t,
-                sub_e,
-                np.argsort(sub_t, kind="stable"),
-                min_leaf,
-                max_depth,
-                mtry,
-                depth + 1,
-            )
-        )
+    children = [
+        _grow(rng, X[idx], times[idx], events[idx], min_leaf, max_depth, mtry, depth + 1)
+        for idx in (left_idx, right_idx)
+    ]
     return TreeNode(column=j, threshold=thr, left=children[0], right=children[1])
 
 
@@ -210,13 +185,11 @@ def fit_forest(
         tree_seed = derive_seed(seed, i)
         rng = CounterRng(tree_seed)
         inbag = rng.integers(n, n)
-        times, events = design.times[inbag], design.events[inbag]
         root = _grow(
             rng,
             design.X[inbag],
-            times,
-            events,
-            np.argsort(times, kind="stable"),
+            design.times[inbag],
+            design.events[inbag],
             min_leaf,
             max_depth,
             mtry,

@@ -9,15 +9,12 @@ from __future__ import annotations
 
 from html import escape
 
+from .common import fmt6
 from .stepfun import StepFunction
 
 _W, _H = 640, 400
 _ML, _MR, _MT, _MB = 70, 20, 40, 50
 _PALETTE = ["#1965b0", "#dc050c", "#4eb265", "#f7a600", "#882e72", "#777777"]
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".6g")
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -42,13 +39,13 @@ def _frame(title: str, xlabel: str, ylabel: str, xticks, yticks, to_x, to_y) -> 
         px = to_x(t)
         parts.append(f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" y2="{y0 + 4}" stroke="black"/>')
         parts.append(
-            f'<text x="{px:.2f}" y="{y0 + 18}" text-anchor="middle">{escape(_fmt(t))}</text>'
+            f'<text x="{px:.2f}" y="{y0 + 18}" text-anchor="middle">{escape(fmt6(t))}</text>'
         )
     for t in yticks:
         py = to_y(t)
         parts.append(f'<line x1="{x0 - 4}" y1="{py:.2f}" x2="{x0}" y2="{py:.2f}" stroke="black"/>')
         parts.append(
-            f'<text x="{x0 - 8}" y="{py + 4:.2f}" text-anchor="end">{escape(_fmt(t))}</text>'
+            f'<text x="{x0 - 8}" y="{py + 4:.2f}" text-anchor="end">{escape(fmt6(t))}</text>'
         )
     parts.append(
         f'<text x="{(x0 + x1) / 2:.1f}" y="{_H - 12}" text-anchor="middle">{escape(xlabel)}</text>'
@@ -149,6 +146,6 @@ def bar_chart(
             f'<text x="{x0 - 6}" y="{cy + 4:.2f}" text-anchor="end">{escape(label)}</text>'
         )
         anchor_x = max(px, zero_x) + 4
-        parts.append(f'<text x="{anchor_x:.2f}" y="{cy + 4:.2f}">{escape(_fmt(v))}</text>')
+        parts.append(f'<text x="{anchor_x:.2f}" y="{cy + 4:.2f}">{escape(fmt6(v))}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -21,7 +21,7 @@ from survbench.data import encode
 from survbench.datagen import GeneratorConfig, HazardSpec, generate
 from survbench.metrics import concordance_index
 from survbench.mtlr import fit_mtlr, make_grid
-from survbench.nonparametric import fit_km
+from survbench.nonparametric import kaplan_meier
 
 
 def small_config(out_dir, models=("cox", "rsf"), **kw):
@@ -197,7 +197,7 @@ def test_km_figures_match_library_fits(tmp_path):
     out = tmp_path / "out"
     run_benchmark(small_config(out))
     cohort, _ = generate(GeneratorConfig(n=120, seed=5))
-    km, _ = fit_km(cohort)
+    km = kaplan_meier(cohort.time, cohort.event)
     with open(out / "km_overall.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["time", "value"]

@@ -14,6 +14,8 @@ from survbench.cox import (
     predict_risk,
     predict_survival,
 )
+from survbench.data import encode, split
+from survbench.datagen import GeneratorConfig, generate
 from survbench.nonparametric import nelson_aalen
 
 from conftest import numeric_design
@@ -225,3 +227,14 @@ def test_tied_event_times_accepted():
     )
     model = fit_cox(design, ridge=0.2)
     assert model.convergence.converged
+
+
+@pytest.mark.parametrize("seed", [2, 24])
+def test_cox_converges_on_default_cohort(seed):
+    # the log-likelihood is flat within rounding near the optimum of these
+    # cohorts; a step that lowers the gradient there must still be taken
+    cohort, _ = generate(GeneratorConfig(seed=seed))
+    train, _ = split(cohort, 0.3, seed)
+    model = fit_cox(encode(train, standardize=True))
+    assert model.convergence.converged
+    assert model.convergence.gradient_norm <= 1e-8

@@ -19,7 +19,7 @@ from survbench.datagen import (
     write_ground_truth_csv,
 )
 from survbench.data import Column, CovariateSchema
-from survbench.nonparametric import fit_km
+from survbench.nonparametric import kaplan_meier
 
 
 def test_generate_is_bit_identical():
@@ -132,7 +132,7 @@ def test_null_proportional_cohort_matches_exponential_survivor():
     )
     cohort, _ = generate(cfg)
     assert cohort.event.sum() == cfg.n
-    km, _ = fit_km(cohort)
+    km = kaplan_meier(cohort.time, cohort.event)
     grid = np.array([2.0, 5.0, 10.0, 13.86, 20.0, 30.0, 46.0])
     np.testing.assert_allclose(km(grid), np.exp(-0.05 * grid), atol=0.01)
 

@@ -9,13 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from survbench.data import Cohort, Column, CovariateSchema
-from survbench.nonparametric import (
-    fit_km,
-    fit_km_grouped,
-    fit_nelson_aalen,
-    kaplan_meier,
-    nelson_aalen,
-)
+from survbench.nonparametric import fit_km_grouped, kaplan_meier, nelson_aalen
+from survbench.riskset import risk_sets
 
 from conftest import numeric_cohort
 
@@ -142,21 +137,16 @@ def test_exp_neg_na_close_to_km_for_large_risk_sets():
         assert np.exp(-na(g)) == pytest.approx(km(g), rel=5e-3)
 
 
-def test_fit_km_risk_table():
+def test_risk_sets_risk_table():
     c = numeric_cohort(np.zeros((5, 1)), [1.0, 2.0, 2.0, 3.0, 4.0], [1, 1, 1, 0, 1])
-    km, table = fit_km(c)
-    assert table.event_times.tolist() == [1.0, 2.0, 4.0]
-    assert table.n_at_risk.tolist() == [5, 4, 1]
-    assert table.n_events.tolist() == [1, 2, 1]
+    rs = risk_sets(c.time, c.event)
+    has = rs.n_events > 0
+    assert rs.times[has].tolist() == [1.0, 2.0, 4.0]
+    assert rs.n_at_risk[has].tolist() == [5, 4, 1]
+    assert rs.n_events[has].tolist() == [1, 2, 1]
+    km = kaplan_meier(c.time, c.event)
+    assert km.times.tolist() == [1.0, 2.0, 4.0]
     np.testing.assert_allclose(km.values, [4 / 5, 4 / 5 * 2 / 4, 0.0])
-
-
-def test_fit_nelson_aalen_matches_array_form():
-    c = numeric_cohort(np.zeros((4, 1)), [1.0, 2.0, 3.0, 4.0], [1, 1, 0, 1])
-    na = fit_nelson_aalen(c)
-    ref = nelson_aalen(c.time, c.event)
-    assert np.array_equal(na.times, ref.times)
-    assert np.array_equal(na.values, ref.values)
 
 
 def grouped_cohort():
@@ -183,7 +173,8 @@ def test_grouped_km_matches_manual_subsets():
     assert set(curves) == {"ctrl", "treat"}
     for level in ("ctrl", "treat"):
         idx = np.nonzero(c.covariates["arm"] == level)[0]
-        ref, _ = fit_km(c.subset(idx))
+        sub = c.subset(idx)
+        ref = kaplan_meier(sub.time, sub.event)
         assert np.array_equal(curves[level].times, ref.times)
         assert np.array_equal(curves[level].values, ref.values)
 
