@@ -15,6 +15,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
@@ -27,35 +28,115 @@ from .nonparametric import fit_km_grouped, kaplan_meier
 from .rng import derive_seed
 from .svg import bar_chart, step_chart
 
-MODEL_ORDER = ["cox", "mtlr", "rsf", "deepsurv", "ksvm"]
 
-# gradient-trained models get standardized designs; trees split raw values
-_STANDARDIZE = {"cox": True, "mtlr": True, "rsf": False, "deepsurv": True, "ksvm": True}
+@dataclass(frozen=True)
+class ModelSpec:
+    """How the harness drives one model. `fit` and `risk` look up their
+    module function at call time, so a tracer that rebinds module
+    attributes sees calls made through the registry. Gradient-trained
+    models get standardized designs; trees split raw values."""
 
-_DEFAULT_OPTIONS: dict[str, dict] = {
-    "cox": {"max_iter": 100, "tol": 1e-8, "ridge": 0.0},
-    "mtlr": {"k": 10, "l2": 1.0, "max_iter": 1000, "tol": 1e-3},
-    "rsf": {"b": 200, "mtry": None, "min_leaf": 15, "max_depth": None},
-    "deepsurv": {
-        "hidden": [32],
-        "activation": "relu",
-        "dropout_rate": 0.0,
-        "epochs": 300,
-        "batch_size": 64,
-        "learning_rate": 1e-3,
-        "l2": 1e-4,
-    },
-    "ksvm": {
-        "kind": "rbf",
-        "gamma": None,
-        "degree": 3,
-        "coef0": 1.0,
-        "c": 1.0,
-        "max_iter": 30,
-        "tol": 1e-3,
-        "max_pairs": 10_000,
-    },
+    standardize: bool
+    defaults: dict
+    fit: Callable
+    risk: Callable
+    to_dict: Callable
+    from_dict: Callable
+
+
+def _fit_mtlr(design, opts: dict, seed: int):
+    opts = dict(opts)
+    return mtlr.fit_mtlr(design, mtlr.make_grid(design, opts.pop("k")), **opts)
+
+
+def _fit_deepsurv(design, opts: dict, seed: int):
+    opts = dict(opts)
+    net = deepsurv.MlpSpec(
+        layer_widths=(design.p, *opts.pop("hidden"), 1),
+        activation=opts.pop("activation"),
+        dropout_rate=opts.pop("dropout_rate"),
+        weight_init_seed=derive_seed(seed, 1),
+    )
+    return deepsurv.fit_deepsurv(design, net, seed=seed, **opts)
+
+
+def _fit_ksvm(design, opts: dict, seed: int):
+    opts = dict(opts)
+    kernel = ksvm.KernelSpec(**{k: opts.pop(k) for k in ("kind", "gamma", "degree", "coef0")})
+    return ksvm.fit_ksvm(design, kernel, seed=seed, **opts)
+
+
+# in report order; a model's position also derives its seed in a bench run
+MODELS: dict[str, ModelSpec] = {
+    "cox": ModelSpec(
+        standardize=True,
+        defaults={"max_iter": 100, "tol": 1e-8, "ridge": 0.0},
+        fit=lambda design, opts, seed: cox.fit_cox(design, **opts),
+        risk=lambda model, design: cox.predict_risk(model, design),
+        to_dict=cox.cox_to_dict,
+        from_dict=cox.cox_from_dict,
+    ),
+    "mtlr": ModelSpec(
+        standardize=True,
+        defaults={"k": 10, "l2": 1.0, "max_iter": 1000, "tol": 1e-3},
+        fit=_fit_mtlr,
+        risk=lambda model, design: mtlr.mtlr_risk(model, design),
+        to_dict=mtlr.mtlr_to_dict,
+        from_dict=mtlr.mtlr_from_dict,
+    ),
+    "rsf": ModelSpec(
+        standardize=False,
+        defaults={"b": 200, "mtry": None, "min_leaf": 15, "max_depth": None},
+        fit=lambda design, opts, seed: rsf.fit_forest(design, seed=seed, **opts),
+        risk=lambda model, design: rsf.rsf_risk(model, design),
+        to_dict=rsf.forest_to_dict,
+        from_dict=rsf.forest_from_dict,
+    ),
+    "deepsurv": ModelSpec(
+        standardize=True,
+        defaults={
+            "hidden": [32],
+            "activation": "relu",
+            "dropout_rate": 0.0,
+            "epochs": 300,
+            "batch_size": 64,
+            "learning_rate": 1e-3,
+            "l2": 1e-4,
+        },
+        fit=_fit_deepsurv,
+        risk=lambda model, design: deepsurv.predict_log_risk(model, design),
+        to_dict=deepsurv.deepsurv_to_dict,
+        from_dict=deepsurv.deepsurv_from_dict,
+    ),
+    "ksvm": ModelSpec(
+        standardize=True,
+        defaults={
+            "kind": "rbf",
+            "gamma": None,
+            "degree": 3,
+            "coef0": 1.0,
+            "c": 1.0,
+            "max_iter": 30,
+            "tol": 1e-3,
+            "max_pairs": 10_000,
+        },
+        fit=_fit_ksvm,
+        risk=lambda model, design: ksvm.ksvm_risk(model, design),
+        to_dict=ksvm.ksvm_to_dict,
+        from_dict=ksvm.ksvm_from_dict,
+    ),
 }
+
+
+def model_options(name: str, overrides: dict) -> dict:
+    """The model's default options with `overrides` merged in; a key the
+    model does not have is an error."""
+    merged = dict(MODELS[name].defaults)
+    unknown = set(overrides) - set(merged)
+    if unknown:
+        raise ValueError(f"unknown {name} options: {sorted(unknown)}")
+    merged.update(overrides)
+    return merged
 
 
 @dataclass(frozen=True)
@@ -65,7 +146,7 @@ class BenchConfig:
     test_fraction: float = 0.3
     seed: int = 0
     out_dir: str = "bench_out"
-    models: tuple[str, ...] = tuple(MODEL_ORDER)
+    models: tuple[str, ...] = tuple(MODELS)
     model_options: dict = field(default_factory=dict)
     km_groups: tuple[str, ...] = ("OnlineBehavior", "Gender")
 
@@ -74,7 +155,7 @@ class BenchConfig:
             raise ValueError("exactly one of csv_path / generator is required")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must be in (0, 1)")
-        unknown = set(self.models) - set(MODEL_ORDER)
+        unknown = set(self.models) - set(MODELS)
         if unknown:
             raise ValueError(f"unknown models: {sorted(unknown)}")
 
@@ -142,77 +223,7 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def _options(config: BenchConfig, name: str) -> dict:
-    merged = dict(_DEFAULT_OPTIONS[name])
-    overrides = config.model_options.get(name, {})
-    unknown = set(overrides) - set(merged)
-    if unknown:
-        raise ValueError(f"unknown {name} options: {sorted(unknown)}")
-    merged.update(overrides)
-    return merged
-
-
-def fit_model(name: str, design, opts: dict, seed: int):
-    """Dispatch one model fit; opts follows _DEFAULT_OPTIONS[name]."""
-    if name == "cox":
-        return cox.fit_cox(design, **opts)
-    if name == "mtlr":
-        opts = dict(opts)
-        grid = mtlr.make_grid(design, opts.pop("k"))
-        return mtlr.fit_mtlr(design, grid, **opts)
-    if name == "rsf":
-        return rsf.fit_forest(design, seed=seed, **opts)
-    if name == "deepsurv":
-        opts = dict(opts)
-        spec = deepsurv.MlpSpec(
-            layer_widths=(design.p, *opts.pop("hidden"), 1),
-            activation=opts.pop("activation"),
-            dropout_rate=opts.pop("dropout_rate"),
-            weight_init_seed=derive_seed(seed, 1),
-        )
-        return deepsurv.fit_deepsurv(design, spec, seed=seed, **opts)
-    if name == "ksvm":
-        opts = dict(opts)
-        kernel = ksvm.KernelSpec(
-            kind=opts.pop("kind"),
-            gamma=opts.pop("gamma"),
-            degree=opts.pop("degree"),
-            coef0=opts.pop("coef0"),
-        )
-        return ksvm.fit_ksvm(design, kernel, seed=seed, **opts)
-    raise ValueError(f"unknown model {name!r}")
-
-
-_RISK_FN = {
-    "cox": cox.predict_risk,
-    "mtlr": mtlr.mtlr_risk,
-    "rsf": rsf.rsf_risk,
-    "deepsurv": deepsurv.predict_log_risk,
-    "ksvm": ksvm.ksvm_risk,
-}
-
-_TO_DICT = {
-    "cox": cox.cox_to_dict,
-    "mtlr": mtlr.mtlr_to_dict,
-    "rsf": rsf.forest_to_dict,
-    "deepsurv": deepsurv.deepsurv_to_dict,
-    "ksvm": ksvm.ksvm_to_dict,
-}
-
-_FROM_DICT = {
-    "cox": cox.cox_from_dict,
-    "mtlr": mtlr.mtlr_from_dict,
-    "rsf": rsf.forest_from_dict,
-    "deepsurv": deepsurv.deepsurv_from_dict,
-    "ksvm": ksvm.ksvm_from_dict,
-}
-
-
-def model_risk(name: str, model, design) -> np.ndarray:
-    return _RISK_FN[name](model, design)
-
-
-def model_converged(name: str, model) -> bool:
+def model_converged(model) -> bool:
     conv = getattr(model, "convergence", None)
     return True if conv is None else conv.converged
 
@@ -251,19 +262,19 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     train, test = split(cohort, config.test_fraction, config.seed)
     rows = []
     fitted = {}
-    for name in MODEL_ORDER:
+    for position, (name, spec) in enumerate(MODELS.items()):
         if name not in config.models:
             continue
-        model_seed = derive_seed(config.seed, MODEL_ORDER.index(name))
+        model_seed = derive_seed(config.seed, position)
         started = time.perf_counter()
         try:
-            opts = _options(config, name)
-            train_design = encode(train, standardize=_STANDARDIZE[name])
+            opts = model_options(name, config.model_options.get(name, {}))
+            train_design = encode(train, standardize=spec.standardize)
             test_design = encode_like(test, train_design)
-            model = fit_model(name, train_design, opts, model_seed)
-            risk_train = model_risk(name, model, train_design)
-            risk_test = model_risk(name, model, test_design)
-            converged = model_converged(name, model)
+            model = spec.fit(train_design, opts, model_seed)
+            risk_train = spec.risk(model, train_design)
+            risk_test = spec.risk(model, test_design)
+            converged = model_converged(model)
             elapsed = (time.perf_counter() - started) * 1000.0
             row = ModelRow(
                 name=name,

@@ -11,26 +11,22 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from .bench import (
-    _DEFAULT_OPTIONS,
-    _FROM_DICT,
-    _STANDARDIZE,
-    _TO_DICT,
-    MODEL_ORDER,
-    BenchConfig,
+    MODELS,
     bench_config_from_dict,
     emit_km_figures,
     emit_weight_figure,
-    fit_model,
-    model_risk,
+    model_options,
     run_benchmark,
     write_text_atomic,
 )
 from .common import fmt6
-from .data import DesignMatrix, encode, ingest_csv, write_cohort_csv
+from .data import (Column, CovariateSchema, DesignMatrix, encode, encode_like, ingest_csv,
+                   write_cohort_csv)
 from .datagen import (
     GeneratorConfig,
     HazardSpec,
@@ -38,7 +34,7 @@ from .datagen import (
     generate,
     write_ground_truth_csv,
 )
-from .mtlr import fit_mtlr, make_grid
+from .metrics import concordance_index
 
 
 def _ensure_parent(path: str) -> None:
@@ -87,22 +83,15 @@ def _cmd_datagen(args) -> int:
     return 0
 
 
-def _standardized_design(cohort, model_name):
-    return encode(cohort, standardize=_STANDARDIZE[model_name])
-
-
 def _cmd_fit(args) -> int:
+    spec = MODELS[args.model]
     cohort = ingest_csv(args.input)
-    seed = args.seed if args.seed is not None else 0
-    opts = dict(_DEFAULT_OPTIONS[args.model])
     overrides = _load_config(args.config).get("model_options", {}).get(args.model, {})
-    unknown = set(overrides) - set(opts)
-    if unknown:
-        raise SystemExit(f"unknown {args.model} options: {sorted(unknown)}")
-    opts.update(overrides)
-    design = _standardized_design(cohort, args.model)
-    model = fit_model(args.model, design, opts, seed)
-    doc = _TO_DICT[args.model](model)
+    opts = model_options(args.model, overrides)
+    design = encode(cohort, standardize=spec.standardize)
+    model = spec.fit(design, opts, args.seed if args.seed is not None else 0)
+    doc = spec.to_dict(model)
+    doc["schema"] = [asdict(c) for c in design.schema.columns]
     doc["standardization"] = {
         "means": None if design.means is None else design.means.tolist(),
         "sds": None if design.sds is None else design.sds.tolist(),
@@ -110,12 +99,9 @@ def _cmd_fit(args) -> int:
     out = args.out or f"{args.model}.json"
     _ensure_parent(out)
     write_text_atomic(out, json.dumps(doc) + "\n")
-    if args.model == "deepsurv" and model.training_log:
-        log_lines = ["epoch,loss"] + [
-            f"{i},{repr(v)}" for i, v in enumerate(model.training_log)
-        ]
-        write_text_atomic(f"{os.path.splitext(out)[0]}_training_log.csv",
-                          "\n".join(log_lines) + "\n")
+    if getattr(model, "training_log", None):
+        rows = "".join(f"{i},{v!r}\n" for i, v in enumerate(model.training_log))
+        write_text_atomic(f"{os.path.splitext(out)[0]}_training_log.csv", "epoch,loss\n" + rows)
     print(f"wrote {out}")
     return 0
 
@@ -123,27 +109,25 @@ def _cmd_fit(args) -> int:
 def _cmd_eval(args) -> int:
     with open(args.model_file) as fh:
         doc = json.load(fh)
-    name = doc["model"]
+    name = doc.get("model") if isinstance(doc, dict) else None
+    if name not in MODELS:
+        raise ValueError(f"{args.model_file}: unknown model {name!r}")
+    if "schema" not in doc:
+        raise ValueError(f"{args.model_file}: no covariate schema; refit the model")
+    schema = CovariateSchema(tuple(
+        Column(c["name"], c["kind"], tuple(c["levels"])) for c in doc.pop("schema")
+    ))
     std = doc.pop("standardization", {"means": None, "sds": None})
-    model = _FROM_DICT[name](doc)
-    cohort = ingest_csv(args.input)
-    design = encode(cohort, standardize=False)
-    if std["means"] is not None:
-        means = np.asarray(std["means"])
-        sds = np.asarray(std["sds"])
-        design = DesignMatrix(
-            X=(design.X - means) / sds,
-            names=design.names,
-            times=design.times,
-            events=design.events,
-            schema=design.schema,
-            means=means,
-            sds=sds,
-        )
-    scores = model_risk(name, model, design)
-    from .metrics import concordance_index
-
-    res = concordance_index(design.times, design.events, scores)
+    model = MODELS[name].from_dict(doc)
+    # encode_like reads only the template's schema and affine map
+    template = DesignMatrix(
+        X=np.empty((0, 0)), names=[], times=np.empty(0), events=np.empty(0),
+        schema=schema,
+        means=None if std["means"] is None else np.asarray(std["means"]),
+        sds=None if std["sds"] is None else np.asarray(std["sds"]),
+    )
+    design = encode_like(ingest_csv(args.input, schema=schema), template)
+    res = concordance_index(design.times, design.events, MODELS[name].risk(model, design))
     print(f"{name} C-index: {fmt6(res.cindex)} ({res.comparable} comparable pairs)")
     return 0
 
@@ -187,17 +171,16 @@ def _cmd_km(args) -> int:
     try:
         paths = emit_km_figures(cohort, args.by or [], out)
     except KeyError as exc:
-        raise SystemExit(f"unknown covariate: {exc}")
+        raise ValueError(f"unknown covariate: {exc}") from None
     for p in paths:
         print(f"wrote {p}")
     return 0
 
 
 def _cmd_weights(args) -> int:
-    cohort = ingest_csv(args.input)
-    design = encode(cohort, standardize=True)
-    grid = make_grid(design, args.k)
-    model = fit_mtlr(design, grid, l2=args.l2)
+    spec = MODELS["mtlr"]
+    design = encode(ingest_csv(args.input), standardize=spec.standardize)
+    model = spec.fit(design, model_options("mtlr", {"k": args.k, "l2": args.l2}), 0)
     paths = emit_weight_figure(model, args.out or "weights_out")
     for p in paths:
         print(f"wrote {p}")
@@ -225,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit one model on a cohort CSV")
     _add_globals(p)
-    p.add_argument("--model", choices=MODEL_ORDER, required=True)
+    p.add_argument("--model", choices=tuple(MODELS), required=True)
     p.add_argument("--input", required=True)
     p.set_defaults(func=_cmd_fit)
 
@@ -252,15 +235,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weights", help="MTLR variable-weight report")
     _add_globals(p)
     p.add_argument("--input", required=True)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--l2", type=float, default=1.0)
+    p.add_argument("--k", type=int, default=MODELS["mtlr"].defaults["k"])
+    p.add_argument("--l2", type=float, default=MODELS["mtlr"].defaults["l2"])
     p.set_defaults(func=_cmd_weights)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # user errors: bad input, options or paths
+        print(f"survbench: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from survbench.bench import (
-    MODEL_ORDER,
+    MODELS,
     BenchConfig,
     bench_config_from_dict,
     emit_km_figures,
@@ -84,7 +84,7 @@ def test_config_from_dict_with_csv():
     config = bench_config_from_dict({"input": {"csv": "cohort.csv"}})
     assert config.csv_path == "cohort.csv"
     assert config.generator is None
-    assert config.models == tuple(MODEL_ORDER)
+    assert config.models == tuple(MODELS)
 
 
 def test_config_from_dict_rejects_unknown_keys():

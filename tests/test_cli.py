@@ -8,8 +8,9 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from survbench.bench import MODELS, model_options
 from survbench.cli import main
-from survbench.data import encode, ingest_csv
+from survbench.data import encode, encode_like, ingest_csv
 from survbench.datagen import GeneratorConfig, generate
 from survbench.metrics import concordance_index
 
@@ -19,6 +20,12 @@ def make_cohort_csv(tmp_path, n=150, seed=2, name="cohort.csv"):
     rc = main(["datagen", "--n", str(n), "--seed", str(seed), "--out", str(path)])
     assert rc == 0
     return path
+
+
+def assert_one_line_error(capsys, text):
+    err = capsys.readouterr().err
+    assert err.startswith("survbench: error: ") and text in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_datagen_writes_cohort_and_truth(tmp_path, capsys):
@@ -83,14 +90,11 @@ def test_fit_then_eval_round_trip(tmp_path, capsys):
 
     # replaying the stored standardization on the training CSV reproduces
     # the training design, so the printed value must equal a direct refit
-    from survbench.bench import _DEFAULT_OPTIONS, fit_model, model_risk
-
+    spec = MODELS["cox"]
     cohort = ingest_csv(str(cohort_csv))
-    design = encode(cohort, standardize=True)
-    model = fit_model("cox", design, dict(_DEFAULT_OPTIONS["cox"]), 0)
-    expected = concordance_index(
-        design.times, design.events, model_risk("cox", model, design)
-    ).cindex
+    design = encode(cohort, standardize=spec.standardize)
+    model = spec.fit(design, model_options("cox", {}), 0)
+    expected = concordance_index(design.times, design.events, spec.risk(model, design)).cindex
     assert f"C-index: {format(expected, '.6g')}" in line
 
 
@@ -105,17 +109,114 @@ def test_eval_on_held_out_cohort(tmp_path, capsys):
     assert "cox C-index:" in line
 
 
-def test_fit_rejects_unknown_option(tmp_path):
+TINY_OPTIONS = {
+    "rsf": {"b": 5},
+    "deepsurv": {"epochs": 5},
+    "mtlr": {"max_iter": 50},
+    "ksvm": {"max_iter": 5, "max_pairs": 2000},
+}
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_every_model_file_reloads_and_scores(tmp_path, capsys, name):
+    cohort_csv = make_cohort_csv(tmp_path, n=120)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"model_options": TINY_OPTIONS}))
+    model_path = tmp_path / f"{name}.json"
+    assert main(["fit", "--model", name, "--input", str(cohort_csv), "--seed", "3",
+                 "--config", str(config), "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--model-file", str(model_path), "--input", str(cohort_csv)]) == 0
+    line = capsys.readouterr().out.strip()
+
+    spec = MODELS[name]
+    design = encode(ingest_csv(str(cohort_csv)), standardize=spec.standardize)
+    model = spec.fit(design, model_options(name, TINY_OPTIONS.get(name, {})), 3)
+    res = concordance_index(design.times, design.events, spec.risk(model, design))
+    assert line == f"{name} C-index: {format(res.cindex, '.6g')} ({res.comparable} comparable pairs)"
+
+
+def rewrite_rows(src, dst, keep):
+    with open(src, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(dst, "w", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        w.writeheader()
+        w.writerows(r for r in rows if keep(r))
+
+
+@pytest.mark.parametrize(
+    "keep",
+    [
+        pytest.param(lambda r: r["MaritalStatus"] != "Widowed", id="level-absent"),
+        pytest.param(lambda r: r["Gender"] == "Female", id="single-level"),
+    ],
+)
+def test_eval_uses_the_stored_schema(tmp_path, capsys, keep):
+    # held-out rows may lack a training level; eval must encode them with
+    # the training columns instead of re-inferring a schema from the file
+    train_csv = make_cohort_csv(tmp_path, n=300, seed=3)
+    held_out = tmp_path / "held_out.csv"
+    rewrite_rows(train_csv, held_out, keep)
+    model_path = tmp_path / "cox.json"
+    assert main(["fit", "--model", "cox", "--input", str(train_csv), "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--model-file", str(model_path), "--input", str(held_out)]) == 0
+    line = capsys.readouterr().out.strip()
+
+    with open(model_path) as fh:
+        schema = json.load(fh)["schema"]
+    assert [c["name"] for c in schema] == ingest_csv(str(train_csv)).schema.names
+    spec = MODELS["cox"]
+    train = encode(ingest_csv(str(train_csv)), standardize=True)
+    design = encode_like(ingest_csv(str(held_out), schema=train.schema), train)
+    model = spec.fit(train, model_options("cox", {}), 0)
+    expected = concordance_index(design.times, design.events, spec.risk(model, design)).cindex
+    assert line.startswith(f"cox C-index: {format(expected, '.6g')} ")
+
+
+@pytest.mark.parametrize(
+    "edit, text",
+    [
+        (lambda doc: doc.pop("schema"), "no covariate schema"),
+        (lambda doc: doc.update(model="gbm"), "unknown model 'gbm'"),
+    ],
+    ids=["no-schema", "unknown-model"],
+)
+def test_eval_rejects_bad_model_file(tmp_path, capsys, edit, text):
+    cohort_csv = make_cohort_csv(tmp_path)
+    model_path = tmp_path / "cox.json"
+    assert main(["fit", "--model", "cox", "--input", str(cohort_csv), "--out", str(model_path)]) == 0
+    doc = json.loads(model_path.read_text())
+    edit(doc)
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["eval", "--model-file", str(model_path), "--input", str(cohort_csv)])
+    assert rc == 2
+    assert_one_line_error(capsys, text)
+
+
+def test_fit_on_malformed_csv_is_one_line_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("Age,time,event\n30,1.5,1\n41,soon,0\n")
+    rc = main(["fit", "--model", "cox", "--input", str(bad), "--out", str(tmp_path / "m.json")])
+    assert rc == 2
+    assert_one_line_error(capsys, "row 2: non-numeric time 'soon'")
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_fit_rejects_unknown_option(tmp_path, capsys):
     cohort_csv = make_cohort_csv(tmp_path)
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"model_options": {"cox": {"step_size": 2}}}))
-    with pytest.raises(SystemExit, match="unknown cox options"):
-        main(
-            [
-                "fit", "--model", "cox", "--input", str(cohort_csv),
-                "--config", str(config), "--out", str(tmp_path / "m.json"),
-            ]
-        )
+    rc = main(
+        [
+            "fit", "--model", "cox", "--input", str(cohort_csv),
+            "--config", str(config), "--out", str(tmp_path / "m.json"),
+        ]
+    )
+    assert rc == 2
+    assert_one_line_error(capsys, "unknown cox options")
 
 
 def test_fit_deepsurv_writes_training_log(tmp_path):
@@ -231,11 +332,12 @@ def test_every_written_svg_parses(tmp_path):
         ET.parse(path)  # raises ParseError on malformed XML
 
 
-def test_km_cli_unknown_covariate(tmp_path):
+def test_km_cli_unknown_covariate(tmp_path, capsys):
     cohort_csv = make_cohort_csv(tmp_path)
-    with pytest.raises(SystemExit, match="unknown covariate"):
-        main(["km", "--input", str(cohort_csv), "--by", "Blood",
-              "--out", str(tmp_path / "km")])
+    rc = main(["km", "--input", str(cohort_csv), "--by", "Blood",
+               "--out", str(tmp_path / "km")])
+    assert rc == 2
+    assert_one_line_error(capsys, "unknown covariate")
 
 
 def test_weights_cli(tmp_path, capsys):
