@@ -78,7 +78,7 @@ MODELS: dict[str, ModelSpec] = {
     ),
     "mtlr": ModelSpec(
         standardize=True,
-        defaults={"k": 10, "l2": 1.0, "max_iter": 1000, "tol": 1e-3},
+        defaults={"k": 10, "l2": 1.0, "max_iter": 100, "tol": 1e-3},
         fit=_fit_mtlr,
         risk=lambda model, design: mtlr.mtlr_risk(model, design),
         to_dict=mtlr.mtlr_to_dict,
@@ -187,13 +187,16 @@ class BenchReport:
 
 def bench_config_from_dict(doc: dict) -> BenchConfig:
     doc = dict(doc)
-    gen = None
-    csv_path = None
     source = doc.pop("input", {})
-    if "csv" in source:
-        csv_path = source["csv"]
-    if "generator" in source:
-        g = dict(source["generator"])
+    g = source.get("generator") if isinstance(source, dict) else None
+    if not isinstance(source, dict) or not isinstance(g, (dict, type(None))):
+        raise ValueError("config input and its generator must be JSON objects")
+    gen = None
+    if g is not None:
+        unknown = set(g) - {f.name for f in fields(GeneratorConfig)}
+        if unknown:
+            raise ValueError(f"unknown generator keys: {sorted(unknown)}")
+        g = dict(g)
         hz = g.pop("hazard", None)
         if hz is not None:
             g["hazard"] = HazardSpec(kind=hz.get("kind", "nonlinear"),
@@ -207,7 +210,7 @@ def bench_config_from_dict(doc: dict) -> BenchConfig:
     for key in ("models", "km_groups"):
         if key in doc:
             doc[key] = tuple(doc[key])
-    return BenchConfig(csv_path=csv_path, generator=gen, **doc)
+    return BenchConfig(csv_path=source.get("csv"), generator=gen, **doc)
 
 
 def write_text_atomic(path: str, text: str) -> None:

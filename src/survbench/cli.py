@@ -46,7 +46,13 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: the config must be a JSON object")
+    opts = doc.get("model_options", {})
+    if not isinstance(opts, dict) or not all(isinstance(v, dict) for v in opts.values()):
+        raise ValueError(f"{path}: model_options must map model names to JSON objects")
+    return doc
 
 
 def _add_globals(p: argparse.ArgumentParser) -> None:
@@ -114,17 +120,21 @@ def _cmd_eval(args) -> int:
         raise ValueError(f"{args.model_file}: unknown model {name!r}")
     if "schema" not in doc:
         raise ValueError(f"{args.model_file}: no covariate schema; refit the model")
-    schema = CovariateSchema(tuple(
-        Column(c["name"], c["kind"], tuple(c["levels"])) for c in doc.pop("schema")
-    ))
-    std = doc.pop("standardization", {"means": None, "sds": None})
-    model = MODELS[name].from_dict(doc)
+    try:
+        schema = CovariateSchema(tuple(
+            Column(c["name"], c["kind"], tuple(c["levels"])) for c in doc.pop("schema")
+        ))
+        std = doc.pop("standardization", {"means": None, "sds": None})
+        means, sds = (None if std[k] is None else np.asarray(std[k]) for k in ("means", "sds"))
+        model = MODELS[name].from_dict(doc)
+    except KeyError as exc:
+        raise ValueError(f"{args.model_file}: no {exc} in the {name} model file") from None
+    except (TypeError, AttributeError, IndexError) as exc:
+        raise ValueError(f"{args.model_file}: malformed {name} model file: {exc}") from None
     # encode_like reads only the template's schema and affine map
     template = DesignMatrix(
         X=np.empty((0, 0)), names=[], times=np.empty(0), events=np.empty(0),
-        schema=schema,
-        means=None if std["means"] is None else np.asarray(std["means"]),
-        sds=None if std["sds"] is None else np.asarray(std["sds"]),
+        schema=schema, means=means, sds=sds,
     )
     design = encode_like(ingest_csv(args.input, schema=schema), template)
     res = concordance_index(design.times, design.events, MODELS[name].risk(model, design))
@@ -140,9 +150,6 @@ def _cmd_bench(args) -> int:
         doc["input"] = {"generator": {}}
     if args.seed is not None:
         doc["seed"] = args.seed
-        gen = doc["input"].get("generator")
-        if gen is not None and "seed" not in gen:
-            gen["seed"] = args.seed
     if args.out is not None:
         doc["out_dir"] = args.out
     if args.models is not None:

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+
+import numpy as np
+
+_LL_TIE = 1e-12
 
 
 def fmt6(v: float) -> str:
@@ -21,14 +25,53 @@ class Convergence:
     gradient_norm: float
 
     def to_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "gradient_norm": self.gradient_norm,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(doc: dict) -> "Convergence":
         return Convergence(
             bool(doc["converged"]), int(doc["iterations"]), float(doc["gradient_norm"])
         )
+
+
+class SingularHessianError(RuntimeError):
+    """The Newton system is singular. Refit with a larger penalty."""
+
+
+def newton_maximize(f, x0, max_iter: int, tol: float) -> tuple[np.ndarray, Convergence]:
+    """Maximize f, which returns (value, gradient, Hessian), from x0 by
+    Newton steps with up to 30 halvings, stepping along the gradient when
+    the Newton direction does not ascend. A step is taken when it raises
+    the value, or when it lowers the max-norm gradient and leaves the value
+    within _LL_TIE (relative): near an optimum the value is flat to within
+    rounding. Stops at max-norm gradient <= tol, after max_iter accepted
+    steps, or when no halving is taken."""
+    x = np.asarray(x0, dtype=np.float64)
+    value, grad, hess = f(x)
+    iterations = 0
+    while iterations < max_iter:
+        gnorm = float(np.abs(grad).max())
+        if gnorm <= tol:
+            break
+        try:
+            delta = np.linalg.solve(-hess, grad)
+        except np.linalg.LinAlgError:
+            raise SingularHessianError("singular Hessian; refit with larger ridge or l2") from None
+        if grad @ delta <= 0.0:
+            delta = grad.copy()
+        step = 1.0
+        for _ in range(30):
+            cand = x + step * delta
+            cvalue, cgrad, chess = f(cand)
+            if cvalue > value or (
+                abs(cvalue - value) <= _LL_TIE * abs(value)
+                and float(np.abs(cgrad).max()) < gnorm
+            ):
+                x, value, grad, hess = cand, cvalue, cgrad, chess
+                break
+            step *= 0.5
+        else:
+            break
+        iterations += 1
+    gnorm = float(np.abs(grad).max())
+    return x, Convergence(gnorm <= tol, iterations, gnorm)

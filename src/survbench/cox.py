@@ -1,5 +1,5 @@
 """Cox proportional hazards: Breslow-tie partial likelihood, Newton
-fitting with step-halving, Breslow baseline hazard.
+fitting (the shared maximizer in `common`), Breslow baseline hazard.
 
 The model is h(t|x) = h0(t) * exp(beta.x). Fitting maximizes the Breslow
 log partial likelihood, optionally ridge-penalized; the reported gradient
@@ -24,22 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import Convergence
+from .common import Convergence, newton_maximize
 from .data import DesignMatrix
 from .riskset import breslow_loglik, risk_set_sums, risk_sets
 from .stepfun import StepFunction
 
 _BETA_BOUND = 50.0
-_LL_TIE = 1e-12
 
 
 class MonotoneLikelihoodError(RuntimeError):
     """The likelihood keeps improving as some coefficient diverges
     (separation). Refit with ridge > 0."""
-
-
-class SingularHessianError(RuntimeError):
-    """Newton system is singular. Refit with ridge > 0."""
 
 
 @dataclass(frozen=True)
@@ -68,26 +63,14 @@ def cox_loglik_grad_hess(design: DesignMatrix, beta) -> tuple[float, np.ndarray,
     return loglik, X.T @ dl_deta, hess
 
 
-def _penalized(design, beta, ridge):
-    ll, g, H = cox_loglik_grad_hess(design, beta)
-    if ridge > 0.0:
-        ll -= 0.5 * ridge * float(beta @ beta)
-        g = g - ridge * beta
-        H = H - ridge * np.eye(beta.size)
-    return ll, g, H
-
-
 def fit_cox(
     design: DesignMatrix,
     max_iter: int = 100,
     tol: float = 1e-8,
     ridge: float = 0.0,
 ) -> CoxModel:
-    """Newton-Raphson with step-halving; gradient-ascent step whenever the
-    Newton direction is not an ascent direction. A step is taken when it
-    raises the log-likelihood, or when it lowers the gradient norm and
-    leaves the log-likelihood within _LL_TIE (relative) of its value:
-    near the optimum the log-likelihood is flat to within rounding."""
+    """Maximize the penalized log partial likelihood from beta = 0 with
+    `common.newton_maximize`; a coefficient past _BETA_BOUND is separation."""
     if design.events.sum() < 1:
         raise ValueError("need at least one event to fit")
     spans = design.X.max(axis=0) - design.X.min(axis=0) if design.n else np.array([])
@@ -96,48 +79,21 @@ def fit_cox(
         raise ValueError(
             f"constant design column(s): {[design.names[j] for j in flat]}"
         )
-    beta = np.zeros(design.p)
-    ll, grad, hess = _penalized(design, beta, ridge)
-    iterations, converged = 0, False
-    for iterations in range(1, max_iter + 1):
-        gnorm = float(np.abs(grad).max())
-        if gnorm <= tol:
-            converged = True
-            iterations -= 1
-            break
-        try:
-            delta = np.linalg.solve(-hess, grad)
-        except np.linalg.LinAlgError:
-            raise SingularHessianError(
-                "singular Hessian; refit with ridge > 0"
-            ) from None
-        if grad @ delta <= 0.0:
-            delta = grad.copy()
-        step, improved = 1.0, False
-        for _ in range(30):
-            cand = beta + step * delta
-            cll, cgrad, chess = _penalized(design, cand, ridge)
-            if cll > ll or (
-                abs(cll - ll) <= _LL_TIE * abs(ll)
-                and float(np.abs(cgrad).max()) < gnorm
-            ):
-                beta, ll, grad, hess = cand, cll, cgrad, chess
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-        if np.abs(beta).max() > _BETA_BOUND:
-            raise MonotoneLikelihoodError(
-                "coefficients diverging (monotone likelihood); refit with ridge > 0"
-            )
-    gnorm = float(np.abs(grad).max())
-    converged = converged or gnorm <= tol
+
+    def penalized(beta):
+        ll, g, H = cox_loglik_grad_hess(design, beta)
+        return ll - 0.5 * ridge * float(beta @ beta), g - ridge * beta, H - ridge * np.eye(design.p)
+
+    beta, convergence = newton_maximize(penalized, np.zeros(design.p), max_iter, tol)
+    if np.abs(beta).max() > _BETA_BOUND:
+        raise MonotoneLikelihoodError(
+            "coefficients diverging (monotone likelihood); refit with ridge > 0"
+        )
     return CoxModel(
         beta=beta,
         baseline_cum_hazard=_breslow_baseline(design, beta),
         column_names=list(design.names),
-        convergence=Convergence(converged, iterations, gnorm),
+        convergence=convergence,
     )
 
 

@@ -48,8 +48,6 @@ class DeepSurvModel:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     training_log: list[float] = field(default_factory=list)
-    means: np.ndarray | None = None
-    sds: np.ndarray | None = None
     column_names: list[str] | None = None
 
 
@@ -130,7 +128,7 @@ def loss_and_gradients(weights, biases, X, times, events, activation, l2):
 def fit_deepsurv(
     design: DesignMatrix,
     spec: MlpSpec,
-    epochs: int = 100,
+    epochs: int = 300,
     batch_size: int | None = 64,
     learning_rate: float = 1e-3,
     l2: float = 1e-4,
@@ -190,8 +188,6 @@ def fit_deepsurv(
         weights=weights,
         biases=biases,
         training_log=log,
-        means=design.means,
-        sds=design.sds,
         column_names=list(design.names),
     )
 
@@ -224,8 +220,6 @@ def deepsurv_to_dict(model: DeepSurvModel) -> dict:
         },
         "weights": [W.ravel().tolist() for W in model.weights],
         "biases": [b.tolist() for b in model.biases],
-        "means": None if model.means is None else model.means.tolist(),
-        "sds": None if model.sds is None else model.sds.tolist(),
         "column_names": model.column_names,
     }
 
@@ -247,7 +241,5 @@ def deepsurv_from_dict(doc: dict) -> DeepSurvModel:
         spec=spec,
         weights=weights,
         biases=[np.asarray(b, dtype=np.float64) for b in doc["biases"]],
-        means=None if doc["means"] is None else np.asarray(doc["means"]),
-        sds=None if doc["sds"] is None else np.asarray(doc["sds"]),
         column_names=doc["column_names"],
     )

@@ -77,9 +77,9 @@ def fit_ksvm(
     design: DesignMatrix,
     kernel: KernelSpec | None = None,
     c: float = 1.0,
-    max_iter: int = 50,
+    max_iter: int = 30,
     tol: float = 1e-3,
-    max_pairs: int = 50_000,
+    max_pairs: int = 10_000,
     seed: int = 0,
 ) -> KsvmModel:
     """Projected coordinate ascent on the dual. When there are more than

@@ -10,8 +10,10 @@ at or after the one containing its censoring time.
 Sign convention: a positive task-k score raises the probability of every
 interval at or after boundary k, i.e. pushes mass toward later events.
 
-The penalized log-likelihood (L2 on weights only, biases free) is concave
-and maximized by full-batch gradient ascent with backtracking.
+The penalized log-likelihood (L2 on weights only, biases free) is
+maximized by Newton steps with the analytic Hessian. It is not concave
+in general: a censored record's term, a log-sum-exp over its outcome
+set minus one over all intervals, can curve upward.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import Convergence
+from .common import Convergence, newton_maximize
 from .data import DesignMatrix
 from .stepfun import StepFunction
 
@@ -81,9 +83,22 @@ def _pattern_scores(X, weights, biases):
     return np.concatenate([np.zeros((X.shape[0], 1)), np.cumsum(s, axis=1)], axis=1)
 
 
-def _log_softmax(G):
+def _tails(X, interval, is_event, weights, biases):
+    """Per-record log-likelihood, and for each task k = 1..K the model
+    tail mass P(interval >= k) and the same tail of the softmax restricted
+    to the record's outcome set (its interval for an event, that interval
+    and every later one for a censored record)."""
+    G = _pattern_scores(X, weights, biases)
     shifted = G - G.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    # tail[:, m] = P(interval >= m); column 0 is 1 by construction
+    tail = np.cumsum(np.exp(logp)[:, ::-1], axis=1)[:, ::-1]
+    rows = np.arange(X.shape[0])
+    with np.errstate(divide="ignore"):
+        ll = np.where(is_event, logp[rows, interval], np.log(tail[rows, interval]))
+    cut = np.maximum(interval[:, None], np.arange(1, weights.shape[0] + 1))
+    censored = tail[rows[:, None], cut] / tail[rows, interval][:, None]
+    return ll, tail[:, 1:], np.where(is_event[:, None], cut == interval[:, None], censored)
 
 
 def _objective_and_grad(X, interval, is_event, weights, biases, l2):
@@ -92,77 +107,60 @@ def _objective_and_grad(X, interval, is_event, weights, biases, l2):
     The per-record gradient in task score k is [tail indicator or
     censoring-renormalized tail] minus the model tail mass past k.
     """
-    n, k = X.shape[0], weights.shape[0]
-    G = _pattern_scores(X, weights, biases)
-    logp = _log_softmax(G)
-    p = np.exp(logp)
-    # tail[:, m] = P(interval >= m); column 0 is 1 by construction
-    tail = np.cumsum(p[:, ::-1], axis=1)[:, ::-1]
-    rows = np.arange(n)
-    ll_event = logp[rows, interval]
-    with np.errstate(divide="ignore"):
-        ll_cens = np.log(tail[rows, interval])
-    loglik = float(np.where(is_event, ll_event, ll_cens).sum())
-    # d loglik / d s_k for task columns k = 0..K-1 (score index k+1 in G)
-    ks = np.arange(1, k + 1)
-    model_tail = tail[:, 1:]
-    target_event = (interval[:, None] >= ks[None, :]).astype(np.float64)
-    cut = np.maximum(interval[:, None], ks[None, :])
-    target_cens = tail[rows[:, None], cut] / tail[rows, interval][:, None]
-    dscore = np.where(is_event[:, None], target_event, target_cens) - model_tail
+    ll, model_tail, outcome_tail = _tails(X, interval, is_event, weights, biases)
+    dscore = outcome_tail - model_tail
     grad_w = dscore.T @ X - l2 * weights
     grad_b = dscore.sum(axis=0)
-    objective = loglik - 0.5 * l2 * float((weights * weights).sum())
+    objective = float(ll.sum()) - 0.5 * l2 * float((weights * weights).sum())
     return objective, grad_w, grad_b
+
+
+def _hessian(X, interval, is_event, weights, biases, l2):
+    """Hessian of the penalized log-likelihood in theta = (W | b), its K
+    rows (w_k, b_k) flattened. A record with model tail P and outcome-set
+    tail Q has H_s[k,l] = Q[max(k,l)] - Q[k]Q[l] - P[max(k,l)] + P[k]P[l]
+    in the task scores; theta's Hessian sums H_s (x) z z^T, z = (x, 1),
+    as one (n x K^2)^T (n x (p+1)^2) product."""
+    n, (k, p) = X.shape[0], weights.shape
+    _, P, Q = _tails(X, interval, is_event, weights, biases)
+    last = np.maximum.outer(np.arange(k), np.arange(k))
+    hs = Q[:, last] - Q[:, :, None] * Q[:, None, :] - P[:, last] + P[:, :, None] * P[:, None, :]
+    z = np.hstack([X, np.ones((n, 1))])
+    zz = (z[:, :, None] * z[:, None, :]).reshape(n, -1)
+    hess = (hs.reshape(n, -1).T @ zz).reshape(k, k, p + 1, p + 1).transpose(0, 2, 1, 3)
+    return hess.reshape(k * (p + 1), -1) - l2 * np.diag(np.tile(np.append(np.ones(p), 0.0), k))
 
 
 def fit_mtlr(
     design: DesignMatrix,
     grid: TimeGrid,
     l2: float = 1.0,
-    max_iter: int = 1000,
+    max_iter: int = 100,
     tol: float = 1e-3,
 ) -> MtlrModel:
+    """Maximize the penalized log-likelihood from the zero model with
+    `common.newton_maximize` and the analytic Hessian."""
     if l2 <= 0.0:
         raise ValueError("l2 must be positive (identifiability)")
     if design.events.sum() < 1:
         raise ValueError("need at least one event to fit")
-    X = design.X
-    interval = grid.interval_of(design.times)
-    is_event = design.events == 1
-    k = grid.k
-    weights = np.zeros((k, design.p))
-    biases = np.zeros(k)
-    obj, gw, gb = _objective_and_grad(X, interval, is_event, weights, biases, l2)
-    step = 1.0 / max(design.n, 1)
-    iterations, converged = 0, False
-    for iterations in range(1, max_iter + 1):
-        gnorm = max(np.abs(gw).max(), np.abs(gb).max())
-        if gnorm <= tol:
-            converged = True
-            iterations -= 1
-            break
-        gsq = float((gw * gw).sum() + (gb * gb).sum())
-        step = min(step * 2.0, 1.0)
-        accepted = False
-        for _ in range(40):
-            cw, cb = weights + step * gw, biases + step * gb
-            cobj, cgw, cgb = _objective_and_grad(X, interval, is_event, cw, cb, l2)
-            if cobj >= obj + 1e-4 * step * gsq:
-                weights, biases, obj, gw, gb = cw, cb, cobj, cgw, cgb
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-    gnorm = float(max(np.abs(gw).max(), np.abs(gb).max()))
+    data = (design.X, grid.interval_of(design.times), design.events == 1)
+    shape = (grid.k, design.p + 1)
+
+    def terms(theta):
+        w, b = theta.reshape(shape)[:, :-1], theta.reshape(shape)[:, -1]
+        obj, gw, gb = _objective_and_grad(*data, w, b, l2)
+        return obj, np.column_stack([gw, gb]).ravel(), _hessian(*data, w, b, l2)
+
+    theta, convergence = newton_maximize(terms, np.zeros(grid.k * shape[1]), max_iter, tol)
+    theta = theta.reshape(shape)
     return MtlrModel(
-        weights=weights,
-        biases=biases,
+        weights=theta[:, :-1],
+        biases=theta[:, -1],
         grid=grid,
         l2=l2,
         column_names=list(design.names),
-        convergence=Convergence(converged or gnorm <= tol, iterations, gnorm),
+        convergence=convergence,
     )
 
 

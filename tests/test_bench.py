@@ -2,12 +2,14 @@
 of the score dumps, figure files."""
 
 import csv
+import inspect
 import json
 import os
 
 import numpy as np
 import pytest
 
+from survbench import cox, deepsurv, ksvm, mtlr, rsf
 from survbench.bench import (
     MODELS,
     BenchConfig,
@@ -90,6 +92,28 @@ def test_config_from_dict_with_csv():
 def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
         bench_config_from_dict({"input": {"csv": "x.csv"}, "bootstraps": 10})
+
+
+def test_registry_defaults_match_signature_defaults():
+    # each registry default is the default of the function or record the
+    # option is passed to, so a direct call fits the model `bench` fits
+    targets = {
+        "cox": [cox.fit_cox],
+        "mtlr": [mtlr.fit_mtlr, mtlr.make_grid],
+        "rsf": [rsf.fit_forest],
+        "deepsurv": [deepsurv.fit_deepsurv, deepsurv.MlpSpec],
+        "ksvm": [ksvm.fit_ksvm, ksvm.KernelSpec],
+    }
+    for name, spec in MODELS.items():
+        for option, value in spec.defaults.items():
+            params = [inspect.signature(fn).parameters.get(option) for fn in targets[name]]
+            params = [p for p in params if p is not None]
+            if option == "hidden":  # becomes MlpSpec.layer_widths, which has no default
+                assert params == []
+            elif option == "k":  # make_grid's k is required
+                assert [p.default for p in params] == [inspect.Parameter.empty]
+            else:
+                assert [p.default for p in params] == [value], (name, option)
 
 
 def test_run_benchmark_small(tmp_path):

@@ -180,8 +180,11 @@ def test_eval_uses_the_stored_schema(tmp_path, capsys, keep):
     [
         (lambda doc: doc.pop("schema"), "no covariate schema"),
         (lambda doc: doc.update(model="gbm"), "unknown model 'gbm'"),
+        (lambda doc: doc.pop("beta"), "no 'beta' in the cox model file"),
+        (lambda doc: doc["schema"][0].pop("levels"), "no 'levels' in the cox model file"),
+        (lambda doc: doc.update(schema=3), "malformed cox model file"),
     ],
-    ids=["no-schema", "unknown-model"],
+    ids=["no-schema", "unknown-model", "no-beta", "no-levels", "schema-not-a-list"],
 )
 def test_eval_rejects_bad_model_file(tmp_path, capsys, edit, text):
     cohort_csv = make_cohort_csv(tmp_path)
@@ -217,6 +220,31 @@ def test_fit_rejects_unknown_option(tmp_path, capsys):
     )
     assert rc == 2
     assert_one_line_error(capsys, "unknown cox options")
+
+
+@pytest.mark.parametrize(
+    "command, config, text",
+    [
+        ("fit", [1], "the config must be a JSON object"),
+        ("fit", {"model_options": {"cox": 3}}, "model_options must map model names"),
+        ("bench", {"model_options": {"cox": 3}}, "model_options must map model names"),
+        ("bench", {"input": 5}, "config input and its generator must be JSON objects"),
+        ("bench", {"input": {"generator": {"nn": 5}}}, "unknown generator keys: ['nn']"),
+    ],
+    ids=["not-an-object", "fit-options-not-objects", "bench-options-not-objects",
+         "input-not-an-object", "unknown-generator-key"],
+)
+def test_malformed_config_is_one_line_error(tmp_path, capsys, command, config, text):
+    cohort_csv = make_cohort_csv(tmp_path, n=60)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    capsys.readouterr()
+    args = ["--config", str(path), "--out", str(tmp_path / "out")]
+    if command == "fit":
+        args += ["--model", "cox", "--input", str(cohort_csv)]
+    assert main([command, *args]) == 2
+    assert_one_line_error(capsys, text)
+    assert not (tmp_path / "out").exists()
 
 
 def test_fit_deepsurv_writes_training_log(tmp_path):

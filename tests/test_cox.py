@@ -14,6 +14,7 @@ from survbench.cox import (
     predict_risk,
     predict_survival,
 )
+from survbench.common import SingularHessianError
 from survbench.data import encode, split
 from survbench.datagen import GeneratorConfig, generate
 from survbench.nonparametric import nelson_aalen
@@ -126,6 +127,14 @@ def test_monotone_likelihood_detected():
         [[0.1], [0.1], [0.0], [0.0]], [1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1]
     )
     with pytest.raises(MonotoneLikelihoodError):
+        fit_cox(design)
+
+
+def test_identical_columns_raise_singular_hessian():
+    # two copies of one covariate make the Newton system exactly singular
+    x = np.random.default_rng(13).normal(size=20)
+    design = numeric_design(np.column_stack([x, x]), np.arange(1.0, 21.0), np.ones(20, int))
+    with pytest.raises(SingularHessianError, match="ridge"):
         fit_cox(design)
 
 

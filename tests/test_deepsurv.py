@@ -316,7 +316,13 @@ def test_serialization_round_trip():
     d = planted_design(seed=8)
     model = fit_deepsurv(d, MlpSpec(layer_widths=(2, 5, 1), weight_init_seed=9),
                          epochs=4)
-    back = deepsurv_from_dict(deepsurv_to_dict(model))
+    doc = deepsurv_to_dict(model)
+    assert "means" not in doc and "sds" not in doc
+    back = deepsurv_from_dict(doc)
     np.testing.assert_array_equal(predict_log_risk(back, d),
                                   predict_log_risk(model, d))
     assert back.spec == model.spec
+    # files written with the former means/sds keys still load
+    old = deepsurv_from_dict({**doc, "means": [0.0, 0.0], "sds": [1.0, 1.0]})
+    np.testing.assert_array_equal(predict_log_risk(old, d),
+                                  predict_log_risk(model, d))

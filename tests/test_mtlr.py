@@ -9,10 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from survbench.bench import MODELS, model_options
+from survbench.data import encode, split
+from survbench.datagen import GeneratorConfig, generate
 from survbench.metrics import concordance_index
 from survbench.mtlr import (
     MtlrModel,
     TimeGrid,
+    _hessian,
     _objective_and_grad,
     feature_weights,
     fit_mtlr,
@@ -105,6 +109,38 @@ def test_gradient_matches_finite_differences_of_naive_objective():
                               grid.boundaries, W, bm, 0.5)
         ) / (2 * h)
         assert gb[k] == pytest.approx(fd, abs=1e-5)
+
+
+def test_hessian_matches_finite_differences():
+    design = censored_design(seed=3, n=30, p=3)
+    assert (design.events == 0).any()
+    grid = make_grid(design, 4)
+    interval = grid.interval_of(design.times)
+    is_event = design.events == 1
+    W, b = random_params(np.random.default_rng(4), 4, design.p)
+    theta = np.column_stack([W, b]).ravel()
+
+    def grad(t):
+        t = t.reshape(4, design.p + 1)
+        _, gw, gb = _objective_and_grad(design.X, interval, is_event, t[:, :-1], t[:, -1], 0.5)
+        return np.column_stack([gw, gb]).ravel()
+
+    hess = _hessian(design.X, interval, is_event, W, b, 0.5)
+    h = 1e-5
+    for j in range(theta.size):
+        ej = np.zeros(theta.size)
+        ej[j] = h
+        fd_col = (grad(theta + ej) - grad(theta - ej)) / (2 * h)
+        np.testing.assert_allclose(hess[:, j], fd_col, rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mtlr_converges_on_default_cohort(seed):
+    cohort, _ = generate(GeneratorConfig(seed=seed))
+    train, _ = split(cohort, 0.3, seed)
+    model = MODELS["mtlr"].fit(encode(train, standardize=True), model_options("mtlr", {}), 0)
+    assert model.convergence.converged
+    assert model.convergence.iterations <= 10
 
 
 def zero_model(k, p, boundaries=None):
