@@ -63,7 +63,7 @@ def _fit_deepsurv(design, opts: dict, seed: int):
 def _fit_ksvm(design, opts: dict, seed: int):
     opts = dict(opts)
     kernel = ksvm.KernelSpec(**{k: opts.pop(k) for k in ("kind", "gamma", "degree", "coef0")})
-    return ksvm.fit_ksvm(design, kernel, seed=seed, **opts)
+    return ksvm.fit_ksvm(design, kernel, **opts)
 
 
 # in report order; a model's position also derives its seed in a bench run
@@ -115,10 +115,9 @@ MODELS: dict[str, ModelSpec] = {
             "gamma": None,
             "degree": 3,
             "coef0": 1.0,
-            "c": 1.0,
+            "c": 10_000.0,
             "max_iter": 30,
             "tol": 1e-3,
-            "max_pairs": 10_000,
         },
         fit=_fit_ksvm,
         risk=lambda model, design: ksvm.ksvm_risk(model, design),
@@ -264,7 +263,7 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     cohort = load_cohort(config)
     train, test = split(cohort, config.test_fraction, config.seed)
     rows = []
-    fitted = {}
+    mtlr_model = None  # the weight figure's source
     for position, (name, spec) in enumerate(MODELS.items()):
         if name not in config.models:
             continue
@@ -291,7 +290,8 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
                 status="ok",
                 converged=converged,
             )
-            fitted[name] = model
+            if name == "mtlr":
+                mtlr_model = model
             write_text_atomic(
                 os.path.join(config.out_dir, f"scores_{name}.csv"),
                 _scores_csv(train_design, test_design, risk_train, risk_test),
@@ -307,6 +307,7 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
                 converged=False,
             )
         rows.append(row)
+        model = None  # free this fit before the next model's
     report = BenchReport(
         rows=rows,
         seed=config.seed,
@@ -318,8 +319,8 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     )
     _write_report(config, report)
     emit_km_figures(cohort, list(config.km_groups), config.out_dir)
-    if "mtlr" in fitted:
-        emit_weight_figure(fitted["mtlr"], config.out_dir)
+    if mtlr_model is not None:
+        emit_weight_figure(mtlr_model, config.out_dir)
     return report
 
 
@@ -368,10 +369,10 @@ def _write_report(config: BenchConfig, report: BenchReport) -> None:
     write_text_atomic(os.path.join(config.out_dir, "report.svg"), svg)
 
 
-def _curve_csv(curves: list[tuple[str, object]]) -> str:
+def _curve_csv(curves: list[tuple[str, object]], grouped: bool) -> str:
     buf = io.StringIO()
     w = csv.writer(buf)
-    if len(curves) == 1:
+    if not grouped:
         w.writerow(["time", "value"])
         _, f = curves[0]
         for t, v in zip(f.times, f.values):
@@ -411,10 +412,10 @@ def emit_km_figures(cohort: Cohort, group_specs: list[str], out_dir: str) -> lis
                     )
             title = f"Survival by {name} (median split)"
         specs.append((name, curves, title))
-    for name, curves, title in specs:
+    for i, (name, curves, title) in enumerate(specs):
         csv_path = os.path.join(out_dir, f"km_{name}.csv")
         svg_path = os.path.join(out_dir, f"km_{name}.svg")
-        write_text_atomic(csv_path, _curve_csv(curves))
+        write_text_atomic(csv_path, _curve_csv(curves, grouped=i > 0))
         write_text_atomic(svg_path, step_chart(curves, title=title))
         paths.extend([csv_path, svg_path])
     return paths

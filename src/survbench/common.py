@@ -39,22 +39,23 @@ class SingularHessianError(RuntimeError):
 
 
 def newton_maximize(f, x0, max_iter: int, tol: float) -> tuple[np.ndarray, Convergence]:
-    """Maximize f, which returns (value, gradient, Hessian), from x0 by
-    Newton steps with up to 30 halvings, stepping along the gradient when
-    the Newton direction does not ascend. A step is taken when it raises
+    """Maximize f, which returns (value, gradient, direction), from x0 by
+    Newton steps with up to 30 halvings; `direction()` gives the Newton
+    step and is called only at accepted points. The loop steps along the
+    gradient when that step does not ascend. A step is taken when it raises
     the value, or when it lowers the max-norm gradient and leaves the value
     within _LL_TIE (relative): near an optimum the value is flat to within
     rounding. Stops at max-norm gradient <= tol, after max_iter accepted
     steps, or when no halving is taken."""
     x = np.asarray(x0, dtype=np.float64)
-    value, grad, hess = f(x)
+    value, grad, direction = f(x)
     iterations = 0
     while iterations < max_iter:
         gnorm = float(np.abs(grad).max())
         if gnorm <= tol:
             break
         try:
-            delta = np.linalg.solve(-hess, grad)
+            delta = direction()
         except np.linalg.LinAlgError:
             raise SingularHessianError("singular Hessian; refit with larger ridge or l2") from None
         if grad @ delta <= 0.0:
@@ -62,12 +63,12 @@ def newton_maximize(f, x0, max_iter: int, tol: float) -> tuple[np.ndarray, Conve
         step = 1.0
         for _ in range(30):
             cand = x + step * delta
-            cvalue, cgrad, chess = f(cand)
+            cvalue, cgrad, cdirection = f(cand)
             if cvalue > value or (
                 abs(cvalue - value) <= _LL_TIE * abs(value)
                 and float(np.abs(cgrad).max()) < gnorm
             ):
-                x, value, grad, hess = cand, cvalue, cgrad, chess
+                x, value, grad, direction = cand, cvalue, cgrad, cdirection
                 break
             step *= 0.5
         else:

@@ -82,7 +82,8 @@ def fit_cox(
 
     def penalized(beta):
         ll, g, H = cox_loglik_grad_hess(design, beta)
-        return ll - 0.5 * ridge * float(beta @ beta), g - ridge * beta, H - ridge * np.eye(design.p)
+        g, H = g - ridge * beta, H - ridge * np.eye(design.p)
+        return ll - 0.5 * ridge * float(beta @ beta), g, lambda: np.linalg.solve(-H, g)
 
     beta, convergence = newton_maximize(penalized, np.zeros(design.p), max_iter, tol)
     if np.abs(beta).max() > _BETA_BOUND:

@@ -31,7 +31,8 @@ class DegenerateColumnError(ValueError):
 @dataclass(frozen=True)
 class Column:
     """One covariate. Categorical columns carry their level vocabulary;
-    the first level is the reference dropped during one-hot encoding."""
+    the first level is the reference dropped during one-hot encoding, so a
+    one-level column encodes to no design column."""
 
     name: str
     kind: str
@@ -40,8 +41,8 @@ class Column:
     def __post_init__(self):
         if self.kind not in ("numeric", "categorical"):
             raise ValueError(f"unknown column kind: {self.kind!r}")
-        if self.kind == "categorical" and len(self.levels) < 2:
-            raise ValueError(f"categorical column {self.name!r} needs >= 2 levels")
+        if self.kind == "categorical" and not self.levels:
+            raise ValueError(f"categorical column {self.name!r} needs a level")
         if self.kind == "numeric" and self.levels:
             raise ValueError(f"numeric column {self.name!r} cannot have levels")
 

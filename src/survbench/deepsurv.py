@@ -200,15 +200,6 @@ def predict_log_risk(model: DeepSurvModel, design: DesignMatrix) -> np.ndarray:
     return g
 
 
-def forward_log_risk(model: DeepSurvModel, x) -> float:
-    """Log-risk of a single (already encoded/standardized) row."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    if x.shape[1] != model.spec.layer_widths[0]:
-        raise ValueError("row arity does not match the network input width")
-    g, _, _ = _forward(model.weights, model.biases, x, model.spec.activation)
-    return float(g[0])
-
-
 def deepsurv_to_dict(model: DeepSurvModel) -> dict:
     return {
         "model": "deepsurv",

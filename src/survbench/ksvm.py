@@ -1,28 +1,39 @@
 """Kernel survival SVM in the pairwise ranking formulation.
 
-For every comparable pair (i, j) — subject i purchased strictly earlier
-than j was observed — the score function should satisfy f(x_i) > f(x_j)
-with margin 1: minimize 0.5*||f||^2 + C * sum hinge(1 - (f(x_i) - f(x_j))).
-The dual is a box-constrained QP with one coefficient per pair, solved by
-projected coordinate ascent; each update is an exact 1-d maximization, so
-the dual objective never decreases across sweeps.
+For every comparable pair (i, j) in P — subject i purchased strictly
+earlier than j was observed — the score should satisfy f_i > f_j with
+margin 1. With f = K beta over the training rows (K the Gram matrix),
+the fit minimizes the squared-hinge primal on all of P (Chapelle &
+Keerthi 2010; Pölsterl, Navab & Katouzian 2015):
+
+    J(beta) = 0.5 beta'K beta + c/(2|P|) * sum over P of max(0, 1 - (f_i - f_j))^2
+
+`c` is the total weight of the pair loss, shared out over the |P| pairs.
+J's gradient is K(beta + g), g the f-gradient of the loss; its generalized
+Hessian is K + s K L K, s = c/|P|, L the Laplacian of the active pairs
+(f_i - f_j < 1). A Newton step solves (I + s L K) d = -(beta + g) by CG
+in the K inner product u'K v, where that operator is self-adjoint with
+every eigenvalue >= 1: CG needs few iterations however small K's
+eigenvalues are. Each costs one K matvec and one pass over the active-pair
+mask, kept for event rows only, in blocks; K is never factorized.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .common import Convergence
+from .common import Convergence, newton_maximize
 from .data import DesignMatrix
-from .rng import CounterRng
+
+_BLOCK = 256  # event rows per block of the active-pair mask
 
 
 @dataclass(frozen=True)
 class KernelSpec:
     kind: str = "rbf"
-    gamma: float | None = None  # rbf; None means 1/p, resolved at fit
+    gamma: float | None = None  # rbf; None means 1/p
     degree: int = 3
     coef0: float = 1.0
 
@@ -33,143 +44,146 @@ class KernelSpec:
             raise ValueError("gamma must be positive")
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
+        if self.kind == "polynomial" and self.coef0 < 0:
+            raise ValueError("polynomial coef0 must be >= 0 (else K is not PSD)")
 
 
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    K = a @ b.T
     if spec.kind == "linear":
-        return a @ b.T
+        return K
     if spec.kind == "polynomial":
-        return (a @ b.T + spec.coef0) ** spec.degree
-    gamma = spec.gamma if spec.gamma is not None else 1.0 / a.shape[1]
-    sq = (
-        (a * a).sum(axis=1)[:, None]
-        - 2.0 * (a @ b.T)
-        + (b * b).sum(axis=1)[None, :]
-    )
-    return np.exp(-gamma * np.maximum(sq, 0.0))
-
-
-def comparable_pairs(times, events) -> np.ndarray:
-    """Ordered pairs (i, j) with T_i < T_j and subject i an event, as an
-    array of shape (P, 2) sorted by (i, j)."""
-    t = np.asarray(times, dtype=np.float64)
-    e = np.asarray(events, dtype=np.int64)
-    mask = (t[:, None] < t[None, :]) & (e[:, None] == 1)
-    return np.argwhere(mask)
+        return (K + spec.coef0) ** spec.degree
+    gamma = spec.gamma if spec.gamma is not None else 1.0 / max(a.shape[1], 1)
+    # squared distances |a|^2 - 2 a.b + |b|^2, built in K's own buffer
+    K *= -2.0
+    K += (a * a).sum(axis=1)[:, None]
+    K += (b * b).sum(axis=1)[None, :]
+    np.maximum(K, 0.0, out=K)
+    K *= -gamma
+    return np.exp(K, out=K)
 
 
 @dataclass
 class KsvmModel:
     kernel: KernelSpec
     support_rows: np.ndarray
-    coefficients: np.ndarray  # one per support row (collapsed duals)
+    coefficients: np.ndarray  # beta on each support row
     c: float
     column_names: list[str]
     convergence: Convergence
-    pairs: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=np.int64))
-    alphas: np.ndarray = field(default_factory=lambda: np.empty(0))
-    objective_history: list[float] = field(default_factory=list)
+
+
+def _active_blocks(times, event_rows, f):
+    """(rows, mask) per block of event rows i: mask[a, j] is True where
+    (i, j) is comparable (T_i < T_j) and active (f_i - f_j < 1)."""
+    for start in range(0, event_rows.size, _BLOCK):
+        rows = event_rows[start:start + _BLOCK]
+        yield rows, (times[rows, None] < times) & (f[rows, None] - f < 1.0)
+
+
+def _laplacian(times, event_rows, f):
+    """v -> L v, with L the Laplacian of the pairs active at scores f."""
+    blocks = list(_active_blocks(times, event_rows, f))
+    degree = np.zeros(f.size)
+    for rows, mask in blocks:
+        degree[rows] += mask.sum(axis=1)
+        degree += mask.sum(axis=0)
+
+    def apply(v):
+        out = degree * v
+        for rows, mask in blocks:
+            m = mask.astype(np.float64)
+            out[rows] -= m @ v
+            out -= v[rows] @ m
+        return out
+
+    return apply
+
+
+def _primal(design: DesignMatrix, kernel: KernelSpec, c: float):
+    """beta -> (-J, its gradient, Newton-CG step), as newton_maximize takes it."""
+    times, event_rows = design.times, np.nonzero(design.events == 1)[0]
+    # at f = 0 every comparable pair is active
+    n_pairs = sum(int(m.sum()) for _, m in _active_blocks(times, event_rows, np.zeros(design.n)))
+    if n_pairs == 0:
+        raise ValueError("no comparable pairs; cannot fit a ranking model")
+    s = c / n_pairs
+    K = kernel_matrix(kernel, design.X, design.X)
+
+    def negated(beta):
+        f = K @ beta
+        g = np.zeros(design.n)  # f-gradient of the pair loss, over s
+        loss = 0.0
+        for rows, mask in _active_blocks(times, event_rows, f):
+            r = np.where(mask, 1.0 - f[rows, None] + f, 0.0)
+            loss += float(np.vdot(r, r))
+            g[rows] -= r.sum(axis=1)
+            g += r.sum(axis=0)
+        g *= s
+        grad = f + K @ g
+
+        def direction():
+            """CG in the K inner product on (I + s L K) d = -(beta + g), to the
+            forcing term min(0.5, sqrt(|grad|_inf)) or non-positive curvature."""
+            laplacian = _laplacian(times, event_rows, f)
+            r, Kr = -(beta + g), -grad  # the residual at d = 0, and K times it
+            d, p, Kp = np.zeros(beta.size), r, Kr
+            rr = float(r @ Kr)
+            stop = min(0.25, float(np.abs(grad).max())) * rr  # squared forcing term
+            for _ in range(beta.size):
+                if rr <= stop:
+                    break
+                Ap = p + s * laplacian(Kp)
+                curvature = float(Kp @ Ap)
+                if curvature <= 0.0:
+                    break
+                alpha = rr / curvature
+                d = d + alpha * p
+                r = r - alpha * Ap
+                Kr = K @ r
+                rr, rr_old = float(r @ Kr), rr
+                p = r + (rr / rr_old) * p
+                Kp = Kr + (rr / rr_old) * Kp
+            return d
+
+        return -(0.5 * float(beta @ f) + 0.5 * s * loss), -grad, direction
+
+    return negated
 
 
 def fit_ksvm(
     design: DesignMatrix,
-    kernel: KernelSpec | None = None,
-    c: float = 1.0,
+    kernel: KernelSpec = KernelSpec(),
+    c: float = 10_000.0,
     max_iter: int = 30,
     tol: float = 1e-3,
-    max_pairs: int = 10_000,
-    seed: int = 0,
 ) -> KsvmModel:
-    """Projected coordinate ascent on the dual. When there are more than
-    max_pairs comparable pairs, a seeded uniform subsample is used."""
-    if kernel is None:
-        kernel = KernelSpec(kind="rbf", gamma=1.0 / max(design.p, 1))
-    pairs = comparable_pairs(design.times, design.events)
-    if pairs.shape[0] == 0:
-        raise ValueError("no comparable pairs; cannot fit a ranking model")
-    if pairs.shape[0] > max_pairs:
-        keys = CounterRng(seed).uniform(pairs.shape[0])
-        pick = np.sort(np.argsort(keys, kind="stable")[:max_pairs])
-        pairs = pairs[pick]
-    gram = kernel_matrix(kernel, design.X, design.X)
-    ii, jj = pairs[:, 0], pairs[:, 1]
-    q_diag = gram[ii, ii] - 2.0 * gram[ii, jj] + gram[jj, jj]
-    alphas = np.zeros(pairs.shape[0])
-    scores = np.zeros(design.n)
-    history = []
-    converged, sweeps = False, 0
-    worst = np.inf
-    for sweeps in range(1, max_iter + 1):
-        worst = 0.0
-        for p in range(pairs.shape[0]):
-            i, j = ii[p], jj[p]
-            g = 1.0 - (scores[i] - scores[j])
-            a = alphas[p]
-            if a <= 0.0:
-                pg = max(g, 0.0)
-            elif a >= c:
-                pg = min(g, 0.0)
-            else:
-                pg = g
-            worst = max(worst, abs(pg))
-            if q_diag[p] <= 0.0 or pg == 0.0:
-                continue
-            new = min(max(a + g / q_diag[p], 0.0), c)
-            delta = new - a
-            if delta != 0.0:
-                scores += delta * (gram[:, i] - gram[:, j])
-                alphas[p] = new
-        history.append(float(alphas.sum() - 0.5 * (alphas * (scores[ii] - scores[jj])).sum()))
-        if worst <= tol:
-            converged = True
-            break
-    row_w = np.bincount(ii, weights=alphas, minlength=design.n) - np.bincount(
-        jj, weights=alphas, minlength=design.n
-    )
-    support = np.nonzero(row_w != 0.0)[0]
+    """Minimize J from beta = 0; converged means max-norm gradient <= tol."""
+    beta, convergence = newton_maximize(_primal(design, kernel, c), np.zeros(design.n), max_iter, tol)
+    support = np.nonzero(beta != 0.0)[0]
     return KsvmModel(
         kernel=kernel,
         support_rows=design.X[support].copy(),
-        coefficients=row_w[support],
+        coefficients=beta[support],
         c=c,
         column_names=list(design.names),
-        convergence=Convergence(converged, sweeps, float(worst)),
-        pairs=pairs,
-        alphas=alphas,
-        objective_history=history,
+        convergence=convergence,
     )
-
-
-def predict_rank_score(model: KsvmModel, x) -> float:
-    """f(x) = sum of coefficients * kernel(support row, x); higher means
-    earlier predicted purchase."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    if model.support_rows.shape[0] == 0:
-        return 0.0
-    k = kernel_matrix(model.kernel, model.support_rows, x)[:, 0]
-    return float(model.coefficients @ k)
 
 
 def ksvm_risk(model: KsvmModel, design: DesignMatrix) -> np.ndarray:
     if design.names != model.column_names:
         raise ValueError("design columns do not match the fitted model")
-    if model.support_rows.shape[0] == 0:
-        return np.zeros(design.n)
-    k = kernel_matrix(model.kernel, model.support_rows, design.X)
-    return model.coefficients @ k
+    return model.coefficients @ kernel_matrix(model.kernel, model.support_rows, design.X)
 
 
 def ksvm_to_dict(model: KsvmModel) -> dict:
     return {
         "model": "ksvm",
-        "kernel": {
-            "kind": model.kernel.kind,
-            "gamma": model.kernel.gamma,
-            "degree": model.kernel.degree,
-            "coef0": model.kernel.coef0,
-        },
+        "kernel": asdict(model.kernel),
         "support_rows": model.support_rows.tolist(),
         "coefficients": model.coefficients.tolist(),
         "c": model.c,
@@ -180,13 +194,12 @@ def ksvm_to_dict(model: KsvmModel) -> dict:
 
 def ksvm_from_dict(doc: dict) -> KsvmModel:
     k = doc["kernel"]
-    rows = doc["support_rows"]
-    support = np.asarray(rows, dtype=np.float64) if rows else np.empty((0, 0))
     return KsvmModel(
         kernel=KernelSpec(
             kind=k["kind"], gamma=k["gamma"], degree=int(k["degree"]), coef0=float(k["coef0"])
         ),
-        support_rows=support,
+        support_rows=np.reshape(np.asarray(doc["support_rows"], dtype=np.float64),
+                                (-1, len(doc["column_names"]))),
         coefficients=np.asarray(doc["coefficients"], dtype=np.float64),
         c=float(doc["c"]),
         column_names=list(doc["column_names"]),

@@ -24,7 +24,6 @@ import numpy as np
 
 from .common import Convergence, newton_maximize
 from .data import DesignMatrix
-from .stepfun import StepFunction
 
 
 @dataclass(frozen=True)
@@ -49,14 +48,12 @@ class TimeGrid:
         return np.searchsorted(self.boundaries, np.asarray(t, dtype=np.float64), side="right")
 
 
-def make_grid(cohort_or_design, k: int) -> TimeGrid:
+def make_grid(design: DesignMatrix, k: int) -> TimeGrid:
     """Boundaries at the k equally spaced empirical quantiles (1/k ... 1)
     of the observed event times."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    times = np.asarray(cohort_or_design.times if hasattr(cohort_or_design, "times") else cohort_or_design.time)
-    events = np.asarray(cohort_or_design.events if hasattr(cohort_or_design, "events") else cohort_or_design.event)
-    etimes = times[events == 1]
+    etimes = design.times[design.events == 1]
     if np.unique(etimes).size < k:
         raise ValueError(
             f"only {np.unique(etimes).size} distinct event times; use a smaller k"
@@ -150,7 +147,8 @@ def fit_mtlr(
     def terms(theta):
         w, b = theta.reshape(shape)[:, :-1], theta.reshape(shape)[:, -1]
         obj, gw, gb = _objective_and_grad(*data, w, b, l2)
-        return obj, np.column_stack([gw, gb]).ravel(), _hessian(*data, w, b, l2)
+        g = np.column_stack([gw, gb]).ravel()
+        return obj, g, lambda: np.linalg.solve(-_hessian(*data, w, b, l2), g)
 
     theta, convergence = newton_maximize(terms, np.zeros(grid.k * shape[1]), max_iter, tol)
     theta = theta.reshape(shape)
@@ -174,13 +172,6 @@ def predict_pmf(model: MtlrModel, X) -> np.ndarray:
     G = _pattern_scores(X, model.weights, model.biases)
     e = np.exp(G - G.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
-
-
-def predict_survival_mtlr(model: MtlrModel, x) -> StepFunction:
-    """S at boundary t_k = mass of intervals at or after k."""
-    p = predict_pmf(model, np.asarray(x, dtype=np.float64).reshape(1, -1))[0]
-    tail = np.cumsum(p[::-1])[::-1]
-    return StepFunction(times=model.grid.boundaries, values=tail[1:], initial=1.0)
 
 
 def mtlr_risk(model: MtlrModel, design: DesignMatrix) -> np.ndarray:

@@ -8,6 +8,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survbench import cox, deepsurv, ksvm, mtlr, rsf
 from survbench.bench import (
@@ -16,6 +18,7 @@ from survbench.bench import (
     bench_config_from_dict,
     emit_km_figures,
     emit_weight_figure,
+    model_options,
     run_benchmark,
     write_text_atomic,
 )
@@ -24,6 +27,8 @@ from survbench.datagen import GeneratorConfig, HazardSpec, generate
 from survbench.metrics import concordance_index
 from survbench.mtlr import fit_mtlr, make_grid
 from survbench.nonparametric import kaplan_meier
+
+from conftest import numeric_design
 
 
 def small_config(out_dir, models=("cox", "rsf"), **kw):
@@ -114,6 +119,24 @@ def test_registry_defaults_match_signature_defaults():
                 assert [p.default for p in params] == [inspect.Parameter.empty]
             else:
                 assert [p.default for p in params] == [value], (name, option)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(30, 60), st.integers(1, 3))
+@settings(max_examples=8, deadline=None)
+def test_model_dicts_survive_json_with_identical_scores(seed, n, p):
+    # to_dict -> JSON text -> from_dict must score every row bit for bit
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p))
+    t = np.round(rng.exponential(np.exp(-X[:, 0])), 2) + 0.01
+    e = (rng.uniform(size=n) < 0.7).astype(int)
+    e[:5] = 1
+    design = numeric_design(X, t, e, standardize=True)
+    tiny = {"mtlr": {"k": 3}, "rsf": {"b": 3, "min_leaf": 5},
+            "deepsurv": {"epochs": 3}, "ksvm": {"max_iter": 5}}
+    for name, spec in MODELS.items():
+        model = spec.fit(design, model_options(name, tiny.get(name, {})), seed)
+        back = spec.from_dict(json.loads(json.dumps(spec.to_dict(model))))
+        assert np.array_equal(spec.risk(back, design), spec.risk(model, design)), name
 
 
 def test_run_benchmark_small(tmp_path):

@@ -113,7 +113,7 @@ TINY_OPTIONS = {
     "rsf": {"b": 5},
     "deepsurv": {"epochs": 5},
     "mtlr": {"max_iter": 50},
-    "ksvm": {"max_iter": 5, "max_pairs": 2000},
+    "ksvm": {"max_iter": 5},
 }
 
 
@@ -325,6 +325,32 @@ def test_bench_cli_error_exit_code(tmp_path, capsys):
     )
     assert rc == 1
     assert "error" in capsys.readouterr().out
+
+
+def test_one_level_category_runs_km_fit_and_bench(tmp_path, capsys):
+    # on the Gender == Female rows Gender has one level: it encodes to no
+    # design column and groups into one curve
+    cohort_csv = make_cohort_csv(tmp_path, n=300, seed=3)
+    female = tmp_path / "female.csv"
+    rewrite_rows(cohort_csv, female, lambda r: r["Gender"] == "Female")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"model_options": TINY_OPTIONS}))
+    assert main(["km", "--input", str(female), "--by", "Gender", "--out",
+                 str(tmp_path / "km")]) == 0
+    with open(tmp_path / "km" / "km_Gender.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["group", "time", "value"]
+    assert {r[0] for r in rows[1:]} == {"Female"}
+    assert main(["fit", "--model", "cox", "--input", str(female), "--out",
+                 str(tmp_path / "cox.json")]) == 0
+    schema = json.loads((tmp_path / "cox.json").read_text())["schema"]
+    assert {"name": "Gender", "kind": "categorical", "levels": ["Female"]} in schema
+    assert main(["bench", "--input", str(female), "--config", str(config), "--out",
+                 str(tmp_path / "bench")]) == 0
+    out = capsys.readouterr().out
+    for name in MODELS:
+        assert f"{name} " in out
+    assert "error" not in out
 
 
 def test_km_cli(tmp_path, capsys):

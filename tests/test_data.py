@@ -99,6 +99,14 @@ def test_one_hot_drops_reference_level():
     assert not d.standardized
 
 
+def test_one_level_categorical_encodes_to_no_column():
+    s = infer_schema(["a", "g"], [["1.5", "x"], ["2", "x"], ["3", "x"]])
+    assert s.columns[1] == Column("g", "categorical", levels=("x",))
+    c = Cohort(s, {"a": [1.5, 2.0, 3.0], "g": ["x", "x", "x"]}, [1.0, 2.0, 3.0], [1, 0, 1])
+    d = encode(c, standardize=True)
+    assert d.names == ["a"] and d.X.shape == (3, 1)
+
+
 def test_encode_carries_outcomes():
     c = mixed_cohort()
     d = encode(c)
@@ -318,7 +326,7 @@ def test_infer_schema_types_and_levels():
 
 def test_column_validation():
     with pytest.raises(ValueError):
-        Column("g", "categorical", levels=("only",))
+        Column("g", "categorical", levels=())
     with pytest.raises(ValueError):
         Column("x", "numeric", levels=("a", "b"))
     with pytest.raises(ValueError):

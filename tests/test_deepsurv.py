@@ -16,7 +16,6 @@ from survbench.deepsurv import (
     deepsurv_from_dict,
     deepsurv_to_dict,
     fit_deepsurv,
-    forward_log_risk,
     init_parameters,
     loss_and_gradients,
     predict_log_risk,
@@ -276,7 +275,8 @@ def test_forward_single_row_matches_batch():
     model = fit_deepsurv(d, spec, epochs=3)
     g = predict_log_risk(model, d)
     for i in (0, 5, 17):
-        assert forward_log_risk(model, d.X[i]) == pytest.approx(g[i], rel=1e-15)
+        row = numeric_design(d.X[i:i + 1], d.times[i:i + 1], d.events[i:i + 1])
+        assert predict_log_risk(model, row)[0] == pytest.approx(g[i], rel=1e-15)
 
 
 def test_predict_validates_columns():

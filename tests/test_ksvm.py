@@ -1,21 +1,25 @@
-"""Ranking SVM: pair enumeration against a brute loop, kernel algebra,
-KKT conditions of the returned dual point, and the linear-kernel
-primal/dual consistency identity."""
+"""Ranking SVM: the primal objective against a pair-by-pair sum, kernel
+algebra, the Newton-CG system against finite differences, the gradient
+at convergence, and the linear-kernel fit against a dense all-pairs
+reference."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from survbench.bench import MODELS, model_options
+from survbench.data import encode, split
+from survbench.datagen import GeneratorConfig, generate
 from survbench.ksvm import (
     KernelSpec,
-    comparable_pairs,
+    _laplacian,
+    _primal,
     fit_ksvm,
     kernel_matrix,
     ksvm_from_dict,
     ksvm_risk,
     ksvm_to_dict,
-    predict_rank_score,
 )
 from survbench.metrics import concordance_index
 
@@ -32,21 +36,51 @@ def brute_pairs(times, events):
     return out
 
 
+def brute_pair_loss(f, times, events, c):
+    """c/(2|P|) * sum of squared hinges at scores f, and its f-gradient,
+    summed pair by pair."""
+    pairs = brute_pairs(times, events)
+    g = np.zeros(len(f))
+    loss = 0.0
+    for i, j in pairs:
+        r = max(0.0, 1.0 - (f[i] - f[j]))
+        loss += r * r
+        g[i] -= r
+        g[j] += r
+    s = c / len(pairs)
+    return 0.5 * s * loss, s * g
+
+
+def model_objective(model, d, c):
+    """J at a fitted model, from its support rows and coefficients."""
+    ks = kernel_matrix(model.kernel, model.support_rows, model.support_rows)
+    quad = model.coefficients @ ks @ model.coefficients if model.coefficients.size else 0.0
+    return 0.5 * quad + brute_pair_loss(ksvm_risk(model, d), d.times, d.events, c)[0]
+
+
 @given(
     st.lists(st.integers(1, 6), min_size=2, max_size=25),
     st.data(),
 )
 @settings(max_examples=100, deadline=None)
-def test_comparable_pairs_vs_brute(times, data):
+def test_objective_matches_brute_force_pair_sum(times, data):
+    # integer times tie often; censored rows only ever rank second
     n = len(times)
     events = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    got = comparable_pairs(np.asarray(times, float), np.asarray(events))
-    assert [tuple(r) for r in got] == brute_pairs(times, events)
-
-
-def test_pairs_row_major_sorted():
-    got = comparable_pairs([1.0, 3.0, 2.0], [1, 1, 1])
-    assert [tuple(r) for r in got] == [(0, 1), (0, 2), (2, 1)]
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    d = numeric_design(rng.normal(size=(n, 2)), np.asarray(times, float), events)
+    spec, c = KernelSpec("rbf", gamma=0.5), 7.0
+    if not brute_pairs(times, events):
+        with pytest.raises(ValueError, match="comparable"):
+            _primal(d, spec, c)
+        return
+    beta = rng.normal(size=n)
+    value, grad, _ = _primal(d, spec, c)(beta)
+    K = kernel_matrix(spec, d.X, d.X)
+    loss, g = brute_pair_loss(K @ beta, times, events, c)
+    assert -value == pytest.approx(0.5 * beta @ K @ beta + loss, rel=1e-12)
+    np.testing.assert_allclose(-grad, K @ (beta + g), rtol=1e-10, atol=1e-12)
 
 
 # --- kernels ---------------------------------------------------------------
@@ -79,6 +113,18 @@ def test_rbf_kernel_properties():
     assert np.linalg.eigvalsh(K).min() > -1e-10
 
 
+@pytest.mark.parametrize("m", [6, 4], ids=["square", "rectangular"])
+def test_rbf_kernel_matches_direct_formula(m):
+    # kernel_matrix builds the result in one buffer; the arithmetic is the
+    # direct formula's, so the values are bit-identical
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(6, 3))
+    b = a if m == 6 else rng.normal(size=(m, 3))
+    sq = (a * a).sum(axis=1)[:, None] - 2.0 * (a @ b.T) + (b * b).sum(axis=1)[None, :]
+    want = np.exp(-0.7 * np.maximum(sq, 0.0))
+    assert np.array_equal(kernel_matrix(KernelSpec("rbf", gamma=0.7), a, b), want)
+
+
 def test_rbf_default_gamma_is_reciprocal_width():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(6, 5))
@@ -94,6 +140,8 @@ def test_kernel_spec_validation():
         KernelSpec("rbf", gamma=0.0)
     with pytest.raises(ValueError):
         KernelSpec("polynomial", degree=0)
+    with pytest.raises(ValueError, match="coef0"):
+        KernelSpec("polynomial", coef0=-0.5)
 
 
 # --- fitting ---------------------------------------------------------------
@@ -117,47 +165,71 @@ def test_separable_one_dimensional_fixture():
     assert model.convergence.converged
 
 
-def test_dual_feasible_box():
-    d = ordered_design(seed=2, n=20)
-    c = 0.35
-    model = fit_ksvm(d, KernelSpec("rbf", gamma=0.5), c=c, max_iter=60)
-    assert np.all(model.alphas >= 0.0)
-    assert np.all(model.alphas <= c + 1e-15)
+def test_hessian_vector_product_matches_finite_differences():
+    # the Newton-CG system's operator K + s K L K against central
+    # differences of the gradient along v
+    rng = np.random.default_rng(2)
+    d = numeric_design(rng.normal(size=(20, 2)), rng.integers(1, 8, 20).astype(float),
+                       rng.integers(0, 2, 20))
+    spec, c = KernelSpec("rbf", gamma=0.5), 30.0
+    K = kernel_matrix(spec, d.X, d.X)
+    s = c / len(brute_pairs(d.times, d.events))
+    objective = _primal(d, spec, c)
+    beta, v = rng.normal(size=d.n), rng.normal(size=d.n)
+    lap = _laplacian(d.times, np.nonzero(d.events == 1)[0], K @ beta)
+    hv = K @ v + s * K @ lap(K @ v)
+    eps = 1e-6
+    fd = (objective(beta - eps * v)[1] - objective(beta + eps * v)[1]) / (2 * eps)
+    np.testing.assert_allclose(hv, fd, rtol=1e-6, atol=1e-8)
 
 
-def test_objective_monotone_across_sweeps():
+def test_objective_monotone_across_newton_steps():
     d = ordered_design(seed=3, n=25, noise=2.0)
-    model = fit_ksvm(d, KernelSpec("rbf", gamma=1.0), c=1.0, max_iter=40)
-    h = model.objective_history
-    assert len(h) >= 2
-    assert all(b >= a - 1e-10 for a, b in zip(h, h[1:]))
+    spec, c = KernelSpec("rbf", gamma=1.0), 50.0
+    h = [model_objective(fit_ksvm(d, spec, c=c, max_iter=k, tol=1e-12), d, c)
+         for k in range(6)]
+    assert h[0] == pytest.approx(c / 2)  # beta = 0: every margin is 1
+    assert all(b <= a * (1 + 1e-12) for a, b in zip(h, h[1:]))
+    assert h[-1] < h[0]
 
 
-def test_kkt_conditions_at_convergence():
+@pytest.mark.parametrize("spec", [KernelSpec("linear"), KernelSpec("rbf", gamma=0.5)],
+                         ids=["linear", "rbf"])
+def test_gradient_vanishes_at_convergence(spec):
     d = ordered_design(seed=4, n=22, noise=1.0)
-    tol = 1e-4
-    model = fit_ksvm(d, KernelSpec("linear"), c=1.0, max_iter=500, tol=tol)
+    tol, c = 1e-4, 20.0
+    model = fit_ksvm(d, spec, c=c, max_iter=100, tol=tol)
     assert model.convergence.converged
-    s = ksvm_risk(model, d)
-    for p, (i, j) in enumerate(model.pairs):
-        g = 1.0 - (s[i] - s[j])
-        a = model.alphas[p]
-        if a <= 1e-12:
-            assert g <= tol + 1e-9
-        elif a >= 1.0 - 1e-12:
-            assert g >= -tol - 1e-9
-        else:
-            assert abs(g) <= tol + 1e-9
+    assert model.convergence.gradient_norm <= tol
+    # the gradient K beta + K g = f + K g, recomputed pair by pair from the scores
+    f = ksvm_risk(model, d)
+    grad = f + kernel_matrix(spec, d.X, d.X) @ brute_pair_loss(f, d.times, d.events, c)[1]
+    assert np.abs(grad).max() <= tol + 1e-9
 
 
-def test_linear_primal_dual_consistency():
-    d = ordered_design(seed=5, n=18, noise=1.5)
-    model = fit_ksvm(d, KernelSpec("linear"), c=0.8, max_iter=100)
-    # w = sum_p alpha_p (x_i - x_j); predictions must equal w.x
+def test_linear_kernel_matches_all_pairs_reference():
+    # with K = X X', J is 0.5|w|^2 + s/2 sum max(0, 1 - (x_i - x_j).w)^2 in
+    # w = X' beta; solve that by dense Newton over an explicit pair list
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(18, 2))
+    t = np.exp(-X @ [1.0, -0.5] + rng.normal(scale=1.0, size=18))
+    d = numeric_design(X, t, rng.integers(0, 2, 18) | (np.arange(18) < 6))
+    c = 40.0
+    pairs = brute_pairs(d.times, d.events)
+    D = np.array([d.X[i] - d.X[j] for i, j in pairs])
+    s = c / len(pairs)
     w = np.zeros(d.p)
-    for p, (i, j) in enumerate(model.pairs):
-        w += model.alphas[p] * (d.X[i] - d.X[j])
-    np.testing.assert_allclose(ksvm_risk(model, d), d.X @ w, atol=1e-10)
+    for _ in range(50):
+        m = D @ w
+        act = m < 1.0
+        grad = w - s * D[act].T @ (1.0 - m[act])
+        if np.abs(grad).max() < 1e-13:
+            break
+        w = w - np.linalg.solve(np.eye(d.p) + s * D[act].T @ D[act], grad)
+    assert np.abs(grad).max() < 1e-13
+    model = fit_ksvm(d, KernelSpec("linear"), c=c, max_iter=100, tol=1e-10)
+    assert model.convergence.converged
+    np.testing.assert_allclose(ksvm_risk(model, d), d.X @ w, rtol=1e-7, atol=1e-9)
 
 
 def test_vanishing_c_kills_scores():
@@ -166,19 +238,13 @@ def test_vanishing_c_kills_scores():
     assert np.max(np.abs(ksvm_risk(model, d))) < 1e-6
 
 
-def test_pair_cap_subsamples_deterministically():
-    d = ordered_design(seed=7, n=25)  # 300 comparable pairs
-    a = fit_ksvm(d, KernelSpec("linear"), max_pairs=50, seed=3, max_iter=5)
-    b = fit_ksvm(d, KernelSpec("linear"), max_pairs=50, seed=3, max_iter=5)
-    assert a.pairs.shape == (50, 2)
-    np.testing.assert_array_equal(a.pairs, b.pairs)
-    c = fit_ksvm(d, KernelSpec("linear"), max_pairs=50, seed=4, max_iter=5)
-    assert not np.array_equal(a.pairs, c.pairs)
-    # subsample is a genuine subset, kept sorted row-major
-    full = {tuple(r) for r in comparable_pairs(d.times, d.events)}
-    assert {tuple(r) for r in a.pairs} <= full
-    as_list = [tuple(r) for r in a.pairs]
-    assert as_list == sorted(as_list)
+@pytest.mark.parametrize("seed", range(6))
+def test_ksvm_converges_on_default_cohort(seed):
+    cohort, _ = generate(GeneratorConfig(seed=seed))
+    train, _ = split(cohort, 0.3, seed)
+    model = MODELS["ksvm"].fit(encode(train, standardize=True), model_options("ksvm", {}), 0)
+    assert model.convergence.converged
+    assert model.convergence.iterations <= 20
 
 
 def test_no_comparable_pairs_raises():
@@ -195,7 +261,8 @@ def test_risk_equals_per_row_score():
     model = fit_ksvm(d, KernelSpec("rbf", gamma=0.8), max_iter=20)
     r = ksvm_risk(model, d)
     for i in (0, 4, 14):
-        assert r[i] == pytest.approx(predict_rank_score(model, d.X[i]), rel=1e-12)
+        row = numeric_design(d.X[i:i + 1], d.times[i:i + 1], d.events[i:i + 1])
+        assert r[i] == pytest.approx(ksvm_risk(model, row)[0], rel=1e-12)
 
 
 def test_risk_validates_columns():
@@ -213,8 +280,7 @@ def test_learns_planted_nonlinear_signal():
     risk = X[:, 0] ** 2  # symmetric in x0: linear model can't rank this
     t = rng.exponential(1.0 / np.exp(risk))
     d = numeric_design(X, t, np.ones(n, dtype=int), standardize=True)
-    model = fit_ksvm(d, KernelSpec("rbf", gamma=1.0), c=1.0, max_iter=40,
-                     max_pairs=8000)
+    model = fit_ksvm(d, KernelSpec("rbf", gamma=1.0), max_iter=40)
     c_rbf = concordance_index(d.times, d.events, ksvm_risk(model, d)).cindex
     assert c_rbf > 0.65
 

@@ -25,7 +25,6 @@ from survbench.mtlr import (
     mtlr_risk,
     mtlr_to_dict,
     predict_pmf,
-    predict_survival_mtlr,
 )
 from survbench.common import Convergence
 
@@ -204,7 +203,8 @@ def test_grid_from_cohort_or_design_identical():
     e = np.ones(50, dtype=int)
     c = numeric_cohort(X, t, e)
     d = numeric_design(X, t, e)
-    np.testing.assert_array_equal(make_grid(c, 5).boundaries,
+    # the grid reads only the outcomes, so the cohort's encoding is irrelevant
+    np.testing.assert_array_equal(make_grid(encode(c, standardize=True), 5).boundaries,
                                   make_grid(d, 5).boundaries)
 
 
@@ -273,11 +273,12 @@ def test_risk_is_negative_expected_interval():
 
 def test_survival_curve_tail_sums():
     model = zero_model(k=4, p=2)
-    s = predict_survival_mtlr(model, np.zeros(2))
+    p = predict_pmf(model, np.zeros((1, 2)))[0]
+    tail = np.cumsum(p[::-1])[::-1]  # S before boundary 1, then at boundaries 1..4
     # uniform over 5 intervals: tail past boundary k is (4-k)/5
-    np.testing.assert_allclose(s.values, [4 / 5, 3 / 5, 2 / 5, 1 / 5])
-    assert s(0.0) == 1.0
-    assert np.all(np.diff(s.values) < 0)
+    np.testing.assert_allclose(tail[1:], [4 / 5, 3 / 5, 2 / 5, 1 / 5])
+    assert tail[0] == pytest.approx(1.0, abs=1e-15)
+    assert np.all(np.diff(tail) < 0)
 
 
 def test_l2_zero_rejected():
