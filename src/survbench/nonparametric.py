@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Cohort
-from .riskset import risk_sets
+from .riskset import RiskSets, risk_sets
 from .stepfun import StepFunction
 
 
@@ -26,7 +26,11 @@ def kaplan_meier(time, event) -> StepFunction:
 
 def nelson_aalen(time, event) -> StepFunction:
     """Cumulative-hazard estimate H(t) = sum d_i/n_i, initial value 0."""
-    rs = risk_sets(time, event)
+    return nelson_aalen_from_risk_sets(risk_sets(time, event))
+
+
+def nelson_aalen_from_risk_sets(rs: RiskSets) -> StepFunction:
+    """The Nelson-Aalen estimate of the sample that `rs` describes."""
     keep = rs.n_events > 0
     hazard = rs.n_events[keep] / rs.n_at_risk[keep]
     return StepFunction(times=rs.times[keep], values=np.cumsum(hazard), initial=0.0)

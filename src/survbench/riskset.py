@@ -8,7 +8,7 @@ at t still counts as at risk for events at t (Breslow 1974).
 
 Kaplan-Meier, Nelson-Aalen, the Cox and DeepSurv partial likelihoods and
 the random survival forest's log-rank splitter all read their counts
-from `risk_sets`.
+from one `RiskSets` record, built by `risk_sets` or `sorted_risk_sets`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ class RiskSets:
     """One sample's risk sets; per-time arrays run over the distinct
     times in ascending order."""
 
-    order: np.ndarray  # stable ascending time sort of the rows
+    order: np.ndarray  # row at each position of the stable ascending time sort
     is_event: np.ndarray  # event indicator of each row, in sorted order
     times: np.ndarray  # distinct times
     starts: np.ndarray  # first sorted row of each distinct time
@@ -33,13 +33,20 @@ class RiskSets:
 
 def risk_sets(times, events) -> RiskSets:
     times = np.asarray(times, dtype=np.float64)
+    order = np.argsort(times, kind="stable")
+    return sorted_risk_sets(times[order], np.asarray(events)[order], order)
+
+
+def sorted_risk_sets(times, events, order) -> RiskSets:
+    """Risk sets of rows already in stable ascending time order, with
+    `order` naming each position's row. Any subset of stably sorted rows
+    is stably sorted, so a tree node needs no sort."""
     if times.size == 0:
         raise ValueError("empty sample")
-    order = np.argsort(times, kind="stable")
-    is_event = np.asarray(events)[order] == 1
-    uniq, starts = np.unique(times[order], return_index=True)
+    starts = np.flatnonzero(np.concatenate(([True], times[1:] != times[:-1])))
+    is_event = np.asarray(events) == 1
     n_events = np.add.reduceat(is_event.astype(np.float64), starts)
-    return RiskSets(order, is_event, uniq, starts, n_events, times.size - starts)
+    return RiskSets(order, is_event, times[starts], starts, n_events, times.size - starts)
 
 
 def risk_set_sums(rs: RiskSets, values: np.ndarray) -> np.ndarray:

@@ -1,11 +1,17 @@
 """Random survival forest: log-rank splits, bootstrap ensemble, averaged
 Nelson-Aalen leaf estimates.
 
+A tree node carries row indices into the tree's bootstrap sample in
+stable time order (a child keeps its parent's order), so its risk sets
+and a leaf's Nelson-Aalen curve need no sort; it scores all its
+candidate splits in one pass.
+
 The ensemble cumulative hazard is the mean of the B leaf curves a row
 falls into, so its mortality (that curve summed over the training
 event-time grid) is the mean of one scalar per leaf. Scoring therefore
-flattens each tree into arrays once per call, routes all rows down all
-trees together and averages the B leaf mortalities with math.fsum, which
+flattens the trees into one node table, kept on the forest with the
+leaf mortalities computed so far, routes all rows down all trees
+together and averages the B leaf mortalities with math.fsum, which
 keeps the score independent of tree order. `predict_chf` still builds
 the averaged curve for callers who want it.
 
@@ -15,24 +21,26 @@ stream, so loading rebuilds it.
 
 Per-tree randomness comes from a child seed mixed out of (master seed,
 tree index), so any tree is reproducible in isolation. Within a node the
-draw order is fixed: column subset first, then (for wide columns) the
-candidate-threshold subsample, column by column. Candidate thresholds
-are midpoints of consecutive distinct in-node values, capped at 32 per
-column; consumption depends only on counts, never on values, which keeps
-tree structure invariant under monotone transforms of a column.
+draw order is fixed: column subset first, then the candidate-threshold
+subsamples of the wide columns as one contiguous draw, in column order,
+over the counter slots one draw per column would use. Candidate
+thresholds are midpoints of consecutive distinct in-node values, capped
+at 32 per column; consumption depends only on counts, never on values,
+which keeps tree structure invariant under monotone transforms of a
+column. The first maximum score in column-then-threshold order wins.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import DesignMatrix
-from .nonparametric import nelson_aalen
-from .riskset import RiskSets, risk_set_sums, risk_sets
+from .nonparametric import nelson_aalen_from_risk_sets
+from .riskset import RiskSets, risk_set_sums, risk_sets, sorted_risk_sets
 from .rng import CounterRng, derive_seed
 from .stepfun import StepFunction, average_step_functions
 
@@ -69,29 +77,36 @@ class Forest:
     seed: int
     event_grid: np.ndarray
     column_names: list[str]
+    # (trees, node table, leaf mortalities) from the first scoring call
+    _scoring: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
-def _logrank_parts(rs: RiskSets, left_masks):
+def _logrank_parts(rs: RiskSets, left_masks, lone):
     """Vectorized two-sample log-rank over candidate left-memberships.
 
     rs holds the node's risk sets; the (C, n) left_masks hold its rows in
     `rs.order`. Returns the statistic |O-E|/sqrt(V) per candidate, with
-    nan where V = 0.
+    nan where V = 0. E and V sum over event times in time order, and
+    pairwise for a candidate marked `lone` (its column's only threshold):
+    the rounding of scoring each column as its own NumPy batch.
     """
     M = left_masks.astype(np.float64)
     n_left = risk_set_sums(rs, M)
-    d_left = np.add.reduceat(M * rs.is_event, rs.starts, axis=1)
     has_event = rs.n_events > 0
     dd = rs.n_events[has_event]
     nn = rs.n_at_risk[has_event]
     frac = n_left[:, has_event] / nn
-    observed = d_left[:, has_event].sum(axis=1)
-    expected = (dd * frac).sum(axis=1)
+    observed = M @ rs.is_event.astype(np.float64)  # counts: exact in any order
+    # column-major with two or more rows, so NumPy sums each row in time order
+    terms = np.empty((2, *frac.shape), order="F")
+    expected_terms = np.multiply(dd, frac, out=terms[0])
     with np.errstate(invalid="ignore", divide="ignore"):
-        var_terms = np.where(
-            nn > 1, dd * frac * (1.0 - frac) * (nn - dd) / (nn - 1.0), 0.0
+        terms[1] = np.where(
+            nn > 1, expected_terms * (1.0 - frac) * (nn - dd) / (nn - 1.0), 0.0
         )
-    variance = var_terms.sum(axis=1)
+    sums = terms.sum(axis=2)
+    sums[:, lone] = np.ascontiguousarray(terms[:, lone]).sum(axis=2)  # pairwise
+    expected, variance = sums
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(
             variance > 0.0, np.abs(observed - expected) / np.sqrt(variance), np.nan
@@ -109,58 +124,61 @@ def logrank_score(times, events, column_values, threshold) -> float:
     if events.sum() < 1:
         raise ValueError("no events; score undefined")
     rs = risk_sets(times, events)
-    score = _logrank_parts(rs, left[rs.order][None, :])[0]
+    score = _logrank_parts(rs, left[rs.order][None, :], np.ones(1, dtype=bool))[0]
     if np.isnan(score):
         raise ValueError("zero log-rank variance; score undefined")
     return float(score)
 
 
-def _grow(rng, X, times, events, min_leaf, max_depth, mtry, depth):
-    """X/times/events are the node sample (bootstrap rows)."""
-    n = times.size
-    if (
-        n < 2 * min_leaf
-        or events.sum() < 1
-        or (max_depth is not None and depth >= max_depth)
-    ):
-        return TreeNode(chf=nelson_aalen(times, events))
-    p = X.shape[1]
-    cols = np.argsort(rng.uniform(p), kind="stable")[:mtry]
-    rs = risk_sets(times, events)
-    best = (0.0, None, None)  # score, column, threshold
-    for j in cols:
-        x = X[:, j]
-        distinct = np.unique(x)
-        if distinct.size < 2:
-            continue
-        mids = 0.5 * (distinct[:-1] + distinct[1:])
-        if mids.size > _MAX_THRESHOLDS:
-            pick = np.argsort(rng.uniform(mids.size), kind="stable")[:_MAX_THRESHOLDS]
-            mids = mids[np.sort(pick)]
-        masks = x[rs.order][None, :] <= mids[:, None]
-        sizes = masks.sum(axis=1)
-        valid = (sizes >= min_leaf) & (n - sizes >= min_leaf)
-        if not valid.any():
-            continue
-        scores = _logrank_parts(rs, masks)
-        scores = np.where(valid, scores, np.nan)
-        with np.errstate(invalid="ignore"):
-            ok = np.nonzero(~np.isnan(scores) & (scores > best[0]))[0]
-        if ok.size:
-            c = ok[np.argmax(scores[ok])] if ok.size > 1 else ok[0]
-            # argmax returns the first maximum, keeping ties deterministic
-            best = (float(scores[c]), int(j), float(mids[c]))
-    if best[1] is None:
-        return TreeNode(chf=nelson_aalen(times, events))
-    _, j, thr = best
-    go_left = X[:, j] <= thr
-    left_idx = np.nonzero(go_left)[0]
-    right_idx = np.nonzero(~go_left)[0]
-    children = [
-        _grow(rng, X[idx], times[idx], events[idx], min_leaf, max_depth, mtry, depth + 1)
-        for idx in (left_idx, right_idx)
-    ]
-    return TreeNode(column=j, threshold=thr, left=children[0], right=children[1])
+def _best_split(rng, Xt, rows, rs, min_leaf, mtry):
+    """The node's (column, threshold) of largest log-rank score, or None
+    when no candidate scores above 0."""
+    cols = np.argsort(rng.uniform(Xt.shape[0]), kind="stable")[:mtry]
+    block = Xt[cols[:, None], rows]  # the node's columns, rows in time order
+    xs = np.sort(block, axis=1)
+    step = xs[:, 1:] != xs[:, :-1]  # a distinct value ends at each step
+    col_of = np.nonzero(step)[0]
+    mids = (0.5 * (xs[:, :-1] + xs[:, 1:]))[step]
+    n_mids = step.sum(axis=1)
+    wide = (n_mids > _MAX_THRESHOLDS)[col_of]
+    if wide.any():  # keep the 32 thresholds of smallest draw per column
+        u = np.zeros(col_of.size)
+        u[wide] = rng.uniform(int(wide.sum()))
+        order = np.lexsort((u, col_of))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size) - np.searchsorted(col_of, col_of[order])
+        col_of, mids = col_of[rank < _MAX_THRESHOLDS], mids[rank < _MAX_THRESHOLDS]
+    lone = (n_mids == 1)[col_of]
+    masks = block[col_of] <= mids[:, None]
+    sizes = masks.sum(axis=1)
+    valid = (sizes >= min_leaf) & (rows.size - sizes >= min_leaf)
+    if not valid.any():
+        return None
+    scores = np.fmax(_logrank_parts(rs, masks[valid], lone[valid]), 0.0)  # nan scores 0
+    c = int(np.argmax(scores))  # the first maximum
+    if not scores[c] > 0.0:
+        return None
+    return int(cols[col_of[valid][c]]), float(mids[valid][c])
+
+
+def _grow_tree(rng, Xt, times, events, min_leaf, max_depth, mtry) -> TreeNode:
+    """One tree on its bootstrap sample, whose columns are the rows of Xt."""
+
+    def grow(rows, depth):
+        rs = sorted_risk_sets(times[rows], events[rows], rows)
+        deep = max_depth is not None and depth >= max_depth
+        split = None
+        if rows.size >= 2 * min_leaf and rs.is_event.any() and not deep:
+            split = _best_split(rng, Xt, rows, rs, min_leaf, mtry)
+        if split is None:
+            return TreeNode(chf=nelson_aalen_from_risk_sets(rs))
+        j, thr = split
+        go_left = Xt[j, rows] <= thr
+        left = grow(rows[go_left], depth + 1)  # the left subtree draws first
+        right = grow(rows[~go_left], depth + 1)
+        return TreeNode(column=j, threshold=thr, left=left, right=right)
+
+    return grow(np.argsort(times, kind="stable"), 0)
 
 
 def fit_forest(
@@ -185,16 +203,8 @@ def fit_forest(
         tree_seed = derive_seed(seed, i)
         rng = CounterRng(tree_seed)
         inbag = rng.integers(n, n)
-        root = _grow(
-            rng,
-            design.X[inbag],
-            design.times[inbag],
-            design.events[inbag],
-            min_leaf,
-            max_depth,
-            mtry,
-            depth=0,
-        )
+        root = _grow_tree(rng, design.X.T[:, inbag], design.times[inbag],
+                          design.events[inbag], min_leaf, max_depth, mtry)
         trees.append(SurvivalTree(seed=tree_seed, inbag=inbag, root=root))
     return Forest(
         trees=trees,
@@ -248,9 +258,12 @@ def _mortality(forest: Forest, X: np.ndarray) -> np.ndarray:
     mortalities over B. Each block of rows descends all trees together,
     one level per step, with <= going left; blocks keep the (B, rows)
     index arrays small. A leaf's mortality, its curve summed over the
-    event grid, is computed the first time a row reaches it."""
-    column, threshold, left, right, roots, chf, depth = _flatten(forest)
-    mortality = np.full(len(chf), np.nan)
+    event grid, is computed the first time a row reaches it; the forest
+    keeps table and mortalities until its `trees` list is replaced."""
+    if forest._scoring is None or forest._scoring[0] is not forest.trees:
+        table = _flatten(forest)
+        forest._scoring = (forest.trees, table, np.full(len(table[5]), np.nan))
+    _, (column, threshold, left, right, roots, chf, depth), mortality = forest._scoring
     b = len(forest.trees)
     out = np.empty(X.shape[0])
     for start in range(0, X.shape[0], _ROW_BLOCK):

@@ -102,6 +102,22 @@ def test_fast_equals_brute(cohort):
     assert got.cindex == ref.cindex
 
 
+@given(scored_cohort(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_invariant_under_row_permutation(cohort, random):
+    t, e, s = cohort
+    perm = np.array(random.sample(range(t.size), t.size))
+    try:
+        ref = concordance_index(t, e, s)
+    except UndefinedMetricError:
+        with pytest.raises(UndefinedMetricError):
+            concordance_index(t[perm], e[perm], s[perm])
+        return
+    got = concordance_index(t[perm], e[perm], s[perm])
+    assert got.cindex == ref.cindex
+    assert got.comparable == ref.comparable
+
+
 def test_fast_equals_brute_fixed_sweep():
     rng = np.random.default_rng(123)
     for trial in range(200):

@@ -1,6 +1,9 @@
 """The shared risk-set record and Breslow likelihood: counts against brute
-force on tied, censored samples, invariance of every consumer under row
-permutation, and Cox and DeepSurv tied to one likelihood."""
+force on tied, censored samples, the sorted-rows constructor against the
+sorting one, invariance of every consumer under row permutation, and Cox
+and DeepSurv tied to one likelihood."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 from survbench.cox import cox_loglik_grad_hess
 from survbench.deepsurv import cox_nll_loss
 from survbench.nonparametric import kaplan_meier, nelson_aalen
-from survbench.riskset import risk_set_sums, risk_sets
+from survbench.riskset import RiskSets, risk_set_sums, risk_sets, sorted_risk_sets
 
 from conftest import numeric_design
 
@@ -44,6 +47,25 @@ def test_counts_match_brute_force(sample):
     assert np.array_equal(rs.is_event, e[rs.order] == 1)
     ones = np.ones(t.size)
     assert np.array_equal(risk_set_sums(rs, ones), rs.n_at_risk)
+
+
+@given(tied_sample(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_sorted_rows_give_the_risk_sets_of_their_sample(sample, data):
+    # a tree node: a subset of the stably time-sorted rows, in that order
+    t, e, _, _ = sample
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=t.size, max_size=t.size)))
+    keep[data.draw(st.integers(0, t.size - 1))] = True
+    node = np.argsort(t, kind="stable")[keep]
+    got = sorted_risk_sets(t[node], e[node], node)
+    sample_rows = np.sort(node)  # the same node sample in input order
+    want = risk_sets(t[sample_rows], e[sample_rows])
+    for f in fields(RiskSets):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "order":
+            b = sample_rows[b]
+        assert a.dtype == b.dtype, f.name
+        assert np.array_equal(a, b), f.name
 
 
 @given(tied_sample())

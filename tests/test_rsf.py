@@ -1,15 +1,17 @@
 """Forest: split statistic against a loop-written reference and a closed
-form, single-tree degeneracies against the nonparametric estimator, and
-structural invariants (seed determinism, monotone-transform stability,
-leaf occupancy)."""
+form, the chosen root split against a column-by-column search, a pinned
+forest digest, single-tree degeneracies against the nonparametric
+estimator, and structural invariants (seed determinism, monotone-transform
+stability, leaf occupancy)."""
 
+import hashlib
 import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from survbench.metrics import concordance_index
@@ -99,6 +101,108 @@ def test_logrank_refuses_zero_variance():
     # the only event happens when just one subject is at risk
     with pytest.raises(ValueError, match="variance"):
         logrank_score([1.0, 2.0], [0, 1], [0.0, 1.0], 0.5)
+
+
+# --- split search ------------------------------------------------------------
+
+
+def reference_root_split(design, seed, min_leaf, mtry):
+    """Tree 0's root split searched one column and one threshold at a
+    time, with the forest's draws: bootstrap, column subset, then each
+    wide column's threshold subsample in turn. A candidate must beat the
+    best so far strictly, starting from 0. None means the root is a leaf.
+
+    Scores carry the forest's rounding: a column's only threshold is
+    scored by `logrank_score`, whose sums over event times are pairwise,
+    and a column with several by `naive_logrank`, which sums them in
+    time order."""
+    rng = CounterRng(derive_seed(seed, 0))
+    inbag = rng.integers(design.n, design.n)
+    X, times, events = design.X[inbag], design.times[inbag], design.events[inbag]
+    n = times.size
+    if n < 2 * min_leaf or events.sum() < 1:
+        return None
+    best_score, best = 0.0, None
+    for j in np.argsort(rng.uniform(design.p), kind="stable")[:mtry]:
+        distinct = np.unique(X[:, j])
+        mids = 0.5 * (distinct[:-1] + distinct[1:])
+        if mids.size > 32:
+            pick = np.argsort(rng.uniform(mids.size), kind="stable")[:32]
+            mids = mids[np.sort(pick)]
+        for thr in mids:
+            left = X[:, j] <= thr
+            if left.sum() < min_leaf or n - left.sum() < min_leaf:
+                continue
+            try:
+                if mids.size == 1:
+                    score = logrank_score(times, events, X[:, j], thr)
+                else:
+                    score = naive_logrank(times, events, left)
+            except ValueError:  # zero variance
+                continue
+            if score > best_score:
+                best_score, best = score, (int(j), float(thr))
+    return best
+
+
+def tie_prone_design(data_seed, n, p):
+    """Column 0 is binary and splits rows exactly as column 1 (three
+    levels) does at 0.5, so the two columns' scores of that split differ
+    only by rounding; times and the other columns have ties."""
+    rng = np.random.default_rng(data_seed)
+    X = rng.normal(size=(n, p))
+    X[:, 1] = rng.integers(0, 3, n)
+    X[:, 0] = X[:, 1] > 0
+    X[:, 3:] = np.round(X[:, 3:], 1)
+    times = np.round(rng.exponential(1.0 / np.exp(X[:, 0] - X[:, 2])), 1) + 0.1
+    events = (rng.uniform(size=n) < 0.6).astype(int)
+    return numeric_design(X, times, events)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(10, 90),
+    st.integers(3, 5),
+    st.integers(1, 5),
+    st.integers(1, 20),
+)
+@settings(max_examples=80, deadline=None)
+# columns 0 and 1 tie but for rounding; the rounding picks column 1 in the
+# first two examples and column 0 in the third
+@example(3012095848, 90, 3, 4, 3)
+@example(91882693, 51, 5, 2, 5)
+@example(2251609711, 41, 5, 2, 6)
+def test_root_split_matches_column_by_column_search(data_seed, n, p, mtry, min_leaf):
+    d = tie_prone_design(data_seed, n, p)
+    mtry = min(mtry, p)
+    root = fit_forest(d, b=1, mtry=mtry, min_leaf=min_leaf, seed=data_seed).trees[0].root
+    want = reference_root_split(d, data_seed, min_leaf, mtry)
+    if want is None:
+        assert root.is_leaf
+    else:
+        assert (root.column, root.threshold) == want
+
+
+def golden_design():
+    """60 rows built from exact arithmetic: a column with 60 distinct
+    values (so thresholds are subsampled), one with 12 tied levels, one
+    with 4, and 16 tied integer times."""
+    rng = CounterRng(2024)
+    n = 60
+    wide = rng.uniform(n)
+    quarters = np.floor(rng.uniform(n) * 12.0) / 4.0
+    coarse = np.floor(rng.uniform(n) * 4.0)
+    times = np.floor(12.0 * rng.uniform(n) * (1.5 - wide)) + 1.0
+    events = (rng.uniform(n) < 0.7).astype(int)
+    return numeric_design(np.column_stack([wide, quarters, coarse]), times, events)
+
+
+def test_forest_file_digest_is_pinned():
+    # pins the forest file byte for byte; the draws, the candidate
+    # thresholds, the split rule and the leaf curves all feed it
+    f = fit_forest(golden_design(), b=5, min_leaf=4, mtry=2, seed=3)
+    digest = hashlib.sha256(json.dumps(forest_to_dict(f)).encode()).hexdigest()
+    assert digest == "c4f57aaa8fe32119756987313e8b649d4a407004b41dfc25524420470f829760"
 
 
 # --- degenerate forests ----------------------------------------------------
@@ -272,6 +376,18 @@ def test_risk_is_independent_of_tree_order():
     f = fit_forest(d, b=7, min_leaf=10, seed=3)
     reversed_forest = replace(f, trees=f.trees[::-1])
     np.testing.assert_array_equal(rsf_risk(reversed_forest, d), rsf_risk(f, d))
+
+
+def test_scoring_after_the_trees_change_uses_the_new_trees():
+    d = bigger_design(seed=4, n=80)
+    f = fit_forest(d, b=7, min_leaf=10, seed=3)
+    first = rsf_risk(f, d)
+    np.testing.assert_array_equal(rsf_risk(f, d), first)  # from the kept table
+    one_tree = rsf_risk(fit_forest(d, b=1, min_leaf=10, seed=3), d)
+    np.testing.assert_array_equal(rsf_risk(replace(f, trees=f.trees[:1]), d), one_tree)
+    f.trees = f.trees[:1]
+    np.testing.assert_array_equal(rsf_risk(f, d), one_tree)
+    assert not np.array_equal(one_tree, first)
 
 
 @given(
