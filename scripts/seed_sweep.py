@@ -7,13 +7,12 @@ per model.
 """
 
 import argparse
-import csv
 import os
 import sys
 
 import numpy as np
 
-from survbench.bench import BenchConfig, run_benchmark
+from survbench.bench import BenchConfig, run_benchmark, write_csv
 from survbench.datagen import GeneratorConfig
 
 
@@ -41,15 +40,13 @@ def main(argv=None) -> int:
         print(f"seed {seed}: {done}")
 
     print(f"\ntest C-index over {args.seeds} seeds (n={args.n}):")
+    rows = []
+    for name, vals in scores.items():
+        mean, sd = float(np.mean(vals)), float(np.std(vals))
+        print(f"{name:<8} {mean:.4f} +- {sd:.4f}  ({len(vals)} runs)")
+        rows.append([name, f"{mean:.6g}", f"{sd:.6g}", len(vals)])
     summary_path = os.path.join(args.out, "sweep.csv")
-    os.makedirs(args.out, exist_ok=True)
-    with open(summary_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["model", "mean_test_cindex", "sd_test_cindex", "runs"])
-        for name, vals in scores.items():
-            mean, sd = float(np.mean(vals)), float(np.std(vals))
-            print(f"{name:<8} {mean:.4f} +- {sd:.4f}  ({len(vals)} runs)")
-            w.writerow([name, f"{mean:.6g}", f"{sd:.6g}", len(vals)])
+    write_csv(summary_path, ["model", "mean_test_cindex", "sd_test_cindex", "runs"], rows)
     print(f"summary written to {summary_path}")
     return 0
 

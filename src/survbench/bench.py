@@ -3,7 +3,9 @@ split, emit the comparison report and the survival-curve/weight figures.
 
 Determinism contract: report.csv and every data CSV depend only on the
 config (seed included); wall-clock timings are confined to report.json.
-All files are written atomically (temp then rename).
+
+`write_text_atomic` is the only code in the package that creates files,
+and every CSV goes through `write_csv` on top of it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import csv
 import io
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field, fields
 from typing import Callable
@@ -138,6 +139,13 @@ def model_options(name: str, overrides: dict) -> dict:
     return merged
 
 
+def _check_km_names(names) -> None:
+    """Refuse grouping columns whose names cannot name a KM file."""
+    for name in names:
+        if name in (".", "..") or any(sep and sep in name for sep in (os.sep, os.altsep)):
+            raise ValueError(f"cannot name a KM file after column {name!r}")
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     csv_path: str | None = None
@@ -157,6 +165,7 @@ class BenchConfig:
         unknown = set(self.models) - set(MODELS)
         if unknown:
             raise ValueError(f"unknown models: {sorted(unknown)}")
+        _check_km_names(self.km_groups)
 
 
 @dataclass
@@ -213,10 +222,15 @@ def bench_config_from_dict(doc: dict) -> BenchConfig:
 
 
 def write_text_atomic(path: str, text: str) -> None:
+    """Write to a temporary file beside `path`, then rename it over `path`.
+    Makes missing parent directories; the file gets the mode that
+    `open(path, "w")` would give it under the current umask."""
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", suffix=os.path.basename(path))
+    os.makedirs(d, exist_ok=True)
+    tmp = os.path.join(d, f".tmp_{os.urandom(8).hex()}_{os.path.basename(path)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -225,30 +239,17 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
+def write_csv(path: str, header, rows) -> None:
+    """One CSV artifact in `csv.writer`'s default dialect (CRLF rows),
+    written atomically."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    write_text_atomic(path, buf.getvalue())
+
+
 def model_converged(model) -> bool:
     conv = getattr(model, "convergence", None)
     return True if conv is None else conv.converged
-
-
-def _scores_csv(train_design, test_design, risk_train, risk_test) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["split", "index", "time", "event", "score"])
-    for split_name, design, scores in (
-        ("train", train_design, risk_train),
-        ("test", test_design, risk_test),
-    ):
-        for i in range(design.n):
-            w.writerow(
-                [
-                    split_name,
-                    i,
-                    repr(float(design.times[i])),
-                    int(design.events[i]),
-                    repr(float(scores[i])),
-                ]
-            )
-    return buf.getvalue()
 
 
 def load_cohort(config: BenchConfig) -> Cohort:
@@ -259,7 +260,6 @@ def load_cohort(config: BenchConfig) -> Cohort:
 
 
 def run_benchmark(config: BenchConfig) -> BenchReport:
-    os.makedirs(config.out_dir, exist_ok=True)
     cohort = load_cohort(config)
     train, test = split(cohort, config.test_fraction, config.seed)
     rows = []
@@ -292,9 +292,12 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
             )
             if name == "mtlr":
                 mtlr_model = model
-            write_text_atomic(
+            parts = (("train", train_design, risk_train), ("test", test_design, risk_test))
+            write_csv(
                 os.path.join(config.out_dir, f"scores_{name}.csv"),
-                _scores_csv(train_design, test_design, risk_train, risk_test),
+                ["split", "index", "time", "event", "score"],
+                [[part, i, repr(t), e, repr(float(r))] for part, d, risk in parts
+                 for i, (t, e, r) in enumerate(zip(d.times.tolist(), d.events.tolist(), risk))],
             )
         except Exception as exc:
             elapsed = (time.perf_counter() - started) * 1000.0
@@ -325,14 +328,12 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
 
 
 def _write_report(config: BenchConfig, report: BenchReport) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["model", "train_cindex", "test_cindex", "status", "converged"])
-    for r in report.rows:
-        w.writerow(
-            [r.name, fmt6(r.train_cindex), fmt6(r.test_cindex), r.status, r.converged]
-        )
-    write_text_atomic(os.path.join(config.out_dir, "report.csv"), buf.getvalue())
+    write_csv(
+        os.path.join(config.out_dir, "report.csv"),
+        ["model", "train_cindex", "test_cindex", "status", "converged"],
+        [[r.name, fmt6(r.train_cindex), fmt6(r.test_cindex), r.status, r.converged]
+         for r in report.rows],
+    )
     doc = {
         "environment": {
             "seed": report.seed,
@@ -369,27 +370,11 @@ def _write_report(config: BenchConfig, report: BenchReport) -> None:
     write_text_atomic(os.path.join(config.out_dir, "report.svg"), svg)
 
 
-def _curve_csv(curves: list[tuple[str, object]], grouped: bool) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    if not grouped:
-        w.writerow(["time", "value"])
-        _, f = curves[0]
-        for t, v in zip(f.times, f.values):
-            w.writerow([repr(float(t)), repr(float(v))])
-    else:
-        w.writerow(["group", "time", "value"])
-        for label, f in curves:
-            for t, v in zip(f.times, f.values):
-                w.writerow([label, repr(float(t)), repr(float(v))])
-    return buf.getvalue()
-
-
 def emit_km_figures(cohort: Cohort, group_specs: list[str], out_dir: str) -> list[str]:
     """One CSV + SVG pair overall and per grouping covariate. Numeric
     covariates are split at the cohort median; the group labels carry the
     binning rule so the output is self-describing."""
-    os.makedirs(out_dir, exist_ok=True)
+    _check_km_names(group_specs)
     paths = []
     km = kaplan_meier(cohort.time, cohort.event)
     specs = [("overall", [("all", km)], "Kaplan-Meier survival")]
@@ -415,7 +400,12 @@ def emit_km_figures(cohort: Cohort, group_specs: list[str], out_dir: str) -> lis
     for i, (name, curves, title) in enumerate(specs):
         csv_path = os.path.join(out_dir, f"km_{name}.csv")
         svg_path = os.path.join(out_dir, f"km_{name}.svg")
-        write_text_atomic(csv_path, _curve_csv(curves, grouped=i > 0))
+        header = ["group", "time", "value"]
+        rows = [[label, repr(t), repr(v)] for label, f in curves
+                for t, v in zip(f.times.tolist(), f.values.tolist())]
+        if i == 0:  # the overall file holds one curve and no group column
+            header, rows = header[1:], [r[1:] for r in rows]
+        write_csv(csv_path, header, rows)
         write_text_atomic(svg_path, step_chart(curves, title=title))
         paths.extend([csv_path, svg_path])
     return paths
@@ -424,20 +414,15 @@ def emit_km_figures(cohort: Cohort, group_specs: list[str], out_dir: str) -> lis
 def emit_weight_figure(model, out_dir: str) -> list[str]:
     """Per-variable weight chart for a fitted sequence model, largest
     magnitude first."""
-    os.makedirs(out_dir, exist_ok=True)
     rows = mtlr.feature_weights(model)
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    k = model.grid.k
-    w.writerow(["variable", "aggregate_weight"] + [f"w{i + 1}" for i in range(k)])
-    for r in rows:
-        w.writerow(
-            [r["variable"], repr(r["aggregate_weight"])]
-            + [repr(float(v)) for v in r["per_interval"]]
-        )
     csv_path = os.path.join(out_dir, "weights.csv")
     svg_path = os.path.join(out_dir, "weights.svg")
-    write_text_atomic(csv_path, buf.getvalue())
+    write_csv(
+        csv_path,
+        ["variable", "aggregate_weight"] + [f"w{i + 1}" for i in range(model.grid.k)],
+        [[r["variable"], repr(r["aggregate_weight"])] + [repr(v) for v in r["per_interval"]]
+         for r in rows],
+    )
     write_text_atomic(
         svg_path,
         bar_chart(

@@ -22,24 +22,20 @@ from .bench import (
     emit_weight_figure,
     model_options,
     run_benchmark,
+    write_csv,
     write_text_atomic,
 )
 from .common import fmt6
-from .data import (Column, CovariateSchema, DesignMatrix, encode, encode_like, ingest_csv,
-                   write_cohort_csv)
+from .data import (Column, CovariateSchema, DesignMatrix, cohort_table, encode, encode_like,
+                   ingest_csv)
 from .datagen import (
     GeneratorConfig,
     HazardSpec,
     calibrate_censoring,
     generate,
-    write_ground_truth_csv,
+    ground_truth_table,
 )
 from .metrics import concordance_index
-
-
-def _ensure_parent(path: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
 
 
 def _load_config(path: str | None) -> dict:
@@ -78,10 +74,9 @@ def _cmd_datagen(args) -> int:
         cfg = calibrate_censoring(cfg, args.target_censoring)
     cohort, truth = generate(cfg)
     out = args.out or "cohort.csv"
-    _ensure_parent(out)
-    write_cohort_csv(cohort, out)
+    write_csv(out, *cohort_table(cohort))
     stem, ext = os.path.splitext(out)
-    write_ground_truth_csv(truth, f"{stem}_truth{ext or '.csv'}")
+    write_csv(f"{stem}_truth{ext or '.csv'}", *ground_truth_table(truth))
     print(
         f"wrote {out}: n={cohort.n}, events={cohort.n_events}, "
         f"censoring={fmt6(cohort.censoring_rate)}"
@@ -103,7 +98,6 @@ def _cmd_fit(args) -> int:
         "sds": None if design.sds is None else design.sds.tolist(),
     }
     out = args.out or f"{args.model}.json"
-    _ensure_parent(out)
     write_text_atomic(out, json.dumps(doc) + "\n")
     if getattr(model, "training_log", None):
         rows = "".join(f"{i},{v!r}\n" for i, v in enumerate(model.training_log))

@@ -117,19 +117,6 @@ def predict_risk(model: CoxModel, design: DesignMatrix) -> np.ndarray:
     return design.X @ model.beta
 
 
-def predict_survival(model: CoxModel, x) -> StepFunction:
-    """S(t|x) = exp(-H0(t) * exp(beta.x))."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != model.beta.shape:
-        raise ValueError("row arity does not match the fitted model")
-    h0 = model.baseline_cum_hazard
-    return StepFunction(
-        times=h0.times,
-        values=np.exp(-h0.values * np.exp(float(model.beta @ x))),
-        initial=1.0,
-    )
-
-
 def cox_to_dict(model: CoxModel) -> dict:
     return {
         "model": "cox",

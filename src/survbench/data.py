@@ -1,4 +1,4 @@
-"""Cohort container, CSV round-trip, and design-matrix encoding.
+"""Cohort container, CSV ingest and table rows, and design-matrix encoding.
 
 A cohort is a fixed covariate schema plus aligned columns: one array per
 covariate, an observed time, and an event indicator (1 = purchase seen,
@@ -245,20 +245,12 @@ def split(cohort: Cohort, test_fraction: float, seed: int) -> tuple[Cohort, Coho
     return train, test
 
 
-def write_cohort_csv(cohort: Cohort, path) -> None:
-    """Header is covariate names + time + event; floats via repr so the
-    file round-trips bit-exactly."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cohort.schema.names + ["time", "event"])
-        for i in range(cohort.n):
-            row = []
-            for col in cohort.schema.columns:
-                v = cohort.covariates[col.name][i]
-                row.append(repr(float(v)) if col.kind == "numeric" else str(v))
-            row.append(repr(float(cohort.time[i])))
-            row.append(str(int(cohort.event[i])))
-            w.writerow(row)
+def cohort_table(cohort: Cohort) -> tuple[list[str], list[tuple[str, ...]]]:
+    """The cohort as CSV header (covariate names + time + event) and rows.
+    Floats are written via repr, so the file round-trips bit-exactly."""
+    arrays = [cohort.covariates[n] for n in cohort.schema.names] + [cohort.time, cohort.event]
+    columns = [map(repr if a.dtype == np.float64 else str, a.tolist()) for a in arrays]
+    return cohort.schema.names + ["time", "event"], list(zip(*columns))
 
 
 def infer_schema(names: list[str], rows: list[list[str]]) -> CovariateSchema:
@@ -340,6 +332,10 @@ def ingest_csv(
                     raise ParseError(
                         f"row {i + 1}: non-numeric value {v!r} in {col.name!r}"
                     ) from None
+            bad = np.flatnonzero(~np.isfinite(vals))
+            if bad.size:
+                i = bad[0]
+                raise ParseError(f"row {i + 1}: non-finite value {raw[i]!r} in {col.name!r}")
             cov[col.name] = vals
         else:
             known = set(col.levels)

@@ -15,7 +15,6 @@ standardizes columns by these population moments, not sample moments.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 
@@ -93,7 +92,6 @@ class GeneratorConfig:
     censor_rate: float = 0.01
     # keeps the default nonlinear cohort's censored fraction at 48% +- 3%
     censor_horizon: float = 6.2
-    schema: CovariateSchema = DEFAULT_SCHEMA
 
     def __post_init__(self):
         if self.n < 1:
@@ -127,12 +125,10 @@ def risk_of(covariates: dict, hazard: HazardSpec) -> np.ndarray:
 def _draw(config: GeneratorConfig):
     """Covariates, risk, event times and random censor times; everything
     a cohort needs except the administrative horizon."""
-    if config.schema != DEFAULT_SCHEMA:
-        raise ValueError("the sampler is tied to the default 10-covariate schema")
     rng = CounterRng(config.seed)
     n = config.n
     cov = {}
-    for col in config.schema.columns:
+    for col in DEFAULT_SCHEMA.columns:
         if col.kind == "categorical":
             idx = rng.integers(len(col.levels), n)
             cov[col.name] = np.array([col.levels[i] for i in idx], dtype=object)
@@ -153,16 +149,17 @@ def generate(config: GeneratorConfig) -> tuple[Cohort, GroundTruth]:
     censor_time = np.minimum(censor_random, config.censor_horizon)
     event = (true_time <= censor_time).astype(np.int64)
     observed = np.minimum(true_time, censor_time)
-    cohort = Cohort(config.schema, cov, observed, event)
+    cohort = Cohort(DEFAULT_SCHEMA, cov, observed, event)
     return cohort, GroundTruth(true_time=true_time, true_risk=risk)
 
 
-def write_ground_truth_csv(truth: GroundTruth, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["record_id", "true_time", "true_risk"])
-        for i in range(truth.true_time.size):
-            w.writerow([i, repr(float(truth.true_time[i])), repr(float(truth.true_risk[i]))])
+def ground_truth_table(truth: GroundTruth) -> tuple[list[str], list[tuple]]:
+    """The ground truth as CSV header and rows, floats via repr."""
+    return ["record_id", "true_time", "true_risk"], list(zip(
+        range(truth.true_time.size),
+        map(repr, truth.true_time.tolist()),
+        map(repr, truth.true_risk.tolist()),
+    ))
 
 
 def calibrate_censoring(

@@ -20,9 +20,10 @@ from survbench.bench import (
     emit_weight_figure,
     model_options,
     run_benchmark,
+    write_csv,
     write_text_atomic,
 )
-from survbench.data import encode
+from survbench.data import cohort_table, encode
 from survbench.datagen import GeneratorConfig, HazardSpec, generate
 from survbench.metrics import concordance_index
 from survbench.mtlr import fit_mtlr, make_grid
@@ -320,10 +321,8 @@ def test_write_text_atomic_overwrites(tmp_path):
 
 def test_csv_input_round_trip(tmp_path):
     cohort, _ = generate(GeneratorConfig(n=90, seed=8))
-    from survbench.data import write_cohort_csv
-
     csv_path = tmp_path / "cohort.csv"
-    write_cohort_csv(cohort, str(csv_path))
+    write_csv(str(csv_path), *cohort_table(cohort))
     config = BenchConfig(
         csv_path=str(csv_path),
         models=("cox",),

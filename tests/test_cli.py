@@ -3,14 +3,18 @@
 import csv
 import json
 import os
+import stat
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from survbench.bench import MODELS, model_options
+from survbench.bench import MODELS, model_options, write_csv
 from survbench.cli import main
-from survbench.data import encode, encode_like, ingest_csv
+from survbench.data import (Cohort, Column, CovariateSchema, cohort_table, encode, encode_like,
+                            ingest_csv)
 from survbench.datagen import GeneratorConfig, generate
 from survbench.metrics import concordance_index
 
@@ -208,6 +212,52 @@ def test_fit_on_malformed_csv_is_one_line_error(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+def test_bench_on_malformed_csv_leaves_no_output_dir(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("Age,time,event\n30,1.5,1\n41,soon,0\n")
+    assert main(["bench", "--input", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert_one_line_error(capsys, "row 2: non-numeric time 'soon'")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name", ["a/b", "..", "."])
+def test_km_file_names_must_be_plain_column_names(tmp_path, capsys, name):
+    # KM files are named after their column; such a name would nest files
+    # or escape the output directory, so it is refused before any write
+    path = tmp_path / "c.csv"
+    path.write_text(f"x,{name},time,event\n" + "".join(
+        f"{i},{'pq'[i % 2]},{i + 1}.0,{i % 3 > 0:d}\n" for i in range(12)))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"km_groups": [name]}))
+    for argv in (["km", "--input", str(path), "--by", name],
+                 ["bench", "--input", str(path), "--models", "cox", "--config", str(config)]):
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+        assert_one_line_error(capsys, f"cannot name a KM file after column {name!r}")
+        assert not (tmp_path / "o").exists()
+
+
+def test_artifacts_get_the_mode_open_gives(tmp_path):
+    # written files follow the umask like open(path, "w"), not a
+    # temporary file's private 0600
+    old = os.umask(0o027)
+    try:
+        cohort_csv = make_cohort_csv(tmp_path / "d", n=80)
+        model = tmp_path / "m" / "cox.json"
+        assert main(["fit", "--model", "cox", "--input", str(cohort_csv),
+                     "--out", str(model)]) == 0
+        report = tmp_path / "b" / "report.csv"
+        assert main(["bench", "--input", str(cohort_csv), "--models", "cox",
+                     "--out", str(report.parent)]) == 0
+        for artifact in (cohort_csv, model, report):
+            reference = artifact.parent / "made_with_open"
+            with open(reference, "w"):
+                pass
+            assert (stat.S_IMODE(artifact.stat().st_mode)
+                    == stat.S_IMODE(reference.stat().st_mode) == 0o640)
+    finally:
+        os.umask(old)
+
+
 def test_fit_rejects_unknown_option(tmp_path, capsys):
     cohort_csv = make_cohort_csv(tmp_path)
     config = tmp_path / "cfg.json"
@@ -230,9 +280,11 @@ def test_fit_rejects_unknown_option(tmp_path, capsys):
         ("bench", {"model_options": {"cox": 3}}, "model_options must map model names"),
         ("bench", {"input": 5}, "config input and its generator must be JSON objects"),
         ("bench", {"input": {"generator": {"nn": 5}}}, "unknown generator keys: ['nn']"),
+        ("bench", {"input": {"generator": {"schema": []}}},
+         "unknown generator keys: ['schema']"),
     ],
     ids=["not-an-object", "fit-options-not-objects", "bench-options-not-objects",
-         "input-not-an-object", "unknown-generator-key"],
+         "input-not-an-object", "unknown-generator-key", "generator-schema-key"],
 )
 def test_malformed_config_is_one_line_error(tmp_path, capsys, command, config, text):
     cohort_csv = make_cohort_csv(tmp_path, n=60)
@@ -392,6 +444,7 @@ def test_km_cli_unknown_covariate(tmp_path, capsys):
                "--out", str(tmp_path / "km")])
     assert rc == 2
     assert_one_line_error(capsys, "unknown covariate")
+    assert not (tmp_path / "km").exists()
 
 
 def test_weights_cli(tmp_path, capsys):
@@ -414,3 +467,59 @@ def test_unknown_model_is_a_usage_error(tmp_path):
 def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit):
         main([])
+
+
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    levels=st.lists(st.text(alphabet='ab ,"', min_size=1, max_size=5).filter(
+        lambda t: not _is_number(t)), min_size=2, max_size=3, unique=True),
+    seed=st.integers(0, 2**16),
+)
+@example(levels=["a,b", 'say "b"', " a "], seed=0)
+def test_every_written_csv_parses_with_constant_width(tmp_path_factory, levels, seed):
+    # category levels with commas, quotes and spaces must survive every
+    # CSV the CLI writes: one column count per file, labels read back as-is
+    rng = np.random.default_rng(seed)
+    n = 40
+    schema = CovariateSchema((Column("x", "numeric"),
+                              Column("g", "categorical", tuple(sorted(levels)))))
+    g = np.array([levels[i % len(levels)] for i in range(n)], dtype=object)
+    cohort = Cohort(schema, {"x": rng.normal(size=n), "g": g},
+                    rng.exponential(size=n), (rng.uniform(size=n) < 0.7).astype(int))
+    root = tmp_path_factory.mktemp("csv")
+    cohort_csv = root / "in" / "cohort.csv"
+    write_csv(str(cohort_csv), *cohort_table(cohort))
+    config = root / "cfg.json"
+    config.write_text(json.dumps({"km_groups": ["g", "x"]}))
+    for argv in (
+        ["datagen", "--n", "30", "--seed", str(seed), "--out", str(root / "dg" / "c.csv")],
+        ["bench", "--input", str(cohort_csv), "--models", "cox,mtlr",
+         "--config", str(config), "--out", str(root / "bench")],
+        ["km", "--input", str(cohort_csv), "--by", "g", "--by", "x", "--out", str(root / "km")],
+        ["weights", "--input", str(cohort_csv), "--k", "3", "--out", str(root / "w")],
+    ):
+        assert main(argv) == 0
+    tables = {}
+    for path in sorted(root.rglob("*.csv")):
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert len({len(r) for r in rows}) == 1, path
+        tables[path.relative_to(root).as_posix()] = rows
+    # the input cohort, datagen's two files, seven from bench, three km, one weights
+    assert len(tables) == 14
+    assert ingest_csv(str(cohort_csv)).equals(cohort)
+    assert tables["dg/c.csv"][0] == [*ingest_csv(str(root / "dg" / "c.csv")).schema.names,
+                                     "time", "event"]
+    assert [r[0] for r in tables["bench/report.csv"][1:]] == ["cox", "mtlr"]
+    for km in ("km/km_g.csv", "bench/km_g.csv"):
+        assert {r[0] for r in tables[km][1:]} == set(levels)
+    for weights in ("w/weights.csv", "bench/weights.csv"):
+        assert {r[0] for r in tables[weights][1:]} == set(encode(cohort).names)

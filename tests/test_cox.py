@@ -12,7 +12,6 @@ from survbench.cox import (
     cox_to_dict,
     fit_cox,
     predict_risk,
-    predict_survival,
 )
 from survbench.common import SingularHessianError
 from survbench.data import encode, split
@@ -203,19 +202,6 @@ def test_predict_risk_validates_columns():
     other = small_design(seed=9, p=2)
     with pytest.raises(ValueError):
         predict_risk(model, other)
-
-
-def test_predict_survival_shape():
-    design = small_design(seed=10, n=30, p=2)
-    model = fit_cox(design, ridge=0.5)
-    s = predict_survival(model, design.X[0])
-    assert s(0.0) == 1.0
-    assert np.all(np.diff(s.values) <= 1e-15)
-    # S(t|x) = exp(-H0(t) * exp(eta))
-    eta = float(design.X[0] @ model.beta)
-    h = model.baseline_cum_hazard
-    at = h.times[-1]
-    assert s(at) == pytest.approx(np.exp(-h(at) * np.exp(eta)), rel=1e-12)
 
 
 def test_serialization_round_trip():

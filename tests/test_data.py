@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from survbench.bench import write_csv
 from survbench.data import (
     Cohort,
     Column,
@@ -10,12 +11,12 @@ from survbench.data import (
     DegenerateColumnError,
     ParseError,
     SchemaError,
+    cohort_table,
     encode,
     encode_like,
     infer_schema,
     ingest_csv,
     split,
-    write_cohort_csv,
 )
 
 from conftest import numeric_cohort
@@ -237,7 +238,7 @@ def test_csv_round_trip_bit_exact(tmp_path):
     # awkward floats that would not survive a %.6g trip
     c.covariates["age"][:] = rng.normal(0, 1, c.n) * np.pi
     p = tmp_path / "cohort.csv"
-    write_cohort_csv(c, p)
+    write_csv(p, *cohort_table(c))
     back = ingest_csv(p)
     assert back.equals(c)
 
@@ -270,6 +271,14 @@ def test_ingest_bad_time_names_row(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("x,time,event\n1,oops,1\n")
     with pytest.raises(ParseError, match="row 1"):
+        ingest_csv(p)
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+def test_ingest_non_finite_covariate_names_row(tmp_path, cell):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"x,time,event\n1,1.0,1\n{cell},2.0,0\n")
+    with pytest.raises(ParseError, match=f"row 2: non-finite value '{cell}' in 'x'"):
         ingest_csv(p)
 
 

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from survbench.bench import write_csv
 from survbench.datagen import (
     DEFAULT_SCHEMA,
     POPULATION_MOMENTS,
@@ -15,10 +16,9 @@ from survbench.datagen import (
     HazardSpec,
     calibrate_censoring,
     generate,
+    ground_truth_table,
     risk_of,
-    write_ground_truth_csv,
 )
-from survbench.data import Column, CovariateSchema
 from survbench.nonparametric import kaplan_meier
 
 
@@ -166,12 +166,6 @@ def test_generator_config_validation():
         GeneratorConfig(censor_horizon=0.0)
 
 
-def test_generate_rejects_foreign_schema():
-    schema = CovariateSchema(columns=(Column("x", "numeric"),))
-    with pytest.raises(ValueError, match="default 10-covariate schema"):
-        generate(GeneratorConfig(schema=schema))
-
-
 def test_calibrate_censoring_hits_target():
     cal = calibrate_censoring(GeneratorConfig(), 0.30)
     assert cal.n == GeneratorConfig().n
@@ -211,7 +205,7 @@ def test_ground_truth_csv_round_trip(tmp_path):
     cfg = GeneratorConfig(n=50, seed=5)
     _, truth = generate(cfg)
     path = tmp_path / "truth.csv"
-    write_ground_truth_csv(truth, path)
+    write_csv(path, *ground_truth_table(truth))
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["record_id", "true_time", "true_risk"]

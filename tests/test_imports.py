@@ -1,5 +1,6 @@
-"""Layout rule: no survbench module imports another module's private
-(underscore) names; shared code is made public where it lives."""
+"""Layout rules: no survbench module imports another module's private
+(underscore) names; shared code is made public where it lives. Only
+bench.py creates files, so every artifact is written one way."""
 
 import ast
 import pathlib
@@ -24,5 +25,43 @@ def test_no_module_imports_private_names():
         path.name: hits
         for path in sorted(SRC.glob("*.py"))
         if (hits := private_imports(path))
+    }
+    assert offenders == {}
+
+
+# calls that create or replace files, as (module, function)
+FILE_WRITERS = {("csv", "writer"), ("tempfile", "mkstemp"), ("os", "replace"), ("os", "open")}
+OPENERS = {(None, "open"), ("os", "fdopen")}
+
+
+def file_writes(path):
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+            call = (f.value.id, f.attr)
+        elif isinstance(f, ast.Name):
+            call = (None, f.id)
+        else:
+            continue
+        if call in OPENERS:
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+            # a mode that is not a literal might write
+            writes = not isinstance(mode, ast.Constant) or bool(set(str(mode.value)) & set("wax"))
+        else:
+            writes = call in FILE_WRITERS
+        if writes:
+            found.append((node.lineno, ".".join(filter(None, call))))
+    return found
+
+
+def test_only_bench_creates_files():
+    offenders = {
+        path.name: hits
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "bench.py" and (hits := file_writes(path))
     }
     assert offenders == {}
