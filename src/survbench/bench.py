@@ -139,10 +139,13 @@ def model_options(name: str, overrides: dict) -> dict:
     return merged
 
 
-def _check_km_names(names) -> None:
-    """Refuse grouping columns whose names cannot name a KM file."""
+def check_km_groups(cohort: Cohort, names) -> None:
+    """Refuse KM grouping names that are not columns of the cohort, or
+    that cannot name a KM file of their own."""
     for name in names:
-        if name in (".", "..") or any(sep and sep in name for sep in (os.sep, os.altsep)):
+        if not isinstance(name, str) or name not in cohort.schema.names:
+            raise ValueError(f"unknown covariate: {name!r}")
+        if name in (".", "..", "overall") or any(sep and sep in name for sep in (os.sep, os.altsep)):
             raise ValueError(f"cannot name a KM file after column {name!r}")
 
 
@@ -165,7 +168,6 @@ class BenchConfig:
         unknown = set(self.models) - set(MODELS)
         if unknown:
             raise ValueError(f"unknown models: {sorted(unknown)}")
-        _check_km_names(self.km_groups)
 
 
 @dataclass
@@ -217,6 +219,8 @@ def bench_config_from_dict(doc: dict) -> BenchConfig:
         raise ValueError(f"unknown config keys: {sorted(extra)}")
     for key in ("models", "km_groups"):
         if key in doc:
+            if not isinstance(doc[key], list):
+                raise ValueError(f"config {key} must be a JSON list")
             doc[key] = tuple(doc[key])
     return BenchConfig(csv_path=source.get("csv"), generator=gen, **doc)
 
@@ -261,6 +265,7 @@ def load_cohort(config: BenchConfig) -> Cohort:
 
 def run_benchmark(config: BenchConfig) -> BenchReport:
     cohort = load_cohort(config)
+    check_km_groups(cohort, config.km_groups)
     train, test = split(cohort, config.test_fraction, config.seed)
     rows = []
     mtlr_model = None  # the weight figure's source
@@ -373,13 +378,13 @@ def _write_report(config: BenchConfig, report: BenchReport) -> None:
 def emit_km_figures(cohort: Cohort, group_specs: list[str], out_dir: str) -> list[str]:
     """One CSV + SVG pair overall and per grouping covariate. Numeric
     covariates are split at the cohort median; the group labels carry the
-    binning rule so the output is self-describing."""
-    _check_km_names(group_specs)
+    binning rule so the output is self-describing. The names must pass
+    `check_km_groups`."""
     paths = []
     km = kaplan_meier(cohort.time, cohort.event)
     specs = [("overall", [("all", km)], "Kaplan-Meier survival")]
     for name in group_specs:
-        col = cohort.schema.column(name)  # raises KeyError on unknown names
+        col = cohort.schema.column(name)
         if col.kind == "categorical":
             curves = list(fit_km_grouped(cohort, name).items())
             title = f"Survival by {name}"

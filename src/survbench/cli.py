@@ -18,6 +18,7 @@ import numpy as np
 from .bench import (
     MODELS,
     bench_config_from_dict,
+    check_km_groups,
     emit_km_figures,
     emit_weight_figure,
     model_options,
@@ -168,12 +169,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_km(args) -> int:
     cohort = ingest_csv(args.input)
-    out = args.out or "km_out"
-    try:
-        paths = emit_km_figures(cohort, args.by or [], out)
-    except KeyError as exc:
-        raise ValueError(f"unknown covariate: {exc}") from None
-    for p in paths:
+    check_km_groups(cohort, args.by or [])
+    for p in emit_km_figures(cohort, args.by or [], args.out or "km_out"):
         print(f"wrote {p}")
     return 0
 

@@ -116,17 +116,6 @@ class Cohort:
         cov = {name: arr[idx] for name, arr in self.covariates.items()}
         return Cohort(self.schema, cov, self.time[idx], self.event[idx])
 
-    def equals(self, other: "Cohort") -> bool:
-        return (
-            self.schema == other.schema
-            and np.array_equal(self.time, other.time)
-            and np.array_equal(self.event, other.event)
-            and all(
-                np.array_equal(self.covariates[c], other.covariates[c])
-                for c in self.schema.names
-            )
-        )
-
 
 @dataclass
 class DesignMatrix:

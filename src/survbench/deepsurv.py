@@ -47,8 +47,8 @@ class DeepSurvModel:
     spec: MlpSpec
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    column_names: list[str]
     training_log: list[float] = field(default_factory=list)
-    column_names: list[str] | None = None
 
 
 def init_parameters(spec: MlpSpec) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -194,7 +194,7 @@ def fit_deepsurv(
 
 def predict_log_risk(model: DeepSurvModel, design: DesignMatrix) -> np.ndarray:
     """Per-row log-risk, dropout disabled."""
-    if model.column_names is not None and design.names != model.column_names:
+    if design.names != model.column_names:
         raise ValueError("design columns do not match the fitted model")
     g, _, _ = _forward(model.weights, model.biases, design.X, model.spec.activation)
     return g
@@ -232,5 +232,5 @@ def deepsurv_from_dict(doc: dict) -> DeepSurvModel:
         spec=spec,
         weights=weights,
         biases=[np.asarray(b, dtype=np.float64) for b in doc["biases"]],
-        column_names=doc["column_names"],
+        column_names=list(doc["column_names"]),
     )

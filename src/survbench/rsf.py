@@ -8,12 +8,11 @@ candidate splits in one pass.
 
 The ensemble cumulative hazard is the mean of the B leaf curves a row
 falls into, so its mortality (that curve summed over the training
-event-time grid) is the mean of one scalar per leaf. Scoring therefore
-flattens the trees into one node table, kept on the forest with the
-leaf mortalities computed so far, routes all rows down all trees
-together and averages the B leaf mortalities with math.fsum, which
-keeps the score independent of tree order. `predict_chf` still builds
-the averaged curve for callers who want it.
+event-time grid) is the mean of one scalar per leaf. A forest computes
+each leaf's mortality once, when it is made; scoring partitions the rows
+down each grown tree and averages a row's B leaf mortalities with
+math.fsum, which keeps the score independent of tree order.
+`predict_chf` descends the same way and averages the leaf curves.
 
 Forest files store the training size n once instead of each tree's
 bootstrap rows: a tree's `inbag` is the first n draws of its own seed's
@@ -33,7 +32,6 @@ column. The first maximum score in column-then-threshold order wins.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +43,6 @@ from .rng import CounterRng, derive_seed
 from .stepfun import StepFunction, average_step_functions
 
 _MAX_THRESHOLDS = 32
-_ROW_BLOCK = 128  # rows scored together
 
 
 @dataclass
@@ -55,6 +52,8 @@ class TreeNode:
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
     chf: StepFunction | None = None
+    # its curve summed over the event grid of the last Forest made with it
+    mortality: float = field(default=math.nan, compare=False)
 
     @property
     def is_leaf(self) -> bool:
@@ -77,8 +76,15 @@ class Forest:
     seed: int
     event_grid: np.ndarray
     column_names: list[str]
-    # (trees, node table, leaf mortalities) from the first scoring call
-    _scoring: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        nodes = [t.root for t in self.trees]
+        while nodes:
+            node = nodes.pop()
+            if node.is_leaf:
+                node.mortality = float(np.sum(node.chf(self.event_grid)))
+            else:
+                nodes += (node.left, node.right)
 
 
 def _logrank_parts(rs: RiskSets, left_masks, lone):
@@ -217,72 +223,35 @@ def fit_forest(
     )
 
 
-def _leaf_of(node: TreeNode, x) -> StepFunction:
-    while not node.is_leaf:
-        node = node.left if x[node.column] <= node.threshold else node.right
-    return node.chf
-
-
-def _flatten(forest: Forest):
-    """All trees as one node table: split column, threshold, left and
-    right child (a leaf points at itself) and leaf curve (None at a
-    split), plus each tree's root index and the depth of the deepest
-    leaf."""
-    column, left, right, threshold = array("q"), array("q"), array("q"), array("d")
-    chf = []
-
-    def add(node: TreeNode) -> int:
-        i = len(column)
-        column.append(0 if node.is_leaf else node.column)
-        threshold.append(node.threshold)
-        left.append(i)
-        right.append(i)
-        chf.append(node.chf)
-        if node.is_leaf:
-            return 0
-        left[i] = len(column)
-        depth_left = add(node.left)
-        right[i] = len(column)
-        return 1 + max(depth_left, add(node.right))
-
-    roots, depth = array("q"), 0
-    for tree in forest.trees:
-        roots.append(len(column))
-        depth = max(depth, add(tree.root))
-    table = (column, threshold, left, right, roots)
-    return (*(np.asarray(a) for a in table), chf, depth)
+def _leaves(node: TreeNode, X: np.ndarray, rows: np.ndarray):
+    """Each leaf under `node` that some of `rows` reach, with those rows;
+    a row goes left when its X value in the split column is <= the
+    threshold."""
+    if node.is_leaf:
+        yield node, rows
+        return
+    go_left = X[rows, node.column] <= node.threshold
+    for child, part in ((node.left, rows[go_left]), (node.right, rows[~go_left])):
+        if part.size:
+            yield from _leaves(child, X, part)
 
 
 def _mortality(forest: Forest, X: np.ndarray) -> np.ndarray:
     """Ensemble mortality of each row of X: the math.fsum of its B leaf
-    mortalities over B. Each block of rows descends all trees together,
-    one level per step, with <= going left; blocks keep the (B, rows)
-    index arrays small. A leaf's mortality, its curve summed over the
-    event grid, is computed the first time a row reaches it; the forest
-    keeps table and mortalities until its `trees` list is replaced."""
-    if forest._scoring is None or forest._scoring[0] is not forest.trees:
-        table = _flatten(forest)
-        forest._scoring = (forest.trees, table, np.full(len(table[5]), np.nan))
-    _, (column, threshold, left, right, roots, chf, depth), mortality = forest._scoring
+    mortalities over B."""
     b = len(forest.trees)
-    out = np.empty(X.shape[0])
-    for start in range(0, X.shape[0], _ROW_BLOCK):
-        rows = np.arange(start, min(start + _ROW_BLOCK, X.shape[0]))
-        node = np.repeat(roots[:, None], rows.size, axis=1)
-        for _ in range(depth):
-            go_left = X[rows, column[node]] <= threshold[node]
-            node = np.where(go_left, left[node], right[node])
-        for i in np.unique(node[np.isnan(mortality[node])]):
-            mortality[i] = float(np.sum(chf[i](forest.event_grid)))
-        out[rows] = [math.fsum(leaves) / b for leaves in mortality[node].T]
-    return out
+    leaf = np.empty((b, X.shape[0]))
+    for i, tree in enumerate(forest.trees):
+        for node, rows in _leaves(tree.root, X, np.arange(X.shape[0])):
+            leaf[i, rows] = node.mortality
+    return np.array([math.fsum(leaves.tolist()) / b for leaves in leaf.T])
 
 
 def predict_chf(forest: Forest, x) -> StepFunction:
     """Ensemble cumulative hazard: arithmetic mean of the B leaf curves on
     the union of their knots."""
-    x = np.asarray(x, dtype=np.float64)
-    leaves = [_leaf_of(t.root, x) for t in forest.trees]
+    X = np.asarray(x, dtype=np.float64)[None, :]
+    leaves = [leaf.chf for t in forest.trees for leaf, _ in _leaves(t.root, X, np.arange(1))]
     return average_step_functions(leaves, initial=0.0)
 
 

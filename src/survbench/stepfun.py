@@ -35,12 +35,8 @@ class StepFunction:
         object.__setattr__(self, "values", v)
 
     def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        if self.times.size == 0:
-            out = np.full(t.shape, self.initial)
-            return out if out.ndim else float(out)
-        idx = np.searchsorted(self.times, t, side="right") - 1
-        out = np.where(idx >= 0, self.values[np.clip(idx, 0, None)], self.initial)
+        idx = np.searchsorted(self.times, np.asarray(t, dtype=np.float64), side="right")
+        out = np.concatenate(([self.initial], self.values))[idx]
         return out if out.ndim else float(out)
 
 

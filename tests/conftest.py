@@ -17,6 +17,16 @@ def numeric_cohort(X, times, events):
     )
 
 
+def cohorts_equal(a, b) -> bool:
+    """Same schema, outcomes and covariate values."""
+    return (
+        a.schema == b.schema
+        and np.array_equal(a.time, b.time)
+        and np.array_equal(a.event, b.event)
+        and all(np.array_equal(a.covariates[c], b.covariates[c]) for c in a.schema.names)
+    )
+
+
 def numeric_design(X, times, events, standardize=False):
     return encode(numeric_cohort(X, times, events), standardize=standardize)
 

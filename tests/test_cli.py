@@ -18,6 +18,8 @@ from survbench.data import (Cohort, Column, CovariateSchema, cohort_table, encod
 from survbench.datagen import GeneratorConfig, generate
 from survbench.metrics import concordance_index
 
+from conftest import cohorts_equal
+
 
 def make_cohort_csv(tmp_path, n=150, seed=2, name="cohort.csv"):
     path = tmp_path / name
@@ -40,7 +42,7 @@ def test_datagen_writes_cohort_and_truth(tmp_path, capsys):
     assert "n=80" in out
     cohort = ingest_csv(str(path))
     reference, _ = generate(GeneratorConfig(n=80, seed=3))
-    assert cohort.equals(reference)
+    assert cohorts_equal(cohort, reference)
     truth_path = tmp_path / "sub" / "c_truth.csv"
     with open(truth_path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -220,10 +222,22 @@ def test_bench_on_malformed_csv_leaves_no_output_dir(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("name", ["a/b", "..", "."])
+def test_bench_without_the_default_km_columns_leaves_no_output_dir(tmp_path, capsys):
+    # the default km_groups name OnlineBehavior and Gender, which this CSV lacks
+    path = tmp_path / "c.csv"
+    path.write_text("x,time,event\n" + "".join(
+        f"{i},{i + 1}.0,{i % 3 > 0:d}\n" for i in range(10)))
+    assert main(["bench", "--input", str(path), "--models", "cox",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert_one_line_error(capsys, "unknown covariate: 'OnlineBehavior'")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name", ["a/b", "..", ".", "overall"])
 def test_km_file_names_must_be_plain_column_names(tmp_path, capsys, name):
-    # KM files are named after their column; such a name would nest files
-    # or escape the output directory, so it is refused before any write
+    # KM files are named after their column; such a name would nest files,
+    # escape the output directory or overwrite the overall curve, so it is
+    # refused before any write
     path = tmp_path / "c.csv"
     path.write_text(f"x,{name},time,event\n" + "".join(
         f"{i},{'pq'[i % 2]},{i + 1}.0,{i % 3 > 0:d}\n" for i in range(12)))
@@ -282,9 +296,13 @@ def test_fit_rejects_unknown_option(tmp_path, capsys):
         ("bench", {"input": {"generator": {"nn": 5}}}, "unknown generator keys: ['nn']"),
         ("bench", {"input": {"generator": {"schema": []}}},
          "unknown generator keys: ['schema']"),
+        ("bench", {"km_groups": [1]}, "unknown covariate: 1"),
+        ("bench", {"km_groups": "Gender"}, "config km_groups must be a JSON list"),
+        ("bench", {"models": 5}, "config models must be a JSON list"),
     ],
     ids=["not-an-object", "fit-options-not-objects", "bench-options-not-objects",
-         "input-not-an-object", "unknown-generator-key", "generator-schema-key"],
+         "input-not-an-object", "unknown-generator-key", "generator-schema-key",
+         "km-group-not-a-name", "km-groups-not-a-list", "models-not-a-list"],
 )
 def test_malformed_config_is_one_line_error(tmp_path, capsys, command, config, text):
     cohort_csv = make_cohort_csv(tmp_path, n=60)
@@ -515,7 +533,7 @@ def test_every_written_csv_parses_with_constant_width(tmp_path_factory, levels, 
         tables[path.relative_to(root).as_posix()] = rows
     # the input cohort, datagen's two files, seven from bench, three km, one weights
     assert len(tables) == 14
-    assert ingest_csv(str(cohort_csv)).equals(cohort)
+    assert cohorts_equal(ingest_csv(str(cohort_csv)), cohort)
     assert tables["dg/c.csv"][0] == [*ingest_csv(str(root / "dg" / "c.csv")).schema.names,
                                      "time", "event"]
     assert [r[0] for r in tables["bench/report.csv"][1:]] == ["cox", "mtlr"]

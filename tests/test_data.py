@@ -19,7 +19,7 @@ from survbench.data import (
     split,
 )
 
-from conftest import numeric_cohort
+from conftest import cohorts_equal, numeric_cohort
 
 
 def mixed_cohort(n=8):
@@ -75,8 +75,8 @@ def test_subset_and_equals():
     sub = c.subset([0, 2, 4])
     assert sub.n == 3
     assert sub.time[1] == c.time[2]
-    assert c.equals(c.subset(np.arange(c.n)))
-    assert not c.equals(sub)
+    assert cohorts_equal(c, c.subset(np.arange(c.n)))
+    assert not cohorts_equal(c, sub)
 
 
 def test_counts():
@@ -193,7 +193,7 @@ def test_split_deterministic():
     c = mixed_cohort()
     a1, b1 = split(c, 0.25, seed=3)
     a2, b2 = split(c, 0.25, seed=3)
-    assert a1.equals(a2) and b1.equals(b2)
+    assert cohorts_equal(a1, a2) and cohorts_equal(b1, b2)
 
 
 def test_split_seed_changes_assignment():
@@ -240,7 +240,7 @@ def test_csv_round_trip_bit_exact(tmp_path):
     p = tmp_path / "cohort.csv"
     write_csv(p, *cohort_table(c))
     back = ingest_csv(p)
-    assert back.equals(c)
+    assert cohorts_equal(back, c)
 
 
 def test_ingest_named_outcome_columns(tmp_path):

@@ -363,7 +363,7 @@ def test_risk_matches_per_row_mortality():
     r = rsf_risk(f, d)
     for i in (0, 7, 33):
         assert r[i] == mortality_score(f, d.X[i])
-    # rows are scored in blocks of 128; check both sides of block edges
+    # a larger batch, checked at rows spread across it
     d = bigger_design(seed=4, n=300)
     f = fit_forest(d, b=3, min_leaf=15, seed=2)
     r = rsf_risk(f, d)
@@ -382,9 +382,15 @@ def test_scoring_after_the_trees_change_uses_the_new_trees():
     d = bigger_design(seed=4, n=80)
     f = fit_forest(d, b=7, min_leaf=10, seed=3)
     first = rsf_risk(f, d)
-    np.testing.assert_array_equal(rsf_risk(f, d), first)  # from the kept table
-    one_tree = rsf_risk(fit_forest(d, b=1, min_leaf=10, seed=3), d)
+    np.testing.assert_array_equal(rsf_risk(f, d), first)  # a second call agrees
+    other = fit_forest(d, b=1, min_leaf=10, seed=3)
+    one_tree = rsf_risk(other, d)
     np.testing.assert_array_equal(rsf_risk(replace(f, trees=f.trees[:1]), d), one_tree)
+    all_trees = f.trees[:]
+    f.trees[:] = other.trees  # the same list object, new contents
+    np.testing.assert_array_equal(rsf_risk(f, d), one_tree)
+    f.trees = all_trees
+    np.testing.assert_array_equal(rsf_risk(f, d), first)
     f.trees = f.trees[:1]
     np.testing.assert_array_equal(rsf_risk(f, d), one_tree)
     assert not np.array_equal(one_tree, first)
