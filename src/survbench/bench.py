@@ -128,13 +128,44 @@ MODELS: dict[str, ModelSpec] = {
 }
 
 
+def _json_kind(default) -> str:
+    if isinstance(default, list):
+        return f"list of {_json_kind(default[0])}s"
+    if default is None:
+        return "number or null"
+    return {int: "integer", float: "number", str: "string"}[type(default)]
+
+
+def _has_json_kind(default, value) -> bool:
+    """Whether `value` has the JSON type of `default`: a number for a
+    float, a number or null for null, and for a list a list whose items
+    have the JSON type of its first."""
+    if isinstance(value, bool):  # a JSON boolean is no number
+        return isinstance(default, bool)
+    if default is None or isinstance(default, float):
+        return isinstance(value, (int, float)) or (value is None and default is None)
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_has_json_kind(default[0], v) for v in value)
+    return type(value) is type(default)
+
+
+def _check_json_kinds(what: str, defaults: dict, values: dict) -> None:
+    """Refuse a value in `values` whose JSON type is not its default's."""
+    for key, default in defaults.items():
+        if key in values and not _has_json_kind(default, values[key]):
+            raise ValueError(f"{what} {key} must be a JSON {_json_kind(default)}, "
+                             f"not {json.dumps(values[key])}")
+
+
 def model_options(name: str, overrides: dict) -> dict:
     """The model's default options with `overrides` merged in; a key the
-    model does not have is an error."""
+    model does not have, or a value of another JSON type than its
+    default, is an error."""
     merged = dict(MODELS[name].defaults)
     unknown = set(overrides) - set(merged)
     if unknown:
         raise ValueError(f"unknown {name} options: {sorted(unknown)}")
+    _check_json_kinds(f"{name} option", merged, overrides)
     merged.update(overrides)
     return merged
 
@@ -195,20 +226,33 @@ class BenchReport:
         return all(r.status == "ok" for r in self.rows)
 
 
+def _scalar_defaults(cls) -> dict:
+    """The fields of dataclass `cls` whose default is a number or string."""
+    return {f.name: f.default for f in fields(cls)
+            if isinstance(f.default, (int, float, str))}
+
+
 def bench_config_from_dict(doc: dict) -> BenchConfig:
     doc = dict(doc)
+    _check_json_kinds("config", _scalar_defaults(BenchConfig), doc)
     source = doc.pop("input", {})
     g = source.get("generator") if isinstance(source, dict) else None
     if not isinstance(source, dict) or not isinstance(g, (dict, type(None))):
         raise ValueError("config input and its generator must be JSON objects")
+    _check_json_kinds("config input", {"csv": ""}, source)
     gen = None
     if g is not None:
         unknown = set(g) - {f.name for f in fields(GeneratorConfig)}
         if unknown:
             raise ValueError(f"unknown generator keys: {sorted(unknown)}")
+        _check_json_kinds("config generator", _scalar_defaults(GeneratorConfig), g)
         g = dict(g)
         hz = g.pop("hazard", None)
         if hz is not None:
+            if not isinstance(hz, dict) or set(hz) - {"kind", "beta"}:
+                raise ValueError("config generator hazard must be a JSON object "
+                                 "with keys kind and beta")
+            _check_json_kinds("config generator hazard", {"kind": "", "beta": [0.0]}, hz)
             g["hazard"] = HazardSpec(kind=hz.get("kind", "nonlinear"),
                                      beta=tuple(hz.get("beta", ())))
         g.setdefault("seed", doc.get("seed", 0))
@@ -279,25 +323,14 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
             train_design = encode(train, standardize=spec.standardize)
             test_design = encode_like(test, train_design)
             model = spec.fit(train_design, opts, model_seed)
-            risk_train = spec.risk(model, train_design)
-            risk_test = spec.risk(model, test_design)
-            converged = model_converged(model)
+            parts = (("train", train_design, spec.risk(model, train_design)),
+                     ("test", test_design, spec.risk(model, test_design)))
+            status, converged = "ok", model_converged(model)
             elapsed = (time.perf_counter() - started) * 1000.0
-            row = ModelRow(
-                name=name,
-                train_cindex=concordance_index(
-                    train_design.times, train_design.events, risk_train
-                ).cindex,
-                test_cindex=concordance_index(
-                    test_design.times, test_design.events, risk_test
-                ).cindex,
-                wall_time_ms=elapsed,
-                status="ok",
-                converged=converged,
-            )
+            train_cindex, test_cindex = (
+                concordance_index(d.times, d.events, risk).cindex for _, d, risk in parts)
             if name == "mtlr":
                 mtlr_model = model
-            parts = (("train", train_design, risk_train), ("test", test_design, risk_test))
             write_csv(
                 os.path.join(config.out_dir, f"scores_{name}.csv"),
                 ["split", "index", "time", "event", "score"],
@@ -306,15 +339,9 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
             )
         except Exception as exc:
             elapsed = (time.perf_counter() - started) * 1000.0
-            row = ModelRow(
-                name=name,
-                train_cindex=float("nan"),
-                test_cindex=float("nan"),
-                wall_time_ms=elapsed,
-                status=f"error: {exc}",
-                converged=False,
-            )
-        rows.append(row)
+            train_cindex = test_cindex = float("nan")
+            status, converged = f"error: {exc}", False
+        rows.append(ModelRow(name, train_cindex, test_cindex, elapsed, status, converged))
         model = None  # free this fit before the next model's
     report = BenchReport(
         rows=rows,

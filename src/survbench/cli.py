@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Subcommands: datagen, fit, eval, bench, km, weights. Global flags
---seed/--out/--config; the config file is a JSON document mirroring the
-benchmark configuration. All printed numbers use 6 significant digits.
+Subcommands: datagen, fit, eval, bench, km, weights. Each takes only the
+flags it reads; the --config file of fit and bench is a JSON document
+mirroring the benchmark configuration. All printed numbers use 6
+significant digits.
 """
 
 from __future__ import annotations
@@ -52,10 +53,16 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _add_globals(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="random seed")
-    p.add_argument("--out", default=None, help="output file or directory")
-    p.add_argument("--config", default=None, help="JSON config file")
+_SHARED_FLAGS = {
+    "--seed": {"type": int, "default": None, "help": "random seed"},
+    "--out": {"default": None, "help": "output file or directory"},
+    "--config": {"default": None, "help": "JSON config file"},
+}
+
+
+def _add_shared(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def _cmd_datagen(args) -> int:
@@ -80,7 +87,7 @@ def _cmd_datagen(args) -> int:
     write_csv(f"{stem}_truth{ext or '.csv'}", *ground_truth_table(truth))
     print(
         f"wrote {out}: n={cohort.n}, events={cohort.n_events}, "
-        f"censoring={fmt6(cohort.censoring_rate)}"
+        f"censoring={fmt6(cohort.censoring_rate)}, horizon={fmt6(cfg.censor_horizon)}"
     )
     return 0
 
@@ -193,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("datagen", help="generate a synthetic cohort CSV")
-    _add_globals(p)
+    _add_shared(p, "--seed", "--out")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--hazard", choices=["nonlinear", "proportional"], default="nonlinear")
     p.add_argument("--beta", default=None, help="comma-separated proportional betas")
@@ -205,33 +212,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_datagen)
 
     p = sub.add_parser("fit", help="fit one model on a cohort CSV")
-    _add_globals(p)
+    _add_shared(p, "--seed", "--out", "--config")
     p.add_argument("--model", choices=tuple(MODELS), required=True)
     p.add_argument("--input", required=True)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("eval", help="C-index of a saved model on a cohort CSV")
-    _add_globals(p)
     p.add_argument("--model-file", required=True)
     p.add_argument("--input", required=True)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("bench", help="fit and compare models on one cohort")
-    _add_globals(p)
+    _add_shared(p, "--seed", "--out", "--config")
     p.add_argument("--input", default=None, help="cohort CSV (default: generator)")
     p.add_argument("--models", default=None, help="comma-separated subset")
     p.add_argument("--test-fraction", type=float, default=None)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("km", help="Kaplan-Meier curves (overall and grouped)")
-    _add_globals(p)
+    _add_shared(p, "--out")
     p.add_argument("--input", required=True)
     p.add_argument("--by", action="append", default=None,
                    help="grouping covariate (repeatable; numeric split at median)")
     p.set_defaults(func=_cmd_km)
 
     p = sub.add_parser("weights", help="MTLR variable-weight report")
-    _add_globals(p)
+    _add_shared(p, "--out")
     p.add_argument("--input", required=True)
     p.add_argument("--k", type=int, default=MODELS["mtlr"].defaults["k"])
     p.add_argument("--l2", type=float, default=MODELS["mtlr"].defaults["l2"])

@@ -162,12 +162,13 @@ def ground_truth_table(truth: GroundTruth) -> tuple[list[str], list[tuple]]:
     ))
 
 
-def calibrate_censoring(
-    config: GeneratorConfig, target: float, pilot_n: int = 10_000
-) -> GeneratorConfig:
-    """Bisect the administrative horizon until a pilot draw's censored
-    fraction is within 0.005 of the target (0.01 if 80 steps do not get
-    there).
+_PILOT_N = 10_000
+
+
+def calibrate_censoring(config: GeneratorConfig, target: float) -> GeneratorConfig:
+    """Bisect the administrative horizon until the censored fraction of a
+    pilot draw of _PILOT_N records is within 0.005 of the target (0.01 if
+    80 steps do not get there).
 
     The pilot is drawn once; the horizon only moves the censoring
     threshold. Censoring decreases as the horizon grows; the
@@ -176,10 +177,10 @@ def calibrate_censoring(
     """
     if not 0.0 < target < 1.0:
         raise ValueError("target must be in (0, 1)")
-    _, _, true_time, censor_random = _draw(replace(config, n=pilot_n))
+    _, _, true_time, censor_random = _draw(replace(config, n=_PILOT_N))
 
     def frac(horizon: float) -> float:
-        return float((true_time > np.minimum(censor_random, horizon)).sum()) / pilot_n
+        return float((true_time > np.minimum(censor_random, horizon)).sum()) / _PILOT_N
 
     lo, hi = 1e-6, 1e9
     if frac(hi) > target + 0.01:

@@ -143,6 +143,10 @@ def fit_deepsurv(
         raise ValueError("need at least one event to fit")
     if spec.layer_widths[0] != design.p:
         raise ValueError("spec input width does not match design")
+    if epochs < 1:
+        raise ValueError("epochs must be >= 1")
+    if batch_size is not None and batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     weights, biases = init_parameters(spec)
     vel_w = [np.zeros_like(W) for W in weights]
     vel_b = [np.zeros_like(b) for b in biases]

@@ -4,15 +4,16 @@ Nelson-Aalen leaf estimates.
 A tree node carries row indices into the tree's bootstrap sample in
 stable time order (a child keeps its parent's order), so its risk sets
 and a leaf's Nelson-Aalen curve need no sort; it scores all its
-candidate splits in one pass.
+candidate splits in one pass, summing each candidate's log-rank terms
+in time order, so a candidate scores the same bits in any batch.
 
 The ensemble cumulative hazard is the mean of the B leaf curves a row
 falls into, so its mortality (that curve summed over the training
-event-time grid) is the mean of one scalar per leaf. A forest computes
-each leaf's mortality once, when it is made; scoring partitions the rows
-down each grown tree and averages a row's B leaf mortalities with
-math.fsum, which keeps the score independent of tree order.
-`predict_chf` descends the same way and averages the leaf curves.
+event-time grid) is the mean of one scalar per leaf. A leaf holds only
+its curve: scoring partitions the rows down each grown tree, sums each
+leaf it reaches over the forest's grid, and averages a row's B leaf
+mortalities with math.fsum, which keeps the score independent of tree
+order. `predict_chf` descends the same way and averages the leaf curves.
 
 Forest files store the training size n once instead of each tree's
 bootstrap rows: a tree's `inbag` is the first n draws of its own seed's
@@ -32,7 +33,7 @@ column. The first maximum score in column-then-threshold order wins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,8 +53,6 @@ class TreeNode:
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
     chf: StepFunction | None = None
-    # its curve summed over the event grid of the last Forest made with it
-    mortality: float = field(default=math.nan, compare=False)
 
     @property
     def is_leaf(self) -> bool:
@@ -77,24 +76,14 @@ class Forest:
     event_grid: np.ndarray
     column_names: list[str]
 
-    def __post_init__(self):
-        nodes = [t.root for t in self.trees]
-        while nodes:
-            node = nodes.pop()
-            if node.is_leaf:
-                node.mortality = float(np.sum(node.chf(self.event_grid)))
-            else:
-                nodes += (node.left, node.right)
 
-
-def _logrank_parts(rs: RiskSets, left_masks, lone):
+def _logrank_parts(rs: RiskSets, left_masks):
     """Vectorized two-sample log-rank over candidate left-memberships.
 
     rs holds the node's risk sets; the (C, n) left_masks hold its rows in
     `rs.order`. Returns the statistic |O-E|/sqrt(V) per candidate, with
-    nan where V = 0. E and V sum over event times in time order, and
-    pairwise for a candidate marked `lone` (its column's only threshold):
-    the rounding of scoring each column as its own NumPy batch.
+    nan where V = 0. E and V are running sums over event times in time
+    order, so a candidate's score does not depend on its batch.
     """
     M = left_masks.astype(np.float64)
     n_left = risk_set_sums(rs, M)
@@ -103,16 +92,13 @@ def _logrank_parts(rs: RiskSets, left_masks, lone):
     nn = rs.n_at_risk[has_event]
     frac = n_left[:, has_event] / nn
     observed = M @ rs.is_event.astype(np.float64)  # counts: exact in any order
-    # column-major with two or more rows, so NumPy sums each row in time order
-    terms = np.empty((2, *frac.shape), order="F")
-    expected_terms = np.multiply(dd, frac, out=terms[0])
+    expected_terms = dd * frac
     with np.errstate(invalid="ignore", divide="ignore"):
-        terms[1] = np.where(
+        variance_terms = np.where(
             nn > 1, expected_terms * (1.0 - frac) * (nn - dd) / (nn - 1.0), 0.0
         )
-    sums = terms.sum(axis=2)
-    sums[:, lone] = np.ascontiguousarray(terms[:, lone]).sum(axis=2)  # pairwise
-    expected, variance = sums
+    expected = np.add.accumulate(expected_terms, axis=1)[:, -1]
+    variance = np.add.accumulate(variance_terms, axis=1)[:, -1]
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(
             variance > 0.0, np.abs(observed - expected) / np.sqrt(variance), np.nan
@@ -130,7 +116,7 @@ def logrank_score(times, events, column_values, threshold) -> float:
     if events.sum() < 1:
         raise ValueError("no events; score undefined")
     rs = risk_sets(times, events)
-    score = _logrank_parts(rs, left[rs.order][None, :], np.ones(1, dtype=bool))[0]
+    score = _logrank_parts(rs, left[rs.order][None, :])[0]
     if np.isnan(score):
         raise ValueError("zero log-rank variance; score undefined")
     return float(score)
@@ -154,13 +140,12 @@ def _best_split(rng, Xt, rows, rs, min_leaf, mtry):
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size) - np.searchsorted(col_of, col_of[order])
         col_of, mids = col_of[rank < _MAX_THRESHOLDS], mids[rank < _MAX_THRESHOLDS]
-    lone = (n_mids == 1)[col_of]
     masks = block[col_of] <= mids[:, None]
     sizes = masks.sum(axis=1)
     valid = (sizes >= min_leaf) & (rows.size - sizes >= min_leaf)
     if not valid.any():
         return None
-    scores = np.fmax(_logrank_parts(rs, masks[valid], lone[valid]), 0.0)  # nan scores 0
+    scores = np.fmax(_logrank_parts(rs, masks[valid]), 0.0)  # nan scores 0
     c = int(np.argmax(scores))  # the first maximum
     if not scores[c] > 0.0:
         return None
@@ -202,7 +187,9 @@ def fit_forest(
     p = design.p
     if mtry is None:
         mtry = int(np.ceil(np.sqrt(p)))
-    mtry = max(1, min(mtry, p))
+    elif not float(mtry).is_integer():
+        raise ValueError("mtry must be a whole number")
+    mtry = max(1, min(int(mtry), p))
     n = design.n
     trees = []
     for i in range(b):
@@ -238,12 +225,13 @@ def _leaves(node: TreeNode, X: np.ndarray, rows: np.ndarray):
 
 def _mortality(forest: Forest, X: np.ndarray) -> np.ndarray:
     """Ensemble mortality of each row of X: the math.fsum of its B leaf
-    mortalities over B."""
+    mortalities over B. A leaf's mortality is its curve summed over the
+    forest's event grid."""
     b = len(forest.trees)
     leaf = np.empty((b, X.shape[0]))
     for i, tree in enumerate(forest.trees):
         for node, rows in _leaves(tree.root, X, np.arange(X.shape[0])):
-            leaf[i, rows] = node.mortality
+            leaf[i, rows] = float(np.sum(node.chf(forest.event_grid)))
     return np.array([math.fsum(leaves.tolist()) / b for leaves in leaf.T])
 
 

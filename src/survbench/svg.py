@@ -57,17 +57,11 @@ def _frame(title: str, xlabel: str, ylabel: str, xticks, yticks, to_x, to_y) -> 
     return parts
 
 
-def step_chart(
-    curves: list[tuple[str, StepFunction]],
-    title: str,
-    xlabel: str = "time",
-    ylabel: str = "survival probability",
-    y_range: tuple[float, float] = (0.0, 1.0),
-) -> str:
-    """Right-continuous step plot of one or more named curves."""
+def step_chart(curves: list[tuple[str, StepFunction]], title: str) -> str:
+    """Right-continuous step plot of one or more named survival curves
+    over time, on a y axis from 0 to 1."""
     xmax = max((float(f.times[-1]) for _, f in curves if f.times.size), default=1.0)
     xmax = xmax * 1.05 if xmax > 0 else 1.0
-    ylo, yhi = y_range
     x0, x1 = _ML, _W - _MR
     y0, y1 = _H - _MB, _MT
 
@@ -75,9 +69,10 @@ def step_chart(
         return x0 + (v / xmax) * (x1 - x0)
 
     def to_y(v):
-        return y0 - (v - ylo) / (yhi - ylo) * (y0 - y1)
+        return y0 - v * (y0 - y1)
 
-    parts = _frame(title, xlabel, ylabel, _ticks(0.0, xmax), _ticks(ylo, yhi), to_x, to_y)
+    parts = _frame(title, "time", "survival probability", _ticks(0.0, xmax), _ticks(0.0, 1.0),
+                   to_x, to_y)
     for ci, (label, f) in enumerate(curves):
         color = _PALETTE[ci % len(_PALETTE)]
         pts = [(0.0, f.initial)]

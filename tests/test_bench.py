@@ -100,6 +100,19 @@ def test_config_from_dict_rejects_unknown_keys():
         bench_config_from_dict({"input": {"csv": "x.csv"}, "bootstraps": 10})
 
 
+def test_config_values_must_have_the_json_type_of_their_default():
+    with pytest.raises(ValueError, match="config out_dir must be a JSON string, not 5"):
+        bench_config_from_dict({"input": {"csv": "x.csv"}, "out_dir": 5})
+    with pytest.raises(ValueError, match="generator censor_rate must be a JSON number"):
+        bench_config_from_dict({"input": {"generator": {"censor_rate": [0.1]}}})
+    with pytest.raises(ValueError, match="hazard must be a JSON object with keys"):
+        bench_config_from_dict({"input": {"generator": {"hazard": {"betas": [1.0]}}}})
+    # a float takes an integer
+    config = bench_config_from_dict({"input": {"generator": {"censor_horizon": 5}},
+                                     "test_fraction": 0.5})
+    assert config.generator.censor_horizon == 5
+
+
 def test_registry_defaults_match_signature_defaults():
     # each registry default is the default of the function or record the
     # option is passed to, so a direct call fits the model `bench` fits
@@ -225,6 +238,28 @@ def test_unknown_model_option_is_reported_per_model(tmp_path):
     )
     report = run_benchmark(config)
     assert "unknown cox options" in report.rows[0].status
+
+
+def test_option_of_wrong_json_type_is_reported_per_model(tmp_path):
+    config = small_config(
+        tmp_path / "out", models=("cox", "rsf"), model_options={"rsf": {"b": "x"}}
+    )
+    status = {r.name: r.status for r in run_benchmark(config).rows}
+    assert status == {"cox": "ok", "rsf": 'error: rsf option b must be a JSON integer, not "x"'}
+
+
+def test_option_values_must_have_the_json_type_of_their_default():
+    # a float or null default takes any number, a null default null too
+    assert model_options("ksvm", {"gamma": 1, "c": 5})["c"] == 5
+    assert model_options("ksvm", {"gamma": None})["gamma"] is None
+    assert model_options("rsf", {"mtry": 2, "max_depth": 3.0})["mtry"] == 2
+    assert model_options("deepsurv", {"hidden": [4, 4]})["hidden"] == [4, 4]
+    for name, overrides in [("cox", {"max_iter": 5.0}), ("cox", {"ridge": None}),
+                            ("mtlr", {"l2": False}), ("ksvm", {"kind": 1}),
+                            ("rsf", {"max_depth": "3"}), ("deepsurv", {"hidden": [4.0]}),
+                            ("deepsurv", {"activation": ["relu"]})]:
+        with pytest.raises(ValueError, match=f"{name} option .* must be a JSON"):
+            model_options(name, overrides)
 
 
 def test_report_json_environment(tmp_path):

@@ -62,7 +62,7 @@ def test_datagen_proportional_beta(tmp_path):
     assert ingest_csv(str(path)).n == 60
 
 
-def test_datagen_target_censoring(tmp_path):
+def test_datagen_target_censoring(tmp_path, capsys):
     path = tmp_path / "c.csv"
     rc = main(
         [
@@ -73,6 +73,13 @@ def test_datagen_target_censoring(tmp_path):
     assert rc == 0
     cohort = ingest_csv(str(path))
     assert abs(cohort.censoring_rate - 0.3) < 0.04
+    # the calibrated horizon of seed 0 (pinned in test_datagen), at 6 digits
+    assert capsys.readouterr().out.rstrip().endswith(", horizon=18.4342")
+
+
+def test_datagen_prints_the_default_horizon(tmp_path, capsys):
+    assert main(["datagen", "--n", "20", "--out", str(tmp_path / "c.csv")]) == 0
+    assert capsys.readouterr().out.rstrip().endswith(", horizon=6.2")
 
 
 def test_fit_then_eval_round_trip(tmp_path, capsys):
@@ -299,10 +306,23 @@ def test_fit_rejects_unknown_option(tmp_path, capsys):
         ("bench", {"km_groups": [1]}, "unknown covariate: 1"),
         ("bench", {"km_groups": "Gender"}, "config km_groups must be a JSON list"),
         ("bench", {"models": 5}, "config models must be a JSON list"),
+        ("bench", {"seed": "3"}, 'config seed must be a JSON integer, not "3"'),
+        ("bench", {"seed": True}, "config seed must be a JSON integer, not true"),
+        ("bench", {"test_fraction": "0.3"},
+         'config test_fraction must be a JSON number, not "0.3"'),
+        ("bench", {"input": {"csv": 5}}, "config input csv must be a JSON string, not 5"),
+        ("bench", {"input": {"generator": {"n": "100"}}},
+         'config generator n must be a JSON integer, not "100"'),
+        ("bench", {"input": {"generator": {"hazard": "x"}}},
+         "config generator hazard must be a JSON object with keys kind and beta"),
+        ("bench", {"input": {"generator": {"hazard": {"kind": "proportional", "beta": "ab"}}}},
+         'config generator hazard beta must be a JSON list of numbers, not "ab"'),
     ],
     ids=["not-an-object", "fit-options-not-objects", "bench-options-not-objects",
          "input-not-an-object", "unknown-generator-key", "generator-schema-key",
-         "km-group-not-a-name", "km-groups-not-a-list", "models-not-a-list"],
+         "km-group-not-a-name", "km-groups-not-a-list", "models-not-a-list",
+         "seed-string", "seed-boolean", "test-fraction-string", "csv-number",
+         "generator-n-string", "hazard-string", "beta-string"],
 )
 def test_malformed_config_is_one_line_error(tmp_path, capsys, command, config, text):
     cohort_csv = make_cohort_csv(tmp_path, n=60)
@@ -315,6 +335,57 @@ def test_malformed_config_is_one_line_error(tmp_path, capsys, command, config, t
     assert main([command, *args]) == 2
     assert_one_line_error(capsys, text)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "model, options, text",
+    [
+        ("rsf", {"b": "x"}, 'rsf option b must be a JSON integer, not "x"'),
+        ("cox", {"max_iter": "5"}, 'cox option max_iter must be a JSON integer, not "5"'),
+        ("cox", {"tol": True}, "cox option tol must be a JSON number, not true"),
+        ("rsf", {"mtry": "2"}, 'rsf option mtry must be a JSON number or null, not "2"'),
+        ("rsf", {"mtry": 2.5}, "mtry must be a whole number"),
+        ("ksvm", {"gamma": "a"}, 'ksvm option gamma must be a JSON number or null, not "a"'),
+        ("deepsurv", {"hidden": 5}, "deepsurv option hidden must be a JSON list of integers"),
+        ("deepsurv", {"hidden": [8, 2.5]}, "hidden must be a JSON list of integers"),
+        ("mtlr", {"k": 2.5}, "mtlr option k must be a JSON integer, not 2.5"),
+        ("deepsurv", {"epochs": -1}, "epochs must be >= 1"),
+        ("deepsurv", {"batch_size": 0}, "batch_size must be >= 1"),
+    ],
+    ids=["rsf-b-string", "cox-max-iter-string", "cox-tol-boolean", "rsf-mtry-string",
+         "rsf-mtry-fraction", "ksvm-gamma-string", "deepsurv-hidden-number",
+         "deepsurv-hidden-fraction", "mtlr-k-fraction", "deepsurv-no-epochs",
+         "deepsurv-empty-batches"],
+)
+def test_fit_option_of_wrong_type_or_value_is_one_line_error(tmp_path, capsys, model,
+                                                              options, text):
+    cohort_csv = make_cohort_csv(tmp_path, n=60)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"model_options": {model: options}}))
+    capsys.readouterr()
+    rc = main(["fit", "--model", model, "--input", str(cohort_csv), "--config", str(config),
+               "--out", str(tmp_path / "m.json")])
+    assert rc == 2
+    assert_one_line_error(capsys, text)
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("datagen", "--config"), ("eval", "--seed"), ("eval", "--out"), ("eval", "--config"),
+     ("km", "--seed"), ("km", "--config"), ("weights", "--seed"), ("weights", "--config")],
+)
+def test_subcommand_refuses_flags_it_does_not_read(capsys, command, flag):
+    required = {
+        "datagen": [],
+        "eval": ["--model-file", "m.json", "--input", "c.csv"],
+        "km": ["--input", "c.csv"],
+        "weights": ["--input", "c.csv"],
+    }
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required[command], flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 def test_fit_deepsurv_writes_training_log(tmp_path):

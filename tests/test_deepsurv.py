@@ -193,16 +193,16 @@ def test_input_width_must_match():
         fit_deepsurv(d, MlpSpec(layer_widths=(5, 4, 1)), epochs=1)
 
 
-def test_epochs_zero_returns_initialization():
+def test_fit_refuses_empty_training():
+    # no epoch or no row per batch would return the untrained initialization
     d = planted_design()
-    spec = MlpSpec(layer_widths=(2, 4, 1), weight_init_seed=11)
-    model = fit_deepsurv(d, spec, epochs=0)
-    w0, b0 = init_parameters(spec)
-    for got, want in zip(model.weights, w0):
-        np.testing.assert_array_equal(got, want)
-    for got, want in zip(model.biases, b0):
-        np.testing.assert_array_equal(got, want)
-    assert model.training_log == []
+    spec = MlpSpec(layer_widths=(2, 4, 1))
+    for epochs in (0, -1):
+        with pytest.raises(ValueError, match="epochs must be >= 1"):
+            fit_deepsurv(d, spec, epochs=epochs)
+    for batch_size in (0, -3):
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            fit_deepsurv(d, spec, epochs=1, batch_size=batch_size)
 
 
 def test_training_reduces_full_batch_loss():

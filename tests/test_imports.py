@@ -1,13 +1,37 @@
-"""Layout rules: no survbench module imports another module's private
-(underscore) names; shared code is made public where it lives. Only
-bench.py creates files, so every artifact is written one way."""
+"""Layout rules: the package imports only NumPy and the standard library;
+no survbench module imports another module's private (underscore) names,
+so shared code is made public where it lives. Only bench.py creates
+files, so every artifact is written one way."""
 
 import ast
 import pathlib
+import sys
 
 import survbench
 
 SRC = pathlib.Path(survbench.__file__).parent
+
+
+def imported_packages(path):
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    # a dependency installed on one machine but not declared in
+    # pyproject.toml would pass here and fail on a clean install
+    allowed = set(sys.stdlib_module_names) | {"numpy", "survbench"}
+    offenders = {
+        path.name: sorted(extra)
+        for path in sorted(SRC.glob("*.py"))
+        if (extra := imported_packages(path) - allowed)
+    }
+    assert offenders == {}
 
 
 def private_imports(path):

@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 
 from survbench.metrics import concordance_index
 from survbench.nonparametric import nelson_aalen
+from survbench.riskset import risk_sets
 from survbench.rsf import (
     Forest,
     SurvivalTree,
     TreeNode,
+    _logrank_parts,
     fit_forest,
     forest_from_dict,
     forest_to_dict,
@@ -103,6 +105,29 @@ def test_logrank_refuses_zero_variance():
         logrank_score([1.0, 2.0], [0, 1], [0.0, 1.0], 0.5)
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(10, 120), st.integers(2, 8))
+@settings(max_examples=60, deadline=None)
+# pairwise and time-order sums of the same terms differ in the last bit here
+@example(4082210491, 13, 3)
+def test_batch_scores_equal_scores_alone(data_seed, n, c):
+    # a candidate's score must not depend on which candidates share its batch
+    rng = np.random.default_rng(data_seed)
+    times = np.round(rng.exponential(1.0, n), 1) + 0.1  # ties in time
+    events = (rng.uniform(size=n) < 0.7).astype(int)
+    events[0] = 1
+    x = rng.normal(size=n)
+    thresholds = np.sort(x)[rng.integers(0, n - 1, c)]  # both sides nonempty
+    rs = risk_sets(times, events)
+    batch = _logrank_parts(rs, x[rs.order] <= thresholds[:, None])
+    for thr, score in zip(thresholds, batch):
+        try:
+            alone = logrank_score(times, events, x, thr)
+        except ValueError:  # zero variance
+            assert np.isnan(score)
+            continue
+        assert score == alone
+
+
 # --- split search ------------------------------------------------------------
 
 
@@ -112,10 +137,9 @@ def reference_root_split(design, seed, min_leaf, mtry):
     wide column's threshold subsample in turn. A candidate must beat the
     best so far strictly, starting from 0. None means the root is a leaf.
 
-    Scores carry the forest's rounding: a column's only threshold is
-    scored by `logrank_score`, whose sums over event times are pairwise,
-    and a column with several by `naive_logrank`, which sums them in
-    time order."""
+    Every candidate is scored by `naive_logrank`, which sums over event
+    times in time order, as the forest does, so near-ties break on the
+    same bits."""
     rng = CounterRng(derive_seed(seed, 0))
     inbag = rng.integers(design.n, design.n)
     X, times, events = design.X[inbag], design.times[inbag], design.events[inbag]
@@ -134,10 +158,7 @@ def reference_root_split(design, seed, min_leaf, mtry):
             if left.sum() < min_leaf or n - left.sum() < min_leaf:
                 continue
             try:
-                if mids.size == 1:
-                    score = logrank_score(times, events, X[:, j], thr)
-                else:
-                    score = naive_logrank(times, events, left)
+                score = naive_logrank(times, events, left)
             except ValueError:  # zero variance
                 continue
             if score > best_score:
@@ -167,8 +188,8 @@ def tie_prone_design(data_seed, n, p):
     st.integers(1, 20),
 )
 @settings(max_examples=80, deadline=None)
-# columns 0 and 1 tie but for rounding; the rounding picks column 1 in the
-# first two examples and column 0 in the third
+# columns 0 and 1 tie but for rounding; the rounding picks column 0 in the
+# first two examples and column 1 in the third
 @example(3012095848, 90, 3, 4, 3)
 @example(91882693, 51, 5, 2, 5)
 @example(2251609711, 41, 5, 2, 6)
@@ -396,6 +417,16 @@ def test_scoring_after_the_trees_change_uses_the_new_trees():
     assert not np.array_equal(one_tree, first)
 
 
+def test_a_forest_with_another_grid_leaves_the_first_forest_alone():
+    # both forests share the same TreeNode objects
+    d = bigger_design(seed=4, n=80)
+    f = fit_forest(d, b=5, min_leaf=10, seed=3)
+    first = rsf_risk(f, d)
+    g = replace(f, event_grid=f.event_grid[:5])
+    assert not np.array_equal(rsf_risk(g, d), first)
+    np.testing.assert_array_equal(rsf_risk(f, d), first)
+
+
 @given(
     st.integers(0, 2**32 - 1),
     st.integers(20, 60),
@@ -470,3 +501,13 @@ def test_mtry_default_is_ceil_sqrt_p():
                        np.ones(50, dtype=int))
     f = fit_forest(d, b=1, min_leaf=25, seed=0)
     assert f.mtry == 3  # ceil(sqrt(7))
+
+
+def test_mtry_must_be_a_whole_number():
+    d = bigger_design(seed=9, n=60)
+    whole = fit_forest(d, b=2, min_leaf=10, mtry=2.0, seed=1)
+    same = fit_forest(d, b=2, min_leaf=10, mtry=2, seed=1)
+    assert whole.mtry == 2
+    assert forest_to_dict(whole) == forest_to_dict(same)
+    with pytest.raises(ValueError, match="whole number"):
+        fit_forest(d, b=1, mtry=1.5)
