@@ -199,6 +199,12 @@ class BenchConfig:
         unknown = set(self.models) - set(MODELS)
         if unknown:
             raise ValueError(f"unknown models: {sorted(unknown)}")
+        opts = self.model_options
+        if not isinstance(opts, dict) or not all(isinstance(v, dict) for v in opts.values()):
+            raise ValueError("model_options must map model names to JSON objects")
+        unknown = set(opts) - set(MODELS)
+        if unknown:
+            raise ValueError(f"unknown models in model_options: {sorted(unknown)}")
 
 
 @dataclass

@@ -47,9 +47,6 @@ def _load_config(path: str | None) -> dict:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: the config must be a JSON object")
-    opts = doc.get("model_options", {})
-    if not isinstance(opts, dict) or not all(isinstance(v, dict) for v in opts.values()):
-        raise ValueError(f"{path}: model_options must map model names to JSON objects")
     return doc
 
 
@@ -94,9 +91,9 @@ def _cmd_datagen(args) -> int:
 
 def _cmd_fit(args) -> int:
     spec = MODELS[args.model]
+    config = bench_config_from_dict({**_load_config(args.config), "input": {"csv": args.input}})
+    opts = model_options(args.model, config.model_options.get(args.model, {}))
     cohort = ingest_csv(args.input)
-    overrides = _load_config(args.config).get("model_options", {}).get(args.model, {})
-    opts = model_options(args.model, overrides)
     design = encode(cohort, standardize=spec.standardize)
     model = spec.fit(design, opts, args.seed if args.seed is not None else 0)
     doc = spec.to_dict(model)
@@ -249,7 +246,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # user errors: bad input, options or paths
+    except (ValueError, OSError) as exc:  # user errors, and fits that other options fix
         print(f"survbench: error: {exc}", file=sys.stderr)
         return 2
 

@@ -34,8 +34,9 @@ class Convergence:
         )
 
 
-class SingularHessianError(RuntimeError):
-    """The Newton system is singular. Refit with a larger penalty."""
+class SingularHessianError(ValueError):
+    """The Newton system is singular. Refit with a larger penalty: a
+    ValueError, since other options fix it."""
 
 
 def newton_maximize(f, x0, max_iter: int, tol: float) -> tuple[np.ndarray, Convergence]:
@@ -47,6 +48,8 @@ def newton_maximize(f, x0, max_iter: int, tol: float) -> tuple[np.ndarray, Conve
     within _LL_TIE (relative): near an optimum the value is flat to within
     rounding. Stops at max-norm gradient <= tol, after max_iter accepted
     steps, or when no halving is taken."""
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
     x = np.asarray(x0, dtype=np.float64)
     value, grad, direction = f(x)
     iterations = 0

@@ -32,9 +32,10 @@ from .stepfun import StepFunction
 _BETA_BOUND = 50.0
 
 
-class MonotoneLikelihoodError(RuntimeError):
+class MonotoneLikelihoodError(ValueError):
     """The likelihood keeps improving as some coefficient diverges
-    (separation). Refit with ridge > 0."""
+    (separation). Refit with ridge > 0: a ValueError, since an option
+    fixes it."""
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,8 @@ def fit_cox(
     `common.newton_maximize`; a coefficient past _BETA_BOUND is separation."""
     if design.events.sum() < 1:
         raise ValueError("need at least one event to fit")
+    if ridge < 0:
+        raise ValueError("ridge must be >= 0")
     spans = design.X.max(axis=0) - design.X.min(axis=0) if design.n else np.array([])
     flat = np.nonzero(spans <= 0)[0]
     if flat.size:

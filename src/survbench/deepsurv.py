@@ -147,6 +147,10 @@ def fit_deepsurv(
         raise ValueError("epochs must be >= 1")
     if batch_size is not None and batch_size < 1:
         raise ValueError("batch_size must be >= 1")
+    if learning_rate <= 0:
+        raise ValueError("learning_rate must be > 0")
+    if l2 < 0:
+        raise ValueError("l2 must be >= 0")
     weights, biases = init_parameters(spec)
     vel_w = [np.zeros_like(W) for W in weights]
     vel_b = [np.zeros_like(b) for b in biases]
@@ -171,10 +175,11 @@ def fit_deepsurv(
                     (rng.uniform(idx.size * w).reshape(idx.size, w) < keep) / keep
                     for w in spec.layer_widths[1:-1]
                 ]
-            g, acts, zs = _forward(weights, biases, X[idx], spec.activation, masks)
-            loss, dg = cox_nll_loss(g, times[idx], events[idx])
+            with np.errstate(all="ignore"):  # a diverged loss is refused below
+                g, acts, zs = _forward(weights, biases, X[idx], spec.activation, masks)
+                loss, dg = cox_nll_loss(g, times[idx], events[idx])
             if not np.isfinite(loss):
-                raise RuntimeError(
+                raise ValueError(
                     f"loss diverged at epoch {epoch}; lower the learning rate"
                 )
             gw, gb = _backward(

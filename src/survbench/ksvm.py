@@ -15,7 +15,8 @@ Hessian is K + s K L K, s = c/|P|, L the Laplacian of the active pairs
 in the K inner product u'K v, where that operator is self-adjoint with
 every eigenvalue >= 1: CG needs few iterations however small K's
 eigenvalues are. Each costs one K matvec and one pass over the active-pair
-mask, kept for event rows only, in blocks; K is never factorized.
+masks; K is never factorized. P is `riskset.comparable_blocks`, the pair
+blocks the C-index counts, and a mask is a block & (f_i - f_j < 1).
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ import numpy as np
 
 from .common import Convergence, newton_maximize
 from .data import DesignMatrix
-
-_BLOCK = 256  # event rows per block of the active-pair mask
+from .riskset import comparable_blocks
 
 
 @dataclass(frozen=True)
@@ -76,17 +76,15 @@ class KsvmModel:
     convergence: Convergence
 
 
-def _active_blocks(times, event_rows, f):
-    """(rows, mask) per block of event rows i: mask[a, j] is True where
-    (i, j) is comparable (T_i < T_j) and active (f_i - f_j < 1)."""
-    for start in range(0, event_rows.size, _BLOCK):
-        rows = event_rows[start:start + _BLOCK]
-        yield rows, (times[rows, None] < times) & (f[rows, None] - f < 1.0)
+def _active_blocks(pairs, f):
+    """(rows, mask) per block of `pairs`: the pairs active at scores f."""
+    for rows, later in pairs:
+        yield rows, later & (f[rows, None] - f < 1.0)
 
 
-def _laplacian(times, event_rows, f):
-    """v -> L v, with L the Laplacian of the pairs active at scores f."""
-    blocks = list(_active_blocks(times, event_rows, f))
+def _laplacian(pairs, f):
+    """v -> L v, with L the Laplacian of the `pairs` active at scores f."""
+    blocks = list(_active_blocks(pairs, f))
     degree = np.zeros(f.size)
     for rows, mask in blocks:
         degree[rows] += mask.sum(axis=1)
@@ -105,9 +103,8 @@ def _laplacian(times, event_rows, f):
 
 def _primal(design: DesignMatrix, kernel: KernelSpec, c: float):
     """beta -> (-J, its gradient, Newton-CG step), as newton_maximize takes it."""
-    times, event_rows = design.times, np.nonzero(design.events == 1)[0]
-    # at f = 0 every comparable pair is active
-    n_pairs = sum(int(m.sum()) for _, m in _active_blocks(times, event_rows, np.zeros(design.n)))
+    pairs = list(comparable_blocks(design.times, design.events))
+    n_pairs = sum(np.count_nonzero(later) for _, later in pairs)
     if n_pairs == 0:
         raise ValueError("no comparable pairs; cannot fit a ranking model")
     s = c / n_pairs
@@ -117,7 +114,7 @@ def _primal(design: DesignMatrix, kernel: KernelSpec, c: float):
         f = K @ beta
         g = np.zeros(design.n)  # f-gradient of the pair loss, over s
         loss = 0.0
-        for rows, mask in _active_blocks(times, event_rows, f):
+        for rows, mask in _active_blocks(pairs, f):
             r = np.where(mask, 1.0 - f[rows, None] + f, 0.0)
             loss += float(np.vdot(r, r))
             g[rows] -= r.sum(axis=1)
@@ -128,7 +125,7 @@ def _primal(design: DesignMatrix, kernel: KernelSpec, c: float):
         def direction():
             """CG in the K inner product on (I + s L K) d = -(beta + g), to the
             forcing term min(0.5, sqrt(|grad|_inf)) or non-positive curvature."""
-            laplacian = _laplacian(times, event_rows, f)
+            laplacian = _laplacian(pairs, f)
             r, Kr = -(beta + g), -grad  # the residual at d = 0, and K times it
             d, p, Kp = np.zeros(beta.size), r, Kr
             rr = float(r @ Kr)
@@ -162,6 +159,8 @@ def fit_ksvm(
     tol: float = 1e-3,
 ) -> KsvmModel:
     """Minimize J from beta = 0; converged means max-norm gradient <= tol."""
+    if c <= 0:
+        raise ValueError("c must be > 0")
     beta, convergence = newton_maximize(_primal(design, kernel, c), np.zeros(design.n), max_iter, tol)
     support = np.nonzero(beta != 0.0)[0]
     return KsvmModel(

@@ -4,9 +4,13 @@ A pair (i, j) is comparable when T_i < T_j and subject i had the event:
 the model should rank i as higher risk. Concordant means score_i >
 score_j; equal scores count half. Pairs tied on time are not comparable.
 
-`concordance_index` counts pairs in O(n log n) with a Fenwick tree over
-score ranks; `concordance_brute` is the quadratic reference. Both return
-exact integer pair counts and must agree on them.
+`concordance_index` counts over the pair blocks the kernel survival SVM
+fits on (`riskset.comparable_blocks`), in O(events x n) work: with 60%
+events 4x faster than an O(n log n) Fenwick tree over score ranks at
+n=700 and n=3,500, slower above about 12,000 rows (221 vs 165 ms at
+n=20,000, one Xeon core); no survbench workload goes above n=5,000.
+`concordance_brute` is the quadratic reference. Both return exact
+integer counts and must agree.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .riskset import comparable_blocks
 
 
 class UndefinedMetricError(ValueError):
@@ -43,59 +49,15 @@ def _check(time, event, score):
     return time, event, score
 
 
-class _Fenwick:
-    def __init__(self, n: int):
-        self.n = n
-        self.tree = [0] * (n + 1)
-
-    def add(self, i: int) -> None:
-        i += 1
-        while i <= self.n:
-            self.tree[i] += 1
-            i += i & (-i)
-
-    def prefix(self, i: int) -> int:
-        """Count of inserted ranks <= i."""
-        i += 1
-        total = 0
-        while i > 0:
-            total += self.tree[i]
-            i -= i & (-i)
-        return total
-
-
 def concordance_index(time, event, score) -> ConcordanceResult:
-    """Fenwick-tree pair counting.
-
-    Subjects are processed by strictly decreasing time so that the tree
-    always holds exactly the set {j : T_j > current time}; every event
-    subject in the current tie group is queried before the group is
-    inserted, which keeps time-tied pairs out of the counts.
-    """
+    """Comparable, score_i > score_j and score_i == score_j pairs, per block."""
     time, event, score = _check(time, event, score)
-    order = np.argsort(-time, kind="stable")
-    uniq = np.unique(score)
-    rank = np.searchsorted(uniq, score)
-    tree = _Fenwick(uniq.size)
     concordant = tied = comparable = 0
-    inserted = 0
-    i = 0
-    n = time.size
-    while i < n:
-        j = i
-        while j < n and time[order[j]] == time[order[i]]:
-            j += 1
-        for k in order[i:j]:
-            if event[k] == 1 and inserted:
-                below = tree.prefix(int(rank[k]) - 1)
-                at = tree.prefix(int(rank[k])) - below
-                concordant += below
-                tied += at
-                comparable += inserted
-        for k in order[i:j]:
-            tree.add(rank[k])
-            inserted += 1
-        i = j
+    for rows, later in comparable_blocks(time, event):
+        s = score[rows, None]
+        comparable += np.count_nonzero(later)
+        concordant += np.count_nonzero(later & (s > score))
+        tied += np.count_nonzero(later & (s == score))
     if comparable == 0:
         raise UndefinedMetricError("no comparable pairs")
     return ConcordanceResult(

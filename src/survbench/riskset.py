@@ -9,6 +9,8 @@ at t still counts as at risk for events at t (Breslow 1974).
 Kaplan-Meier, Nelson-Aalen, the Cox and DeepSurv partial likelihoods and
 the random survival forest's log-rank splitter all read their counts
 from one `RiskSets` record, built by `risk_sets` or `sorted_risk_sets`.
+`comparable_blocks` lists the comparable pairs (event i, T_i < T_j) for
+the C-index (`metrics.concordance_index`) and the kernel survival SVM.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+BLOCK = 256  # event rows per block of comparable pairs
 
 
 @dataclass(frozen=True)
@@ -79,3 +83,13 @@ def breslow_loglik(rs: RiskSets, log_risks) -> tuple[float, np.ndarray]:
     grad = np.empty_like(g)
     grad[rs.order] = rs.is_event - w * np.cumsum(q)[group_of]
     return float(loglik), grad
+
+
+def comparable_blocks(times, events):
+    """(rows, later) for each block of up to BLOCK event rows, in row order;
+    later[a, j] is T_j > T_rows[a]. Each comparable pair is True once."""
+    times = np.asarray(times, dtype=np.float64)
+    event_rows = np.flatnonzero(np.asarray(events) == 1)
+    for start in range(0, event_rows.size, BLOCK):
+        rows = event_rows[start:start + BLOCK]
+        yield rows, times[rows, None] < times

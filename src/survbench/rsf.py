@@ -184,6 +184,10 @@ def fit_forest(
         raise ValueError("need at least one event to fit")
     if b < 1:
         raise ValueError("b must be >= 1")
+    if min_leaf < 1:
+        raise ValueError("min_leaf must be >= 1")
+    if max_depth is not None and max_depth < 0:
+        raise ValueError("max_depth must be null or >= 0")
     p = design.p
     if mtry is None:
         mtry = int(np.ceil(np.sqrt(p)))

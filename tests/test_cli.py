@@ -299,6 +299,9 @@ def test_fit_rejects_unknown_option(tmp_path, capsys):
         ("fit", [1], "the config must be a JSON object"),
         ("fit", {"model_options": {"cox": 3}}, "model_options must map model names"),
         ("bench", {"model_options": {"cox": 3}}, "model_options must map model names"),
+        ("fit", {"modles": {}}, "unknown config keys: ['modles']"),
+        ("fit", {"model_options": {"rsff": {}}}, "unknown models in model_options: ['rsff']"),
+        ("bench", {"model_options": {"rsff": {}}}, "unknown models in model_options: ['rsff']"),
         ("bench", {"input": 5}, "config input and its generator must be JSON objects"),
         ("bench", {"input": {"generator": {"nn": 5}}}, "unknown generator keys: ['nn']"),
         ("bench", {"input": {"generator": {"schema": []}}},
@@ -319,6 +322,7 @@ def test_fit_rejects_unknown_option(tmp_path, capsys):
          'config generator hazard beta must be a JSON list of numbers, not "ab"'),
     ],
     ids=["not-an-object", "fit-options-not-objects", "bench-options-not-objects",
+         "fit-unknown-key", "fit-options-unknown-model", "bench-options-unknown-model",
          "input-not-an-object", "unknown-generator-key", "generator-schema-key",
          "km-group-not-a-name", "km-groups-not-a-list", "models-not-a-list",
          "seed-string", "seed-boolean", "test-fraction-string", "csv-number",
@@ -351,12 +355,25 @@ def test_malformed_config_is_one_line_error(tmp_path, capsys, command, config, t
         ("mtlr", {"k": 2.5}, "mtlr option k must be a JSON integer, not 2.5"),
         ("deepsurv", {"epochs": -1}, "epochs must be >= 1"),
         ("deepsurv", {"batch_size": 0}, "batch_size must be >= 1"),
+        ("deepsurv", {"learning_rate": 1000.0, "epochs": 3}, "loss diverged"),
+        ("ksvm", {"c": -1}, "c must be > 0"),
+        ("cox", {"max_iter": -1}, "max_iter must be >= 0"),
+        ("cox", {"ridge": -1.0}, "ridge must be >= 0"),
+        ("mtlr", {"max_iter": -1}, "max_iter must be >= 0"),
+        ("rsf", {"min_leaf": 0}, "min_leaf must be >= 1"),
+        ("rsf", {"max_depth": -3}, "max_depth must be null or >= 0"),
+        ("deepsurv", {"learning_rate": -0.1}, "learning_rate must be > 0"),
+        ("deepsurv", {"l2": -1.0}, "l2 must be >= 0"),
     ],
     ids=["rsf-b-string", "cox-max-iter-string", "cox-tol-boolean", "rsf-mtry-string",
          "rsf-mtry-fraction", "ksvm-gamma-string", "deepsurv-hidden-number",
          "deepsurv-hidden-fraction", "mtlr-k-fraction", "deepsurv-no-epochs",
-         "deepsurv-empty-batches"],
+         "deepsurv-empty-batches", "deepsurv-diverges", "ksvm-c-negative",
+         "cox-max-iter-negative", "cox-ridge-negative", "mtlr-max-iter-negative",
+         "rsf-min-leaf-zero", "rsf-max-depth-negative", "deepsurv-learning-rate-negative",
+         "deepsurv-l2-negative"],
 )
+@pytest.mark.filterwarnings("error")  # a warning would print more than the one line
 def test_fit_option_of_wrong_type_or_value_is_one_line_error(tmp_path, capsys, model,
                                                               options, text):
     cohort_csv = make_cohort_csv(tmp_path, n=60)

@@ -22,6 +22,7 @@ from survbench.ksvm import (
     ksvm_to_dict,
 )
 from survbench.metrics import concordance_index
+from survbench.riskset import comparable_blocks
 
 from conftest import numeric_design
 
@@ -176,7 +177,7 @@ def test_hessian_vector_product_matches_finite_differences():
     s = c / len(brute_pairs(d.times, d.events))
     objective = _primal(d, spec, c)
     beta, v = rng.normal(size=d.n), rng.normal(size=d.n)
-    lap = _laplacian(d.times, np.nonzero(d.events == 1)[0], K @ beta)
+    lap = _laplacian(list(comparable_blocks(d.times, d.events)), K @ beta)
     hv = K @ v + s * K @ lap(K @ v)
     eps = 1e-6
     fd = (objective(beta - eps * v)[1] - objective(beta + eps * v)[1]) / (2 * eps)

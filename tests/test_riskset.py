@@ -1,7 +1,8 @@
 """The shared risk-set record and Breslow likelihood: counts against brute
 force on tied, censored samples, the sorted-rows constructor against the
-sorting one, invariance of every consumer under row permutation, and Cox
-and DeepSurv tied to one likelihood."""
+sorting one, invariance of every consumer under row permutation, Cox
+and DeepSurv tied to one likelihood, and the comparable-pair blocks on
+cohorts that span more than one block."""
 
 from dataclasses import fields
 
@@ -12,8 +13,10 @@ from hypothesis import strategies as st
 
 from survbench.cox import cox_loglik_grad_hess
 from survbench.deepsurv import cox_nll_loss
+from survbench.metrics import concordance_brute, concordance_index
 from survbench.nonparametric import kaplan_meier, nelson_aalen
-from survbench.riskset import RiskSets, risk_set_sums, risk_sets, sorted_risk_sets
+from survbench.riskset import (BLOCK, RiskSets, comparable_blocks, risk_set_sums, risk_sets,
+                               sorted_risk_sets)
 
 from conftest import numeric_design
 
@@ -129,3 +132,37 @@ def test_hessian_matches_per_risk_set_form():
 def test_empty_sample_rejected():
     with pytest.raises(ValueError, match="empty"):
         risk_sets([], [])
+
+
+@st.composite
+def many_events(draw):
+    """More than BLOCK events, so a partial last block, among a few
+    censored rows; times and scores from a few values, so both tie often."""
+    k = draw(st.integers(BLOCK + 1, 2 * BLOCK + 40).filter(lambda k: k % BLOCK))
+    n = k + draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    times = rng.integers(1, draw(st.integers(3, 10)), size=n).astype(float)
+    scores = rng.integers(0, draw(st.integers(1, 6)), size=n) / 2.0
+    events = rng.permutation(np.arange(n) < k).astype(int)
+    return times, events, scores
+
+
+@given(many_events())
+@settings(max_examples=20, deadline=None)
+def test_blocks_hold_each_comparable_pair_once(cohort):
+    t, e, _ = cohort
+    blocks = list(comparable_blocks(t, e))
+    assert [rows.size for rows, _ in blocks[:-1]] == [BLOCK] * (len(blocks) - 1)
+    np.testing.assert_array_equal(np.concatenate([rows for rows, _ in blocks]),
+                                  np.flatnonzero(e == 1))
+    got = [(int(rows[a]), int(j)) for rows, later in blocks for a, j in np.argwhere(later)]
+    want = [(i, j) for i in range(t.size) if e[i] == 1 for j in range(t.size) if t[i] < t[j]]
+    assert sorted(got) == want
+
+
+@given(many_events())
+@settings(max_examples=20, deadline=None)
+def test_cindex_over_several_blocks_equals_brute(cohort):
+    got, ref = concordance_index(*cohort), concordance_brute(*cohort)
+    assert (got.concordant, got.discordant, got.tied_risk, got.comparable) == (
+        ref.concordant, ref.discordant, ref.tied_risk, ref.comparable)
