@@ -95,7 +95,7 @@ def _cmd_fit(args) -> int:
     opts = model_options(args.model, config.model_options.get(args.model, {}))
     cohort = ingest_csv(args.input)
     design = encode(cohort, standardize=spec.standardize)
-    model = spec.fit(design, opts, args.seed if args.seed is not None else 0)
+    model = spec.fit(design, opts, args.seed if args.seed is not None else config.seed)
     doc = spec.to_dict(model)
     doc["schema"] = [asdict(c) for c in design.schema.columns]
     doc["standardization"] = {
@@ -130,6 +130,8 @@ def _cmd_eval(args) -> int:
         raise ValueError(f"{args.model_file}: no {exc} in the {name} model file") from None
     except (TypeError, AttributeError, IndexError) as exc:
         raise ValueError(f"{args.model_file}: malformed {name} model file: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{args.model_file}: {exc}") from None
     # encode_like reads only the template's schema and affine map
     template = DesignMatrix(
         X=np.empty((0, 0)), names=[], times=np.empty(0), events=np.empty(0),

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DesignMatrix
-from .riskset import breslow_loglik, risk_sets
+from .riskset import RiskSets, breslow_loglik, risk_sets, sorted_risk_sets
 from .rng import CounterRng
 
 _ACTIVATIONS = ("relu", "tanh")
@@ -68,7 +68,11 @@ def cox_nll_loss(log_risks, times, events) -> tuple[float, np.ndarray]:
     its exact gradient with respect to the log-risks: -l/E and -dl/dg / E
     for the Breslow likelihood l of `breslow_loglik` (ties share a risk
     set, exp is max-shifted)."""
-    rs = risk_sets(times, events)
+    return _batch_nll(risk_sets(times, events), log_risks)
+
+
+def _batch_nll(rs: RiskSets, log_risks) -> tuple[float, np.ndarray]:
+    """`cox_nll_loss` of the batch whose risk sets are `rs`."""
     n_events = int(rs.n_events.sum())
     if n_events < 1:
         raise ValueError("batch has no events")
@@ -165,7 +169,8 @@ def fit_deepsurv(
         for lo in range(0, n, chunk):
             idx = perm[lo : lo + chunk]
             idx = idx[np.argsort(times[idx], kind="stable")]
-            if events[idx].sum() < 1:
+            batch = sorted_risk_sets(times[idx], events[idx], np.arange(idx.size))
+            if not batch.is_event.any():
                 warnings.warn(f"skipping event-free batch at epoch {epoch}")
                 continue
             masks = None
@@ -177,7 +182,7 @@ def fit_deepsurv(
                 ]
             with np.errstate(all="ignore"):  # a diverged loss is refused below
                 g, acts, zs = _forward(weights, biases, X[idx], spec.activation, masks)
-                loss, dg = cox_nll_loss(g, times[idx], events[idx])
+                loss, dg = _batch_nll(batch, g)
             if not np.isfinite(loss):
                 raise ValueError(
                     f"loss diverged at epoch {epoch}; lower the learning rate"

@@ -3,21 +3,29 @@ Nelson-Aalen leaf estimates.
 
 A tree node carries row indices into the tree's bootstrap sample in
 stable time order (a child keeps its parent's order), so its risk sets
-and a leaf's Nelson-Aalen curve need no sort; it scores all its
+and a leaf's Nelson-Aalen counts need no sort; it scores all its
 candidate splits in one pass, summing each candidate's log-rank terms
 in time order, so a candidate scores the same bits in any batch.
 
+A leaf holds what scoring needs: its knot times (the distinct event
+times of its rows) and the integer event and at-risk counts at each.
+Its curve is derived from them, `np.cumsum(events / at_risk)`, when a
+caller needs it, and never stored.
+
 The ensemble cumulative hazard is the mean of the B leaf curves a row
 falls into, so its mortality (that curve summed over the training
-event-time grid) is the mean of one scalar per leaf. A leaf holds only
-its curve: scoring partitions the rows down each grown tree, sums each
-leaf it reaches over the forest's grid, and averages a row's B leaf
-mortalities with math.fsum, which keeps the score independent of tree
-order. `predict_chf` descends the same way and averages the leaf curves.
+event-time grid) is the mean of one scalar per leaf. Scoring partitions
+the rows down each grown tree, computes the mortality of every leaf the
+tree reaches in one vectorized pass over the forest's grid, and averages
+a row's B leaf mortalities with math.fsum, which keeps the score
+independent of tree order. `predict_chf` descends the same way and
+averages the leaf curves.
 
 Forest files store the training size n once instead of each tree's
 bootstrap rows: a tree's `inbag` is the first n draws of its own seed's
-stream, so loading rebuilds it.
+stream, so loading rebuilds it. A leaf is stored as the indices of its
+knots in the event grid, which the file holds once, and its two count
+lists; loading checks each tree's leaves together.
 
 Per-tree randomness comes from a child seed mixed out of (master seed,
 tree index), so any tree is reproducible in isolation. Within a node the
@@ -38,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DesignMatrix
-from .nonparametric import nelson_aalen_from_risk_sets
 from .riskset import RiskSets, risk_set_sums, risk_sets, sorted_risk_sets
 from .rng import CounterRng, derive_seed
 from .stepfun import StepFunction, average_step_functions
@@ -48,15 +55,25 @@ _MAX_THRESHOLDS = 32
 
 @dataclass
 class TreeNode:
+    """A split, or a leaf holding its knot times and the event and
+    at-risk counts at each knot."""
+
     column: int | None = None
     threshold: float = 0.0
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
-    chf: StepFunction | None = None
+    times: np.ndarray | None = None
+    events: np.ndarray | None = None
+    at_risk: np.ndarray | None = None
 
     @property
     def is_leaf(self) -> bool:
-        return self.chf is not None
+        return self.column is None
+
+    @property
+    def chf(self) -> StepFunction:
+        """The leaf's Nelson-Aalen cumulative hazard."""
+        return StepFunction(self.times, np.cumsum(self.events / self.at_risk), initial=0.0)
 
 
 @dataclass
@@ -162,7 +179,9 @@ def _grow_tree(rng, Xt, times, events, min_leaf, max_depth, mtry) -> TreeNode:
         if rows.size >= 2 * min_leaf and rs.is_event.any() and not deep:
             split = _best_split(rng, Xt, rows, rs, min_leaf, mtry)
         if split is None:
-            return TreeNode(chf=nelson_aalen_from_risk_sets(rs))
+            keep = rs.n_events > 0
+            return TreeNode(times=rs.times[keep], events=rs.n_events[keep].astype(np.int64),
+                            at_risk=rs.n_at_risk[keep])
         j, thr = split
         go_left = Xt[j, rows] <= thr
         left = grow(rows[go_left], depth + 1)  # the left subtree draws first
@@ -227,6 +246,27 @@ def _leaves(node: TreeNode, X: np.ndarray, rows: np.ndarray):
             yield from _leaves(child, X, part)
 
 
+def _leaf_mortalities(leaves: list[TreeNode], grid: np.ndarray) -> np.ndarray:
+    """Each leaf's curve summed over the ascending `grid`, for all leaves
+    in one pass, with the bits of float(np.sum(leaf.chf(grid))).
+
+    Row l of a zero-padded table holds 0 and then leaf l's curve. The
+    curve's j-th value holds at the grid points in [t_j, t_(j+1)), so
+    repeating each entry that many times rebuilds leaf l's chf(grid), and
+    a row sum adds the same values in the same order as np.sum."""
+    sizes = np.array([leaf.times.size for leaf in leaves])
+    slot = np.arange(sizes.max()) < sizes[:, None]  # leaf l's knots fill row l's slots
+    hazard = np.zeros((len(leaves), slot.shape[1] + 1))
+    hazard[:, 1:][slot] = (np.concatenate([leaf.events for leaf in leaves])
+                           / np.concatenate([leaf.at_risk for leaf in leaves]))
+    first = np.full(hazard.shape, grid.size)  # first grid point of each value
+    first[:, 0] = 0
+    first[:, 1:][slot] = np.searchsorted(grid, np.concatenate([leaf.times for leaf in leaves]))
+    reps = np.diff(first, axis=1, append=grid.size)
+    curves = np.repeat(np.cumsum(hazard, axis=1).ravel(), reps.ravel())
+    return curves.reshape(len(leaves), grid.size).sum(axis=1)
+
+
 def _mortality(forest: Forest, X: np.ndarray) -> np.ndarray:
     """Ensemble mortality of each row of X: the math.fsum of its B leaf
     mortalities over B. A leaf's mortality is its curve summed over the
@@ -234,8 +274,11 @@ def _mortality(forest: Forest, X: np.ndarray) -> np.ndarray:
     b = len(forest.trees)
     leaf = np.empty((b, X.shape[0]))
     for i, tree in enumerate(forest.trees):
-        for node, rows in _leaves(tree.root, X, np.arange(X.shape[0])):
-            leaf[i, rows] = float(np.sum(node.chf(forest.event_grid)))
+        reached = list(_leaves(tree.root, X, np.arange(X.shape[0])))
+        if reached:
+            values = _leaf_mortalities([node for node, _ in reached], forest.event_grid)
+            for (_, rows), value in zip(reached, values):
+                leaf[i, rows] = value
     return np.array([math.fsum(leaves.tolist()) / b for leaves in leaf.T])
 
 
@@ -260,35 +303,65 @@ def rsf_risk(forest: Forest, design: DesignMatrix) -> np.ndarray:
     return _mortality(forest, np.asarray(design.X, dtype=np.float64))
 
 
-def _node_to_dict(node: TreeNode) -> dict:
+def _node_to_dict(node: TreeNode, grid: np.ndarray) -> dict:
     if node.is_leaf:
+        knots = np.searchsorted(grid, node.times)
+        if not np.array_equal(grid.take(knots, mode="clip"), node.times):
+            raise ValueError("leaf knot times must be times of the forest's event grid")
         return {
-            "chf_times": node.chf.times.tolist(),
-            "chf_values": node.chf.values.tolist(),
+            "knots": knots.tolist(),
+            "events": node.events.tolist(),
+            "at_risk": node.at_risk.tolist(),
         }
     return {
         "column": node.column,
         "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
+        "left": _node_to_dict(node.left, grid),
+        "right": _node_to_dict(node.right, grid),
     }
 
 
-def _node_from_dict(doc: dict) -> TreeNode:
-    if "chf_times" in doc:
-        return TreeNode(
-            chf=StepFunction(
-                times=np.asarray(doc["chf_times"]),
-                values=np.asarray(doc["chf_values"]),
-                initial=0.0,
-            )
-        )
-    return TreeNode(
-        column=int(doc["column"]),
-        threshold=float(doc["threshold"]),
-        left=_node_from_dict(doc["left"]),
-        right=_node_from_dict(doc["right"]),
-    )
+def _integers(values: list) -> np.ndarray:
+    try:
+        a = np.array(values)
+    except ValueError:  # ragged nesting
+        a = None
+    if a is None or a.ndim != 1 or (a.size and a.dtype.kind not in "iu"):
+        raise ValueError("leaf knots and counts must be lists of integers")
+    return a.astype(np.int64)
+
+
+def _tree_from_dict(doc: dict, grid: np.ndarray) -> TreeNode:
+    """One tree's nodes. Its leaves are checked together: knots strictly
+    increasing within a leaf and inside the grid, 1 <= events <= at_risk."""
+    leaves = []
+
+    def node(d):
+        if "chf_times" in d:
+            raise ValueError("the forest's leaves hold curves, an older file format; "
+                             "refit the model")
+        if "knots" in d:
+            leaves.append((TreeNode(), d))
+            return leaves[-1][0]
+        return TreeNode(column=int(d["column"]), threshold=float(d["threshold"]),
+                        left=node(d["left"]), right=node(d["right"]))
+
+    root = node(doc)
+    sizes = [len(d["knots"]) for _, d in leaves]
+    if any(len(d["events"]) != k or len(d["at_risk"]) != k for k, (_, d) in zip(sizes, leaves)):
+        raise ValueError("a leaf's knots, events and at_risk differ in length")
+    knots, events, at_risk = (_integers([v for _, d in leaves for v in d[key]])
+                              for key in ("knots", "events", "at_risk"))
+    leaf_of = np.repeat(np.arange(len(leaves)), sizes)
+    if not (np.all((knots >= 0) & (knots < grid.size))
+            and np.all((np.diff(knots) > 0) | (np.diff(leaf_of) > 0))):
+        raise ValueError("leaf knots must be increasing indices into the event grid")
+    if not np.all((events >= 1) & (events <= at_risk)):
+        raise ValueError("leaf counts must satisfy 1 <= events <= at_risk")
+    times, ends = grid[knots], np.cumsum(sizes).tolist()
+    for (leaf, _), lo, hi in zip(leaves, [0, *ends], ends):
+        leaf.times, leaf.events, leaf.at_risk = times[lo:hi], events[lo:hi], at_risk[lo:hi]
+    return root
 
 
 def forest_to_dict(forest: Forest) -> dict:
@@ -301,18 +374,22 @@ def forest_to_dict(forest: Forest) -> dict:
         "seed": forest.seed,
         "event_grid": forest.event_grid.tolist(),
         "n": int(forest.trees[0].inbag.size),
-        "trees": [{"seed": t.seed, "root": _node_to_dict(t.root)} for t in forest.trees],
+        "trees": [{"seed": t.seed, "root": _node_to_dict(t.root, forest.event_grid)}
+                  for t in forest.trees],
     }
 
 
 def forest_from_dict(doc: dict) -> Forest:
     n = int(doc["n"])
+    grid = np.asarray(doc["event_grid"], dtype=np.float64)
+    if grid.ndim != 1 or not np.all(np.diff(grid) > 0):
+        raise ValueError("the event grid must be strictly increasing")
     return Forest(
         trees=[
             SurvivalTree(
                 seed=int(t["seed"]),
                 inbag=CounterRng(int(t["seed"])).integers(n, n),
-                root=_node_from_dict(t["root"]),
+                root=_tree_from_dict(t["root"], grid),
             )
             for t in doc["trees"]
         ],
@@ -320,6 +397,6 @@ def forest_from_dict(doc: dict) -> Forest:
         min_leaf=int(doc["min_leaf"]),
         max_depth=doc["max_depth"],
         seed=int(doc["seed"]),
-        event_grid=np.asarray(doc["event_grid"]),
+        event_grid=grid,
         column_names=list(doc["column_names"]),
     )

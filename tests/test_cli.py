@@ -212,6 +212,56 @@ def test_eval_rejects_bad_model_file(tmp_path, capsys, edit, text):
     assert_one_line_error(capsys, text)
 
 
+def curve_leaves(node, grid):
+    """The node with each leaf written as its curve, the forest file
+    format before leaves held counts."""
+    if "knots" in node:
+        hazard = np.divide(node["events"], node["at_risk"])
+        return {"chf_times": [grid[k] for k in node["knots"]],
+                "chf_values": np.cumsum(hazard).tolist()}
+    return {**node, "left": curve_leaves(node["left"], grid),
+            "right": curve_leaves(node["right"], grid)}
+
+
+def test_eval_asks_to_refit_an_old_forest_file(tmp_path, capsys):
+    cohort_csv = make_cohort_csv(tmp_path, n=120)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"model_options": {"rsf": {"b": 3}}}))
+    model_path = tmp_path / "rsf.json"
+    assert main(["fit", "--model", "rsf", "--input", str(cohort_csv),
+                 "--config", str(config), "--out", str(model_path)]) == 0
+    doc = json.loads(model_path.read_text())
+    for tree in doc["trees"]:
+        tree["root"] = curve_leaves(tree["root"], doc["event_grid"])
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["eval", "--model-file", str(model_path), "--input", str(cohort_csv)])
+    assert rc == 2
+    assert_one_line_error(capsys, f"{model_path}: the forest's leaves hold curves, "
+                                  "an older file format; refit the model")
+
+
+def test_fit_takes_the_config_seed_unless_seed_is_given(tmp_path):
+    cohort_csv = make_cohort_csv(tmp_path, n=60, seed=1)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"seed": 5, "model_options": {"rsf": {"b": 3}}}))
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps({"model_options": {"rsf": {"b": 3}}}))
+    paths = {}
+    for name, argv in {
+        "config": ["--config", str(config)],
+        "flag": ["--config", str(plain), "--seed", "5"],
+        "flag-wins": ["--config", str(config), "--seed", "0"],
+        "default": ["--config", str(plain)],
+    }.items():
+        paths[name] = tmp_path / f"{name}.json"
+        assert main(["fit", "--model", "rsf", "--input", str(cohort_csv),
+                     "--out", str(paths[name]), *argv]) == 0
+    assert paths["config"].read_bytes() == paths["flag"].read_bytes()
+    assert paths["flag-wins"].read_bytes() == paths["default"].read_bytes()
+    assert paths["config"].read_bytes() != paths["default"].read_bytes()
+
+
 def test_fit_on_malformed_csv_is_one_line_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("Age,time,event\n30,1.5,1\n41,soon,0\n")

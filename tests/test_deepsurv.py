@@ -12,6 +12,7 @@ from survbench.cox import fit_cox, predict_risk
 from survbench.deepsurv import (
     DeepSurvModel,
     MlpSpec,
+    _batch_nll,
     cox_nll_loss,
     deepsurv_from_dict,
     deepsurv_to_dict,
@@ -21,6 +22,7 @@ from survbench.deepsurv import (
     predict_log_risk,
 )
 from survbench.metrics import concordance_index
+from survbench.riskset import sorted_risk_sets
 
 from conftest import numeric_design
 
@@ -82,6 +84,20 @@ def test_loss_ties_share_risk_set():
     denom = math.log(math.exp(0.5) + math.exp(-0.5))
     expected = -((0.5 - denom) + (-0.5 - denom)) / 2
     assert loss == pytest.approx(expected, rel=1e-14)
+
+
+def test_a_time_ordered_batch_needs_no_sort():
+    # the fit's minibatches are in time order, so their risk sets are
+    # built without a sort; the loss and gradient keep their bits
+    for seed in range(4):
+        g, t, e = survival_batch(seed, n=40)
+        t = np.round(t, 1)  # ties in time
+        order = np.argsort(t, kind="stable")
+        g, t, e = g[order], t[order], e[order]
+        loss, grad = _batch_nll(sorted_risk_sets(t, e, np.arange(t.size)), g)
+        want_loss, want_grad = cox_nll_loss(g, t, e)
+        assert loss == want_loss
+        np.testing.assert_array_equal(grad, want_grad)
 
 
 def test_loss_rejects_event_free_batch():

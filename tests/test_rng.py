@@ -87,6 +87,35 @@ def test_interleaving_does_not_share_state():
     assert np.array_equal(ua, ub)
 
 
+draw_calls = st.lists(
+    st.tuples(st.sampled_from(["uniform", "integers", "normal"]), st.integers(0, 1500)),
+    max_size=12,
+)
+
+
+@given(seed=st.integers(0, 2**64 - 1), calls=draw_calls)
+@settings(max_examples=100, deadline=None)
+def test_draws_are_slices_of_one_stream(seed, calls):
+    # however the draws are sized (across block refills included), each
+    # one reads the next slots of the seed's one counter_u64 stream
+    total = sum(2 * size if kind == "normal" else size for kind, size in calls)
+    stream = (counter_u64(seed, 0, total) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    rng, at = CounterRng(seed), 0
+    for kind, size in calls:
+        u = stream[at:at + size]
+        if kind == "uniform":
+            assert np.array_equal(rng.uniform(size), u)
+        elif kind == "integers":
+            assert np.array_equal(rng.integers(7, size), np.minimum((u * 7).astype(np.int64), 6))
+        else:
+            v = stream[at + size:at + 2 * size]
+            want = np.sqrt(-2.0 * np.log1p(-u)) * np.cos(2.0 * np.pi * v)
+            assert np.array_equal(rng.normal(size), want)
+            at += size
+        at += size
+    assert rng.counter == total
+
+
 def test_derive_seed_matches_definition():
     assert derive_seed(123, 0) == mix64((123 + GAMMA) % 2**64)
     assert derive_seed(123, 4) == mix64((123 + 5 * GAMMA) % 2**64)

@@ -21,6 +21,7 @@ from survbench.rsf import (
     Forest,
     SurvivalTree,
     TreeNode,
+    _leaf_mortalities,
     _logrank_parts,
     fit_forest,
     forest_from_dict,
@@ -31,7 +32,6 @@ from survbench.rsf import (
     rsf_risk,
 )
 from survbench.rng import CounterRng, derive_seed
-from survbench.stepfun import StepFunction
 
 from conftest import numeric_design
 
@@ -223,7 +223,7 @@ def test_forest_file_digest_is_pinned():
     # thresholds, the split rule and the leaf curves all feed it
     f = fit_forest(golden_design(), b=5, min_leaf=4, mtry=2, seed=3)
     digest = hashlib.sha256(json.dumps(forest_to_dict(f)).encode()).hexdigest()
-    assert digest == "c4f57aaa8fe32119756987313e8b649d4a407004b41dfc25524420470f829760"
+    assert digest == "6bd340d3db462f2c623eeacebc51e6d7c40c3f557dc3f4b4247a12b0c183f718"
 
 
 # --- degenerate forests ----------------------------------------------------
@@ -256,9 +256,14 @@ def test_max_depth_zero_forces_stumps():
     assert all(t.root.is_leaf for t in f.trees)
 
 
+def leaf(times, events, at_risk):
+    return TreeNode(times=np.array(times, dtype=float), events=np.array(events),
+                    at_risk=np.array(at_risk))
+
+
 def test_two_tree_averaging_hand_fixture():
-    leaf_a = TreeNode(chf=StepFunction(times=[1.0], values=[2.0], initial=0.0))
-    leaf_b = TreeNode(chf=StepFunction(times=[2.0], values=[4.0], initial=0.0))
+    leaf_a = leaf([1.0], [1], [2])  # 0.5 from t=1
+    leaf_b = leaf([1.0, 2.0], [1, 1], [4, 1])  # 0.25 from t=1, 1.25 from t=2
     forest = Forest(
         trees=[
             SurvivalTree(seed=0, inbag=np.arange(2), root=leaf_a),
@@ -272,21 +277,21 @@ def test_two_tree_averaging_hand_fixture():
         column_names=["x0"],
     )
     chf = predict_chf(forest, np.zeros(1))
-    np.testing.assert_allclose(chf.times, [1.0, 2.0])
-    np.testing.assert_allclose(chf.values, [1.0, 3.0])
-    # mortality: 1.0 at t=1 plus 3.0 at t=2
-    assert mortality_score(forest, np.zeros(1)) == pytest.approx(4.0)
+    np.testing.assert_array_equal(chf.times, [1.0, 2.0])
+    np.testing.assert_array_equal(chf.values, [0.375, 0.875])
+    # mortality: 0.375 at t=1 plus 0.875 at t=2
+    assert mortality_score(forest, np.zeros(1)) == 1.25
 
 
 def routing_forest():
     """Root splits x0 at 0.5; its left child is a leaf, its right child
     splits x1 at -1.0, so leaves sit at depths 1 and 2."""
 
-    def leaf(v):
-        return TreeNode(chf=StepFunction(times=[1.0], values=[v], initial=0.0))
+    def one_knot(at_risk):
+        return leaf([1.0], [1], [at_risk])
 
-    inner = TreeNode(column=1, threshold=-1.0, left=leaf(2.0), right=leaf(1.0))
-    root = TreeNode(column=0, threshold=0.5, left=leaf(5.0), right=inner)
+    inner = TreeNode(column=1, threshold=-1.0, left=one_knot(2), right=one_knot(4))
+    root = TreeNode(column=0, threshold=0.5, left=one_knot(1), right=inner)
     return Forest(
         trees=[SurvivalTree(seed=0, inbag=np.arange(2), root=root)],
         mtry=1, min_leaf=1, max_depth=None, seed=0,
@@ -296,16 +301,16 @@ def routing_forest():
 
 def test_split_routing_hand_fixture():
     forest = routing_forest()
-    assert mortality_score(forest, np.array([0.0, 0.0])) == 5.0
-    assert mortality_score(forest, np.array([0.5, 0.0])) == 5.0  # <= goes left
-    assert mortality_score(forest, np.array([0.51, -1.0])) == 2.0
-    assert mortality_score(forest, np.array([0.51, -0.99])) == 1.0
+    assert mortality_score(forest, np.array([0.0, 0.0])) == 1.0
+    assert mortality_score(forest, np.array([0.5, 0.0])) == 1.0  # <= goes left
+    assert mortality_score(forest, np.array([0.51, -1.0])) == 0.5
+    assert mortality_score(forest, np.array([0.51, -0.99])) == 0.25
 
 
 def test_rows_on_a_threshold_go_left_in_batch_scoring():
     X = np.array([[0.5, 7.0], [0.5, -9.0], [0.51, -1.0], [0.51, -0.99], [0.0, 0.0]])
     d = numeric_design(X, np.arange(1.0, 6.0), np.ones(5, dtype=int))
-    np.testing.assert_array_equal(rsf_risk(routing_forest(), d), [5.0, 5.0, 2.0, 1.0, 5.0])
+    np.testing.assert_array_equal(rsf_risk(routing_forest(), d), [1.0, 1.0, 0.5, 0.25, 1.0])
 
 
 # --- fitted forests ----------------------------------------------------------
@@ -481,6 +486,89 @@ def test_reloaded_forest_rebuilds_inbag():
     back = forest_from_dict(doc)
     for fitted, reloaded in zip(f.trees, back.trees):
         np.testing.assert_array_equal(reloaded.inbag, fitted.inbag)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 600))
+@settings(max_examples=80, deadline=None)
+def test_leaf_mortalities_equal_the_summed_curve(data_seed, n_leaves, grid_draws):
+    # one pass over many leaves must give each leaf's np.sum(chf(grid))
+    # bit for bit; knots come from a pool the grid only samples, so some
+    # lie between grid points, and one leaf has no knots at all
+    rng = np.random.default_rng(data_seed)
+    pool = np.round(rng.exponential(2.0, 800), 2)
+    grid = np.unique(rng.choice(pool, grid_draws))
+    leaves = [leaf([], [], [])]
+    for _ in range(n_leaves):
+        times = np.unique(rng.choice(pool, rng.integers(0, 60)))
+        at_risk = rng.integers(1, 1000, times.size)
+        leaves.append(leaf(times, rng.integers(1, at_risk + 1), at_risk))
+    got = _leaf_mortalities(leaves, grid)
+    assert got.tolist() == [float(np.sum(node.chf(grid))) for node in leaves]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(15, 60), st.integers(1, 4), st.integers(1, 8))
+@settings(max_examples=30, deadline=None)
+def test_forest_file_round_trip_scores_identically(data_seed, n, b, min_leaf):
+    rng = np.random.default_rng(data_seed)
+    X = np.round(rng.normal(size=(n, 2)), 1)
+    times = np.round(rng.exponential(1.0, n), 1) + 0.1
+    events = (rng.uniform(size=n) < 0.7).astype(int)
+    events[0] = 1
+    d = numeric_design(X, times, events)
+    f = fit_forest(d, b=b, min_leaf=min_leaf, seed=data_seed)
+    doc = forest_to_dict(f)
+    back = forest_from_dict(json.loads(json.dumps(doc)))
+    assert forest_to_dict(back) == doc
+    np.testing.assert_array_equal(rsf_risk(back, d), rsf_risk(f, d))
+    for x in X[:4]:
+        fitted, reloaded = predict_chf(f, x), predict_chf(back, x)
+        np.testing.assert_array_equal(reloaded.times, fitted.times)
+        np.testing.assert_array_equal(reloaded.values, fitted.values)
+
+
+def first_leaf(node: dict) -> dict:
+    while "knots" not in node:
+        node = node["left"]
+    return node
+
+
+def set_leaf(**fields):
+    return lambda doc: first_leaf(doc["trees"][0]["root"]).update(fields)
+
+
+@pytest.mark.parametrize(
+    "edit, text",
+    [
+        (lambda doc: doc["trees"][1].update(root={"chf_times": [1.0], "chf_values": [0.5]}),
+         "refit the model"),
+        (set_leaf(knots=[1, 1], events=[1, 1], at_risk=[5, 4]), "increasing indices"),
+        (set_leaf(knots=[2, 1], events=[1, 1], at_risk=[5, 4]), "increasing indices"),
+        (set_leaf(knots=[-1], events=[1], at_risk=[5]), "increasing indices"),
+        (lambda doc: set_leaf(knots=[len(doc["event_grid"])], events=[1], at_risk=[5])(doc),
+         "increasing indices"),
+        (set_leaf(knots=[0], events=[0], at_risk=[5]), "1 <= events <= at_risk"),
+        (set_leaf(knots=[0], events=[6], at_risk=[5]), "1 <= events <= at_risk"),
+        (set_leaf(knots=[0, 1], events=[1], at_risk=[5, 4]), "differ in length"),
+        (set_leaf(knots=[0], events=[1.5], at_risk=[5]), "integers"),
+        (set_leaf(knots=[[0]], events=[1], at_risk=[5]), "integers"),
+        (lambda doc: doc.update(event_grid=doc["event_grid"][::-1]), "strictly increasing"),
+    ],
+    ids=["curve-leaves", "repeated-knot", "decreasing-knots", "negative-knot",
+         "knot-past-grid", "no-events", "events-above-at-risk", "length-mismatch",
+         "fractional-count", "nested-knot", "grid-decreasing"],
+)
+def test_load_refuses_bad_leaves(edit, text):
+    f = fit_forest(bigger_design(seed=7, n=80), b=2, min_leaf=15, seed=8)
+    doc = json.loads(json.dumps(forest_to_dict(f)))
+    edit(doc)
+    with pytest.raises(ValueError, match=text):
+        forest_from_dict(doc)
+
+
+def test_a_forest_whose_leaves_leave_its_grid_is_not_written():
+    f = fit_forest(bigger_design(seed=7, n=80), b=2, min_leaf=15, seed=8)
+    with pytest.raises(ValueError, match="event grid"):
+        forest_to_dict(replace(f, event_grid=f.event_grid[::2]))
 
 
 def test_rejects_eventless_design():
