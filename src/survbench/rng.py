@@ -22,7 +22,8 @@ Derived draws are fixed constructions on top of the raw 64-bit stream:
 * integer in [0, k): ``floor(uniform * k)``
 
 Child seeds are derived with :func:`derive_seed` so that independent
-substreams (one per tree, per model, ...) never overlap.
+substreams (one per tree, per model, ...) never overlap. `uniform_at`
+reads any (seed, position) pairs at once; `CounterRng` reads in sequence.
 """
 
 from __future__ import annotations
@@ -45,13 +46,18 @@ def mix64(z: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def counter_u64(seed: int, start: int, count: int) -> np.ndarray:
-    """Raw 64-bit outputs for counter positions start .. start+count-1."""
-    c = np.arange(start, start + count, dtype=np.uint64)
-    z = (np.uint64(seed & _MASK64) + (c + np.uint64(1)) * np.uint64(GOLDEN_GAMMA))
+def counter_u64(seed, position) -> np.ndarray:
+    """Raw 64-bit outputs at counter `position` under `seed`, broadcast."""
+    c = np.array(position, dtype=np.uint64, ndmin=1)  # arrays wrap silently; scalars warn
+    z = np.asarray(seed, dtype=np.uint64) + (c + np.uint64(1)) * np.uint64(GOLDEN_GAMMA)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
+
+
+def uniform_at(seed, position) -> np.ndarray:
+    """Uniforms in [0, 1) at counter `position` under `seed`, broadcast."""
+    return (counter_u64(seed, position) >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -79,8 +85,8 @@ class CounterRng:
         """Uniforms in [0, 1) with 53-bit resolution."""
         lo = self.counter - self._block_start
         if lo + count > self._block.size:
-            raw = counter_u64(self.seed, self.counter, max(count, _BLOCK))
-            self._block = (raw >> np.uint64(11)).astype(np.float64) * _INV_2_53
+            end = self.counter + max(count, _BLOCK)
+            self._block = uniform_at(self.seed, np.arange(self.counter, end))
             self._block_start, lo = self.counter, 0
         self.counter += count
         return self._block[lo:lo + count].copy()

@@ -1,11 +1,15 @@
 """Random survival forest: log-rank splits, bootstrap ensemble, averaged
 Nelson-Aalen leaf estimates.
 
-A tree node carries row indices into the tree's bootstrap sample in
-stable time order (a child keeps its parent's order), so its risk sets
-and a leaf's Nelson-Aalen counts need no sort; it scores all its
-candidate splits in one pass, summing each candidate's log-rank terms
-in time order, so a candidate scores the same bits in any batch.
+The B trees grow in lockstep: each tree walks its nodes depth first,
+left subtree first, from its own stack, and each step searches every
+tree's next node that may split together, in batches of one power-of-two
+size class padded to their widest node. A node holds its design rows in
+stable time order (a child keeps its parent's order) and reads its draws
+at its own tree's counter positions, so each tree draws what it would
+draw grown alone. Log-rank terms are summed in time order and padding
+adds only trailing +0.0 terms, so no split depends on which nodes share
+a batch.
 
 A leaf holds what scoring needs: its knot times (the distinct event
 times of its rows) and the integer event and at-risk counts at each.
@@ -46,11 +50,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DesignMatrix
-from .riskset import RiskSets, risk_set_sums, risk_sets, sorted_risk_sets
-from .rng import CounterRng, derive_seed
+from .riskset import risk_set_sums, risk_sets
+from .rng import CounterRng, derive_seed, uniform_at
 from .stepfun import StepFunction, average_step_functions
 
 _MAX_THRESHOLDS = 32
+_CELLS = 1 << 14  # size-class rows times drawn columns per batch of the split search
 
 
 @dataclass
@@ -94,32 +99,19 @@ class Forest:
     column_names: list[str]
 
 
-def _logrank_parts(rs: RiskSets, left_masks):
-    """Vectorized two-sample log-rank over candidate left-memberships.
-
-    rs holds the node's risk sets; the (C, n) left_masks hold its rows in
-    `rs.order`. Returns the statistic |O-E|/sqrt(V) per candidate, with
-    nan where V = 0. E and V are running sums over event times in time
-    order, so a candidate's score does not depend on its batch.
-    """
-    M = left_masks.astype(np.float64)
-    n_left = risk_set_sums(rs, M)
-    has_event = rs.n_events > 0
-    dd = rs.n_events[has_event]
-    nn = rs.n_at_risk[has_event]
-    frac = n_left[:, has_event] / nn
-    observed = M @ rs.is_event.astype(np.float64)  # counts: exact in any order
-    expected_terms = dd * frac
+def _logrank(n_left, observed, n_events, n_at_risk):
+    """Two-sample log-rank statistic |O-E|/sqrt(V) of each candidate, nan
+    where V = 0. The last axis runs over event times in time order; E and
+    V are running sums along it, so a candidate scores the same bits in
+    any batch, and padding terms (no events, one at risk) add +0.0."""
+    frac = n_left / n_at_risk
+    expected_terms = n_events * frac
     with np.errstate(invalid="ignore", divide="ignore"):
-        variance_terms = np.where(
-            nn > 1, expected_terms * (1.0 - frac) * (nn - dd) / (nn - 1.0), 0.0
-        )
-    expected = np.add.accumulate(expected_terms, axis=1)[:, -1]
-    variance = np.add.accumulate(variance_terms, axis=1)[:, -1]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(
-            variance > 0.0, np.abs(observed - expected) / np.sqrt(variance), np.nan
-        )
+        variance_terms = np.where(n_at_risk > 1, expected_terms * (1.0 - frac)
+                                  * (n_at_risk - n_events) / (n_at_risk - 1.0), 0.0)
+        expected = np.add.accumulate(expected_terms, axis=-1)[..., -1]
+        variance = np.add.accumulate(variance_terms, axis=-1)[..., -1]
+        return np.where(variance > 0.0, np.abs(observed - expected) / np.sqrt(variance), np.nan)
 
 
 def logrank_score(times, events, column_values, threshold) -> float:
@@ -133,62 +125,147 @@ def logrank_score(times, events, column_values, threshold) -> float:
     if events.sum() < 1:
         raise ValueError("no events; score undefined")
     rs = risk_sets(times, events)
-    score = _logrank_parts(rs, left[rs.order][None, :])[0]
+    has = rs.n_events > 0
+    n_left = risk_set_sums(rs, left[rs.order].astype(np.float64))[has]
+    observed = np.count_nonzero(left[rs.order] & rs.is_event)
+    score = _logrank(n_left, observed, rs.n_events[has], rs.n_at_risk[has])
     if np.isnan(score):
         raise ValueError("zero log-rank variance; score undefined")
     return float(score)
 
 
-def _best_split(rng, Xt, rows, rs, min_leaf, mtry):
-    """The node's (column, threshold) of largest log-rank score, or None
-    when no candidate scores above 0."""
-    cols = np.argsort(rng.uniform(Xt.shape[0]), kind="stable")[:mtry]
-    block = Xt[cols[:, None], rows]  # the node's columns, rows in time order
-    xs = np.sort(block, axis=1)
-    step = xs[:, 1:] != xs[:, :-1]  # a distinct value ends at each step
-    col_of = np.nonzero(step)[0]
-    mids = (0.5 * (xs[:, :-1] + xs[:, 1:]))[step]
-    n_mids = step.sum(axis=1)
-    wide = (n_mids > _MAX_THRESHOLDS)[col_of]
-    if wide.any():  # keep the 32 thresholds of smallest draw per column
-        u = np.zeros(col_of.size)
-        u[wide] = rng.uniform(int(wide.sum()))
-        order = np.lexsort((u, col_of))
+def _event_times(times, events, rows, ends):
+    """The distinct event times of each run of `rows` (runs end at `ends`,
+    each in time order): run, first position, events and rows at risk."""
+    t = times[rows]
+    new = np.ones(rows.size, dtype=bool)
+    new[1:] = t[1:] != t[:-1]
+    new[ends[:-1]] = True
+    starts = np.flatnonzero(new)
+    n_events = np.add.reduceat(events[rows], starts, dtype=np.int64)
+    starts, n_events = starts[n_events > 0], n_events[n_events > 0]
+    run = np.searchsorted(ends, starts, side="right")
+    return run, starts, n_events, ends[run] - starts
+
+
+def _best_splits(XT, times, events, seeds, counters, rows, sizes, mtry, min_leaf):
+    """Each of K nodes' split of largest log-rank score: its column (-1
+    for none), threshold, left rows as a mask over `rows`, left events,
+    and slots drawn. Row k of `rows` holds node k's `sizes[k]` design rows
+    in time order, then pads: row n, +inf in every column and in time and
+    no event, so never a threshold, never left, never at risk. Node k
+    draws from slot `counters[k]` of stream `seeds[k]` on."""
+    K, w = rows.shape
+    p = XT.shape[0]
+    u = uniform_at(seeds[:, None], counters[:, None] + np.arange(p))
+    cols = np.argsort(u, axis=1, kind="stable")[:, :mtry]
+    block = XT[cols[:, :, None], rows[:, None, :]]  # (K, mtry, w), rows in time order
+    xs = np.sort(block, axis=2)
+    step = (xs[..., 1:] != xs[..., :-1]) & (xs[..., 1:] < np.inf)  # a distinct value ends
+    wide = np.count_nonzero(step, axis=2) > _MAX_THRESHOLDS
+    k, j, i = np.nonzero(step & wide[..., None])  # node by node, in column order
+    drawn = np.bincount(k, minlength=K)
+    if k.size:  # keep the 32 thresholds of smallest draw per wide column
+        first = np.cumsum(drawn) - drawn
+        u = uniform_at(seeds[k], counters[k] + p + np.arange(k.size) - first[k])
+        column = k * mtry + j
+        order = np.lexsort((u, column))
         rank = np.empty_like(order)
-        rank[order] = np.arange(order.size) - np.searchsorted(col_of, col_of[order])
-        col_of, mids = col_of[rank < _MAX_THRESHOLDS], mids[rank < _MAX_THRESHOLDS]
-    masks = block[col_of] <= mids[:, None]
-    sizes = masks.sum(axis=1)
-    valid = (sizes >= min_leaf) & (rows.size - sizes >= min_leaf)
-    if not valid.any():
-        return None
-    scores = np.fmax(_logrank_parts(rs, masks[valid]), 0.0)  # nan scores 0
-    c = int(np.argmax(scores))  # the first maximum
-    if not scores[c] > 0.0:
-        return None
-    return int(cols[col_of[valid][c]]), float(mids[valid][c])
+        rank[order] = np.arange(order.size) - np.searchsorted(column, column[order])
+        step[k, j, i] = rank < _MAX_THRESHOLDS
+    k, j, i = np.nonzero(step)
+    mids = 0.5 * (xs[k, j, i] + xs[k, j, i + 1])
+    masks = block[k, j] <= mids[:, None]  # each candidate's left rows
+    n_left = np.count_nonzero(masks, axis=1)
+    valid = (n_left >= min_leaf) & (sizes[k] - n_left >= min_leaf)
+    k, j, mids, masks = k[valid], j[valid], mids[valid], masks[valid]
+
+    ends = np.cumsum(sizes)
+    node, at, d, at_risk = _event_times(times, events, rows[np.arange(w) < sizes[:, None]], ends)
+    slot = np.arange(node.size) - np.searchsorted(node, node)  # each node's event times
+    from_end = np.zeros((K, slot.max() + 1), dtype=np.int64)  # padding: no events, 1 at risk
+    n_events, n_at_risk = np.zeros(from_end.shape), np.ones(from_end.shape)
+    from_end[node, slot] = w - 1 - (at - (ends - sizes)[node])
+    n_events[node, slot], n_at_risk[node, slot] = d, at_risk
+    observed = np.count_nonzero(masks & events[rows][k], axis=1)
+    n_left = np.take_along_axis(  # left rows at or after each event time
+        np.cumsum(masks[:, ::-1], axis=1, dtype=np.int32), from_end[k], axis=1)
+    scores = np.fmax(_logrank(n_left, observed, n_events[k], n_at_risk[k]), 0.0)  # nan scores 0
+
+    best = np.zeros(K)
+    np.maximum.at(best, k, scores)
+    ties = np.flatnonzero((scores == best[k]) & (scores > 0.0))
+    split, first = np.unique(k[ties], return_index=True)  # the first maximum
+    c = ties[first]
+    column, threshold, left_events = np.full(K, -1), np.zeros(K), np.zeros(K, dtype=np.int64)
+    left = np.zeros((K, w), dtype=bool)
+    column[split] = cols[split, j[c]]
+    threshold[split], left[split], left_events[split] = mids[c], masks[c], observed[c]
+    return column, threshold, left, left_events, p + drawn
 
 
-def _grow_tree(rng, Xt, times, events, min_leaf, max_depth, mtry) -> TreeNode:
-    """One tree on its bootstrap sample, whose columns are the rows of Xt."""
+def _grow_trees(design, seeds, inbags, min_leaf, max_depth, mtry) -> list[TreeNode]:
+    """The roots of trees grown in lockstep on the bootstraps `inbags`;
+    a step's nodes are searched in batches of one size class and at most
+    _CELLS cells, and its new leaves are filled together."""
+    n, p = design.X.shape
+    XT = np.vstack([design.X, np.full(p, np.inf)]).T.copy()  # row n is the batches' pad
+    times = np.append(design.times, np.inf)
+    events = np.append(design.events == 1, False)
+    roots = [TreeNode() for _ in inbags]
+    stacks = [[(root, rows, 0, int(np.count_nonzero(events[rows])))] for root, rows in zip(
+        roots, (inbag[np.argsort(design.times[inbag], kind="stable")] for inbag in inbags))]
+    seeds = np.array(seeds, dtype=np.uint64)
+    counters = np.full(len(stacks), n)  # the bootstrap drew the first n slots
+    while True:
+        leaves, todo = [], []
+        for t, stack in enumerate(stacks):
+            while stack:
+                node, rows, depth, n_events = stack.pop()
+                if (rows.size >= 2 * min_leaf and n_events > 0
+                        and (max_depth is None or depth < max_depth)):
+                    todo.append((1 << (rows.size - 1).bit_length(), t, node, rows, depth, n_events))
+                    break
+                leaves.append((node, rows))
+        todo.sort(key=lambda entry: entry[0])
+        at = 0
+        while at < len(todo):
+            w = todo[at][0]
+            batch = [e for e in todo[at:at + max(1, _CELLS // (w * mtry))] if e[0] == w]
+            at += len(batch)
+            tree = np.array([e[1] for e in batch])
+            sizes = np.array([e[3].size for e in batch])
+            padded = np.full((len(batch), sizes.max()), n)
+            padded[np.arange(sizes.max()) < sizes[:, None]] = np.concatenate([e[3] for e in batch])
+            column, threshold, left, left_events, drawn = _best_splits(
+                XT, times, events, seeds[tree], counters[tree], padded, sizes, mtry, min_leaf)
+            counters[tree] += drawn
+            for (_, t, node, rows, depth, n_events), j, thr, go_left, n_left_events in zip(
+                    batch, column.tolist(), threshold.tolist(), left, left_events.tolist()):
+                if j < 0:
+                    leaves.append((node, rows))
+                    continue
+                go_left = go_left[:rows.size]
+                node.column, node.threshold = j, thr
+                node.left, node.right = TreeNode(), TreeNode()
+                stacks[t].append((node.right, rows[~go_left], depth + 1, n_events - n_left_events))
+                stacks[t].append((node.left, rows[go_left], depth + 1, n_left_events))
+        if leaves:
+            _fill_leaves(leaves, times, events)
+        if not todo:
+            return roots
 
-    def grow(rows, depth):
-        rs = sorted_risk_sets(times[rows], events[rows], rows)
-        deep = max_depth is not None and depth >= max_depth
-        split = None
-        if rows.size >= 2 * min_leaf and rs.is_event.any() and not deep:
-            split = _best_split(rng, Xt, rows, rs, min_leaf, mtry)
-        if split is None:
-            keep = rs.n_events > 0
-            return TreeNode(times=rs.times[keep], events=rs.n_events[keep].astype(np.int64),
-                            at_risk=rs.n_at_risk[keep])
-        j, thr = split
-        go_left = Xt[j, rows] <= thr
-        left = grow(rows[go_left], depth + 1)  # the left subtree draws first
-        right = grow(rows[~go_left], depth + 1)
-        return TreeNode(column=j, threshold=thr, left=left, right=right)
 
-    return grow(np.argsort(times, kind="stable"), 0)
+def _fill_leaves(leaves, times, events) -> None:
+    """Each leaf's knot times and the event and at-risk counts at each,
+    for all `leaves` (node, rows in time order) in one pass."""
+    rows = np.concatenate([r for _, r in leaves])
+    ends = np.cumsum([r.size for _, r in leaves])
+    leaf_of, starts, n_events, at_risk = _event_times(times, events, rows, ends)
+    knot_times = times[rows[starts]]
+    bounds = np.cumsum(np.bincount(leaf_of, minlength=len(leaves))).tolist()
+    for (node, _), lo, hi in zip(leaves, [0, *bounds], bounds):
+        node.times, node.events, node.at_risk = knot_times[lo:hi], n_events[lo:hi], at_risk[lo:hi]
 
 
 def fit_forest(
@@ -213,17 +290,11 @@ def fit_forest(
     elif not float(mtry).is_integer():
         raise ValueError("mtry must be a whole number")
     mtry = max(1, min(int(mtry), p))
-    n = design.n
-    trees = []
-    for i in range(b):
-        tree_seed = derive_seed(seed, i)
-        rng = CounterRng(tree_seed)
-        inbag = rng.integers(n, n)
-        root = _grow_tree(rng, design.X.T[:, inbag], design.times[inbag],
-                          design.events[inbag], min_leaf, max_depth, mtry)
-        trees.append(SurvivalTree(seed=tree_seed, inbag=inbag, root=root))
+    seeds = [derive_seed(seed, i) for i in range(b)]
+    inbags = [CounterRng(s).integers(design.n, design.n) for s in seeds]
+    roots = _grow_trees(design, seeds, inbags, min_leaf, max_depth, mtry)
     return Forest(
-        trees=trees,
+        trees=[SurvivalTree(seed=s, inbag=i, root=r) for s, i, r in zip(seeds, inbags, roots)],
         mtry=mtry,
         min_leaf=min_leaf,
         max_depth=max_depth,
@@ -233,17 +304,19 @@ def fit_forest(
     )
 
 
-def _leaves(node: TreeNode, X: np.ndarray, rows: np.ndarray):
-    """Each leaf under `node` that some of `rows` reach, with those rows;
-    a row goes left when its X value in the split column is <= the
-    threshold."""
-    if node.is_leaf:
-        yield node, rows
-        return
-    go_left = X[rows, node.column] <= node.threshold
-    for child, part in ((node.left, rows[go_left]), (node.right, rows[~go_left])):
-        if part.size:
-            yield from _leaves(child, X, part)
+def _leaves(root: TreeNode, X: np.ndarray, rows: np.ndarray) -> list:
+    """Each leaf that some of `rows` reach, with those rows, left subtree
+    first; a row goes left when X[row, column] <= threshold."""
+    reached, stack = [], [(root, rows)]
+    while stack:
+        node, rows = stack.pop()
+        if node.is_leaf:
+            reached.append((node, rows))
+        else:
+            go_left = X[rows, node.column] <= node.threshold
+            stack += [(child, part) for child, part in ((node.right, rows[~go_left]),
+                                                        (node.left, rows[go_left])) if part.size]
+    return reached
 
 
 def _leaf_mortalities(leaves: list[TreeNode], grid: np.ndarray) -> np.ndarray:
@@ -272,14 +345,14 @@ def _mortality(forest: Forest, X: np.ndarray) -> np.ndarray:
     mortalities over B. A leaf's mortality is its curve summed over the
     forest's event grid."""
     b = len(forest.trees)
-    leaf = np.empty((b, X.shape[0]))
+    leaf = np.empty((X.shape[0], b))  # fsum reads a row through a memoryview, not a list
     for i, tree in enumerate(forest.trees):
-        reached = list(_leaves(tree.root, X, np.arange(X.shape[0])))
+        reached = _leaves(tree.root, X, np.arange(X.shape[0]))
         if reached:
             values = _leaf_mortalities([node for node, _ in reached], forest.event_grid)
             for (_, rows), value in zip(reached, values):
-                leaf[i, rows] = value
-    return np.array([math.fsum(leaves.tolist()) / b for leaves in leaf.T])
+                leaf[rows, i] = value
+    return np.array([math.fsum(memoryview(leaves)) / b for leaves in leaf])
 
 
 def predict_chf(forest: Forest, x) -> StepFunction:

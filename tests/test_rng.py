@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from survbench.rng import CounterRng, counter_u64, derive_seed, mix64
+from survbench.rng import CounterRng, counter_u64, derive_seed, mix64, uniform_at
 
 GAMMA = 0x9E3779B97F4A7C15
 
@@ -28,14 +28,15 @@ def test_matches_reference_splitmix64_stream():
 
 
 def test_counter_u64_equals_reference_stream():
-    assert counter_u64(0, 0, 4).tolist() == SPLITMIX64_SEED0
+    assert counter_u64(0, np.arange(4)).tolist() == SPLITMIX64_SEED0
 
 
 @given(seed=st.integers(0, 2**64 - 1), cut=st.integers(0, 64))
 @settings(max_examples=50)
 def test_chunking_invariance(seed, cut):
-    whole = counter_u64(seed, 0, 64)
-    parts = np.concatenate([counter_u64(seed, 0, cut), counter_u64(seed, cut, 64 - cut)])
+    whole = counter_u64(seed, np.arange(64))
+    parts = np.concatenate([counter_u64(seed, np.arange(cut)),
+                            counter_u64(seed, np.arange(cut, 64))])
     assert np.array_equal(whole, parts)
 
 
@@ -99,7 +100,7 @@ def test_draws_are_slices_of_one_stream(seed, calls):
     # however the draws are sized (across block refills included), each
     # one reads the next slots of the seed's one counter_u64 stream
     total = sum(2 * size if kind == "normal" else size for kind, size in calls)
-    stream = (counter_u64(seed, 0, total) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    stream = (counter_u64(seed, np.arange(total)) >> np.uint64(11)).astype(np.float64) * 2.0**-53
     rng, at = CounterRng(seed), 0
     for kind, size in calls:
         u = stream[at:at + size]
@@ -114,6 +115,22 @@ def test_draws_are_slices_of_one_stream(seed, calls):
             at += size
         at += size
     assert rng.counter == total
+
+
+@given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 3000)), min_size=1,
+                max_size=20))
+@settings(max_examples=50, deadline=None)
+def test_draws_at_any_positions_equal_sequential_draws(pairs):
+    # one vectorized read at (seed, position) pairs gives what each seed's
+    # sequential stream gives at that position
+    seeds = np.array([s for s, _ in pairs], dtype=np.uint64)
+    positions = np.array([c for _, c in pairs])
+    raw, u = counter_u64(seeds, positions), uniform_at(seeds[:, None], positions[:, None])
+    for (seed, position), value, uniform in zip(pairs, raw.tolist(), u[:, 0].tolist()):
+        assert value == mix64(seed + (position + 1) * GAMMA)
+        rng = CounterRng(seed)
+        rng.uniform(position)
+        assert rng.uniform(1)[0] == uniform
 
 
 def test_derive_seed_matches_definition():

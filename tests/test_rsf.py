@@ -14,15 +14,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from survbench import rsf
 from survbench.metrics import concordance_index
 from survbench.nonparametric import nelson_aalen
-from survbench.riskset import risk_sets
+from survbench.riskset import risk_set_sums, risk_sets
 from survbench.rsf import (
     Forest,
     SurvivalTree,
     TreeNode,
     _leaf_mortalities,
-    _logrank_parts,
+    _logrank,
     fit_forest,
     forest_from_dict,
     forest_to_dict,
@@ -105,12 +106,13 @@ def test_logrank_refuses_zero_variance():
         logrank_score([1.0, 2.0], [0, 1], [0.0, 1.0], 0.5)
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(10, 120), st.integers(2, 8))
+@given(st.integers(0, 2**32 - 1), st.integers(10, 120), st.integers(2, 8), st.integers(0, 5))
 @settings(max_examples=60, deadline=None)
 # pairwise and time-order sums of the same terms differ in the last bit here
-@example(4082210491, 13, 3)
-def test_batch_scores_equal_scores_alone(data_seed, n, c):
-    # a candidate's score must not depend on which candidates share its batch
+@example(4082210491, 13, 3, 0)
+def test_batch_scores_equal_scores_alone(data_seed, n, c, pad):
+    # a candidate's score must not depend on which candidates share its
+    # batch, nor on padding terms after its node's last event time
     rng = np.random.default_rng(data_seed)
     times = np.round(rng.exponential(1.0, n), 1) + 0.1  # ties in time
     events = (rng.uniform(size=n) < 0.7).astype(int)
@@ -118,7 +120,13 @@ def test_batch_scores_equal_scores_alone(data_seed, n, c):
     x = rng.normal(size=n)
     thresholds = np.sort(x)[rng.integers(0, n - 1, c)]  # both sides nonempty
     rs = risk_sets(times, events)
-    batch = _logrank_parts(rs, x[rs.order] <= thresholds[:, None])
+    has = rs.n_events > 0
+    left = x[rs.order] <= thresholds[:, None]
+    n_left = np.hstack([risk_set_sums(rs, left.astype(float))[:, has],
+                        rng.integers(0, n, (c, pad))])  # a pad's left count is arbitrary
+    batch = _logrank(n_left, np.count_nonzero(left & rs.is_event, axis=1),
+                     np.concatenate([rs.n_events[has], np.zeros(pad)]),
+                     np.concatenate([rs.n_at_risk[has], np.ones(pad)]))
     for thr, score in zip(thresholds, batch):
         try:
             alone = logrank_score(times, events, x, thr)
@@ -224,6 +232,40 @@ def test_forest_file_digest_is_pinned():
     f = fit_forest(golden_design(), b=5, min_leaf=4, mtry=2, seed=3)
     digest = hashlib.sha256(json.dumps(forest_to_dict(f)).encode()).hexdigest()
     assert digest == "6bd340d3db462f2c623eeacebc51e6d7c40c3f557dc3f4b4247a12b0c183f718"
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(20, 150),
+    st.integers(2, 6),
+    st.integers(1, 4),
+    st.integers(1, 8),
+    st.one_of(st.none(), st.integers(0, 6)),
+)
+@settings(max_examples=40, deadline=None)
+def test_forest_does_not_depend_on_its_batches(data_seed, n, b, mtry, min_leaf, max_depth):
+    # one node per batch must grow the forest that the default budget
+    # grows; the cohort has tied times, tied values and a wide column
+    rng = np.random.default_rng(data_seed)
+    X = np.column_stack([rng.normal(size=n), np.round(rng.normal(size=n), 1),
+                         rng.integers(0, 3, n), rng.integers(0, 2, n)])
+    times = np.round(rng.exponential(1.0 / np.exp(X[:, 0] - X[:, 2]), n), 1) + 0.1
+    events = (rng.uniform(size=n) < 0.7).astype(int)
+    events[0] = 1
+    d = numeric_design(X, times, events)
+    options = dict(b=b, mtry=mtry, min_leaf=min_leaf, max_depth=max_depth, seed=data_seed)
+    batched = forest_to_dict(fit_forest(d, **options))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rsf, "_CELLS", 1)
+        assert forest_to_dict(fit_forest(d, **options)) == batched
+
+
+def test_a_tree_does_not_depend_on_the_trees_grown_with_it():
+    d = bigger_design(seed=3, n=150)
+    forest = forest_to_dict(fit_forest(d, b=5, min_leaf=5, seed=2))
+    for i in range(5):
+        fewer = forest_to_dict(fit_forest(d, b=i + 1, min_leaf=5, seed=2))
+        assert fewer["trees"][i] == forest["trees"][i]
 
 
 # --- degenerate forests ----------------------------------------------------
