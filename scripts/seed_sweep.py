@@ -10,10 +10,11 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
+# survbench first: importing it pins BLAS to one thread before NumPy loads
 from survbench.bench import BenchConfig, run_benchmark, write_csv
 from survbench.datagen import GeneratorConfig
+
+import numpy as np
 
 
 def main(argv=None) -> int:

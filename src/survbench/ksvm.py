@@ -83,17 +83,17 @@ def _active_blocks(pairs, f):
 
 
 def _laplacian(pairs, f):
-    """v -> L v, with L the Laplacian of the `pairs` active at scores f."""
-    blocks = list(_active_blocks(pairs, f))
+    """v -> L v, with L the Laplacian of the `pairs` active at scores f;
+    the masks are made float64 once for all CG iterations of a step."""
+    blocks = [(rows, mask.astype(np.float64)) for rows, mask in _active_blocks(pairs, f)]
     degree = np.zeros(f.size)
-    for rows, mask in blocks:
-        degree[rows] += mask.sum(axis=1)
-        degree += mask.sum(axis=0)
+    for rows, m in blocks:
+        degree[rows] += m.sum(axis=1)
+        degree += m.sum(axis=0)
 
     def apply(v):
         out = degree * v
-        for rows, mask in blocks:
-            m = mask.astype(np.float64)
+        for rows, m in blocks:
             out[rows] -= m @ v
             out -= v[rows] @ m
         return out

@@ -4,12 +4,15 @@ Nelson-Aalen leaf estimates.
 The B trees grow in lockstep: each tree walks its nodes depth first,
 left subtree first, from its own stack, and each step searches every
 tree's next node that may split together, in batches of one power-of-two
-size class padded to their widest node. A node holds its design rows in
-stable time order (a child keeps its parent's order) and reads its draws
-at its own tree's counter positions, so each tree draws what it would
-draw grown alone. Log-rank terms are summed in time order and padding
-adds only trailing +0.0 terms, so no split depends on which nodes share
-a batch.
+size class padded to their widest node, a class's nodes taken in order
+of event count so that a batch's nodes have similar widths and event
+times. A node holds its design rows in stable time order (a child keeps
+its parent's order) and reads its draws at its own tree's counter
+positions, so each tree draws what it would draw grown alone. Log-rank
+terms are summed in time order and padding adds only trailing +0.0
+terms, so no split depends on which nodes share a batch. A candidate's
+left count is read off the sorted column, so only candidates that leave
+min_leaf rows on each side get a row mask.
 
 A leaf holds what scoring needs: its knot times (the distinct event
 times of its rows) and the integer event and at-risk counts at each.
@@ -37,9 +40,11 @@ draw order is fixed: column subset first, then the candidate-threshold
 subsamples of the wide columns as one contiguous draw, in column order,
 over the counter slots one draw per column would use. Candidate
 thresholds are midpoints of consecutive distinct in-node values, capped
-at 32 per column; consumption depends only on counts, never on values,
-which keeps tree structure invariant under monotone transforms of a
-column. The first maximum score in column-then-threshold order wins.
+at 32 per column, those of the 32 smallest draws (one partition per
+column; ties at the 32nd go to the earlier thresholds). Consumption
+depends only on counts, never on values, which keeps tree structure
+invariant under monotone transforms of a column. The first maximum
+score in column-then-threshold order wins.
 """
 
 from __future__ import annotations
@@ -148,6 +153,15 @@ def _event_times(times, events, rows, ends):
     return run, starts, n_events, ends[run] - starts
 
 
+def _smallest(u, m):
+    """Mask of the m smallest entries in each row of u (at least m a row),
+    ties to the earliest, as a stable sort orders them."""
+    kth = np.partition(u, m - 1, axis=1)[:, m - 1:m]
+    below, tie = u < kth, u == kth
+    room = m - np.count_nonzero(below, axis=1, keepdims=True)  # places left for ties
+    return below | tie & (np.cumsum(tie, axis=1) <= room)
+
+
 def _best_splits(XT, times, events, seeds, counters, rows, sizes, mtry, min_leaf):
     """Each of K nodes' split of largest log-rank score: its column (-1
     for none), threshold, left rows as a mask over `rows`, left events,
@@ -167,18 +181,17 @@ def _best_splits(XT, times, events, seeds, counters, rows, sizes, mtry, min_leaf
     drawn = np.bincount(k, minlength=K)
     if k.size:  # keep the 32 thresholds of smallest draw per wide column
         first = np.cumsum(drawn) - drawn
-        u = uniform_at(seeds[k], counters[k] + p + np.arange(k.size) - first[k])
-        column = k * mtry + j
-        order = np.lexsort((u, column))
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size) - np.searchsorted(column, column[order])
-        step[k, j, i] = rank < _MAX_THRESHOLDS
+        u = np.full(step.shape, np.inf)
+        u[k, j, i] = uniform_at(seeds[k], counters[k] + p + np.arange(k.size) - first[k])
+        step[wide] = _smallest(u[wide], _MAX_THRESHOLDS)
     k, j, i = np.nonzero(step)
     mids = 0.5 * (xs[k, j, i] + xs[k, j, i + 1])
-    masks = block[k, j] <= mids[:, None]  # each candidate's left rows
-    n_left = np.count_nonzero(masks, axis=1)
+    n_left = i + 1  # the values up to step i (pads sort last), but a midpoint
+    up = np.flatnonzero(mids >= xs[k, j, i + 1])  # that rounds up takes the next value too
+    n_left[up] = np.count_nonzero(xs[k[up], j[up]] <= mids[up, None], axis=1)
     valid = (n_left >= min_leaf) & (sizes[k] - n_left >= min_leaf)
-    k, j, mids, masks = k[valid], j[valid], mids[valid], masks[valid]
+    k, j, mids = k[valid], j[valid], mids[valid]
+    masks = block[k, j] <= mids[:, None]  # each candidate's left rows
 
     ends = np.cumsum(sizes)
     node, at, d, at_risk = _event_times(times, events, rows[np.arange(w) < sizes[:, None]], ends)
@@ -204,6 +217,11 @@ def _best_splits(XT, times, events, seeds, counters, rows, sizes, mtry, min_leaf
     return column, threshold, left, left_events, p + drawn
 
 
+def _batch_order(entry):
+    """Nodes batch by size class, then by event count."""
+    return entry[0], entry[5]
+
+
 def _grow_trees(design, seeds, inbags, min_leaf, max_depth, mtry) -> list[TreeNode]:
     """The roots of trees grown in lockstep on the bootstraps `inbags`;
     a step's nodes are searched in batches of one size class and at most
@@ -227,7 +245,7 @@ def _grow_trees(design, seeds, inbags, min_leaf, max_depth, mtry) -> list[TreeNo
                     todo.append((1 << (rows.size - 1).bit_length(), t, node, rows, depth, n_events))
                     break
                 leaves.append((node, rows))
-        todo.sort(key=lambda entry: entry[0])
+        todo.sort(key=_batch_order)
         at = 0
         while at < len(todo):
             w = todo[at][0]

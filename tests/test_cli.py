@@ -3,7 +3,10 @@
 import csv
 import json
 import os
+import pathlib
 import stat
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import survbench
 from survbench.bench import MODELS, model_options, write_csv
 from survbench.cli import main
 from survbench.data import (Cohort, Column, CovariateSchema, cohort_table, encode, encode_like,
@@ -500,6 +504,28 @@ def test_bench_cli(tmp_path, capsys):
     assert (out_dir / "report.csv").exists()
     assert (out_dir / "report.json").exists()
     assert (out_dir / "report.svg").exists()
+
+
+def test_bench_files_do_not_depend_on_the_blas_thread_variables(tmp_path):
+    # fresh interpreters, as a user runs them: one leaves the BLAS thread
+    # count to survbench, one sets it; the BLAS-heavy models at n=1000
+    src = str(pathlib.Path(survbench.__file__).resolve().parent.parent)
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    written = []
+    for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        out = tmp_path / f"out{len(written)}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "survbench.cli", "bench", "--seed", "0",
+             "--models", "cox,mtlr,ksvm", "--out", str(out)],
+            env={**env, **extra}, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        written.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
+                        if p.is_file() and p.name != "report.json"})
+    assert "scores_ksvm.csv" in {p.name for p in written[0]}
+    assert written[0] == written[1]
 
 
 def test_bench_cli_csv_input(tmp_path, capsys):

@@ -32,7 +32,7 @@ from survbench.rsf import (
     predict_chf,
     rsf_risk,
 )
-from survbench.rng import CounterRng, derive_seed
+from survbench.rng import CounterRng, derive_seed, uniform_at
 
 from conftest import numeric_design
 
@@ -212,6 +212,59 @@ def test_root_split_matches_column_by_column_search(data_seed, n, p, mtry, min_l
         assert (root.column, root.threshold) == want
 
 
+def lexsort_keep(u, m):
+    """The subsample rule the per-column partition replaced, as it was:
+    all draws sorted by (column, draw), stably, and each column's first m
+    kept. Row c of u holds wide column c's draws, +inf off its steps."""
+    column, i = np.nonzero(u < np.inf)
+    order = np.lexsort((u[column, i], column))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size) - np.searchsorted(column, column[order])
+    keep = np.zeros(u.shape, dtype=bool)
+    keep[column, i] = rank < m
+    return keep
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(80, 150), st.integers(1, 4), st.integers(1, 16))
+@settings(max_examples=40, deadline=None)
+def test_partition_keeps_the_thresholds_the_lexsort_kept(data_seed, n, b, levels):
+    # draws rounded to 1/levels tie often, at the 32nd smallest too
+    rng = np.random.default_rng(data_seed)
+    X = np.column_stack([rng.normal(size=n), np.round(rng.normal(size=n), 1),
+                         rng.integers(0, 3, n)])
+    times = np.round(rng.exponential(1.0, n), 1) + 0.1
+    events = (rng.uniform(size=n) < 0.7).astype(int)
+    events[0] = 1
+    partition, seen = rsf._smallest, []
+
+    def checked(u, m):
+        kept = partition(u, m)
+        assert np.array_equal(kept, lexsort_keep(u, m))
+        seen.append(u.shape[0])
+        return kept
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rsf, "uniform_at", lambda s, c: np.floor(uniform_at(s, c) * levels) / levels)
+        mp.setattr(rsf, "_smallest", checked)
+        fit_forest(numeric_design(X, times, events), b=b, mtry=3, min_leaf=2, seed=data_seed)
+    assert seen  # column 0 is wide at every root
+
+
+def test_a_midpoint_that_rounds_up_takes_the_next_value_left():
+    # 0.5 * ((1 + eps) + (1 + 2 eps)) rounds to 1 + 2 eps, so the first
+    # candidate's left side holds both lower values, as does the second's
+    # (threshold about 1.5): the first is the one that wins
+    eps = np.finfo(float).eps
+    a, b = 1.0 + eps, 1.0 + 2.0 * eps
+    assert 0.5 * (a + b) == b
+    X = np.repeat([a, b, 2.0], [6, 14, 20])[:, None]
+    times = np.concatenate([np.arange(1.0, 21.0), np.arange(21.0, 41.0)])
+    d = numeric_design(X, times, np.ones(40, dtype=int))
+    for min_leaf in (1, 8, 18):
+        root = fit_forest(d, b=1, min_leaf=min_leaf, seed=1).trees[0].root
+        assert (root.column, root.threshold) == reference_root_split(d, 1, min_leaf, 1) == (0, b)
+
+
 def golden_design():
     """60 rows built from exact arithmetic: a column with 60 distinct
     values (so thresholds are subsampled), one with 12 tied levels, one
@@ -245,7 +298,9 @@ def test_forest_file_digest_is_pinned():
 @settings(max_examples=40, deadline=None)
 def test_forest_does_not_depend_on_its_batches(data_seed, n, b, mtry, min_leaf, max_depth):
     # one node per batch must grow the forest that the default budget
-    # grows; the cohort has tied times, tied values and a wide column
+    # grows, and so must small batches that take a size class's nodes by
+    # falling event count; the cohort has tied times, tied values and a
+    # wide column
     rng = np.random.default_rng(data_seed)
     X = np.column_stack([rng.normal(size=n), np.round(rng.normal(size=n), 1),
                          rng.integers(0, 3, n), rng.integers(0, 2, n)])
@@ -257,6 +312,9 @@ def test_forest_does_not_depend_on_its_batches(data_seed, n, b, mtry, min_leaf, 
     batched = forest_to_dict(fit_forest(d, **options))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rsf, "_CELLS", 1)
+        assert forest_to_dict(fit_forest(d, **options)) == batched
+        mp.setattr(rsf, "_CELLS", 1 << 7)
+        mp.setattr(rsf, "_batch_order", lambda entry: (entry[0], -entry[5]))
         assert forest_to_dict(fit_forest(d, **options)) == batched
 
 
