@@ -14,25 +14,27 @@ terms, so no split depends on which nodes share a batch. A candidate's
 left count is read off the sorted column, so only candidates that leave
 min_leaf rows on each side get a row mask.
 
-A leaf holds what scoring needs: its knot times (the distinct event
-times of its rows) and the integer event and at-risk counts at each.
-Its curve is derived from them, `np.cumsum(events / at_risk)`, when a
-caller needs it, and never stored.
+A tree is one flat node table in growing order, node 0 its root, each
+child after its parent: a node's split column (-1 at a leaf), threshold
+and child indices, and its leaf's knot times (the distinct event times
+of its rows) and integer event and at-risk counts at each, one array per
+field over all leaves with each node's start offset into them. A leaf's
+curve, `np.cumsum(events / at_risk)`, is derived when needed, never stored.
 
 The ensemble cumulative hazard is the mean of the B leaf curves a row
 falls into, so its mortality (that curve summed over the training
-event-time grid) is the mean of one scalar per leaf. Scoring partitions
-the rows down each grown tree, computes the mortality of every leaf the
-tree reaches in one vectorized pass over the forest's grid, and averages
-a row's B leaf mortalities with math.fsum, which keeps the score
-independent of tree order. `predict_chf` descends the same way and
-averages the leaf curves.
+event-time grid) is the mean of one scalar per leaf. Scoring stacks the
+B tables on each call and descends all trees together, one gather a
+level over a (rows, B) matrix of node indices. It computes the mortality
+of each leaf reached, and both steps work in passes of bounded size. It
+averages a row's B leaf mortalities with math.fsum, which keeps the
+score independent of tree order. `predict_chf` averages the leaf curves.
 
-Forest files store the training size n once instead of each tree's
-bootstrap rows: a tree's `inbag` is the first n draws of its own seed's
-stream, so loading rebuilds it. A leaf is stored as the indices of its
-knots in the event grid, which the file holds once, and its two count
-lists; loading checks each tree's leaves together.
+A forest file holds each tree's table as flat lists, a leaf's knots as
+indices into the event grid, which it holds once, and the training size
+n instead of each tree's bootstrap rows: a tree's `inbag` is the first n
+draws of its own seed's stream, so loading rebuilds it. Loading checks
+each tree's table whole.
 
 Per-tree randomness comes from a child seed mixed out of (master seed,
 tree index), so any tree is reproducible in isolation. Within a node the
@@ -50,7 +52,9 @@ score in column-then-threshold order wins.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,36 +65,42 @@ from .stepfun import StepFunction, average_step_functions
 
 _MAX_THRESHOLDS = 32
 _CELLS = 1 << 14  # size-class rows times drawn columns per batch of the split search
+_PASS_CELLS = 1 << 15  # (row, tree) pairs a pass of the descent takes, and leaves times
+# grid points a pass of the leaf mortalities takes
+_NO_ROWS = np.zeros(0, dtype=np.int64)
 
 
-@dataclass
-class TreeNode:
-    """A split, or a leaf holding its knot times and the event and
-    at-risk counts at each knot."""
+class NodeTable(NamedTuple):
+    """A tree's nodes in growing order: node i splits on column[i] (a row
+    goes left when its value is <= threshold[i]) into nodes left[i] and
+    right[i], or is a leaf (column and children -1) whose knot times, event
+    and at-risk counts run from offsets[i] to the next node's offset (to
+    the end, for the last node) in knots, events and at_risk."""
 
-    column: int | None = None
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    times: np.ndarray | None = None
-    events: np.ndarray | None = None
-    at_risk: np.ndarray | None = None
+    column: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    offsets: np.ndarray
+    knots: np.ndarray
+    events: np.ndarray
+    at_risk: np.ndarray
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.column is None
 
-    @property
-    def chf(self) -> StepFunction:
-        """The leaf's Nelson-Aalen cumulative hazard."""
-        return StepFunction(self.times, np.cumsum(self.events / self.at_risk), initial=0.0)
+Node = namedtuple("Node", "column threshold is_leaf")  # a read-only view of one node
 
 
 @dataclass
 class SurvivalTree:
     seed: int
     inbag: np.ndarray
-    root: TreeNode
+    nodes: NodeTable
+
+    @property
+    def root(self) -> Node:
+        """Node 0; a leaf's column is None."""
+        column = int(self.nodes.column[0])
+        return Node(None if column < 0 else column, float(self.nodes.threshold[0]), column < 0)
 
 
 @dataclass
@@ -141,7 +151,8 @@ def logrank_score(times, events, column_values, threshold) -> float:
 
 def _event_times(times, events, rows, ends):
     """The distinct event times of each run of `rows` (runs end at `ends`,
-    each in time order): run, first position, events and rows at risk."""
+    each in time order, any but the last may be empty): run, first
+    position, events and rows at risk."""
     t = times[rows]
     new = np.ones(rows.size, dtype=bool)
     new[1:] = t[1:] != t[:-1]
@@ -222,21 +233,21 @@ def _batch_order(entry):
     return entry[0], entry[5]
 
 
-def _grow_trees(design, seeds, inbags, min_leaf, max_depth, mtry) -> list[TreeNode]:
-    """The roots of trees grown in lockstep on the bootstraps `inbags`;
+def _grow_trees(design, seeds, inbags, min_leaf, max_depth, mtry) -> list[NodeTable]:
+    """The tables of trees grown in lockstep on the bootstraps `inbags`;
     a step's nodes are searched in batches of one size class and at most
-    _CELLS cells, and its new leaves are filled together."""
+    _CELLS cells."""
     n, p = design.X.shape
     XT = np.vstack([design.X, np.full(p, np.inf)]).T.copy()  # row n is the batches' pad
     times = np.append(design.times, np.inf)
     events = np.append(design.events == 1, False)
-    roots = [TreeNode() for _ in inbags]
-    stacks = [[(root, rows, 0, int(np.count_nonzero(events[rows])))] for root, rows in zip(
-        roots, (inbag[np.argsort(design.times[inbag], kind="stable")] for inbag in inbags))]
+    nodes = [[None] for _ in inbags]  # (column, threshold, left, right, a leaf's rows)
+    stacks = [[(0, rows, 0, int(np.count_nonzero(events[rows])))] for rows in (
+        inbag[np.argsort(design.times[inbag], kind="stable")] for inbag in inbags)]
     seeds = np.array(seeds, dtype=np.uint64)
     counters = np.full(len(stacks), n)  # the bootstrap drew the first n slots
     while True:
-        leaves, todo = [], []
+        todo = []
         for t, stack in enumerate(stacks):
             while stack:
                 node, rows, depth, n_events = stack.pop()
@@ -244,7 +255,7 @@ def _grow_trees(design, seeds, inbags, min_leaf, max_depth, mtry) -> list[TreeNo
                         and (max_depth is None or depth < max_depth)):
                     todo.append((1 << (rows.size - 1).bit_length(), t, node, rows, depth, n_events))
                     break
-                leaves.append((node, rows))
+                nodes[t][node] = (-1, 0.0, -1, -1, rows)
         todo.sort(key=_batch_order)
         at = 0
         while at < len(todo):
@@ -261,29 +272,27 @@ def _grow_trees(design, seeds, inbags, min_leaf, max_depth, mtry) -> list[TreeNo
             for (_, t, node, rows, depth, n_events), j, thr, go_left, n_left_events in zip(
                     batch, column.tolist(), threshold.tolist(), left, left_events.tolist()):
                 if j < 0:
-                    leaves.append((node, rows))
+                    nodes[t][node] = (-1, 0.0, -1, -1, rows)
                     continue
-                go_left = go_left[:rows.size]
-                node.column, node.threshold = j, thr
-                node.left, node.right = TreeNode(), TreeNode()
-                stacks[t].append((node.right, rows[~go_left], depth + 1, n_events - n_left_events))
-                stacks[t].append((node.left, rows[go_left], depth + 1, n_left_events))
-        if leaves:
-            _fill_leaves(leaves, times, events)
+                go_left, child = go_left[:rows.size], len(nodes[t])
+                nodes[t][node] = (j, thr, child, child + 1, _NO_ROWS)
+                nodes[t] += [None, None]
+                stacks[t].append((child + 1, rows[~go_left], depth + 1, n_events - n_left_events))
+                stacks[t].append((child, rows[go_left], depth + 1, n_left_events))
         if not todo:
-            return roots
+            return [_table(tree, times, events) for tree in nodes]
 
 
-def _fill_leaves(leaves, times, events) -> None:
-    """Each leaf's knot times and the event and at-risk counts at each,
-    for all `leaves` (node, rows in time order) in one pass."""
-    rows = np.concatenate([r for _, r in leaves])
-    ends = np.cumsum([r.size for _, r in leaves])
-    leaf_of, starts, n_events, at_risk = _event_times(times, events, rows, ends)
-    knot_times = times[rows[starts]]
-    bounds = np.cumsum(np.bincount(leaf_of, minlength=len(leaves))).tolist()
-    for (node, _), lo, hi in zip(leaves, [0, *bounds], bounds):
-        node.times, node.events, node.at_risk = knot_times[lo:hi], n_events[lo:hi], at_risk[lo:hi]
+def _table(nodes: list, times: np.ndarray, events: np.ndarray) -> NodeTable:
+    """A tree's table from its grown nodes, each leaf's knots found from
+    its rows, in time order, in one pass over the tree."""
+    column, threshold, left, right, rows = zip(*nodes)
+    ends = np.cumsum([r.size for r in rows])
+    rows = np.concatenate(rows)
+    node, starts, n_events, at_risk = _event_times(times, events, rows, ends)
+    sizes = np.bincount(node, minlength=len(nodes))
+    return NodeTable(*map(np.array, (column, threshold, left, right)), np.cumsum(sizes) - sizes,
+                     times[rows[starts]], n_events, at_risk)
 
 
 def fit_forest(
@@ -307,12 +316,14 @@ def fit_forest(
         mtry = int(np.ceil(np.sqrt(p)))
     elif not float(mtry).is_integer():
         raise ValueError("mtry must be a whole number")
-    mtry = max(1, min(int(mtry), p))
+    elif mtry < 1:
+        raise ValueError("mtry must be >= 1")
+    mtry = min(int(mtry), p)
     seeds = [derive_seed(seed, i) for i in range(b)]
     inbags = [CounterRng(s).integers(design.n, design.n) for s in seeds]
-    roots = _grow_trees(design, seeds, inbags, min_leaf, max_depth, mtry)
+    tables = _grow_trees(design, seeds, inbags, min_leaf, max_depth, mtry)
     return Forest(
-        trees=[SurvivalTree(seed=s, inbag=i, root=r) for s, i, r in zip(seeds, inbags, roots)],
+        trees=[SurvivalTree(seed=s, inbag=i, nodes=t) for s, i, t in zip(seeds, inbags, tables)],
         mtry=mtry,
         min_leaf=min_leaf,
         max_depth=max_depth,
@@ -322,63 +333,77 @@ def fit_forest(
     )
 
 
-def _leaves(root: TreeNode, X: np.ndarray, rows: np.ndarray) -> list:
-    """Each leaf that some of `rows` reach, with those rows, left subtree
-    first; a row goes left when X[row, column] <= threshold."""
-    reached, stack = [], [(root, rows)]
-    while stack:
-        node, rows = stack.pop()
-        if node.is_leaf:
-            reached.append((node, rows))
-        else:
-            go_left = X[rows, node.column] <= node.threshold
-            stack += [(child, part) for child, part in ((node.right, rows[~go_left]),
-                                                        (node.left, rows[go_left])) if part.size]
-    return reached
+def _descend(trees: list[SurvivalTree], X: np.ndarray) -> tuple[NodeTable, np.ndarray]:
+    """The trees' tables stacked into one, split children and offsets
+    shifted into it, and the node each row of X reaches in each tree, as a
+    (rows, B) matrix. Each level of a pass moves every entry of the pass
+    not yet at a leaf, left when X[row, column] <= threshold."""
+    sizes = [tree.nodes.column.size for tree in trees]
+    roots = np.cumsum([0, *sizes[:-1]])
+    first_knot = np.repeat(np.cumsum([0, *(tree.nodes.knots.size for tree in trees[:-1])]), sizes)
+    nodes = NodeTable(*map(np.concatenate, zip(*(tree.nodes for tree in trees))))
+    shift = np.where(nodes.column >= 0, np.repeat(roots, sizes), 0)  # leaves keep their -1
+    nodes = nodes._replace(left=nodes.left + shift, right=nodes.right + shift,
+                           offsets=nodes.offsets + first_knot)
+    at = np.tile(roots, X.shape[0])
+    for lo in range(0, at.size, _PASS_CELLS):
+        live = lo + np.flatnonzero(nodes.column[at[lo:lo + _PASS_CELLS]] >= 0)
+        while live.size:
+            node = at[live]
+            go_left = X[live // roots.size, nodes.column[node]] <= nodes.threshold[node]
+            at[live] = np.where(go_left, nodes.left[node], nodes.right[node])
+            live = live[nodes.column[at[live]] >= 0]
+    return nodes, at.reshape(X.shape[0], roots.size)
 
 
-def _leaf_mortalities(leaves: list[TreeNode], grid: np.ndarray) -> np.ndarray:
-    """Each leaf's curve summed over the ascending `grid`, for all leaves
-    in one pass, with the bits of float(np.sum(leaf.chf(grid))).
+def _leaf_mortalities(nodes: NodeTable, leaves: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """The curve of each of `leaves` summed over the ascending `grid`, all
+    in one pass, with the bits of float(np.sum(curve(grid))).
 
     Row l of a zero-padded table holds 0 and then leaf l's curve. The
     curve's j-th value holds at the grid points in [t_j, t_(j+1)), so
-    repeating each entry that many times rebuilds leaf l's chf(grid), and
-    a row sum adds the same values in the same order as np.sum."""
-    sizes = np.array([leaf.times.size for leaf in leaves])
+    repeating each entry that many times rebuilds the curve on the grid,
+    and a row sum adds the same values in the same order as np.sum."""
+    ends = np.append(nodes.offsets, nodes.knots.size)
+    start = ends[leaves]
+    sizes = ends[leaves + 1] - start
     slot = np.arange(sizes.max()) < sizes[:, None]  # leaf l's knots fill row l's slots
-    hazard = np.zeros((len(leaves), slot.shape[1] + 1))
-    hazard[:, 1:][slot] = (np.concatenate([leaf.events for leaf in leaves])
-                           / np.concatenate([leaf.at_risk for leaf in leaves]))
+    knot = (start[:, None] + np.arange(slot.shape[1]))[slot]
+    hazard = np.zeros((leaves.size, slot.shape[1] + 1))
+    hazard[:, 1:][slot] = nodes.events[knot] / nodes.at_risk[knot]
     first = np.full(hazard.shape, grid.size)  # first grid point of each value
     first[:, 0] = 0
-    first[:, 1:][slot] = np.searchsorted(grid, np.concatenate([leaf.times for leaf in leaves]))
+    first[:, 1:][slot] = np.searchsorted(grid, nodes.knots[knot])
     reps = np.diff(first, axis=1, append=grid.size)
     curves = np.repeat(np.cumsum(hazard, axis=1).ravel(), reps.ravel())
-    return curves.reshape(len(leaves), grid.size).sum(axis=1)
+    return curves.reshape(leaves.size, grid.size).sum(axis=1)
 
 
 def _mortality(forest: Forest, X: np.ndarray) -> np.ndarray:
     """Ensemble mortality of each row of X: the math.fsum of its B leaf
     mortalities over B. A leaf's mortality is its curve summed over the
-    forest's event grid."""
-    b = len(forest.trees)
-    leaf = np.empty((X.shape[0], b))  # fsum reads a row through a memoryview, not a list
-    for i, tree in enumerate(forest.trees):
-        reached = _leaves(tree.root, X, np.arange(X.shape[0]))
-        if reached:
-            values = _leaf_mortalities([node for node, _ in reached], forest.event_grid)
-            for (_, rows), value in zip(reached, values):
-                leaf[rows, i] = value
-    return np.array([math.fsum(memoryview(leaves)) / b for leaves in leaf])
+    forest's event grid; only the leaves some row reaches are summed."""
+    nodes, at = _descend(forest.trees, X)
+    reached = np.flatnonzero(np.bincount(at.ravel(), minlength=nodes.column.size))
+    mortality = np.zeros(nodes.column.size)
+    step = max(1, _PASS_CELLS // max(1, forest.event_grid.size))
+    for lo in range(0, reached.size, step):
+        leaves = reached[lo:lo + step]
+        mortality[leaves] = _leaf_mortalities(nodes, leaves, forest.event_grid)
+    leaf = mortality[at]  # fsum reads a row through a memoryview, not a list
+    return np.array([math.fsum(memoryview(row)) / at.shape[1] for row in leaf])
 
 
 def predict_chf(forest: Forest, x) -> StepFunction:
     """Ensemble cumulative hazard: arithmetic mean of the B leaf curves on
     the union of their knots."""
-    X = np.asarray(x, dtype=np.float64)[None, :]
-    leaves = [leaf.chf for t in forest.trees for leaf, _ in _leaves(t.root, X, np.arange(1))]
-    return average_step_functions(leaves, initial=0.0)
+    nodes, at = _descend(forest.trees, np.asarray(x, dtype=np.float64)[None, :])
+    ends = np.append(nodes.offsets, nodes.knots.size)
+    return average_step_functions([
+        StepFunction(nodes.knots[lo:hi], np.cumsum(nodes.events[lo:hi] / nodes.at_risk[lo:hi]),
+                     initial=0.0)
+        for lo, hi in zip(ends[at[0]].tolist(), ends[at[0] + 1].tolist())
+    ], initial=0.0)
 
 
 def mortality_score(forest: Forest, x) -> float:
@@ -394,65 +419,57 @@ def rsf_risk(forest: Forest, design: DesignMatrix) -> np.ndarray:
     return _mortality(forest, np.asarray(design.X, dtype=np.float64))
 
 
-def _node_to_dict(node: TreeNode, grid: np.ndarray) -> dict:
-    if node.is_leaf:
-        knots = np.searchsorted(grid, node.times)
-        if not np.array_equal(grid.take(knots, mode="clip"), node.times):
-            raise ValueError("leaf knot times must be times of the forest's event grid")
-        return {
-            "knots": knots.tolist(),
-            "events": node.events.tolist(),
-            "at_risk": node.at_risk.tolist(),
-        }
-    return {
-        "column": node.column,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left, grid),
-        "right": _node_to_dict(node.right, grid),
-    }
+def _tree_to_dict(tree: SurvivalTree, grid: np.ndarray) -> dict:
+    knots = np.searchsorted(grid, tree.nodes.knots)
+    if not np.array_equal(grid.take(knots, mode="clip"), tree.nodes.knots):
+        raise ValueError("leaf knot times must be times of the forest's event grid")
+    lists = tree.nodes._replace(knots=knots)._asdict()
+    return {"seed": tree.seed, **{key: values.tolist() for key, values in lists.items()}}
 
 
-def _integers(values: list) -> np.ndarray:
+def _flat(values: list, key: str) -> np.ndarray:
+    """A tree's list `key`: numbers for its thresholds, integers otherwise."""
+    kinds, what = ("iuf", "numbers") if key == "threshold" else ("iu", "integers")
     try:
         a = np.array(values)
     except ValueError:  # ragged nesting
         a = None
-    if a is None or a.ndim != 1 or (a.size and a.dtype.kind not in "iu"):
-        raise ValueError("leaf knots and counts must be lists of integers")
-    return a.astype(np.int64)
+    if a is None or a.ndim != 1 or (a.size and a.dtype.kind not in kinds):
+        raise ValueError(f"a tree's {key} must be a list of {what}")
+    return a.astype(np.float64 if key == "threshold" else np.int64)
 
 
-def _tree_from_dict(doc: dict, grid: np.ndarray) -> TreeNode:
-    """One tree's nodes. Its leaves are checked together: knots strictly
-    increasing within a leaf and inside the grid, 1 <= events <= at_risk."""
-    leaves = []
-
-    def node(d):
-        if "chf_times" in d:
-            raise ValueError("the forest's leaves hold curves, an older file format; "
-                             "refit the model")
-        if "knots" in d:
-            leaves.append((TreeNode(), d))
-            return leaves[-1][0]
-        return TreeNode(column=int(d["column"]), threshold=float(d["threshold"]),
-                        left=node(d["left"]), right=node(d["right"]))
-
-    root = node(doc)
-    sizes = [len(d["knots"]) for _, d in leaves]
-    if any(len(d["events"]) != k or len(d["at_risk"]) != k for k, (_, d) in zip(sizes, leaves)):
-        raise ValueError("a leaf's knots, events and at_risk differ in length")
-    knots, events, at_risk = (_integers([v for _, d in leaves for v in d[key]])
-                              for key in ("knots", "events", "at_risk"))
-    leaf_of = np.repeat(np.arange(len(leaves)), sizes)
+def _table_from_dict(doc: dict, grid: np.ndarray, p: int) -> NodeTable:
+    """One tree's table, checked whole: split columns in [0, p), finite
+    thresholds, every node but the root the child of exactly one split
+    before it, no knots at splits, knots strictly increasing within a leaf
+    and inside the grid, and 1 <= events <= at_risk."""
+    if "root" in doc:
+        raise ValueError("the forest's trees are nested, an older file format; refit the model")
+    table = NodeTable(*(_flat(doc[key], key) for key in NodeTable._fields))
+    column, threshold, left, right, offsets, knots, events, at_risk = table
+    m, split, node = column.size, column != -1, np.arange(column.size)
+    if m < 1 or any(a.size != m for a in table[:5]):
+        raise ValueError("a tree's node lists must be nonempty and of one length")
+    if not knots.size == events.size == at_risk.size:
+        raise ValueError("a tree's knots, events and at_risk differ in length")
+    if not (np.all((column >= -1) & (column < p)) and np.all(np.isfinite(threshold))):
+        raise ValueError(f"split columns must be in [0, {p}) and thresholds finite")
+    children = np.concatenate([left[split], right[split]])
+    if not (np.all(np.where(split, np.minimum(left, right) > node, (left == -1) & (right == -1)))
+            and np.all(children < m)
+            and np.array_equal(np.bincount(children, minlength=m), node > 0)):
+        raise ValueError("each node but the root must be the child of one split before it")
+    sizes = np.diff(offsets, append=knots.size)
+    if not (offsets[0] == 0 and np.all(sizes >= 0) and np.all(sizes[split] == 0)):
+        raise ValueError("leaf offsets must not decrease from 0, and splits hold no knots")
+    leaf_of = np.repeat(node, sizes)
     if not (np.all((knots >= 0) & (knots < grid.size))
             and np.all((np.diff(knots) > 0) | (np.diff(leaf_of) > 0))):
         raise ValueError("leaf knots must be increasing indices into the event grid")
     if not np.all((events >= 1) & (events <= at_risk)):
         raise ValueError("leaf counts must satisfy 1 <= events <= at_risk")
-    times, ends = grid[knots], np.cumsum(sizes).tolist()
-    for (leaf, _), lo, hi in zip(leaves, [0, *ends], ends):
-        leaf.times, leaf.events, leaf.at_risk = times[lo:hi], events[lo:hi], at_risk[lo:hi]
-    return root
+    return table._replace(knots=grid[knots])
 
 
 def forest_to_dict(forest: Forest) -> dict:
@@ -465,22 +482,26 @@ def forest_to_dict(forest: Forest) -> dict:
         "seed": forest.seed,
         "event_grid": forest.event_grid.tolist(),
         "n": int(forest.trees[0].inbag.size),
-        "trees": [{"seed": t.seed, "root": _node_to_dict(t.root, forest.event_grid)}
-                  for t in forest.trees],
+        "trees": [_tree_to_dict(t, forest.event_grid) for t in forest.trees],
     }
 
 
 def forest_from_dict(doc: dict) -> Forest:
-    n = int(doc["n"])
+    n = doc["n"]
+    if type(n) is not int or n < 1:
+        raise ValueError("the training size n must be an integer >= 1")
     grid = np.asarray(doc["event_grid"], dtype=np.float64)
     if grid.ndim != 1 or not np.all(np.diff(grid) > 0):
         raise ValueError("the event grid must be strictly increasing")
+    if not doc["trees"]:
+        raise ValueError("a forest needs at least one tree")
+    p = len(doc["column_names"])
     return Forest(
         trees=[
             SurvivalTree(
                 seed=int(t["seed"]),
                 inbag=CounterRng(int(t["seed"])).integers(n, n),
-                root=_tree_from_dict(t["root"], grid),
+                nodes=_table_from_dict(t, grid, p),
             )
             for t in doc["trees"]
         ],

@@ -216,33 +216,46 @@ def test_eval_rejects_bad_model_file(tmp_path, capsys, edit, text):
     assert_one_line_error(capsys, text)
 
 
-def curve_leaves(node, grid):
-    """The node with each leaf written as its curve, the forest file
-    format before leaves held counts."""
-    if "knots" in node:
-        hazard = np.divide(node["events"], node["at_risk"])
-        return {"chf_times": [grid[k] for k in node["knots"]],
-                "chf_values": np.cumsum(hazard).tolist()}
-    return {**node, "left": curve_leaves(node["left"], grid),
-            "right": curve_leaves(node["right"], grid)}
-
-
-def test_eval_asks_to_refit_an_old_forest_file(tmp_path, capsys):
+def fit_small_forest(tmp_path):
+    """A 3-tree forest file fitted on a 120-row cohort, and the cohort."""
     cohort_csv = make_cohort_csv(tmp_path, n=120)
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"model_options": {"rsf": {"b": 3}}}))
     model_path = tmp_path / "rsf.json"
     assert main(["fit", "--model", "rsf", "--input", str(cohort_csv),
                  "--config", str(config), "--out", str(model_path)]) == 0
+    return model_path, cohort_csv
+
+
+def test_eval_asks_to_refit_an_old_forest_file(tmp_path, capsys):
+    # trees nested node in node, with leaves held as counts and, before
+    # that, as curves
+    model_path, cohort_csv = fit_small_forest(tmp_path)
     doc = json.loads(model_path.read_text())
-    for tree in doc["trees"]:
-        tree["root"] = curve_leaves(tree["root"], doc["event_grid"])
+    leaf = {"knots": [0], "events": [1], "at_risk": [2]}
+    for root in ({"column": 0, "threshold": 0.5, "left": leaf, "right": leaf},
+                 {"chf_times": doc["event_grid"][:1], "chf_values": [0.5]}):
+        doc["trees"] = [{"seed": 1, "root": root}]
+        model_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["eval", "--model-file", str(model_path), "--input", str(cohort_csv)])
+        assert rc == 2
+        assert_one_line_error(capsys, f"{model_path}: the forest's trees are nested, "
+                                      "an older file format; refit the model")
+
+
+def test_eval_refuses_a_forest_split_on_no_column(tmp_path, capsys):
+    # column -1 marks a leaf; on a split it once scored the last column
+    model_path, cohort_csv = fit_small_forest(tmp_path)
+    doc = json.loads(model_path.read_text())
+    assert doc["trees"][0]["column"][0] >= 0  # the root splits
+    doc["trees"][0]["column"][0] = -1
     model_path.write_text(json.dumps(doc))
     capsys.readouterr()
     rc = main(["eval", "--model-file", str(model_path), "--input", str(cohort_csv)])
     assert rc == 2
-    assert_one_line_error(capsys, f"{model_path}: the forest's leaves hold curves, "
-                                  "an older file format; refit the model")
+    assert_one_line_error(capsys, f"{model_path}: each node but the root must be the child "
+                                  "of one split before it")
 
 
 def test_fit_takes_the_config_seed_unless_seed_is_given(tmp_path):
@@ -403,6 +416,7 @@ def test_malformed_config_is_one_line_error(tmp_path, capsys, command, config, t
         ("cox", {"tol": True}, "cox option tol must be a JSON number, not true"),
         ("rsf", {"mtry": "2"}, 'rsf option mtry must be a JSON number or null, not "2"'),
         ("rsf", {"mtry": 2.5}, "mtry must be a whole number"),
+        ("rsf", {"mtry": 0}, "mtry must be >= 1"),
         ("ksvm", {"gamma": "a"}, 'ksvm option gamma must be a JSON number or null, not "a"'),
         ("deepsurv", {"hidden": 5}, "deepsurv option hidden must be a JSON list of integers"),
         ("deepsurv", {"hidden": [8, 2.5]}, "hidden must be a JSON list of integers"),
@@ -420,7 +434,7 @@ def test_malformed_config_is_one_line_error(tmp_path, capsys, command, config, t
         ("deepsurv", {"l2": -1.0}, "l2 must be >= 0"),
     ],
     ids=["rsf-b-string", "cox-max-iter-string", "cox-tol-boolean", "rsf-mtry-string",
-         "rsf-mtry-fraction", "ksvm-gamma-string", "deepsurv-hidden-number",
+         "rsf-mtry-fraction", "rsf-mtry-zero", "ksvm-gamma-string", "deepsurv-hidden-number",
          "deepsurv-hidden-fraction", "mtlr-k-fraction", "deepsurv-no-epochs",
          "deepsurv-empty-batches", "deepsurv-diverges", "ksvm-c-negative",
          "cox-max-iter-negative", "cox-ridge-negative", "mtlr-max-iter-negative",

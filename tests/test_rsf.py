@@ -19,10 +19,6 @@ from survbench.metrics import concordance_index
 from survbench.nonparametric import nelson_aalen
 from survbench.riskset import risk_set_sums, risk_sets
 from survbench.rsf import (
-    Forest,
-    SurvivalTree,
-    TreeNode,
-    _leaf_mortalities,
     _logrank,
     fit_forest,
     forest_from_dict,
@@ -33,6 +29,7 @@ from survbench.rsf import (
     rsf_risk,
 )
 from survbench.rng import CounterRng, derive_seed, uniform_at
+from survbench.stepfun import StepFunction
 
 from conftest import numeric_design
 
@@ -284,7 +281,22 @@ def test_forest_file_digest_is_pinned():
     # thresholds, the split rule and the leaf curves all feed it
     f = fit_forest(golden_design(), b=5, min_leaf=4, mtry=2, seed=3)
     digest = hashlib.sha256(json.dumps(forest_to_dict(f)).encode()).hexdigest()
-    assert digest == "6bd340d3db462f2c623eeacebc51e6d7c40c3f557dc3f4b4247a12b0c183f718"
+    assert digest == "b79742f9f76cbdbeb19e48373296fa2cc2d9c5c189fa965f0a616d522b15d057"
+
+
+def test_golden_scores_are_pinned():
+    # pins what the forest computes, whatever the file format: the risk of
+    # every golden row and the ensemble curve of three of them
+    d = golden_design()
+    f = fit_forest(d, b=5, min_leaf=4, mtry=2, seed=3)
+    digest = hashlib.sha256(rsf_risk(f, d).tobytes()).hexdigest()
+    assert digest == "ebac8d94b4eb7d8d80cfbc696623a23456c5396561059f8b65f6bfce2f697b29"
+    curves = hashlib.sha256()
+    for i in (0, 29, 59):
+        chf = predict_chf(f, d.X[i])
+        curves.update(chf.times.tobytes())
+        curves.update(chf.values.tobytes())
+    assert curves.hexdigest() == "746a13e44b2f1da56f7a5d17aed855cbe54a18970c41d4749da3802972c7eed4"
 
 
 @given(
@@ -356,26 +368,22 @@ def test_max_depth_zero_forces_stumps():
     assert all(t.root.is_leaf for t in f.trees)
 
 
-def leaf(times, events, at_risk):
-    return TreeNode(times=np.array(times, dtype=float), events=np.array(events),
-                    at_risk=np.array(at_risk))
+def leaf_tree(knots, events, at_risk, seed=0):
+    """A one-node tree of a forest file: a leaf whose knots index the grid."""
+    return {"seed": seed, "column": [-1], "threshold": [0.0], "left": [-1], "right": [-1],
+            "offsets": [0], "knots": knots, "events": events, "at_risk": at_risk}
+
+
+def forest_doc(trees, grid, columns=("x0",)):
+    return {"model": "rsf", "column_names": list(columns), "mtry": 1, "min_leaf": 1,
+            "max_depth": None, "seed": 0, "event_grid": list(grid), "n": 2, "trees": trees}
 
 
 def test_two_tree_averaging_hand_fixture():
-    leaf_a = leaf([1.0], [1], [2])  # 0.5 from t=1
-    leaf_b = leaf([1.0, 2.0], [1, 1], [4, 1])  # 0.25 from t=1, 1.25 from t=2
-    forest = Forest(
-        trees=[
-            SurvivalTree(seed=0, inbag=np.arange(2), root=leaf_a),
-            SurvivalTree(seed=1, inbag=np.arange(2), root=leaf_b),
-        ],
-        mtry=1,
-        min_leaf=1,
-        max_depth=None,
-        seed=0,
-        event_grid=np.array([1.0, 2.0]),
-        column_names=["x0"],
-    )
+    forest = forest_from_dict(forest_doc([
+        leaf_tree([0], [1], [2]),  # 0.5 from t=1
+        leaf_tree([0, 1], [1, 1], [4, 1], seed=1),  # 0.25 from t=1, 1.25 from t=2
+    ], [1.0, 2.0]))
     chf = predict_chf(forest, np.zeros(1))
     np.testing.assert_array_equal(chf.times, [1.0, 2.0])
     np.testing.assert_array_equal(chf.values, [0.375, 0.875])
@@ -385,18 +393,13 @@ def test_two_tree_averaging_hand_fixture():
 
 def routing_forest():
     """Root splits x0 at 0.5; its left child is a leaf, its right child
-    splits x1 at -1.0, so leaves sit at depths 1 and 2."""
-
-    def one_knot(at_risk):
-        return leaf([1.0], [1], [at_risk])
-
-    inner = TreeNode(column=1, threshold=-1.0, left=one_knot(2), right=one_knot(4))
-    root = TreeNode(column=0, threshold=0.5, left=one_knot(1), right=inner)
-    return Forest(
-        trees=[SurvivalTree(seed=0, inbag=np.arange(2), root=root)],
-        mtry=1, min_leaf=1, max_depth=None, seed=0,
-        event_grid=np.array([1.0]), column_names=["x0", "x1"],
-    )
+    splits x1 at -1.0, so leaves sit at depths 1 and 2. Each leaf has one
+    knot, with 1, 2 and 4 at risk."""
+    return forest_from_dict(forest_doc([{
+        "seed": 0, "column": [0, -1, 1, -1, -1], "threshold": [0.5, 0.0, -1.0, 0.0, 0.0],
+        "left": [1, -1, 3, -1, -1], "right": [2, -1, 4, -1, -1], "offsets": [0, 0, 1, 1, 2],
+        "knots": [0, 0, 0], "events": [1, 1, 1], "at_risk": [1, 2, 4],
+    }], [1.0], columns=("x0", "x1")))
 
 
 def test_split_routing_hand_fixture():
@@ -452,13 +455,14 @@ def test_event_grid_is_training_event_times():
     )
 
 
-def leaf_occupancy(node, X, rows):
-    if node.is_leaf:
-        yield rows.size
-        return
-    go_left = X[rows, node.column] <= node.threshold
-    yield from leaf_occupancy(node.left, X, rows[go_left])
-    yield from leaf_occupancy(node.right, X, rows[~go_left])
+def leaf_occupancy(tree, X):
+    """How many rows of X reach each leaf, routed one node at a time in
+    index order, which visits a parent before its children."""
+    nodes, at = tree.nodes, np.zeros(X.shape[0], dtype=int)
+    for i in np.flatnonzero(nodes.column >= 0):
+        go_left = X[:, nodes.column[i]] <= nodes.threshold[i]
+        at[(at == i) & go_left], at[(at == i) & ~go_left] = nodes.left[i], nodes.right[i]
+    return np.bincount(at, minlength=nodes.column.size)[nodes.column < 0]
 
 
 def test_children_of_splits_respect_min_leaf():
@@ -466,8 +470,7 @@ def test_children_of_splits_respect_min_leaf():
     min_leaf = 12
     f = fit_forest(d, b=6, min_leaf=min_leaf, seed=5)
     for t in f.trees:
-        Xb = d.X[t.inbag]
-        sizes = list(leaf_occupancy(t.root, Xb, np.arange(Xb.shape[0])))
+        sizes = leaf_occupancy(t, d.X[t.inbag])
         assert sum(sizes) == d.n
         if not t.root.is_leaf:
             assert min(sizes) >= min_leaf
@@ -497,6 +500,18 @@ def test_risk_matches_per_row_mortality():
         assert r[i] == mortality_score(f, d.X[i])
 
 
+def test_risk_does_not_depend_on_the_size_of_a_scoring_pass():
+    d = bigger_design(seed=4, n=120)
+    f = fit_forest(d, b=5, min_leaf=8, seed=3)
+    whole = rsf_risk(f, d)
+    with pytest.MonkeyPatch.context() as mp:
+        # a pass of one (row, tree) pair or one leaf; then passes of three
+        # grid lengths: 3 leaves, or 3 * grid / 5 rows of the 5 trees
+        for cells in (1, 3 * f.event_grid.size):
+            mp.setattr(rsf, "_PASS_CELLS", cells)
+            np.testing.assert_array_equal(rsf_risk(f, d), whole)
+
+
 def test_risk_is_independent_of_tree_order():
     d = bigger_design(seed=4, n=80)
     f = fit_forest(d, b=7, min_leaf=10, seed=3)
@@ -523,7 +538,7 @@ def test_scoring_after_the_trees_change_uses_the_new_trees():
 
 
 def test_a_forest_with_another_grid_leaves_the_first_forest_alone():
-    # both forests share the same TreeNode objects
+    # both forests share the same node tables
     d = bigger_design(seed=4, n=80)
     f = fit_forest(d, b=5, min_leaf=10, seed=3)
     first = rsf_risk(f, d)
@@ -588,22 +603,46 @@ def test_reloaded_forest_rebuilds_inbag():
         np.testing.assert_array_equal(reloaded.inbag, fitted.inbag)
 
 
+def comb_tree(leaves):
+    """A tree of a forest file whose split at node 2k sends rows with
+    x0 <= k + 0.5 to leaf k, so a row with x0 = k reaches leaf k; the
+    last leaf is the last split's right child. `leaves` are (knots,
+    events, at_risk) lists."""
+    node = np.arange(2 * len(leaves) - 1)
+    split = (node % 2 == 0) & (node < node[-1])
+    sizes = np.zeros(node.size, dtype=int)
+    sizes[~split] = [len(knots) for knots, _, _ in leaves]
+    return {"seed": 0, "column": np.where(split, 0, -1).tolist(),
+            "threshold": np.where(split, node / 2 + 0.5, 0.0).tolist(),
+            "left": np.where(split, node + 1, -1).tolist(),
+            "right": np.where(split, node + 2, -1).tolist(),
+            "offsets": (np.cumsum(sizes) - sizes).tolist(),
+            **{key: sum((leaf[i] for leaf in leaves), [])
+               for i, key in enumerate(("knots", "events", "at_risk"))}}
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 600))
 @settings(max_examples=80, deadline=None)
 def test_leaf_mortalities_equal_the_summed_curve(data_seed, n_leaves, grid_draws):
-    # one pass over many leaves must give each leaf's np.sum(chf(grid))
-    # bit for bit; knots come from a pool the grid only samples, so some
-    # lie between grid points, and one leaf has no knots at all
+    # scoring many leaves in one pass must give each leaf's
+    # np.sum(chf(grid)) bit for bit; knots come from a pool the grid only
+    # samples, so some lie between grid points, and one leaf has no knots
     rng = np.random.default_rng(data_seed)
-    pool = np.round(rng.exponential(2.0, 800), 2)
+    pool = np.unique(np.round(rng.exponential(2.0, 800), 2))
     grid = np.unique(rng.choice(pool, grid_draws))
-    leaves = [leaf([], [], [])]
+    leaves = [(np.zeros(0), np.zeros(0, dtype=int), np.zeros(0, dtype=int))]
     for _ in range(n_leaves):
         times = np.unique(rng.choice(pool, rng.integers(0, 60)))
         at_risk = rng.integers(1, 1000, times.size)
-        leaves.append(leaf(times, rng.integers(1, at_risk + 1), at_risk))
-    got = _leaf_mortalities(leaves, grid)
-    assert got.tolist() == [float(np.sum(node.chf(grid))) for node in leaves]
+        leaves.append((times, rng.integers(1, at_risk + 1), at_risk))
+    tree = comb_tree([(np.searchsorted(pool, times).tolist(), events.tolist(), at_risk.tolist())
+                      for times, events, at_risk in leaves])
+    forest = replace(forest_from_dict(forest_doc([tree], pool)), event_grid=grid)
+    d = numeric_design(np.arange(len(leaves), dtype=float)[:, None], np.ones(len(leaves)),
+                       np.ones(len(leaves), dtype=int))
+    want = [float(np.sum(StepFunction(times, np.cumsum(events / at_risk), initial=0.0)(grid)))
+            for times, events, at_risk in leaves]
+    assert rsf_risk(forest, d).tolist() == want  # one tree: a row's score is its leaf's
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(15, 60), st.integers(1, 4), st.integers(1, 8))
@@ -626,14 +665,26 @@ def test_forest_file_round_trip_scores_identically(data_seed, n, b, min_leaf):
         np.testing.assert_array_equal(reloaded.values, fitted.values)
 
 
-def first_leaf(node: dict) -> dict:
-    while "knots" not in node:
-        node = node["left"]
-    return node
-
-
 def set_leaf(**fields):
-    return lambda doc: first_leaf(doc["trees"][0]["root"]).update(fields)
+    """An edit of the first tree's first leaf: each list given replaces
+    the leaf's part of that list, and the later offsets follow its knots."""
+    def edit(doc):
+        tree = doc["trees"][0]
+        i = tree["column"].index(-1)
+        lo, hi = tree["offsets"][i], tree["offsets"][i + 1]
+        for key, values in fields.items():
+            tree[key][lo:hi] = values
+        tree["offsets"][i + 1:] = [o + len(fields["knots"]) - (hi - lo)
+                                   for o in tree["offsets"][i + 1:]]
+    return edit
+
+
+def set_node(i, **fields):
+    """An edit of node i of the first tree, whose root splits."""
+    def edit(doc):
+        for key, value in fields.items():
+            doc["trees"][0][key][i] = value
+    return edit
 
 
 @pytest.mark.parametrize(
@@ -652,10 +703,34 @@ def set_leaf(**fields):
         (set_leaf(knots=[0], events=[1.5], at_risk=[5]), "integers"),
         (set_leaf(knots=[[0]], events=[1], at_risk=[5]), "integers"),
         (lambda doc: doc.update(event_grid=doc["event_grid"][::-1]), "strictly increasing"),
+        (lambda doc: doc["trees"][0].update(root={"knots": [0], "events": [1], "at_risk": [1]}),
+         "nested, an older file format; refit the model"),
+        (set_node(0, column=-1), "child of one split"),
+        (set_node(0, column=-2), r"split columns must be in \[0, 3\)"),
+        (set_node(0, column=99), r"split columns must be in \[0, 3\)"),
+        (set_node(0, threshold=math.inf), "thresholds finite"),
+        (set_node(0, threshold="a"), "threshold must be a list of numbers"),
+        (set_node(0, left=0), "child of one split"),
+        (set_node(0, right=1), "child of one split"),
+        (set_node(0, right=10**12), "child of one split"),
+        (lambda doc: set_node(doc["trees"][0]["column"].index(-1), left=2)(doc),
+         "child of one split"),
+        (lambda doc: doc["trees"][0]["threshold"].pop(), "node lists"),
+        (lambda doc: doc["trees"][0].update({key: [] for key in doc["trees"][0] if key != "seed"}),
+         "node lists"),
+        (set_node(1, offsets=1), "splits hold no knots"),
+        (set_node(0, offsets=1), "offsets"),
+        (lambda doc: doc.update(trees=[]), "at least one tree"),
+        (lambda doc: doc.update(n=-3), "n must be an integer >= 1"),
+        (lambda doc: doc.update(n=80.5), "n must be an integer >= 1"),
     ],
     ids=["curve-leaves", "repeated-knot", "decreasing-knots", "negative-knot",
          "knot-past-grid", "no-events", "events-above-at-risk", "length-mismatch",
-         "fractional-count", "nested-knot", "grid-decreasing"],
+         "fractional-count", "nested-knot", "grid-decreasing", "nested-tree",
+         "split-column-minus-one", "split-column-negative", "split-column-past-p",
+         "threshold-infinite", "threshold-string", "child-before-parent", "child-twice",
+         "child-past-the-end", "leaf-with-child", "node-lists-differ", "no-nodes",
+         "knots-at-a-split", "offsets-not-from-zero", "no-trees", "n-negative", "n-fraction"],
 )
 def test_load_refuses_bad_leaves(edit, text):
     f = fit_forest(bigger_design(seed=7, n=80), b=2, min_leaf=15, seed=8)
