@@ -25,7 +25,7 @@ from .common import fmt6
 from .data import Cohort, encode, encode_like, ingest_csv, split
 from .datagen import GeneratorConfig, HazardSpec, generate
 from .metrics import concordance_index
-from .nonparametric import fit_km_grouped, kaplan_meier
+from .nonparametric import kaplan_meier
 from .rng import derive_seed
 from .svg import bar_chart, step_chart
 
@@ -409,31 +409,26 @@ def _write_report(config: BenchConfig, report: BenchReport) -> None:
 
 
 def emit_km_figures(cohort: Cohort, group_specs: list[str], out_dir: str) -> list[str]:
-    """One CSV + SVG pair overall and per grouping covariate. Numeric
-    covariates are split at the cohort median; the group labels carry the
-    binning rule so the output is self-describing. The names must pass
-    `check_km_groups`."""
+    """One CSV + SVG pair overall and per grouping covariate. A group is a
+    mask over the cohort, a categorical level or a half of a numeric
+    covariate split at the cohort median, and each group with rows gets a
+    curve; the labels carry the binning rule so the output is
+    self-describing. The names must pass `check_km_groups`."""
     paths = []
     km = kaplan_meier(cohort.time, cohort.event)
     specs = [("overall", [("all", km)], "Kaplan-Meier survival")]
     for name in group_specs:
-        col = cohort.schema.column(name)
+        col, vals = cohort.schema.column(name), cohort.covariates[name]
         if col.kind == "categorical":
-            curves = list(fit_km_grouped(cohort, name).items())
+            groups = [(level, vals == level) for level in col.levels]
             title = f"Survival by {name}"
         else:
-            vals = cohort.covariates[name]
             med = float(np.median(vals))
-            curves = []
-            for label, mask in (
-                (f"{name} <= {fmt6(med)}", vals <= med),
-                (f"{name} > {fmt6(med)}", vals > med),
-            ):
-                if mask.any():
-                    curves.append(
-                        (label, kaplan_meier(cohort.time[mask], cohort.event[mask]))
-                    )
+            groups = [(f"{name} <= {fmt6(med)}", vals <= med),
+                      (f"{name} > {fmt6(med)}", vals > med)]
             title = f"Survival by {name} (median split)"
+        curves = [(label, kaplan_meier(cohort.time[mask], cohort.event[mask]))
+                  for label, mask in groups if mask.any()]
         specs.append((name, curves, title))
     for i, (name, curves, title) in enumerate(specs):
         csv_path = os.path.join(out_dir, f"km_{name}.csv")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Cohort
 from .riskset import risk_sets
 from .stepfun import StepFunction
 
@@ -30,17 +29,3 @@ def nelson_aalen(time, event) -> StepFunction:
     keep = rs.n_events > 0
     hazard = rs.n_events[keep] / rs.n_at_risk[keep]
     return StepFunction(times=rs.times[keep], values=np.cumsum(hazard), initial=0.0)
-
-
-def fit_km_grouped(cohort: Cohort, group_by: str) -> dict[str, StepFunction]:
-    """One KM curve per nonempty level of a categorical covariate."""
-    col = cohort.schema.column(group_by)
-    if col.kind != "categorical":
-        raise TypeError(f"grouping covariate {group_by!r} must be categorical")
-    vals = cohort.covariates[group_by]
-    out = {}
-    for lv in col.levels:
-        mask = vals == lv
-        if mask.any():
-            out[lv] = kaplan_meier(cohort.time[mask], cohort.event[mask])
-    return out

@@ -16,25 +16,24 @@ min_leaf rows on each side get a row mask.
 
 A tree is one flat node table in growing order, node 0 its root, each
 child after its parent: a node's split column (-1 at a leaf), threshold
-and child indices, and its leaf's knot times (the distinct event times
-of its rows) and integer event and at-risk counts at each, one array per
-field over all leaves with each node's start offset into them. A leaf's
-curve, `np.cumsum(events / at_risk)`, is derived when needed, never stored.
+and child indices, and its leaf's knots (the distinct event times of its
+rows as indices into the event grid) and integer event and at-risk
+counts at each, one array per field over all leaves with each node's
+start offset into them. A leaf's curve on the grid is built when needed.
 
 The ensemble cumulative hazard is the mean of the B leaf curves a row
 falls into, so its mortality (that curve summed over the training
 event-time grid) is the mean of one scalar per leaf. Scoring stacks the
 B tables on each call and descends all trees together, one gather a
-level over a (rows, B) matrix of node indices. It computes the mortality
-of each leaf reached, and both steps work in passes of bounded size. It
+level over a (rows, B) matrix of node indices. It sums the grid curve of
+each leaf reached, and both steps work in passes of bounded size. It
 averages a row's B leaf mortalities with math.fsum, which keeps the
-score independent of tree order. `predict_chf` averages the leaf curves.
+score independent of tree order; `predict_chf` takes the math.fsum per knot.
 
-A forest file holds each tree's table as flat lists, a leaf's knots as
-indices into the event grid, which it holds once, and the training size
-n instead of each tree's bootstrap rows: a tree's `inbag` is the first n
-draws of its own seed's stream, so loading rebuilds it. Loading checks
-each tree's table whole.
+A forest file holds each tree's table as flat lists, the event grid once,
+and the training size n instead of each tree's bootstrap rows: a tree's
+`inbag` is the first n draws of its own seed's stream, so loading
+rebuilds it. Loading checks each tree's table whole.
 
 Per-tree randomness comes from a child seed mixed out of (master seed,
 tree index), so any tree is reproducible in isolation. Within a node the
@@ -61,21 +60,22 @@ import numpy as np
 from .data import DesignMatrix
 from .riskset import risk_set_sums, risk_sets
 from .rng import CounterRng, derive_seed, uniform_at
-from .stepfun import StepFunction, average_step_functions
+from .stepfun import StepFunction
 
 _MAX_THRESHOLDS = 32
 _CELLS = 1 << 14  # size-class rows times drawn columns per batch of the split search
 _PASS_CELLS = 1 << 15  # (row, tree) pairs a pass of the descent takes, and leaves times
-# grid points a pass of the leaf mortalities takes
+# grid points a pass of the leaf curves takes
 _NO_ROWS = np.zeros(0, dtype=np.int64)
 
 
 class NodeTable(NamedTuple):
     """A tree's nodes in growing order: node i splits on column[i] (a row
     goes left when its value is <= threshold[i]) into nodes left[i] and
-    right[i], or is a leaf (column and children -1) whose knot times, event
-    and at-risk counts run from offsets[i] to the next node's offset (to
-    the end, for the last node) in knots, events and at_risk."""
+    right[i], or is a leaf (column and children -1) whose knots (indices
+    into the forest's event grid), event and at-risk counts run from
+    offsets[i] to the next node's offset (to the end, for the last node) in
+    knots, events and at_risk."""
 
     column: np.ndarray
     threshold: np.ndarray
@@ -233,7 +233,7 @@ def _batch_order(entry):
     return entry[0], entry[5]
 
 
-def _grow_trees(design, seeds, inbags, min_leaf, max_depth, mtry) -> list[NodeTable]:
+def _grow_trees(design, seeds, inbags, min_leaf, max_depth, mtry, grid) -> list[NodeTable]:
     """The tables of trees grown in lockstep on the bootstraps `inbags`;
     a step's nodes are searched in batches of one size class and at most
     _CELLS cells."""
@@ -280,19 +280,19 @@ def _grow_trees(design, seeds, inbags, min_leaf, max_depth, mtry) -> list[NodeTa
                 stacks[t].append((child + 1, rows[~go_left], depth + 1, n_events - n_left_events))
                 stacks[t].append((child, rows[go_left], depth + 1, n_left_events))
         if not todo:
-            return [_table(tree, times, events) for tree in nodes]
+            return [_table(tree, times, events, grid) for tree in nodes]
 
 
-def _table(nodes: list, times: np.ndarray, events: np.ndarray) -> NodeTable:
+def _table(nodes: list, times: np.ndarray, events: np.ndarray, grid: np.ndarray) -> NodeTable:
     """A tree's table from its grown nodes, each leaf's knots found from
-    its rows, in time order, in one pass over the tree."""
+    its rows, in time order, in one pass over the tree, and in `grid`."""
     column, threshold, left, right, rows = zip(*nodes)
     ends = np.cumsum([r.size for r in rows])
     rows = np.concatenate(rows)
     node, starts, n_events, at_risk = _event_times(times, events, rows, ends)
     sizes = np.bincount(node, minlength=len(nodes))
     return NodeTable(*map(np.array, (column, threshold, left, right)), np.cumsum(sizes) - sizes,
-                     times[rows[starts]], n_events, at_risk)
+                     np.searchsorted(grid, times[rows[starts]]), n_events, at_risk)
 
 
 def fit_forest(
@@ -307,30 +307,34 @@ def fit_forest(
         raise ValueError("need at least one event to fit")
     if b < 1:
         raise ValueError("b must be >= 1")
-    if min_leaf < 1:
-        raise ValueError("min_leaf must be >= 1")
-    if max_depth is not None and max_depth < 0:
-        raise ValueError("max_depth must be null or >= 0")
-    p = design.p
-    if mtry is None:
-        mtry = int(np.ceil(np.sqrt(p)))
-    elif not float(mtry).is_integer():
-        raise ValueError("mtry must be a whole number")
-    elif mtry < 1:
-        raise ValueError("mtry must be >= 1")
-    mtry = min(int(mtry), p)
+    mtry = math.ceil(math.sqrt(design.p)) if mtry is None else mtry
+    _check_settings(mtry, min_leaf, max_depth)
+    mtry = min(int(mtry), design.p)
     seeds = [derive_seed(seed, i) for i in range(b)]
     inbags = [CounterRng(s).integers(design.n, design.n) for s in seeds]
-    tables = _grow_trees(design, seeds, inbags, min_leaf, max_depth, mtry)
+    grid = np.unique(design.times[design.events == 1])
+    tables = _grow_trees(design, seeds, inbags, min_leaf, max_depth, mtry, grid)
     return Forest(
         trees=[SurvivalTree(seed=s, inbag=i, nodes=t) for s, i, t in zip(seeds, inbags, tables)],
         mtry=mtry,
         min_leaf=min_leaf,
         max_depth=max_depth,
         seed=seed,
-        event_grid=np.unique(design.times[design.events == 1]),
+        event_grid=grid,
         column_names=list(design.names),
     )
+
+
+def _check_settings(mtry, min_leaf, max_depth) -> None:
+    """Refuse what no forest grows with, in `fit_forest` and a forest file
+    alike: settings not whole numbers or out of range (None: no depth limit)."""
+    for name, v, low in (("min_leaf", min_leaf, 1), ("max_depth", max_depth, 0), ("mtry", mtry, 1)):
+        if v is None and name == "max_depth":
+            continue
+        if isinstance(v, (bool, str, type(None))) or not float(v).is_integer():
+            raise ValueError(f"{name} must be a whole number")
+        if v < low:
+            raise ValueError(f"{name} must be {'null or ' * (not low)}>= {low}")
 
 
 def _descend(trees: list[SurvivalTree], X: np.ndarray) -> tuple[NodeTable, np.ndarray]:
@@ -356,14 +360,14 @@ def _descend(trees: list[SurvivalTree], X: np.ndarray) -> tuple[NodeTable, np.nd
     return nodes, at.reshape(X.shape[0], roots.size)
 
 
-def _leaf_mortalities(nodes: NodeTable, leaves: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """The curve of each of `leaves` summed over the ascending `grid`, all
-    in one pass, with the bits of float(np.sum(curve(grid))).
+def _leaf_curves(nodes: NodeTable, leaves: np.ndarray, grid_size: int) -> np.ndarray:
+    """The curve of each of `leaves` on the event grid, a (leaves,
+    grid_size) matrix built in one pass with the bits of the leaf's
+    `np.cumsum(events / at_risk)`.
 
     Row l of a zero-padded table holds 0 and then leaf l's curve. The
-    curve's j-th value holds at the grid points in [t_j, t_(j+1)), so
-    repeating each entry that many times rebuilds the curve on the grid,
-    and a row sum adds the same values in the same order as np.sum."""
+    curve's j-th value holds from grid point knots[j] to the next knot, so
+    repeating each entry that many times rebuilds the curve on the grid."""
     ends = np.append(nodes.offsets, nodes.knots.size)
     start = ends[leaves]
     sizes = ends[leaves + 1] - start
@@ -371,12 +375,12 @@ def _leaf_mortalities(nodes: NodeTable, leaves: np.ndarray, grid: np.ndarray) ->
     knot = (start[:, None] + np.arange(slot.shape[1]))[slot]
     hazard = np.zeros((leaves.size, slot.shape[1] + 1))
     hazard[:, 1:][slot] = nodes.events[knot] / nodes.at_risk[knot]
-    first = np.full(hazard.shape, grid.size)  # first grid point of each value
+    first = np.full(hazard.shape, grid_size)  # first grid point of each value
     first[:, 0] = 0
-    first[:, 1:][slot] = np.searchsorted(grid, nodes.knots[knot])
-    reps = np.diff(first, axis=1, append=grid.size)
+    first[:, 1:][slot] = nodes.knots[knot]
+    reps = np.diff(first, axis=1, append=grid_size)
     curves = np.repeat(np.cumsum(hazard, axis=1).ravel(), reps.ravel())
-    return curves.reshape(leaves.size, grid.size).sum(axis=1)
+    return curves.reshape(leaves.size, grid_size)
 
 
 def _mortality(forest: Forest, X: np.ndarray) -> np.ndarray:
@@ -389,21 +393,21 @@ def _mortality(forest: Forest, X: np.ndarray) -> np.ndarray:
     step = max(1, _PASS_CELLS // max(1, forest.event_grid.size))
     for lo in range(0, reached.size, step):
         leaves = reached[lo:lo + step]
-        mortality[leaves] = _leaf_mortalities(nodes, leaves, forest.event_grid)
+        mortality[leaves] = _leaf_curves(nodes, leaves, forest.event_grid.size).sum(axis=1)
     leaf = mortality[at]  # fsum reads a row through a memoryview, not a list
     return np.array([math.fsum(memoryview(row)) / at.shape[1] for row in leaf])
 
 
 def predict_chf(forest: Forest, x) -> StepFunction:
-    """Ensemble cumulative hazard: arithmetic mean of the B leaf curves on
-    the union of their knots."""
+    """Ensemble cumulative hazard: at each knot of the B leaves x reaches,
+    the math.fsum of their curves over B, so tree order does not matter."""
     nodes, at = _descend(forest.trees, np.asarray(x, dtype=np.float64)[None, :])
     ends = np.append(nodes.offsets, nodes.knots.size)
-    return average_step_functions([
-        StepFunction(nodes.knots[lo:hi], np.cumsum(nodes.events[lo:hi] / nodes.at_risk[lo:hi]),
-                     initial=0.0)
-        for lo, hi in zip(ends[at[0]].tolist(), ends[at[0] + 1].tolist())
-    ], initial=0.0)
+    knots = np.unique(np.concatenate([nodes.knots[lo:hi] for lo, hi in zip(
+        ends[at[0]].tolist(), ends[at[0] + 1].tolist())]))
+    curves = _leaf_curves(nodes, at[0], forest.event_grid.size)[:, knots]
+    return StepFunction(forest.event_grid[knots],
+                        [math.fsum(col) / at.shape[1] for col in curves.T.tolist()], initial=0.0)
 
 
 def mortality_score(forest: Forest, x) -> float:
@@ -419,14 +423,6 @@ def rsf_risk(forest: Forest, design: DesignMatrix) -> np.ndarray:
     return _mortality(forest, np.asarray(design.X, dtype=np.float64))
 
 
-def _tree_to_dict(tree: SurvivalTree, grid: np.ndarray) -> dict:
-    knots = np.searchsorted(grid, tree.nodes.knots)
-    if not np.array_equal(grid.take(knots, mode="clip"), tree.nodes.knots):
-        raise ValueError("leaf knot times must be times of the forest's event grid")
-    lists = tree.nodes._replace(knots=knots)._asdict()
-    return {"seed": tree.seed, **{key: values.tolist() for key, values in lists.items()}}
-
-
 def _flat(values: list, key: str) -> np.ndarray:
     """A tree's list `key`: numbers for its thresholds, integers otherwise."""
     kinds, what = ("iuf", "numbers") if key == "threshold" else ("iu", "integers")
@@ -439,7 +435,7 @@ def _flat(values: list, key: str) -> np.ndarray:
     return a.astype(np.float64 if key == "threshold" else np.int64)
 
 
-def _table_from_dict(doc: dict, grid: np.ndarray, p: int) -> NodeTable:
+def _table_from_dict(doc: dict, grid_size: int, p: int) -> NodeTable:
     """One tree's table, checked whole: split columns in [0, p), finite
     thresholds, every node but the root the child of exactly one split
     before it, no knots at splits, knots strictly increasing within a leaf
@@ -464,12 +460,12 @@ def _table_from_dict(doc: dict, grid: np.ndarray, p: int) -> NodeTable:
     if not (offsets[0] == 0 and np.all(sizes >= 0) and np.all(sizes[split] == 0)):
         raise ValueError("leaf offsets must not decrease from 0, and splits hold no knots")
     leaf_of = np.repeat(node, sizes)
-    if not (np.all((knots >= 0) & (knots < grid.size))
+    if not (np.all((knots >= 0) & (knots < grid_size))
             and np.all((np.diff(knots) > 0) | (np.diff(leaf_of) > 0))):
         raise ValueError("leaf knots must be increasing indices into the event grid")
     if not np.all((events >= 1) & (events <= at_risk)):
         raise ValueError("leaf counts must satisfy 1 <= events <= at_risk")
-    return table._replace(knots=grid[knots])
+    return table
 
 
 def forest_to_dict(forest: Forest) -> dict:
@@ -482,7 +478,8 @@ def forest_to_dict(forest: Forest) -> dict:
         "seed": forest.seed,
         "event_grid": forest.event_grid.tolist(),
         "n": int(forest.trees[0].inbag.size),
-        "trees": [_tree_to_dict(t, forest.event_grid) for t in forest.trees],
+        "trees": [{"seed": t.seed, **{k: v.tolist() for k, v in t.nodes._asdict().items()}}
+                  for t in forest.trees],
     }
 
 
@@ -496,12 +493,13 @@ def forest_from_dict(doc: dict) -> Forest:
     if not doc["trees"]:
         raise ValueError("a forest needs at least one tree")
     p = len(doc["column_names"])
+    _check_settings(doc["mtry"], doc["min_leaf"], doc["max_depth"])
     return Forest(
         trees=[
             SurvivalTree(
                 seed=int(t["seed"]),
                 inbag=CounterRng(int(t["seed"])).integers(n, n),
-                nodes=_table_from_dict(t, grid, p),
+                nodes=_table_from_dict(t, grid.size, p),
             )
             for t in doc["trees"]
         ],

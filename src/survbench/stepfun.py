@@ -7,7 +7,6 @@ before t; before the first jump the function takes `initial`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,20 +37,3 @@ class StepFunction:
         idx = np.searchsorted(self.times, np.asarray(t, dtype=np.float64), side="right")
         out = np.concatenate(([self.initial], self.values))[idx]
         return out if out.ndim else float(out)
-
-
-def average_step_functions(funcs: list[StepFunction], initial: float) -> StepFunction:
-    """Pointwise mean on the union of knots.
-
-    Each knot value is accumulated with math.fsum so the result does not
-    depend on the order of `funcs`.
-    """
-    if not funcs:
-        raise ValueError("need at least one step function")
-    grid = np.unique(np.concatenate([f.times for f in funcs]))
-    cols = [np.asarray(f(grid), dtype=np.float64) for f in funcs]
-    n = len(funcs)
-    mean = np.array(
-        [math.fsum(col[i] for col in cols) / n for i in range(grid.size)]
-    )
-    return StepFunction(times=grid, values=mean, initial=initial)

@@ -23,7 +23,7 @@ from survbench.bench import (
     write_csv,
     write_text_atomic,
 )
-from survbench.data import cohort_table, encode
+from survbench.data import Cohort, Column, CovariateSchema, cohort_table, encode
 from survbench.datagen import GeneratorConfig, HazardSpec, generate
 from survbench.metrics import concordance_index
 from survbench.mtlr import fit_mtlr, make_grid
@@ -301,6 +301,41 @@ def test_km_grouped_csv_lists_levels(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["group", "time", "value"]
     assert {r[0] for r in rows[1:]} == {"Female", "Male"}
+
+
+def read_km_groups(path):
+    """A grouped KM CSV as {group: (times, values)}."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return {g: (np.array([float(r[1]) for r in rows if r[0] == g]),
+                np.array([float(r[2]) for r in rows if r[0] == g])) for g in {r[0] for r in rows}}
+
+
+def test_km_group_csv_values_equal_each_level_fit(tmp_path):
+    cohort = Cohort(
+        schema=CovariateSchema(columns=(Column("arm", "categorical", levels=("ctrl", "treat")),)),
+        covariates={"arm": np.array(["ctrl", "treat"] * 3, dtype=object)},
+        time=np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+        event=np.array([1, 1, 0, 1, 1, 0]),
+    )
+    emit_km_figures(cohort, ["arm"], str(tmp_path))
+    groups = read_km_groups(tmp_path / "km_arm.csv")
+    assert set(groups) == {"ctrl", "treat"}
+    arm = cohort.covariates["arm"]
+    for level, (times, values) in groups.items():
+        ref = kaplan_meier(cohort.time[arm == level], cohort.event[arm == level])
+        assert np.array_equal(times, ref.times) and np.array_equal(values, ref.values)
+
+
+def test_km_level_without_rows_writes_no_rows(tmp_path):
+    cohort = Cohort(
+        schema=CovariateSchema(columns=(Column("arm", "categorical", levels=("a", "b", "c")),)),
+        covariates={"arm": np.array(["a", "a", "b"], dtype=object)},
+        time=np.array([1.0, 2.0, 3.0]),
+        event=np.array([1, 0, 1]),
+    )
+    emit_km_figures(cohort, ["arm"], str(tmp_path))
+    assert set(read_km_groups(tmp_path / "km_arm.csv")) == {"a", "b"}
 
 
 def test_km_numeric_group_uses_median_split(tmp_path):

@@ -258,6 +258,19 @@ def test_eval_refuses_a_forest_split_on_no_column(tmp_path, capsys):
                                   "of one split before it")
 
 
+def test_eval_refuses_a_forest_file_with_bad_fit_settings(tmp_path, capsys):
+    # the settings do not score, but a file that fit could not have written
+    # is refused with fit's message
+    model_path, cohort_csv = fit_small_forest(tmp_path)
+    doc = json.loads(model_path.read_text())
+    doc.update(mtry=-5, min_leaf=0, max_depth="deep")
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["eval", "--model-file", str(model_path), "--input", str(cohort_csv)])
+    assert rc == 2
+    assert_one_line_error(capsys, f"{model_path}: min_leaf must be >= 1")
+
+
 def test_fit_takes_the_config_seed_unless_seed_is_given(tmp_path):
     cohort_csv = make_cohort_csv(tmp_path, n=60, seed=1)
     config = tmp_path / "cfg.json"

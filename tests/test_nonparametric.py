@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from survbench.data import Cohort, Column, CovariateSchema
-from survbench.nonparametric import fit_km_grouped, kaplan_meier, nelson_aalen
+from survbench.nonparametric import kaplan_meier, nelson_aalen
 from survbench.riskset import risk_sets
 
 from conftest import numeric_cohort
@@ -147,52 +146,3 @@ def test_risk_sets_risk_table():
     km = kaplan_meier(c.time, c.event)
     assert km.times.tolist() == [1.0, 2.0, 4.0]
     np.testing.assert_allclose(km.values, [4 / 5, 4 / 5 * 2 / 4, 0.0])
-
-
-def grouped_cohort():
-    schema = CovariateSchema(
-        columns=(
-            Column("x", "numeric"),
-            Column("arm", "categorical", levels=("ctrl", "treat")),
-        )
-    )
-    return Cohort(
-        schema=schema,
-        covariates={
-            "x": np.zeros(6),
-            "arm": np.array(["ctrl", "treat"] * 3, dtype=object),
-        },
-        time=np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
-        event=np.array([1, 1, 0, 1, 1, 0]),
-    )
-
-
-def test_grouped_km_matches_manual_subsets():
-    c = grouped_cohort()
-    curves = fit_km_grouped(c, "arm")
-    assert set(curves) == {"ctrl", "treat"}
-    for level in ("ctrl", "treat"):
-        idx = np.nonzero(c.covariates["arm"] == level)[0]
-        sub = c.subset(idx)
-        ref = kaplan_meier(sub.time, sub.event)
-        assert np.array_equal(curves[level].times, ref.times)
-        assert np.array_equal(curves[level].values, ref.values)
-
-
-def test_grouped_km_rejects_numeric_column():
-    with pytest.raises(TypeError):
-        fit_km_grouped(grouped_cohort(), "x")
-
-
-def test_grouped_km_skips_absent_level():
-    schema = CovariateSchema(
-        columns=(Column("arm", "categorical", levels=("a", "b", "c")),)
-    )
-    c = Cohort(
-        schema=schema,
-        covariates={"arm": np.array(["a", "a", "b"], dtype=object)},
-        time=np.array([1.0, 2.0, 3.0]),
-        event=np.array([1, 0, 1]),
-    )
-    curves = fit_km_grouped(c, "arm")
-    assert set(curves) == {"a", "b"}

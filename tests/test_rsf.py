@@ -387,8 +387,54 @@ def test_two_tree_averaging_hand_fixture():
     chf = predict_chf(forest, np.zeros(1))
     np.testing.assert_array_equal(chf.times, [1.0, 2.0])
     np.testing.assert_array_equal(chf.values, [0.375, 0.875])
+    assert chf(0.5) == 0.0  # before the first knot
     # mortality: 0.375 at t=1 plus 0.875 at t=2
     assert mortality_score(forest, np.zeros(1)) == 1.25
+
+
+def test_predict_chf_counts_a_knotless_leaf_as_zero():
+    forest = forest_from_dict(forest_doc([
+        leaf_tree([0, 1], [1, 1], [1, 1]),  # 1 from t=1, 2 from t=2
+        leaf_tree([], [], [], seed=1),
+    ], [1.0, 2.0, 3.0]))
+    chf = predict_chf(forest, np.zeros(1))
+    np.testing.assert_array_equal(chf.times, [1.0, 2.0])
+    np.testing.assert_array_equal(chf.values, [0.5, 1.0])
+    assert chf(0.5) == 0.0 and chf(3.0) == 1.0
+
+
+def random_leaf_trees(rng, b, grid_size):
+    """b one-leaf trees of a forest file, each leaf on a random subset of
+    the grid with random counts."""
+    trees = []
+    for seed in range(b):
+        knots = np.flatnonzero(rng.uniform(size=grid_size) < 0.4)
+        at_risk = rng.integers(1, 50, knots.size)
+        trees.append(leaf_tree(knots.tolist(), rng.integers(1, at_risk + 1).tolist(),
+                               at_risk.tolist(), seed=seed))
+    return trees
+
+
+def test_predict_chf_is_independent_of_tree_order():
+    rng = np.random.default_rng(0)
+    grid = np.sort(rng.uniform(0, 10, 30))
+    trees = random_leaf_trees(rng, 12, grid.size)
+    chf = predict_chf(forest_from_dict(forest_doc(trees, grid)), np.zeros(1))
+    back = predict_chf(forest_from_dict(forest_doc(trees[::-1], grid)), np.zeros(1))
+    np.testing.assert_array_equal(back.times, chf.times)
+    np.testing.assert_array_equal(back.values, chf.values)  # bit for bit, thanks to fsum
+    knots = sorted({k for tree in trees for k in tree["knots"]})
+    np.testing.assert_array_equal(chf.times, grid[knots])
+
+
+def test_predict_chf_of_identical_trees_is_the_tree_curve():
+    rng = np.random.default_rng(1)
+    grid = np.sort(rng.uniform(0, 10, 20))
+    for tree in random_leaf_trees(rng, 5, grid.size):
+        chf = predict_chf(forest_from_dict(forest_doc([tree] * 3, grid)), np.zeros(1))
+        np.testing.assert_array_equal(chf.times, grid[tree["knots"]])
+        np.testing.assert_allclose(chf.values, np.cumsum(np.divide(tree["events"],
+                                                                   tree["at_risk"])), rtol=1e-15)
 
 
 def routing_forest():
@@ -537,16 +583,6 @@ def test_scoring_after_the_trees_change_uses_the_new_trees():
     assert not np.array_equal(one_tree, first)
 
 
-def test_a_forest_with_another_grid_leaves_the_first_forest_alone():
-    # both forests share the same node tables
-    d = bigger_design(seed=4, n=80)
-    f = fit_forest(d, b=5, min_leaf=10, seed=3)
-    first = rsf_risk(f, d)
-    g = replace(f, event_grid=f.event_grid[:5])
-    assert not np.array_equal(rsf_risk(g, d), first)
-    np.testing.assert_array_equal(rsf_risk(f, d), first)
-
-
 @given(
     st.integers(0, 2**32 - 1),
     st.integers(20, 60),
@@ -625,23 +661,23 @@ def comb_tree(leaves):
 @settings(max_examples=80, deadline=None)
 def test_leaf_mortalities_equal_the_summed_curve(data_seed, n_leaves, grid_draws):
     # scoring many leaves in one pass must give each leaf's
-    # np.sum(chf(grid)) bit for bit; knots come from a pool the grid only
-    # samples, so some lie between grid points, and one leaf has no knots
+    # np.sum(chf(grid)) bit for bit; a leaf's knots are increasing
+    # indices into the grid, one leaf has no knots and one has every grid
+    # point as a knot
     rng = np.random.default_rng(data_seed)
-    pool = np.unique(np.round(rng.exponential(2.0, 800), 2))
-    grid = np.unique(rng.choice(pool, grid_draws))
-    leaves = [(np.zeros(0), np.zeros(0, dtype=int), np.zeros(0, dtype=int))]
-    for _ in range(n_leaves):
-        times = np.unique(rng.choice(pool, rng.integers(0, 60)))
-        at_risk = rng.integers(1, 1000, times.size)
-        leaves.append((times, rng.integers(1, at_risk + 1), at_risk))
-    tree = comb_tree([(np.searchsorted(pool, times).tolist(), events.tolist(), at_risk.tolist())
-                      for times, events, at_risk in leaves])
-    forest = replace(forest_from_dict(forest_doc([tree], pool)), event_grid=grid)
+    grid = np.unique(np.round(rng.exponential(2.0, grid_draws), 2))
+    leaves = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0, dtype=int))]
+    for density in [1.0] + [rng.uniform(0.0, 0.3) for _ in range(n_leaves)]:
+        knots = np.flatnonzero(rng.uniform(size=grid.size) < density)
+        at_risk = rng.integers(1, 1000, knots.size)
+        leaves.append((knots, rng.integers(1, at_risk + 1), at_risk))
+    tree = comb_tree([(knots.tolist(), events.tolist(), at_risk.tolist())
+                      for knots, events, at_risk in leaves])
+    forest = forest_from_dict(forest_doc([tree], grid))
     d = numeric_design(np.arange(len(leaves), dtype=float)[:, None], np.ones(len(leaves)),
                        np.ones(len(leaves), dtype=int))
-    want = [float(np.sum(StepFunction(times, np.cumsum(events / at_risk), initial=0.0)(grid)))
-            for times, events, at_risk in leaves]
+    want = [float(np.sum(StepFunction(grid[knots], np.cumsum(events / at_risk), initial=0.0)(grid)))
+            for knots, events, at_risk in leaves]
     assert rsf_risk(forest, d).tolist() == want  # one tree: a row's score is its leaf's
 
 
@@ -723,6 +759,12 @@ def set_node(i, **fields):
         (lambda doc: doc.update(trees=[]), "at least one tree"),
         (lambda doc: doc.update(n=-3), "n must be an integer >= 1"),
         (lambda doc: doc.update(n=80.5), "n must be an integer >= 1"),
+        (lambda doc: doc.update(mtry=-5), "mtry must be >= 1"),
+        (lambda doc: doc.update(mtry=1.5), "mtry must be a whole number"),
+        (lambda doc: doc.update(min_leaf=0), "min_leaf must be >= 1"),
+        (lambda doc: doc.update(min_leaf=None), "min_leaf must be a whole number"),
+        (lambda doc: doc.update(max_depth=-1), "max_depth must be null or >= 0"),
+        (lambda doc: doc.update(max_depth="deep"), "max_depth must be a whole number"),
     ],
     ids=["curve-leaves", "repeated-knot", "decreasing-knots", "negative-knot",
          "knot-past-grid", "no-events", "events-above-at-risk", "length-mismatch",
@@ -730,7 +772,9 @@ def set_node(i, **fields):
          "split-column-minus-one", "split-column-negative", "split-column-past-p",
          "threshold-infinite", "threshold-string", "child-before-parent", "child-twice",
          "child-past-the-end", "leaf-with-child", "node-lists-differ", "no-nodes",
-         "knots-at-a-split", "offsets-not-from-zero", "no-trees", "n-negative", "n-fraction"],
+         "knots-at-a-split", "offsets-not-from-zero", "no-trees", "n-negative", "n-fraction",
+         "mtry-negative", "mtry-fraction", "min-leaf-zero", "min-leaf-null", "max-depth-negative",
+         "max-depth-string"],
 )
 def test_load_refuses_bad_leaves(edit, text):
     f = fit_forest(bigger_design(seed=7, n=80), b=2, min_leaf=15, seed=8)
@@ -738,12 +782,6 @@ def test_load_refuses_bad_leaves(edit, text):
     edit(doc)
     with pytest.raises(ValueError, match=text):
         forest_from_dict(doc)
-
-
-def test_a_forest_whose_leaves_leave_its_grid_is_not_written():
-    f = fit_forest(bigger_design(seed=7, n=80), b=2, min_leaf=15, seed=8)
-    with pytest.raises(ValueError, match="event grid"):
-        forest_to_dict(replace(f, event_grid=f.event_grid[::2]))
 
 
 def test_rejects_eventless_design():

@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from survbench.stepfun import StepFunction, average_step_functions
+from survbench.stepfun import StepFunction
 
 
 def test_right_continuous_lookup():
@@ -37,49 +35,3 @@ def test_times_must_increase():
 def test_shape_mismatch():
     with pytest.raises(ValueError):
         StepFunction(times=[1.0, 2.0], values=[0.5])
-
-
-def test_average_two_functions_by_hand():
-    f = StepFunction(times=[1.0], values=[0.0], initial=1.0)
-    g = StepFunction(times=[2.0], values=[0.5], initial=1.0)
-    avg = average_step_functions([f, g], initial=1.0)
-    assert avg.times.tolist() == [1.0, 2.0]
-    np.testing.assert_allclose(avg.values, [0.5, 0.25])
-    assert avg(0.5) == 1.0
-
-
-def test_average_is_order_independent():
-    rng = np.random.default_rng(0)
-    funcs = []
-    for _ in range(12):
-        t = np.sort(rng.uniform(0, 10, 5))
-        t = np.unique(t)
-        funcs.append(StepFunction(times=t, values=rng.uniform(0, 1, t.size),
-                                  initial=1.0))
-    a = average_step_functions(funcs, initial=1.0)
-    b = average_step_functions(funcs[::-1], initial=1.0)
-    assert np.array_equal(a.times, b.times)
-    assert np.array_equal(a.values, b.values)  # bitwise, thanks to fsum
-
-
-def test_average_empty_list_rejected():
-    with pytest.raises(ValueError):
-        average_step_functions([], initial=0.0)
-
-
-def test_average_with_knotless_member():
-    f = StepFunction(times=[1.0], values=[2.0], initial=0.0)
-    g = StepFunction(times=[], values=[], initial=0.0)
-    avg = average_step_functions([f, g], initial=0.0)
-    assert avg(1.0) == 1.0
-    assert avg(0.5) == 0.0
-
-
-@given(st.lists(st.floats(0.1, 100.0), min_size=1, max_size=8, unique=True),
-       st.floats(0, 1))
-@settings(max_examples=50)
-def test_average_of_identical_copies_is_identity(times, v):
-    t = np.sort(np.asarray(times))
-    f = StepFunction(times=t, values=np.full(t.size, v), initial=1.0)
-    avg = average_step_functions([f, f, f], initial=1.0)
-    np.testing.assert_allclose(avg.values, f.values)
