@@ -40,11 +40,18 @@ from .datagen import (
 from .metrics import concordance_index
 
 
+def _read_json(path: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not JSON, or bytes that are not text
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: the config must be a JSON object")
     return doc
@@ -112,8 +119,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    with open(args.model_file) as fh:
-        doc = json.load(fh)
+    doc = _read_json(args.model_file)
     name = doc.get("model") if isinstance(doc, dict) else None
     if name not in MODELS:
         raise ValueError(f"{args.model_file}: unknown model {name!r}")

@@ -12,7 +12,11 @@ positions, so each tree draws what it would draw grown alone. Log-rank
 terms are summed in time order and padding adds only trailing +0.0
 terms, so no split depends on which nodes share a batch. A candidate's
 left count is read off the sorted column, so only candidates that leave
-min_leaf rows on each side get a row mask.
+min_leaf rows on each side get a row mask. As no tree depends on the
+trees grown with it, the trees grow in k contiguous shards, one per
+usable CPU but at most one per _SHARD_ROWS bootstrap rows, all but the
+last in forked children, and the forest does not depend on k. Growth
+makes no BLAS call, so no child enters a BLAS thread pool.
 
 A tree is one flat node table in growing order, node 0 its root, each
 child after its parent: a node's split column (-1 at a leaf), threshold
@@ -51,6 +55,9 @@ score in column-then-threshold order wins.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -67,6 +74,8 @@ _CELLS = 1 << 14  # size-class rows times drawn columns per batch of the split s
 _PASS_CELLS = 1 << 15  # (row, tree) pairs a pass of the descent takes, and leaves times
 # grid points a pass of the leaf curves takes
 _NO_ROWS = np.zeros(0, dtype=np.int64)
+_SHARD_ROWS = 1 << 14  # bootstrap rows (trees times n) a shard takes at least: on 2 CPUs,
+# fewer made the fork, the pipe and the child's wait for an idle CPU cost more than they saved
 
 
 class NodeTable(NamedTuple):
@@ -295,6 +304,54 @@ def _table(nodes: list, times: np.ndarray, events: np.ndarray, grid: np.ndarray)
                      np.searchsorted(grid, times[rows[starts]]), n_events, at_risk)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _grow_in_shards(design, seeds, inbags, *settings) -> list[NodeTable]:
+    """`_grow_trees` in k contiguous shards of the trees, the last here and
+    each other in a forked child, which pipes back its pickled tables or
+    exception and ends by os._exit: no exit handlers, no stdio flush. A
+    child runs only NumPy and pickle, so it takes no lock that another
+    thread of this process could have held when it forked."""
+    k = max(1, min(len(seeds), _usable_cpus(), len(seeds) * design.n // _SHARD_ROWS))
+    cuts = [len(seeds) * i // k for i in range(k + 1)]
+    children, shards = [], None  # each child's pid and its pipe's read end
+    try:
+        for lo, hi in zip(cuts, cuts[1:-1]):
+            r, w = os.pipe()
+            children.append((os.fork(), r))
+            if children[-1][0] == 0:
+                try:
+                    try:
+                        result = _grow_trees(design, seeds[lo:hi], inbags[lo:hi], *settings)
+                    except Exception as exc:  # the parent raises it
+                        result = exc
+                    view = memoryview(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+                    while view:
+                        view = view[os.write(w, view):]
+                finally:
+                    os._exit(0)
+            os.close(w)
+        tables = _grow_trees(design, seeds[cuts[-2]:], inbags[cuts[-2]:], *settings)
+        shards = [pickle.loads(b"".join(iter(lambda r=r: os.read(r, 1 << 20), b"")))
+                  for _, r in children]  # bytes only this process's children wrote
+    finally:
+        for pid, r in children:
+            os.close(r)
+            if shards is None:  # this process failed, so the children's trees go unused
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for shard in shards:
+        if isinstance(shard, Exception):
+            raise shard
+    return [table for shard in shards for table in shard] + tables
+
+
 def fit_forest(
     design: DesignMatrix,
     b: int = 200,
@@ -313,7 +370,7 @@ def fit_forest(
     seeds = [derive_seed(seed, i) for i in range(b)]
     inbags = [CounterRng(s).integers(design.n, design.n) for s in seeds]
     grid = np.unique(design.times[design.events == 1])
-    tables = _grow_trees(design, seeds, inbags, min_leaf, max_depth, mtry, grid)
+    tables = _grow_in_shards(design, seeds, inbags, min_leaf, max_depth, mtry, grid)
     return Forest(
         trees=[SurvivalTree(seed=s, inbag=i, nodes=t) for s, i, t in zip(seeds, inbags, tables)],
         mtry=mtry,

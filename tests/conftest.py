@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from survbench import rsf
 from survbench.data import Cohort, Column, CovariateSchema, encode
+from survbench.rng import derive_seed
 
 
 def numeric_cohort(X, times, events):
@@ -29,6 +31,21 @@ def cohorts_equal(a, b) -> bool:
 
 def numeric_design(X, times, events, standardize=False):
     return encode(numeric_cohort(X, times, events), standardize=standardize)
+
+
+def shard_failing_at(tree, mp):
+    """Make fit_forest fork 3 shards down to a single row, and make the
+    shard that grows tree `tree` of a seed-0 forest raise ValueError("boom")."""
+    real, bad = rsf._grow_trees, derive_seed(0, tree)
+
+    def grow(design, seeds, *rest):
+        if bad in seeds:
+            raise ValueError("boom")
+        return real(design, seeds, *rest)
+
+    mp.setattr(rsf, "_SHARD_ROWS", 1)
+    mp.setattr(rsf, "_usable_cpus", lambda: 3)
+    mp.setattr(rsf, "_grow_trees", grow)
 
 
 @pytest.fixture

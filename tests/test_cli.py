@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import survbench
+from survbench import rsf
 from survbench.bench import MODELS, model_options, write_csv
 from survbench.cli import main
 from survbench.data import (Cohort, Column, CovariateSchema, cohort_table, encode, encode_like,
@@ -22,7 +23,7 @@ from survbench.data import (Cohort, Column, CovariateSchema, cohort_table, encod
 from survbench.datagen import GeneratorConfig, generate
 from survbench.metrics import concordance_index
 
-from conftest import cohorts_equal
+from conftest import cohorts_equal, shard_failing_at
 
 
 def make_cohort_csv(tmp_path, n=150, seed=2, name="cohort.csv"):
@@ -216,6 +217,16 @@ def test_eval_rejects_bad_model_file(tmp_path, capsys, edit, text):
     assert_one_line_error(capsys, text)
 
 
+def test_eval_names_a_model_file_that_is_not_json(tmp_path, capsys):
+    cohort_csv = make_cohort_csv(tmp_path)
+    model_path = tmp_path / "cox.json"
+    assert main(["fit", "--model", "cox", "--input", str(cohort_csv), "--out", str(model_path)]) == 0
+    model_path.write_text(model_path.read_text()[:40])  # a file cut short
+    capsys.readouterr()
+    assert main(["eval", "--model-file", str(model_path), "--input", str(cohort_csv)]) == 2
+    assert_one_line_error(capsys, f"{model_path}: not valid JSON: ")
+
+
 def fit_small_forest(tmp_path):
     """A 3-tree forest file fitted on a 120-row cohort, and the cohort."""
     cohort_csv = make_cohort_csv(tmp_path, n=120)
@@ -400,18 +411,22 @@ def test_fit_rejects_unknown_option(tmp_path, capsys):
          "config generator hazard must be a JSON object with keys kind and beta"),
         ("bench", {"input": {"generator": {"hazard": {"kind": "proportional", "beta": "ab"}}}},
          'config generator hazard beta must be a JSON list of numbers, not "ab"'),
+        ("fit", "{\n", "cfg.json: not valid JSON: Expecting property name enclosed in double "
+         "quotes: line 2 column 1 (char 2)"),
+        ("bench", '{"seed": 1,}', "cfg.json: not valid JSON: Expecting property name"),
     ],
     ids=["not-an-object", "fit-options-not-objects", "bench-options-not-objects",
          "fit-unknown-key", "fit-options-unknown-model", "bench-options-unknown-model",
          "input-not-an-object", "unknown-generator-key", "generator-schema-key",
          "km-group-not-a-name", "km-groups-not-a-list", "models-not-a-list",
          "seed-string", "seed-boolean", "test-fraction-string", "csv-number",
-         "generator-n-string", "hazard-string", "beta-string"],
+         "generator-n-string", "hazard-string", "beta-string", "fit-not-json",
+         "bench-not-json"],
 )
 def test_malformed_config_is_one_line_error(tmp_path, capsys, command, config, text):
     cohort_csv = make_cohort_csv(tmp_path, n=60)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
+    path.write_text(config if isinstance(config, str) else json.dumps(config))  # str: raw text
     capsys.readouterr()
     args = ["--config", str(path), "--out", str(tmp_path / "out")]
     if command == "fit":
@@ -533,26 +548,74 @@ def test_bench_cli(tmp_path, capsys):
     assert (out_dir / "report.svg").exists()
 
 
-def test_bench_files_do_not_depend_on_the_blas_thread_variables(tmp_path):
-    # fresh interpreters, as a user runs them: one leaves the BLAS thread
-    # count to survbench, one sets it; the BLAS-heavy models at n=1000
+def fresh_bench_files(out, models, env, preexec_fn=None):
+    """Every file but report.json that `bench --seed 0 --models <models>`
+    writes from a fresh interpreter, as a user runs it, with `env`."""
     src = str(pathlib.Path(survbench.__file__).resolve().parent.parent)
+    env = {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "survbench.cli", "bench", "--seed", "0", "--models", models,
+         "--out", str(out)],
+        env=env, preexec_fn=preexec_fn, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "report.json"}
+
+
+def test_bench_files_do_not_depend_on_the_blas_thread_variables(tmp_path):
+    # one run leaves the BLAS thread count to survbench, one sets it; the
+    # BLAS-heavy models at n=1000
     blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     env = {k: v for k, v in os.environ.items() if k not in blas}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    written = []
-    for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
-        out = tmp_path / f"out{len(written)}"
-        proc = subprocess.run(
-            [sys.executable, "-m", "survbench.cli", "bench", "--seed", "0",
-             "--models", "cox,mtlr,ksvm", "--out", str(out)],
-            env={**env, **extra}, capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        written.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
-                        if p.is_file() and p.name != "report.json"})
-    assert "scores_ksvm.csv" in {p.name for p in written[0]}
-    assert written[0] == written[1]
+    unset = fresh_bench_files(tmp_path / "unset", "cox,mtlr,ksvm", env)
+    pinned = fresh_bench_files(tmp_path / "pinned", "cox,mtlr,ksvm",
+                               {**env, "OPENBLAS_NUM_THREADS": "1"})
+    assert "scores_ksvm.csv" in {p.name for p in unset}
+    assert unset == pinned
+
+
+def test_bench_files_do_not_depend_on_the_cpu_count(tmp_path):
+    # one run is pinned to a single CPU, so its forest grows in one shard,
+    # the other's in one per usable CPU
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity on this platform")
+    cpus = os.sched_getaffinity(0)
+    if len(cpus) < 2:
+        pytest.skip("one usable CPU: both runs would grow the forest in one shard")
+    every = fresh_bench_files(tmp_path / "every", "rsf", dict(os.environ))
+    one = fresh_bench_files(tmp_path / "one", "rsf", dict(os.environ),
+                            preexec_fn=lambda: os.sched_setaffinity(0, {min(cpus)}))
+    assert "scores_rsf.csv" in {p.name for p in every}
+    assert every == one
+
+
+def test_a_failing_forest_shard_is_one_line_error(tmp_path, capsys, monkeypatch):
+    cohort_csv = make_cohort_csv(tmp_path, n=60)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"model_options": {"rsf": {"b": 9, "min_leaf": 5}}}))
+    shard_failing_at(0, monkeypatch)  # the first of three shards, a forked one
+    capsys.readouterr()
+    assert main(["fit", "--model", "rsf", "--input", str(cohort_csv), "--config", str(config),
+                 "--seed", "0", "--out", str(tmp_path / "rsf.json")]) == 2
+    assert capsys.readouterr().err == "survbench: error: boom\n"
+    assert not (tmp_path / "rsf.json").exists()
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_bench_prints_each_line_once_with_forked_shards(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"input": {"generator": {"n": 100}},
+                                  "model_options": {"rsf": {"b": 6}}}))
+    monkeypatch.setattr(rsf, "_SHARD_ROWS", 1)
+    monkeypatch.setattr(rsf, "_usable_cpus", lambda: 3)
+    assert main(["bench", "--config", str(config), "--models", "rsf", "--seed", "0",
+                 "--out", str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["n=100", "rsf", "report"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_bench_cli_csv_input(tmp_path, capsys):

@@ -7,6 +7,10 @@ stability, leaf occupancy)."""
 import hashlib
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +35,7 @@ from survbench.rsf import (
 from survbench.rng import CounterRng, derive_seed, uniform_at
 from survbench.stepfun import StepFunction
 
-from conftest import numeric_design
+from conftest import numeric_design, shard_failing_at
 
 
 def naive_logrank(times, events, groups):
@@ -328,6 +332,60 @@ def test_forest_does_not_depend_on_its_batches(data_seed, n, b, mtry, min_leaf, 
         mp.setattr(rsf, "_CELLS", 1 << 7)
         mp.setattr(rsf, "_batch_order", lambda entry: (entry[0], -entry[5]))
         assert forest_to_dict(fit_forest(d, **options)) == batched
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 7),
+    st.integers(1, 8),
+    st.one_of(st.none(), st.integers(0, 6)),
+)
+@settings(max_examples=25, deadline=None)
+def test_forest_does_not_depend_on_the_shard_count(data_seed, b, min_leaf, max_depth):
+    # one, two and three shards, forked down to a single row, with fewer
+    # trees than CPUs when b < 3
+    d = bigger_design(seed=data_seed % 1000, n=60)
+    options = dict(b=b, min_leaf=min_leaf, max_depth=max_depth, seed=data_seed)
+    forests = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rsf, "_SHARD_ROWS", 1)
+        for cpus in (1, 2, 3):
+            mp.setattr(rsf, "_usable_cpus", lambda cpus=cpus: cpus)
+            forests.append(forest_to_dict(fit_forest(d, **options)))
+    assert forests[0] == forests[1] == forests[2]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("tree", [0, 4, 8], ids=["first-child", "second-child", "this-process"])
+def test_a_failing_shard_raises_its_error_and_leaves_no_child(tree, monkeypatch):
+    shard_failing_at(tree, monkeypatch)
+    with pytest.raises(ValueError, match="^boom$"):
+        fit_forest(bigger_design(n=60), b=9, min_leaf=5, seed=0)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_forked_shard_neither_flushes_stdout_nor_runs_exit_handlers():
+    # a fresh interpreter whose stdout is a pipe, so "before" still sits in
+    # its buffer when the shards fork
+    src = str(pathlib.Path(rsf.__file__).resolve().parent.parent)
+    script = (
+        "import atexit\n"
+        "from survbench import rsf\n"
+        "from survbench.data import encode\n"
+        "from survbench.datagen import GeneratorConfig, generate\n"
+        "atexit.register(print, 'exit handler')\n"
+        "print('before')\n"
+        "rsf._SHARD_ROWS, rsf._usable_cpus = 1, lambda: 3\n"
+        "d = encode(generate(GeneratorConfig(n=60))[0], standardize=False)\n"
+        "print(len(rsf.fit_forest(d, b=6, min_leaf=5).trees))\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "before\n6\nexit handler\n"
 
 
 def test_a_tree_does_not_depend_on_the_trees_grown_with_it():
