@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field, fields
@@ -150,11 +151,19 @@ def _has_json_kind(default, value) -> bool:
 
 
 def _check_json_kinds(what: str, defaults: dict, values: dict) -> None:
-    """Refuse a value in `values` whose JSON type is not its default's."""
+    """Refuse a value in `values` whose JSON type is not its default's,
+    or a NaN or infinite number (Python's json reads NaN and Infinity,
+    and a range check lets NaN through)."""
     for key, default in defaults.items():
-        if key in values and not _has_json_kind(default, values[key]):
+        if key not in values:
+            continue
+        value = values[key]
+        if not _has_json_kind(default, value):
             raise ValueError(f"{what} {key} must be a JSON {_json_kind(default)}, "
-                             f"not {json.dumps(values[key])}")
+                             f"not {json.dumps(value)}")
+        for v in value if isinstance(value, list) else [value]:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{what} {key} must be a finite number, not {json.dumps(v)}")
 
 
 def model_options(name: str, overrides: dict) -> dict:

@@ -9,13 +9,14 @@ batch. A zero-hidden-layer spec is exactly a linear Cox predictor.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import DesignMatrix
-from .riskset import RiskSets, breslow_loglik, risk_sets, sorted_risk_sets
+from .riskset import breslow_loglik, risk_sets, sorted_breslow_loglik
 from .rng import CounterRng
 
 _ACTIVATIONS = ("relu", "tanh")
@@ -68,11 +69,7 @@ def cox_nll_loss(log_risks, times, events) -> tuple[float, np.ndarray]:
     its exact gradient with respect to the log-risks: -l/E and -dl/dg / E
     for the Breslow likelihood l of `breslow_loglik` (ties share a risk
     set, exp is max-shifted)."""
-    return _batch_nll(risk_sets(times, events), log_risks)
-
-
-def _batch_nll(rs: RiskSets, log_risks) -> tuple[float, np.ndarray]:
-    """`cox_nll_loss` of the batch whose risk sets are `rs`."""
+    rs = risk_sets(times, events)
     n_events = int(rs.n_events.sum())
     if n_events < 1:
         raise ValueError("batch has no events")
@@ -99,24 +96,22 @@ def _forward(weights, biases, X, activation, drop_masks=None):
     return a[:, 0], acts, zs
 
 
-def _backward(weights, dz_out, acts, zs, activation, l2, drop_masks=None):
-    """dz_out is dLoss/d(output column); returns per-layer gradients with
-    L2 applied to weights only."""
-    grads_w = [None] * len(weights)
-    grads_b = [None] * len(weights)
+def _backward(weights, dz_out, acts, zs, activation, grads_w, grads_b, drop_masks=None):
+    """dz_out is dLoss/d(output column); fills the per-layer gradients of
+    the loss, without L2, into grads_w and grads_b."""
     delta = dz_out
     for l in range(len(weights) - 1, -1, -1):
-        grads_w[l] = acts[l].T @ delta + l2 * weights[l]
-        grads_b[l] = delta.sum(axis=0)
+        np.matmul(acts[l].T, delta, out=grads_w[l])
+        delta.sum(axis=0, out=grads_b[l])
         if l > 0:
-            upstream = delta @ weights[l].T
+            # an output delta has one column: a product of one term, as in the matmul
+            upstream = delta * weights[l].T if l == len(weights) - 1 else delta @ weights[l].T
             if drop_masks is not None:
                 upstream = upstream * drop_masks[l - 1]
             if activation == "tanh":
                 delta = upstream * (1.0 - np.tanh(zs[l - 1]) ** 2)
             else:
                 delta = upstream * (zs[l - 1] > 0.0)
-    return grads_w, grads_b
 
 
 def loss_and_gradients(weights, biases, X, times, events, activation, l2):
@@ -125,8 +120,17 @@ def loss_and_gradients(weights, biases, X, times, events, activation, l2):
     g, acts, zs = _forward(weights, biases, X, activation)
     loss, dg = cox_nll_loss(g, times, events)
     loss += 0.5 * l2 * sum(float((W * W).sum()) for W in weights)
-    gw, gb = _backward(weights, dg[:, None], acts, zs, activation, l2)
+    gw, gb = [np.empty_like(W) for W in weights], [np.empty_like(b) for b in biases]
+    _backward(weights, dg[:, None], acts, zs, activation, gw, gb)
+    for W, G in zip(weights, gw):
+        G += l2 * W
     return loss, gw, gb
+
+
+def _views(flat, shapes):
+    """Consecutive views into `flat` with the given shapes."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+    return [part.reshape(shape) for part, shape in zip(np.split(flat, ends), shapes)]
 
 
 def fit_deepsurv(
@@ -140,7 +144,10 @@ def fit_deepsurv(
 ) -> DeepSurvModel:
     """SGD with momentum 0.9. Batches are a seeded shuffle each epoch,
     cut into batch_size chunks (full batch when batch_size is None);
-    event-free chunks are skipped with a warning."""
+    event-free chunks are skipped with a warning. Each epoch is planned
+    before its first step (time order, risk sets and dropout draws of all
+    its chunks, with the bits of a chunk-by-chunk loop), and a step
+    updates one flat vector of which the weights and biases are views."""
     if not design.standardized:
         raise ValueError("deepsurv expects a standardized design")
     if design.events.sum() < 1:
@@ -156,45 +163,59 @@ def fit_deepsurv(
     if l2 < 0:
         raise ValueError("l2 must be >= 0")
     weights, biases = init_parameters(spec)
-    vel_w = [np.zeros_like(W) for W in weights]
-    vel_b = [np.zeros_like(b) for b in biases]
+    layers, n_weights = len(weights), sum(W.size for W in weights)
+    shapes = [a.shape for a in weights + biases]
+    params = np.concatenate([a.ravel() for a in weights + biases])  # every weight, then biases
+    grad, vel = np.empty_like(params), np.zeros_like(params)
+    views, grads = _views(params, shapes), _views(grad, shapes)
+    weights, biases, grads_w, grads_b = views[:layers], views[layers:], grads[:layers], grads[layers:]
     rng = CounterRng(seed)
     X, times, events = design.X, design.times, design.events
     n = design.n
     chunk = n if batch_size is None else min(batch_size, n)
+    batch_starts = np.arange(0, n, chunk)
+    bounds = [*batch_starts.tolist(), n]
+    hidden = spec.layer_widths[1:-1]
+    keep = 1.0 - spec.dropout_rate
     log = []
     for epoch in range(epochs):
         perm = np.argsort(rng.uniform(n), kind="stable")
+        rows = perm[np.lexsort((times[perm], np.arange(n) // chunk))]
+        t, is_event, Xs = times[rows], events[rows] == 1, X[rows]
+        edge = np.concatenate(([True], t[1:] != t[:-1], [True]))  # a risk set's first row, or the end
+        edge[batch_starts] = True
+        edges = np.flatnonzero(edge)
+        starts, sizes = edges[:-1], edges[1:] - edges[:-1]
+        n_events = np.add.reduceat(is_event.astype(np.float64), starts)
+        starts_in_batch = starts % chunk
+        group_bounds = np.searchsorted(starts, bounds).tolist()
+        batch_events = np.add.reduceat(is_event, batch_starts).tolist()
+        if spec.dropout_rate > 0.0:  # each event batch's masks, hidden layer by layer
+            mask_shapes = [(hi - lo, w) for lo, hi, k in zip(bounds, bounds[1:], batch_events)
+                           if k for w in hidden]
+            u = rng.uniform(sum(r * w for r, w in mask_shapes))
+            drops = iter(_views((u < keep) / keep, mask_shapes))
         batch_losses = []
-        for lo in range(0, n, chunk):
-            idx = perm[lo : lo + chunk]
-            idx = idx[np.argsort(times[idx], kind="stable")]
-            batch = sorted_risk_sets(times[idx], events[idx], np.arange(idx.size))
-            if not batch.is_event.any():
+        for b, k in enumerate(batch_events):
+            if not k:
                 warnings.warn(f"skipping event-free batch at epoch {epoch}")
                 continue
-            masks = None
-            if spec.dropout_rate > 0.0:
-                keep = 1.0 - spec.dropout_rate
-                masks = [
-                    (rng.uniform(idx.size * w).reshape(idx.size, w) < keep) / keep
-                    for w in spec.layer_widths[1:-1]
-                ]
+            lo, hi = bounds[b], bounds[b + 1]
+            masks = [next(drops) for _ in hidden] if spec.dropout_rate > 0.0 else None
+            groups = slice(group_bounds[b], group_bounds[b + 1])
             with np.errstate(all="ignore"):  # a diverged loss is refused below
-                g, acts, zs = _forward(weights, biases, X[idx], spec.activation, masks)
-                loss, dg = _batch_nll(batch, g)
-            if not np.isfinite(loss):
-                raise ValueError(
-                    f"loss diverged at epoch {epoch}; lower the learning rate"
-                )
-            gw, gb = _backward(
-                weights, dg[:, None], acts, zs, spec.activation, l2, masks
-            )
-            for l in range(len(weights)):
-                vel_w[l] = 0.9 * vel_w[l] - learning_rate * gw[l]
-                vel_b[l] = 0.9 * vel_b[l] - learning_rate * gb[l]
-                weights[l] = weights[l] + vel_w[l]
-                biases[l] = biases[l] + vel_b[l]
+                g, acts, zs = _forward(weights, biases, Xs[lo:hi], spec.activation, masks)
+                loglik, dl = sorted_breslow_loglik(g, is_event[lo:hi], starts_in_batch[groups],
+                                                   sizes[groups], n_events[groups])
+            loss = -loglik / k
+            if not math.isfinite(loss):
+                raise ValueError(f"loss diverged at epoch {epoch}; lower the learning rate")
+            _backward(weights, (dl / -k)[:, None], acts, zs, spec.activation,
+                      grads_w, grads_b, masks)
+            grad[:n_weights] += l2 * params[:n_weights]
+            vel *= 0.9
+            vel -= learning_rate * grad
+            params += vel
             batch_losses.append(loss)
         log.append(float(np.mean(batch_losses)) if batch_losses else float("nan"))
     return DeepSurvModel(

@@ -9,6 +9,8 @@ at t still counts as at risk for events at t (Breslow 1974).
 Kaplan-Meier, Nelson-Aalen, the Cox and DeepSurv partial likelihoods and
 the random survival forest's log-rank splitter all read their counts
 from one `RiskSets` record, built by `risk_sets` or `sorted_risk_sets`.
+The Breslow likelihood is written once, in `sorted_breslow_loglik` on
+time-ordered rows (DeepSurv's minibatches); `breslow_loglik` wraps it.
 `comparable_blocks` lists the comparable pairs (event i, T_i < T_j) for
 the C-index (`metrics.concordance_index`) and the kernel survival SVM.
 """
@@ -61,8 +63,20 @@ def risk_set_sums(rs: RiskSets, values: np.ndarray) -> np.ndarray:
 
 
 def breslow_loglik(rs: RiskSets, log_risks) -> tuple[float, np.ndarray]:
-    """Breslow log partial likelihood of per-row log-risks g, and its
-    gradient with respect to g in the input row order:
+    """`sorted_breslow_loglik` of per-row log-risks g in the input row
+    order of `rs`, with the gradient in that order."""
+    g = np.asarray(log_risks, dtype=np.float64)
+    loglik, grad_sorted = sorted_breslow_loglik(
+        g[rs.order], rs.is_event, rs.starts, np.diff(rs.starts, append=g.size), rs.n_events)
+    grad = np.empty_like(g)
+    grad[rs.order] = grad_sorted
+    return loglik, grad
+
+
+def sorted_breslow_loglik(g, is_event, starts, sizes, d) -> tuple[float, np.ndarray]:
+    """Breslow log partial likelihood of log-risks g of rows in stable time
+    order, given their `RiskSets` fields is_event, starts and n_events (d)
+    and the row count of each distinct time, and its gradient in g's order:
 
         l = sum over events i of [g_i - log W(T_i)],
         dl/dg_j = delta_j - w_j * c_j,
@@ -71,18 +85,12 @@ def breslow_loglik(rs: RiskSets, log_risks) -> tuple[float, np.ndarray]:
     d_t / W(t) over every risk set holding row j (d_t events at t). exp
     is shifted by max(g); l and dl/dg are invariant to the shift.
     """
-    g = np.asarray(log_risks, dtype=np.float64)
-    gs = g[rs.order]
-    m = gs.max()
-    w = np.exp(gs - m)
-    denom = risk_set_sums(rs, w)
-    d = rs.n_events
-    loglik = gs[rs.is_event].sum() - float(((m + np.log(denom)) * d).sum())
+    m = g.max()
+    w = np.exp(g - m)
+    denom = w[::-1].cumsum()[::-1][starts]
+    loglik = g[is_event].sum() - float(((m + np.log(denom)) * d).sum())
     q = np.where(d > 0, d / denom, 0.0)
-    group_of = np.searchsorted(rs.starts, np.arange(g.size), side="right") - 1
-    grad = np.empty_like(g)
-    grad[rs.order] = rs.is_event - w * np.cumsum(q)[group_of]
-    return float(loglik), grad
+    return float(loglik), is_event - w * q.cumsum().repeat(sizes)
 
 
 def comparable_blocks(times, events):

@@ -4,6 +4,7 @@ of the score dumps, figure files."""
 import csv
 import inspect
 import json
+import math
 import os
 
 import numpy as np
@@ -246,6 +247,16 @@ def test_option_of_wrong_json_type_is_reported_per_model(tmp_path):
     )
     status = {r.name: r.status for r in run_benchmark(config).rows}
     assert status == {"cox": "ok", "rsf": 'error: rsf option b must be a JSON integer, not "x"'}
+
+
+def test_non_finite_option_is_reported_per_model(tmp_path):
+    # json reads NaN, and a NaN ridge passes the ridge >= 0 check
+    config = small_config(
+        tmp_path / "out", models=("cox", "rsf"), model_options={"cox": {"ridge": math.nan}}
+    )
+    status = {r.name: r.status for r in run_benchmark(config).rows}
+    assert status == {"cox": "error: cox option ridge must be a finite number, not NaN",
+                      "rsf": "ok"}
 
 
 def test_option_values_must_have_the_json_type_of_their_default():

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import pathlib
 import stat
@@ -411,6 +412,12 @@ def test_fit_rejects_unknown_option(tmp_path, capsys):
          "config generator hazard must be a JSON object with keys kind and beta"),
         ("bench", {"input": {"generator": {"hazard": {"kind": "proportional", "beta": "ab"}}}},
          'config generator hazard beta must be a JSON list of numbers, not "ab"'),
+        ("bench", {"test_fraction": math.nan}, "config test_fraction must be a finite number, not NaN"),
+        ("bench", {"input": {"generator": {"censor_rate": math.nan}}},
+         "config generator censor_rate must be a finite number, not NaN"),
+        ("bench", {"input": {"generator": {"hazard": {"kind": "proportional",
+                                                      "beta": [1.0, math.inf]}}}},
+         "config generator hazard beta must be a finite number, not Infinity"),
         ("fit", "{\n", "cfg.json: not valid JSON: Expecting property name enclosed in double "
          "quotes: line 2 column 1 (char 2)"),
         ("bench", '{"seed": 1,}', "cfg.json: not valid JSON: Expecting property name"),
@@ -420,7 +427,7 @@ def test_fit_rejects_unknown_option(tmp_path, capsys):
          "input-not-an-object", "unknown-generator-key", "generator-schema-key",
          "km-group-not-a-name", "km-groups-not-a-list", "models-not-a-list",
          "seed-string", "seed-boolean", "test-fraction-string", "csv-number",
-         "generator-n-string", "hazard-string", "beta-string", "fit-not-json",
+         "generator-n-string", "hazard-string", "beta-string", "test-fraction-nan", "censor-rate-nan", "beta-infinite", "fit-not-json",
          "bench-not-json"],
 )
 def test_malformed_config_is_one_line_error(tmp_path, capsys, command, config, text):
@@ -460,6 +467,14 @@ def test_malformed_config_is_one_line_error(tmp_path, capsys, command, config, t
         ("rsf", {"max_depth": -3}, "max_depth must be null or >= 0"),
         ("deepsurv", {"learning_rate": -0.1}, "learning_rate must be > 0"),
         ("deepsurv", {"l2": -1.0}, "l2 must be >= 0"),
+        ("cox", {"ridge": math.nan}, "cox option ridge must be a finite number, not NaN"),
+        ("cox", {"tol": math.nan}, "cox option tol must be a finite number, not NaN"),
+        ("ksvm", {"c": math.nan}, "ksvm option c must be a finite number, not NaN"),
+        ("ksvm", {"gamma": math.nan}, "ksvm option gamma must be a finite number, not NaN"),
+        ("mtlr", {"l2": math.inf}, "mtlr option l2 must be a finite number, not Infinity"),
+        ("deepsurv", {"learning_rate": math.nan},
+         "deepsurv option learning_rate must be a finite number, not NaN"),
+        ("rsf", {"mtry": -math.inf}, "rsf option mtry must be a finite number, not -Infinity"),
     ],
     ids=["rsf-b-string", "cox-max-iter-string", "cox-tol-boolean", "rsf-mtry-string",
          "rsf-mtry-fraction", "rsf-mtry-zero", "ksvm-gamma-string", "deepsurv-hidden-number",
@@ -467,7 +482,8 @@ def test_malformed_config_is_one_line_error(tmp_path, capsys, command, config, t
          "deepsurv-empty-batches", "deepsurv-diverges", "ksvm-c-negative",
          "cox-max-iter-negative", "cox-ridge-negative", "mtlr-max-iter-negative",
          "rsf-min-leaf-zero", "rsf-max-depth-negative", "deepsurv-learning-rate-negative",
-         "deepsurv-l2-negative"],
+         "deepsurv-l2-negative", "cox-ridge-nan", "cox-tol-nan", "ksvm-c-nan", "ksvm-gamma-nan",
+         "mtlr-l2-infinite", "deepsurv-learning-rate-nan", "rsf-mtry-minus-infinite"],
 )
 @pytest.mark.filterwarnings("error")  # a warning would print more than the one line
 def test_fit_option_of_wrong_type_or_value_is_one_line_error(tmp_path, capsys, model,

@@ -1,18 +1,25 @@
 """Network risk model: the batch loss against a hand-computed fixture and
-finite differences, full-parameter gradient checks through the
-backpropagation, and the linear-network equivalence with the
-proportional-hazards fitter."""
+finite differences, the time-ordered likelihood core against the
+gathering one, full-parameter gradient checks through the
+backpropagation, the linear-network equivalence with the
+proportional-hazards fitter, and the bits of four pinned fits."""
 
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from survbench.bench import MODELS, model_options
 from survbench.cox import fit_cox, predict_risk
+from survbench.data import encode, split
+from survbench.datagen import GeneratorConfig, generate
 from survbench.deepsurv import (
     DeepSurvModel,
     MlpSpec,
-    _batch_nll,
     cox_nll_loss,
     deepsurv_from_dict,
     deepsurv_to_dict,
@@ -22,7 +29,7 @@ from survbench.deepsurv import (
     predict_log_risk,
 )
 from survbench.metrics import concordance_index
-from survbench.riskset import sorted_risk_sets
+from survbench.riskset import breslow_loglik, risk_sets, sorted_breslow_loglik
 
 from conftest import numeric_design
 
@@ -86,18 +93,35 @@ def test_loss_ties_share_risk_set():
     assert loss == pytest.approx(expected, rel=1e-14)
 
 
-def test_a_time_ordered_batch_needs_no_sort():
-    # the fit's minibatches are in time order, so their risk sets are
-    # built without a sort; the loss and gradient keep their bits
-    for seed in range(4):
-        g, t, e = survival_batch(seed, n=40)
-        t = np.round(t, 1)  # ties in time
-        order = np.argsort(t, kind="stable")
-        g, t, e = g[order], t[order], e[order]
-        loss, grad = _batch_nll(sorted_risk_sets(t, e, np.arange(t.size)), g)
-        want_loss, want_grad = cox_nll_loss(g, t, e)
-        assert loss == want_loss
-        np.testing.assert_array_equal(grad, want_grad)
+@st.composite
+def shuffled_batch(draw):
+    """A minibatch in shuffled row order: times from a few values, so ties
+    are common, censored rows and at least one event."""
+    n = draw(st.integers(1, 40))
+    pool = draw(st.lists(st.floats(0.1, 20.0), min_size=1, max_size=6, unique=True))
+    t = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    e = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    e[draw(st.integers(0, n - 1))] = 1
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(scale=3.0, size=n)
+    return g, t, e
+
+
+@given(shuffled_batch())
+@settings(max_examples=200, deadline=None)
+def test_a_time_ordered_batch_needs_no_sort(batch):
+    # the fit puts each minibatch in stable time order and hands the
+    # sorted rows to the likelihood core; it must give the bits that the
+    # gathering likelihood gives on the rows in shuffled order
+    g, t, e = batch
+    order = np.lexsort((t,))
+    ts = t[order]
+    starts = np.flatnonzero(np.r_[True, ts[1:] != ts[:-1]])
+    sizes = np.diff(np.r_[starts, t.size])
+    d = np.add.reduceat((e[order] == 1).astype(float), starts)
+    loglik, grad = sorted_breslow_loglik(g[order], e[order] == 1, starts, sizes, d)
+    want_loglik, want_grad = breslow_loglik(risk_sets(t, e), g)
+    assert loglik == want_loglik
+    np.testing.assert_array_equal(grad, want_grad[order])
 
 
 def test_loss_rejects_event_free_batch():
@@ -342,3 +366,59 @@ def test_serialization_round_trip():
     old = deepsurv_from_dict({**doc, "means": [0.0, 0.0], "sds": [1.0, 1.0]})
     np.testing.assert_array_equal(predict_log_risk(old, d),
                                   predict_log_risk(model, d))
+
+
+# --- pinned fits -----------------------------------------------------------
+
+
+def fit_digest(model):
+    h = hashlib.sha256()
+    for a in (*model.weights, *model.biases, np.array(model.training_log)):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def generated_train_design():
+    cohort, _ = generate(GeneratorConfig(n=300, seed=0))
+    train, _ = split(cohort, 0.3, 0)
+    return encode(train, standardize=True)
+
+
+def test_default_fit_is_pinned():
+    # the bench registry's default network and optimizer, fewer epochs
+    d = generated_train_design()
+    model = MODELS["deepsurv"].fit(d, model_options("deepsurv", {"epochs": 20}), 0)
+    assert fit_digest(model) == "606446d644264c685e92c3436977f94e006f89333ec2371ab033b53c14f04eb2"
+
+
+def test_dropout_tanh_odd_batches_fit_is_pinned():
+    d = generated_train_design()
+    spec = MlpSpec((d.p, 16, 1), activation="tanh", dropout_rate=0.3, weight_init_seed=1)
+    model = fit_deepsurv(d, spec, epochs=10, batch_size=37, seed=2)
+    assert fit_digest(model) == "3158d7aff2f6ccd84bd832c4ece7b77fc6d96ff54b9330925a78420c285a5c2a"
+
+
+def test_two_hidden_layer_full_batch_fit_is_pinned():
+    d = generated_train_design()
+    spec = MlpSpec((d.p, 8, 4, 1), weight_init_seed=3)
+    model = fit_deepsurv(d, spec, epochs=30, batch_size=None, learning_rate=0.05, seed=4)
+    assert fit_digest(model) == "fa86c68c5ee88647b2f7b0e7b0cb9c57e5c113159f8c079c914d7fc4714a3cc8"
+
+
+def test_tiny_batch_fit_and_its_skipped_batches_are_pinned():
+    # 4 events in 40 rows cut into 8 batches of 5: most batches are
+    # event-free, and each skip warns once with its epoch
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(40, 3))
+    t = np.round(rng.exponential(1.0, 40), 1) + 0.1
+    e = (rng.uniform(size=40) < 0.15).astype(int)
+    e[0] = 1
+    d = numeric_design(X, t, e, standardize=True)
+    spec = MlpSpec((3, 4, 1), dropout_rate=0.2, weight_init_seed=6)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model = fit_deepsurv(d, spec, epochs=6, batch_size=5, learning_rate=0.01, seed=7)
+    skipped = [int(str(w.message).rsplit(" ", 1)[1]) for w in caught]
+    assert all(str(w.message).startswith("skipping event-free batch") for w in caught)
+    assert skipped == [0] * 5 + [1] * 5 + [2] * 4 + [3] * 4 + [4] * 5 + [5] * 5
+    assert fit_digest(model) == "bb844a420acdb7ed4ef5cb88b3747824ad77186693a5cd9b7cb7c45a25aa0454"
