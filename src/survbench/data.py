@@ -249,8 +249,7 @@ def infer_schema(names: list[str], rows: list[list[str]]) -> CovariateSchema:
     for j, name in enumerate(names):
         vals = [r[j] for r in rows]
         try:
-            for v in vals:
-                float(v)
+            list(map(float, vals))
             cols.append(Column(name=name, kind="numeric"))
         except ValueError:
             cols.append(
@@ -260,6 +259,21 @@ def infer_schema(names: list[str], rows: list[list[str]]) -> CovariateSchema:
 
 
 _EVENT_TOKENS = {"0": 0, "1": 1, "false": 0, "true": 1}
+
+
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _floats(cells: tuple[str, ...]) -> np.ndarray:
+    """The cells as floats, NaN where a cell is not a number."""
+    try:
+        return np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:
+        return np.array([_number(v) for v in cells], dtype=np.float64)
 
 
 def ingest_csv(
@@ -281,6 +295,8 @@ def ingest_csv(
         except StopIteration:
             raise SchemaError("empty CSV") from None
         rows = [r for r in reader if r]
+    if not rows:
+        raise SchemaError(f"{path}: a header but no data rows")
     for required in (time_col, event_col):
         if required not in header:
             raise SchemaError(f"missing column {required!r}")
@@ -296,40 +312,34 @@ def ingest_csv(
         raise SchemaError(
             f"CSV covariate columns {cov_names} do not match schema {schema.names}"
         )
-    time = np.empty(len(rows))
-    event = np.empty(len(rows), dtype=np.int64)
-    for i, r in enumerate(rows):
-        try:
-            time[i] = float(r[t_j])
-        except ValueError:
-            raise ParseError(f"row {i + 1}: non-numeric time {r[t_j]!r}") from None
-        if not np.isfinite(time[i]) or time[i] < 0:
-            raise ParseError(f"row {i + 1}: time must be finite and >= 0, got {r[t_j]!r}")
-        tok = r[e_j].strip().lower()
-        if tok not in _EVENT_TOKENS:
-            raise ParseError(f"row {i + 1}: bad event value {r[e_j]!r}")
-        event[i] = _EVENT_TOKENS[tok]
+    columns = list(zip(*rows))
+    t_raw, e_raw = columns[t_j], columns[e_j]
+    time = _floats(t_raw)
+    event = np.array([_EVENT_TOKENS.get(v.strip().lower(), -1) for v in e_raw])
+    bad_time = ~(np.isfinite(time) & (time >= 0))
+    bad = bad_time | (event < 0)
+    if bad.any():  # the first bad row; a row's time is read before its event
+        i = int(np.argmax(bad))
+        if not bad_time[i]:
+            raise ParseError(f"row {i + 1}: bad event value {e_raw[i]!r}")
+        if _number(t_raw[i]) is None:
+            raise ParseError(f"row {i + 1}: non-numeric time {t_raw[i]!r}")
+        raise ParseError(f"row {i + 1}: time must be finite and >= 0, got {t_raw[i]!r}")
     cov = {}
     for j, col in zip(cov_js, schema.columns):
-        raw = [r[j] for r in rows]
+        raw = columns[j]
         if col.kind == "numeric":
-            vals = np.empty(len(raw))
-            for i, v in enumerate(raw):
-                try:
-                    vals[i] = float(v)
-                except ValueError:
-                    raise ParseError(
-                        f"row {i + 1}: non-numeric value {v!r} in {col.name!r}"
-                    ) from None
+            vals = _floats(raw)
             bad = np.flatnonzero(~np.isfinite(vals))
-            if bad.size:
-                i = bad[0]
-                raise ParseError(f"row {i + 1}: non-finite value {raw[i]!r} in {col.name!r}")
+            if bad.size:  # a non-number anywhere is named before a non-finite number
+                i = next((i for i in bad.tolist() if _number(raw[i]) is None), int(bad[0]))
+                what = "non-numeric" if _number(raw[i]) is None else "non-finite"
+                raise ParseError(f"row {i + 1}: {what} value {raw[i]!r} in {col.name!r}")
             cov[col.name] = vals
         else:
             known = set(col.levels)
-            for i, v in enumerate(raw):
-                if v not in known:
-                    raise ParseError(f"row {i + 1}: unknown level {v!r} in {col.name!r}")
+            if not known.issuperset(raw):
+                i = next(i for i, v in enumerate(raw) if v not in known)
+                raise ParseError(f"row {i + 1}: unknown level {raw[i]!r} in {col.name!r}")
             cov[col.name] = np.array(raw, dtype=object)
     return Cohort(schema, cov, time, event)

@@ -81,6 +81,8 @@ class HazardSpec:
                 )
         elif self.beta:
             raise ValueError("nonlinear hazard takes no beta")
+        if not all(math.isfinite(b) for b in self.beta):
+            raise ValueError(f"hazard beta must be finite numbers, not {list(self.beta)}")
 
 
 @dataclass(frozen=True)
@@ -96,6 +98,9 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        for name in ("baseline_rate", "censor_rate", "censor_horizon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, not {getattr(self, name)}")
         if self.baseline_rate <= 0 or self.censor_rate <= 0 or self.censor_horizon <= 0:
             raise ValueError("rates and horizon must be positive")
 

@@ -28,16 +28,18 @@ start offset into them. A leaf's curve on the grid is built when needed.
 The ensemble cumulative hazard is the mean of the B leaf curves a row
 falls into, so its mortality (that curve summed over the training
 event-time grid) is the mean of one scalar per leaf. Scoring stacks the
-B tables on each call and descends all trees together, one gather a
-level over a (rows, B) matrix of node indices. It sums the grid curve of
-each leaf reached, and both steps work in passes of bounded size. It
-averages a row's B leaf mortalities with math.fsum, which keeps the
-score independent of tree order; `predict_chf` takes the math.fsum per knot.
+B tables on each call and descends all trees together over a (rows, B)
+matrix of node indices. A right child follows its left, so a level
+moves an entry to left + 1 unless its value is <= the threshold: a NaN
+goes right. It sums the grid curve of each leaf reached, and both steps
+work in passes of bounded size. It averages a row's B leaf mortalities
+with math.fsum, which keeps the score independent of tree order;
+`predict_chf` takes the math.fsum per knot.
 
 A forest file holds each tree's table as flat lists, the event grid once,
 and the training size n instead of each tree's bootstrap rows: a tree's
 `inbag` is the first n draws of its own seed's stream, so loading
-rebuilds it. Loading checks each tree's table whole.
+rebuilds it. Loading checks all trees' tables at once, their lists joined.
 
 Per-tree randomness comes from a child seed mixed out of (master seed,
 tree index), so any tree is reproducible in isolation. Within a node the
@@ -60,6 +62,7 @@ import pickle
 import signal
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -398,7 +401,8 @@ def _descend(trees: list[SurvivalTree], X: np.ndarray) -> tuple[NodeTable, np.nd
     """The trees' tables stacked into one, split children and offsets
     shifted into it, and the node each row of X reaches in each tree, as a
     (rows, B) matrix. Each level of a pass moves every entry of the pass
-    not yet at a leaf, left when X[row, column] <= threshold."""
+    not yet at a leaf to left + 1 unless X[row, column] <= threshold, so a
+    NaN goes right."""
     sizes = [tree.nodes.column.size for tree in trees]
     roots = np.cumsum([0, *sizes[:-1]])
     first_knot = np.repeat(np.cumsum([0, *(tree.nodes.knots.size for tree in trees[:-1])]), sizes)
@@ -406,14 +410,17 @@ def _descend(trees: list[SurvivalTree], X: np.ndarray) -> tuple[NodeTable, np.nd
     shift = np.where(nodes.column >= 0, np.repeat(roots, sizes), 0)  # leaves keep their -1
     nodes = nodes._replace(left=nodes.left + shift, right=nodes.right + shift,
                            offsets=nodes.offsets + first_knot)
+    column, threshold, left = nodes.column, nodes.threshold, nodes.left
+    x = np.ascontiguousarray(X, dtype=np.float64).ravel()
     at = np.tile(roots, X.shape[0])
     for lo in range(0, at.size, _PASS_CELLS):
-        live = lo + np.flatnonzero(nodes.column[at[lo:lo + _PASS_CELLS]] >= 0)
+        live = lo + np.flatnonzero(column[at[lo:lo + _PASS_CELLS]] >= 0)
+        base = live // roots.size * X.shape[1]
         while live.size:
             node = at[live]
-            go_left = X[live // roots.size, nodes.column[node]] <= nodes.threshold[node]
-            at[live] = np.where(go_left, nodes.left[node], nodes.right[node])
-            live = live[nodes.column[at[live]] >= 0]
+            at[live] = node = left[node] + ~(x[base + column[node]] <= threshold[node])
+            keep = np.flatnonzero(column[node] >= 0)
+            live, base = live[keep], base[keep]
     return nodes, at.reshape(X.shape[0], roots.size)
 
 
@@ -480,49 +487,61 @@ def rsf_risk(forest: Forest, design: DesignMatrix) -> np.ndarray:
     return _mortality(forest, np.asarray(design.X, dtype=np.float64))
 
 
-def _flat(values: list, key: str) -> np.ndarray:
-    """A tree's list `key`: numbers for its thresholds, integers otherwise."""
+def _flat(trees: list, key: str) -> tuple[np.ndarray, np.ndarray]:
+    """The trees' lists `key` joined, numbers for the thresholds and
+    integers otherwise, and each list's length."""
     kinds, what = ("iuf", "numbers") if key == "threshold" else ("iu", "integers")
-    try:
-        a = np.array(values)
-    except ValueError:  # ragged nesting
-        a = None
+    lists, a = [tree[key] for tree in trees], None
+    if all(isinstance(values, list) for values in lists):
+        try:
+            a = np.array(list(chain.from_iterable(lists)))
+        except ValueError:  # ragged nesting
+            pass
     if a is None or a.ndim != 1 or (a.size and a.dtype.kind not in kinds):
         raise ValueError(f"a tree's {key} must be a list of {what}")
-    return a.astype(np.float64 if key == "threshold" else np.int64)
+    return a.astype(np.float64 if key == "threshold" else np.int64), np.array(list(map(len, lists)))
 
 
-def _table_from_dict(doc: dict, grid_size: int, p: int) -> NodeTable:
-    """One tree's table, checked whole: split columns in [0, p), finite
-    thresholds, every node but the root the child of exactly one split
-    before it, no knots at splits, knots strictly increasing within a leaf
-    and inside the grid, and 1 <= events <= at_risk."""
-    if "root" in doc:
+def _tables_from_dicts(trees: list, grid_size: int, p: int) -> list[NodeTable]:
+    """The trees' tables, checked at once on their lists joined: split
+    columns in [0, p), finite thresholds, every node but a root the child
+    of one split before it in its tree, a right child next after its left,
+    no knots at splits, knots increasing within a leaf and inside the grid,
+    and 1 <= events <= at_risk."""
+    if any("root" in tree for tree in trees):
         raise ValueError("the forest's trees are nested, an older file format; refit the model")
-    table = NodeTable(*(_flat(doc[key], key) for key in NodeTable._fields))
-    column, threshold, left, right, offsets, knots, events, at_risk = table
-    m, split, node = column.size, column != -1, np.arange(column.size)
-    if m < 1 or any(a.size != m for a in table[:5]):
+    fields, lengths = zip(*(_flat(trees, key) for key in NodeTable._fields))
+    column, threshold, left, right, offsets, knots, events, at_risk = fields
+    m, k = lengths[0], lengths[5]
+    if not (np.all(m >= 1) and all(np.array_equal(size, m) for size in lengths[1:5])):
         raise ValueError("a tree's node lists must be nonempty and of one length")
-    if not knots.size == events.size == at_risk.size:
+    if not (np.array_equal(lengths[6], k) and np.array_equal(lengths[7], k)):
         raise ValueError("a tree's knots, events and at_risk differ in length")
     if not (np.all((column >= -1) & (column < p)) and np.all(np.isfinite(threshold))):
         raise ValueError(f"split columns must be in [0, {p}) and thresholds finite")
+    root, split = np.repeat(np.cumsum(m) - m, m), column != -1  # each node's tree's root
+    node = np.arange(column.size) - root
     children = np.concatenate([left[split], right[split]])
     if not (np.all(np.where(split, np.minimum(left, right) > node, (left == -1) & (right == -1)))
-            and np.all(children < m)
-            and np.array_equal(np.bincount(children, minlength=m), node > 0)):
+            and np.all(children < np.tile(np.repeat(m, m)[split], 2))
+            and np.array_equal(np.bincount(children + np.tile(root[split], 2),
+                                           minlength=column.size), node > 0)):
         raise ValueError("each node but the root must be the child of one split before it")
-    sizes = np.diff(offsets, append=knots.size)
-    if not (offsets[0] == 0 and np.all(sizes >= 0) and np.all(sizes[split] == 0)):
+    if not np.array_equal(right[split], left[split] + 1):
+        raise ValueError("a split's right child must be the node after its left")
+    start = offsets + np.repeat(np.cumsum(k) - k, m)
+    sizes = np.diff(start, append=knots.size)
+    if not (np.all(offsets[node == 0] == 0) and np.all(sizes >= 0) and np.all(sizes[split] == 0)):
         raise ValueError("leaf offsets must not decrease from 0, and splits hold no knots")
-    leaf_of = np.repeat(node, sizes)
+    leaf_of = np.repeat(np.arange(column.size), sizes)
     if not (np.all((knots >= 0) & (knots < grid_size))
             and np.all((np.diff(knots) > 0) | (np.diff(leaf_of) > 0))):
         raise ValueError("leaf knots must be increasing indices into the event grid")
     if not np.all((events >= 1) & (events <= at_risk)):
         raise ValueError("leaf counts must satisfy 1 <= events <= at_risk")
-    return table
+    node_ends, knot_ends = np.cumsum(m).tolist(), np.cumsum(k).tolist()
+    return [NodeTable(*(a[lo:hi] for a in fields[:5]), *(a[klo:khi] for a in fields[5:]))
+            for lo, hi, klo, khi in zip([0, *node_ends], node_ends, [0, *knot_ends], knot_ends)]
 
 
 def forest_to_dict(forest: Forest) -> dict:
@@ -551,15 +570,15 @@ def forest_from_dict(doc: dict) -> Forest:
         raise ValueError("a forest needs at least one tree")
     p = len(doc["column_names"])
     _check_settings(doc["mtry"], doc["min_leaf"], doc["max_depth"])
+    tables = _tables_from_dicts(doc["trees"], grid.size, p)
+    seeds = [int(t["seed"]) for t in doc["trees"]]
+    streams = np.array([s % 2**64 for s in seeds], dtype=np.uint64)[:, None]
+    inbags, step = np.empty((len(seeds), n), dtype=np.int64), max(1, _PASS_CELLS // n)
+    for lo in range(0, len(seeds), step):  # CounterRng(seed).integers(n, n), trees in blocks
+        u = uniform_at(streams[lo:lo + step], np.arange(n))
+        np.minimum((u * n).astype(np.int64), n - 1, out=inbags[lo:lo + step])
     return Forest(
-        trees=[
-            SurvivalTree(
-                seed=int(t["seed"]),
-                inbag=CounterRng(int(t["seed"])).integers(n, n),
-                nodes=_table_from_dict(t, grid.size, p),
-            )
-            for t in doc["trees"]
-        ],
+        trees=[SurvivalTree(seed=s, inbag=i, nodes=t) for s, i, t in zip(seeds, inbags, tables)],
         mtry=int(doc["mtry"]),
         min_leaf=int(doc["min_leaf"]),
         max_depth=doc["max_depth"],

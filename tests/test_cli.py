@@ -83,6 +83,30 @@ def test_datagen_target_censoring(tmp_path, capsys):
     assert capsys.readouterr().out.rstrip().endswith(", horizon=18.4342")
 
 
+@pytest.mark.parametrize(
+    "flags, text",
+    [
+        (["--baseline-rate", "inf"], "baseline_rate must be a finite number, not inf"),
+        (["--baseline-rate=-inf"], "baseline_rate must be a finite number, not -inf"),
+        (["--censor-horizon", "inf"], "censor_horizon must be a finite number, not inf"),
+        (["--censor-rate", "nan"], "censor_rate must be a finite number, not nan"),
+        (["--hazard", "proportional", "--beta", "inf,1"],
+         "hazard beta must be finite numbers, not [inf, 1.0]"),
+        (["--hazard", "proportional", "--beta", "nan,1"],
+         "hazard beta must be finite numbers, not [nan, 1.0]"),
+    ],
+    ids=["baseline-rate-infinite", "baseline-rate-minus-infinite", "censor-horizon-infinite",
+         "censor-rate-nan", "beta-infinite", "beta-nan"],
+)
+@pytest.mark.filterwarnings("error")  # a warning would print more than the one line
+def test_datagen_flag_that_is_not_a_finite_number_is_one_line_error(tmp_path, capsys, flags,
+                                                                    text):
+    out = tmp_path / "c.csv"
+    assert main(["datagen", "--n", "50", *flags, "--out", str(out)]) == 2
+    assert_one_line_error(capsys, text)
+    assert not out.exists()
+
+
 def test_datagen_prints_the_default_horizon(tmp_path, capsys):
     assert main(["datagen", "--n", "20", "--out", str(tmp_path / "c.csv")]) == 0
     assert capsys.readouterr().out.rstrip().endswith(", horizon=6.2")
@@ -311,6 +335,23 @@ def test_fit_on_malformed_csv_is_one_line_error(tmp_path, capsys):
     assert rc == 2
     assert_one_line_error(capsys, "row 2: non-numeric time 'soon'")
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "eval", "bench", "weights"])
+@pytest.mark.filterwarnings("error")  # a warning would print more than the one line
+def test_a_csv_with_a_header_and_no_rows_is_one_line_error(tmp_path, capsys, command):
+    cohort_csv = make_cohort_csv(tmp_path, n=60)
+    empty = tmp_path / "empty.csv"
+    empty.write_text(cohort_csv.read_text().splitlines()[0] + "\n")
+    model = tmp_path / "cox.json"
+    assert main(["fit", "--model", "cox", "--input", str(cohort_csv), "--out", str(model)]) == 0
+    out = tmp_path / "out"
+    args = {"fit": ["--model", "cox", "--out", str(out)], "eval": ["--model-file", str(model)],
+            "bench": ["--out", str(out)], "weights": ["--out", str(out)]}[command]
+    capsys.readouterr()
+    assert main([command, "--input", str(empty), *args]) == 2
+    assert_one_line_error(capsys, f"{empty}: a header but no data rows")
+    assert not out.exists()
 
 
 def test_bench_on_malformed_csv_leaves_no_output_dir(tmp_path, capsys):

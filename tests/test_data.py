@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -324,6 +326,74 @@ def test_ingest_unknown_level_with_schema(tmp_path):
     schema = CovariateSchema((Column("g", "categorical", levels=("a", "b")),))
     with pytest.raises(ParseError, match="row 1"):
         ingest_csv(p, schema=schema)
+
+
+INGEST_SCHEMA = CovariateSchema((Column("x", "numeric"), Column("g", "categorical", ("a", "b"))))
+GOOD_CELLS = {
+    "x": st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                   st.integers(-10**20, 10**20).map(str),
+                   st.sampled_from([" 2.5", "1_000", ".5", "+3", "1E3", "-0"])),
+    "time": st.one_of(st.floats(0.0, 1e300).map(repr), st.sampled_from(["0", "-0", " 7 ", "1e3"])),
+    "g": st.sampled_from(["a", "b"]),
+    "event": st.sampled_from(["0", "1", "true", "False", " TRUE ", "1 "]),
+}
+BAD_CELLS = {
+    "x": ["abc", "", "inf", "-inf", "nan", "NaN", "1e999"],
+    "time": ["soon", "", "-1", "-0.5", "inf", "-inf", "nan", "1e999"],
+    "g": ["c", "A", " a", ""],
+    "event": ["yes", "2", "", "-1", "0.0"],
+}
+
+
+def first_bad_cell(rows):
+    """The error a row-by-row read names first: time then event, row by
+    row; then each covariate column, a numeric column's non-numbers
+    before its non-finite values."""
+    for i, (_, t, _, e) in enumerate(rows):
+        try:
+            value = float(t)
+        except ValueError:
+            return f"row {i + 1}: non-numeric time {t!r}"
+        if not (math.isfinite(value) and value >= 0):
+            return f"row {i + 1}: time must be finite and >= 0, got {t!r}"
+        if e.strip().lower() not in ("0", "1", "true", "false"):
+            return f"row {i + 1}: bad event value {e!r}"
+    for i, (x, _, _, _) in enumerate(rows):
+        try:
+            float(x)
+        except ValueError:
+            return f"row {i + 1}: non-numeric value {x!r} in 'x'"
+    for i, (x, _, _, _) in enumerate(rows):
+        if not math.isfinite(float(x)):
+            return f"row {i + 1}: non-finite value {x!r} in 'x'"
+    for i, (_, _, g, _) in enumerate(rows):
+        if g not in ("a", "b"):
+            return f"row {i + 1}: unknown level {g!r} in 'g'"
+    return None
+
+
+@given(st.lists(st.fixed_dictionaries(GOOD_CELLS), min_size=1, max_size=12),
+       st.lists(st.tuples(st.integers(0, 11), st.sampled_from(list(BAD_CELLS)),
+                          st.integers(0, 7)), max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_ingest_reads_each_cell_as_float_and_names_the_first_bad_row(tmp_path_factory, rows,
+                                                                      edits):
+    for i, column, k in edits:
+        rows[i % len(rows)][column] = BAD_CELLS[column][k % len(BAD_CELLS[column])]
+    cells = [[row[c] for c in ("x", "time", "g", "event")] for row in rows]
+    path = tmp_path_factory.mktemp("ingest") / "c.csv"
+    write_csv(path, ["x", "time", "g", "event"], cells)
+    want = first_bad_cell(cells)
+    if want is not None:
+        with pytest.raises(ParseError) as exc:
+            ingest_csv(path, schema=INGEST_SCHEMA)
+        assert str(exc.value) == want
+        return
+    cohort = ingest_csv(path, schema=INGEST_SCHEMA)
+    assert cohort.covariates["x"].tobytes() == np.array([float(r[0]) for r in cells]).tobytes()
+    assert cohort.time.tobytes() == np.array([float(r[1]) for r in cells]).tobytes()
+    assert cohort.covariates["g"].tolist() == [r[2] for r in cells]
+    assert cohort.event.tolist() == [int(r[3].strip().lower() in ("1", "true")) for r in cells]
 
 
 def test_infer_schema_types_and_levels():

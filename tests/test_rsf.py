@@ -604,6 +604,40 @@ def test_risk_matches_per_row_mortality():
         assert r[i] == mortality_score(f, d.X[i])
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(20, 80), st.integers(1, 3), st.floats(0.0, 0.6))
+@settings(max_examples=30, deadline=None)
+def test_rows_on_thresholds_or_holding_nan_score_as_a_node_by_node_walk(data_seed, n, b,
+                                                                        nan_share):
+    rng = np.random.default_rng(data_seed)
+    X = np.round(rng.normal(size=(n, 3)), 1)
+    times = np.round(rng.exponential(1.0, n), 1) + 0.1
+    events = (rng.uniform(size=n) < 0.7).astype(int)
+    events[0] = 1
+    f = fit_forest(numeric_design(X, times, events), b=b, min_leaf=3, seed=data_seed)
+    doc, grid = forest_to_dict(f), f.event_grid
+    for tree, tree_doc in zip(f.trees, doc["trees"]):
+        nodes = tree.nodes
+        # each cell a threshold of a split on its column, or a training value
+        # where the column has none, or NaN
+        rows = np.column_stack([rng.choice(nodes.threshold[nodes.column == j]
+                                           if np.any(nodes.column == j) else X[:, j], 40)
+                                for j in range(3)])
+        rows[rng.uniform(size=rows.shape) < nan_share] = np.nan
+        ends, leaves = np.append(nodes.offsets, nodes.knots.size), np.flatnonzero(nodes.column < 0)
+        want = []
+        for x in rows:  # the one leaf a node-by-node walk takes x to (NaN fails <=, so goes right)
+            leaf = leaves[np.argmax(leaf_occupancy(tree, x[None, :]))]
+            span = slice(ends[leaf], ends[leaf + 1])
+            curve = StepFunction(grid[nodes.knots[span]],
+                                 np.cumsum(nodes.events[span] / nodes.at_risk[span]), initial=0.0)
+            want.append(float(np.sum(curve(grid))))
+        one_tree = forest_from_dict({**doc, "trees": [tree_doc]})
+        design = numeric_design(np.zeros((rows.shape[0], 3)), np.ones(rows.shape[0]),
+                                np.ones(rows.shape[0], dtype=int))
+        design.X[:] = rows  # a cohort refuses NaN; scoring takes it
+        assert rsf_risk(one_tree, design).tolist() == want
+
+
 def test_risk_does_not_depend_on_the_size_of_a_scoring_pass():
     d = bigger_design(seed=4, n=120)
     f = fit_forest(d, b=5, min_leaf=8, seed=3)
@@ -692,9 +726,14 @@ def test_reloaded_forest_rebuilds_inbag():
     doc = json.loads(json.dumps(forest_to_dict(f)))
     assert doc["n"] == d.n
     assert all("inbag" not in t for t in doc["trees"])
-    back = forest_from_dict(doc)
-    for fitted, reloaded in zip(f.trees, back.trees):
-        np.testing.assert_array_equal(reloaded.inbag, fitted.inbag)
+    with pytest.MonkeyPatch.context() as mp:
+        # loading draws blocks of trees of at most _PASS_CELLS draws: here
+        # the whole forest, one tree a block, and two trees then one
+        for cells in (rsf._PASS_CELLS, 1, 2 * d.n):
+            mp.setattr(rsf, "_PASS_CELLS", cells)
+            back = forest_from_dict(doc)
+            for fitted, reloaded in zip(f.trees, back.trees, strict=True):
+                np.testing.assert_array_equal(reloaded.inbag, fitted.inbag)
 
 
 def comb_tree(leaves):
@@ -807,6 +846,8 @@ def set_node(i, **fields):
         (set_node(0, left=0), "child of one split"),
         (set_node(0, right=1), "child of one split"),
         (set_node(0, right=10**12), "child of one split"),
+        (lambda doc: set_node(0, right=len(doc["trees"][0]["column"]))(doc), "child of one split"),
+        (set_node(0, left=2, right=1), "right child must be the node after its left"),
         (lambda doc: set_node(doc["trees"][0]["column"].index(-1), left=2)(doc),
          "child of one split"),
         (lambda doc: doc["trees"][0]["threshold"].pop(), "node lists"),
@@ -829,17 +870,23 @@ def set_node(i, **fields):
          "fractional-count", "nested-knot", "grid-decreasing", "nested-tree",
          "split-column-minus-one", "split-column-negative", "split-column-past-p",
          "threshold-infinite", "threshold-string", "child-before-parent", "child-twice",
-         "child-past-the-end", "leaf-with-child", "node-lists-differ", "no-nodes",
+         "child-past-the-end", "child-one-past-the-end", "right-child-before-left",
+         "leaf-with-child", "node-lists-differ", "no-nodes",
          "knots-at-a-split", "offsets-not-from-zero", "no-trees", "n-negative", "n-fraction",
          "mtry-negative", "mtry-fraction", "min-leaf-zero", "min-leaf-null", "max-depth-negative",
          "max-depth-string"],
 )
 def test_load_refuses_bad_leaves(edit, text):
-    f = fit_forest(bigger_design(seed=7, n=80), b=2, min_leaf=15, seed=8)
-    doc = json.loads(json.dumps(forest_to_dict(f)))
-    edit(doc)
-    with pytest.raises(ValueError, match=text):
-        forest_from_dict(doc)
+    # the trees are checked joined, so each edit is also made on the last
+    # tree, past the other trees' nodes and knots
+    f = fit_forest(bigger_design(seed=7, n=80), b=3, min_leaf=15, seed=8)
+    for last in (False, True):
+        doc = json.loads(json.dumps(forest_to_dict(f)))
+        edit(doc)
+        if last:
+            doc["trees"] = doc["trees"][1:] + doc["trees"][:1]
+        with pytest.raises(ValueError, match=text):
+            forest_from_dict(doc)
 
 
 def test_rejects_eventless_design():
