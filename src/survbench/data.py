@@ -242,12 +242,11 @@ def cohort_table(cohort: Cohort) -> tuple[list[str], list[tuple[str, ...]]]:
     return cohort.schema.names + ["time", "event"], list(zip(*columns))
 
 
-def infer_schema(names: list[str], rows: list[list[str]]) -> CovariateSchema:
-    """Columns where every value parses as float are numeric; the rest are
-    categorical with levels sorted lexicographically."""
+def infer_schema(names: list[str], columns: list[list[str]]) -> CovariateSchema:
+    """Columns of cells where every value parses as float are numeric; the
+    rest are categorical with levels sorted lexicographically."""
     cols = []
-    for j, name in enumerate(names):
-        vals = [r[j] for r in rows]
+    for name, vals in zip(names, columns, strict=True):
         try:
             list(map(float, vals))
             cols.append(Column(name=name, kind="numeric"))
@@ -306,13 +305,13 @@ def ingest_csv(
     for i, r in enumerate(rows):
         if len(r) != len(header):
             raise ParseError(f"row {i + 1}: expected {len(header)} fields, got {len(r)}")
+    columns = list(zip(*rows))
     if schema is None:
-        schema = infer_schema(cov_names, [[r[j] for j in cov_js] for r in rows])
+        schema = infer_schema(cov_names, [columns[j] for j in cov_js])
     elif schema.names != cov_names:
         raise SchemaError(
             f"CSV covariate columns {cov_names} do not match schema {schema.names}"
         )
-    columns = list(zip(*rows))
     t_raw, e_raw = columns[t_j], columns[e_j]
     time = _floats(t_raw)
     event = np.array([_EVENT_TOKENS.get(v.strip().lower(), -1) for v in e_raw])

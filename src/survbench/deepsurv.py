@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DesignMatrix
-from .riskset import breslow_loglik, risk_sets, sorted_breslow_loglik
+from .riskset import breslow_loglik, risk_sets, sorted_breslow_loglik, sorted_risk_sets
 from .rng import CounterRng
 
 _ACTIVATIONS = ("relu", "tanh")
@@ -175,18 +175,16 @@ def fit_deepsurv(
     chunk = n if batch_size is None else min(batch_size, n)
     batch_starts = np.arange(0, n, chunk)
     bounds = [*batch_starts.tolist(), n]
+    batch_ends = np.array(bounds[1:])
     hidden = spec.layer_widths[1:-1]
     keep = 1.0 - spec.dropout_rate
     log = []
     for epoch in range(epochs):
         perm = np.argsort(rng.uniform(n), kind="stable")
         rows = perm[np.lexsort((times[perm], np.arange(n) // chunk))]
-        t, is_event, Xs = times[rows], events[rows] == 1, X[rows]
-        edge = np.concatenate(([True], t[1:] != t[:-1], [True]))  # a risk set's first row, or the end
-        edge[batch_starts] = True
-        edges = np.flatnonzero(edge)
-        starts, sizes = edges[:-1], edges[1:] - edges[:-1]
-        n_events = np.add.reduceat(is_event.astype(np.float64), starts)
+        rs = sorted_risk_sets(times[rows], events[rows], rows, batch_ends)  # batches are runs
+        Xs, starts, is_event = X[rows], rs.starts, rs.is_event
+        sizes = np.append(starts[1:], n) - starts  # rows at each distinct time
         starts_in_batch = starts % chunk
         group_bounds = np.searchsorted(starts, bounds).tolist()
         batch_events = np.add.reduceat(is_event, batch_starts).tolist()
@@ -206,7 +204,7 @@ def fit_deepsurv(
             with np.errstate(all="ignore"):  # a diverged loss is refused below
                 g, acts, zs = _forward(weights, biases, Xs[lo:hi], spec.activation, masks)
                 loglik, dl = sorted_breslow_loglik(g, is_event[lo:hi], starts_in_batch[groups],
-                                                   sizes[groups], n_events[groups])
+                                                   sizes[groups], rs.n_events[groups])
             loss = -loglik / k
             if not math.isfinite(loss):
                 raise ValueError(f"loss diverged at epoch {epoch}; lower the learning rate")

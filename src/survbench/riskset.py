@@ -6,9 +6,10 @@ row with T >= t, which in sorted order is the suffix starting at the
 first row of its group: tied rows share one risk set, and a row censored
 at t still counts as at risk for events at t (Breslow 1974).
 
-Kaplan-Meier, Nelson-Aalen, the Cox and DeepSurv partial likelihoods and
-the random survival forest's log-rank splitter all read their counts
-from one `RiskSets` record, built by `risk_sets` or `sorted_risk_sets`.
+Kaplan-Meier, Nelson-Aalen, the Cox partial likelihood, the random
+survival forest's split search and leaf tables and DeepSurv's planned
+epochs all read their counts from one `RiskSets` record, built by
+`risk_sets` or `sorted_risk_sets` (the last two over runs of rows).
 The Breslow likelihood is written once, in `sorted_breslow_loglik` on
 time-ordered rows (DeepSurv's minibatches); `breslow_loglik` wraps it.
 `comparable_blocks` lists the comparable pairs (event i, T_i < T_j) for
@@ -34,7 +35,7 @@ class RiskSets:
     times: np.ndarray  # distinct times
     starts: np.ndarray  # first sorted row of each distinct time
     n_events: np.ndarray  # events at each distinct time (float)
-    n_at_risk: np.ndarray  # rows with T >= each distinct time
+    n_at_risk: np.ndarray  # rows with T >= each distinct time (of its run, given runs)
 
 
 def risk_sets(times, events) -> RiskSets:
@@ -43,16 +44,23 @@ def risk_sets(times, events) -> RiskSets:
     return sorted_risk_sets(times[order], np.asarray(events)[order], order)
 
 
-def sorted_risk_sets(times, events, order) -> RiskSets:
+def sorted_risk_sets(times, events, order, ends=None) -> RiskSets:
     """Risk sets of rows already in stable ascending time order, with
     `order` naming each position's row. Any subset of stably sorted rows
-    is stably sorted, so a tree node needs no sort."""
+    is stably sorted, so a tree node needs no sort. Given `ends`, the rows
+    are runs ending there (a step's nodes, a tree's leaves, an epoch's
+    batches), each in time order and any but the last possibly empty: a
+    run's first row begins a group, and a group's risk set ends with its run."""
     if times.size == 0:
         raise ValueError("empty sample")
-    starts = np.flatnonzero(np.concatenate(([True], times[1:] != times[:-1])))
+    new = np.concatenate(([True], times[1:] != times[:-1]))  # a group's first row
+    if ends is not None:
+        new[ends[:-1]] = True
+    starts = np.flatnonzero(new)
     is_event = np.asarray(events) == 1
     n_events = np.add.reduceat(is_event.astype(np.float64), starts)
-    return RiskSets(order, is_event, times[starts], starts, n_events, times.size - starts)
+    end = times.size if ends is None else ends[ends.searchsorted(starts, side="right")]
+    return RiskSets(order, is_event, times[starts], starts, n_events, end - starts)
 
 
 def risk_set_sums(rs: RiskSets, values: np.ndarray) -> np.ndarray:

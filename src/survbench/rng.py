@@ -35,7 +35,6 @@ import numpy as np
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
-_BLOCK = 1024  # slots per CounterRng block
 
 
 def mix64(z: int) -> int:
@@ -69,27 +68,18 @@ class CounterRng:
     """Sequential view over the counter stream for one seed.
 
     Every draw advances an internal counter by the number of slots it
-    consumes, so a fixed draw order yields a fixed stream. Uniforms are
-    computed a block of slots at a time and served from the block; a
-    slot's value depends only on its position, so the bits do not
-    depend on the block size.
+    consumes, so a fixed draw order yields a fixed stream.
     """
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
         self.counter = 0
-        self._block = np.empty(0)
-        self._block_start = 0
 
     def uniform(self, count: int) -> np.ndarray:
         """Uniforms in [0, 1) with 53-bit resolution."""
-        lo = self.counter - self._block_start
-        if lo + count > self._block.size:
-            end = self.counter + max(count, _BLOCK)
-            self._block = uniform_at(self.seed, np.arange(self.counter, end))
-            self._block_start, lo = self.counter, 0
+        u = uniform_at(self.seed, np.arange(self.counter, self.counter + count))
         self.counter += count
-        return self._block[lo:lo + count].copy()
+        return u
 
     def exponential(self, rate, count: int | None = None) -> np.ndarray:
         """Exponential draws; `rate` may be a scalar or a per-draw vector."""

@@ -36,10 +36,10 @@ work in passes of bounded size. It averages a row's B leaf mortalities
 with math.fsum, which keeps the score independent of tree order;
 `predict_chf` takes the math.fsum per knot.
 
-A forest file holds each tree's table as flat lists, the event grid once,
-and the training size n instead of each tree's bootstrap rows: a tree's
-`inbag` is the first n draws of its own seed's stream, so loading
-rebuilds it. Loading checks all trees' tables at once, their lists joined.
+A tree holds its seed and the training size n, not its bootstrap rows:
+its `inbag`, the first n draws of its seed's stream, is drawn when read.
+A forest file holds each tree's seed and table as flat lists, the grid
+and n once. Loading checks all tables at once, lists joined; it draws none.
 
 Per-tree randomness comes from a child seed mixed out of (master seed,
 tree index), so any tree is reproducible in isolation. Within a node the
@@ -68,7 +68,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import DesignMatrix
-from .riskset import risk_set_sums, risk_sets
+from .riskset import risk_set_sums, risk_sets, sorted_risk_sets
 from .rng import CounterRng, derive_seed, uniform_at
 from .stepfun import StepFunction
 
@@ -105,8 +105,13 @@ Node = namedtuple("Node", "column threshold is_leaf")  # a read-only view of one
 @dataclass
 class SurvivalTree:
     seed: int
-    inbag: np.ndarray
+    n: int  # the training size
     nodes: NodeTable
+
+    @property
+    def inbag(self) -> np.ndarray:
+        """The bootstrap rows the tree grew on: the first n draws of its seed's stream."""
+        return CounterRng(self.seed).integers(self.n, self.n)
 
     @property
     def root(self) -> Node:
@@ -161,21 +166,6 @@ def logrank_score(times, events, column_values, threshold) -> float:
     return float(score)
 
 
-def _event_times(times, events, rows, ends):
-    """The distinct event times of each run of `rows` (runs end at `ends`,
-    each in time order, any but the last may be empty): run, first
-    position, events and rows at risk."""
-    t = times[rows]
-    new = np.ones(rows.size, dtype=bool)
-    new[1:] = t[1:] != t[:-1]
-    new[ends[:-1]] = True
-    starts = np.flatnonzero(new)
-    n_events = np.add.reduceat(events[rows], starts, dtype=np.int64)
-    starts, n_events = starts[n_events > 0], n_events[n_events > 0]
-    run = np.searchsorted(ends, starts, side="right")
-    return run, starts, n_events, ends[run] - starts
-
-
 def _smallest(u, m):
     """Mask of the m smallest entries in each row of u (at least m a row),
     ties to the earliest, as a stable sort orders them."""
@@ -217,12 +207,15 @@ def _best_splits(XT, times, events, seeds, counters, rows, sizes, mtry, min_leaf
     masks = block[k, j] <= mids[:, None]  # each candidate's left rows
 
     ends = np.cumsum(sizes)
-    node, at, d, at_risk = _event_times(times, events, rows[np.arange(w) < sizes[:, None]], ends)
-    slot = np.arange(node.size) - np.searchsorted(node, node)  # each node's event times
+    live = rows[np.arange(w) < sizes[:, None]]
+    rs = sorted_risk_sets(times[live], events[live], live, ends)  # the nodes are its runs
+    has = rs.n_events > 0  # each node's event times
+    node = np.searchsorted(ends, rs.starts[has], side="right")
+    slot = np.arange(node.size) - np.searchsorted(node, node)
     from_end = np.zeros((K, slot.max() + 1), dtype=np.int64)  # padding: no events, 1 at risk
     n_events, n_at_risk = np.zeros(from_end.shape), np.ones(from_end.shape)
-    from_end[node, slot] = w - 1 - (at - (ends - sizes)[node])
-    n_events[node, slot], n_at_risk[node, slot] = d, at_risk
+    from_end[node, slot] = w - 1 - (rs.starts[has] - (ends - sizes)[node])
+    n_events[node, slot], n_at_risk[node, slot] = rs.n_events[has], rs.n_at_risk[has]
     observed = np.count_nonzero(masks & events[rows][k], axis=1)
     n_left = np.take_along_axis(  # left rows at or after each event time
         np.cumsum(masks[:, ::-1], axis=1, dtype=np.int32), from_end[k], axis=1)
@@ -245,15 +238,16 @@ def _batch_order(entry):
     return entry[0], entry[5]
 
 
-def _grow_trees(design, seeds, inbags, min_leaf, max_depth, mtry, grid) -> list[NodeTable]:
-    """The tables of trees grown in lockstep on the bootstraps `inbags`;
-    a step's nodes are searched in batches of one size class and at most
-    _CELLS cells."""
+def _grow_trees(design, seeds, min_leaf, max_depth, mtry, grid) -> list[NodeTable]:
+    """The tables of trees grown in lockstep, each on the bootstrap its
+    seed draws; a step's nodes are searched in batches of one size class
+    and at most _CELLS cells."""
     n, p = design.X.shape
     XT = np.vstack([design.X, np.full(p, np.inf)]).T.copy()  # row n is the batches' pad
     times = np.append(design.times, np.inf)
     events = np.append(design.events == 1, False)
-    nodes = [[None] for _ in inbags]  # (column, threshold, left, right, a leaf's rows)
+    nodes = [[None] for _ in seeds]  # (column, threshold, left, right, a leaf's rows)
+    inbags = (CounterRng(seed).integers(n, n) for seed in seeds)
     stacks = [[(0, rows, 0, int(np.count_nonzero(events[rows])))] for rows in (
         inbag[np.argsort(design.times[inbag], kind="stable")] for inbag in inbags)]
     seeds = np.array(seeds, dtype=np.uint64)
@@ -301,10 +295,12 @@ def _table(nodes: list, times: np.ndarray, events: np.ndarray, grid: np.ndarray)
     column, threshold, left, right, rows = zip(*nodes)
     ends = np.cumsum([r.size for r in rows])
     rows = np.concatenate(rows)
-    node, starts, n_events, at_risk = _event_times(times, events, rows, ends)
-    sizes = np.bincount(node, minlength=len(nodes))
+    rs = sorted_risk_sets(times[rows], events[rows], rows, ends)  # the leaves are its runs
+    has = rs.n_events > 0  # a leaf's knots are the times of its events
+    sizes = np.bincount(np.searchsorted(ends, rs.starts[has], side="right"), minlength=len(nodes))
     return NodeTable(*map(np.array, (column, threshold, left, right)), np.cumsum(sizes) - sizes,
-                     np.searchsorted(grid, times[rows[starts]]), n_events, at_risk)
+                     np.searchsorted(grid, rs.times[has]), rs.n_events[has].astype(np.int64),
+                     rs.n_at_risk[has])  # integer counts, as in the forest file
 
 
 def _usable_cpus() -> int:
@@ -315,7 +311,7 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _grow_in_shards(design, seeds, inbags, *settings) -> list[NodeTable]:
+def _grow_in_shards(design, seeds, *settings) -> list[NodeTable]:
     """`_grow_trees` in k contiguous shards of the trees, the last here and
     each other in a forked child, which pipes back its pickled tables or
     exception and ends by os._exit: no exit handlers, no stdio flush. A
@@ -331,7 +327,7 @@ def _grow_in_shards(design, seeds, inbags, *settings) -> list[NodeTable]:
             if children[-1][0] == 0:
                 try:
                     try:
-                        result = _grow_trees(design, seeds[lo:hi], inbags[lo:hi], *settings)
+                        result = _grow_trees(design, seeds[lo:hi], *settings)
                     except Exception as exc:  # the parent raises it
                         result = exc
                     view = memoryview(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
@@ -340,7 +336,7 @@ def _grow_in_shards(design, seeds, inbags, *settings) -> list[NodeTable]:
                 finally:
                     os._exit(0)
             os.close(w)
-        tables = _grow_trees(design, seeds[cuts[-2]:], inbags[cuts[-2]:], *settings)
+        tables = _grow_trees(design, seeds[cuts[-2]:], *settings)
         shards = [pickle.loads(b"".join(iter(lambda r=r: os.read(r, 1 << 20), b"")))
                   for _, r in children]  # bytes only this process's children wrote
     finally:
@@ -371,11 +367,10 @@ def fit_forest(
     _check_settings(mtry, min_leaf, max_depth)
     mtry = min(int(mtry), design.p)
     seeds = [derive_seed(seed, i) for i in range(b)]
-    inbags = [CounterRng(s).integers(design.n, design.n) for s in seeds]
     grid = np.unique(design.times[design.events == 1])
-    tables = _grow_in_shards(design, seeds, inbags, min_leaf, max_depth, mtry, grid)
+    tables = _grow_in_shards(design, seeds, min_leaf, max_depth, mtry, grid)
     return Forest(
-        trees=[SurvivalTree(seed=s, inbag=i, nodes=t) for s, i, t in zip(seeds, inbags, tables)],
+        trees=[SurvivalTree(seed=s, n=design.n, nodes=t) for s, t in zip(seeds, tables)],
         mtry=mtry,
         min_leaf=min_leaf,
         max_depth=max_depth,
@@ -553,7 +548,7 @@ def forest_to_dict(forest: Forest) -> dict:
         "max_depth": forest.max_depth,
         "seed": forest.seed,
         "event_grid": forest.event_grid.tolist(),
-        "n": int(forest.trees[0].inbag.size),
+        "n": forest.trees[0].n,
         "trees": [{"seed": t.seed, **{k: v.tolist() for k, v in t.nodes._asdict().items()}}
                   for t in forest.trees],
     }
@@ -571,14 +566,9 @@ def forest_from_dict(doc: dict) -> Forest:
     p = len(doc["column_names"])
     _check_settings(doc["mtry"], doc["min_leaf"], doc["max_depth"])
     tables = _tables_from_dicts(doc["trees"], grid.size, p)
-    seeds = [int(t["seed"]) for t in doc["trees"]]
-    streams = np.array([s % 2**64 for s in seeds], dtype=np.uint64)[:, None]
-    inbags, step = np.empty((len(seeds), n), dtype=np.int64), max(1, _PASS_CELLS // n)
-    for lo in range(0, len(seeds), step):  # CounterRng(seed).integers(n, n), trees in blocks
-        u = uniform_at(streams[lo:lo + step], np.arange(n))
-        np.minimum((u * n).astype(np.int64), n - 1, out=inbags[lo:lo + step])
     return Forest(
-        trees=[SurvivalTree(seed=s, inbag=i, nodes=t) for s, i, t in zip(seeds, inbags, tables)],
+        trees=[SurvivalTree(seed=int(t["seed"]), n=n, nodes=table)
+               for t, table in zip(doc["trees"], tables)],
         mtry=int(doc["mtry"]),
         min_leaf=int(doc["min_leaf"]),
         max_depth=doc["max_depth"],

@@ -307,6 +307,20 @@ def test_eval_refuses_a_forest_file_with_bad_fit_settings(tmp_path, capsys):
     assert_one_line_error(capsys, f"{model_path}: min_leaf must be >= 1")
 
 
+def test_eval_scores_a_forest_file_of_any_training_size(tmp_path, capsys):
+    # a tree's bootstrap is drawn only when read, and scoring reads none, so
+    # a training size far past what could be allocated scores as the fitted one
+    model_path, cohort_csv = fit_small_forest(tmp_path)
+    capsys.readouterr()
+    assert main(["eval", "--model-file", str(model_path), "--input", str(cohort_csv)]) == 0
+    fitted = capsys.readouterr().out
+    doc = json.loads(model_path.read_text())
+    doc["n"] = 10**15
+    model_path.write_text(json.dumps(doc))
+    assert main(["eval", "--model-file", str(model_path), "--input", str(cohort_csv)]) == 0
+    assert capsys.readouterr().out == fitted
+
+
 def test_fit_takes_the_config_seed_unless_seed_is_given(tmp_path):
     cohort_csv = make_cohort_csv(tmp_path, n=60, seed=1)
     config = tmp_path / "cfg.json"

@@ -1,8 +1,9 @@
 """The shared risk-set record and Breslow likelihood: counts against brute
 force on tied, censored samples, the sorted-rows constructor against the
-sorting one, invariance of every consumer under row permutation, Cox
-and DeepSurv tied to one likelihood, and the comparable-pair blocks on
-cohorts that span more than one block."""
+sorting one and, over runs of rows, against each run's record,
+invariance of every consumer under row permutation, Cox and DeepSurv
+tied to one likelihood, and the comparable-pair blocks on cohorts that
+span more than one block."""
 
 from dataclasses import fields
 
@@ -69,6 +70,53 @@ def test_sorted_rows_give_the_risk_sets_of_their_sample(sample, data):
             b = sample_rows[b]
         assert a.dtype == b.dtype, f.name
         assert np.array_equal(a, b), f.name
+
+
+@st.composite
+def sorted_runs(draw):
+    """Runs of (time, event) rows, each in time order, any but the last
+    possibly empty; times from a few values, so ties within a run and
+    across a run boundary are common."""
+    pool = draw(st.lists(st.floats(0.1, 20.0), min_size=1, max_size=4, unique=True))
+    sizes = draw(st.lists(st.integers(0, 8), min_size=1, max_size=5))
+    sizes[-1] = max(sizes[-1], 1)
+    row = st.tuples(st.sampled_from(pool), st.integers(0, 1))
+    return [sorted(draw(st.lists(row, min_size=k, max_size=k)), key=lambda r: r[0])
+            for k in sizes]
+
+
+@given(sorted_runs(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_runs_give_the_risk_sets_of_each_run_joined(runs, perm_seed):
+    # a lockstep step's nodes, a tree's leaves or an epoch's batches: one
+    # record over consecutive runs equals each run's own record, its
+    # positions offset by where the run starts, joined
+    t = np.array([time for run in runs for time, _ in run])
+    e = np.array([event for run in runs for _, event in run])
+    ends = np.cumsum([len(run) for run in runs])
+    order = np.random.default_rng(perm_seed).permutation(t.size)
+    got = sorted_risk_sets(t, e, order, ends)
+    per_run = [(lo, risk_sets(t[lo:hi], e[lo:hi]))
+               for lo, hi in zip([0, *ends[:-1].tolist()], ends.tolist()) if hi > lo]
+    want = {f.name: np.concatenate([getattr(rs, f.name) for _, rs in per_run])
+            for f in fields(RiskSets)}
+    want["order"] = np.concatenate([order[lo + rs.order] for lo, rs in per_run])
+    want["starts"] = np.concatenate([lo + rs.starts for lo, rs in per_run])
+    for name, b in want.items():
+        a = getattr(got, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+def test_a_run_start_begins_a_group_even_on_a_tied_time():
+    # runs [1, 2], [], [2, 3] and [3]: times 2 and 3 each tie across a
+    # boundary, and each run's risk sets end with it
+    t = np.array([1.0, 2.0, 2.0, 3.0, 3.0])
+    rs = sorted_risk_sets(t, np.array([1, 1, 0, 1, 1]), np.arange(5), np.array([2, 2, 4, 5]))
+    assert rs.starts.tolist() == [0, 1, 2, 3, 4]
+    assert rs.times.tolist() == t.tolist()
+    assert rs.n_events.tolist() == [1.0, 1.0, 0.0, 1.0, 1.0]
+    assert rs.n_at_risk.tolist() == [2, 1, 2, 1, 1]
 
 
 @given(tied_sample())

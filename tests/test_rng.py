@@ -97,8 +97,8 @@ draw_calls = st.lists(
 @given(seed=st.integers(0, 2**64 - 1), calls=draw_calls)
 @settings(max_examples=100, deadline=None)
 def test_draws_are_slices_of_one_stream(seed, calls):
-    # however the draws are sized (across block refills included), each
-    # one reads the next slots of the seed's one counter_u64 stream
+    # however the draws are sized, each one reads the next slots of the
+    # seed's one counter_u64 stream
     total = sum(2 * size if kind == "normal" else size for kind, size in calls)
     stream = (counter_u64(seed, np.arange(total)) >> np.uint64(11)).astype(np.float64) * 2.0**-53
     rng, at = CounterRng(seed), 0

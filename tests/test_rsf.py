@@ -726,14 +726,9 @@ def test_reloaded_forest_rebuilds_inbag():
     doc = json.loads(json.dumps(forest_to_dict(f)))
     assert doc["n"] == d.n
     assert all("inbag" not in t for t in doc["trees"])
-    with pytest.MonkeyPatch.context() as mp:
-        # loading draws blocks of trees of at most _PASS_CELLS draws: here
-        # the whole forest, one tree a block, and two trees then one
-        for cells in (rsf._PASS_CELLS, 1, 2 * d.n):
-            mp.setattr(rsf, "_PASS_CELLS", cells)
-            back = forest_from_dict(doc)
-            for fitted, reloaded in zip(f.trees, back.trees, strict=True):
-                np.testing.assert_array_equal(reloaded.inbag, fitted.inbag)
+    back = forest_from_dict(doc)
+    for fitted, reloaded in zip(f.trees, back.trees, strict=True):
+        np.testing.assert_array_equal(reloaded.inbag, fitted.inbag)
 
 
 def comb_tree(leaves):
