@@ -17,11 +17,12 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from . import cox, deepsurv, ksvm, mtlr, rsf
+from . import cox, deepsurv, ksvm, mtlr, rsf, workers
 from .common import fmt6
 from .data import Cohort, encode, encode_like, ingest_csv, split
 from .datagen import GeneratorConfig, HazardSpec, generate
@@ -205,9 +206,13 @@ class BenchConfig:
             raise ValueError("exactly one of csv_path / generator is required")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must be in (0, 1)")
+        if not all(isinstance(name, str) for name in self.models):
+            raise ValueError("models must be a list of model names")
         unknown = set(self.models) - set(MODELS)
         if unknown:
             raise ValueError(f"unknown models: {sorted(unknown)}")
+        if not self.models or len(set(self.models)) < len(self.models):
+            raise ValueError("models must name at least one model, each once")
         opts = self.model_options
         if not isinstance(opts, dict) or not all(isinstance(v, dict) for v in opts.values()):
             raise ValueError("model_options must map model names to JSON objects")
@@ -322,28 +327,52 @@ def load_cohort(config: BenchConfig) -> Cohort:
     return cohort
 
 
+def _timed_fit(spec: ModelSpec, design, opts: dict, seed: int):
+    """The fitted model, or the exception the fit raised, and the fit's seconds."""
+    started = time.perf_counter()
+    try:
+        return spec.fit(design, opts, seed), time.perf_counter() - started
+    except Exception as exc:
+        return exc, time.perf_counter() - started
+
+
 def run_benchmark(config: BenchConfig) -> BenchReport:
     cohort = load_cohort(config)
     check_km_groups(cohort, config.km_groups)
     train, test = split(cohort, config.test_fraction, config.seed)
-    rows = []
-    mtlr_model = None  # the weight figure's source
-    for position, (name, spec) in enumerate(MODELS.items()):
-        if name not in config.models:
-            continue
-        model_seed = derive_seed(config.seed, position)
-        started = time.perf_counter()
+    names = [name for name in MODELS if name in config.models]
+    designs, fits, seconds = {}, {}, {}  # designs[name] is the error if options or encoding failed
+    for name in names:
+        started, spec = time.perf_counter(), MODELS[name]
         try:
             opts = model_options(name, config.model_options.get(name, {}))
             train_design = encode(train, standardize=spec.standardize)
-            test_design = encode_like(test, train_design)
-            model = spec.fit(train_design, opts, model_seed)
-            parts = (("train", train_design, spec.risk(model, train_design)),
-                     ("test", test_design, spec.risk(model, test_design)))
-            status, converged = "ok", model_converged(model)
-            elapsed = (time.perf_counter() - started) * 1000.0
+            designs[name] = train_design, encode_like(test, train_design)
+            fits[name] = partial(_timed_fit, spec, train_design, opts,
+                                 derive_seed(config.seed, list(MODELS).index(name)))
+        except Exception as exc:
+            designs[name] = exc
+        seconds[name] = time.perf_counter() - started
+    # DeepSurv and KSVM fit in forked workers beside the rest if there is more than one CPU
+    forked = [name for name in fits if name in ("deepsurv", "ksvm") and workers.usable_cpus() > 1]
+    here = [name for name in fits if name not in forked]
+    fitted = workers.run([*(fits[name] for name in forked),
+                          lambda: [fits[name]() for name in here]])
+    fitted = dict(zip(forked + here, fitted[:-1] + fitted[-1]))  # each fit held once
+    rows = []
+    mtlr_model = None  # the weight figure's source
+    for name in names:
+        started, spec = time.perf_counter(), MODELS[name]
+        model, fit_s = fitted.pop(name, (designs[name], 0.0))
+        try:
+            if isinstance(model, Exception):
+                raise model
+            parts = [(part, d, spec.risk(model, d)) for part, d in zip(("train", "test"),
+                                                                       designs[name])]
             train_cindex, test_cindex = (
                 concordance_index(d.times, d.events, risk).cindex for _, d, risk in parts)
+            status, converged = "ok", model_converged(model)
+            elapsed = seconds[name] + fit_s + time.perf_counter() - started
             if name == "mtlr":
                 mtlr_model = model
             write_csv(
@@ -353,11 +382,11 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
                  for i, (t, e, r) in enumerate(zip(d.times.tolist(), d.events.tolist(), risk))],
             )
         except Exception as exc:
-            elapsed = (time.perf_counter() - started) * 1000.0
+            elapsed = seconds[name] + fit_s + time.perf_counter() - started
             train_cindex = test_cindex = float("nan")
             status, converged = f"error: {exc}", False
-        rows.append(ModelRow(name, train_cindex, test_cindex, elapsed, status, converged))
-        model = None  # free this fit before the next model's
+        rows.append(ModelRow(name, train_cindex, test_cindex, elapsed * 1000.0, status, converged))
+        model = parts = None  # free this fit and its scores before the next model's
     report = BenchReport(
         rows=rows,
         seed=config.seed,

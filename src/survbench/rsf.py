@@ -15,8 +15,8 @@ left count is read off the sorted column, so only candidates that leave
 min_leaf rows on each side get a row mask. As no tree depends on the
 trees grown with it, the trees grow in k contiguous shards, one per
 usable CPU but at most one per _SHARD_ROWS bootstrap rows, all but the
-last in forked children, and the forest does not depend on k. Growth
-makes no BLAS call, so no child enters a BLAS thread pool.
+last in forked workers (`workers.run`), and the forest does not depend
+on k.
 
 A tree is one flat node table in growing order, node 0 its root, each
 child after its parent: a node's split column (-1 at a leaf), threshold
@@ -57,16 +57,15 @@ score in column-then-threshold order wins.
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
+from . import workers
 from .data import DesignMatrix
 from .riskset import risk_set_sums, risk_sets, sorted_risk_sets
 from .rng import CounterRng, derive_seed, uniform_at
@@ -303,52 +302,13 @@ def _table(nodes: list, times: np.ndarray, events: np.ndarray, grid: np.ndarray)
                      rs.n_at_risk[has])  # integer counts, as in the forest file
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where it cannot fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
 def _grow_in_shards(design, seeds, *settings) -> list[NodeTable]:
-    """`_grow_trees` in k contiguous shards of the trees, the last here and
-    each other in a forked child, which pipes back its pickled tables or
-    exception and ends by os._exit: no exit handlers, no stdio flush. A
-    child runs only NumPy and pickle, so it takes no lock that another
-    thread of this process could have held when it forked."""
-    k = max(1, min(len(seeds), _usable_cpus(), len(seeds) * design.n // _SHARD_ROWS))
+    """`_grow_trees` in k contiguous shards of the trees, all but the last forked."""
+    k = max(1, min(len(seeds), workers.usable_cpus(), len(seeds) * design.n // _SHARD_ROWS))
     cuts = [len(seeds) * i // k for i in range(k + 1)]
-    children, shards = [], None  # each child's pid and its pipe's read end
-    try:
-        for lo, hi in zip(cuts, cuts[1:-1]):
-            r, w = os.pipe()
-            children.append((os.fork(), r))
-            if children[-1][0] == 0:
-                try:
-                    try:
-                        result = _grow_trees(design, seeds[lo:hi], *settings)
-                    except Exception as exc:  # the parent raises it
-                        result = exc
-                    view = memoryview(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
-                    while view:
-                        view = view[os.write(w, view):]
-                finally:
-                    os._exit(0)
-            os.close(w)
-        tables = _grow_trees(design, seeds[cuts[-2]:], *settings)
-        shards = [pickle.loads(b"".join(iter(lambda r=r: os.read(r, 1 << 20), b"")))
-                  for _, r in children]  # bytes only this process's children wrote
-    finally:
-        for pid, r in children:
-            os.close(r)
-            if shards is None:  # this process failed, so the children's trees go unused
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    for shard in shards:
-        if isinstance(shard, Exception):
-            raise shard
-    return [table for shard in shards for table in shard] + tables
+    shards = workers.run([partial(_grow_trees, design, seeds[lo:hi], *settings)
+                          for lo, hi in zip(cuts, cuts[1:])])
+    return [table for shard in shards for table in shard]
 
 
 def fit_forest(

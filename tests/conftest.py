@@ -1,7 +1,10 @@
+import os
+import signal
+
 import numpy as np
 import pytest
 
-from survbench import rsf
+from survbench import rsf, workers
 from survbench.data import Cohort, Column, CovariateSchema, encode
 from survbench.rng import derive_seed
 
@@ -44,8 +47,31 @@ def shard_failing_at(tree, mp):
         return real(design, seeds, *rest)
 
     mp.setattr(rsf, "_SHARD_ROWS", 1)
-    mp.setattr(rsf, "_usable_cpus", lambda: 3)
+    mp.setattr(workers, "usable_cpus", lambda: 3)
     mp.setattr(rsf, "_grow_trees", grow)
+
+
+def forked_shards_killed(mp):
+    """Make fit_forest fork 3 shards down to a single row, each forked one
+    killing itself with SIGKILL before it grows a tree."""
+    real, here = rsf._grow_trees, os.getpid()
+
+    def grow(*args):
+        if os.getpid() != here:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    mp.setattr(rsf, "_SHARD_ROWS", 1)
+    mp.setattr(workers, "usable_cpus", lambda: 3)
+    mp.setattr(rsf, "_grow_trees", grow)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Every test reaps every process it forks."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

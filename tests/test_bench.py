@@ -6,13 +6,14 @@ import inspect
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from survbench import cox, deepsurv, ksvm, mtlr, rsf
+from survbench import cox, deepsurv, ksvm, mtlr, rsf, workers
 from survbench.bench import (
     MODELS,
     BenchConfig,
@@ -231,6 +232,37 @@ def test_error_row_is_isolated(tmp_path):
     assert rows["mtlr"][1] == rows["mtlr"][2] == "nan"
     assert os.path.exists(out / "scores_cox.csv")
     assert not os.path.exists(out / "scores_mtlr.csv")
+
+
+def forked_and_not(tmp_path, monkeypatch, options):
+    """report.csv and the warnings (category, message, file, line) of a
+    DeepSurv-only bench run with `options`, with DeepSurv fitted here (one
+    usable CPU) and in a forked worker (two)."""
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(workers, "usable_cpus", lambda cpus=cpus: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_benchmark(small_config(out, models=("deepsurv",),
+                                       model_options={"deepsurv": options}))
+        runs.append(((out / "report.csv").read_bytes(),
+                     [(w.category, str(w.message), w.filename, w.lineno) for w in caught]))
+    return runs
+
+
+def test_a_forked_fit_gives_the_warnings_of_a_fit_here(tmp_path, monkeypatch):
+    here, forked = forked_and_not(tmp_path, monkeypatch, {"batch_size": 2, "epochs": 3})
+    assert forked == here
+    assert read_report(tmp_path / "cpus2")["deepsurv"][3] == "ok"
+    assert here[1] and all(w[0] is UserWarning and w[2] == deepsurv.__file__ for w in here[1])
+    assert "skipping event-free batch at epoch 0" in {w[1] for w in here[1]}
+
+
+def test_a_forked_fit_that_fails_is_its_row(tmp_path, monkeypatch):
+    here, forked = forked_and_not(tmp_path, monkeypatch, {"learning_rate": 1000.0, "epochs": 3})
+    assert forked == here
+    assert read_report(tmp_path / "cpus2")["deepsurv"][3].startswith("error: loss diverged at")
 
 
 def test_unknown_model_option_is_reported_per_model(tmp_path):

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import signal
 import stat
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import survbench
-from survbench import rsf
+from survbench import deepsurv, rsf, workers
 from survbench.bench import MODELS, model_options, write_csv
 from survbench.cli import main
 from survbench.data import (Cohort, Column, CovariateSchema, cohort_table, encode, encode_like,
@@ -24,7 +25,7 @@ from survbench.data import (Cohort, Column, CovariateSchema, cohort_table, encod
 from survbench.datagen import GeneratorConfig, generate
 from survbench.metrics import concordance_index
 
-from conftest import cohorts_equal, shard_failing_at
+from conftest import cohorts_equal, forked_shards_killed, shard_failing_at
 
 
 def make_cohort_csv(tmp_path, n=150, seed=2, name="cohort.csv"):
@@ -456,6 +457,10 @@ def test_fit_rejects_unknown_option(tmp_path, capsys):
         ("bench", {"km_groups": [1]}, "unknown covariate: 1"),
         ("bench", {"km_groups": "Gender"}, "config km_groups must be a JSON list"),
         ("bench", {"models": 5}, "config models must be a JSON list"),
+        ("bench", {"models": []}, "models must name at least one model, each once"),
+        ("bench", {"models": ["cox", "rsf", "cox"]},
+         "models must name at least one model, each once"),
+        ("bench", {"models": [["cox"]]}, "models must be a list of model names"),
         ("bench", {"seed": "3"}, 'config seed must be a JSON integer, not "3"'),
         ("bench", {"seed": True}, "config seed must be a JSON integer, not true"),
         ("bench", {"test_fraction": "0.3"},
@@ -481,6 +486,7 @@ def test_fit_rejects_unknown_option(tmp_path, capsys):
          "fit-unknown-key", "fit-options-unknown-model", "bench-options-unknown-model",
          "input-not-an-object", "unknown-generator-key", "generator-schema-key",
          "km-group-not-a-name", "km-groups-not-a-list", "models-not-a-list",
+         "models-empty", "models-repeated", "models-not-names",
          "seed-string", "seed-boolean", "test-fraction-string", "csv-number",
          "generator-n-string", "hazard-string", "beta-string", "test-fraction-nan", "censor-rate-nan", "beta-infinite", "fit-not-json",
          "bench-not-json"],
@@ -647,17 +653,19 @@ def test_bench_files_do_not_depend_on_the_blas_thread_variables(tmp_path):
 
 
 def test_bench_files_do_not_depend_on_the_cpu_count(tmp_path):
-    # one run is pinned to a single CPU, so its forest grows in one shard,
-    # the other's in one per usable CPU
+    # one run is pinned to a single CPU, so it fits every model in this
+    # process and its forest in one shard; the other forks DeepSurv and
+    # KSVM and grows its forest in one shard per usable CPU
     if not hasattr(os, "sched_setaffinity"):
         pytest.skip("no CPU affinity on this platform")
     cpus = os.sched_getaffinity(0)
     if len(cpus) < 2:
         pytest.skip("one usable CPU: both runs would grow the forest in one shard")
-    every = fresh_bench_files(tmp_path / "every", "rsf", dict(os.environ))
-    one = fresh_bench_files(tmp_path / "one", "rsf", dict(os.environ),
+    models = ",".join(MODELS)
+    every = fresh_bench_files(tmp_path / "every", models, dict(os.environ))
+    one = fresh_bench_files(tmp_path / "one", models, dict(os.environ),
                             preexec_fn=lambda: os.sched_setaffinity(0, {min(cpus)}))
-    assert "scores_rsf.csv" in {p.name for p in every}
+    assert {f"scores_{name}.csv" for name in MODELS} <= {p.name for p in every}
     assert every == one
 
 
@@ -675,18 +683,69 @@ def test_a_failing_forest_shard_is_one_line_error(tmp_path, capsys, monkeypatch)
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_a_killed_forest_shard_is_one_line_error(tmp_path, capsys, monkeypatch):
+    cohort_csv = make_cohort_csv(tmp_path, n=60)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"model_options": {"rsf": {"b": 9, "min_leaf": 5}}}))
+    forked_shards_killed(monkeypatch)
+    capsys.readouterr()
+    assert main(["fit", "--model", "rsf", "--input", str(cohort_csv), "--config", str(config),
+                 "--seed", "0", "--out", str(tmp_path / "rsf.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"survbench: error: a worker process was killed by signal 9 "
+        f"({signal.strsignal(signal.SIGKILL)})\n")
+    assert not (tmp_path / "rsf.json").exists()
+
+
+def test_a_killed_forest_shard_in_bench_is_the_forest_row(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"input": {"generator": {"n": 60}},
+                                  "model_options": {"rsf": {"b": 9, "min_leaf": 5}}}))
+    forked_shards_killed(monkeypatch)
+    assert main(["bench", "--config", str(config), "--models", "cox,rsf,ksvm", "--seed", "0",
+                 "--out", str(tmp_path / "out")]) == 1
+    with open(tmp_path / "out" / "report.csv", newline="") as fh:
+        status = {row[0]: row[3] for row in csv.reader(fh)}
+    assert status["cox"] == status["ksvm"] == "ok"
+    assert status["rsf"].startswith("error: a worker process was killed by signal 9")
+
+
+def test_a_killed_bench_worker_is_one_line_error(tmp_path, capsys, monkeypatch):
+    here = os.getpid()
+
+    def fit(*args, **kwargs):
+        if os.getpid() != here:
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise AssertionError("DeepSurv was fitted in this process")
+
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(deepsurv, "fit_deepsurv", fit)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"input": {"generator": {"n": 60}}}))
+    capsys.readouterr()
+    assert main(["bench", "--config", str(config), "--models", "cox,deepsurv", "--seed", "0",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert_one_line_error(capsys, "a worker process was killed by signal 9")
+
+
 def test_bench_prints_each_line_once_with_forked_shards(tmp_path, capsys, monkeypatch):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"input": {"generator": {"n": 100}},
                                   "model_options": {"rsf": {"b": 6}}}))
     monkeypatch.setattr(rsf, "_SHARD_ROWS", 1)
-    monkeypatch.setattr(rsf, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 3)
     assert main(["bench", "--config", str(config), "--models", "rsf", "--seed", "0",
                  "--out", str(tmp_path / "out")]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["n=100", "rsf", "report"]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_bench_with_a_repeated_model_is_one_line_error(tmp_path, capsys):
+    assert main(["bench", "--models", "cox,cox", "--out", str(tmp_path / "out")]) == 2
+    assert_one_line_error(capsys, "models must name at least one model, each once")
+    assert not (tmp_path / "out").exists()
 
 
 def test_bench_cli_csv_input(tmp_path, capsys):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from survbench import rsf
+from survbench import rsf, workers
 from survbench.metrics import concordance_index
 from survbench.nonparametric import nelson_aalen
 from survbench.riskset import risk_set_sums, risk_sets
@@ -350,7 +350,7 @@ def test_forest_does_not_depend_on_the_shard_count(data_seed, b, min_leaf, max_d
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rsf, "_SHARD_ROWS", 1)
         for cpus in (1, 2, 3):
-            mp.setattr(rsf, "_usable_cpus", lambda cpus=cpus: cpus)
+            mp.setattr(workers, "usable_cpus", lambda cpus=cpus: cpus)
             forests.append(forest_to_dict(fit_forest(d, **options)))
     assert forests[0] == forests[1] == forests[2]
     with pytest.raises(ChildProcessError):
@@ -372,12 +372,12 @@ def test_a_forked_shard_neither_flushes_stdout_nor_runs_exit_handlers():
     src = str(pathlib.Path(rsf.__file__).resolve().parent.parent)
     script = (
         "import atexit\n"
-        "from survbench import rsf\n"
+        "from survbench import rsf, workers\n"
         "from survbench.data import encode\n"
         "from survbench.datagen import GeneratorConfig, generate\n"
         "atexit.register(print, 'exit handler')\n"
         "print('before')\n"
-        "rsf._SHARD_ROWS, rsf._usable_cpus = 1, lambda: 3\n"
+        "rsf._SHARD_ROWS, workers.usable_cpus = 1, lambda: 3\n"
         "d = encode(generate(GeneratorConfig(n=60))[0], standardize=False)\n"
         "print(len(rsf.fit_forest(d, b=6, min_leaf=5).trees))\n"
     )
