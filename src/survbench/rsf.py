@@ -23,7 +23,7 @@ child after its parent: a node's split column (-1 at a leaf), threshold
 and child indices, and its leaf's knots (the distinct event times of its
 rows as indices into the event grid) and integer event and at-risk
 counts at each, one array per field over all leaves with each node's
-start offset into them. A leaf's curve on the grid is built when needed.
+start offset into them. No leaf's curve is ever built on the whole grid.
 
 The ensemble cumulative hazard is the mean of the B leaf curves a row
 falls into, so its mortality (that curve summed over the training
@@ -31,10 +31,10 @@ event-time grid) is the mean of one scalar per leaf. Scoring stacks the
 B tables on each call and descends all trees together over a (rows, B)
 matrix of node indices. A right child follows its left, so a level
 moves an entry to left + 1 unless its value is <= the threshold: a NaN
-goes right. It sums the grid curve of each leaf reached, and both steps
-work in passes of bounded size. It averages a row's B leaf mortalities
-with math.fsum, which keeps the score independent of tree order;
-`predict_chf` takes the math.fsum per knot.
+goes right. A reached leaf's sum comes from its knots, each value times
+the grid points it holds for, and both steps work in passes of bounded
+size. It averages a row's B leaf mortalities with math.fsum, so tree
+order does not matter; `predict_chf` takes the math.fsum per knot.
 
 A tree holds its seed and the training size n, not its bootstrap rows:
 its `inbag`, the first n draws of its seed's stream, is drawn when read.
@@ -74,7 +74,7 @@ from .stepfun import StepFunction
 _MAX_THRESHOLDS = 32
 _CELLS = 1 << 14  # size-class rows times drawn columns per batch of the split search
 _PASS_CELLS = 1 << 15  # (row, tree) pairs a pass of the descent takes, and leaves times
-# grid points a pass of the leaf curves takes
+# their most knots a pass of the leaf sums takes
 _NO_ROWS = np.zeros(0, dtype=np.int64)
 _SHARD_ROWS = 1 << 14  # bootstrap rows (trees times n) a shard takes at least: on 2 CPUs,
 # fewer made the fork, the pipe and the child's wait for an idle CPU cost more than they saved
@@ -379,54 +379,53 @@ def _descend(trees: list[SurvivalTree], X: np.ndarray) -> tuple[NodeTable, np.nd
     return nodes, at.reshape(X.shape[0], roots.size)
 
 
-def _leaf_curves(nodes: NodeTable, leaves: np.ndarray, grid_size: int) -> np.ndarray:
-    """The curve of each of `leaves` on the event grid, a (leaves,
-    grid_size) matrix built in one pass with the bits of the leaf's
-    `np.cumsum(events / at_risk)`.
-
-    Row l of a zero-padded table holds 0 and then leaf l's curve. The
-    curve's j-th value holds from grid point knots[j] to the next knot, so
-    repeating each entry that many times rebuilds the curve on the grid."""
-    ends = np.append(nodes.offsets, nodes.knots.size)
-    start = ends[leaves]
-    sizes = ends[leaves + 1] - start
+def _leaf_hazards(nodes: NodeTable, leaves: np.ndarray, grid_size: int):
+    """Each of `leaves`' cumulative hazard at its own knots, with the bits of
+    its `np.cumsum(events / at_risk)`, and the grid point where each value
+    starts, as two (leaves, 1 + most knots) blocks: row l holds 0 from point
+    0, then leaf l's values from its knots, then padding from grid_size on."""
+    start = nodes.offsets[leaves]
+    sizes = np.diff(nodes.offsets, append=nodes.knots.size)[leaves]
     slot = np.arange(sizes.max()) < sizes[:, None]  # leaf l's knots fill row l's slots
     knot = (start[:, None] + np.arange(slot.shape[1]))[slot]
     hazard = np.zeros((leaves.size, slot.shape[1] + 1))
     hazard[:, 1:][slot] = nodes.events[knot] / nodes.at_risk[knot]
-    first = np.full(hazard.shape, grid_size)  # first grid point of each value
+    first = np.full(hazard.shape, grid_size)
     first[:, 0] = 0
     first[:, 1:][slot] = nodes.knots[knot]
-    reps = np.diff(first, axis=1, append=grid_size)
-    curves = np.repeat(np.cumsum(hazard, axis=1).ravel(), reps.ravel())
-    return curves.reshape(leaves.size, grid_size)
+    return np.cumsum(hazard, axis=1, out=hazard), first
 
 
 def _mortality(forest: Forest, X: np.ndarray) -> np.ndarray:
     """Ensemble mortality of each row of X: the math.fsum of its B leaf
-    mortalities over B. A leaf's mortality is its curve summed over the
-    forest's event grid; only the leaves some row reaches are summed."""
+    mortalities over B. A leaf's mortality, its curve summed over the event
+    grid, is a running sum in knot order of each value times the grid points
+    it holds for, so padding adds +0.0 and no leaf's sum depends on its pass.
+    Only reached leaves are summed, in passes of at most _PASS_CELLS cells."""
     nodes, at = _descend(forest.trees, X)
+    sizes = np.diff(nodes.offsets, append=nodes.knots.size)
     reached = np.flatnonzero(np.bincount(at.ravel(), minlength=nodes.column.size))
+    reached = reached[np.argsort(sizes[reached], kind="stable")]  # a pass pads to its widest
     mortality = np.zeros(nodes.column.size)
-    step = max(1, _PASS_CELLS // max(1, forest.event_grid.size))
+    step = max(1, _PASS_CELLS // (1 + sizes.max()))
     for lo in range(0, reached.size, step):
         leaves = reached[lo:lo + step]
-        mortality[leaves] = _leaf_curves(nodes, leaves, forest.event_grid.size).sum(axis=1)
+        hazard, first = _leaf_hazards(nodes, leaves, forest.event_grid.size)
+        hazard *= np.diff(first, axis=1, append=forest.event_grid.size)  # grid points held
+        mortality[leaves] = np.add.accumulate(hazard, axis=1)[:, -1]
     leaf = mortality[at]  # fsum reads a row through a memoryview, not a list
     return np.array([math.fsum(memoryview(row)) / at.shape[1] for row in leaf])
 
 
 def predict_chf(forest: Forest, x) -> StepFunction:
-    """Ensemble cumulative hazard: at each knot of the B leaves x reaches,
-    the math.fsum of their curves over B, so tree order does not matter."""
+    """Ensemble cumulative hazard: at each knot of the B leaves x reaches, the
+    math.fsum over B of each leaf's value there, so tree order does not matter."""
     nodes, at = _descend(forest.trees, np.asarray(x, dtype=np.float64)[None, :])
-    ends = np.append(nodes.offsets, nodes.knots.size)
-    knots = np.unique(np.concatenate([nodes.knots[lo:hi] for lo, hi in zip(
-        ends[at[0]].tolist(), ends[at[0] + 1].tolist())]))
-    curves = _leaf_curves(nodes, at[0], forest.event_grid.size)[:, knots]
+    hazard, first = _leaf_hazards(nodes, at[0], forest.event_grid.size)
+    knots = np.unique(first[:, 1:][first[:, 1:] < forest.event_grid.size])
+    values = np.array([h[np.searchsorted(f, knots, "right") - 1] for h, f in zip(hazard, first)])
     return StepFunction(forest.event_grid[knots],
-                        [math.fsum(col) / at.shape[1] for col in curves.T.tolist()], initial=0.0)
+                        [math.fsum(col) / at.shape[1] for col in values.T.tolist()], initial=0.0)
 
 
 def mortality_score(forest: Forest, x) -> float:

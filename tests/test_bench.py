@@ -2,6 +2,7 @@
 of the score dumps, figure files."""
 
 import csv
+import hashlib
 import inspect
 import json
 import math
@@ -25,6 +26,7 @@ from survbench.bench import (
     write_csv,
     write_text_atomic,
 )
+from survbench.cli import main
 from survbench.data import Cohort, Column, CovariateSchema, cohort_table, encode
 from survbench.datagen import GeneratorConfig, HazardSpec, generate
 from survbench.metrics import concordance_index
@@ -213,6 +215,14 @@ def test_reruns_are_byte_identical_except_timings(tmp_path):
             assert doc_a == doc_b
         else:
             assert blob_a == blob_b, f"{name} differs between reruns"
+
+
+def test_default_report_csv_is_pinned(tmp_path):
+    # the headline run's report, byte for byte: a change that moves a
+    # C-index or a convergence flag of `bench --seed 0` must re-pin it
+    assert main(["bench", "--seed", "0", "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
+    assert digest == "a8dcb897c9dad9b788eca91f911ab75a2524749fdfd748a2e5af796f7e635ed1"
 
 
 def test_error_row_is_isolated(tmp_path):

@@ -294,7 +294,7 @@ def test_golden_scores_are_pinned():
     d = golden_design()
     f = fit_forest(d, b=5, min_leaf=4, mtry=2, seed=3)
     digest = hashlib.sha256(rsf_risk(f, d).tobytes()).hexdigest()
-    assert digest == "ebac8d94b4eb7d8d80cfbc696623a23456c5396561059f8b65f6bfce2f697b29"
+    assert digest == "1b87b1ce4721c48765d4e3517ec57a5e01f40f8d022b8fe0ae3ae296dfc57cfa"
     curves = hashlib.sha256()
     for i in (0, 29, 59):
         chf = predict_chf(f, d.X[i])
@@ -604,6 +604,17 @@ def test_risk_matches_per_row_mortality():
         assert r[i] == mortality_score(f, d.X[i])
 
 
+def knot_sum(grid_size, knots, events, at_risk):
+    """A leaf's curve summed over a grid of grid_size points, one knot at
+    a time in knot order: its cumulative hazard at each knot times the
+    grid points from that knot to the next (to the grid's end, for the
+    last)."""
+    total = 0.0
+    for hazard, span in zip(np.cumsum(events / at_risk), np.diff(knots, append=grid_size)):
+        total += hazard * span
+    return float(total)
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(20, 80), st.integers(1, 3), st.floats(0.0, 0.6))
 @settings(max_examples=30, deadline=None)
 def test_rows_on_thresholds_or_holding_nan_score_as_a_node_by_node_walk(data_seed, n, b,
@@ -628,9 +639,8 @@ def test_rows_on_thresholds_or_holding_nan_score_as_a_node_by_node_walk(data_see
         for x in rows:  # the one leaf a node-by-node walk takes x to (NaN fails <=, so goes right)
             leaf = leaves[np.argmax(leaf_occupancy(tree, x[None, :]))]
             span = slice(ends[leaf], ends[leaf + 1])
-            curve = StepFunction(grid[nodes.knots[span]],
-                                 np.cumsum(nodes.events[span] / nodes.at_risk[span]), initial=0.0)
-            want.append(float(np.sum(curve(grid))))
+            want.append(knot_sum(grid.size, nodes.knots[span], nodes.events[span],
+                                 nodes.at_risk[span]))
         one_tree = forest_from_dict({**doc, "trees": [tree_doc]})
         design = numeric_design(np.zeros((rows.shape[0], 3)), np.ones(rows.shape[0]),
                                 np.ones(rows.shape[0], dtype=int))
@@ -644,7 +654,8 @@ def test_risk_does_not_depend_on_the_size_of_a_scoring_pass():
     whole = rsf_risk(f, d)
     with pytest.MonkeyPatch.context() as mp:
         # a pass of one (row, tree) pair or one leaf; then passes of three
-        # grid lengths: 3 leaves, or 3 * grid / 5 rows of the 5 trees
+        # grid lengths: of leaves times their most knots, or 3 * grid / 5
+        # rows of the 5 trees
         for cells in (1, 3 * f.event_grid.size):
             mp.setattr(rsf, "_PASS_CELLS", cells)
             np.testing.assert_array_equal(rsf_risk(f, d), whole)
@@ -752,10 +763,11 @@ def comb_tree(leaves):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 600))
 @settings(max_examples=80, deadline=None)
 def test_leaf_mortalities_equal_the_summed_curve(data_seed, n_leaves, grid_draws):
-    # scoring many leaves in one pass must give each leaf's
-    # np.sum(chf(grid)) bit for bit; a leaf's knots are increasing
-    # indices into the grid, one leaf has no knots and one has every grid
-    # point as a knot
+    # scoring many leaves in one pass must give each leaf's knot-by-knot
+    # sum bit for bit, and that sum is np.sum(chf(grid)) up to the rounding
+    # of the two summation orders; a leaf's knots are increasing indices
+    # into the grid, one leaf has no knots and one has every grid point as
+    # a knot
     rng = np.random.default_rng(data_seed)
     grid = np.unique(np.round(rng.exponential(2.0, grid_draws), 2))
     leaves = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0, dtype=int))]
@@ -768,9 +780,15 @@ def test_leaf_mortalities_equal_the_summed_curve(data_seed, n_leaves, grid_draws
     forest = forest_from_dict(forest_doc([tree], grid))
     d = numeric_design(np.arange(len(leaves), dtype=float)[:, None], np.ones(len(leaves)),
                        np.ones(len(leaves), dtype=int))
-    want = [float(np.sum(StepFunction(grid[knots], np.cumsum(events / at_risk), initial=0.0)(grid)))
-            for knots, events, at_risk in leaves]
-    assert rsf_risk(forest, d).tolist() == want  # one tree: a row's score is its leaf's
+    got = rsf_risk(forest, d)  # one tree: a row's score is its leaf's
+    assert got.tolist() == [knot_sum(grid.size, *leaf) for leaf in leaves]
+    for score, (knots, events, at_risk) in zip(got, leaves):
+        summed = np.sum(StepFunction(grid[knots], np.cumsum(events / at_risk), initial=0.0)(grid))
+        # n nonnegative terms summed in any order are within (n - 1) u of
+        # their exact sum, relative (u = eps / 2); the knot sum's k terms are
+        # products, each rounded once more
+        bound = (knots.size + grid.size) * np.finfo(float).eps / 2 * summed
+        assert abs(score - summed) <= bound
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(15, 60), st.integers(1, 4), st.integers(1, 8))
