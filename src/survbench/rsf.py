@@ -20,7 +20,7 @@ on k.
 
 A tree is one flat node table in growing order, node 0 its root, each
 child after its parent: a node's split column (-1 at a leaf), threshold
-and child indices, and its leaf's knots (the distinct event times of its
+and left child, and its leaf's knots (the distinct event times of its
 rows as indices into the event grid) and integer event and at-risk
 counts at each, one array per field over all leaves with each node's
 start offset into them. No leaf's curve is ever built on the whole grid.
@@ -38,8 +38,8 @@ order does not matter; `predict_chf` takes the math.fsum per knot.
 
 A tree holds its seed and the training size n, not its bootstrap rows:
 its `inbag`, the first n draws of its seed's stream, is drawn when read.
-A forest file holds each tree's seed and table as flat lists, the grid
-and n once. Loading checks all tables at once, lists joined; it draws none.
+A forest file holds the grid and n once, each tree's seed, and each table
+field as a string of numbers; loading checks all trees at once, draws none.
 
 Per-tree randomness comes from a child seed mixed out of (master seed,
 tree index), so any tree is reproducible in isolation. Within a node the
@@ -56,11 +56,13 @@ score in column-then-threshold order wins.
 
 from __future__ import annotations
 
+import json
 import math
+import warnings
 from collections import namedtuple
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -83,7 +85,7 @@ _SHARD_ROWS = 1 << 14  # bootstrap rows (trees times n) a shard takes at least: 
 class NodeTable(NamedTuple):
     """A tree's nodes in growing order: node i splits on column[i] (a row
     goes left when its value is <= threshold[i]) into nodes left[i] and
-    right[i], or is a leaf (column and children -1) whose knots (indices
+    left[i] + 1, or is a leaf (column and left -1) whose knots (indices
     into the forest's event grid), event and at-risk counts run from
     offsets[i] to the next node's offset (to the end, for the last node) in
     knots, events and at_risk."""
@@ -91,7 +93,6 @@ class NodeTable(NamedTuple):
     column: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     offsets: np.ndarray
     knots: np.ndarray
     events: np.ndarray
@@ -245,7 +246,7 @@ def _grow_trees(design, seeds, min_leaf, max_depth, mtry, grid) -> list[NodeTabl
     XT = np.vstack([design.X, np.full(p, np.inf)]).T.copy()  # row n is the batches' pad
     times = np.append(design.times, np.inf)
     events = np.append(design.events == 1, False)
-    nodes = [[None] for _ in seeds]  # (column, threshold, left, right, a leaf's rows)
+    nodes = [[None] for _ in seeds]  # (column, threshold, left, a leaf's rows)
     inbags = (CounterRng(seed).integers(n, n) for seed in seeds)
     stacks = [[(0, rows, 0, int(np.count_nonzero(events[rows])))] for rows in (
         inbag[np.argsort(design.times[inbag], kind="stable")] for inbag in inbags)]
@@ -260,7 +261,7 @@ def _grow_trees(design, seeds, min_leaf, max_depth, mtry, grid) -> list[NodeTabl
                         and (max_depth is None or depth < max_depth)):
                     todo.append((1 << (rows.size - 1).bit_length(), t, node, rows, depth, n_events))
                     break
-                nodes[t][node] = (-1, 0.0, -1, -1, rows)
+                nodes[t][node] = (-1, 0.0, -1, rows)
         todo.sort(key=_batch_order)
         at = 0
         while at < len(todo):
@@ -277,10 +278,10 @@ def _grow_trees(design, seeds, min_leaf, max_depth, mtry, grid) -> list[NodeTabl
             for (_, t, node, rows, depth, n_events), j, thr, go_left, n_left_events in zip(
                     batch, column.tolist(), threshold.tolist(), left, left_events.tolist()):
                 if j < 0:
-                    nodes[t][node] = (-1, 0.0, -1, -1, rows)
+                    nodes[t][node] = (-1, 0.0, -1, rows)
                     continue
                 go_left, child = go_left[:rows.size], len(nodes[t])
-                nodes[t][node] = (j, thr, child, child + 1, _NO_ROWS)
+                nodes[t][node] = (j, thr, child, _NO_ROWS)
                 nodes[t] += [None, None]
                 stacks[t].append((child + 1, rows[~go_left], depth + 1, n_events - n_left_events))
                 stacks[t].append((child, rows[go_left], depth + 1, n_left_events))
@@ -291,13 +292,13 @@ def _grow_trees(design, seeds, min_leaf, max_depth, mtry, grid) -> list[NodeTabl
 def _table(nodes: list, times: np.ndarray, events: np.ndarray, grid: np.ndarray) -> NodeTable:
     """A tree's table from its grown nodes, each leaf's knots found from
     its rows, in time order, in one pass over the tree, and in `grid`."""
-    column, threshold, left, right, rows = zip(*nodes)
+    column, threshold, left, rows = zip(*nodes)
     ends = np.cumsum([r.size for r in rows])
     rows = np.concatenate(rows)
     rs = sorted_risk_sets(times[rows], events[rows], rows, ends)  # the leaves are its runs
     has = rs.n_events > 0  # a leaf's knots are the times of its events
     sizes = np.bincount(np.searchsorted(ends, rs.starts[has], side="right"), minlength=len(nodes))
-    return NodeTable(*map(np.array, (column, threshold, left, right)), np.cumsum(sizes) - sizes,
+    return NodeTable(*map(np.array, (column, threshold, left)), np.cumsum(sizes) - sizes,
                      np.searchsorted(grid, rs.times[has]), rs.n_events[has].astype(np.int64),
                      rs.n_at_risk[has])  # integer counts, as in the forest file
 
@@ -363,8 +364,7 @@ def _descend(trees: list[SurvivalTree], X: np.ndarray) -> tuple[NodeTable, np.nd
     first_knot = np.repeat(np.cumsum([0, *(tree.nodes.knots.size for tree in trees[:-1])]), sizes)
     nodes = NodeTable(*map(np.concatenate, zip(*(tree.nodes for tree in trees))))
     shift = np.where(nodes.column >= 0, np.repeat(roots, sizes), 0)  # leaves keep their -1
-    nodes = nodes._replace(left=nodes.left + shift, right=nodes.right + shift,
-                           offsets=nodes.offsets + first_knot)
+    nodes = nodes._replace(left=nodes.left + shift, offsets=nodes.offsets + first_knot)
     column, threshold, left = nodes.column, nodes.threshold, nodes.left
     x = np.ascontiguousarray(X, dtype=np.float64).ravel()
     at = np.tile(roots, X.shape[0])
@@ -442,59 +442,59 @@ def rsf_risk(forest: Forest, design: DesignMatrix) -> np.ndarray:
 
 
 def _flat(trees: list, key: str) -> tuple[np.ndarray, np.ndarray]:
-    """The trees' lists `key` joined, numbers for the thresholds and
-    integers otherwise, and each list's length."""
-    kinds, what = ("iuf", "numbers") if key == "threshold" else ("iu", "integers")
-    lists, a = [tree[key] for tree in trees], None
-    if all(isinstance(values, list) for values in lists):
-        try:
-            a = np.array(list(chain.from_iterable(lists)))
-        except ValueError:  # ragged nesting
-            pass
-    if a is None or a.ndim != 1 or (a.size and a.dtype.kind not in kinds):
+    """The trees' strings `key` parsed at once (numbers for thresholds, else
+    integers) and each one's count, its spaces plus one. With a 0 put last, a
+    bad token or other spacing makes NumPy parse fewer; other whitespace is refused."""
+    dtype, what = (np.float64, "numbers") if key == "threshold" else (np.int64, "integers")
+    texts, a = [tree[key] for tree in trees], None
+    if any(isinstance(text, list) for text in texts):
+        raise ValueError(f"a tree's {key} is a list, an older file format; refit the model")
+    texts = [text if isinstance(text, str) else "x" for text in texts]  # "x": a bad token
+    text, lengths = " ".join([*texts, "0"]), np.array([t.count(" ") + 1 if t else 0 for t in texts])
+    with warnings.catch_warnings(), suppress(ValueError):  # NumPy raises at a bad token,
+        warnings.simplefilter("ignore", DeprecationWarning)  # an older one warns and stops
+        a = np.fromstring(text, dtype=dtype, sep=" ")
+    if a is None or a.size != lengths.sum() + 1 or any(c in text for c in "\t\n\v\f\r"):
         raise ValueError(f"a tree's {key} must be a list of {what}")
-    return a.astype(np.float64 if key == "threshold" else np.int64), np.array(list(map(len, lists)))
+    return a[:-1], lengths
 
 
-def _tables_from_dicts(trees: list, grid_size: int, p: int) -> list[NodeTable]:
-    """The trees' tables, checked at once on their lists joined: split
-    columns in [0, p), finite thresholds, every node but a root the child
-    of one split before it in its tree, a right child next after its left,
-    no knots at splits, knots increasing within a leaf and inside the grid,
-    and 1 <= events <= at_risk."""
+def _tables_from_dicts(trees: list, grid_size: int, p: int, n: int) -> list[NodeTable]:
+    """The trees' tables, checked at once on their fields joined: split columns
+    in [0, p), finite thresholds, each node but a root the child of one split
+    before it in its tree, no knots at splits, knots rising in a leaf and in
+    the grid, 1 <= events <= at_risk <= n, at_risk falling at least by events."""
     if any("root" in tree for tree in trees):
         raise ValueError("the forest's trees are nested, an older file format; refit the model")
     fields, lengths = zip(*(_flat(trees, key) for key in NodeTable._fields))
-    column, threshold, left, right, offsets, knots, events, at_risk = fields
-    m, k = lengths[0], lengths[5]
-    if not (np.all(m >= 1) and all(np.array_equal(size, m) for size in lengths[1:5])):
+    column, threshold, left, offsets, knots, events, at_risk = fields
+    m, k = lengths[0], lengths[4]
+    if not (np.all(m >= 1) and all(np.array_equal(size, m) for size in lengths[1:4])):
         raise ValueError("a tree's node lists must be nonempty and of one length")
-    if not (np.array_equal(lengths[6], k) and np.array_equal(lengths[7], k)):
+    if not (np.array_equal(lengths[5], k) and np.array_equal(lengths[6], k)):
         raise ValueError("a tree's knots, events and at_risk differ in length")
     if not (np.all((column >= -1) & (column < p)) and np.all(np.isfinite(threshold))):
         raise ValueError(f"split columns must be in [0, {p}) and thresholds finite")
     root, split = np.repeat(np.cumsum(m) - m, m), column != -1  # each node's tree's root
     node = np.arange(column.size) - root
-    children = np.concatenate([left[split], right[split]])
-    if not (np.all(np.where(split, np.minimum(left, right) > node, (left == -1) & (right == -1)))
-            and np.all(children < np.tile(np.repeat(m, m)[split], 2))
-            and np.array_equal(np.bincount(children + np.tile(root[split], 2),
+    first = left[split] + root[split]  # each split's left child in the joined tables
+    if not (np.all(np.where(split, (node < left) & (left < np.repeat(m, m) - 1), left == -1))
+            and np.array_equal(np.bincount(np.concatenate([first, first + 1]),
                                            minlength=column.size), node > 0)):
         raise ValueError("each node but the root must be the child of one split before it")
-    if not np.array_equal(right[split], left[split] + 1):
-        raise ValueError("a split's right child must be the node after its left")
     start = offsets + np.repeat(np.cumsum(k) - k, m)
     sizes = np.diff(start, append=knots.size)
     if not (np.all(offsets[node == 0] == 0) and np.all(sizes >= 0) and np.all(sizes[split] == 0)):
         raise ValueError("leaf offsets must not decrease from 0, and splits hold no knots")
-    leaf_of = np.repeat(np.arange(column.size), sizes)
-    if not (np.all((knots >= 0) & (knots < grid_size))
-            and np.all((np.diff(knots) > 0) | (np.diff(leaf_of) > 0))):
+    same = np.diff(np.repeat(np.arange(column.size), sizes)) == 0  # knot j + 1 in knot j's leaf
+    if not (np.all((knots >= 0) & (knots < grid_size)) and np.all((np.diff(knots) > 0) | ~same)):
         raise ValueError("leaf knots must be increasing indices into the event grid")
     if not np.all((events >= 1) & (events <= at_risk)):
         raise ValueError("leaf counts must satisfy 1 <= events <= at_risk")
+    if not (np.all(at_risk <= n) and np.all((at_risk[1:] <= (at_risk - events)[:-1]) | ~same)):
+        raise ValueError("a leaf's at_risk must be <= n and fall by at least each knot's events")
     node_ends, knot_ends = np.cumsum(m).tolist(), np.cumsum(k).tolist()
-    return [NodeTable(*(a[lo:hi] for a in fields[:5]), *(a[klo:khi] for a in fields[5:]))
+    return [NodeTable(*(a[lo:hi] for a in fields[:4]), *(a[klo:khi] for a in fields[4:]))
             for lo, hi, klo, khi in zip([0, *node_ends], node_ends, [0, *knot_ends], knot_ends)]
 
 
@@ -508,7 +508,8 @@ def forest_to_dict(forest: Forest) -> dict:
         "seed": forest.seed,
         "event_grid": forest.event_grid.tolist(),
         "n": forest.trees[0].n,
-        "trees": [{"seed": t.seed, **{k: v.tolist() for k, v in t.nodes._asdict().items()}}
+        "trees": [{"seed": t.seed, **{k: json.dumps(v.tolist(), separators=(" ", ":"))[1:-1]
+                                      for k, v in t.nodes._asdict().items()}}  # no brackets
                   for t in forest.trees],
     }
 
@@ -522,9 +523,8 @@ def forest_from_dict(doc: dict) -> Forest:
         raise ValueError("the event grid must be strictly increasing")
     if not doc["trees"]:
         raise ValueError("a forest needs at least one tree")
-    p = len(doc["column_names"])
     _check_settings(doc["mtry"], doc["min_leaf"], doc["max_depth"])
-    tables = _tables_from_dicts(doc["trees"], grid.size, p)
+    tables = _tables_from_dicts(doc["trees"], grid.size, len(doc["column_names"]), n)
     return Forest(
         trees=[SurvivalTree(seed=int(t["seed"]), n=n, nodes=table)
                for t, table in zip(doc["trees"], tables)],

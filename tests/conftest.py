@@ -1,3 +1,4 @@
+import json
 import os
 import signal
 
@@ -34,6 +35,19 @@ def cohorts_equal(a, b) -> bool:
 
 def numeric_design(X, times, events, standardize=False):
     return encode(numeric_cohort(X, times, events), standardize=standardize)
+
+
+def forest_fields(**fields) -> dict:
+    """Fields of a tree in a forest file, as `rsf.forest_to_dict` writes
+    them: each list of numbers one string, the numbers one space apart."""
+    return {key: " ".join(map(str, values)) for key, values in fields.items()}
+
+
+def forest_lists(tree: dict) -> dict:
+    """The fields of a tree in a forest file as lists of numbers, the
+    inverse of `forest_fields`."""
+    return {key: json.loads(f"[{text.replace(' ', ',')}]") for key, text in tree.items()
+            if key != "seed"}
 
 
 def shard_failing_at(tree, mp):

@@ -25,7 +25,8 @@ from survbench.data import (Cohort, Column, CovariateSchema, cohort_table, encod
 from survbench.datagen import GeneratorConfig, generate
 from survbench.metrics import concordance_index
 
-from conftest import cohorts_equal, forked_shards_killed, shard_failing_at
+from conftest import (cohorts_equal, forest_fields, forest_lists, forked_shards_killed,
+                      shard_failing_at)
 
 
 def make_cohort_csv(tmp_path, n=150, seed=2, name="cohort.csv"):
@@ -281,12 +282,28 @@ def test_eval_asks_to_refit_an_old_forest_file(tmp_path, capsys):
                                       "an older file format; refit the model")
 
 
+def test_eval_asks_to_refit_a_forest_file_of_lists(tmp_path, capsys):
+    # each field of a tree a JSON list, with the right children listed too
+    model_path, cohort_csv = fit_small_forest(tmp_path)
+    doc = json.loads(model_path.read_text())
+    for tree in doc["trees"]:
+        tree.update(forest_lists(tree))
+        tree["right"] = [c + 1 if c >= 0 else -1 for c in tree["left"]]
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["eval", "--model-file", str(model_path), "--input", str(cohort_csv)])
+    assert rc == 2
+    assert_one_line_error(capsys, f"{model_path}: a tree's column is a list, "
+                                  "an older file format; refit the model")
+
+
 def test_eval_refuses_a_forest_split_on_no_column(tmp_path, capsys):
     # column -1 marks a leaf; on a split it once scored the last column
     model_path, cohort_csv = fit_small_forest(tmp_path)
     doc = json.loads(model_path.read_text())
-    assert doc["trees"][0]["column"][0] >= 0  # the root splits
-    doc["trees"][0]["column"][0] = -1
+    column = doc["trees"][0]["column"].split(" ")
+    assert int(column[0]) >= 0  # the root splits
+    doc["trees"][0].update(forest_fields(column=[-1, *column[1:]]))
     model_path.write_text(json.dumps(doc))
     capsys.readouterr()
     rc = main(["eval", "--model-file", str(model_path), "--input", str(cohort_csv)])

@@ -4,6 +4,7 @@ forest digest, single-tree degeneracies against the nonparametric
 estimator, and structural invariants (seed determinism, monotone-transform
 stability, leaf occupancy)."""
 
+import functools
 import hashlib
 import json
 import math
@@ -11,11 +12,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from survbench import rsf, workers
@@ -35,7 +37,7 @@ from survbench.rsf import (
 from survbench.rng import CounterRng, derive_seed, uniform_at
 from survbench.stepfun import StepFunction
 
-from conftest import numeric_design, shard_failing_at
+from conftest import forest_fields, forest_lists, numeric_design, shard_failing_at
 
 
 def naive_logrank(times, events, groups):
@@ -285,7 +287,7 @@ def test_forest_file_digest_is_pinned():
     # thresholds, the split rule and the leaf curves all feed it
     f = fit_forest(golden_design(), b=5, min_leaf=4, mtry=2, seed=3)
     digest = hashlib.sha256(json.dumps(forest_to_dict(f)).encode()).hexdigest()
-    assert digest == "b79742f9f76cbdbeb19e48373296fa2cc2d9c5c189fa965f0a616d522b15d057"
+    assert digest == "05dc49ed200f60386c9cd3d6e4e2f6ef2c439ef117e1e7a8a3c1cbc1fc187a22"
 
 
 def test_golden_scores_are_pinned():
@@ -428,13 +430,21 @@ def test_max_depth_zero_forces_stumps():
 
 def leaf_tree(knots, events, at_risk, seed=0):
     """A one-node tree of a forest file: a leaf whose knots index the grid."""
-    return {"seed": seed, "column": [-1], "threshold": [0.0], "left": [-1], "right": [-1],
-            "offsets": [0], "knots": knots, "events": events, "at_risk": at_risk}
+    return {"seed": seed, **forest_fields(column=[-1], threshold=[0.0], left=[-1], offsets=[0],
+                                          knots=knots, events=events, at_risk=at_risk)}
 
 
 def forest_doc(trees, grid, columns=("x0",)):
     return {"model": "rsf", "column_names": list(columns), "mtry": 1, "min_leaf": 1,
-            "max_depth": None, "seed": 0, "event_grid": list(grid), "n": 2, "trees": trees}
+            "max_depth": None, "seed": 0, "event_grid": list(grid), "n": 10**4, "trees": trees}
+
+
+def falling_counts(rng, size, most_censored):
+    """A leaf's events and at-risk counts at `size` knots, as a fit could
+    write them: at least one event at each, and at_risk falling by each
+    knot's events and up to most_censored censored rows."""
+    events = rng.integers(1, 4, size)
+    return events, np.cumsum((events + rng.integers(0, most_censored + 1, size))[::-1])[::-1]
 
 
 def test_two_tree_averaging_hand_fixture():
@@ -452,58 +462,57 @@ def test_two_tree_averaging_hand_fixture():
 
 def test_predict_chf_counts_a_knotless_leaf_as_zero():
     forest = forest_from_dict(forest_doc([
-        leaf_tree([0, 1], [1, 1], [1, 1]),  # 1 from t=1, 2 from t=2
+        leaf_tree([0, 1], [1, 1], [2, 1]),  # 0.5 from t=1, 1.5 from t=2
         leaf_tree([], [], [], seed=1),
     ], [1.0, 2.0, 3.0]))
     chf = predict_chf(forest, np.zeros(1))
     np.testing.assert_array_equal(chf.times, [1.0, 2.0])
-    np.testing.assert_array_equal(chf.values, [0.5, 1.0])
-    assert chf(0.5) == 0.0 and chf(3.0) == 1.0
+    np.testing.assert_array_equal(chf.values, [0.25, 0.75])
+    assert chf(0.5) == 0.0 and chf(3.0) == 0.75
 
 
-def random_leaf_trees(rng, b, grid_size):
-    """b one-leaf trees of a forest file, each leaf on a random subset of
-    the grid with random counts."""
-    trees = []
-    for seed in range(b):
+def random_leaves(rng, b, grid_size):
+    """b leaves (knots, events, at_risk), each on a random subset of the
+    grid with random counts."""
+    leaves = []
+    for _ in range(b):
         knots = np.flatnonzero(rng.uniform(size=grid_size) < 0.4)
-        at_risk = rng.integers(1, 50, knots.size)
-        trees.append(leaf_tree(knots.tolist(), rng.integers(1, at_risk + 1).tolist(),
-                               at_risk.tolist(), seed=seed))
-    return trees
+        leaves.append((knots, *falling_counts(rng, knots.size, 12)))
+    return leaves
 
 
 def test_predict_chf_is_independent_of_tree_order():
     rng = np.random.default_rng(0)
     grid = np.sort(rng.uniform(0, 10, 30))
-    trees = random_leaf_trees(rng, 12, grid.size)
+    leaves = random_leaves(rng, 12, grid.size)
+    trees = [leaf_tree(*leaf, seed=seed) for seed, leaf in enumerate(leaves)]
     chf = predict_chf(forest_from_dict(forest_doc(trees, grid)), np.zeros(1))
     back = predict_chf(forest_from_dict(forest_doc(trees[::-1], grid)), np.zeros(1))
     np.testing.assert_array_equal(back.times, chf.times)
     np.testing.assert_array_equal(back.values, chf.values)  # bit for bit, thanks to fsum
-    knots = sorted({k for tree in trees for k in tree["knots"]})
+    knots = np.unique(np.concatenate([knots for knots, _, _ in leaves]))
     np.testing.assert_array_equal(chf.times, grid[knots])
 
 
 def test_predict_chf_of_identical_trees_is_the_tree_curve():
     rng = np.random.default_rng(1)
     grid = np.sort(rng.uniform(0, 10, 20))
-    for tree in random_leaf_trees(rng, 5, grid.size):
+    for knots, events, at_risk in random_leaves(rng, 5, grid.size):
+        tree = leaf_tree(knots, events, at_risk)
         chf = predict_chf(forest_from_dict(forest_doc([tree] * 3, grid)), np.zeros(1))
-        np.testing.assert_array_equal(chf.times, grid[tree["knots"]])
-        np.testing.assert_allclose(chf.values, np.cumsum(np.divide(tree["events"],
-                                                                   tree["at_risk"])), rtol=1e-15)
+        np.testing.assert_array_equal(chf.times, grid[knots])
+        np.testing.assert_allclose(chf.values, np.cumsum(events / at_risk), rtol=1e-15)
 
 
 def routing_forest():
     """Root splits x0 at 0.5; its left child is a leaf, its right child
     splits x1 at -1.0, so leaves sit at depths 1 and 2. Each leaf has one
     knot, with 1, 2 and 4 at risk."""
-    return forest_from_dict(forest_doc([{
-        "seed": 0, "column": [0, -1, 1, -1, -1], "threshold": [0.5, 0.0, -1.0, 0.0, 0.0],
-        "left": [1, -1, 3, -1, -1], "right": [2, -1, 4, -1, -1], "offsets": [0, 0, 1, 1, 2],
-        "knots": [0, 0, 0], "events": [1, 1, 1], "at_risk": [1, 2, 4],
-    }], [1.0], columns=("x0", "x1")))
+    return forest_from_dict(forest_doc([{"seed": 0, **forest_fields(
+        column=[0, -1, 1, -1, -1], threshold=[0.5, 0.0, -1.0, 0.0, 0.0],
+        left=[1, -1, 3, -1, -1], offsets=[0, 0, 1, 1, 2],
+        knots=[0, 0, 0], events=[1, 1, 1], at_risk=[1, 2, 4],
+    )}], [1.0], columns=("x0", "x1")))
 
 
 def test_split_routing_hand_fixture():
@@ -565,7 +574,7 @@ def leaf_occupancy(tree, X):
     nodes, at = tree.nodes, np.zeros(X.shape[0], dtype=int)
     for i in np.flatnonzero(nodes.column >= 0):
         go_left = X[:, nodes.column[i]] <= nodes.threshold[i]
-        at[(at == i) & go_left], at[(at == i) & ~go_left] = nodes.left[i], nodes.right[i]
+        at[(at == i) & go_left], at[(at == i) & ~go_left] = nodes.left[i], nodes.left[i] + 1
     return np.bincount(at, minlength=nodes.column.size)[nodes.column < 0]
 
 
@@ -746,18 +755,17 @@ def comb_tree(leaves):
     """A tree of a forest file whose split at node 2k sends rows with
     x0 <= k + 0.5 to leaf k, so a row with x0 = k reaches leaf k; the
     last leaf is the last split's right child. `leaves` are (knots,
-    events, at_risk) lists."""
+    events, at_risk) integer arrays."""
     node = np.arange(2 * len(leaves) - 1)
     split = (node % 2 == 0) & (node < node[-1])
     sizes = np.zeros(node.size, dtype=int)
     sizes[~split] = [len(knots) for knots, _, _ in leaves]
-    return {"seed": 0, "column": np.where(split, 0, -1).tolist(),
-            "threshold": np.where(split, node / 2 + 0.5, 0.0).tolist(),
-            "left": np.where(split, node + 1, -1).tolist(),
-            "right": np.where(split, node + 2, -1).tolist(),
-            "offsets": (np.cumsum(sizes) - sizes).tolist(),
-            **{key: sum((leaf[i] for leaf in leaves), [])
-               for i, key in enumerate(("knots", "events", "at_risk"))}}
+    return {"seed": 0, **forest_fields(
+        column=np.where(split, 0, -1).tolist(),
+        threshold=np.where(split, node / 2 + 0.5, 0.0).tolist(),
+        left=np.where(split, node + 1, -1).tolist(), offsets=(np.cumsum(sizes) - sizes).tolist(),
+        **{key: np.concatenate([leaf[i] for leaf in leaves]).tolist()
+           for i, key in enumerate(("knots", "events", "at_risk"))})}
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 600))
@@ -773,10 +781,8 @@ def test_leaf_mortalities_equal_the_summed_curve(data_seed, n_leaves, grid_draws
     leaves = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0, dtype=int))]
     for density in [1.0] + [rng.uniform(0.0, 0.3) for _ in range(n_leaves)]:
         knots = np.flatnonzero(rng.uniform(size=grid.size) < density)
-        at_risk = rng.integers(1, 1000, knots.size)
-        leaves.append((knots, rng.integers(1, at_risk + 1), at_risk))
-    tree = comb_tree([(knots.tolist(), events.tolist(), at_risk.tolist())
-                      for knots, events, at_risk in leaves])
+        leaves.append((knots, *falling_counts(rng, knots.size, 12)))
+    tree = comb_tree(leaves)
     forest = forest_from_dict(forest_doc([tree], grid))
     d = numeric_design(np.arange(len(leaves), dtype=float)[:, None], np.ones(len(leaves)),
                        np.ones(len(leaves), dtype=int))
@@ -811,26 +817,41 @@ def test_forest_file_round_trip_scores_identically(data_seed, n, b, min_leaf):
         np.testing.assert_array_equal(reloaded.values, fitted.values)
 
 
+def first_tree(doc):
+    """The first tree of a forest file, its fields as lists."""
+    return forest_lists(doc["trees"][0])
+
+
 def set_leaf(**fields):
     """An edit of the first tree's first leaf: each list given replaces
     the leaf's part of that list, and the later offsets follow its knots."""
     def edit(doc):
-        tree = doc["trees"][0]
+        tree = first_tree(doc)
         i = tree["column"].index(-1)
         lo, hi = tree["offsets"][i], tree["offsets"][i + 1]
         for key, values in fields.items():
             tree[key][lo:hi] = values
         tree["offsets"][i + 1:] = [o + len(fields["knots"]) - (hi - lo)
                                    for o in tree["offsets"][i + 1:]]
+        doc["trees"][0].update(forest_fields(**tree))
     return edit
 
 
 def set_node(i, **fields):
     """An edit of node i of the first tree, whose root splits."""
     def edit(doc):
+        tree = first_tree(doc)
         for key, value in fields.items():
-            doc["trees"][0][key][i] = value
+            tree[key][i] = value
+        doc["trees"][0].update(forest_fields(**tree))
     return edit
+
+
+@functools.cache
+def small_forest_file() -> str:
+    """A three-tree forest file, fitted once, for the tests to edit."""
+    f = fit_forest(bigger_design(seed=7, n=80), b=3, min_leaf=15, seed=8)
+    return json.dumps(forest_to_dict(f))
 
 
 @pytest.mark.parametrize(
@@ -845,6 +866,10 @@ def set_node(i, **fields):
          "increasing indices"),
         (set_leaf(knots=[0], events=[0], at_risk=[5]), "1 <= events <= at_risk"),
         (set_leaf(knots=[0], events=[6], at_risk=[5]), "1 <= events <= at_risk"),
+        (lambda doc: set_leaf(knots=[0], events=[1], at_risk=[doc["n"] + 1])(doc),
+         "at_risk must be <= n"),
+        (set_leaf(knots=[0], events=[1], at_risk=[10**20]), "at_risk must be <= n"),
+        (set_leaf(knots=[0, 1], events=[2, 1], at_risk=[5, 4]), "fall by at least each knot's"),
         (set_leaf(knots=[0, 1], events=[1], at_risk=[5, 4]), "differ in length"),
         (set_leaf(knots=[0], events=[1.5], at_risk=[5]), "integers"),
         (set_leaf(knots=[[0]], events=[1], at_risk=[5]), "integers"),
@@ -857,15 +882,18 @@ def set_node(i, **fields):
         (set_node(0, threshold=math.inf), "thresholds finite"),
         (set_node(0, threshold="a"), "threshold must be a list of numbers"),
         (set_node(0, left=0), "child of one split"),
-        (set_node(0, right=1), "child of one split"),
-        (set_node(0, right=10**12), "child of one split"),
-        (lambda doc: set_node(0, right=len(doc["trees"][0]["column"]))(doc), "child of one split"),
-        (set_node(0, left=2, right=1), "right child must be the node after its left"),
-        (lambda doc: set_node(doc["trees"][0]["column"].index(-1), left=2)(doc),
+        (set_node(1, left=2), "child of one split"),
+        (set_node(0, left=10**20), "child of one split"),
+        (lambda doc: set_node(0, left=len(first_tree(doc)["column"]) - 1)(doc),
          "child of one split"),
-        (lambda doc: doc["trees"][0]["threshold"].pop(), "node lists"),
-        (lambda doc: doc["trees"][0].update({key: [] for key in doc["trees"][0] if key != "seed"}),
+        (lambda doc: set_node(first_tree(doc)["column"].index(-1), left=2)(doc),
+         "child of one split"),
+        (lambda doc: doc["trees"][0].update(
+            forest_fields(threshold=first_tree(doc)["threshold"][:-1])), "node lists"),
+        (lambda doc: doc["trees"][0].update({key: "" for key in doc["trees"][0] if key != "seed"}),
          "node lists"),
+        (lambda doc: doc["trees"][0].update(first_tree(doc)),
+         "a tree's column is a list, an older file format; refit the model"),
         (set_node(1, offsets=1), "splits hold no knots"),
         (set_node(0, offsets=1), "offsets"),
         (lambda doc: doc.update(trees=[]), "at least one tree"),
@@ -879,12 +907,13 @@ def set_node(i, **fields):
         (lambda doc: doc.update(max_depth="deep"), "max_depth must be a whole number"),
     ],
     ids=["curve-leaves", "repeated-knot", "decreasing-knots", "negative-knot",
-         "knot-past-grid", "no-events", "events-above-at-risk", "length-mismatch",
+         "knot-past-grid", "no-events", "events-above-at-risk", "at-risk-past-n",
+         "at-risk-oversized", "at-risk-not-falling", "length-mismatch",
          "fractional-count", "nested-knot", "grid-decreasing", "nested-tree",
          "split-column-minus-one", "split-column-negative", "split-column-past-p",
          "threshold-infinite", "threshold-string", "child-before-parent", "child-twice",
-         "child-past-the-end", "child-one-past-the-end", "right-child-before-left",
-         "leaf-with-child", "node-lists-differ", "no-nodes",
+         "child-past-the-end", "child-one-past-the-end",
+         "leaf-with-child", "node-lists-differ", "no-nodes", "list-format",
          "knots-at-a-split", "offsets-not-from-zero", "no-trees", "n-negative", "n-fraction",
          "mtry-negative", "mtry-fraction", "min-leaf-zero", "min-leaf-null", "max-depth-negative",
          "max-depth-string"],
@@ -892,14 +921,97 @@ def set_node(i, **fields):
 def test_load_refuses_bad_leaves(edit, text):
     # the trees are checked joined, so each edit is also made on the last
     # tree, past the other trees' nodes and knots
-    f = fit_forest(bigger_design(seed=7, n=80), b=3, min_leaf=15, seed=8)
     for last in (False, True):
-        doc = json.loads(json.dumps(forest_to_dict(f)))
+        doc = json.loads(small_forest_file())
         edit(doc)
         if last:
             doc["trees"] = doc["trees"][1:] + doc["trees"][:1]
         with pytest.raises(ValueError, match=text):
             forest_from_dict(doc)
+
+
+NODE_FIELDS = ("column", "threshold", "left", "offsets")
+OVERSIZED = {"column": "split columns must be in", "left": "child of one split",
+             "offsets": "leaf offsets must not decrease", "knots": "increasing indices",
+             "events": "1 <= events <= at_risk", "at_risk": "at_risk must be <= n"}
+
+
+def mangle(key, how, tokens, i):
+    """A field's text with one mangle at token or space i, and the message
+    that refuses it, or None where the mangle leaves a valid field."""
+    parse = rf"a tree's {key} must be a list of (numbers|integers)$"
+    if how == "drop":
+        return " ".join(tokens[:i] + tokens[i + 1:]), (
+            "node lists" if key in NODE_FIELDS else "differ in length")
+    if how in ("  ", "\n"):
+        return " ".join(tokens[:i + 1]) + how + " ".join(tokens[i + 1:]), parse
+    if how in ("leading", "trailing"):
+        return " " * (how == "leading") + " ".join(tokens) + " " * (how == "trailing"), parse
+    if key == "threshold":  # a number in place of a threshold
+        message = {"x": parse, "-": parse, "nan": "thresholds finite",
+                   "1e999": "thresholds finite"}.get(how)
+    else:
+        message = OVERSIZED[key] if how == "99999999999999999999" else parse
+    return " ".join(tokens[:i] + [how] + tokens[i + 1:]), message
+
+
+NUMPY_FROMSTRING = np.fromstring
+
+
+def older_fromstring(text, dtype, sep):
+    """np.fromstring as an older NumPy reads a bad token: a
+    DeprecationWarning, not a ValueError, and the numbers before it, here
+    with the bad token read as one more number (as "1.5" reads as 1)."""
+    try:
+        return NUMPY_FROMSTRING(text, dtype=dtype, sep=sep)
+    except ValueError:
+        warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        good = []
+        for token in text.split(sep):
+            try:
+                NUMPY_FROMSTRING(sep.join([*good, token]), dtype=dtype, sep=sep)
+            except ValueError:
+                return NUMPY_FROMSTRING(sep.join([*good, "0"]), dtype=dtype, sep=sep)
+            good.append(token)
+
+
+@given(st.sampled_from(rsf.NodeTable._fields),
+       st.sampled_from(["drop", "  ", "\n", "leading", "trailing", "x", "-", "1.5", "nan",
+                        "1e999", "99999999999999999999"]),
+       st.integers(0, 2), st.integers(-1, 10**6), st.booleans())
+@example("knots", "-", 2, -1, False)  # the last token of the last tree
+@example("events", "1.5", 2, -1, True)
+@example("at_risk", "99999999999999999999", 0, 0, False)
+@settings(max_examples=300, deadline=None)
+def test_load_refuses_a_mangled_field(key, how, t, at, older):
+    # each field of each tree is refused with its own message after any one
+    # of these edits, never loaded with its numbers shifted into another
+    # tree, whether NumPy raises at a bad token or (older) warns and stops;
+    # no warning gets out
+    doc = json.loads(small_forest_file())
+    tokens = doc["trees"][t][key].split(" ")
+    spaces = how in ("  ", "\n")
+    assume(len(tokens) > spaces)
+    i = at % (len(tokens) - spaces)
+    doc["trees"][t][key], message = mangle(key, how, tokens, i)
+    assume(message is not None)
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+        warnings.simplefilter("error")
+        if older:
+            mp.setattr(np, "fromstring", older_fromstring)
+        with pytest.raises(ValueError, match=message):
+            forest_from_dict(doc)
+
+
+def test_load_refuses_spacing_that_would_shift_numbers_between_trees():
+    # a tab where one tree has a space and a doubled space in the next keep
+    # the count of numbers NumPy parses, but not each tree's
+    doc = json.loads(small_forest_file())
+    first, second = doc["trees"][0], doc["trees"][1]
+    first["knots"] = first["knots"].replace(" ", "\t", 1)
+    second["knots"] = second["knots"].replace(" ", "  ", 1)
+    with pytest.raises(ValueError, match="a tree's knots must be a list of integers"):
+        forest_from_dict(doc)
 
 
 def test_rejects_eventless_design():
