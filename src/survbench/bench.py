@@ -320,59 +320,55 @@ def model_converged(model) -> bool:
     return True if conv is None else conv.converged
 
 
-def load_cohort(config: BenchConfig) -> Cohort:
-    if config.csv_path is not None:
-        return ingest_csv(config.csv_path)
-    cohort, _ = generate(config.generator)
-    return cohort
-
-
-def _timed_fit(spec: ModelSpec, design, opts: dict, seed: int):
-    """The fitted model, or the exception the fit raised, and the fit's seconds."""
-    started = time.perf_counter()
-    try:
-        return spec.fit(design, opts, seed), time.perf_counter() - started
-    except Exception as exc:
-        return exc, time.perf_counter() - started
+def fit_model(name: str, cohort: Cohort, overrides: dict, seed: int):
+    """Model `name` fitted on `cohort` with `model_options(name, overrides)`,
+    and the design it was fitted on, encoded as the model's spec says."""
+    spec = MODELS[name]
+    opts = model_options(name, overrides)
+    design = encode(cohort, standardize=spec.standardize)
+    return spec.fit(design, opts, seed), design
 
 
 def run_benchmark(config: BenchConfig) -> BenchReport:
-    cohort = load_cohort(config)
+    if config.csv_path is not None:
+        cohort = ingest_csv(config.csv_path)
+    else:
+        cohort, _ = generate(config.generator)
     check_km_groups(cohort, config.km_groups)
     train, test = split(cohort, config.test_fraction, config.seed)
     names = [name for name in MODELS if name in config.models]
-    designs, fits, seconds = {}, {}, {}  # designs[name] is the error if options or encoding failed
-    for name in names:
-        started, spec = time.perf_counter(), MODELS[name]
+
+    def fit(name):
+        """`fit_model` on the training split, or the exception it raised, and its seconds."""
+        started = time.perf_counter()
         try:
-            opts = model_options(name, config.model_options.get(name, {}))
-            train_design = encode(train, standardize=spec.standardize)
-            designs[name] = train_design, encode_like(test, train_design)
-            fits[name] = partial(_timed_fit, spec, train_design, opts,
-                                 derive_seed(config.seed, list(MODELS).index(name)))
+            fitted = fit_model(name, train, config.model_options.get(name, {}),
+                               derive_seed(config.seed, list(MODELS).index(name)))
         except Exception as exc:
-            designs[name] = exc
-        seconds[name] = time.perf_counter() - started
+            fitted = exc
+        return fitted, time.perf_counter() - started
+
     # DeepSurv and KSVM fit in forked workers beside the rest if there is more than one CPU
-    forked = [name for name in fits if name in ("deepsurv", "ksvm") and workers.usable_cpus() > 1]
-    here = [name for name in fits if name not in forked]
-    fitted = workers.run([*(fits[name] for name in forked),
-                          lambda: [fits[name]() for name in here]])
-    fitted = dict(zip(forked + here, fitted[:-1] + fitted[-1]))  # each fit held once
+    forked = [name for name in names if name in ("deepsurv", "ksvm") and workers.usable_cpus() > 1]
+    here = [name for name in names if name not in forked]
+    fits = workers.run([*(partial(fit, name) for name in forked),
+                        lambda: [fit(name) for name in here]])
+    fits = dict(zip(forked + here, fits[:-1] + fits[-1]))  # each fit held once
     rows = []
     mtlr_model = None  # the weight figure's source
     for name in names:
         started, spec = time.perf_counter(), MODELS[name]
-        model, fit_s = fitted.pop(name, (designs[name], 0.0))
+        fitted, fit_s = fits.pop(name)
         try:
-            if isinstance(model, Exception):
-                raise model
-            parts = [(part, d, spec.risk(model, d)) for part, d in zip(("train", "test"),
-                                                                       designs[name])]
+            if isinstance(fitted, Exception):
+                raise fitted
+            model, train_design = fitted
+            parts = [(part, d, spec.risk(model, d)) for part, d in (
+                ("train", train_design), ("test", encode_like(test, train_design)))]
             train_cindex, test_cindex = (
                 concordance_index(d.times, d.events, risk).cindex for _, d, risk in parts)
             status, converged = "ok", model_converged(model)
-            elapsed = seconds[name] + fit_s + time.perf_counter() - started
+            elapsed = fit_s + time.perf_counter() - started
             if name == "mtlr":
                 mtlr_model = model
             write_csv(
@@ -382,11 +378,11 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
                  for i, (t, e, r) in enumerate(zip(d.times.tolist(), d.events.tolist(), risk))],
             )
         except Exception as exc:
-            elapsed = seconds[name] + fit_s + time.perf_counter() - started
+            elapsed = fit_s + time.perf_counter() - started
             train_cindex = test_cindex = float("nan")
             status, converged = f"error: {exc}", False
         rows.append(ModelRow(name, train_cindex, test_cindex, elapsed * 1000.0, status, converged))
-        model = parts = None  # free this fit and its scores before the next model's
+        fitted = model = parts = None  # free this fit and its scores before the next model's
     report = BenchReport(
         rows=rows,
         seed=config.seed,

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from functools import cache
 
 import numpy as np
 
@@ -22,14 +23,13 @@ from .bench import (
     check_km_groups,
     emit_km_figures,
     emit_weight_figure,
-    model_options,
+    fit_model,
     run_benchmark,
     write_csv,
     write_text_atomic,
 )
 from .common import fmt6
-from .data import (Column, CovariateSchema, DesignMatrix, cohort_table, encode, encode_like,
-                   ingest_csv)
+from .data import Column, CovariateSchema, DesignMatrix, cohort_table, encode_like, ingest_csv
 from .datagen import (
     GeneratorConfig,
     HazardSpec,
@@ -97,13 +97,11 @@ def _cmd_datagen(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    spec = MODELS[args.model]
     config = bench_config_from_dict({**_load_config(args.config), "input": {"csv": args.input}})
-    opts = model_options(args.model, config.model_options.get(args.model, {}))
-    cohort = ingest_csv(args.input)
-    design = encode(cohort, standardize=spec.standardize)
-    model = spec.fit(design, opts, args.seed if args.seed is not None else config.seed)
-    doc = spec.to_dict(model)
+    model, design = fit_model(args.model, ingest_csv(args.input),
+                              config.model_options.get(args.model, {}),
+                              args.seed if args.seed is not None else config.seed)
+    doc = MODELS[args.model].to_dict(model)
     doc["schema"] = [asdict(c) for c in design.schema.columns]
     doc["standardization"] = {
         "means": None if design.means is None else design.means.tolist(),
@@ -188,15 +186,14 @@ def _cmd_km(args) -> int:
 
 
 def _cmd_weights(args) -> int:
-    spec = MODELS["mtlr"]
-    design = encode(ingest_csv(args.input), standardize=spec.standardize)
-    model = spec.fit(design, model_options("mtlr", {"k": args.k, "l2": args.l2}), 0)
+    model, _ = fit_model("mtlr", ingest_csv(args.input), {"k": args.k, "l2": args.l2}, 0)
     paths = emit_weight_figure(model, args.out or "weights_out")
     for p in paths:
         print(f"wrote {p}")
     return 0
 
 
+@cache  # built once per process: main runs many times in one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="survbench",

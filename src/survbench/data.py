@@ -275,15 +275,10 @@ def _floats(cells: tuple[str, ...]) -> np.ndarray:
         return np.array([_number(v) for v in cells], dtype=np.float64)
 
 
-def ingest_csv(
-    path,
-    schema: CovariateSchema | None = None,
-    time_col: str = "time",
-    event_col: str = "event",
-) -> Cohort:
+def ingest_csv(path, schema: CovariateSchema | None = None) -> Cohort:
     """Read a cohort CSV. The event column accepts {0, 1, true, false}.
 
-    Covariate columns are the header minus `time_col`/`event_col`, in
+    Covariate columns are the header minus `time` and `event`, in
     header order; they must match `schema` when one is supplied, and are
     type-inferred otherwise. Parse failures name the offending data row.
     """
@@ -296,10 +291,10 @@ def ingest_csv(
         rows = [r for r in reader if r]
     if not rows:
         raise SchemaError(f"{path}: a header but no data rows")
-    for required in (time_col, event_col):
+    for required in ("time", "event"):
         if required not in header:
             raise SchemaError(f"missing column {required!r}")
-    t_j, e_j = header.index(time_col), header.index(event_col)
+    t_j, e_j = header.index("time"), header.index("event")
     cov_js = [j for j in range(len(header)) if j not in (t_j, e_j)]
     cov_names = [header[j] for j in cov_js]
     for i, r in enumerate(rows):

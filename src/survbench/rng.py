@@ -81,12 +81,10 @@ class CounterRng:
         self.counter += count
         return u
 
-    def exponential(self, rate, count: int | None = None) -> np.ndarray:
-        """Exponential draws; `rate` may be a scalar or a per-draw vector."""
+    def exponential(self, rate) -> np.ndarray:
+        """Exponential draws, one per entry of the rate vector `rate`."""
         rate = np.asarray(rate, dtype=np.float64)
-        n = rate.size if count is None else count
-        u = self.uniform(n)
-        return -np.log1p(-u) / rate
+        return -np.log1p(-self.uniform(rate.size)) / rate
 
     def normal(self, count: int) -> np.ndarray:
         """Standard normals via Box-Muller; consumes 2*count slots."""

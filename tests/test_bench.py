@@ -275,6 +275,24 @@ def test_a_forked_fit_that_fails_is_its_row(tmp_path, monkeypatch):
     assert read_report(tmp_path / "cpus2")["deepsurv"][3].startswith("error: loss diverged at")
 
 
+def test_an_encoding_error_is_its_models_row_on_one_cpu_or_two(tmp_path, monkeypatch):
+    # standardized models cannot encode a constant column; with two CPUs
+    # DeepSurv and KSVM meet it in their forked workers
+    header, rows = cohort_table(generate(GeneratorConfig(n=120, seed=5))[0])
+    write_csv(tmp_path / "flat.csv", [*header, "flat"], [[*r, "1"] for r in rows])
+    reports = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(workers, "usable_cpus", lambda cpus=cpus: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        run_benchmark(BenchConfig(csv_path=str(tmp_path / "flat.csv"), out_dir=str(out),
+                                  km_groups=(), model_options={"rsf": {"b": 10}}))
+        reports.append((out / "report.csv").read_bytes())
+    assert reports[0] == reports[1]
+    error = "error: constant design column(s) cannot be standardized: ['flat']"
+    assert {name: row[3] for name, row in read_report(tmp_path / "cpus2").items()} == {
+        "cox": error, "mtlr": error, "rsf": "ok", "deepsurv": error, "ksvm": error}
+
+
 def test_unknown_model_option_is_reported_per_model(tmp_path):
     config = small_config(
         tmp_path / "out", models=("cox",), model_options={"cox": {"step": 2}}

@@ -245,16 +245,6 @@ def test_csv_round_trip_bit_exact(tmp_path):
     assert cohorts_equal(back, c)
 
 
-def test_ingest_named_outcome_columns(tmp_path):
-    p = tmp_path / "odd.csv"
-    p.write_text("x,followup,purchased\n1.5,2.0,1\n2.5,3.0,0\n")
-    c = ingest_csv(p, time_col="followup", event_col="purchased")
-    assert c.n == 2
-    assert c.time.tolist() == [2.0, 3.0]
-    assert c.event.tolist() == [1, 0]
-    assert c.schema.names == ["x"]
-
-
 def test_ingest_boolean_event_tokens(tmp_path):
     p = tmp_path / "b.csv"
     p.write_text("x,time,event\n1,1.0,true\n2,2.0,False\n3,3.0,1\n")

@@ -59,9 +59,11 @@ def test_normal_moments():
 
 
 def test_exponential_rate():
-    x = CounterRng(5).exponential(rate=2.5, count=200000)
-    assert np.all(x >= 0)
-    assert abs(x.mean() - 1 / 2.5) < 0.01
+    rate = np.repeat([2.5, 0.5], 100000)
+    x = CounterRng(5).exponential(rate)
+    assert x.shape == rate.shape and np.all(x >= 0)
+    assert abs(x[:100000].mean() - 1 / 2.5) < 0.01
+    assert abs(x[100000:].mean() - 1 / 0.5) < 0.02
 
 
 def test_integers_bounds_and_coverage():
