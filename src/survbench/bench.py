@@ -16,19 +16,21 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from . import cox, deepsurv, ksvm, mtlr, rsf, workers
-from .common import fmt6
-from .data import Cohort, encode, encode_like, ingest_csv, split
+from .common import Convergence, fmt6, has_json_kind, json_kind
+from .data import (Cohort, Column, CovariateSchema, DesignMatrix, encode, encode_like,
+                   ingest_csv, split)
 from .datagen import GeneratorConfig, HazardSpec, generate
 from .metrics import concordance_index
 from .nonparametric import kaplan_meier
 from .rng import derive_seed
+from .stepfun import StepFunction
 from .svg import bar_chart, step_chart
 
 
@@ -37,14 +39,18 @@ class ModelSpec:
     """How the harness drives one model. `fit` and `risk` look up their
     module function at call time, so a tracer that rebinds module
     attributes sees calls made through the registry. Gradient-trained
-    models get standardized designs; trees split raw values."""
+    models get standardized designs; trees split raw values. A model file
+    holds the `file_fields` rows (key, kind, shape, read) in order: a kind is
+    an example value, and a shape is in the file's sizes (p = len(column_names),
+    other letters bound by the first field with them) or per-layer lengths from
+    the fields before. `build` makes the model; `rsf` keeps its own format."""
 
     standardize: bool
     defaults: dict
     fit: Callable
     risk: Callable
-    to_dict: Callable
-    from_dict: Callable
+    file_fields: tuple = ()
+    build: Callable | None = None
 
 
 def _fit_mtlr(design, opts: dict, seed: int):
@@ -69,6 +75,15 @@ def _fit_ksvm(design, opts: dict, seed: int):
     return ksvm.fit_ksvm(design, kernel, **opts)
 
 
+def _mlp_layers(f: dict) -> list[tuple[int, int]]:
+    """(fan-in, fan-out) of each layer of a DeepSurv file's spec, from the p columns in."""
+    widths = (len(f["column_names"]), *f["spec"].layer_widths[1:])
+    return list(zip(widths[:-1], widths[1:]))
+
+
+_NAMES = ("column_names", [""], None, lambda m: m.column_names)
+_CONVERGENCE = ("convergence", Convergence(True, 0, 0.0), None, lambda m: asdict(m.convergence))
+
 # in report order; a model's position also derives its seed in a bench run
 MODELS: dict[str, ModelSpec] = {
     "cox": ModelSpec(
@@ -76,24 +91,38 @@ MODELS: dict[str, ModelSpec] = {
         defaults={"max_iter": 100, "tol": 1e-8, "ridge": 0.0},
         fit=lambda design, opts, seed: cox.fit_cox(design, **opts),
         risk=lambda model, design: cox.predict_risk(model, design),
-        to_dict=cox.cox_to_dict,
-        from_dict=cox.cox_from_dict,
+        file_fields=(
+            _NAMES,
+            ("beta", 0.0, ("p",), lambda m: m.beta.tolist()),
+            ("baseline_times", 0.0, ("m",), lambda m: m.baseline_cum_hazard.times.tolist()),
+            ("baseline_values", 0.0, ("m",), lambda m: m.baseline_cum_hazard.values.tolist()),
+            _CONVERGENCE,
+        ),
+        build=lambda f: cox.CoxModel(
+            f["beta"], StepFunction(f["baseline_times"], f["baseline_values"], initial=0.0),
+            f["column_names"], f["convergence"]),
     ),
     "mtlr": ModelSpec(
         standardize=True,
         defaults={"k": 10, "l2": 1.0, "max_iter": 100, "tol": 1e-3},
         fit=_fit_mtlr,
         risk=lambda model, design: mtlr.mtlr_risk(model, design),
-        to_dict=mtlr.mtlr_to_dict,
-        from_dict=mtlr.mtlr_from_dict,
+        file_fields=(
+            _NAMES,
+            ("boundaries", 0.0, ("k",), lambda m: m.grid.boundaries.tolist()),
+            ("weights", 0.0, ("k", "p"), lambda m: m.weights.tolist()),
+            ("biases", 0.0, ("k",), lambda m: m.biases.tolist()),
+            ("l2", 0.0, (), lambda m: m.l2),
+            _CONVERGENCE,
+        ),
+        build=lambda f: mtlr.MtlrModel(f["weights"], f["biases"], mtlr.TimeGrid(f["boundaries"]),
+                                       f["l2"], f["column_names"], f["convergence"]),
     ),
     "rsf": ModelSpec(
         standardize=False,
         defaults={"b": 200, "mtry": None, "min_leaf": 15, "max_depth": None},
         fit=lambda design, opts, seed: rsf.fit_forest(design, seed=seed, **opts),
         risk=lambda model, design: rsf.rsf_risk(model, design),
-        to_dict=rsf.forest_to_dict,
-        from_dict=rsf.forest_from_dict,
     ),
     "deepsurv": ModelSpec(
         standardize=True,
@@ -108,8 +137,17 @@ MODELS: dict[str, ModelSpec] = {
         },
         fit=_fit_deepsurv,
         risk=lambda model, design: deepsurv.predict_log_risk(model, design),
-        to_dict=deepsurv.deepsurv_to_dict,
-        from_dict=deepsurv.deepsurv_from_dict,
+        file_fields=(
+            ("spec", deepsurv.MlpSpec((1, 1)), None, lambda m: asdict(m.spec)),
+            ("weights", 0.0, lambda f: [i * o for i, o in _mlp_layers(f)],
+             lambda m: [W.ravel().tolist() for W in m.weights]),  # each layer flat
+            ("biases", 0.0, lambda f: [o for _, o in _mlp_layers(f)],
+             lambda m: [b.tolist() for b in m.biases]),
+            _NAMES,
+        ),
+        build=lambda f: deepsurv.DeepSurvModel(
+            f["spec"], [W.reshape(io) for W, io in zip(f["weights"], _mlp_layers(f))],
+            f["biases"], f["column_names"]),
     ),
     "ksvm": ModelSpec(
         standardize=True,
@@ -124,31 +162,99 @@ MODELS: dict[str, ModelSpec] = {
         },
         fit=_fit_ksvm,
         risk=lambda model, design: ksvm.ksvm_risk(model, design),
-        to_dict=ksvm.ksvm_to_dict,
-        from_dict=ksvm.ksvm_from_dict,
+        file_fields=(
+            ("kernel", ksvm.KernelSpec(), None, lambda m: asdict(m.kernel)),
+            ("support_rows", 0.0, ("s", "p"), lambda m: m.support_rows.tolist()),
+            ("coefficients", 0.0, ("s",), lambda m: m.coefficients.tolist()),
+            ("c", 0.0, (), lambda m: m.c),
+            _NAMES,
+            _CONVERGENCE,
+        ),
+        build=lambda f: ksvm.KsvmModel(**f),
     ),
 }
+_SCHEMA = [{"name": "", "kind": "", "levels": [""]}]
 
 
-def _json_kind(default) -> str:
-    if isinstance(default, list):
-        return f"list of {_json_kind(default[0])}s"
-    if default is None:
-        return "number or null"
-    return {int: "integer", float: "number", str: "string"}[type(default)]
+def _field(key: str, kind, shape, value, checked: dict, sizes: dict):
+    """Field `key` checked against its row, `checked` holding the fields
+    before it. Numbers, of a float kind, come back as float64 of `shape`,
+    whose letters take their (size, field) from `sizes` or bind it there;
+    `[]` is zero rows. Their types are checked in one pass, since NumPy
+    would read a boolean as 0 or 1."""
+    if callable(shape):  # a list of numbers per layer
+        lengths = shape(checked)
+        if not (isinstance(value, list) and len(value) == len(lengths)):
+            raise TypeError(f"{key} must be a JSON list of {len(lengths)} layers")
+        return [_field(f"{key}[{i}]", 0.0, ("n",), v, {}, {"n": (n, "spec")})
+                for i, (v, n) in enumerate(zip(value, lengths))]
+    if not isinstance(kind, float):
+        example = asdict(kind) if is_dataclass(kind) else kind
+        if not has_json_kind(example, value):
+            raise TypeError(f"{key} must be a JSON {json_kind(example)}")
+        return type(kind)(**{k: value[k] for k in example}) if is_dataclass(kind) else value
+    items = np.asarray(value, dtype=object)
+    if items.shape == (0,) and len(shape) > 1:
+        items = items.reshape(0, *(sizes[d][0] for d in shape[1:]))
+    want = tuple(sizes[d][0] if d in sizes else n for d, n in zip(shape, items.shape))
+    if items.ndim == len(shape) and items.shape == want and (
+            set(map(type, items.ravel().tolist())) <= {int, float}):
+        a = items.astype(np.float64)  # an integer past the largest float is an OverflowError
+        if np.all(np.isfinite(a)):
+            sizes.update((d, (n, key)) for d, n in zip(shape, want) if d not in sizes)
+            return a if shape else float(a)
+    bound = "".join(f", {d} = {sizes[d][0]} from {sizes[d][1]}" for d in shape if d in sizes)
+    raise TypeError(f"{key} must be finite numbers of shape ({', '.join(shape)}){bound}")
 
 
-def _has_json_kind(default, value) -> bool:
-    """Whether `value` has the JSON type of `default`: a number for a
-    float, a number or null for null, and for a list a list whose items
-    have the JSON type of its first."""
-    if isinstance(value, bool):  # a JSON boolean is no number
-        return isinstance(default, bool)
-    if default is None or isinstance(default, float):
-        return isinstance(value, (int, float)) or (value is None and default is None)
-    if isinstance(default, list):
-        return isinstance(value, list) and all(_has_json_kind(default[0], v) for v in value)
-    return type(value) is type(default)
+def model_to_dict(name: str, model, design: DesignMatrix) -> dict:
+    """The file of model `name` fitted on `design`: its fields, then the schema
+    and standardization that encode new rows as `design`'s were."""
+    body = (rsf.forest_to_dict(model) if name == "rsf"
+            else {key: read(model) for key, _, _, read in MODELS[name].file_fields})
+    return {"model": name, **body, "schema": [asdict(c) for c in design.schema.columns],
+            "standardization": {"means": None if design.means is None else design.means.tolist(),
+                                "sds": None if design.sds is None else design.sds.tolist()}}
+
+
+def model_from_dict(doc, path: str):
+    """(name, model, template) from the model file read from `path`; the
+    template has no rows, as `encode_like` reads only its schema and affine
+    map. A standardized model needs p finite means and sds >= 1e-12, as
+    `encode` allows; the forest's are null. Extra keys are ignored, and a
+    malformed file is one ValueError naming `path`, the model and the field."""
+    name = doc.get("model") if isinstance(doc, dict) else None
+    if name not in MODELS:
+        raise ValueError(f"{path}: unknown model {name!r}")
+    if "schema" not in doc:
+        raise ValueError(f"{path}: no covariate schema; refit the model")
+    spec = MODELS[name]
+    try:  # the checks raise TypeError for a field; the model is named here
+        names = _field(*_NAMES[:3], doc["column_names"], {}, {})
+        checked, sizes = {"column_names": names}, {"p": (len(names), "column_names")}
+        for key, kind, shape, _ in spec.file_fields:
+            checked[key] = _field(key, kind, shape, doc[key], checked, sizes)
+        model = rsf.forest_from_dict(doc) if name == "rsf" else spec.build(checked)
+        columns = _field("schema", _SCHEMA, None, doc["schema"], {}, {})
+        schema = CovariateSchema(tuple(Column(c["name"], c["kind"], tuple(c["levels"]))
+                                       for c in columns))
+        std = _field("standardization", {}, None, doc["standardization"], {}, {})
+        means = sds = None
+        if spec.standardize:
+            means, sds = (_field(f"standardization {k}", 0.0, ("p",), std[k], {}, sizes)
+                          for k in ("means", "sds"))
+            if not np.all(sds >= 1e-12):
+                raise TypeError("standardization sds must be at least 1e-12")
+        elif std["means"] is not None or std["sds"] is not None:
+            raise TypeError("standardization means and sds must be null: trees split raw values")
+    except KeyError as exc:
+        raise ValueError(f"{path}: no {exc} in the {name} model file") from None
+    except (TypeError, AttributeError, IndexError, OverflowError) as exc:
+        raise ValueError(f"{path}: malformed {name} model file: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    template = DesignMatrix(np.empty((0, 0)), [], np.empty(0), np.empty(0), schema, means, sds)
+    return name, model, template
 
 
 def _check_json_kinds(what: str, defaults: dict, values: dict) -> None:
@@ -159,8 +265,8 @@ def _check_json_kinds(what: str, defaults: dict, values: dict) -> None:
         if key not in values:
             continue
         value = values[key]
-        if not _has_json_kind(default, value):
-            raise ValueError(f"{what} {key} must be a JSON {_json_kind(default)}, "
+        if not has_json_kind(default, value):
+            raise ValueError(f"{what} {key} must be a JSON {json_kind(default)}, "
                              f"not {json.dumps(value)}")
         for v in value if isinstance(value, list) else [value]:
             if isinstance(v, float) and not math.isfinite(v):

@@ -12,10 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from functools import cache
-
-import numpy as np
 
 from .bench import (
     MODELS,
@@ -24,12 +21,14 @@ from .bench import (
     emit_km_figures,
     emit_weight_figure,
     fit_model,
+    model_from_dict,
+    model_to_dict,
     run_benchmark,
     write_csv,
     write_text_atomic,
 )
 from .common import fmt6
-from .data import Column, CovariateSchema, DesignMatrix, cohort_table, encode_like, ingest_csv
+from .data import cohort_table, encode_like, ingest_csv
 from .datagen import (
     GeneratorConfig,
     HazardSpec,
@@ -101,14 +100,8 @@ def _cmd_fit(args) -> int:
     model, design = fit_model(args.model, ingest_csv(args.input),
                               config.model_options.get(args.model, {}),
                               args.seed if args.seed is not None else config.seed)
-    doc = MODELS[args.model].to_dict(model)
-    doc["schema"] = [asdict(c) for c in design.schema.columns]
-    doc["standardization"] = {
-        "means": None if design.means is None else design.means.tolist(),
-        "sds": None if design.sds is None else design.sds.tolist(),
-    }
     out = args.out or f"{args.model}.json"
-    write_text_atomic(out, json.dumps(doc) + "\n")
+    write_text_atomic(out, json.dumps(model_to_dict(args.model, model, design)) + "\n")
     if getattr(model, "training_log", None):
         rows = "".join(f"{i},{v!r}\n" for i, v in enumerate(model.training_log))
         write_text_atomic(f"{os.path.splitext(out)[0]}_training_log.csv", "epoch,loss\n" + rows)
@@ -117,31 +110,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    doc = _read_json(args.model_file)
-    name = doc.get("model") if isinstance(doc, dict) else None
-    if name not in MODELS:
-        raise ValueError(f"{args.model_file}: unknown model {name!r}")
-    if "schema" not in doc:
-        raise ValueError(f"{args.model_file}: no covariate schema; refit the model")
-    try:
-        schema = CovariateSchema(tuple(
-            Column(c["name"], c["kind"], tuple(c["levels"])) for c in doc.pop("schema")
-        ))
-        std = doc.pop("standardization", {"means": None, "sds": None})
-        means, sds = (None if std[k] is None else np.asarray(std[k]) for k in ("means", "sds"))
-        model = MODELS[name].from_dict(doc)
-    except KeyError as exc:
-        raise ValueError(f"{args.model_file}: no {exc} in the {name} model file") from None
-    except (TypeError, AttributeError, IndexError) as exc:
-        raise ValueError(f"{args.model_file}: malformed {name} model file: {exc}") from None
-    except ValueError as exc:
-        raise ValueError(f"{args.model_file}: {exc}") from None
-    # encode_like reads only the template's schema and affine map
-    template = DesignMatrix(
-        X=np.empty((0, 0)), names=[], times=np.empty(0), events=np.empty(0),
-        schema=schema, means=means, sds=sds,
-    )
-    design = encode_like(ingest_csv(args.input, schema=schema), template)
+    name, model, template = model_from_dict(_read_json(args.model_file), args.model_file)
+    design = encode_like(ingest_csv(args.input, schema=template.schema), template)
     res = concordance_index(design.times, design.events, MODELS[name].risk(model, design))
     print(f"{name} C-index: {fmt6(res.cindex)} ({res.comparable} comparable pairs)")
     return 0

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,6 +15,34 @@ def fmt6(v: float) -> str:
     return format(float(v), ".6g")
 
 
+def json_kind(default) -> str:
+    if isinstance(default, list):
+        return f"list of {json_kind(default[0])}s"
+    if isinstance(default, dict):
+        return "object"
+    if default is None:
+        return "number or null"
+    return {int: "integer", float: "number", str: "string"}[type(default)]
+
+
+def has_json_kind(default, value) -> bool:
+    """Whether `value` has the JSON type of `default`: a number for a
+    float, a number or null for null, for a list or tuple a list whose
+    items have the JSON type of its first, and for a dict a dict whose
+    values have the JSON type of the same key's in `default` (a key it
+    lacks is left to its reader)."""
+    if isinstance(value, bool):  # a JSON boolean is no number
+        return isinstance(default, bool)
+    if default is None or isinstance(default, float):
+        return isinstance(value, (int, float)) or (value is None and default is None)
+    if isinstance(default, (list, tuple)):
+        return isinstance(value, list) and all(has_json_kind(default[0], v) for v in value)
+    if isinstance(default, dict):
+        return isinstance(value, dict) and all(
+            has_json_kind(d, value[k]) for k, d in default.items() if k in value)
+    return type(value) is type(default)
+
+
 @dataclass(frozen=True)
 class Convergence:
     """How an iterative fit ended: the criterion is a max-norm gradient
@@ -23,15 +51,6 @@ class Convergence:
     converged: bool
     iterations: int
     gradient_norm: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(doc: dict) -> "Convergence":
-        return Convergence(
-            bool(doc["converged"]), int(doc["iterations"]), float(doc["gradient_norm"])
-        )
 
 
 class SingularHessianError(ValueError):

@@ -118,27 +118,3 @@ def predict_risk(model: CoxModel, design: DesignMatrix) -> np.ndarray:
     if design.p != model.beta.size or design.names != model.column_names:
         raise ValueError("design columns do not match the fitted model")
     return design.X @ model.beta
-
-
-def cox_to_dict(model: CoxModel) -> dict:
-    return {
-        "model": "cox",
-        "column_names": model.column_names,
-        "beta": model.beta.tolist(),
-        "baseline_times": model.baseline_cum_hazard.times.tolist(),
-        "baseline_values": model.baseline_cum_hazard.values.tolist(),
-        "convergence": model.convergence.to_dict(),
-    }
-
-
-def cox_from_dict(doc: dict) -> CoxModel:
-    return CoxModel(
-        beta=np.asarray(doc["beta"], dtype=np.float64),
-        baseline_cum_hazard=StepFunction(
-            times=np.asarray(doc["baseline_times"]),
-            values=np.asarray(doc["baseline_values"]),
-            initial=0.0,
-        ),
-        column_names=list(doc["column_names"]),
-        convergence=Convergence.from_dict(doc["convergence"]),
-    )

@@ -231,39 +231,3 @@ def predict_log_risk(model: DeepSurvModel, design: DesignMatrix) -> np.ndarray:
         raise ValueError("design columns do not match the fitted model")
     g, _, _ = _forward(model.weights, model.biases, design.X, model.spec.activation)
     return g
-
-
-def deepsurv_to_dict(model: DeepSurvModel) -> dict:
-    return {
-        "model": "deepsurv",
-        "spec": {
-            "layer_widths": list(model.spec.layer_widths),
-            "activation": model.spec.activation,
-            "dropout_rate": model.spec.dropout_rate,
-            "weight_init_seed": model.spec.weight_init_seed,
-        },
-        "weights": [W.ravel().tolist() for W in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-        "column_names": model.column_names,
-    }
-
-
-def deepsurv_from_dict(doc: dict) -> DeepSurvModel:
-    spec = MlpSpec(
-        layer_widths=tuple(doc["spec"]["layer_widths"]),
-        activation=doc["spec"]["activation"],
-        dropout_rate=doc["spec"]["dropout_rate"],
-        weight_init_seed=doc["spec"]["weight_init_seed"],
-    )
-    weights = [
-        np.asarray(flat, dtype=np.float64).reshape(fi, fo)
-        for flat, fi, fo in zip(
-            doc["weights"], spec.layer_widths[:-1], spec.layer_widths[1:]
-        )
-    ]
-    return DeepSurvModel(
-        spec=spec,
-        weights=weights,
-        biases=[np.asarray(b, dtype=np.float64) for b in doc["biases"]],
-        column_names=list(doc["column_names"]),
-    )

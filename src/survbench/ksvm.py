@@ -21,7 +21,7 @@ blocks the C-index counts, and a mask is a block & (f_i - f_j < 1).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -177,30 +177,3 @@ def ksvm_risk(model: KsvmModel, design: DesignMatrix) -> np.ndarray:
     if design.names != model.column_names:
         raise ValueError("design columns do not match the fitted model")
     return model.coefficients @ kernel_matrix(model.kernel, model.support_rows, design.X)
-
-
-def ksvm_to_dict(model: KsvmModel) -> dict:
-    return {
-        "model": "ksvm",
-        "kernel": asdict(model.kernel),
-        "support_rows": model.support_rows.tolist(),
-        "coefficients": model.coefficients.tolist(),
-        "c": model.c,
-        "column_names": model.column_names,
-        "convergence": model.convergence.to_dict(),
-    }
-
-
-def ksvm_from_dict(doc: dict) -> KsvmModel:
-    k = doc["kernel"]
-    return KsvmModel(
-        kernel=KernelSpec(
-            kind=k["kind"], gamma=k["gamma"], degree=int(k["degree"]), coef0=float(k["coef0"])
-        ),
-        support_rows=np.reshape(np.asarray(doc["support_rows"], dtype=np.float64),
-                                (-1, len(doc["column_names"]))),
-        coefficients=np.asarray(doc["coefficients"], dtype=np.float64),
-        c=float(doc["c"]),
-        column_names=list(doc["column_names"]),
-        convergence=Convergence.from_dict(doc["convergence"]),
-    )

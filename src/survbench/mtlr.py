@@ -197,26 +197,3 @@ def feature_weights(model: MtlrModel) -> list[dict]:
         )
     rows.sort(key=lambda r: (-abs(r["aggregate_weight"]), r["variable"]))
     return rows
-
-
-def mtlr_to_dict(model: MtlrModel) -> dict:
-    return {
-        "model": "mtlr",
-        "column_names": model.column_names,
-        "boundaries": model.grid.boundaries.tolist(),
-        "weights": model.weights.tolist(),
-        "biases": model.biases.tolist(),
-        "l2": model.l2,
-        "convergence": model.convergence.to_dict(),
-    }
-
-
-def mtlr_from_dict(doc: dict) -> MtlrModel:
-    return MtlrModel(
-        weights=np.asarray(doc["weights"], dtype=np.float64),
-        biases=np.asarray(doc["biases"], dtype=np.float64),
-        grid=TimeGrid(boundaries=np.asarray(doc["boundaries"])),
-        l2=float(doc["l2"]),
-        column_names=list(doc["column_names"]),
-        convergence=Convergence.from_dict(doc["convergence"]),
-    )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from survbench import rsf, workers
+from survbench.bench import model_from_dict, model_to_dict
 from survbench.data import Cohort, Column, CovariateSchema, encode
 from survbench.rng import derive_seed
 
@@ -21,6 +22,13 @@ def numeric_cohort(X, times, events):
         time=np.asarray(times, dtype=float),
         event=np.asarray(events, dtype=int),
     )
+
+
+def reloaded(name, model, design):
+    """`model` written by `bench.model_to_dict` as JSON text and read back by
+    `bench.model_from_dict`, as `fit` and `eval` do."""
+    doc = json.loads(json.dumps(model_to_dict(name, model, design)))
+    return model_from_dict(doc, f"{name}.json")[1]
 
 
 def cohorts_equal(a, b) -> bool:

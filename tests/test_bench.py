@@ -21,7 +21,9 @@ from survbench.bench import (
     bench_config_from_dict,
     emit_km_figures,
     emit_weight_figure,
+    model_from_dict,
     model_options,
+    model_to_dict,
     run_benchmark,
     write_csv,
     write_text_atomic,
@@ -142,18 +144,19 @@ def test_registry_defaults_match_signature_defaults():
 @given(st.integers(0, 2**32 - 1), st.integers(30, 60), st.integers(1, 3))
 @settings(max_examples=8, deadline=None)
 def test_model_dicts_survive_json_with_identical_scores(seed, n, p):
-    # to_dict -> JSON text -> from_dict must score every row bit for bit
+    # model_to_dict -> JSON text -> model_from_dict must score every row bit for bit
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, p))
     t = np.round(rng.exponential(np.exp(-X[:, 0])), 2) + 0.01
     e = (rng.uniform(size=n) < 0.7).astype(int)
     e[:5] = 1
-    design = numeric_design(X, t, e, standardize=True)
     tiny = {"mtlr": {"k": 3}, "rsf": {"b": 3, "min_leaf": 5},
             "deepsurv": {"epochs": 3}, "ksvm": {"max_iter": 5}}
     for name, spec in MODELS.items():
+        design = numeric_design(X, t, e, standardize=spec.standardize)  # as `fit` encodes
         model = spec.fit(design, model_options(name, tiny.get(name, {})), seed)
-        back = spec.from_dict(json.loads(json.dumps(spec.to_dict(model))))
+        doc = json.loads(json.dumps(model_to_dict(name, model, design)))
+        _, back, _ = model_from_dict(doc, f"{name}.json")
         assert np.array_equal(spec.risk(back, design), spec.risk(model, design)), name
 
 

@@ -1,6 +1,8 @@
 """End-to-end CLI checks: every subcommand through main(argv)."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -220,21 +222,56 @@ def test_eval_uses_the_stored_schema(tmp_path, capsys, keep):
     assert line.startswith(f"cox C-index: {format(expected, '.6g')} ")
 
 
+def negated(values):
+    return [-v for v in values]
+
+
 @pytest.mark.parametrize(
-    "edit, text",
+    "name, edit, text",
     [
-        (lambda doc: doc.pop("schema"), "no covariate schema"),
-        (lambda doc: doc.update(model="gbm"), "unknown model 'gbm'"),
-        (lambda doc: doc.pop("beta"), "no 'beta' in the cox model file"),
-        (lambda doc: doc["schema"][0].pop("levels"), "no 'levels' in the cox model file"),
-        (lambda doc: doc.update(schema=3), "malformed cox model file"),
+        ("cox", lambda doc: doc.pop("schema"), "no covariate schema"),
+        ("cox", lambda doc: doc.update(model="gbm"), "unknown model 'gbm'"),
+        ("cox", lambda doc: doc.pop("beta"), "no 'beta' in the cox model file"),
+        ("cox", lambda doc: doc["schema"][0].pop("levels"), "no 'levels' in the cox model file"),
+        ("cox", lambda doc: doc.update(schema=3), "malformed cox model file"),
+        ("ksvm", lambda doc: doc.update(coefficients=doc["coefficients"][:3]),
+         "malformed ksvm model file: coefficients must be finite numbers of shape (s), s = "),
+        ("mtlr", lambda doc: doc.update(weights=[[1.0]]),
+         "malformed mtlr model file: weights must be finite numbers of shape (k, p)"),
+        ("ksvm", lambda doc: doc.update(support_rows=5),
+         "malformed ksvm model file: support_rows must be finite numbers of shape (s, p)"),
+        ("cox", lambda doc: doc.update(beta=[math.nan] * len(doc["beta"])),
+         "malformed cox model file: beta must be finite numbers"),
+        ("cox", lambda doc: doc.pop("standardization"), "no 'standardization' in the cox model file"),
+        ("cox", lambda doc: doc.update(standardization={"means": None, "sds": None}),
+         "malformed cox model file: standardization means must be finite numbers of shape (p)"),
+        ("cox", lambda doc: doc["standardization"].update(sds=negated(doc["standardization"]["sds"])),
+         "malformed cox model file: standardization sds must be at least 1e-12"),
+        ("cox", lambda doc: doc["standardization"].update(sds=[0.0] * len(doc["beta"])),
+         "malformed cox model file: standardization sds must be at least 1e-12"),
+        ("cox", lambda doc: doc["standardization"]["means"].pop(),
+         "malformed cox model file: standardization means must be finite numbers"),
+        ("rsf", lambda doc: doc.update(standardization={"means": [0.0] * len(doc["column_names"]),
+                                                         "sds": [1.0] * len(doc["column_names"])}),
+         "malformed rsf model file: standardization means and sds must be null"),
+        ("deepsurv", lambda doc: doc["weights"].pop(0),
+         "malformed deepsurv model file: weights must be a JSON list of 2 layers"),
+        ("deepsurv", lambda doc: doc["biases"].pop(),
+         "malformed deepsurv model file: biases must be a JSON list of 2 layers"),
     ],
-    ids=["no-schema", "unknown-model", "no-beta", "no-levels", "schema-not-a-list"],
+    ids=["no-schema", "unknown-model", "no-beta", "no-levels", "schema-not-a-list",
+         "ksvm-coefficients-cut", "mtlr-weights-one-number", "ksvm-support-rows-a-number",
+         "cox-beta-nan", "no-standardization", "null-standardization", "negative-sds", "zero-sds",
+         "short-means", "forest-standardized", "deepsurv-weights-layer-dropped",
+         "deepsurv-biases-layer-dropped"],
 )
-def test_eval_rejects_bad_model_file(tmp_path, capsys, edit, text):
+def test_eval_rejects_bad_model_file(tmp_path, capsys, name, edit, text):
     cohort_csv = make_cohort_csv(tmp_path)
-    model_path = tmp_path / "cox.json"
-    assert main(["fit", "--model", "cox", "--input", str(cohort_csv), "--out", str(model_path)]) == 0
+    model_path = tmp_path / f"{name}.json"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"model_options": TINY_OPTIONS}))
+    assert main(["fit", "--model", name, "--input", str(cohort_csv), "--config", str(config),
+                 "--out", str(model_path)]) == 0
     doc = json.loads(model_path.read_text())
     edit(doc)
     model_path.write_text(json.dumps(doc))
@@ -242,6 +279,61 @@ def test_eval_rejects_bad_model_file(tmp_path, capsys, edit, text):
     rc = main(["eval", "--model-file", str(model_path), "--input", str(cohort_csv)])
     assert rc == 2
     assert_one_line_error(capsys, text)
+
+
+# the fields of numbers in each model file, and the standardization every one of them has
+EDITABLE = {
+    "cox": ["beta", "baseline_times", "baseline_values", "standardization"],
+    "mtlr": ["boundaries", "weights", "biases", "l2", "standardization"],
+    "deepsurv": ["weights", "biases", "standardization"],
+    "ksvm": ["support_rows", "coefficients", "c", "standardization"],
+}
+
+
+@pytest.fixture(scope="module")
+def fitted_files(tmp_path_factory):
+    """The cohort and each model's file of EDITABLE, fitted with TINY_OPTIONS."""
+    root = tmp_path_factory.mktemp("fitted")
+    cohort_csv = make_cohort_csv(root, n=120)
+    config = root / "cfg.json"
+    config.write_text(json.dumps({"model_options": TINY_OPTIONS}))
+    for name in EDITABLE:
+        assert main(["fit", "--model", name, "--input", str(cohort_csv), "--config", str(config),
+                     "--out", str(root / f"{name}.json")]) == 0
+    return root, cohort_csv
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_eval_names_the_field_an_edit_breaks(fitted_files, data):
+    # one edit at any depth of one field: drop an item, add a nesting level, or
+    # put NaN, a string or true in its place
+    root, cohort_csv = fitted_files
+    name = data.draw(st.sampled_from(sorted(EDITABLE)), label="model")
+    key = data.draw(st.sampled_from(EDITABLE[name]), label="field")
+    edit = data.draw(st.sampled_from(["drop", "nest", math.nan, "x", True]), label="edit")
+    doc = json.loads((root / f"{name}.json").read_text())
+    holder, slot = doc, key
+    if key == "standardization":
+        holder, slot = doc[key], data.draw(st.sampled_from(["means", "sds"]))
+    inside = edit == "drop"  # an item is dropped from within the field
+    while isinstance(holder[slot], list) and holder[slot] and (
+            inside or data.draw(st.booleans(), label="deeper")):
+        holder, slot = holder[slot], data.draw(st.integers(0, len(holder[slot]) - 1))
+        inside = False
+    if edit == "drop":
+        del holder[slot]
+    else:
+        holder[slot] = [holder[slot]] if edit == "nest" else edit
+    path = root / "edited.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(["eval", "--model-file", str(path), "--input", str(cohort_csv)])
+    assert rc == 2
+    text = err.getvalue()
+    assert text.startswith(f"survbench: error: {path}: ") and text.count("\n") == 1
+    assert name in text and key in text, text
 
 
 def test_eval_names_a_model_file_that_is_not_json(tmp_path, capsys):

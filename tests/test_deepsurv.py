@@ -5,6 +5,7 @@ backpropagation, the linear-network equivalence with the
 proportional-hazards fitter, and the bits of four pinned fits."""
 
 import hashlib
+import json
 import math
 import warnings
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from survbench.bench import MODELS, model_options
+from survbench.bench import MODELS, model_from_dict, model_options, model_to_dict
 from survbench.cox import fit_cox, predict_risk
 from survbench.data import encode, split
 from survbench.datagen import GeneratorConfig, generate
@@ -21,8 +22,6 @@ from survbench.deepsurv import (
     DeepSurvModel,
     MlpSpec,
     cox_nll_loss,
-    deepsurv_from_dict,
-    deepsurv_to_dict,
     fit_deepsurv,
     init_parameters,
     loss_and_gradients,
@@ -356,14 +355,14 @@ def test_serialization_round_trip():
     d = planted_design(seed=8)
     model = fit_deepsurv(d, MlpSpec(layer_widths=(2, 5, 1), weight_init_seed=9),
                          epochs=4)
-    doc = deepsurv_to_dict(model)
+    doc = json.loads(json.dumps(model_to_dict("deepsurv", model, d)))
     assert "means" not in doc and "sds" not in doc
-    back = deepsurv_from_dict(doc)
+    _, back, _ = model_from_dict(doc, "deepsurv.json")
     np.testing.assert_array_equal(predict_log_risk(back, d),
                                   predict_log_risk(model, d))
     assert back.spec == model.spec
     # files written with the former means/sds keys still load
-    old = deepsurv_from_dict({**doc, "means": [0.0, 0.0], "sds": [1.0, 1.0]})
+    _, old, _ = model_from_dict({**doc, "means": [0.0, 0.0], "sds": [1.0, 1.0]}, "deepsurv.json")
     np.testing.assert_array_equal(predict_log_risk(old, d),
                                   predict_log_risk(model, d))
 

@@ -17,14 +17,12 @@ from survbench.ksvm import (
     _primal,
     fit_ksvm,
     kernel_matrix,
-    ksvm_from_dict,
     ksvm_risk,
-    ksvm_to_dict,
 )
 from survbench.metrics import concordance_index
 from survbench.riskset import comparable_blocks
 
-from conftest import numeric_design
+from conftest import numeric_design, reloaded
 
 
 def brute_pairs(times, events):
@@ -148,14 +146,14 @@ def test_kernel_spec_validation():
 # --- fitting ---------------------------------------------------------------
 
 
-def ordered_design(seed=0, n=30, noise=0.0):
+def ordered_design(seed=0, n=30, noise=0.0, standardize=False):
     """Times inversely ordered in x: higher x should score higher."""
     rng = np.random.default_rng(seed)
     x = np.sort(rng.normal(size=n))
     t = np.argsort(-x).argsort() + 1.0  # rank order: biggest x = time 1
     if noise:
         t = t + rng.normal(scale=noise, size=n)
-    return numeric_design(x[:, None], t, np.ones(n, dtype=int))
+    return numeric_design(x[:, None], t, np.ones(n, dtype=int), standardize=standardize)
 
 
 def test_separable_one_dimensional_fixture():
@@ -287,18 +285,18 @@ def test_learns_planted_nonlinear_signal():
 
 
 def test_serialization_round_trip_all_kernels():
-    d = ordered_design(seed=11, n=16, noise=1.0)
+    d = ordered_design(seed=11, n=16, noise=1.0, standardize=True)  # as `fit` encodes for KSVM
     for spec in (KernelSpec("linear"), KernelSpec("rbf", gamma=0.5),
                  KernelSpec("polynomial", degree=2, coef0=1.0)):
         model = fit_ksvm(d, spec, max_iter=15)
-        back = ksvm_from_dict(ksvm_to_dict(model))
+        back = reloaded("ksvm", model, d)
         np.testing.assert_allclose(ksvm_risk(back, d), ksvm_risk(model, d),
                                    rtol=1e-15)
 
 
 def test_serialization_with_empty_support():
-    d = ordered_design(seed=12, n=10)
+    d = ordered_design(seed=12, n=10, standardize=True)
     model = fit_ksvm(d, KernelSpec("linear"), c=1e-12, max_iter=2)
-    if model.support_rows.shape[0] == 0:
-        back = ksvm_from_dict(ksvm_to_dict(model))
-        np.testing.assert_array_equal(ksvm_risk(back, d), np.zeros(d.n))
+    assert model.support_rows.shape == (0, 1)  # written as "support_rows": []
+    back = reloaded("ksvm", model, d)
+    np.testing.assert_array_equal(ksvm_risk(back, d), np.zeros(d.n))

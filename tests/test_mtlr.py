@@ -21,14 +21,12 @@ from survbench.mtlr import (
     feature_weights,
     fit_mtlr,
     make_grid,
-    mtlr_from_dict,
     mtlr_risk,
-    mtlr_to_dict,
     predict_pmf,
 )
 from survbench.common import Convergence
 
-from conftest import numeric_design
+from conftest import numeric_design, reloaded
 
 
 def naive_objective(X, times, events, boundaries, W, b, l2):
@@ -50,13 +48,13 @@ def naive_objective(X, times, events, boundaries, W, b, l2):
     return total - 0.5 * l2 * float((W * W).sum())
 
 
-def censored_design(seed=0, n=30, p=3):
+def censored_design(seed=0, n=30, p=3, standardize=False):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, p))
     t = rng.exponential(2.0, n)
     e = (rng.uniform(size=n) < 0.6).astype(int)
     e[:4] = 1  # guarantee enough distinct event times for the grid
-    return numeric_design(X, t, e)
+    return numeric_design(X, t, e, standardize=standardize)
 
 
 def random_params(rng, k, p, scale=0.4):
@@ -288,9 +286,9 @@ def test_l2_zero_rejected():
 
 
 def test_serialization_round_trip():
-    design = censored_design(seed=13)
+    design = censored_design(seed=13, standardize=True)  # as `fit` encodes for MTLR
     model = fit_mtlr(design, make_grid(design, 3), l2=1.0, max_iter=100)
-    back = mtlr_from_dict(mtlr_to_dict(model))
+    back = reloaded("mtlr", model, design)
     np.testing.assert_array_equal(back.weights, model.weights)
     np.testing.assert_allclose(mtlr_risk(back, design), mtlr_risk(model, design))
 
