@@ -192,7 +192,16 @@ def _field(key: str, kind, shape, value, checked: dict, sizes: dict):
         example = asdict(kind) if is_dataclass(kind) else kind
         if not has_json_kind(example, value):
             raise TypeError(f"{key} must be a JSON {json_kind(example)}")
-        return type(kind)(**{k: value[k] for k in example}) if is_dataclass(kind) else value
+        if not is_dataclass(kind):
+            return value
+        try:  # a range check lets NaN through, so the numbers are checked first
+            _check_json_kinds(key, example, value)
+        except ValueError as exc:
+            raise TypeError(exc) from None
+        try:
+            return type(kind)(**{k: value[k] for k in example})
+        except ValueError as exc:  # the record's own check names the field, not the record
+            raise TypeError(f"{key} {exc}") from None
     items = np.asarray(value, dtype=object)
     if items.shape == (0,) and len(shape) > 1:
         items = items.reshape(0, *(sizes[d][0] for d in shape[1:]))
@@ -421,11 +430,6 @@ def write_csv(path: str, header, rows) -> None:
     write_text_atomic(path, buf.getvalue())
 
 
-def model_converged(model) -> bool:
-    conv = getattr(model, "convergence", None)
-    return True if conv is None else conv.converged
-
-
 def fit_model(name: str, cohort: Cohort, overrides: dict, seed: int):
     """Model `name` fitted on `cohort` with `model_options(name, overrides)`,
     and the design it was fitted on, encoded as the model's spec says."""
@@ -447,11 +451,8 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     def fit(name):
         """`fit_model` on the training split, or the exception it raised, and its seconds."""
         started = time.perf_counter()
-        try:
-            fitted = fit_model(name, train, config.model_options.get(name, {}),
-                               derive_seed(config.seed, list(MODELS).index(name)))
-        except Exception as exc:
-            fitted = exc
+        fitted = workers.outcome(partial(fit_model, name, train, config.model_options.get(name, {}),
+                                         derive_seed(config.seed, list(MODELS).index(name))))
         return fitted, time.perf_counter() - started
 
     # DeepSurv and KSVM fit in forked workers beside the rest if there is more than one CPU
@@ -459,7 +460,9 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     here = [name for name in names if name not in forked]
     fits = workers.run([*(partial(fit, name) for name in forked),
                         lambda: [fit(name) for name in here]])
-    fits = dict(zip(forked + here, fits[:-1] + fits[-1]))  # each fit held once
+    # each fit held once; a dead worker's outcome is its error, and it has no fit time
+    fits = dict(zip(forked + here, [(f, 0.0) if isinstance(f, Exception) else f for f in fits[:-1]]
+                    + fits[-1]))
     rows = []
     mtlr_model = None  # the weight figure's source
     for name in names:
@@ -473,7 +476,8 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
                 ("train", train_design), ("test", encode_like(test, train_design)))]
             train_cindex, test_cindex = (
                 concordance_index(d.times, d.events, risk).cindex for _, d, risk in parts)
-            status, converged = "ok", model_converged(model)
+            conv = getattr(model, "convergence", None)  # the forest has none
+            status, converged = "ok", conv is None or conv.converged
             elapsed = fit_s + time.perf_counter() - started
             if name == "mtlr":
                 mtlr_model = model
@@ -489,15 +493,8 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
             status, converged = f"error: {exc}", False
         rows.append(ModelRow(name, train_cindex, test_cindex, elapsed * 1000.0, status, converged))
         fitted = model = parts = None  # free this fit and its scores before the next model's
-    report = BenchReport(
-        rows=rows,
-        seed=config.seed,
-        n=cohort.n,
-        n_events=cohort.n_events,
-        censoring_rate=cohort.censoring_rate,
-        train_n=train.n,
-        test_n=test.n,
-    )
+    report = BenchReport(rows, config.seed, cohort.n, cohort.n_events, cohort.censoring_rate,
+                         train.n, test.n)
     _write_report(config, report)
     emit_km_figures(cohort, list(config.km_groups), config.out_dir)
     if mtlr_model is not None:

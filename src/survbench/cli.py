@@ -119,18 +119,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_bench(args) -> int:
     doc = _load_config(args.config)
-    if args.input is not None:
-        doc["input"] = {"csv": args.input}
-    if "input" not in doc:
-        doc["input"] = {"generator": {}}
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.out is not None:
-        doc["out_dir"] = args.out
-    if args.models is not None:
-        doc["models"] = args.models.split(",")
-    if args.test_fraction is not None:
-        doc["test_fraction"] = args.test_fraction
+    flags = {"input": None if args.input is None else {"csv": args.input}, "seed": args.seed,
+             "out_dir": args.out, "test_fraction": args.test_fraction,
+             "models": None if args.models is None else args.models.split(",")}
+    doc.update((key, value) for key, value in flags.items() if value is not None)
+    doc.setdefault("input", {"generator": {}})
     config = bench_config_from_dict(doc)
     report = run_benchmark(config)
     width = max(len(r.name) for r in report.rows)

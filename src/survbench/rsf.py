@@ -309,6 +309,9 @@ def _grow_in_shards(design, seeds, *settings) -> list[NodeTable]:
     cuts = [len(seeds) * i // k for i in range(k + 1)]
     shards = workers.run([partial(_grow_trees, design, seeds[lo:hi], *settings)
                           for lo, hi in zip(cuts, cuts[1:])])
+    for shard in shards:  # the forest needs every shard: the first error is raised
+        if isinstance(shard, Exception):
+            raise shard
     return [table for shard in shards for table in shard]
 
 

@@ -1,10 +1,11 @@
 """Jobs run side by side, all but the last in forked worker processes.
 
-A child pipes back its pickled result, or the exception it raised, with
-the warnings it recorded, and ends by os._exit: no exit handlers, no
-stdio flush. A job must take no lock that another thread of this process
-could have held when it forked; NumPy, pickle and OpenBLAS (which stops
-its threads around a fork) take none."""
+A child pipes back its pickled outcome, its result or the exception it
+raised, with the warnings it recorded, and ends by os._exit: no exit
+handlers, no stdio flush. A child that dies without replying (a signal,
+the OOM killer) ends only its own job. A job must take no lock that
+another thread of this process could have held when it forked; NumPy,
+pickle and OpenBLAS (which stops its threads around a fork) take none."""
 
 import os
 import pickle
@@ -21,16 +22,21 @@ def usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
+def outcome(job):
+    """`job()`, or the exception it raised."""
+    try:
+        return job()
+    except Exception as exc:
+        return exc
+
+
 def _serve(job, w: int):
-    """In a child: pipe back whether `job` raised, its result or exception
-    and its warnings, then exit, with status 0 only if all was written."""
+    """In a child: pipe back the outcome of `job` and its warnings, then
+    exit, with status 0 only if all was written."""
     try:
         with warnings.catch_warnings(record=True) as caught:
-            try:
-                reply = [False, job()]
-            except Exception as exc:  # the parent raises it
-                reply = [True, exc]
-        reply.append([(m.message, m.category, m.filename, m.lineno) for m in caught])
+            result = outcome(job)
+        reply = (result, [(m.message, m.category, m.filename, m.lineno) for m in caught])
         view = memoryview(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
         while view:
             view = view[os.write(w, view):]
@@ -49,11 +55,11 @@ def _warn_again(message, category, filename, lineno) -> None:
 
 
 def run(jobs: list) -> list:
-    """The results of zero-argument callables `jobs`, in job order: all but
-    the last run in forked children, the last here. Every child is reaped,
-    and killed first if this process fails. A child that died without
-    replying raises ChildProcessError. Then, in job order, each child's
-    warnings are issued here and its exception, if it raised one, is raised."""
+    """The outcomes of zero-argument callables `jobs`, in job order: all but the
+    last run in forked children, the last here, where its exception is raised.
+    A child's outcome is its result, its exception, or a ChildProcessError naming
+    the signal or exit code of its death without a reply, and its warnings are
+    issued here in job order. Every child is reaped, killed first if this fails."""
     children, replies = [], None  # each child's pid and its pipe's read end
     try:
         for job in jobs[:-1]:
@@ -68,19 +74,15 @@ def run(jobs: list) -> list:
         codes = []
         for pid, r in children:
             os.close(r)
-            if replies is None:  # this process failed, so the children's results go unused
+            if replies is None:  # this process failed, so the children's outcomes go unused
                 os.kill(pid, signal.SIGKILL)
             codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for code in filter(None, codes):
-        raise ChildProcessError("a worker process " + (
-            f"was killed by signal {-code} ({signal.strsignal(-code)})" if code < 0
-            else f"exited with code {code}"))
-    results = []
-    for reply in replies:
-        raised, result, caught = pickle.loads(reply)
+    outcomes = []
+    for reply, code in zip(replies, codes):
+        result, caught = pickle.loads(reply) if code == 0 and reply else (ChildProcessError(
+            "a worker process " + (f"was killed by signal {-code} ({signal.strsignal(-code)})"
+                                   if code < 0 else f"exited with code {code}")), ())
         for warning in caught:
             _warn_again(*warning)
-        if raised:
-            raise result
-        results.append(result)
-    return results + [last]
+        outcomes.append(result)
+    return outcomes + [last]

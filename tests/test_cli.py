@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import survbench
-from survbench import deepsurv, rsf, workers
+from survbench import deepsurv, ksvm, rsf, workers
 from survbench.bench import MODELS, model_options, write_csv
 from survbench.cli import main
 from survbench.data import (Cohort, Column, CovariateSchema, cohort_table, encode, encode_like,
@@ -258,12 +258,26 @@ def negated(values):
          "malformed deepsurv model file: weights must be a JSON list of 2 layers"),
         ("deepsurv", lambda doc: doc["biases"].pop(),
          "malformed deepsurv model file: biases must be a JSON list of 2 layers"),
+        ("ksvm", lambda doc: doc["kernel"].update(gamma=math.nan),
+         "malformed ksvm model file: kernel gamma must be a finite number, not NaN"),
+        ("ksvm", lambda doc: doc["kernel"].update(gamma=math.inf),
+         "malformed ksvm model file: kernel gamma must be a finite number, not Infinity"),
+        ("ksvm", lambda doc: doc["kernel"].update(kind="polynomial", coef0=math.nan),
+         "malformed ksvm model file: kernel coef0 must be a finite number, not NaN"),
+        ("ksvm", lambda doc: doc["kernel"].update(degree=0),
+         "malformed ksvm model file: kernel degree must be >= 1"),
+        ("ksvm", lambda doc: doc["kernel"].update(gamma=-1),
+         "malformed ksvm model file: kernel gamma must be positive"),
+        ("cox", lambda doc: doc["convergence"].update(gradient_norm=math.nan),
+         "malformed cox model file: convergence gradient_norm must be a finite number, not NaN"),
     ],
     ids=["no-schema", "unknown-model", "no-beta", "no-levels", "schema-not-a-list",
          "ksvm-coefficients-cut", "mtlr-weights-one-number", "ksvm-support-rows-a-number",
          "cox-beta-nan", "no-standardization", "null-standardization", "negative-sds", "zero-sds",
          "short-means", "forest-standardized", "deepsurv-weights-layer-dropped",
-         "deepsurv-biases-layer-dropped"],
+         "deepsurv-biases-layer-dropped", "ksvm-gamma-nan", "ksvm-gamma-infinite",
+         "ksvm-polynomial-coef0-nan", "ksvm-degree-zero", "ksvm-gamma-negative",
+         "cox-gradient-norm-nan"],
 )
 def test_eval_rejects_bad_model_file(tmp_path, capsys, name, edit, text):
     cohort_csv = make_cohort_csv(tmp_path)
@@ -819,22 +833,37 @@ def test_a_killed_forest_shard_in_bench_is_the_forest_row(tmp_path, capsys, monk
     assert status["rsf"].startswith("error: a worker process was killed by signal 9")
 
 
-def test_a_killed_bench_worker_is_one_line_error(tmp_path, capsys, monkeypatch):
-    here = os.getpid()
+def report_lines(out_dir):
+    """report.csv's lines by model, line ends included."""
+    with open(out_dir / "report.csv", newline="") as fh:
+        return {line.split(",")[0]: line for line in fh}
+
+
+@pytest.mark.parametrize("killed", ["deepsurv", "ksvm"])
+def test_a_killed_bench_worker_is_its_models_row(tmp_path, monkeypatch, killed):
+    # each forked fit in turn: its worker is killed, and the run writes the
+    # other rows and every figure as a run without the kill does
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"input": {"generator": {"n": 60}},
+                                  "model_options": TINY_OPTIONS}))
+    argv = ["bench", "--config", str(config), "--models", "cox,deepsurv,ksvm", "--seed", "0"]
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    assert main([*argv, "--out", str(tmp_path / "whole")]) == 0
+    here, module = os.getpid(), {"deepsurv": deepsurv, "ksvm": ksvm}[killed]
 
     def fit(*args, **kwargs):
         if os.getpid() != here:
             os.kill(os.getpid(), signal.SIGKILL)
-        raise AssertionError("DeepSurv was fitted in this process")
+        raise AssertionError(f"{killed} was fitted in this process")
 
-    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(deepsurv, "fit_deepsurv", fit)
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"input": {"generator": {"n": 60}}}))
-    capsys.readouterr()
-    assert main(["bench", "--config", str(config), "--models", "cox,deepsurv", "--seed", "0",
-                 "--out", str(tmp_path / "out")]) == 2
-    assert_one_line_error(capsys, "a worker process was killed by signal 9")
+    monkeypatch.setattr(module, f"fit_{killed}", fit)
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    rows, whole = report_lines(tmp_path / "out"), report_lines(tmp_path / "whole")
+    assert rows.pop(killed) == (f"{killed},nan,nan,error: a worker process was killed by "
+                                f"signal 9 ({signal.strsignal(signal.SIGKILL)}),False\r\n")
+    assert rows == {name: line for name, line in whole.items() if name != killed}
+    assert sorted(os.listdir(tmp_path / "out")) == sorted(
+        set(os.listdir(tmp_path / "whole")) - {f"scores_{killed}.csv"})
 
 
 def test_bench_prints_each_line_once_with_forked_shards(tmp_path, capsys, monkeypatch):

@@ -13,7 +13,7 @@ def test_results_come_back_in_job_order():
     assert pids[-1] == os.getpid() and len(set(pids)) == 3
     assert workers.run([lambda: [1.5, "a"], lambda: ValueError("a value")])[0] == [1.5, "a"]
     returned = workers.run([lambda: ValueError("a value"), lambda: None])[0]
-    assert type(returned) is ValueError and str(returned) == "a value"  # returned, not raised
+    assert type(returned) is ValueError and str(returned) == "a value"  # an outcome too
 
 
 def test_one_job_runs_here_without_a_fork():
@@ -26,20 +26,30 @@ def fail(exc):
 
 @pytest.mark.parametrize("where", [0, 1, 2], ids=["first-child", "second-child", "this-process"])
 def test_a_job_error_is_raised_with_its_type_and_message(where):
+    # a forked job's exception is its outcome; the job run here raises
     jobs = [lambda: 1, lambda: 2, lambda: 3]
     jobs[where] = lambda: fail(KeyError("boom"))
-    with pytest.raises(KeyError, match="boom"):
-        workers.run(jobs)
+    if where == 2:
+        with pytest.raises(KeyError, match="boom"):
+            workers.run(jobs)
+        return
+    outcomes = workers.run(jobs)
+    assert type(outcomes[where]) is KeyError and outcomes[where].args == ("boom",)
+    outcomes[where] = where + 1
+    assert outcomes == [1, 2, 3]
 
 
 @pytest.mark.parametrize("end, text", [
-    (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
-    (lambda: os._exit(3), "exited with code 3"),
-    (lambda: fail(SystemExit(0)), "exited with code 1"),
-], ids=["signal", "exit-code", "system-exit"])
+    (lambda: os.kill(os.getpid(), signal.SIGKILL),
+     f"a worker process was killed by signal 9 ({signal.strsignal(signal.SIGKILL)})"),
+    (lambda: os._exit(3), "a worker process exited with code 3"),
+    (lambda: fail(SystemExit(0)), "a worker process exited with code 1"),
+    (lambda: os._exit(0), "a worker process exited with code 0"),
+], ids=["signal", "exit-code", "system-exit", "exit-zero"])
 def test_a_child_that_dies_without_replying_is_a_child_process_error(end, text):
-    with pytest.raises(ChildProcessError, match=text):
-        workers.run([lambda: 1, end, lambda: 3])
+    first, dead, last = workers.run([lambda: 1, end, lambda: 3])
+    assert (first, last) == (1, 3)
+    assert type(dead) is ChildProcessError and str(dead) == text
 
 
 def test_a_failure_here_kills_the_children_first():
@@ -72,9 +82,9 @@ def test_a_childs_warnings_are_issued_here_as_its_own():
 
 def test_a_childs_warnings_meet_the_filters_here():
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the child raises the first
-        with pytest.raises(UserWarning, match="first"):
-            workers.run([warn_twice, lambda: None])
+        warnings.simplefilter("error")  # the child raises the first, and it is the job's outcome
+        raised, _ = workers.run([warn_twice, lambda: None])
+    assert type(raised) is UserWarning and str(raised) == "first"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")  # the first of each location only
         workers.run([warn_twice, warn_twice, warn_twice])
