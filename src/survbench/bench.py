@@ -43,14 +43,14 @@ class ModelSpec:
     holds the `file_fields` rows (key, kind, shape, read) in order: a kind is
     an example value, and a shape is in the file's sizes (p = len(column_names),
     other letters bound by the first field with them) or per-layer lengths from
-    the fields before. `build` makes the model; `rsf` keeps its own format."""
+    the fields before. `build` makes the model from the checked fields."""
 
     standardize: bool
     defaults: dict
     fit: Callable
     risk: Callable
-    file_fields: tuple = ()
-    build: Callable | None = None
+    file_fields: tuple
+    build: Callable
 
 
 def _fit_mtlr(design, opts: dict, seed: int):
@@ -123,6 +123,18 @@ MODELS: dict[str, ModelSpec] = {
         defaults={"b": 200, "mtry": None, "min_leaf": 15, "max_depth": None},
         fit=lambda design, opts, seed: rsf.fit_forest(design, seed=seed, **opts),
         risk=lambda model, design: rsf.rsf_risk(model, design),
+        file_fields=(
+            _NAMES,
+            ("mtry", 0, None, lambda m: m.mtry),
+            ("min_leaf", 0, None, lambda m: m.min_leaf),
+            ("max_depth", None, None, lambda m: m.max_depth),
+            ("seed", 0, None, lambda m: m.seed),
+            ("event_grid", 0.0, ("g",), lambda m: m.event_grid.tolist()),
+            ("n", 0, None, lambda m: m.trees[0].n),
+            ("trees", [{"seed": 0}], None, lambda m: [rsf.tree_to_dict(t) for t in m.trees]),
+        ),
+        build=lambda f: rsf.Forest(rsf.trees_from_dict(f), f["mtry"], f["min_leaf"], f["max_depth"],
+                                   f["seed"], f["event_grid"], f["column_names"]),
     ),
     "deepsurv": ModelSpec(
         standardize=True,
@@ -194,10 +206,7 @@ def _field(key: str, kind, shape, value, checked: dict, sizes: dict):
             raise TypeError(f"{key} must be a JSON {json_kind(example)}")
         if not is_dataclass(kind):
             return value
-        try:  # a range check lets NaN through, so the numbers are checked first
-            _check_json_kinds(key, example, value)
-        except ValueError as exc:
-            raise TypeError(exc) from None
+        _check_json_kinds(key, example, value)  # first, as a range check lets NaN through
         try:
             return type(kind)(**{k: value[k] for k in example})
         except ValueError as exc:  # the record's own check names the field, not the record
@@ -219,8 +228,7 @@ def _field(key: str, kind, shape, value, checked: dict, sizes: dict):
 def model_to_dict(name: str, model, design: DesignMatrix) -> dict:
     """The file of model `name` fitted on `design`: its fields, then the schema
     and standardization that encode new rows as `design`'s were."""
-    body = (rsf.forest_to_dict(model) if name == "rsf"
-            else {key: read(model) for key, _, _, read in MODELS[name].file_fields})
+    body = {key: read(model) for key, _, _, read in MODELS[name].file_fields}
     return {"model": name, **body, "schema": [asdict(c) for c in design.schema.columns],
             "standardization": {"means": None if design.means is None else design.means.tolist(),
                                 "sds": None if design.sds is None else design.sds.tolist()}}
@@ -238,12 +246,12 @@ def model_from_dict(doc, path: str):
     if "schema" not in doc:
         raise ValueError(f"{path}: no covariate schema; refit the model")
     spec = MODELS[name]
-    try:  # the checks raise TypeError for a field; the model is named here
+    try:  # the checks name the field; the model is named here
         names = _field(*_NAMES[:3], doc["column_names"], {}, {})
         checked, sizes = {"column_names": names}, {"p": (len(names), "column_names")}
         for key, kind, shape, _ in spec.file_fields:
             checked[key] = _field(key, kind, shape, doc[key], checked, sizes)
-        model = rsf.forest_from_dict(doc) if name == "rsf" else spec.build(checked)
+        model = spec.build(checked)
         columns = _field("schema", _SCHEMA, None, doc["schema"], {}, {})
         schema = CovariateSchema(tuple(Column(c["name"], c["kind"], tuple(c["levels"]))
                                        for c in columns))
@@ -258,10 +266,8 @@ def model_from_dict(doc, path: str):
             raise TypeError("standardization means and sds must be null: trees split raw values")
     except KeyError as exc:
         raise ValueError(f"{path}: no {exc} in the {name} model file") from None
-    except (TypeError, AttributeError, IndexError, OverflowError) as exc:
+    except (TypeError, ValueError, AttributeError, IndexError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed {name} model file: {exc}") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
     template = DesignMatrix(np.empty((0, 0)), [], np.empty(0), np.empty(0), schema, means, sds)
     return name, model, template
 

@@ -130,6 +130,11 @@ class Forest:
     event_grid: np.ndarray
     column_names: list[str]
 
+    def __post_init__(self):
+        _check_settings(self.mtry, self.min_leaf, self.max_depth)
+        if not np.all(np.diff(self.event_grid) > 0):
+            raise ValueError("event_grid must be strictly increasing")
+
 
 def _logrank(n_left, observed, n_events, n_at_risk):
     """Two-sample log-rank statistic |O-E|/sqrt(V) of each candidate, nan
@@ -336,7 +341,7 @@ def fit_forest(
     return Forest(
         trees=[SurvivalTree(seed=s, n=design.n, nodes=t) for s, t in zip(seeds, tables)],
         mtry=mtry,
-        min_leaf=min_leaf,
+        min_leaf=int(min_leaf),
         max_depth=max_depth,
         seed=seed,
         event_grid=grid,
@@ -345,12 +350,12 @@ def fit_forest(
 
 
 def _check_settings(mtry, min_leaf, max_depth) -> None:
-    """Refuse what no forest grows with, in `fit_forest` and a forest file
+    """Refuse what no forest grows with, in `fit_forest` and any `Forest`
     alike: settings not whole numbers or out of range (None: no depth limit)."""
     for name, v, low in (("min_leaf", min_leaf, 1), ("max_depth", max_depth, 0), ("mtry", mtry, 1)):
         if v is None and name == "max_depth":
             continue
-        if isinstance(v, (bool, str, type(None))) or not float(v).is_integer():
+        if isinstance(v, (bool, str, type(None))) or isinstance(v, float) and not v.is_integer():
             raise ValueError(f"{name} must be a whole number")
         if v < low:
             raise ValueError(f"{name} must be {'null or ' * (not low)}>= {low}")
@@ -462,11 +467,24 @@ def _flat(trees: list, key: str) -> tuple[np.ndarray, np.ndarray]:
     return a[:-1], lengths
 
 
-def _tables_from_dicts(trees: list, grid_size: int, p: int, n: int) -> list[NodeTable]:
-    """The trees' tables, checked at once on their fields joined: split columns
-    in [0, p), finite thresholds, each node but a root the child of one split
-    before it in its tree, no knots at splits, knots rising in a leaf and in
-    the grid, 1 <= events <= at_risk <= n, at_risk falling at least by events."""
+def tree_to_dict(tree: SurvivalTree) -> dict:
+    """A tree as a forest file holds it: its seed, then each table field as
+    one string of its numbers one space apart."""
+    return {"seed": tree.seed, **{k: json.dumps(v.tolist(), separators=(" ", ":"))[1:-1]
+                                  for k, v in tree.nodes._asdict().items()}}  # no brackets
+
+
+def trees_from_dict(f: dict) -> list[SurvivalTree]:
+    """The trees of forest file fields `f`, their tables checked at once on
+    their fields joined: split columns in [0, p), finite thresholds, each
+    node but a root the child of one split before it in its tree, no knots
+    at splits, knots rising in a leaf and in the grid, 1 <= events <=
+    at_risk <= n, at_risk falling at least by events."""
+    trees, grid_size, p, n = f["trees"], len(f["event_grid"]), len(f["column_names"]), f["n"]
+    if n < 1:
+        raise ValueError("the training size n must be an integer >= 1")
+    if not trees:
+        raise ValueError("a forest needs at least one tree")
     if any("root" in tree for tree in trees):
         raise ValueError("the forest's trees are nested, an older file format; refit the model")
     fields, lengths = zip(*(_flat(trees, key) for key in NodeTable._fields))
@@ -497,44 +515,7 @@ def _tables_from_dicts(trees: list, grid_size: int, p: int, n: int) -> list[Node
     if not (np.all(at_risk <= n) and np.all((at_risk[1:] <= (at_risk - events)[:-1]) | ~same)):
         raise ValueError("a leaf's at_risk must be <= n and fall by at least each knot's events")
     node_ends, knot_ends = np.cumsum(m).tolist(), np.cumsum(k).tolist()
-    return [NodeTable(*(a[lo:hi] for a in fields[:4]), *(a[klo:khi] for a in fields[4:]))
-            for lo, hi, klo, khi in zip([0, *node_ends], node_ends, [0, *knot_ends], knot_ends)]
-
-
-def forest_to_dict(forest: Forest) -> dict:
-    return {
-        "model": "rsf",
-        "column_names": forest.column_names,
-        "mtry": forest.mtry,
-        "min_leaf": forest.min_leaf,
-        "max_depth": forest.max_depth,
-        "seed": forest.seed,
-        "event_grid": forest.event_grid.tolist(),
-        "n": forest.trees[0].n,
-        "trees": [{"seed": t.seed, **{k: json.dumps(v.tolist(), separators=(" ", ":"))[1:-1]
-                                      for k, v in t.nodes._asdict().items()}}  # no brackets
-                  for t in forest.trees],
-    }
-
-
-def forest_from_dict(doc: dict) -> Forest:
-    n = doc["n"]
-    if type(n) is not int or n < 1:
-        raise ValueError("the training size n must be an integer >= 1")
-    grid = np.asarray(doc["event_grid"], dtype=np.float64)
-    if grid.ndim != 1 or not np.all(np.diff(grid) > 0):
-        raise ValueError("the event grid must be strictly increasing")
-    if not doc["trees"]:
-        raise ValueError("a forest needs at least one tree")
-    _check_settings(doc["mtry"], doc["min_leaf"], doc["max_depth"])
-    tables = _tables_from_dicts(doc["trees"], grid.size, len(doc["column_names"]), n)
-    return Forest(
-        trees=[SurvivalTree(seed=int(t["seed"]), n=n, nodes=table)
-               for t, table in zip(doc["trees"], tables)],
-        mtry=int(doc["mtry"]),
-        min_leaf=int(doc["min_leaf"]),
-        max_depth=doc["max_depth"],
-        seed=int(doc["seed"]),
-        event_grid=grid,
-        column_names=list(doc["column_names"]),
-    )
+    return [SurvivalTree(tree["seed"], n, NodeTable(*(a[lo:hi] for a in fields[:4]),
+                                                    *(a[klo:khi] for a in fields[4:])))
+            for tree, lo, hi, klo, khi in zip(trees, [0, *node_ends], node_ends,
+                                              [0, *knot_ends], knot_ends)]

@@ -23,7 +23,7 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
-def _frame(title: str, xlabel: str, ylabel: str, xticks, yticks, to_x, to_y) -> list[str]:
+def _frame(title: str, xlabel: str, ylabel: str, xticks, to_x, yticks=(), to_y=None) -> list[str]:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
@@ -71,8 +71,8 @@ def step_chart(curves: list[tuple[str, StepFunction]], title: str) -> str:
     def to_y(v):
         return y0 - v * (y0 - y1)
 
-    parts = _frame(title, "time", "survival probability", _ticks(0.0, xmax), _ticks(0.0, 1.0),
-                   to_x, to_y)
+    parts = _frame(title, "time", "survival probability", _ticks(0.0, xmax), to_x,
+                   _ticks(0.0, 1.0), to_y)
     for ci, (label, f) in enumerate(curves):
         color = _PALETTE[ci % len(_PALETTE)]
         pts = [(0.0, f.initial)]
@@ -117,10 +117,7 @@ def bar_chart(
     def to_x(v):
         return x0 + (v - lo) / (hi - lo) * (x1 - x0)
 
-    def to_y(v):
-        return y0 - v * (y0 - y1)
-
-    parts = _frame(title, xlabel, "", _ticks(lo, hi), [], to_x, to_y)
+    parts = _frame(title, xlabel, "", _ticks(lo, hi), to_x)
     zero_x = to_x(0.0)
     parts.append(
         f'<line x1="{zero_x:.2f}" y1="{y1}" x2="{zero_x:.2f}" y2="{y0}" '

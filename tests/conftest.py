@@ -45,8 +45,24 @@ def numeric_design(X, times, events, standardize=False):
     return encode(numeric_cohort(X, times, events), standardize=standardize)
 
 
+def forest_file(forest, design) -> dict:
+    """The file of `forest` fitted on `design`, as `bench.model_to_dict`
+    writes it, less the schema and standardization that `load_forest` adds."""
+    doc = model_to_dict("rsf", forest, design)
+    del doc["schema"], doc["standardization"]
+    return doc
+
+
+def load_forest(doc: dict):
+    """The forest of file `doc`, given the schema and standardization of its
+    columns as numeric covariates, as `bench.model_from_dict` reads it."""
+    schema = [{"name": name, "kind": "numeric", "levels": []} for name in doc["column_names"]]
+    return model_from_dict({**doc, "schema": schema,
+                            "standardization": {"means": None, "sds": None}}, "rsf.json")[1]
+
+
 def forest_fields(**fields) -> dict:
-    """Fields of a tree in a forest file, as `rsf.forest_to_dict` writes
+    """Fields of a tree in a forest file, as `rsf.tree_to_dict` writes
     them: each list of numbers one string, the numbers one space apart."""
     return {key: " ".join(map(str, values)) for key, values in fields.items()}
 

@@ -226,6 +226,11 @@ def negated(values):
     return [-v for v in values]
 
 
+GRID_REFUSED = "malformed rsf model file: event_grid must be finite numbers of shape (g)"
+TREES_REFUSED = "malformed rsf model file: trees must be a JSON list of objects"
+SEED_REFUSED = "malformed rsf model file: seed must be a JSON integer"
+
+
 @pytest.mark.parametrize(
     "name, edit, text",
     [
@@ -270,6 +275,22 @@ def negated(values):
          "malformed ksvm model file: kernel gamma must be positive"),
         ("cox", lambda doc: doc["convergence"].update(gradient_norm=math.nan),
          "malformed cox model file: convergence gradient_norm must be a finite number, not NaN"),
+        ("cox", lambda doc: doc.update(baseline_times=doc["baseline_times"][::-1]),
+         "malformed cox model file: times must be strictly increasing"),
+        ("mtlr", lambda doc: doc.update(boundaries=doc["boundaries"][::-1]),
+         "malformed mtlr model file: boundaries must be strictly increasing"),
+        ("rsf", lambda doc: doc["event_grid"].__setitem__(1, True), GRID_REFUSED),
+        ("rsf", lambda doc: doc["event_grid"].__setitem__(1, "x"), GRID_REFUSED),
+        ("rsf", lambda doc: doc["event_grid"].__setitem__(1, [doc["event_grid"][1]]),
+         GRID_REFUSED),
+        ("rsf", lambda doc: doc.update(event_grid=5), GRID_REFUSED),
+        ("rsf", lambda doc: doc.update(event_grid=doc["event_grid"][::-1]),
+         "malformed rsf model file: event_grid must be strictly increasing"),
+        ("rsf", lambda doc: doc.update(seed="5"), SEED_REFUSED),
+        ("rsf", lambda doc: doc.update(seed=2.7), SEED_REFUSED),
+        ("rsf", lambda doc: doc["trees"][0].update(seed="7"), TREES_REFUSED),
+        ("rsf", lambda doc: doc["trees"][0].update(seed=True), TREES_REFUSED),
+        ("rsf", lambda doc: doc.update(trees=5), TREES_REFUSED),
     ],
     ids=["no-schema", "unknown-model", "no-beta", "no-levels", "schema-not-a-list",
          "ksvm-coefficients-cut", "mtlr-weights-one-number", "ksvm-support-rows-a-number",
@@ -277,7 +298,10 @@ def negated(values):
          "short-means", "forest-standardized", "deepsurv-weights-layer-dropped",
          "deepsurv-biases-layer-dropped", "ksvm-gamma-nan", "ksvm-gamma-infinite",
          "ksvm-polynomial-coef0-nan", "ksvm-degree-zero", "ksvm-gamma-negative",
-         "cox-gradient-norm-nan"],
+         "cox-gradient-norm-nan", "cox-baseline-times-reversed", "mtlr-boundaries-reversed",
+         "rsf-event-grid-item-true", "rsf-event-grid-item-string", "rsf-event-grid-item-nested",
+         "rsf-event-grid-number", "rsf-event-grid-reversed", "rsf-seed-string",
+         "rsf-seed-fraction", "rsf-tree-seed-string", "rsf-tree-seed-true", "rsf-trees-number"],
 )
 def test_eval_rejects_bad_model_file(tmp_path, capsys, name, edit, text):
     cohort_csv = make_cohort_csv(tmp_path)
@@ -295,10 +319,12 @@ def test_eval_rejects_bad_model_file(tmp_path, capsys, name, edit, text):
     assert_one_line_error(capsys, text)
 
 
-# the fields of numbers in each model file, and the standardization every one of them has
+# the fields of numbers in each model file, and the standardization of each standardized
+# model; the forest's event_grid is left out, since a grid point no knot reaches can be dropped
 EDITABLE = {
     "cox": ["beta", "baseline_times", "baseline_values", "standardization"],
     "mtlr": ["boundaries", "weights", "biases", "l2", "standardization"],
+    "rsf": ["mtry", "min_leaf", "max_depth", "seed", "n"],
     "deepsurv": ["weights", "biases", "standardization"],
     "ksvm": ["support_rows", "coefficients", "c", "standardization"],
 }
@@ -384,8 +410,8 @@ def test_eval_asks_to_refit_an_old_forest_file(tmp_path, capsys):
         capsys.readouterr()
         rc = main(["eval", "--model-file", str(model_path), "--input", str(cohort_csv)])
         assert rc == 2
-        assert_one_line_error(capsys, f"{model_path}: the forest's trees are nested, "
-                                      "an older file format; refit the model")
+        assert_one_line_error(capsys, f"{model_path}: malformed rsf model file: the forest's "
+                                      "trees are nested, an older file format; refit the model")
 
 
 def test_eval_asks_to_refit_a_forest_file_of_lists(tmp_path, capsys):
@@ -399,8 +425,8 @@ def test_eval_asks_to_refit_a_forest_file_of_lists(tmp_path, capsys):
     capsys.readouterr()
     rc = main(["eval", "--model-file", str(model_path), "--input", str(cohort_csv)])
     assert rc == 2
-    assert_one_line_error(capsys, f"{model_path}: a tree's column is a list, "
-                                  "an older file format; refit the model")
+    assert_one_line_error(capsys, f"{model_path}: malformed rsf model file: a tree's column "
+                                  "is a list, an older file format; refit the model")
 
 
 def test_eval_refuses_a_forest_split_on_no_column(tmp_path, capsys):
@@ -414,21 +440,22 @@ def test_eval_refuses_a_forest_split_on_no_column(tmp_path, capsys):
     capsys.readouterr()
     rc = main(["eval", "--model-file", str(model_path), "--input", str(cohort_csv)])
     assert rc == 2
-    assert_one_line_error(capsys, f"{model_path}: each node but the root must be the child "
-                                  "of one split before it")
+    assert_one_line_error(capsys, f"{model_path}: malformed rsf model file: each node but the "
+                                  "root must be the child of one split before it")
 
 
 def test_eval_refuses_a_forest_file_with_bad_fit_settings(tmp_path, capsys):
     # the settings do not score, but a file that fit could not have written
-    # is refused with fit's message
+    # is refused with fit's message (a setting of the wrong JSON type is the
+    # codec's refusal, before fit's range checks)
     model_path, cohort_csv = fit_small_forest(tmp_path)
     doc = json.loads(model_path.read_text())
-    doc.update(mtry=-5, min_leaf=0, max_depth="deep")
+    doc.update(mtry=-5, min_leaf=0, max_depth=-1)
     model_path.write_text(json.dumps(doc))
     capsys.readouterr()
     rc = main(["eval", "--model-file", str(model_path), "--input", str(cohort_csv)])
     assert rc == 2
-    assert_one_line_error(capsys, f"{model_path}: min_leaf must be >= 1")
+    assert_one_line_error(capsys, f"{model_path}: malformed rsf model file: min_leaf must be >= 1")
 
 
 def test_eval_scores_a_forest_file_of_any_training_size(tmp_path, capsys):

@@ -27,8 +27,6 @@ from survbench.riskset import risk_set_sums, risk_sets
 from survbench.rsf import (
     _logrank,
     fit_forest,
-    forest_from_dict,
-    forest_to_dict,
     logrank_score,
     mortality_score,
     predict_chf,
@@ -37,7 +35,8 @@ from survbench.rsf import (
 from survbench.rng import CounterRng, derive_seed, uniform_at
 from survbench.stepfun import StepFunction
 
-from conftest import forest_fields, forest_lists, numeric_design, shard_failing_at
+from conftest import (forest_fields, forest_file, forest_lists, load_forest, numeric_design,
+                      shard_failing_at)
 
 
 def naive_logrank(times, events, groups):
@@ -285,8 +284,9 @@ def golden_design():
 def test_forest_file_digest_is_pinned():
     # pins the forest file byte for byte; the draws, the candidate
     # thresholds, the split rule and the leaf curves all feed it
-    f = fit_forest(golden_design(), b=5, min_leaf=4, mtry=2, seed=3)
-    digest = hashlib.sha256(json.dumps(forest_to_dict(f)).encode()).hexdigest()
+    d = golden_design()
+    f = fit_forest(d, b=5, min_leaf=4, mtry=2, seed=3)
+    digest = hashlib.sha256(json.dumps(forest_file(f, d)).encode()).hexdigest()
     assert digest == "05dc49ed200f60386c9cd3d6e4e2f6ef2c439ef117e1e7a8a3c1cbc1fc187a22"
 
 
@@ -327,13 +327,13 @@ def test_forest_does_not_depend_on_its_batches(data_seed, n, b, mtry, min_leaf, 
     events[0] = 1
     d = numeric_design(X, times, events)
     options = dict(b=b, mtry=mtry, min_leaf=min_leaf, max_depth=max_depth, seed=data_seed)
-    batched = forest_to_dict(fit_forest(d, **options))
+    batched = forest_file(fit_forest(d, **options), d)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rsf, "_CELLS", 1)
-        assert forest_to_dict(fit_forest(d, **options)) == batched
+        assert forest_file(fit_forest(d, **options), d) == batched
         mp.setattr(rsf, "_CELLS", 1 << 7)
         mp.setattr(rsf, "_batch_order", lambda entry: (entry[0], -entry[5]))
-        assert forest_to_dict(fit_forest(d, **options)) == batched
+        assert forest_file(fit_forest(d, **options), d) == batched
 
 
 @given(
@@ -353,7 +353,7 @@ def test_forest_does_not_depend_on_the_shard_count(data_seed, b, min_leaf, max_d
         mp.setattr(rsf, "_SHARD_ROWS", 1)
         for cpus in (1, 2, 3):
             mp.setattr(workers, "usable_cpus", lambda cpus=cpus: cpus)
-            forests.append(forest_to_dict(fit_forest(d, **options)))
+            forests.append(forest_file(fit_forest(d, **options), d))
     assert forests[0] == forests[1] == forests[2]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -392,9 +392,9 @@ def test_a_forked_shard_neither_flushes_stdout_nor_runs_exit_handlers():
 
 def test_a_tree_does_not_depend_on_the_trees_grown_with_it():
     d = bigger_design(seed=3, n=150)
-    forest = forest_to_dict(fit_forest(d, b=5, min_leaf=5, seed=2))
+    forest = forest_file(fit_forest(d, b=5, min_leaf=5, seed=2), d)
     for i in range(5):
-        fewer = forest_to_dict(fit_forest(d, b=i + 1, min_leaf=5, seed=2))
+        fewer = forest_file(fit_forest(d, b=i + 1, min_leaf=5, seed=2), d)
         assert fewer["trees"][i] == forest["trees"][i]
 
 
@@ -436,7 +436,8 @@ def leaf_tree(knots, events, at_risk, seed=0):
 
 def forest_doc(trees, grid, columns=("x0",)):
     return {"model": "rsf", "column_names": list(columns), "mtry": 1, "min_leaf": 1,
-            "max_depth": None, "seed": 0, "event_grid": list(grid), "n": 10**4, "trees": trees}
+            "max_depth": None, "seed": 0, "event_grid": list(map(float, grid)), "n": 10**4,
+            "trees": trees}
 
 
 def falling_counts(rng, size, most_censored):
@@ -448,7 +449,7 @@ def falling_counts(rng, size, most_censored):
 
 
 def test_two_tree_averaging_hand_fixture():
-    forest = forest_from_dict(forest_doc([
+    forest = load_forest(forest_doc([
         leaf_tree([0], [1], [2]),  # 0.5 from t=1
         leaf_tree([0, 1], [1, 1], [4, 1], seed=1),  # 0.25 from t=1, 1.25 from t=2
     ], [1.0, 2.0]))
@@ -461,7 +462,7 @@ def test_two_tree_averaging_hand_fixture():
 
 
 def test_predict_chf_counts_a_knotless_leaf_as_zero():
-    forest = forest_from_dict(forest_doc([
+    forest = load_forest(forest_doc([
         leaf_tree([0, 1], [1, 1], [2, 1]),  # 0.5 from t=1, 1.5 from t=2
         leaf_tree([], [], [], seed=1),
     ], [1.0, 2.0, 3.0]))
@@ -486,8 +487,8 @@ def test_predict_chf_is_independent_of_tree_order():
     grid = np.sort(rng.uniform(0, 10, 30))
     leaves = random_leaves(rng, 12, grid.size)
     trees = [leaf_tree(*leaf, seed=seed) for seed, leaf in enumerate(leaves)]
-    chf = predict_chf(forest_from_dict(forest_doc(trees, grid)), np.zeros(1))
-    back = predict_chf(forest_from_dict(forest_doc(trees[::-1], grid)), np.zeros(1))
+    chf = predict_chf(load_forest(forest_doc(trees, grid)), np.zeros(1))
+    back = predict_chf(load_forest(forest_doc(trees[::-1], grid)), np.zeros(1))
     np.testing.assert_array_equal(back.times, chf.times)
     np.testing.assert_array_equal(back.values, chf.values)  # bit for bit, thanks to fsum
     knots = np.unique(np.concatenate([knots for knots, _, _ in leaves]))
@@ -499,7 +500,7 @@ def test_predict_chf_of_identical_trees_is_the_tree_curve():
     grid = np.sort(rng.uniform(0, 10, 20))
     for knots, events, at_risk in random_leaves(rng, 5, grid.size):
         tree = leaf_tree(knots, events, at_risk)
-        chf = predict_chf(forest_from_dict(forest_doc([tree] * 3, grid)), np.zeros(1))
+        chf = predict_chf(load_forest(forest_doc([tree] * 3, grid)), np.zeros(1))
         np.testing.assert_array_equal(chf.times, grid[knots])
         np.testing.assert_allclose(chf.values, np.cumsum(events / at_risk), rtol=1e-15)
 
@@ -508,7 +509,7 @@ def routing_forest():
     """Root splits x0 at 0.5; its left child is a leaf, its right child
     splits x1 at -1.0, so leaves sit at depths 1 and 2. Each leaf has one
     knot, with 1, 2 and 4 at risk."""
-    return forest_from_dict(forest_doc([{"seed": 0, **forest_fields(
+    return load_forest(forest_doc([{"seed": 0, **forest_fields(
         column=[0, -1, 1, -1, -1], threshold=[0.5, 0.0, -1.0, 0.0, 0.0],
         left=[1, -1, 3, -1, -1], offsets=[0, 0, 1, 1, 2],
         knots=[0, 0, 0], events=[1, 1, 1], at_risk=[1, 2, 4],
@@ -544,9 +545,9 @@ def test_forest_deterministic_by_seed():
     d = bigger_design()
     a = fit_forest(d, b=5, min_leaf=10, seed=3)
     b = fit_forest(d, b=5, min_leaf=10, seed=3)
-    assert forest_to_dict(a) == forest_to_dict(b)
+    assert forest_file(a, d) == forest_file(b, d)
     c = fit_forest(d, b=5, min_leaf=10, seed=4)
-    assert forest_to_dict(a) != forest_to_dict(c)
+    assert forest_file(a, d) != forest_file(c, d)
 
 
 def test_tree_seeds_derived_from_master():
@@ -633,8 +634,9 @@ def test_rows_on_thresholds_or_holding_nan_score_as_a_node_by_node_walk(data_see
     times = np.round(rng.exponential(1.0, n), 1) + 0.1
     events = (rng.uniform(size=n) < 0.7).astype(int)
     events[0] = 1
-    f = fit_forest(numeric_design(X, times, events), b=b, min_leaf=3, seed=data_seed)
-    doc, grid = forest_to_dict(f), f.event_grid
+    d = numeric_design(X, times, events)
+    f = fit_forest(d, b=b, min_leaf=3, seed=data_seed)
+    doc, grid = forest_file(f, d), f.event_grid
     for tree, tree_doc in zip(f.trees, doc["trees"]):
         nodes = tree.nodes
         # each cell a threshold of a split on its column, or a training value
@@ -650,7 +652,7 @@ def test_rows_on_thresholds_or_holding_nan_score_as_a_node_by_node_walk(data_see
             span = slice(ends[leaf], ends[leaf + 1])
             want.append(knot_sum(grid.size, nodes.knots[span], nodes.events[span],
                                  nodes.at_risk[span]))
-        one_tree = forest_from_dict({**doc, "trees": [tree_doc]})
+        one_tree = load_forest({**doc, "trees": [tree_doc]})
         design = numeric_design(np.zeros((rows.shape[0], 3)), np.ones(rows.shape[0]),
                                 np.ones(rows.shape[0], dtype=int))
         design.X[:] = rows  # a cohort refuses NaN; scoring takes it
@@ -734,8 +736,8 @@ def test_forest_learns_planted_signal():
 def test_serialization_round_trip_including_json():
     d = bigger_design(seed=7, n=80)
     f = fit_forest(d, b=3, min_leaf=15, seed=8)
-    doc = json.loads(json.dumps(forest_to_dict(f)))
-    back = forest_from_dict(doc)
+    doc = json.loads(json.dumps(forest_file(f, d)))
+    back = load_forest(doc)
     np.testing.assert_allclose(rsf_risk(back, d), rsf_risk(f, d), rtol=1e-15)
     assert back.mtry == f.mtry and back.min_leaf == f.min_leaf
 
@@ -743,10 +745,10 @@ def test_serialization_round_trip_including_json():
 def test_reloaded_forest_rebuilds_inbag():
     d = bigger_design(seed=7, n=80)
     f = fit_forest(d, b=3, min_leaf=15, seed=8)
-    doc = json.loads(json.dumps(forest_to_dict(f)))
+    doc = json.loads(json.dumps(forest_file(f, d)))
     assert doc["n"] == d.n
     assert all("inbag" not in t for t in doc["trees"])
-    back = forest_from_dict(doc)
+    back = load_forest(doc)
     for fitted, reloaded in zip(f.trees, back.trees, strict=True):
         np.testing.assert_array_equal(reloaded.inbag, fitted.inbag)
 
@@ -783,7 +785,7 @@ def test_leaf_mortalities_equal_the_summed_curve(data_seed, n_leaves, grid_draws
         knots = np.flatnonzero(rng.uniform(size=grid.size) < density)
         leaves.append((knots, *falling_counts(rng, knots.size, 12)))
     tree = comb_tree(leaves)
-    forest = forest_from_dict(forest_doc([tree], grid))
+    forest = load_forest(forest_doc([tree], grid))
     d = numeric_design(np.arange(len(leaves), dtype=float)[:, None], np.ones(len(leaves)),
                        np.ones(len(leaves), dtype=int))
     got = rsf_risk(forest, d)  # one tree: a row's score is its leaf's
@@ -807,9 +809,9 @@ def test_forest_file_round_trip_scores_identically(data_seed, n, b, min_leaf):
     events[0] = 1
     d = numeric_design(X, times, events)
     f = fit_forest(d, b=b, min_leaf=min_leaf, seed=data_seed)
-    doc = forest_to_dict(f)
-    back = forest_from_dict(json.loads(json.dumps(doc)))
-    assert forest_to_dict(back) == doc
+    doc = forest_file(f, d)
+    back = load_forest(json.loads(json.dumps(doc)))
+    assert forest_file(back, d) == doc
     np.testing.assert_array_equal(rsf_risk(back, d), rsf_risk(f, d))
     for x in X[:4]:
         fitted, reloaded = predict_chf(f, x), predict_chf(back, x)
@@ -850,8 +852,8 @@ def set_node(i, **fields):
 @functools.cache
 def small_forest_file() -> str:
     """A three-tree forest file, fitted once, for the tests to edit."""
-    f = fit_forest(bigger_design(seed=7, n=80), b=3, min_leaf=15, seed=8)
-    return json.dumps(forest_to_dict(f))
+    d = bigger_design(seed=7, n=80)
+    return json.dumps(forest_file(fit_forest(d, b=3, min_leaf=15, seed=8), d))
 
 
 @pytest.mark.parametrize(
@@ -898,13 +900,13 @@ def small_forest_file() -> str:
         (set_node(0, offsets=1), "offsets"),
         (lambda doc: doc.update(trees=[]), "at least one tree"),
         (lambda doc: doc.update(n=-3), "n must be an integer >= 1"),
-        (lambda doc: doc.update(n=80.5), "n must be an integer >= 1"),
+        (lambda doc: doc.update(n=80.5), "n must be a JSON integer"),
         (lambda doc: doc.update(mtry=-5), "mtry must be >= 1"),
-        (lambda doc: doc.update(mtry=1.5), "mtry must be a whole number"),
+        (lambda doc: doc.update(mtry=1.5), "mtry must be a JSON integer"),
         (lambda doc: doc.update(min_leaf=0), "min_leaf must be >= 1"),
-        (lambda doc: doc.update(min_leaf=None), "min_leaf must be a whole number"),
+        (lambda doc: doc.update(min_leaf=None), "min_leaf must be a JSON integer"),
         (lambda doc: doc.update(max_depth=-1), "max_depth must be null or >= 0"),
-        (lambda doc: doc.update(max_depth="deep"), "max_depth must be a whole number"),
+        (lambda doc: doc.update(max_depth="deep"), "max_depth must be a JSON number or null"),
     ],
     ids=["curve-leaves", "repeated-knot", "decreasing-knots", "negative-knot",
          "knot-past-grid", "no-events", "events-above-at-risk", "at-risk-past-n",
@@ -927,7 +929,7 @@ def test_load_refuses_bad_leaves(edit, text):
         if last:
             doc["trees"] = doc["trees"][1:] + doc["trees"][:1]
         with pytest.raises(ValueError, match=text):
-            forest_from_dict(doc)
+            load_forest(doc)
 
 
 NODE_FIELDS = ("column", "threshold", "left", "offsets")
@@ -1000,7 +1002,7 @@ def test_load_refuses_a_mangled_field(key, how, t, at, older):
         if older:
             mp.setattr(np, "fromstring", older_fromstring)
         with pytest.raises(ValueError, match=message):
-            forest_from_dict(doc)
+            load_forest(doc)
 
 
 def test_load_refuses_spacing_that_would_shift_numbers_between_trees():
@@ -1011,7 +1013,7 @@ def test_load_refuses_spacing_that_would_shift_numbers_between_trees():
     first["knots"] = first["knots"].replace(" ", "\t", 1)
     second["knots"] = second["knots"].replace(" ", "  ", 1)
     with pytest.raises(ValueError, match="a tree's knots must be a list of integers"):
-        forest_from_dict(doc)
+        load_forest(doc)
 
 
 def test_rejects_eventless_design():
@@ -1039,6 +1041,14 @@ def test_mtry_must_be_a_whole_number():
     whole = fit_forest(d, b=2, min_leaf=10, mtry=2.0, seed=1)
     same = fit_forest(d, b=2, min_leaf=10, mtry=2, seed=1)
     assert whole.mtry == 2
-    assert forest_to_dict(whole) == forest_to_dict(same)
+    assert forest_file(whole, d) == forest_file(same, d)
     with pytest.raises(ValueError, match="whole number"):
         fit_forest(d, b=1, mtry=1.5)
+
+
+def test_a_depth_limit_past_the_largest_float_is_no_limit():
+    # an integer too large for a float is a whole number, in a fit and a file alike
+    d = bigger_design(seed=9, n=60)
+    deep = forest_file(fit_forest(d, b=2, min_leaf=10, max_depth=10**400, seed=1), d)
+    assert deep == {**forest_file(fit_forest(d, b=2, min_leaf=10, seed=1), d), "max_depth": 10**400}
+    assert load_forest(json.loads(json.dumps(deep))).max_depth == 10**400

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from survbench.rsf import forest_from_dict, predict_chf
+from survbench.rsf import predict_chf
 from survbench.stepfun import StepFunction
 
-from conftest import forest_fields
+from conftest import forest_fields, load_forest
 
 
 def test_right_continuous_lookup():
@@ -55,7 +55,7 @@ def two_leaf_forest(trees):
 # by rsf.predict_chf over a forest's trees.
 def test_average_two_functions_by_hand():
     # f is 1.0 from t=1; g is 0.5 from t=2, and neither has the other's knot
-    forest = forest_from_dict(two_leaf_forest([([0], [1], [1]), ([1], [1], [2])]))
+    forest = load_forest(two_leaf_forest([([0], [1], [1]), ([1], [1], [2])]))
     avg = predict_chf(forest, np.zeros(1))
     assert avg.times.tolist() == [1.0, 2.0]
     np.testing.assert_array_equal(avg.values, [0.5, 0.75])
@@ -64,4 +64,4 @@ def test_average_two_functions_by_hand():
 
 def test_average_empty_list_rejected():
     with pytest.raises(ValueError, match="at least one tree"):
-        forest_from_dict(two_leaf_forest([]))
+        load_forest(two_leaf_forest([]))
