@@ -15,14 +15,17 @@ def fmt6(v: float) -> str:
     return format(float(v), ".6g")
 
 
-def json_kind(default) -> str:
-    if isinstance(default, list):
-        return f"list of {json_kind(default[0])}s"
+def json_kind(default, s: str = "") -> str:  # plural for s="s"; an object by its keys' kinds
+    if isinstance(default, (list, tuple)):
+        return f"list{s} of {json_kind(default[0], 's')}"
     if isinstance(default, dict):
-        return "object"
+        kinds = [(json_kind(v), k) for k, v in default.items()]
+        keys = [f"{'an' if kind[0] in 'aeiou' else 'a'} {kind} {k}" for kind, k in kinds]
+        words = " and ".join(filter(None, [", ".join(keys[:-1]), *keys[-1:]]))
+        return f"object{s}" + f" with {words}" * bool(words)
     if default is None:
-        return "number or null"
-    return {int: "integer", float: "number", str: "string"}[type(default)]
+        return f"number{s} or null{s}"
+    return {bool: "boolean", int: "integer", float: "number", str: "string"}[type(default)] + s
 
 
 def has_json_kind(default, value) -> bool:

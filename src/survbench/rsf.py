@@ -31,15 +31,16 @@ event-time grid) is the mean of one scalar per leaf. Scoring stacks the
 B tables on each call and descends all trees together over a (rows, B)
 matrix of node indices. A right child follows its left, so a level
 moves an entry to left + 1 unless its value is <= the threshold: a NaN
-goes right. A reached leaf's sum comes from its knots, each value times
-the grid points it holds for, and both steps work in passes of bounded
-size. It averages a row's B leaf mortalities with math.fsum, so tree
-order does not matter; `predict_chf` takes the math.fsum per knot.
+goes right; a leaf steps to itself, so a pass compacts every _STRIDE
+levels. A reached leaf's sum, each knot's value times the grid points it
+holds for, is taken by knot position over all reached leaves; math.fsum
+averages a row's B leaf mortalities, so tree order does not matter, and
+`predict_chf` takes the math.fsum per knot.
 
 A tree holds its seed and the training size n, not its bootstrap rows:
 its `inbag`, the first n draws of its seed's stream, is drawn when read.
-A forest file holds the grid and n once, each tree's seed, and each table
-field as a string of numbers; loading checks all trees at once, draws none.
+A forest file holds the grid and n once, each tree's seed, and only what its
+nodes hold as strings of numbers; loading rebuilds and checks all trees at once.
 
 Per-tree randomness comes from a child seed mixed out of (master seed,
 tree index), so any tree is reproducible in isolation. Within a node the
@@ -75,8 +76,8 @@ from .stepfun import StepFunction
 
 _MAX_THRESHOLDS = 32
 _CELLS = 1 << 14  # size-class rows times drawn columns per batch of the split search
-_PASS_CELLS = 1 << 15  # (row, tree) pairs a pass of the descent takes, and leaves times
-# their most knots a pass of the leaf sums takes
+_PASS_CELLS = 1 << 15  # (row, tree) pairs a pass of the descent takes
+_STRIDE = 4  # levels the descent steps between compactions (3 to 8 took about as long)
 _NO_ROWS = np.zeros(0, dtype=np.int64)
 _SHARD_ROWS = 1 << 14  # bootstrap rows (trees times n) a shard takes at least: on 2 CPUs,
 # fewer made the fork, the pipe and the child's wait for an idle CPU cost more than they saved
@@ -99,6 +100,7 @@ class NodeTable(NamedTuple):
     at_risk: np.ndarray
 
 
+FILE_FIELDS = ("column", "threshold", "left", "knot_counts", "knot_steps", "events", "censored")
 Node = namedtuple("Node", "column threshold is_leaf")  # a read-only view of one node
 
 
@@ -362,28 +364,28 @@ def _check_settings(mtry, min_leaf, max_depth) -> None:
 
 
 def _descend(trees: list[SurvivalTree], X: np.ndarray) -> tuple[NodeTable, np.ndarray]:
-    """The trees' tables stacked into one, split children and offsets
-    shifted into it, and the node each row of X reaches in each tree, as a
-    (rows, B) matrix. Each level of a pass moves every entry of the pass
-    not yet at a leaf to left + 1 unless X[row, column] <= threshold, so a
-    NaN goes right."""
+    """The trees' tables stacked into one, knot offsets shifted into it, and the
+    (rows, B) matrix of the node each row of X reaches in each tree. A level moves
+    an entry to left + 1 unless X[row, column] <= threshold (a NaN goes right), and
+    a leaf to itself (column 0, threshold NaN, left its index - 1): see _STRIDE."""
     sizes = [tree.nodes.column.size for tree in trees]
     roots = np.cumsum([0, *sizes[:-1]])
     first_knot = np.repeat(np.cumsum([0, *(tree.nodes.knots.size for tree in trees[:-1])]), sizes)
     nodes = NodeTable(*map(np.concatenate, zip(*(tree.nodes for tree in trees))))
-    shift = np.where(nodes.column >= 0, np.repeat(roots, sizes), 0)  # leaves keep their -1
-    nodes = nodes._replace(left=nodes.left + shift, offsets=nodes.offsets + first_knot)
-    column, threshold, left = nodes.column, nodes.threshold, nodes.left
+    nodes, split = nodes._replace(offsets=nodes.offsets + first_knot), nodes.column >= 0
+    column, threshold = np.where(split, nodes.column, 0), np.where(split, nodes.threshold, np.nan)
+    left = np.where(split, nodes.left + np.repeat(roots, sizes), np.arange(split.size) - 1)
     x = np.ascontiguousarray(X, dtype=np.float64).ravel()
     at = np.tile(roots, X.shape[0])
     for lo in range(0, at.size, _PASS_CELLS):
-        live = lo + np.flatnonzero(column[at[lo:lo + _PASS_CELLS]] >= 0)
-        base = live // roots.size * X.shape[1]
+        live = lo + np.flatnonzero(split[at[lo:lo + _PASS_CELLS]])
+        base, node = live // roots.size * X.shape[1], at[live]
         while live.size:
-            node = at[live]
-            at[live] = node = left[node] + ~(x[base + column[node]] <= threshold[node])
-            keep = np.flatnonzero(column[node] >= 0)
-            live, base = live[keep], base[keep]
+            for _ in range(_STRIDE):
+                node = left[node] + ~(x[base + column[node]] <= threshold[node])
+            at[live] = node
+            keep = np.flatnonzero(split[node])
+            live, base, node = live[keep], base[keep], node[keep]
     return nodes, at.reshape(X.shape[0], roots.size)
 
 
@@ -408,19 +410,20 @@ def _mortality(forest: Forest, X: np.ndarray) -> np.ndarray:
     """Ensemble mortality of each row of X: the math.fsum of its B leaf
     mortalities over B. A leaf's mortality, its curve summed over the event
     grid, is a running sum in knot order of each value times the grid points
-    it holds for, so padding adds +0.0 and no leaf's sum depends on its pass.
-    Only reached leaves are summed, in passes of at most _PASS_CELLS cells."""
+    it holds for; taken most knots first, the reached leaves with a knot j
+    are a prefix, and knot j adds to two running vectors for them all."""
     nodes, at = _descend(forest.trees, X)
     sizes = np.diff(nodes.offsets, append=nodes.knots.size)
     reached = np.flatnonzero(np.bincount(at.ravel(), minlength=nodes.column.size))
-    reached = reached[np.argsort(sizes[reached], kind="stable")]  # a pass pads to its widest
-    mortality = np.zeros(nodes.column.size)
-    step = max(1, _PASS_CELLS // (1 + sizes.max()))
-    for lo in range(0, reached.size, step):
-        leaves = reached[lo:lo + step]
-        hazard, first = _leaf_hazards(nodes, leaves, forest.event_grid.size)
-        hazard *= np.diff(first, axis=1, append=forest.event_grid.size)  # grid points held
-        mortality[leaves] = np.add.accumulate(hazard, axis=1)[:, -1]
+    reached = reached[np.argsort(-sizes[reached], kind="stable")]
+    count, first = sizes[reached], nodes.offsets[reached]
+    knots = np.append(nodes.knots, forest.event_grid.size)  # the grid's end after the last
+    hazard, mortality = np.zeros(reached.size), np.zeros(nodes.column.size)
+    for j, r in enumerate(np.searchsorted(-count, -np.arange(count.max(initial=0)))):
+        k = first[:r] + j  # the leaves with a knot j, and that knot
+        hazard[:r] += nodes.events[k] / nodes.at_risk[k]
+        end = np.where(j + 1 < count[:r], knots[k + 1], forest.event_grid.size)
+        mortality[reached[:r]] += hazard[:r] * (end - knots[k])  # times the grid points held
     leaf = mortality[at]  # fsum reads a row through a memoryview, not a list
     return np.array([math.fsum(memoryview(row)) / at.shape[1] for row in leaf])
 
@@ -468,54 +471,68 @@ def _flat(trees: list, key: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def tree_to_dict(tree: SurvivalTree) -> dict:
-    """A tree as a forest file holds it: its seed, then each table field as
-    one string of its numbers one space apart."""
+    """A tree as a forest file holds it: its seed, then each of FILE_FIELDS as one
+    string of numbers one space apart; a knot holds its step from the leaf's last
+    (the first from 0), its events, and the rows censored from it to the next."""
+    t, split = tree.nodes, tree.nodes.column >= 0
+    sizes = np.diff(t.offsets, append=t.knots.size)
+    start = np.isin(np.arange(t.knots.size + 1), np.append(t.offsets, t.knots.size))  # leaf starts
+    fields = (t.column, t.threshold[split], t.left[split], sizes[~split],
+              np.where(start[:-1], t.knots, np.diff(t.knots, prepend=0)), t.events,
+              t.at_risk - t.events - np.where(start[1:], 0, np.append(t.at_risk[1:], 0)))
     return {"seed": tree.seed, **{k: json.dumps(v.tolist(), separators=(" ", ":"))[1:-1]
-                                  for k, v in tree.nodes._asdict().items()}}  # no brackets
+                                  for k, v in zip(FILE_FIELDS, fields)}}  # no brackets
 
 
 def trees_from_dict(f: dict) -> list[SurvivalTree]:
-    """The trees of forest file fields `f`, their tables checked at once on
-    their fields joined: split columns in [0, p), finite thresholds, each
-    node but a root the child of one split before it in its tree, no knots
-    at splits, knots rising in a leaf and in the grid, 1 <= events <=
-    at_risk <= n, at_risk falling at least by events."""
+    """The trees of forest file fields `f`, their tables rebuilt and checked at once on
+    their fields joined: split columns in [0, p), finite thresholds, a threshold and left
+    child per split and a knot count per leaf, each node but a root the child of one split
+    before it, knots rising in the grid, 1 <= events, 0 <= censored, at_risk <= n."""
     trees, grid_size, p, n = f["trees"], len(f["event_grid"]), len(f["column_names"]), f["n"]
     if n < 1:
         raise ValueError("the training size n must be an integer >= 1")
     if not trees:
         raise ValueError("a forest needs at least one tree")
-    if any("root" in tree for tree in trees):
-        raise ValueError("the forest's trees are nested, an older file format; refit the model")
-    fields, lengths = zip(*(_flat(trees, key) for key in NodeTable._fields))
-    column, threshold, left, offsets, knots, events, at_risk = fields
-    m, k = lengths[0], lengths[4]
-    if not (np.all(m >= 1) and all(np.array_equal(size, m) for size in lengths[1:4])):
-        raise ValueError("a tree's node lists must be nonempty and of one length")
-    if not (np.array_equal(lengths[5], k) and np.array_equal(lengths[6], k)):
-        raise ValueError("a tree's knots, events and at_risk differ in length")
+    for key, what in ("root", "the forest's trees are nested"), ("offsets", "a tree has offsets"):
+        if any(key in tree for tree in trees):
+            raise ValueError(f"{what}, an older file format; refit the model")
+    fields, lengths = zip(*(_flat(trees, key) for key in FILE_FIELDS))
+    column, threshold, left, counts, steps, events, censored = fields
     if not (np.all((column >= -1) & (column < p)) and np.all(np.isfinite(threshold))):
         raise ValueError(f"split columns must be in [0, {p}) and thresholds finite")
-    root, split = np.repeat(np.cumsum(m) - m, m), column != -1  # each node's tree's root
+    m, split = lengths[0], column != -1
+    splits = np.bincount(np.repeat(np.arange(m.size), m)[split], minlength=m.size)
+    if not (np.all(m >= 1) and np.array_equal(lengths[1:4], [splits, splits, m - splits])):
+        raise ValueError("a tree's node lists must be nonempty, with a threshold and left child "
+                         "per split and a knot count per leaf")
+    k = np.diff(np.append(0, np.cumsum(np.clip(counts, 0, grid_size)))[np.cumsum(m - splits)],
+                prepend=0)  # each tree's knots
+    if not (np.all((counts >= 0) & (counts <= grid_size)) and np.array_equal(lengths[4:], [k] * 3)):
+        raise ValueError(f"knot counts must be in [0, {grid_size}] and add up to the length of "
+                         "a tree's knot_steps, events and censored")
+    root = np.repeat(np.cumsum(m) - m, m)  # each node's tree's root
     node = np.arange(column.size) - root
-    first = left[split] + root[split]  # each split's left child in the joined tables
-    if not (np.all(np.where(split, (node < left) & (left < np.repeat(m, m) - 1), left == -1))
+    first = left + root[split]  # each split's left child in the joined tables
+    if not (np.all((node[split] < left) & (left < np.repeat(m, m)[split] - 1))
             and np.array_equal(np.bincount(np.concatenate([first, first + 1]),
                                            minlength=column.size), node > 0)):
         raise ValueError("each node but the root must be the child of one split before it")
-    start = offsets + np.repeat(np.cumsum(k) - k, m)
-    sizes = np.diff(start, append=knots.size)
-    if not (np.all(offsets[node == 0] == 0) and np.all(sizes >= 0) and np.all(sizes[split] == 0)):
-        raise ValueError("leaf offsets must not decrease from 0, and splits hold no knots")
-    same = np.diff(np.repeat(np.arange(column.size), sizes)) == 0  # knot j + 1 in knot j's leaf
-    if not (np.all((knots >= 0) & (knots < grid_size)) and np.all((np.diff(knots) > 0) | ~same)):
+    ends = np.cumsum(counts)
+    starts = np.repeat(ends - counts, counts)  # each knot's leaf's first knot
+    knots = np.cumsum(np.clip(steps, 0, grid_size))  # no wrap
+    knots -= np.append(0, knots)[starts]
+    if not np.all((steps >= (np.arange(steps.size) != starts)) & (knots < grid_size)):
         raise ValueError("leaf knots must be increasing indices into the event grid")
-    if not np.all((events >= 1) & (events <= at_risk)):
-        raise ValueError("leaf counts must satisfy 1 <= events <= at_risk")
-    if not (np.all(at_risk <= n) and np.all((at_risk[1:] <= (at_risk - events)[:-1]) | ~same)):
-        raise ValueError("a leaf's at_risk must be <= n and fall by at least each knot's events")
-    node_ends, knot_ends = np.cumsum(m).tolist(), np.cumsum(k).tolist()
-    return [SurvivalTree(tree["seed"], n, NodeTable(*(a[lo:hi] for a in fields[:4]),
-                                                    *(a[klo:khi] for a in fields[4:])))
-            for tree, lo, hi, klo, khi in zip(trees, [0, *node_ends], node_ends,
-                                              [0, *knot_ends], knot_ends)]
+    bound = min(n, 2**62 // max(1, steps.size))  # so no sum wraps
+    after = np.cumsum((np.clip(events, 0, bound) + np.clip(censored, 0, bound))[::-1])[::-1]
+    at_risk = after - np.append(after, 0)[np.repeat(ends, counts)]  # the sum to the leaf's end
+    if not (np.all((events >= 1) & (events <= bound) & (censored >= 0) & (censored <= bound))
+            and np.all(at_risk <= n)):
+        raise ValueError("leaf counts must satisfy 1 <= events, 0 <= censored and at_risk <= n")
+    full = np.zeros(column.size), np.full(column.size, -1), 0 * column  # threshold, left, knots
+    full[0][split], full[1][split], full[2][~split] = threshold, left, counts
+    offsets = np.cumsum(full[2]) - full[2] - np.repeat(np.cumsum(k) - k, m)  # in its tree
+    tables = zip(*(np.split(a, np.cumsum(m)[:-1]) for a in (column, *full[:2], offsets)),
+                 *(np.split(a, np.cumsum(k)[:-1]) for a in (knots, events, at_risk)))
+    return [SurvivalTree(tree["seed"], n, NodeTable(*table)) for tree, table in zip(trees, tables)]

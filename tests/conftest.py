@@ -67,6 +67,14 @@ def forest_fields(**fields) -> dict:
     return {key: " ".join(map(str, values)) for key, values in fields.items()}
 
 
+def tree_file(seed=0, **table) -> dict:
+    """A tree of a forest file whose `rsf.NodeTable` has the given lists, as
+    `rsf.tree_to_dict` writes it."""
+    nodes = rsf.NodeTable(**{key: np.array(values, dtype=float if key == "threshold" else int)
+                             for key, values in table.items()})
+    return rsf.tree_to_dict(rsf.SurvivalTree(seed, 1, nodes))
+
+
 def forest_lists(tree: dict) -> dict:
     """The fields of a tree in a forest file as lists of numbers, the
     inverse of `forest_fields`."""

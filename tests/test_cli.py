@@ -227,7 +227,8 @@ def negated(values):
 
 
 GRID_REFUSED = "malformed rsf model file: event_grid must be finite numbers of shape (g)"
-TREES_REFUSED = "malformed rsf model file: trees must be a JSON list of objects"
+TREES_REFUSED = ("malformed rsf model file: trees must be a JSON list of objects with an "
+                 "integer seed")
 SEED_REFUSED = "malformed rsf model file: seed must be a JSON integer"
 
 
@@ -291,6 +292,9 @@ SEED_REFUSED = "malformed rsf model file: seed must be a JSON integer"
         ("rsf", lambda doc: doc["trees"][0].update(seed="7"), TREES_REFUSED),
         ("rsf", lambda doc: doc["trees"][0].update(seed=True), TREES_REFUSED),
         ("rsf", lambda doc: doc.update(trees=5), TREES_REFUSED),
+        ("cox", lambda doc: doc["schema"][0].update(name=5),
+         "malformed cox model file: schema must be a JSON list of objects with a string name, "
+         "a string kind and a list of strings levels"),
     ],
     ids=["no-schema", "unknown-model", "no-beta", "no-levels", "schema-not-a-list",
          "ksvm-coefficients-cut", "mtlr-weights-one-number", "ksvm-support-rows-a-number",
@@ -301,7 +305,8 @@ SEED_REFUSED = "malformed rsf model file: seed must be a JSON integer"
          "cox-gradient-norm-nan", "cox-baseline-times-reversed", "mtlr-boundaries-reversed",
          "rsf-event-grid-item-true", "rsf-event-grid-item-string", "rsf-event-grid-item-nested",
          "rsf-event-grid-number", "rsf-event-grid-reversed", "rsf-seed-string",
-         "rsf-seed-fraction", "rsf-tree-seed-string", "rsf-tree-seed-true", "rsf-trees-number"],
+         "rsf-seed-fraction", "rsf-tree-seed-string", "rsf-tree-seed-true", "rsf-trees-number",
+         "schema-name-number"],
 )
 def test_eval_rejects_bad_model_file(tmp_path, capsys, name, edit, text):
     cohort_csv = make_cohort_csv(tmp_path)
@@ -433,9 +438,11 @@ def test_eval_refuses_a_forest_split_on_no_column(tmp_path, capsys):
     # column -1 marks a leaf; on a split it once scored the last column
     model_path, cohort_csv = fit_small_forest(tmp_path)
     doc = json.loads(model_path.read_text())
-    column = doc["trees"][0]["column"].split(" ")
-    assert int(column[0]) >= 0  # the root splits
-    doc["trees"][0].update(forest_fields(column=[-1, *column[1:]]))
+    tree = forest_lists(doc["trees"][0])
+    assert tree["column"][0] >= 0  # the root splits; make it a leaf without knots
+    doc["trees"][0].update(forest_fields(
+        column=[-1, *tree["column"][1:]], threshold=tree["threshold"][1:], left=tree["left"][1:],
+        knot_counts=[0, *tree["knot_counts"]]))
     model_path.write_text(json.dumps(doc))
     capsys.readouterr()
     rc = main(["eval", "--model-file", str(model_path), "--input", str(cohort_csv)])

@@ -36,7 +36,7 @@ from survbench.rng import CounterRng, derive_seed, uniform_at
 from survbench.stepfun import StepFunction
 
 from conftest import (forest_fields, forest_file, forest_lists, load_forest, numeric_design,
-                      shard_failing_at)
+                      shard_failing_at, tree_file)
 
 
 def naive_logrank(times, events, groups):
@@ -287,7 +287,7 @@ def test_forest_file_digest_is_pinned():
     d = golden_design()
     f = fit_forest(d, b=5, min_leaf=4, mtry=2, seed=3)
     digest = hashlib.sha256(json.dumps(forest_file(f, d)).encode()).hexdigest()
-    assert digest == "05dc49ed200f60386c9cd3d6e4e2f6ef2c439ef117e1e7a8a3c1cbc1fc187a22"
+    assert digest == "6ec8225c03e9f166f4c9f80d45a8a760f818b50626c2879f72c7140917038f48"
 
 
 def test_golden_scores_are_pinned():
@@ -430,8 +430,8 @@ def test_max_depth_zero_forces_stumps():
 
 def leaf_tree(knots, events, at_risk, seed=0):
     """A one-node tree of a forest file: a leaf whose knots index the grid."""
-    return {"seed": seed, **forest_fields(column=[-1], threshold=[0.0], left=[-1], offsets=[0],
-                                          knots=knots, events=events, at_risk=at_risk)}
+    return tree_file(seed, column=[-1], threshold=[0.0], left=[-1], offsets=[0], knots=knots,
+                     events=events, at_risk=at_risk)
 
 
 def forest_doc(trees, grid, columns=("x0",)):
@@ -509,11 +509,11 @@ def routing_forest():
     """Root splits x0 at 0.5; its left child is a leaf, its right child
     splits x1 at -1.0, so leaves sit at depths 1 and 2. Each leaf has one
     knot, with 1, 2 and 4 at risk."""
-    return load_forest(forest_doc([{"seed": 0, **forest_fields(
+    return load_forest(forest_doc([tree_file(
         column=[0, -1, 1, -1, -1], threshold=[0.5, 0.0, -1.0, 0.0, 0.0],
         left=[1, -1, 3, -1, -1], offsets=[0, 0, 1, 1, 2],
         knots=[0, 0, 0], events=[1, 1, 1], at_risk=[1, 2, 4],
-    )}], [1.0], columns=("x0", "x1")))
+    )], [1.0], columns=("x0", "x1")))
 
 
 def test_split_routing_hand_fixture():
@@ -659,17 +659,28 @@ def test_rows_on_thresholds_or_holding_nan_score_as_a_node_by_node_walk(data_see
         assert rsf_risk(one_tree, design).tolist() == want
 
 
+def depth(nodes) -> int:
+    """The most splits on a path from the root to a leaf."""
+    level = np.zeros(nodes.column.size, dtype=int)
+    for i in np.flatnonzero(nodes.column >= 0):  # a parent comes before its children
+        level[nodes.left[i]:nodes.left[i] + 2] = level[i] + 1
+    return int(level.max())
+
+
 def test_risk_does_not_depend_on_the_size_of_a_scoring_pass():
     d = bigger_design(seed=4, n=120)
     f = fit_forest(d, b=5, min_leaf=8, seed=3)
     whole = rsf_risk(f, d)
+    deepest = max(depth(tree.nodes) for tree in f.trees)
     with pytest.MonkeyPatch.context() as mp:
-        # a pass of one (row, tree) pair or one leaf; then passes of three
-        # grid lengths: of leaves times their most knots, or 3 * grid / 5
-        # rows of the 5 trees
+        # a pass of one (row, tree) pair, or of 3 * grid / 5 rows of the 5
+        # trees; each with compactions after every level, every second
+        # level, or only once every entry is at a leaf
         for cells in (1, 3 * f.event_grid.size):
-            mp.setattr(rsf, "_PASS_CELLS", cells)
-            np.testing.assert_array_equal(rsf_risk(f, d), whole)
+            for stride in (1, 2, deepest + 1):
+                mp.setattr(rsf, "_PASS_CELLS", cells)
+                mp.setattr(rsf, "_STRIDE", stride)
+                np.testing.assert_array_equal(rsf_risk(f, d), whole)
 
 
 def test_risk_is_independent_of_tree_order():
@@ -762,12 +773,11 @@ def comb_tree(leaves):
     split = (node % 2 == 0) & (node < node[-1])
     sizes = np.zeros(node.size, dtype=int)
     sizes[~split] = [len(knots) for knots, _, _ in leaves]
-    return {"seed": 0, **forest_fields(
-        column=np.where(split, 0, -1).tolist(),
-        threshold=np.where(split, node / 2 + 0.5, 0.0).tolist(),
-        left=np.where(split, node + 1, -1).tolist(), offsets=(np.cumsum(sizes) - sizes).tolist(),
-        **{key: np.concatenate([leaf[i] for leaf in leaves]).tolist()
-           for i, key in enumerate(("knots", "events", "at_risk"))})}
+    return tree_file(
+        column=np.where(split, 0, -1), threshold=np.where(split, node / 2 + 0.5, 0.0),
+        left=np.where(split, node + 1, -1), offsets=np.cumsum(sizes) - sizes,
+        **{key: np.concatenate([leaf[i] for leaf in leaves])
+           for i, key in enumerate(("knots", "events", "at_risk"))})
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 600))
@@ -819,34 +829,67 @@ def test_forest_file_round_trip_scores_identically(data_seed, n, b, min_leaf):
         np.testing.assert_array_equal(reloaded.values, fitted.values)
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(8, 50), st.integers(1, 4), st.integers(1, 6),
+       st.sampled_from([0, 1, 2, None]), st.floats(0.05, 0.9))
+@settings(max_examples=60, deadline=None)
+def test_forest_file_rebuilds_the_fitted_tables(data_seed, n, b, min_leaf, max_depth, share):
+    # the file holds only what each node holds; loading rebuilds every table
+    # field bit for bit and of the same dtype kind, for root-only trees
+    # (max_depth 0) and leaves whose rows hold no event (and so no knot)
+    rng = np.random.default_rng(data_seed)
+    X = np.round(rng.normal(size=(n, 2)), 1)
+    times = np.round(rng.exponential(1.0, n), 1) + 0.1
+    events = (rng.uniform(size=n) < share).astype(int)
+    events[0] = 1
+    d = numeric_design(X, times, events)
+    f = fit_forest(d, b=b, min_leaf=min_leaf, max_depth=max_depth, seed=data_seed)
+    back = load_forest(json.loads(json.dumps(forest_file(f, d))))
+    for fitted, reloaded in zip(f.trees, back.trees, strict=True):
+        for a, r in zip(fitted.nodes, reloaded.nodes, strict=True):
+            assert r.dtype.kind == a.dtype.kind
+            np.testing.assert_array_equal(r, a)
+    np.testing.assert_array_equal(rsf_risk(back, d), rsf_risk(f, d))
+
+
 def first_tree(doc):
     """The first tree of a forest file, its fields as lists."""
     return forest_lists(doc["trees"][0])
 
 
 def set_leaf(**fields):
-    """An edit of the first tree's first leaf: each list given replaces
-    the leaf's part of that list, and the later offsets follow its knots."""
+    """An edit of the first tree's first leaf: each list given replaces the
+    leaf's part of that knot list, and its knot count follows knot_steps."""
     def edit(doc):
         tree = first_tree(doc)
-        i = tree["column"].index(-1)
-        lo, hi = tree["offsets"][i], tree["offsets"][i + 1]
+        size = tree["knot_counts"][0]
         for key, values in fields.items():
-            tree[key][lo:hi] = values
-        tree["offsets"][i + 1:] = [o + len(fields["knots"]) - (hi - lo)
-                                   for o in tree["offsets"][i + 1:]]
+            tree[key][:size] = values
+        tree["knot_counts"][0] = len(fields["knot_steps"])
         doc["trees"][0].update(forest_fields(**tree))
     return edit
 
 
 def set_node(i, **fields):
-    """An edit of node i of the first tree, whose root splits."""
+    """An edit of node i of the first tree, whose root splits: its column,
+    or the threshold or left child it holds as a split."""
     def edit(doc):
         tree = first_tree(doc)
         for key, value in fields.items():
-            tree[key][i] = value
+            at = i if key == "column" else sum(c >= 0 for c in tree["column"][:i])
+            tree[key][at] = value
         doc["trees"][0].update(forest_fields(**tree))
     return edit
+
+
+def set_field(key, change):
+    """An edit of the first tree's list `key` by change(list, doc)."""
+    def edit(doc):
+        doc["trees"][0].update(forest_fields(**{key: change(first_tree(doc)[key], doc)}))
+    return edit
+
+
+KNOTS = "add up to the length of a tree's knot_steps, events and censored"
+COUNTS = "leaf counts must satisfy 1 <= events, 0 <= censored and at_risk <= n"
 
 
 @functools.cache
@@ -861,24 +904,34 @@ def small_forest_file() -> str:
     [
         (lambda doc: doc["trees"][1].update(root={"chf_times": [1.0], "chf_values": [0.5]}),
          "refit the model"),
-        (set_leaf(knots=[1, 1], events=[1, 1], at_risk=[5, 4]), "increasing indices"),
-        (set_leaf(knots=[2, 1], events=[1, 1], at_risk=[5, 4]), "increasing indices"),
-        (set_leaf(knots=[-1], events=[1], at_risk=[5]), "increasing indices"),
-        (lambda doc: set_leaf(knots=[len(doc["event_grid"])], events=[1], at_risk=[5])(doc),
+        (set_leaf(knot_steps=[1, 0], events=[1, 1], censored=[0, 3]), "increasing indices"),
+        (set_leaf(knot_steps=[2, -1], events=[1, 1], censored=[0, 3]), "increasing indices"),
+        (set_leaf(knot_steps=[-1], events=[1], censored=[4]), "increasing indices"),
+        (lambda doc: set_leaf(knot_steps=[len(doc["event_grid"])], events=[1],
+                              censored=[4])(doc), "increasing indices"),
+        (lambda doc: set_leaf(knot_steps=[len(doc["event_grid"]) - 1, 1], events=[1, 1],
+                              censored=[0, 3])(doc), "increasing indices"),
+        (set_leaf(knot_steps=[1, 99999999999999999999], events=[1, 1], censored=[0, 3]),
          "increasing indices"),
-        (set_leaf(knots=[0], events=[0], at_risk=[5]), "1 <= events <= at_risk"),
-        (set_leaf(knots=[0], events=[6], at_risk=[5]), "1 <= events <= at_risk"),
-        (lambda doc: set_leaf(knots=[0], events=[1], at_risk=[doc["n"] + 1])(doc),
-         "at_risk must be <= n"),
-        (set_leaf(knots=[0], events=[1], at_risk=[10**20]), "at_risk must be <= n"),
-        (set_leaf(knots=[0, 1], events=[2, 1], at_risk=[5, 4]), "fall by at least each knot's"),
-        (set_leaf(knots=[0, 1], events=[1], at_risk=[5, 4]), "differ in length"),
-        (set_leaf(knots=[0], events=[1.5], at_risk=[5]), "integers"),
-        (set_leaf(knots=[[0]], events=[1], at_risk=[5]), "integers"),
+        (set_leaf(knot_steps=[0], events=[0], censored=[5]), COUNTS),
+        (set_leaf(knot_steps=[0], events=[6], censored=[-1]), COUNTS),
+        (lambda doc: set_leaf(knot_steps=[0], events=[1], censored=[doc["n"]])(doc),
+         COUNTS),
+        (lambda doc: set_leaf(knot_steps=[0, 1], events=[doc["n"], 1], censored=[0, 0])(doc),
+         COUNTS),
+        (set_leaf(knot_steps=[0], events=[1], censored=[99999999999999999999]),
+         COUNTS),
+        (set_leaf(knot_steps=[0], events=[99999999999999999999], censored=[1]),
+         COUNTS),
+        (set_leaf(knot_steps=[0, 1], events=[1, 1], censored=[-1, 3]), COUNTS),
+        (set_leaf(knot_steps=[0, 1], events=[1], censored=[3, 1]), KNOTS),
+        (set_leaf(knot_steps=[0, 1], events=[1, 1], censored=[3]), KNOTS),
+        (set_leaf(knot_steps=[0], events=[1.5], censored=[5]), "integers"),
+        (set_leaf(knot_steps=[[0]], events=[1], censored=[5]), "integers"),
         (lambda doc: doc.update(event_grid=doc["event_grid"][::-1]), "strictly increasing"),
         (lambda doc: doc["trees"][0].update(root={"knots": [0], "events": [1], "at_risk": [1]}),
          "nested, an older file format; refit the model"),
-        (set_node(0, column=-1), "child of one split"),
+        (set_node(0, column=-1), "node lists"),
         (set_node(0, column=-2), r"split columns must be in \[0, 3\)"),
         (set_node(0, column=99), r"split columns must be in \[0, 3\)"),
         (set_node(0, threshold=math.inf), "thresholds finite"),
@@ -888,16 +941,21 @@ def small_forest_file() -> str:
         (set_node(0, left=10**20), "child of one split"),
         (lambda doc: set_node(0, left=len(first_tree(doc)["column"]) - 1)(doc),
          "child of one split"),
-        (lambda doc: set_node(first_tree(doc)["column"].index(-1), left=2)(doc),
-         "child of one split"),
+        (set_field("left", lambda left, doc: [*left, 2]), "node lists"),
         (lambda doc: doc["trees"][0].update(
             forest_fields(threshold=first_tree(doc)["threshold"][:-1])), "node lists"),
         (lambda doc: doc["trees"][0].update({key: "" for key in doc["trees"][0] if key != "seed"}),
          "node lists"),
         (lambda doc: doc["trees"][0].update(first_tree(doc)),
          "a tree's column is a list, an older file format; refit the model"),
-        (set_node(1, offsets=1), "splits hold no knots"),
-        (set_node(0, offsets=1), "offsets"),
+        (set_field("knot_counts", lambda counts, doc: [0, *counts]), "node lists"),
+        (set_field("knot_counts", lambda counts, doc: [-1, *counts[1:]]), KNOTS),
+        (set_field("knot_counts", lambda counts, doc: [len(doc["event_grid"]) + 1, *counts[1:]]),
+         KNOTS),
+        (set_field("knot_counts", lambda counts, doc: [99999999999999999999, *counts[1:]]),
+         KNOTS),
+        (lambda doc: doc["trees"][0].update(offsets=doc["trees"][0].pop("knot_counts")),
+         "a tree has offsets, an older file format; refit the model"),
         (lambda doc: doc.update(trees=[]), "at least one tree"),
         (lambda doc: doc.update(n=-3), "n must be an integer >= 1"),
         (lambda doc: doc.update(n=80.5), "n must be a JSON integer"),
@@ -909,14 +967,17 @@ def small_forest_file() -> str:
         (lambda doc: doc.update(max_depth="deep"), "max_depth must be a JSON number or null"),
     ],
     ids=["curve-leaves", "repeated-knot", "decreasing-knots", "negative-knot",
-         "knot-past-grid", "no-events", "events-above-at-risk", "at-risk-past-n",
-         "at-risk-oversized", "at-risk-not-falling", "length-mismatch",
-         "fractional-count", "nested-knot", "grid-decreasing", "nested-tree",
+         "knot-past-grid", "knot-steps-past-grid", "knot-step-oversized", "no-events",
+         "events-above-at-risk", "at-risk-past-n", "at-risk-past-n-summed",
+         "at-risk-oversized", "events-oversized", "at-risk-not-falling", "length-mismatch",
+         "censored-length-mismatch", "fractional-count", "nested-knot", "grid-decreasing",
+         "nested-tree",
          "split-column-minus-one", "split-column-negative", "split-column-past-p",
          "threshold-infinite", "threshold-string", "child-before-parent", "child-twice",
          "child-past-the-end", "child-one-past-the-end",
          "leaf-with-child", "node-lists-differ", "no-nodes", "list-format",
-         "knots-at-a-split", "offsets-not-from-zero", "no-trees", "n-negative", "n-fraction",
+         "knots-at-a-split", "knot-count-negative", "knot-count-past-grid",
+         "knot-count-oversized", "offsets-format", "no-trees", "n-negative", "n-fraction",
          "mtry-negative", "mtry-fraction", "min-leaf-zero", "min-leaf-null", "max-depth-negative",
          "max-depth-string"],
 )
@@ -932,10 +993,10 @@ def test_load_refuses_bad_leaves(edit, text):
             load_forest(doc)
 
 
-NODE_FIELDS = ("column", "threshold", "left", "offsets")
+NODE_FIELDS = ("column", "threshold", "left", "knot_counts")
 OVERSIZED = {"column": "split columns must be in", "left": "child of one split",
-             "offsets": "leaf offsets must not decrease", "knots": "increasing indices",
-             "events": "1 <= events <= at_risk", "at_risk": "at_risk must be <= n"}
+             "knot_counts": KNOTS, "knot_steps": "increasing indices",
+             "events": COUNTS, "censored": COUNTS}
 
 
 def mangle(key, how, tokens, i):
@@ -944,7 +1005,7 @@ def mangle(key, how, tokens, i):
     parse = rf"a tree's {key} must be a list of (numbers|integers)$"
     if how == "drop":
         return " ".join(tokens[:i] + tokens[i + 1:]), (
-            "node lists" if key in NODE_FIELDS else "differ in length")
+            "node lists" if key in NODE_FIELDS else KNOTS)
     if how in ("  ", "\n"):
         return " ".join(tokens[:i + 1]) + how + " ".join(tokens[i + 1:]), parse
     if how in ("leading", "trailing"):
@@ -977,13 +1038,15 @@ def older_fromstring(text, dtype, sep):
             good.append(token)
 
 
-@given(st.sampled_from(rsf.NodeTable._fields),
+@given(st.sampled_from(rsf.FILE_FIELDS),
        st.sampled_from(["drop", "  ", "\n", "leading", "trailing", "x", "-", "1.5", "nan",
                         "1e999", "99999999999999999999"]),
        st.integers(0, 2), st.integers(-1, 10**6), st.booleans())
-@example("knots", "-", 2, -1, False)  # the last token of the last tree
+@example("knot_steps", "-", 2, -1, False)  # the last token of the last tree
 @example("events", "1.5", 2, -1, True)
-@example("at_risk", "99999999999999999999", 0, 0, False)
+@example("censored", "99999999999999999999", 0, 0, False)
+@example("knot_steps", "99999999999999999999", 1, 3, False)
+@example("knot_counts", "99999999999999999999", 0, 0, True)
 @settings(max_examples=300, deadline=None)
 def test_load_refuses_a_mangled_field(key, how, t, at, older):
     # each field of each tree is refused with its own message after any one
@@ -1010,9 +1073,9 @@ def test_load_refuses_spacing_that_would_shift_numbers_between_trees():
     # the count of numbers NumPy parses, but not each tree's
     doc = json.loads(small_forest_file())
     first, second = doc["trees"][0], doc["trees"][1]
-    first["knots"] = first["knots"].replace(" ", "\t", 1)
-    second["knots"] = second["knots"].replace(" ", "  ", 1)
-    with pytest.raises(ValueError, match="a tree's knots must be a list of integers"):
+    first["knot_steps"] = first["knot_steps"].replace(" ", "\t", 1)
+    second["knot_steps"] = second["knot_steps"].replace(" ", "  ", 1)
+    with pytest.raises(ValueError, match="a tree's knot_steps must be a list of integers"):
         load_forest(doc)
 
 

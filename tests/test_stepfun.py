@@ -4,7 +4,7 @@ import pytest
 from survbench.rsf import predict_chf
 from survbench.stepfun import StepFunction
 
-from conftest import forest_fields, load_forest
+from conftest import load_forest, tree_file
 
 
 def test_right_continuous_lookup():
@@ -45,9 +45,8 @@ def two_leaf_forest(trees):
     leaf's (knots, events, at_risk), knots indexing the grid."""
     return {"model": "rsf", "column_names": ["x0"], "mtry": 1, "min_leaf": 1,
             "max_depth": None, "seed": 0, "event_grid": [1.0, 2.0], "n": 2,
-            "trees": [{"seed": seed, **forest_fields(column=[-1], threshold=[0.0], left=[-1],
-                                                     offsets=[0], knots=knots, events=events,
-                                                     at_risk=at_risk)}
+            "trees": [tree_file(seed, column=[-1], threshold=[0.0], left=[-1], offsets=[0],
+                                knots=knots, events=events, at_risk=at_risk)
                       for seed, (knots, events, at_risk) in enumerate(trees)]}
 
 
