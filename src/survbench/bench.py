@@ -43,7 +43,8 @@ class ModelSpec:
     holds the `file_fields` rows (key, kind, shape, read) in order: a kind is
     an example value, and a shape is in the file's sizes (p = len(column_names),
     other letters bound by the first field with them) or per-layer lengths from
-    the fields before. `build` makes the model from the checked fields."""
+    the fields before; a read takes the model and its design's raw rows. `build`
+    makes the model from the checked fields and standardization `means`/`sds`."""
 
     standardize: bool
     defaults: dict
@@ -81,8 +82,8 @@ def _mlp_layers(f: dict) -> list[tuple[int, int]]:
     return list(zip(widths[:-1], widths[1:]))
 
 
-_NAMES = ("column_names", [""], None, lambda m: m.column_names)
-_CONVERGENCE = ("convergence", Convergence(True, 0, 0.0), None, lambda m: asdict(m.convergence))
+_NAMES = ("column_names", [""], None, lambda m, _: m.column_names)
+_CONVERGENCE = ("convergence", Convergence(True, 0, 0.0), None, lambda m, _: asdict(m.convergence))
 
 # in report order; a model's position also derives its seed in a bench run
 MODELS: dict[str, ModelSpec] = {
@@ -93,9 +94,9 @@ MODELS: dict[str, ModelSpec] = {
         risk=lambda model, design: cox.predict_risk(model, design),
         file_fields=(
             _NAMES,
-            ("beta", 0.0, ("p",), lambda m: m.beta.tolist()),
-            ("baseline_times", 0.0, ("m",), lambda m: m.baseline_cum_hazard.times.tolist()),
-            ("baseline_values", 0.0, ("m",), lambda m: m.baseline_cum_hazard.values.tolist()),
+            ("beta", 0.0, ("p",), lambda m, _: m.beta.tolist()),
+            ("baseline_times", 0.0, ("m",), lambda m, _: m.baseline_cum_hazard.times.tolist()),
+            ("baseline_values", 0.0, ("m",), lambda m, _: m.baseline_cum_hazard.values.tolist()),
             _CONVERGENCE,
         ),
         build=lambda f: cox.CoxModel(
@@ -109,10 +110,10 @@ MODELS: dict[str, ModelSpec] = {
         risk=lambda model, design: mtlr.mtlr_risk(model, design),
         file_fields=(
             _NAMES,
-            ("boundaries", 0.0, ("k",), lambda m: m.grid.boundaries.tolist()),
-            ("weights", 0.0, ("k", "p"), lambda m: m.weights.tolist()),
-            ("biases", 0.0, ("k",), lambda m: m.biases.tolist()),
-            ("l2", 0.0, (), lambda m: m.l2),
+            ("boundaries", 0.0, ("k",), lambda m, _: m.grid.boundaries.tolist()),
+            ("weights", 0.0, ("k", "p"), lambda m, _: m.weights.tolist()),
+            ("biases", 0.0, ("k",), lambda m, _: m.biases.tolist()),
+            ("l2", 0.0, (), lambda m, _: m.l2),
             _CONVERGENCE,
         ),
         build=lambda f: mtlr.MtlrModel(f["weights"], f["biases"], mtlr.TimeGrid(f["boundaries"]),
@@ -125,13 +126,13 @@ MODELS: dict[str, ModelSpec] = {
         risk=lambda model, design: rsf.rsf_risk(model, design),
         file_fields=(
             _NAMES,
-            ("mtry", 0, None, lambda m: m.mtry),
-            ("min_leaf", 0, None, lambda m: m.min_leaf),
-            ("max_depth", None, None, lambda m: m.max_depth),
-            ("seed", 0, None, lambda m: m.seed),
-            ("event_grid", 0.0, ("g",), lambda m: m.event_grid.tolist()),
-            ("n", 0, None, lambda m: m.trees[0].n),
-            ("trees", [{"seed": 0}], None, lambda m: [rsf.tree_to_dict(t) for t in m.trees]),
+            ("mtry", 0, None, lambda m, _: m.mtry),
+            ("min_leaf", 0, None, lambda m, _: m.min_leaf),
+            ("max_depth", None, None, lambda m, _: m.max_depth),
+            ("seed", 0, None, lambda m, _: m.seed),
+            ("event_grid", 0.0, ("g",), lambda m, _: m.event_grid.tolist()),
+            ("n", 0, None, lambda m, _: m.trees[0].n),
+            ("trees", [{"seed": 0}], None, lambda m, _: [rsf.tree_to_dict(t) for t in m.trees]),
         ),
         build=lambda f: rsf.Forest(rsf.trees_from_dict(f), f["mtry"], f["min_leaf"], f["max_depth"],
                                    f["seed"], f["event_grid"], f["column_names"]),
@@ -150,11 +151,11 @@ MODELS: dict[str, ModelSpec] = {
         fit=_fit_deepsurv,
         risk=lambda model, design: deepsurv.predict_log_risk(model, design),
         file_fields=(
-            ("spec", deepsurv.MlpSpec((1, 1)), None, lambda m: asdict(m.spec)),
+            ("spec", deepsurv.MlpSpec((1, 1)), None, lambda m, _: asdict(m.spec)),
             ("weights", 0.0, lambda f: [i * o for i, o in _mlp_layers(f)],
-             lambda m: [W.ravel().tolist() for W in m.weights]),  # each layer flat
+             lambda m, _: [W.ravel().tolist() for W in m.weights]),  # each layer flat
             ("biases", 0.0, lambda f: [o for _, o in _mlp_layers(f)],
-             lambda m: [b.tolist() for b in m.biases]),
+             lambda m, _: [b.tolist() for b in m.biases]),
             _NAMES,
         ),
         build=lambda f: deepsurv.DeepSurvModel(
@@ -175,14 +176,16 @@ MODELS: dict[str, ModelSpec] = {
         fit=_fit_ksvm,
         risk=lambda model, design: ksvm.ksvm_risk(model, design),
         file_fields=(
-            ("kernel", ksvm.KernelSpec(), None, lambda m: asdict(m.kernel)),
-            ("support_rows", 0.0, ("s", "p"), lambda m: m.support_rows.tolist()),
-            ("coefficients", 0.0, ("s",), lambda m: m.coefficients.tolist()),
-            ("c", 0.0, (), lambda m: m.c),
+            ("kernel", ksvm.KernelSpec(), None, lambda m, _: asdict(m.kernel)),
+            ("raw_support_rows", 0.0, ("s", "p"), lambda m, raw: raw[m.support].tolist()),
+            ("coefficients", 0.0, ("s",), lambda m, _: m.coefficients.tolist()),
+            ("c", 0.0, (), lambda m, _: m.c),
             _NAMES,
             _CONVERGENCE,
         ),
-        build=lambda f: ksvm.KsvmModel(**f),
+        build=lambda f: ksvm.KsvmModel(
+            f["kernel"], (f["raw_support_rows"] - f["means"]) / f["sds"], f["coefficients"],
+            f["c"], f["column_names"], f["convergence"]),
     ),
 }
 _SCHEMA = [{"name": "", "kind": "", "levels": [""]}]
@@ -225,10 +228,10 @@ def _field(key: str, kind, shape, value, checked: dict, sizes: dict):
     raise TypeError(f"{key} must be finite numbers of shape ({', '.join(shape)}){bound}")
 
 
-def model_to_dict(name: str, model, design: DesignMatrix) -> dict:
-    """The file of model `name` fitted on `design`: its fields, then the schema
-    and standardization that encode new rows as `design`'s were."""
-    body = {key: read(model) for key, _, _, read in MODELS[name].file_fields}
+def model_to_dict(name: str, model, design: DesignMatrix, raw: np.ndarray) -> dict:
+    """The file of model `name` fitted on `design`, `raw` being its rows unstandardized:
+    its fields, then the schema and standardization that encode new rows as `design`'s were."""
+    body = {key: read(model, raw) for key, _, _, read in MODELS[name].file_fields}
     return {"model": name, **body, "schema": [asdict(c) for c in design.schema.columns],
             "standardization": {"means": None if design.means is None else design.means.tolist(),
                                 "sds": None if design.sds is None else design.sds.tolist()}}
@@ -236,10 +239,10 @@ def model_to_dict(name: str, model, design: DesignMatrix) -> dict:
 
 def model_from_dict(doc, path: str):
     """(name, model, template) from the model file read from `path`; the
-    template has no rows, as `encode_like` reads only its schema and affine
-    map. A standardized model needs p finite means and sds >= 1e-12, as
-    `encode` allows; the forest's are null. Extra keys are ignored, and a
-    malformed file is one ValueError naming `path`, the model and the field."""
+    template has no rows, as `encode_like` reads only its schema and affine map.
+    A standardized model needs p finite means and sds >= 1e-12, as `encode`
+    allows, checked before `build` reads them; the forest's are null. Extra keys
+    are ignored; a malformed file is one ValueError naming `path`, the model and the field."""
     name = doc.get("model") if isinstance(doc, dict) else None
     if name not in MODELS:
         raise ValueError(f"{path}: unknown model {name!r}")
@@ -249,9 +252,10 @@ def model_from_dict(doc, path: str):
     try:  # the checks name the field; the model is named here
         names = _field(*_NAMES[:3], doc["column_names"], {}, {})
         checked, sizes = {"column_names": names}, {"p": (len(names), "column_names")}
+        if name == "ksvm" and "support_rows" in doc:  # rows standardized, not raw
+            raise TypeError("support_rows is an older file format; refit the model")
         for key, kind, shape, _ in spec.file_fields:
             checked[key] = _field(key, kind, shape, doc[key], checked, sizes)
-        model = spec.build(checked)
         columns = _field("schema", _SCHEMA, None, doc["schema"], {}, {})
         schema = CovariateSchema(tuple(Column(c["name"], c["kind"], tuple(c["levels"]))
                                        for c in columns))
@@ -264,6 +268,7 @@ def model_from_dict(doc, path: str):
                 raise TypeError("standardization sds must be at least 1e-12")
         elif std["means"] is not None or std["sds"] is not None:
             raise TypeError("standardization means and sds must be null: trees split raw values")
+        model = spec.build({**checked, "means": means, "sds": sds})
     except KeyError as exc:
         raise ValueError(f"{path}: no {exc} in the {name} model file") from None
     except (TypeError, ValueError, AttributeError, IndexError, OverflowError) as exc:

@@ -28,7 +28,7 @@ from .bench import (
     write_text_atomic,
 )
 from .common import fmt6
-from .data import cohort_table, encode_like, ingest_csv
+from .data import cohort_table, encode, encode_like, ingest_csv
 from .datagen import (
     GeneratorConfig,
     HazardSpec,
@@ -97,11 +97,11 @@ def _cmd_datagen(args) -> int:
 
 def _cmd_fit(args) -> int:
     config = bench_config_from_dict({**_load_config(args.config), "input": {"csv": args.input}})
-    model, design = fit_model(args.model, ingest_csv(args.input),
-                              config.model_options.get(args.model, {}),
+    cohort = ingest_csv(args.input)
+    model, design = fit_model(args.model, cohort, config.model_options.get(args.model, {}),
                               args.seed if args.seed is not None else config.seed)
-    out = args.out or f"{args.model}.json"
-    write_text_atomic(out, json.dumps(model_to_dict(args.model, model, design)) + "\n")
+    out, raw = args.out or f"{args.model}.json", encode(cohort).X  # KSVM files hold raw rows
+    write_text_atomic(out, json.dumps(model_to_dict(args.model, model, design, raw)) + "\n")
     if getattr(model, "training_log", None):
         rows = "".join(f"{i},{v!r}\n" for i, v in enumerate(model.training_log))
         write_text_atomic(f"{os.path.splitext(out)[0]}_training_log.csv", "epoch,loss\n" + rows)
@@ -134,7 +134,7 @@ def _cmd_bench(args) -> int:
         print(
             f"{r.name:<{width}}  train={fmt6(r.train_cindex):<9} "
             f"test={fmt6(r.test_cindex):<9} "
-            f"[{r.status}{'' if r.converged else ', not converged'}]"
+            f"[{r.status}{', not converged' if r.status == 'ok' and not r.converged else ''}]"
         )
     print(f"report written to {config.out_dir}/")
     return 0 if report.all_ok else 1

@@ -68,12 +68,15 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass
 class KsvmModel:
+    """Its file holds the support rows raw; a load standardizes them with the file's means and sds."""
+
     kernel: KernelSpec
-    support_rows: np.ndarray
+    support_rows: np.ndarray  # standardized
     coefficients: np.ndarray  # beta on each support row
     c: float
     column_names: list[str]
     convergence: Convergence
+    support: np.ndarray | None = None  # their rows in the fitted design; None once loaded
 
 
 def _active_blocks(pairs, f):
@@ -170,6 +173,7 @@ def fit_ksvm(
         c=c,
         column_names=list(design.names),
         convergence=convergence,
+        support=support,
     )
 
 

@@ -24,10 +24,11 @@ def numeric_cohort(X, times, events):
     )
 
 
-def reloaded(name, model, design):
+def reloaded(name, model, design, raw=None):
     """`model` written by `bench.model_to_dict` as JSON text and read back by
-    `bench.model_from_dict`, as `fit` and `eval` do."""
-    doc = json.loads(json.dumps(model_to_dict(name, model, design)))
+    `bench.model_from_dict`, as `fit` and `eval` do; `raw` is `design.X`
+    unstandardized, which only a KSVM file reads."""
+    doc = json.loads(json.dumps(model_to_dict(name, model, design, raw)))
     return model_from_dict(doc, f"{name}.json")[1]
 
 
@@ -48,7 +49,7 @@ def numeric_design(X, times, events, standardize=False):
 def forest_file(forest, design) -> dict:
     """The file of `forest` fitted on `design`, as `bench.model_to_dict`
     writes it, less the schema and standardization that `load_forest` adds."""
-    doc = model_to_dict("rsf", forest, design)
+    doc = model_to_dict("rsf", forest, design, design.X)
     del doc["schema"], doc["standardization"]
     return doc
 

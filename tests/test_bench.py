@@ -155,7 +155,7 @@ def test_model_dicts_survive_json_with_identical_scores(seed, n, p):
     for name, spec in MODELS.items():
         design = numeric_design(X, t, e, standardize=spec.standardize)  # as `fit` encodes
         model = spec.fit(design, model_options(name, tiny.get(name, {})), seed)
-        doc = json.loads(json.dumps(model_to_dict(name, model, design)))
+        doc = json.loads(json.dumps(model_to_dict(name, model, design, numeric_design(X, t, e).X)))
         _, back, _ = model_from_dict(doc, f"{name}.json")
         assert np.array_equal(spec.risk(back, design), spec.risk(model, design)), name
 

@@ -11,6 +11,7 @@ import signal
 import stat
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -244,8 +245,8 @@ SEED_REFUSED = "malformed rsf model file: seed must be a JSON integer"
          "malformed ksvm model file: coefficients must be finite numbers of shape (s), s = "),
         ("mtlr", lambda doc: doc.update(weights=[[1.0]]),
          "malformed mtlr model file: weights must be finite numbers of shape (k, p)"),
-        ("ksvm", lambda doc: doc.update(support_rows=5),
-         "malformed ksvm model file: support_rows must be finite numbers of shape (s, p)"),
+        ("ksvm", lambda doc: doc.update(raw_support_rows=5),
+         "malformed ksvm model file: raw_support_rows must be finite numbers of shape (s, p)"),
         ("cox", lambda doc: doc.update(beta=[math.nan] * len(doc["beta"])),
          "malformed cox model file: beta must be finite numbers"),
         ("cox", lambda doc: doc.pop("standardization"), "no 'standardization' in the cox model file"),
@@ -295,6 +296,10 @@ SEED_REFUSED = "malformed rsf model file: seed must be a JSON integer"
         ("cox", lambda doc: doc["schema"][0].update(name=5),
          "malformed cox model file: schema must be a JSON list of objects with a string name, "
          "a string kind and a list of strings levels"),
+        ("ksvm", lambda doc: doc.update(support_rows=doc.pop("raw_support_rows")),
+         "malformed ksvm model file: support_rows is an older file format; refit the model"),
+        ("ksvm", lambda doc: doc.update(support_rows=doc["raw_support_rows"]),
+         "malformed ksvm model file: support_rows is an older file format; refit the model"),
     ],
     ids=["no-schema", "unknown-model", "no-beta", "no-levels", "schema-not-a-list",
          "ksvm-coefficients-cut", "mtlr-weights-one-number", "ksvm-support-rows-a-number",
@@ -306,7 +311,7 @@ SEED_REFUSED = "malformed rsf model file: seed must be a JSON integer"
          "rsf-event-grid-item-true", "rsf-event-grid-item-string", "rsf-event-grid-item-nested",
          "rsf-event-grid-number", "rsf-event-grid-reversed", "rsf-seed-string",
          "rsf-seed-fraction", "rsf-tree-seed-string", "rsf-tree-seed-true", "rsf-trees-number",
-         "schema-name-number"],
+         "schema-name-number", "ksvm-standardized-rows", "ksvm-standardized-rows-beside-raw"],
 )
 def test_eval_rejects_bad_model_file(tmp_path, capsys, name, edit, text):
     cohort_csv = make_cohort_csv(tmp_path)
@@ -331,7 +336,7 @@ EDITABLE = {
     "mtlr": ["boundaries", "weights", "biases", "l2", "standardization"],
     "rsf": ["mtry", "min_leaf", "max_depth", "seed", "n"],
     "deepsurv": ["weights", "biases", "standardization"],
-    "ksvm": ["support_rows", "coefficients", "c", "standardization"],
+    "ksvm": ["raw_support_rows", "coefficients", "c", "standardization"],
 }
 
 
@@ -379,6 +384,71 @@ def test_eval_names_the_field_an_edit_breaks(fitted_files, data):
     text = err.getvalue()
     assert text.startswith(f"survbench: error: {path}: ") and text.count("\n") == 1
     assert name in text and key in text, text
+
+
+def eval_edited(root, cohort_csv, name, edit):
+    """(exit code, stderr) of `eval` on the fitted file of `name` after `edit`,
+    with every warning an error."""
+    doc = json.loads((root / f"{name}.json").read_text())
+    edit(doc)
+    path = root / "edited.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        rc = main(["eval", "--model-file", str(path), "--input", str(cohort_csv)])
+    return rc, err.getvalue()
+
+
+@pytest.mark.parametrize("sds, text", [
+    (lambda p: [0.0] * p, "standardization sds must be at least 1e-12"),
+    (lambda p: [1.0] * (p - 1), "standardization sds must be finite numbers of shape (p), "
+                                "p = "),
+], ids=["zero", "short"])
+def test_eval_refuses_ksvm_sds_before_standardizing_its_rows(fitted_files, sds, text):
+    # the raw support rows are divided by the file's sds only once they are checked,
+    # so no inf or NaN row and no NumPy warning comes before the refusal
+    root, cohort_csv = fitted_files
+    rc, err = eval_edited(root, cohort_csv, "ksvm", lambda doc: doc["standardization"].update(
+        sds=sds(len(doc["column_names"]))))
+    assert rc == 2 and err.count("\n") == 1
+    assert f"malformed ksvm model file: {text}" in err
+
+
+@pytest.mark.parametrize("name, edit, text", [
+    ("cox", lambda doc: doc.update(baseline_times=doc["baseline_times"][::-1],
+                                   schema=3), "schema must be a JSON list"),
+    ("cox", lambda doc: (doc.update(baseline_times=doc["baseline_times"][::-1]),
+                         doc["standardization"].update(sds=[0.0] * len(doc["beta"]))),
+     "standardization sds must be at least 1e-12"),
+    ("rsf", lambda doc: (doc.update(trees=[{"seed": 1}]),
+                         doc["standardization"].update(means=[0.0] * len(doc["column_names"]))),
+     "standardization means and sds must be null"),
+], ids=["cox-schema", "cox-sds", "rsf-standardization"])
+def test_schema_and_standardization_are_checked_before_the_model_is_built(
+        fitted_files, name, edit, text):
+    # a file that fails both a check of the model's own and the schema or
+    # standardization check is refused for the latter, which a build may read
+    root, cohort_csv = fitted_files
+    rc, err = eval_edited(root, cohort_csv, name, edit)
+    assert rc == 2 and f"malformed {name} model file: {text}" in err
+
+
+def test_bench_prints_not_converged_only_beside_a_fitted_model(tmp_path, capsys):
+    # an error row says why the fit failed and no more; report.csv keeps its
+    # converged column of False for it
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"input": {"generator": {"n": 24}}, "models": ["cox", "mtlr"],
+                                  "model_options": {"cox": {"max_iter": 1}}}))
+    assert main(["bench", "--seed", "0", "--config", str(config),
+                 "--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("cox ") and lines[1].endswith("[ok, not converged]")
+    assert lines[2].startswith("mtlr ") and lines[2].endswith(
+        "[error: only 8 distinct event times; use a smaller k]")
+    rows = list(csv.reader((tmp_path / "out" / "report.csv").read_text().splitlines()))
+    assert [r[4] for r in rows] == ["converged", "False", "False"]
 
 
 def test_eval_names_a_model_file_that_is_not_json(tmp_path, capsys):

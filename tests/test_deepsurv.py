@@ -355,7 +355,7 @@ def test_serialization_round_trip():
     d = planted_design(seed=8)
     model = fit_deepsurv(d, MlpSpec(layer_widths=(2, 5, 1), weight_init_seed=9),
                          epochs=4)
-    doc = json.loads(json.dumps(model_to_dict("deepsurv", model, d)))
+    doc = json.loads(json.dumps(model_to_dict("deepsurv", model, d, None)))  # raw: KSVM only
     assert "means" not in doc and "sds" not in doc
     _, back, _ = model_from_dict(doc, "deepsurv.json")
     np.testing.assert_array_equal(predict_log_risk(back, d),

@@ -3,13 +3,15 @@ algebra, the Newton-CG system against finite differences, the gradient
 at convergence, and the linear-kernel fit against a dense all-pairs
 reference."""
 
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from survbench.bench import MODELS, model_options
-from survbench.data import encode, split
+from survbench.bench import MODELS, model_from_dict, model_options, model_to_dict
+from survbench.data import Cohort, Column, CovariateSchema, encode, encode_like, split
 from survbench.datagen import GeneratorConfig, generate
 from survbench.ksvm import (
     KernelSpec,
@@ -286,17 +288,64 @@ def test_learns_planted_nonlinear_signal():
 
 def test_serialization_round_trip_all_kernels():
     d = ordered_design(seed=11, n=16, noise=1.0, standardize=True)  # as `fit` encodes for KSVM
+    raw = ordered_design(seed=11, n=16, noise=1.0).X
     for spec in (KernelSpec("linear"), KernelSpec("rbf", gamma=0.5),
                  KernelSpec("polynomial", degree=2, coef0=1.0)):
         model = fit_ksvm(d, spec, max_iter=15)
-        back = reloaded("ksvm", model, d)
-        np.testing.assert_allclose(ksvm_risk(back, d), ksvm_risk(model, d),
-                                   rtol=1e-15)
+        back = reloaded("ksvm", model, d, raw)
+        np.testing.assert_array_equal(ksvm_risk(back, d), ksvm_risk(model, d))
 
 
 def test_serialization_with_empty_support():
     d = ordered_design(seed=12, n=10, standardize=True)
     model = fit_ksvm(d, KernelSpec("linear"), c=1e-12, max_iter=2)
-    assert model.support_rows.shape == (0, 1)  # written as "support_rows": []
-    back = reloaded("ksvm", model, d)
+    assert model.support_rows.shape == (0, 1)  # written as "raw_support_rows": []
+    back = reloaded("ksvm", model, d, ordered_design(seed=12, n=10).X)
+    assert back.support_rows.shape == (0, 1)
     np.testing.assert_array_equal(ksvm_risk(back, d), np.zeros(d.n))
+
+
+LEVELS = ("a", "b", "c")
+# whole numbers, both zeros and fractions, as a CSV's numeric cells hold them
+CELLS = st.one_of(st.integers(-3, 3).map(float), st.just(-0.0),
+                  st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def mixed_cohorts(draw, n):
+    """A cohort of `n` rows with two numeric columns and one categorical."""
+    schema = CovariateSchema((Column("x", "numeric"), Column("g", "categorical", LEVELS),
+                              Column("z", "numeric")))
+    cells = {"x": draw(st.lists(CELLS, min_size=n, max_size=n)),
+             "g": draw(st.lists(st.sampled_from(LEVELS), min_size=n, max_size=n)),
+             "z": draw(st.lists(CELLS, min_size=n, max_size=n))}
+    times = draw(st.lists(st.integers(1, 20).map(float), min_size=n, max_size=n))
+    events = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return Cohort(schema, cells, times, events)
+
+
+@given(mixed_cohorts(12), mixed_cohorts(6),
+       st.sampled_from([KernelSpec("linear"), KernelSpec("rbf"), KernelSpec("rbf", gamma=0.5),
+                        KernelSpec("polynomial", degree=2, coef0=1.0)]),
+       st.integers(0, 3), st.sampled_from([1e-12, 10.0, 10_000.0]))
+@settings(max_examples=60, deadline=None)
+def test_ksvm_file_standardizes_its_raw_rows_to_the_fitted_bits(cohort, held_out, kernel,
+                                                                max_iter, c):
+    # the file holds the support rows raw and a load standardizes them with the
+    # file's means and sds: the reloaded model scores the training rows and a
+    # held-out cohort bit for bit as the fitted one does, with no support row too
+    try:
+        design = encode(cohort, standardize=True)
+        model = fit_ksvm(design, kernel, c=c, max_iter=max_iter)
+    except ValueError:  # a constant design column, or no comparable pair
+        assume(False)
+    raw = encode(cohort).X
+    doc = json.loads(json.dumps(model_to_dict("ksvm", model, design, raw)))
+    written = np.array(doc["raw_support_rows"], dtype=float).reshape(-1, design.p)
+    assert written.tobytes() == raw[model.support].tobytes()  # -0.0 included
+    _, back, template = model_from_dict(doc, "ksvm.json")
+    assert back.support_rows.shape == model.support_rows.shape
+    assert back.support_rows.tobytes() == model.support_rows.tobytes()
+    for part in (cohort, held_out):
+        fitted, loaded = encode_like(part, design), encode_like(part, template)
+        assert ksvm_risk(back, loaded).tobytes() == ksvm_risk(model, fitted).tobytes()
