@@ -16,7 +16,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass
 from functools import partial
 from typing import Callable
 
@@ -80,6 +80,15 @@ def _mlp_layers(f: dict) -> list[tuple[int, int]]:
     """(fan-in, fan-out) of each layer of a DeepSurv file's spec, from the p columns in."""
     widths = (len(f["column_names"]), *f["spec"].layer_widths[1:])
     return list(zip(widths[:-1], widths[1:]))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # finite raw rows and means can still overflow
+def _standardized_rows(f: dict) -> np.ndarray:
+    """A KSVM file's raw support rows standardized by its means and sds, all finite."""
+    rows = (f["raw_support_rows"] - f["means"]) / f["sds"]
+    if not np.all(np.isfinite(rows)):
+        raise TypeError("raw_support_rows are not finite after standardization")
+    return rows
 
 
 _NAMES = ("column_names", [""], None, lambda m, _: m.column_names)
@@ -183,12 +192,32 @@ MODELS: dict[str, ModelSpec] = {
             _NAMES,
             _CONVERGENCE,
         ),
-        build=lambda f: ksvm.KsvmModel(
-            f["kernel"], (f["raw_support_rows"] - f["means"]) / f["sds"], f["coefficients"],
-            f["c"], f["column_names"], f["convergence"]),
+        build=lambda f: ksvm.KsvmModel(f["kernel"], _standardized_rows(f), f["coefficients"],
+                                       f["c"], f["column_names"], f["convergence"]),
     ),
 }
 _SCHEMA = [{"name": "", "kind": "", "levels": [""]}]
+
+
+def _checked(what: str, example: dict, doc) -> dict:
+    """`doc`, a JSON object of keys of `example`, each value of its example's JSON type
+    and finite (json reads NaN, which a range check lets through), and an object checked
+    the same way where its example has keys; a refusal is a ValueError naming the path."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, not {json.dumps(doc)}")
+    unknown = set(doc) - set(example)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    for key, value in doc.items():
+        at, kind = f"{what} {key}", example[key]
+        if isinstance(kind, dict) and kind:
+            _checked(at, kind, value)
+        elif not has_json_kind(kind, value):
+            raise ValueError(f"{at} must be a JSON {json_kind(kind)}, not {json.dumps(value)}")
+        for v in value if isinstance(value, list) else [value]:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{at} must be a finite number, not {json.dumps(v)}")
+    return doc
 
 
 def _field(key: str, kind, shape, value, checked: dict, sizes: dict):
@@ -203,17 +232,17 @@ def _field(key: str, kind, shape, value, checked: dict, sizes: dict):
             raise TypeError(f"{key} must be a JSON list of {len(lengths)} layers")
         return [_field(f"{key}[{i}]", 0.0, ("n",), v, {}, {"n": (n, "spec")})
                 for i, (v, n) in enumerate(zip(value, lengths))]
-    if not isinstance(kind, float):
-        example = asdict(kind) if is_dataclass(kind) else kind
-        if not has_json_kind(example, value):
-            raise TypeError(f"{key} must be a JSON {json_kind(example)}")
-        if not is_dataclass(kind):
-            return value
-        _check_json_kinds(key, example, value)  # first, as a range check lets NaN through
+    if is_dataclass(kind):  # a record, checked before its own range checks run
+        example = asdict(kind)
+        _checked(key, example, value)
         try:
             return type(kind)(**{k: value[k] for k in example})
         except ValueError as exc:  # the record's own check names the field, not the record
             raise TypeError(f"{key} {exc}") from None
+    if not isinstance(kind, float):
+        if not has_json_kind(kind, value):
+            raise TypeError(f"{key} must be a JSON {json_kind(kind)}")
+        return value
     items = np.asarray(value, dtype=object)
     if items.shape == (0,) and len(shape) > 1:
         items = items.reshape(0, *(sizes[d][0] for d in shape[1:]))
@@ -241,8 +270,9 @@ def model_from_dict(doc, path: str):
     """(name, model, template) from the model file read from `path`; the
     template has no rows, as `encode_like` reads only its schema and affine map.
     A standardized model needs p finite means and sds >= 1e-12, as `encode`
-    allows, checked before `build` reads them; the forest's are null. Extra keys
-    are ignored; a malformed file is one ValueError naming `path`, the model and the field."""
+    allows, checked before `build` reads them; the forest's are null. Extra top-level
+    keys are ignored, a record's (`kernel`, `spec`, `convergence`) are refused; a
+    malformed file is one ValueError naming `path`, the model and the field."""
     name = doc.get("model") if isinstance(doc, dict) else None
     if name not in MODELS:
         raise ValueError(f"{path}: unknown model {name!r}")
@@ -277,40 +307,18 @@ def model_from_dict(doc, path: str):
     return name, model, template
 
 
-def _check_json_kinds(what: str, defaults: dict, values: dict) -> None:
-    """Refuse a value in `values` whose JSON type is not its default's,
-    or a NaN or infinite number (Python's json reads NaN and Infinity,
-    and a range check lets NaN through)."""
-    for key, default in defaults.items():
-        if key not in values:
-            continue
-        value = values[key]
-        if not has_json_kind(default, value):
-            raise ValueError(f"{what} {key} must be a JSON {json_kind(default)}, "
-                             f"not {json.dumps(value)}")
-        for v in value if isinstance(value, list) else [value]:
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError(f"{what} {key} must be a finite number, not {json.dumps(v)}")
-
-
 def model_options(name: str, overrides: dict) -> dict:
-    """The model's default options with `overrides` merged in; a key the
-    model does not have, or a value of another JSON type than its
-    default, is an error."""
-    merged = dict(MODELS[name].defaults)
-    unknown = set(overrides) - set(merged)
-    if unknown:
-        raise ValueError(f"unknown {name} options: {sorted(unknown)}")
-    _check_json_kinds(f"{name} option", merged, overrides)
-    merged.update(overrides)
-    return merged
+    """The model's default options with `overrides` merged in, each a key
+    of the defaults with a finite value of its default's JSON type."""
+    defaults = MODELS[name].defaults
+    return {**defaults, **_checked(f"{name} option", defaults, overrides)}
 
 
 def check_km_groups(cohort: Cohort, names) -> None:
     """Refuse KM grouping names that are not columns of the cohort, or
     that cannot name a KM file of their own."""
     for name in names:
-        if not isinstance(name, str) or name not in cohort.schema.names:
+        if name not in cohort.schema.names:
             raise ValueError(f"unknown covariate: {name!r}")
         if name in (".", "..", "overall") or any(sep and sep in name for sep in (os.sep, os.altsep)):
             raise ValueError(f"cannot name a KM file after column {name!r}")
@@ -332,19 +340,11 @@ class BenchConfig:
             raise ValueError("exactly one of csv_path / generator is required")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must be in (0, 1)")
-        if not all(isinstance(name, str) for name in self.models):
-            raise ValueError("models must be a list of model names")
         unknown = set(self.models) - set(MODELS)
         if unknown:
             raise ValueError(f"unknown models: {sorted(unknown)}")
         if not self.models or len(set(self.models)) < len(self.models):
             raise ValueError("models must name at least one model, each once")
-        opts = self.model_options
-        if not isinstance(opts, dict) or not all(isinstance(v, dict) for v in opts.values()):
-            raise ValueError("model_options must map model names to JSON objects")
-        unknown = set(opts) - set(MODELS)
-        if unknown:
-            raise ValueError(f"unknown models in model_options: {sorted(unknown)}")
 
 
 @dataclass
@@ -372,46 +372,25 @@ class BenchReport:
         return all(r.status == "ok" for r in self.rows)
 
 
-def _scalar_defaults(cls) -> dict:
-    """The fields of dataclass `cls` whose default is a number or string."""
-    return {f.name: f.default for f in fields(cls)
-            if isinstance(f.default, (int, float, str))}
+# each config key with an example of its JSON type; a model's options are checked at its fit
+_CONFIG = {
+    **{k: v for k, v in asdict(BenchConfig(csv_path="")).items()
+       if k not in ("csv_path", "generator")},
+    "model_options": {name: {} for name in MODELS},
+    "input": {"csv": "", "generator": {**asdict(GeneratorConfig()),
+                                       "hazard": {"kind": "", "beta": [0.0]}}},
+}
 
 
 def bench_config_from_dict(doc: dict) -> BenchConfig:
-    doc = dict(doc)
-    _check_json_kinds("config", _scalar_defaults(BenchConfig), doc)
-    source = doc.pop("input", {})
-    g = source.get("generator") if isinstance(source, dict) else None
-    if not isinstance(source, dict) or not isinstance(g, (dict, type(None))):
-        raise ValueError("config input and its generator must be JSON objects")
-    _check_json_kinds("config input", {"csv": ""}, source)
-    gen = None
-    if g is not None:
-        unknown = set(g) - {f.name for f in fields(GeneratorConfig)}
-        if unknown:
-            raise ValueError(f"unknown generator keys: {sorted(unknown)}")
-        _check_json_kinds("config generator", _scalar_defaults(GeneratorConfig), g)
-        g = dict(g)
-        hz = g.pop("hazard", None)
-        if hz is not None:
-            if not isinstance(hz, dict) or set(hz) - {"kind", "beta"}:
-                raise ValueError("config generator hazard must be a JSON object "
-                                 "with keys kind and beta")
-            _check_json_kinds("config generator hazard", {"kind": "", "beta": [0.0]}, hz)
-            g["hazard"] = HazardSpec(kind=hz.get("kind", "nonlinear"),
-                                     beta=tuple(hz.get("beta", ())))
-        g.setdefault("seed", doc.get("seed", 0))
-        gen = GeneratorConfig(**g)
-    allowed = {f.name for f in fields(BenchConfig)} - {"csv_path", "generator"}
-    extra = set(doc) - allowed
-    if extra:
-        raise ValueError(f"unknown config keys: {sorted(extra)}")
-    for key in ("models", "km_groups"):
-        if key in doc:
-            if not isinstance(doc[key], list):
-                raise ValueError(f"config {key} must be a JSON list")
-            doc[key] = tuple(doc[key])
+    """The config of JSON object `doc`, whose keys and values `_CONFIG` declares."""
+    doc = _checked("config", _CONFIG, doc)
+    doc = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
+    source, gen = doc.pop("input", {}), None
+    if "generator" in source:
+        g = {"seed": doc.get("seed", 0), **source["generator"]}
+        hz = g.pop("hazard", {})
+        gen = GeneratorConfig(**g, hazard=HazardSpec(**{**hz, "beta": tuple(hz.get("beta", ()))}))
     return BenchConfig(csv_path=source.get("csv"), generator=gen, **doc)
 
 

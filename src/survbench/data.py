@@ -167,22 +167,20 @@ def encode(cohort: Cohort, standardize: bool = False) -> DesignMatrix:
     """Encode a cohort, optionally centering/scaling every design column
     to sample mean 0 and (population) sd 1."""
     X, names = _raw_design(cohort)
-    if not standardize:
-        return DesignMatrix(
-            X=X, names=names, times=cohort.time, events=cohort.event,
-            schema=cohort.schema,
-        )
-    means = X.mean(axis=0)
-    sds = X.std(axis=0)
-    flat = np.nonzero(sds < 1e-12)[0]
-    if flat.size:
-        raise DegenerateColumnError(
-            f"constant design column(s) cannot be standardized: "
-            f"{[names[j] for j in flat]}"
-        )
+    means = sds = None
+    if standardize:
+        means = X.mean(axis=0)
+        sds = X.std(axis=0)
+        flat = np.nonzero(sds < 1e-12)[0]
+        if flat.size:
+            raise DegenerateColumnError(
+                f"constant design column(s) cannot be standardized: "
+                f"{[names[j] for j in flat]}"
+            )
+        X = (X - means) / sds
     return DesignMatrix(
-        X=(X - means) / sds, names=names, times=cohort.time,
-        events=cohort.event, schema=cohort.schema, means=means, sds=sds,
+        X=X, names=names, times=cohort.time, events=cohort.event,
+        schema=cohort.schema, means=means, sds=sds,
     )
 
 

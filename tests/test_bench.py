@@ -107,16 +107,132 @@ def test_config_from_dict_rejects_unknown_keys():
 
 
 def test_config_values_must_have_the_json_type_of_their_default():
-    with pytest.raises(ValueError, match="config out_dir must be a JSON string, not 5"):
+    with pytest.raises(ValueError, match=r"^config out_dir must be a JSON string, not 5$"):
         bench_config_from_dict({"input": {"csv": "x.csv"}, "out_dir": 5})
-    with pytest.raises(ValueError, match="generator censor_rate must be a JSON number"):
+    with pytest.raises(ValueError, match=r"^config input generator censor_rate must be a JSON "
+                                         r"number, not \[0\.1\]$"):
         bench_config_from_dict({"input": {"generator": {"censor_rate": [0.1]}}})
-    with pytest.raises(ValueError, match="hazard must be a JSON object with keys"):
+    with pytest.raises(ValueError,
+                       match=r"^unknown config input generator hazard keys: \['betas'\]$"):
         bench_config_from_dict({"input": {"generator": {"hazard": {"betas": [1.0]}}}})
     # a float takes an integer
     config = bench_config_from_dict({"input": {"generator": {"censor_horizon": 5}},
                                      "test_fraction": 0.5})
     assert config.generator.censor_horizon == 5
+
+
+_TEXT = st.text(max_size=6)
+_POSITIVE = st.one_of(st.integers(1, 100), st.floats(1e-3, 100.0))
+_HAZARDS = st.one_of(
+    st.fixed_dictionaries({}, optional={"kind": st.just("nonlinear"), "beta": st.just([])}),
+    st.fixed_dictionaries({"kind": st.just("proportional"), "beta": st.lists(
+        st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0)), min_size=1, max_size=5)}))
+_GENERATORS = st.fixed_dictionaries({}, optional={
+    "n": st.integers(1, 10**6), "seed": st.integers(0, 2**32 - 1), "hazard": _HAZARDS,
+    "baseline_rate": _POSITIVE, "censor_rate": _POSITIVE, "censor_horizon": _POSITIVE})
+# configs of valid values, each key optional but the input
+CONFIGS = st.fixed_dictionaries(
+    {"input": st.one_of(st.fixed_dictionaries({"csv": _TEXT}),
+                        st.fixed_dictionaries({"generator": _GENERATORS}))},
+    optional={
+        "seed": st.integers(0, 2**32 - 1),
+        "test_fraction": st.floats(0.01, 0.99),
+        "out_dir": _TEXT,
+        "models": st.permutations(list(MODELS)).flatmap(
+            lambda names: st.integers(1, len(names)).map(lambda k: names[:k])),
+        "km_groups": st.lists(_TEXT, max_size=3),
+        "model_options": st.dictionaries(st.sampled_from(list(MODELS)),
+                                         st.dictionaries(_TEXT, st.integers(), max_size=2),
+                                         max_size=3),
+    })
+
+
+def expected_config(doc: dict) -> BenchConfig:
+    """The BenchConfig a valid config declares, field by field, with each default spelled out."""
+    source, generator = doc["input"], None
+    if "generator" in source:
+        g, hazard = source["generator"], source["generator"].get("hazard", {})
+        generator = GeneratorConfig(
+            n=g.get("n", 1000), seed=g.get("seed", doc.get("seed", 0)),
+            hazard=HazardSpec(hazard.get("kind", "nonlinear"), tuple(hazard.get("beta", []))),
+            baseline_rate=g.get("baseline_rate", 0.05), censor_rate=g.get("censor_rate", 0.01),
+            censor_horizon=g.get("censor_horizon", 6.2))
+    return BenchConfig(
+        csv_path=source.get("csv"), generator=generator,
+        test_fraction=doc.get("test_fraction", 0.3), seed=doc.get("seed", 0),
+        out_dir=doc.get("out_dir", "bench_out"),
+        models=tuple(doc.get("models", ["cox", "mtlr", "rsf", "deepsurv", "ksvm"])),
+        model_options=doc.get("model_options", {}),
+        km_groups=tuple(doc.get("km_groups", ["OnlineBehavior", "Gender"])))
+
+
+# the JSON kind each config key takes, by its path; a number takes an integer too
+_CONFIG_KINDS = {
+    "config seed": "integer", "config test_fraction": "number", "config out_dir": "string",
+    "config models": "strings", "config km_groups": "strings", "config model_options": "object",
+    **{f"config model_options {name}": "options" for name in MODELS},  # checked at its fit
+    "config input": "object", "config input csv": "string", "config input generator": "object",
+    "config input generator n": "integer", "config input generator seed": "integer",
+    "config input generator baseline_rate": "number",
+    "config input generator censor_rate": "number",
+    "config input generator censor_horizon": "number",
+    "config input generator hazard": "object", "config input generator hazard kind": "string",
+    "config input generator hazard beta": "numbers",
+}
+_FINITE = lambda v: type(v) in (int, float) and math.isfinite(v)
+_TAKES = {
+    "integer": lambda v: type(v) is int, "number": _FINITE,
+    "string": lambda v: type(v) is str, "object": lambda v: type(v) is dict,
+    "options": lambda v: type(v) is dict,
+    "strings": lambda v: type(v) is list and all(type(x) is str for x in v),
+    "numbers": lambda v: type(v) is list and all(_FINITE(x) for x in v),
+}
+_REPLACEMENTS = [None, True, False, 7, 2.5, "x", ["x"], [2.5], [True], {}, [],
+                 math.nan, math.inf, -math.inf, [math.nan], [1.0, math.inf]]
+
+
+def _objects(doc: dict, path: str = "config"):
+    """(path, object) of `doc` and of every object in it that the config declares."""
+    yield path, doc
+    for key, value in doc.items():
+        if _CONFIG_KINDS.get(f"{path} {key}") == "object":
+            yield from _objects(value, f"{path} {key}")
+
+
+@given(CONFIGS)
+@settings(max_examples=200, deadline=None)
+def test_valid_config_builds_the_bench_config_it_declares(doc):
+    before = json.dumps(doc)
+    config = bench_config_from_dict(doc)
+    assert repr(config) == repr(expected_config(doc))  # repr: an integer stays one
+    assert json.dumps(doc) == before  # the document is not changed
+
+
+@given(CONFIGS, st.data())
+@settings(max_examples=200, deadline=None)
+def test_config_value_of_another_kind_or_unknown_key_is_refused_naming_its_path(doc, data):
+    # one edit at any depth: a value of another JSON kind in a key's place, NaN
+    # or Infinity in a number's, or a key the object does not declare
+    edit = data.draw(st.sampled_from(["kind", "non-finite", "unknown key"]), label="edit")
+    slots = [(path, holder, key) for path, holder in _objects(doc) for key in holder
+             if edit == "kind" or _CONFIG_KINDS[f"{path} {key}"] in ("number", "numbers")]
+    if edit == "unknown key" or not slots:
+        path, holder = data.draw(st.sampled_from(list(_objects(doc))), label="object")
+        key = data.draw(_TEXT.filter(lambda k: f"{path} {k}" not in _CONFIG_KINDS), label="key")
+        holder[key] = 1
+        text = f"unknown {path} keys: {[key]}"
+    else:
+        path, holder, key = data.draw(st.sampled_from(slots), label="slot")
+        kind = _CONFIG_KINDS[f"{path} {key}"]
+        values = [v for v in _REPLACEMENTS if not _TAKES[kind](v)]
+        if edit == "non-finite":
+            values = [math.nan, math.inf, -math.inf] if kind == "number" else [
+                [math.nan], [1.0, math.inf], [-math.inf]]
+        holder[key] = data.draw(st.sampled_from(values), label="value")
+        text = f"{path} {key} must be a "
+    with pytest.raises(ValueError) as refused:
+        bench_config_from_dict(doc)
+    assert text in str(refused.value)
 
 
 def test_registry_defaults_match_signature_defaults():
@@ -301,7 +417,7 @@ def test_unknown_model_option_is_reported_per_model(tmp_path):
         tmp_path / "out", models=("cox",), model_options={"cox": {"step": 2}}
     )
     report = run_benchmark(config)
-    assert "unknown cox options" in report.rows[0].status
+    assert report.rows[0].status == "error: unknown cox option keys: ['step']"
 
 
 def test_option_of_wrong_json_type_is_reported_per_model(tmp_path):
