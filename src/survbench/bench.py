@@ -84,10 +84,13 @@ def _mlp_layers(f: dict) -> list[tuple[int, int]]:
 
 @np.errstate(over="ignore", invalid="ignore")  # finite raw rows and means can still overflow
 def _standardized_rows(f: dict) -> np.ndarray:
-    """A KSVM file's raw support rows standardized by its means and sds, all finite."""
+    """A KSVM file's raw support rows standardized by its means and sds, all finite,
+    and each row's squared norm finite too, as the RBF kernel takes it."""
     rows = (f["raw_support_rows"] - f["means"]) / f["sds"]
     if not np.all(np.isfinite(rows)):
         raise TypeError("raw_support_rows are not finite after standardization")
+    if not np.all(np.isfinite((rows * rows).sum(axis=1))):
+        raise TypeError("raw_support_rows have squared norms too large to be finite")
     return rows
 
 

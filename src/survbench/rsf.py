@@ -34,8 +34,9 @@ moves an entry to left + 1 unless its value is <= the threshold: a NaN
 goes right; a leaf steps to itself, so a pass compacts every _STRIDE
 levels. A reached leaf's sum, each knot's value times the grid points it
 holds for, is taken by knot position over all reached leaves; math.fsum
-averages a row's B leaf mortalities, so tree order does not matter, and
-`predict_chf` takes the math.fsum per knot.
+averages a row's B leaf mortalities, so tree order does not matter.
+`predict_chf` reads each reached leaf's curve off its own slice of knots
+in the stacked table and takes the math.fsum over B at each knot.
 
 A tree holds its seed and the training size n, not its bootstrap rows:
 its `inbag`, the first n draws of its seed's stream, is drawn when read.
@@ -389,23 +390,6 @@ def _descend(trees: list[SurvivalTree], X: np.ndarray) -> tuple[NodeTable, np.nd
     return nodes, at.reshape(X.shape[0], roots.size)
 
 
-def _leaf_hazards(nodes: NodeTable, leaves: np.ndarray, grid_size: int):
-    """Each of `leaves`' cumulative hazard at its own knots, with the bits of
-    its `np.cumsum(events / at_risk)`, and the grid point where each value
-    starts, as two (leaves, 1 + most knots) blocks: row l holds 0 from point
-    0, then leaf l's values from its knots, then padding from grid_size on."""
-    start = nodes.offsets[leaves]
-    sizes = np.diff(nodes.offsets, append=nodes.knots.size)[leaves]
-    slot = np.arange(sizes.max()) < sizes[:, None]  # leaf l's knots fill row l's slots
-    knot = (start[:, None] + np.arange(slot.shape[1]))[slot]
-    hazard = np.zeros((leaves.size, slot.shape[1] + 1))
-    hazard[:, 1:][slot] = nodes.events[knot] / nodes.at_risk[knot]
-    first = np.full(hazard.shape, grid_size)
-    first[:, 0] = 0
-    first[:, 1:][slot] = nodes.knots[knot]
-    return np.cumsum(hazard, axis=1, out=hazard), first
-
-
 def _mortality(forest: Forest, X: np.ndarray) -> np.ndarray:
     """Ensemble mortality of each row of X: the math.fsum of its B leaf
     mortalities over B. A leaf's mortality, its curve summed over the event
@@ -432,9 +416,11 @@ def predict_chf(forest: Forest, x) -> StepFunction:
     """Ensemble cumulative hazard: at each knot of the B leaves x reaches, the
     math.fsum over B of each leaf's value there, so tree order does not matter."""
     nodes, at = _descend(forest.trees, np.asarray(x, dtype=np.float64)[None, :])
-    hazard, first = _leaf_hazards(nodes, at[0], forest.event_grid.size)
-    knots = np.unique(first[:, 1:][first[:, 1:] < forest.event_grid.size])
-    values = np.array([h[np.searchsorted(f, knots, "right") - 1] for h, f in zip(hazard, first)])
+    ends = np.append(nodes.offsets, nodes.knots.size)
+    leaves = [slice(ends[leaf], ends[leaf + 1]) for leaf in at[0]]  # each leaf's own knots
+    knots = np.unique(np.concatenate([nodes.knots[s] for s in leaves]))
+    values = np.array([np.append(0.0, np.cumsum(nodes.events[s] / nodes.at_risk[s]))[
+        np.searchsorted(nodes.knots[s], knots, "right")] for s in leaves])  # 0 before the first
     return StepFunction(forest.event_grid[knots],
                         [math.fsum(col) / at.shape[1] for col in values.T.tolist()], initial=0.0)
 

@@ -13,14 +13,17 @@ from .common import fmt6
 from .stepfun import StepFunction
 
 _W, _H = 640, 400
-_ML, _MR, _MT, _MB = 70, 20, 40, 50
+_X0, _X1, _Y0, _Y1 = 70, _W - 20, _H - 50, 40  # the plot box: left, right, bottom, top
 _PALETTE = ["#1965b0", "#dc050c", "#4eb265", "#f7a600", "#882e72", "#777777"]
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+
+
+def _scale(lo: float, hi: float, a: float, b: float):
+    """The linear map that takes lo to pixel a and hi to pixel b."""
+    return lambda v: a + (v - lo) / (hi - lo) * (b - a)
 
 
 def _frame(title: str, xlabel: str, ylabel: str, xticks, to_x, yticks=(), to_y=None) -> list[str]:
@@ -30,29 +33,27 @@ def _frame(title: str, xlabel: str, ylabel: str, xticks, to_x, yticks=(), to_y=N
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W / 2:.1f}" y="24" text-anchor="middle" font-size="15">{escape(title)}</text>',
     ]
-    x0, x1 = _ML, _W - _MR
-    y0, y1 = _H - _MB, _MT
     parts.append(
-        f'<path d="M{x0} {y1} L{x0} {y0} L{x1} {y0}" fill="none" stroke="black"/>'
+        f'<path d="M{_X0} {_Y1} L{_X0} {_Y0} L{_X1} {_Y0}" fill="none" stroke="black"/>'
     )
     for t in xticks:
         px = to_x(t)
-        parts.append(f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" y2="{y0 + 4}" stroke="black"/>')
+        parts.append(f'<line x1="{px:.2f}" y1="{_Y0}" x2="{px:.2f}" y2="{_Y0 + 4}" stroke="black"/>')
         parts.append(
-            f'<text x="{px:.2f}" y="{y0 + 18}" text-anchor="middle">{escape(fmt6(t))}</text>'
+            f'<text x="{px:.2f}" y="{_Y0 + 18}" text-anchor="middle">{escape(fmt6(t))}</text>'
         )
     for t in yticks:
         py = to_y(t)
-        parts.append(f'<line x1="{x0 - 4}" y1="{py:.2f}" x2="{x0}" y2="{py:.2f}" stroke="black"/>')
+        parts.append(f'<line x1="{_X0 - 4}" y1="{py:.2f}" x2="{_X0}" y2="{py:.2f}" stroke="black"/>')
         parts.append(
-            f'<text x="{x0 - 8}" y="{py + 4:.2f}" text-anchor="end">{escape(fmt6(t))}</text>'
+            f'<text x="{_X0 - 8}" y="{py + 4:.2f}" text-anchor="end">{escape(fmt6(t))}</text>'
         )
     parts.append(
-        f'<text x="{(x0 + x1) / 2:.1f}" y="{_H - 12}" text-anchor="middle">{escape(xlabel)}</text>'
+        f'<text x="{(_X0 + _X1) / 2:.1f}" y="{_H - 12}" text-anchor="middle">{escape(xlabel)}</text>'
     )
     parts.append(
-        f'<text x="18" y="{(y0 + y1) / 2:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {(y0 + y1) / 2:.1f})">{escape(ylabel)}</text>'
+        f'<text x="18" y="{(_Y0 + _Y1) / 2:.1f}" text-anchor="middle" '
+        f'transform="rotate(-90 18 {(_Y0 + _Y1) / 2:.1f})">{escape(ylabel)}</text>'
     )
     return parts
 
@@ -62,15 +63,7 @@ def step_chart(curves: list[tuple[str, StepFunction]], title: str) -> str:
     over time, on a y axis from 0 to 1."""
     xmax = max((float(f.times[-1]) for _, f in curves if f.times.size), default=1.0)
     xmax = xmax * 1.05 if xmax > 0 else 1.0
-    x0, x1 = _ML, _W - _MR
-    y0, y1 = _H - _MB, _MT
-
-    def to_x(v):
-        return x0 + (v / xmax) * (x1 - x0)
-
-    def to_y(v):
-        return y0 - v * (y0 - y1)
-
+    to_x, to_y = _scale(0.0, xmax, _X0, _X1), _scale(0.0, 1.0, _Y0, _Y1)
     parts = _frame(title, "time", "survival probability", _ticks(0.0, xmax), to_x,
                    _ticks(0.0, 1.0), to_y)
     for ci, (label, f) in enumerate(curves):
@@ -87,12 +80,12 @@ def step_chart(curves: list[tuple[str, StepFunction]], title: str) -> str:
             for i, (px, py) in enumerate(pts)
         )
         parts.append(f'<path d="{d}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        ly = _MT + 16 + 16 * ci
+        ly = _Y1 + 16 + 16 * ci
         parts.append(
-            f'<line x1="{x1 - 150}" y1="{ly - 4}" x2="{x1 - 130}" y2="{ly - 4}" '
+            f'<line x1="{_X1 - 150}" y1="{ly - 4}" x2="{_X1 - 130}" y2="{ly - 4}" '
             f'stroke="{color}" stroke-width="2"/>'
         )
-        parts.append(f'<text x="{x1 - 124}" y="{ly}">{escape(label)}</text>')
+        parts.append(f'<text x="{_X1 - 124}" y="{ly}">{escape(label)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -111,22 +104,18 @@ def bar_chart(
         hi = lo + 1.0
     span = hi - lo
     lo, hi = lo - 0.05 * span, hi + 0.05 * span
-    x0, x1 = _ML + 70, _W - _MR
-    y0, y1 = _H - _MB, _MT
-
-    def to_x(v):
-        return x0 + (v - lo) / (hi - lo) * (x1 - x0)
-
+    x0 = _X0 + 70  # room for the labels left of the bars
+    to_x = _scale(lo, hi, x0, _X1)
     parts = _frame(title, xlabel, "", _ticks(lo, hi), to_x)
     zero_x = to_x(0.0)
     parts.append(
-        f'<line x1="{zero_x:.2f}" y1="{y1}" x2="{zero_x:.2f}" y2="{y0}" '
+        f'<line x1="{zero_x:.2f}" y1="{_Y1}" x2="{zero_x:.2f}" y2="{_Y0}" '
         f'stroke="#aaaaaa" stroke-dasharray="3 3"/>'
     )
-    slot = (y0 - y1) / n
+    slot = (_Y0 - _Y1) / n
     bar_h = max(min(slot * 0.7, 24.0), 2.0)
     for i, (label, v) in enumerate(rows):
-        cy = y1 + slot * (i + 0.5)
+        cy = _Y1 + slot * (i + 0.5)
         px = to_x(v)
         left, width = (min(px, zero_x), abs(px - zero_x))
         color = _PALETTE[0] if v >= 0 else _PALETTE[1]

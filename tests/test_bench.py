@@ -579,6 +579,14 @@ def test_write_text_atomic_overwrites(tmp_path):
     assert os.listdir(tmp_path) == ["x.txt"]
 
 
+def test_write_text_atomic_failure_leaves_no_temporary_file(tmp_path):
+    (tmp_path / "x").mkdir()  # no file can be renamed over a directory
+    with pytest.raises(OSError):
+        write_text_atomic(str(tmp_path / "x"), "text")
+    assert os.listdir(tmp_path) == ["x"]
+    assert os.listdir(tmp_path / "x") == []
+
+
 def test_csv_input_round_trip(tmp_path):
     cohort, _ = generate(GeneratorConfig(n=90, seed=8))
     csv_path = tmp_path / "cohort.csv"

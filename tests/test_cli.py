@@ -307,6 +307,9 @@ SEED_REFUSED = "malformed rsf model file: seed must be a JSON integer"
         ("ksvm", lambda doc: (doc["raw_support_rows"][0].__setitem__(0, 1.7e308),
                               doc["standardization"]["means"].__setitem__(0, -1.7e308)),
          "malformed ksvm model file: raw_support_rows are not finite after standardization"),
+        # standardized rows that are finite but whose squared norms overflow in the RBF kernel
+        ("ksvm", lambda doc: doc["raw_support_rows"][0].__setitem__(0, 1e200),
+         "malformed ksvm model file: raw_support_rows have squared norms too large to be finite"),
     ],
     ids=["no-schema", "unknown-model", "no-beta", "no-levels", "schema-not-a-list",
          "ksvm-coefficients-cut", "mtlr-weights-one-number", "ksvm-support-rows-a-number",
@@ -320,7 +323,7 @@ SEED_REFUSED = "malformed rsf model file: seed must be a JSON integer"
          "rsf-event-grid-number", "rsf-event-grid-reversed", "rsf-seed-string",
          "rsf-seed-fraction", "rsf-tree-seed-string", "rsf-tree-seed-true", "rsf-trees-number",
          "schema-name-number", "ksvm-standardized-rows", "ksvm-standardized-rows-beside-raw",
-         "ksvm-rows-overflow-when-standardized"],
+         "ksvm-rows-overflow-when-standardized", "ksvm-row-norms-overflow"],
 )
 def test_eval_rejects_bad_model_file(tmp_path, capsys, name, edit, text):
     cohort_csv = make_cohort_csv(tmp_path)

@@ -185,6 +185,16 @@ def test_calibrate_censoring_horizon_is_pinned():
     assert cal.censor_horizon == 18.434229924091103
 
 
+def test_calibrate_censoring_falls_back_to_the_wider_tolerance():
+    # the default pilot's random-censoring floor is 0.1647: no horizon comes within
+    # 0.005 of 0.1577, so all 80 steps raise the lower end toward 1e9, and the horizon
+    # there is accepted as within 0.01
+    cal = calibrate_censoring(GeneratorConfig(), 0.1577)
+    assert 1e8 < cal.censor_horizon <= 1e9
+    pilot, _ = generate(replace(cal, n=10_000))
+    assert 0.005 < abs(pilot.censoring_rate - 0.1577) <= 0.01
+
+
 def test_censoring_is_monotone_in_horizon():
     base = GeneratorConfig(n=10_000)
     fracs = [
