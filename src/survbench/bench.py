@@ -82,18 +82,6 @@ def _mlp_layers(f: dict) -> list[tuple[int, int]]:
     return list(zip(widths[:-1], widths[1:]))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # finite raw rows and means can still overflow
-def _standardized_rows(f: dict) -> np.ndarray:
-    """A KSVM file's raw support rows standardized by its means and sds, all finite,
-    and each row's squared norm finite too, as the RBF kernel takes it."""
-    rows = (f["raw_support_rows"] - f["means"]) / f["sds"]
-    if not np.all(np.isfinite(rows)):
-        raise TypeError("raw_support_rows are not finite after standardization")
-    if not np.all(np.isfinite((rows * rows).sum(axis=1))):
-        raise TypeError("raw_support_rows have squared norms too large to be finite")
-    return rows
-
-
 _NAMES = ("column_names", [""], None, lambda m, _: m.column_names)
 _CONVERGENCE = ("convergence", Convergence(True, 0, 0.0), None, lambda m, _: asdict(m.convergence))
 
@@ -195,8 +183,9 @@ MODELS: dict[str, ModelSpec] = {
             _NAMES,
             _CONVERGENCE,
         ),
-        build=lambda f: ksvm.KsvmModel(f["kernel"], _standardized_rows(f), f["coefficients"],
-                                       f["c"], f["column_names"], f["convergence"]),
+        build=lambda f: ksvm.KsvmModel(f["kernel"], ksvm.kernel_rows(
+            f["raw_support_rows"], "raw_support_rows", f["means"], f["sds"]), f["coefficients"],
+            f["c"], f["column_names"], f["convergence"]),
     ),
 }
 _SCHEMA = [{"name": "", "kind": "", "levels": [""]}]
@@ -503,14 +492,8 @@ def _write_report(config: BenchConfig, report: BenchReport) -> None:
          for r in report.rows],
     )
     doc = {
-        "environment": {
-            "seed": report.seed,
-            "n": report.n,
-            "n_events": report.n_events,
-            "censoring_rate": float(fmt6(report.censoring_rate)),
-            "train_n": report.train_n,
-            "test_n": report.test_n,
-        },
+        "environment": {**{k: v for k, v in asdict(report).items() if k != "rows"},  # field order
+                        "censoring_rate": float(fmt6(report.censoring_rate))},  # in its place
         "rows": [
             {
                 "model": r.name,

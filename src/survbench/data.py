@@ -163,6 +163,12 @@ def _raw_design(cohort: Cohort) -> tuple[np.ndarray, list[str]]:
     return X, names
 
 
+def _design(cohort: Cohort, X: np.ndarray, names: list[str], means, sds) -> DesignMatrix:
+    """The cohort's design from its raw design X, mapped by (X - means) / sds unless means is None."""
+    X = X if means is None else (X - means) / sds
+    return DesignMatrix(X, names, cohort.time, cohort.event, cohort.schema, means, sds)
+
+
 def encode(cohort: Cohort, standardize: bool = False) -> DesignMatrix:
     """Encode a cohort, optionally centering/scaling every design column
     to sample mean 0 and (population) sd 1."""
@@ -177,24 +183,14 @@ def encode(cohort: Cohort, standardize: bool = False) -> DesignMatrix:
                 f"constant design column(s) cannot be standardized: "
                 f"{[names[j] for j in flat]}"
             )
-        X = (X - means) / sds
-    return DesignMatrix(
-        X=X, names=names, times=cohort.time, events=cohort.event,
-        schema=cohort.schema, means=means, sds=sds,
-    )
+    return _design(cohort, X, names, means, sds)
 
 
 def encode_like(cohort: Cohort, template: DesignMatrix) -> DesignMatrix:
     """Encode with the template's column layout and (if any) its affine map."""
     if cohort.schema != template.schema:
         raise ValueError("cohort schema does not match template design")
-    X, names = _raw_design(cohort)
-    if template.standardized:
-        X = (X - template.means) / template.sds
-    return DesignMatrix(
-        X=X, names=names, times=cohort.time, events=cohort.event,
-        schema=cohort.schema, means=template.means, sds=template.sds,
-    )
+    return _design(cohort, *_raw_design(cohort), template.means, template.sds)
 
 
 def split(cohort: Cohort, test_fraction: float, seed: int) -> tuple[Cohort, Cohort]:

@@ -42,7 +42,7 @@ _AGE_LO, _AGE_HI = 18, 75
 _LOG_INCOME_MEAN, _LOG_INCOME_SD = 10.8, 0.6
 
 # analytic moments of the sampling distributions, used by the hazard's
-# z-standardization
+# z-standardization; in schema order, the order of a proportional hazard's betas
 POPULATION_MOMENTS = {
     "Age": (
         (_AGE_LO + _AGE_HI) / 2.0,
@@ -57,8 +57,6 @@ POPULATION_MOMENTS = {
     "PromotionsDiscounts": (0.0, 1.0),
     "CustomerExperience": (0.0, 1.0),
 }
-
-_NUMERIC_ORDER = ["Age", "Income", "PurchaseHistory", "PromotionsDiscounts", "CustomerExperience"]
 
 
 @dataclass(frozen=True)
@@ -75,9 +73,9 @@ class HazardSpec:
         if self.kind not in ("proportional", "nonlinear"):
             raise ValueError(f"unknown hazard kind: {self.kind!r}")
         if self.kind == "proportional":
-            if not 1 <= len(self.beta) <= len(_NUMERIC_ORDER):
+            if not 1 <= len(self.beta) <= len(POPULATION_MOMENTS):
                 raise ValueError(
-                    f"proportional beta must cover 1..{len(_NUMERIC_ORDER)} numeric covariates"
+                    f"proportional beta must cover 1..{len(POPULATION_MOMENTS)} numeric covariates"
                 )
         elif self.beta:
             raise ValueError("nonlinear hazard takes no beta")
@@ -122,7 +120,7 @@ def risk_of(covariates: dict, hazard: HazardSpec) -> np.ndarray:
             covariates["PromotionsDiscounts"], "PromotionsDiscounts"
         ) + _z(covariates["CustomerExperience"], "CustomerExperience") ** 2
     risk = np.zeros(len(next(iter(covariates.values()))))
-    for b, name in zip(hazard.beta, _NUMERIC_ORDER):
+    for b, name in zip(hazard.beta, POPULATION_MOMENTS):
         risk = risk + b * _z(np.asarray(covariates[name], dtype=np.float64), name)
     return risk
 

@@ -66,6 +66,19 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.exp(K, out=K)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # finite rows, means and sds can still overflow
+def kernel_rows(rows: np.ndarray, what: str, means=0.0, sds=1.0) -> np.ndarray:
+    """(rows - means) / sds if all finite, and each row's squared norm finite too, as
+    the RBF kernel adds it; else a ValueError naming them `what`. A load standardizes a
+    file's raw support rows with it, and scoring checks its rows for all but the linear kernel."""
+    rows = (rows - means) / sds
+    if not np.all(np.isfinite(rows)):
+        raise ValueError(f"{what} are not finite after standardization")
+    if not np.all(np.isfinite((rows * rows).sum(axis=1))):
+        raise ValueError(f"{what} have squared norms too large to be finite")
+    return rows
+
+
 @dataclass
 class KsvmModel:
     """Its file holds the support rows raw; a load standardizes them with the file's means and sds."""
@@ -180,4 +193,5 @@ def fit_ksvm(
 def ksvm_risk(model: KsvmModel, design: DesignMatrix) -> np.ndarray:
     if design.names != model.column_names:
         raise ValueError("design columns do not match the fitted model")
-    return model.coefficients @ kernel_matrix(model.kernel, model.support_rows, design.X)
+    X = design.X if model.kernel.kind == "linear" else kernel_rows(design.X, "scored rows")
+    return model.coefficients @ kernel_matrix(model.kernel, model.support_rows, X)

@@ -23,7 +23,7 @@ child after its parent: a node's split column (-1 at a leaf), threshold
 and left child, and its leaf's knots (the distinct event times of its
 rows as indices into the event grid) and integer event and at-risk
 counts at each, one array per field over all leaves with each node's
-start offset into them. No leaf's curve is ever built on the whole grid.
+knot count (0 at a split). No leaf's curve is ever built on the whole grid.
 
 The ensemble cumulative hazard is the mean of the B leaf curves a row
 falls into, so its mortality (that curve summed over the training
@@ -87,15 +87,14 @@ _SHARD_ROWS = 1 << 14  # bootstrap rows (trees times n) a shard takes at least: 
 class NodeTable(NamedTuple):
     """A tree's nodes in growing order: node i splits on column[i] (a row
     goes left when its value is <= threshold[i]) into nodes left[i] and
-    left[i] + 1, or is a leaf (column and left -1) whose knots (indices
-    into the forest's event grid), event and at-risk counts run from
-    offsets[i] to the next node's offset (to the end, for the last node) in
-    knots, events and at_risk."""
+    left[i] + 1 (knot_counts[i] 0), or is a leaf (column and left -1) whose
+    knot_counts[i] knots (indices into the forest's event grid), event and
+    at-risk counts follow the earlier nodes' in knots, events and at_risk."""
 
     column: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
-    offsets: np.ndarray
+    knot_counts: np.ndarray
     knots: np.ndarray
     events: np.ndarray
     at_risk: np.ndarray
@@ -306,7 +305,7 @@ def _table(nodes: list, times: np.ndarray, events: np.ndarray, grid: np.ndarray)
     rs = sorted_risk_sets(times[rows], events[rows], rows, ends)  # the leaves are its runs
     has = rs.n_events > 0  # a leaf's knots are the times of its events
     sizes = np.bincount(np.searchsorted(ends, rs.starts[has], side="right"), minlength=len(nodes))
-    return NodeTable(*map(np.array, (column, threshold, left)), np.cumsum(sizes) - sizes,
+    return NodeTable(*map(np.array, (column, threshold, left)), sizes,
                      np.searchsorted(grid, rs.times[has]), rs.n_events[has].astype(np.int64),
                      rs.n_at_risk[has])  # integer counts, as in the forest file
 
@@ -365,15 +364,14 @@ def _check_settings(mtry, min_leaf, max_depth) -> None:
 
 
 def _descend(trees: list[SurvivalTree], X: np.ndarray) -> tuple[NodeTable, np.ndarray]:
-    """The trees' tables stacked into one, knot offsets shifted into it, and the
+    """The trees' tables stacked into one, each node keeping its knot count, and the
     (rows, B) matrix of the node each row of X reaches in each tree. A level moves
     an entry to left + 1 unless X[row, column] <= threshold (a NaN goes right), and
     a leaf to itself (column 0, threshold NaN, left its index - 1): see _STRIDE."""
     sizes = [tree.nodes.column.size for tree in trees]
     roots = np.cumsum([0, *sizes[:-1]])
-    first_knot = np.repeat(np.cumsum([0, *(tree.nodes.knots.size for tree in trees[:-1])]), sizes)
     nodes = NodeTable(*map(np.concatenate, zip(*(tree.nodes for tree in trees))))
-    nodes, split = nodes._replace(offsets=nodes.offsets + first_knot), nodes.column >= 0
+    split = nodes.column >= 0
     column, threshold = np.where(split, nodes.column, 0), np.where(split, nodes.threshold, np.nan)
     left = np.where(split, nodes.left + np.repeat(roots, sizes), np.arange(split.size) - 1)
     x = np.ascontiguousarray(X, dtype=np.float64).ravel()
@@ -397,10 +395,10 @@ def _mortality(forest: Forest, X: np.ndarray) -> np.ndarray:
     it holds for; taken most knots first, the reached leaves with a knot j
     are a prefix, and knot j adds to two running vectors for them all."""
     nodes, at = _descend(forest.trees, X)
-    sizes = np.diff(nodes.offsets, append=nodes.knots.size)
+    sizes = nodes.knot_counts
     reached = np.flatnonzero(np.bincount(at.ravel(), minlength=nodes.column.size))
     reached = reached[np.argsort(-sizes[reached], kind="stable")]
-    count, first = sizes[reached], nodes.offsets[reached]
+    count, first = sizes[reached], (np.cumsum(sizes) - sizes)[reached]  # each leaf's first knot
     knots = np.append(nodes.knots, forest.event_grid.size)  # the grid's end after the last
     hazard, mortality = np.zeros(reached.size), np.zeros(nodes.column.size)
     for j, r in enumerate(np.searchsorted(-count, -np.arange(count.max(initial=0)))):
@@ -416,7 +414,7 @@ def predict_chf(forest: Forest, x) -> StepFunction:
     """Ensemble cumulative hazard: at each knot of the B leaves x reaches, the
     math.fsum over B of each leaf's value there, so tree order does not matter."""
     nodes, at = _descend(forest.trees, np.asarray(x, dtype=np.float64)[None, :])
-    ends = np.append(nodes.offsets, nodes.knots.size)
+    ends = np.cumsum(np.append(0, nodes.knot_counts))  # each node's first knot, then the end
     leaves = [slice(ends[leaf], ends[leaf + 1]) for leaf in at[0]]  # each leaf's own knots
     knots = np.unique(np.concatenate([nodes.knots[s] for s in leaves]))
     values = np.array([np.append(0.0, np.cumsum(nodes.events[s] / nodes.at_risk[s]))[
@@ -461,9 +459,8 @@ def tree_to_dict(tree: SurvivalTree) -> dict:
     string of numbers one space apart; a knot holds its step from the leaf's last
     (the first from 0), its events, and the rows censored from it to the next."""
     t, split = tree.nodes, tree.nodes.column >= 0
-    sizes = np.diff(t.offsets, append=t.knots.size)
-    start = np.isin(np.arange(t.knots.size + 1), np.append(t.offsets, t.knots.size))  # leaf starts
-    fields = (t.column, t.threshold[split], t.left[split], sizes[~split],
+    start = np.isin(np.arange(t.knots.size + 1), np.cumsum([0, *t.knot_counts]))  # leaf starts
+    fields = (t.column, t.threshold[split], t.left[split], t.knot_counts[~split],
               np.where(start[:-1], t.knots, np.diff(t.knots, prepend=0)), t.events,
               t.at_risk - t.events - np.where(start[1:], 0, np.append(t.at_risk[1:], 0)))
     return {"seed": tree.seed, **{k: json.dumps(v.tolist(), separators=(" ", ":"))[1:-1]
@@ -516,9 +513,8 @@ def trees_from_dict(f: dict) -> list[SurvivalTree]:
     if not (np.all((events >= 1) & (events <= bound) & (censored >= 0) & (censored <= bound))
             and np.all(at_risk <= n)):
         raise ValueError("leaf counts must satisfy 1 <= events, 0 <= censored and at_risk <= n")
-    full = np.zeros(column.size), np.full(column.size, -1), 0 * column  # threshold, left, knots
+    full = np.zeros(column.size), np.full(column.size, -1), 0 * column  # threshold, left, counts
     full[0][split], full[1][split], full[2][~split] = threshold, left, counts
-    offsets = np.cumsum(full[2]) - full[2] - np.repeat(np.cumsum(k) - k, m)  # in its tree
-    tables = zip(*(np.split(a, np.cumsum(m)[:-1]) for a in (column, *full[:2], offsets)),
+    tables = zip(*(np.split(a, np.cumsum(m)[:-1]) for a in (column, *full)),
                  *(np.split(a, np.cumsum(k)[:-1]) for a in (knots, events, at_risk)))
     return [SurvivalTree(tree["seed"], n, NodeTable(*table)) for tree, table in zip(trees, tables)]

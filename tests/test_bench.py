@@ -458,6 +458,7 @@ def test_report_json_environment(tmp_path):
     with open(out / "report.json") as fh:
         doc = json.load(fh)
     env = doc["environment"]
+    assert list(env) == ["seed", "n", "n_events", "censoring_rate", "train_n", "test_n"]
     assert env["seed"] == 5
     assert env["n"] == 120
     assert env["train_n"] + env["test_n"] == 120

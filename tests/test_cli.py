@@ -146,6 +146,37 @@ def test_fit_then_eval_round_trip(tmp_path, capsys):
     assert f"C-index: {format(expected, '.6g')}" in line
 
 
+def with_huge_income(src, dst):
+    """A copy of cohort CSV `src` at `dst` whose first Income cell is 1e200."""
+    with open(src, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[1][rows[0].index("Income")] = "1e200"
+    with open(dst, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return dst
+
+
+@pytest.mark.parametrize("kind", ["rbf", "polynomial", "linear"])
+@pytest.mark.filterwarnings("error")  # a warning would print more than the one line
+def test_eval_refuses_rows_that_overflow_the_kernel(tmp_path, capsys, kind):
+    # a cell of 1e200 standardizes to a row whose squared norm overflows: the RBF kernel
+    # adds that norm and the polynomial kernel cubes the row's dot products, so both
+    # refuse the rows; the linear kernel's dot products stay finite, and it scores them
+    cohort_csv = make_cohort_csv(tmp_path)
+    config, model_path = tmp_path / "cfg.json", tmp_path / "ksvm.json"
+    config.write_text(json.dumps({"model_options": {"ksvm": {"kind": kind, "max_iter": 5}}}))
+    assert main(["fit", "--model", "ksvm", "--input", str(cohort_csv), "--config", str(config),
+                 "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    huge_csv = with_huge_income(cohort_csv, tmp_path / "huge.csv")
+    rc = main(["eval", "--model-file", str(model_path), "--input", str(huge_csv)])
+    if kind == "linear":
+        assert rc == 0 and capsys.readouterr().out.startswith("ksvm C-index: ")
+    else:
+        assert rc == 2
+        assert_one_line_error(capsys, "scored rows have squared norms too large to be finite")
+
+
 def test_eval_on_held_out_cohort(tmp_path, capsys):
     train_csv = make_cohort_csv(tmp_path, seed=2, name="train.csv")
     test_csv = make_cohort_csv(tmp_path, n=100, seed=9, name="test.csv")

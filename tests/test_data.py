@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from survbench.bench import write_csv
@@ -154,6 +154,32 @@ def test_encode_like_replays_affine_map():
     np.testing.assert_allclose(d.X, (raw - template.means) / template.sds)
     # test-set columns are NOT re-centered on the test sample
     assert abs(d.X[:, 0].mean()) > 0.1
+
+
+def design_bits(d):
+    """Every field of design `d`, each array as its dtype, shape and bytes."""
+    return {k: (v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+            for k, v in vars(d).items()}
+
+
+@pytest.mark.parametrize("standardize", [False, True])
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 40))
+@settings(max_examples=40, deadline=None)
+def test_encode_like_replays_a_design_bit_for_bit(standardize, seed, n):
+    # encode and encode_like build a design one way, so a cohort encoded like its own
+    # design gives that design's bits in every field
+    rng = np.random.default_rng(seed)
+    schema = CovariateSchema((Column("x", "numeric"), Column("g", "categorical", ("a", "b", "c")),
+                              Column("y", "numeric")))
+    cohort = Cohort(schema, {"x": rng.normal(size=n) * 10.0 ** rng.integers(-6, 7),
+                             "g": rng.choice(["a", "b", "c"], n).astype(object),
+                             "y": rng.standard_exponential(n) - 0.5},
+                    rng.exponential(size=n), rng.integers(0, 2, n))
+    try:
+        design = encode(cohort, standardize=standardize)
+    except DegenerateColumnError:  # a level drawn for no row, or for every row
+        reject()
+    assert design_bits(encode_like(cohort, design)) == design_bits(design)
 
 
 def test_encode_like_schema_mismatch():

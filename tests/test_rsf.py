@@ -430,8 +430,8 @@ def test_max_depth_zero_forces_stumps():
 
 def leaf_tree(knots, events, at_risk, seed=0):
     """A one-node tree of a forest file: a leaf whose knots index the grid."""
-    return tree_file(seed, column=[-1], threshold=[0.0], left=[-1], offsets=[0], knots=knots,
-                     events=events, at_risk=at_risk)
+    return tree_file(seed, column=[-1], threshold=[0.0], left=[-1], knot_counts=[len(knots)],
+                     knots=knots, events=events, at_risk=at_risk)
 
 
 def forest_doc(trees, grid, columns=("x0",)):
@@ -511,7 +511,7 @@ def routing_forest():
     knot, with 1, 2 and 4 at risk."""
     return load_forest(forest_doc([tree_file(
         column=[0, -1, 1, -1, -1], threshold=[0.5, 0.0, -1.0, 0.0, 0.0],
-        left=[1, -1, 3, -1, -1], offsets=[0, 0, 1, 1, 2],
+        left=[1, -1, 3, -1, -1], knot_counts=[0, 1, 0, 1, 1],
         knots=[0, 0, 0], events=[1, 1, 1], at_risk=[1, 2, 4],
     )], [1.0], columns=("x0", "x1")))
 
@@ -645,7 +645,7 @@ def test_rows_on_thresholds_or_holding_nan_score_as_a_node_by_node_walk(data_see
                                            if np.any(nodes.column == j) else X[:, j], 40)
                                 for j in range(3)])
         rows[rng.uniform(size=rows.shape) < nan_share] = np.nan
-        ends, leaves = np.append(nodes.offsets, nodes.knots.size), np.flatnonzero(nodes.column < 0)
+        ends, leaves = np.cumsum(np.append(0, nodes.knot_counts)), np.flatnonzero(nodes.column < 0)
         want = []
         for x in rows:  # the one leaf a node-by-node walk takes x to (NaN fails <=, so goes right)
             leaf = leaves[np.argmax(leaf_occupancy(tree, x[None, :]))]
@@ -775,7 +775,7 @@ def comb_tree(leaves):
     sizes[~split] = [len(knots) for knots, _, _ in leaves]
     return tree_file(
         column=np.where(split, 0, -1), threshold=np.where(split, node / 2 + 0.5, 0.0),
-        left=np.where(split, node + 1, -1), offsets=np.cumsum(sizes) - sizes,
+        left=np.where(split, node + 1, -1), knot_counts=sizes,
         **{key: np.concatenate([leaf[i] for leaf in leaves])
            for i, key in enumerate(("knots", "events", "at_risk"))})
 
@@ -849,6 +849,26 @@ def test_forest_file_rebuilds_the_fitted_tables(data_seed, n, b, min_leaf, max_d
             assert r.dtype.kind == a.dtype.kind
             np.testing.assert_array_equal(r, a)
     np.testing.assert_array_equal(rsf_risk(back, d), rsf_risk(f, d))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(8, 80), st.integers(1, 4), st.integers(1, 6),
+       st.sampled_from([0, 1, 3, None]), st.floats(0.05, 0.9))
+@settings(max_examples=40, deadline=None)
+def test_every_tree_holds_a_knot_count_per_node(data_seed, n, b, min_leaf, max_depth, share):
+    # a split holds no knots and a leaf one per event time of its rows, so a tree's
+    # knot counts add up to its knots, fitted and loaded alike
+    rng = np.random.default_rng(data_seed)
+    X = np.round(rng.normal(size=(n, 2)), 1)
+    times = np.round(rng.exponential(1.0, n), 1) + 0.1
+    events = (rng.uniform(size=n) < share).astype(int)
+    events[0] = 1
+    d = numeric_design(X, times, events)
+    f = fit_forest(d, b=b, min_leaf=min_leaf, max_depth=max_depth, seed=data_seed)
+    for tree in [*f.trees, *load_forest(forest_file(f, d)).trees]:
+        t = tree.nodes
+        assert t.knot_counts.shape == t.column.shape
+        assert np.all(t.knot_counts[t.column >= 0] == 0) and np.all(t.knot_counts >= 0)
+        assert t.knot_counts.sum() == t.knots.size == t.events.size == t.at_risk.size
 
 
 def first_tree(doc):

@@ -45,8 +45,9 @@ def two_leaf_forest(trees):
     leaf's (knots, events, at_risk), knots indexing the grid."""
     return {"model": "rsf", "column_names": ["x0"], "mtry": 1, "min_leaf": 1,
             "max_depth": None, "seed": 0, "event_grid": [1.0, 2.0], "n": 2,
-            "trees": [tree_file(seed, column=[-1], threshold=[0.0], left=[-1], offsets=[0],
-                                knots=knots, events=events, at_risk=at_risk)
+            "trees": [tree_file(seed, column=[-1], threshold=[0.0], left=[-1],
+                                knot_counts=[len(knots)], knots=knots, events=events,
+                                at_risk=at_risk)
                       for seed, (knots, events, at_risk) in enumerate(trees)]}
 
 
