@@ -24,8 +24,8 @@ import numpy as np
 
 from . import cox, deepsurv, ksvm, mtlr, rsf, workers
 from .common import Convergence, fmt6, has_json_kind, json_kind
-from .data import (Cohort, Column, CovariateSchema, DesignMatrix, encode, encode_like,
-                   ingest_csv, split)
+from .data import (SD_FLOOR, Cohort, Column, CovariateSchema, DesignMatrix, encode, encode_like,
+                   ingest_csv, split, standardize_rows)
 from .datagen import GeneratorConfig, HazardSpec, generate
 from .metrics import concordance_index
 from .nonparametric import kaplan_meier
@@ -183,9 +183,9 @@ MODELS: dict[str, ModelSpec] = {
             _NAMES,
             _CONVERGENCE,
         ),
-        build=lambda f: ksvm.KsvmModel(f["kernel"], ksvm.kernel_rows(
-            f["raw_support_rows"], "raw_support_rows", f["means"], f["sds"]), f["coefficients"],
-            f["c"], f["column_names"], f["convergence"]),
+        build=lambda f: ksvm.KsvmModel(f["kernel"], ksvm.kernel_rows(standardize_rows(
+            f["raw_support_rows"], f["means"], f["sds"], "raw_support_rows"), "raw_support_rows"),
+            f["coefficients"], f["c"], f["column_names"], f["convergence"]),
     ),
 }
 _SCHEMA = [{"name": "", "kind": "", "levels": [""]}]
@@ -261,7 +261,7 @@ def model_to_dict(name: str, model, design: DesignMatrix, raw: np.ndarray) -> di
 def model_from_dict(doc, path: str):
     """(name, model, template) from the model file read from `path`; the
     template has no rows, as `encode_like` reads only its schema and affine map.
-    A standardized model needs p finite means and sds >= 1e-12, as `encode`
+    A standardized model needs p finite means and sds >= SD_FLOOR, as `encode`
     allows, checked before `build` reads them; the forest's are null. Extra top-level
     keys are ignored, a record's (`kernel`, `spec`, `convergence`) are refused; a
     malformed file is one ValueError naming `path`, the model and the field."""
@@ -286,8 +286,8 @@ def model_from_dict(doc, path: str):
         if spec.standardize:
             means, sds = (_field(f"standardization {k}", 0.0, ("p",), std[k], {}, sizes)
                           for k in ("means", "sds"))
-            if not np.all(sds >= 1e-12):
-                raise TypeError("standardization sds must be at least 1e-12")
+            if not np.all(sds >= SD_FLOOR):
+                raise TypeError(f"standardization sds must be at least {SD_FLOOR}")
         elif std["means"] is not None or std["sds"] is not None:
             raise TypeError("standardization means and sds must be null: trees split raw values")
         model = spec.build({**checked, "means": means, "sds": sds})

@@ -15,6 +15,8 @@ import numpy as np
 
 from .rng import CounterRng
 
+SD_FLOOR = 1e-12  # the least sd of a standardized design column, in `encode` and in model files
+
 
 class SchemaError(ValueError):
     """Header or column layout does not match the expected schema."""
@@ -25,7 +27,7 @@ class ParseError(ValueError):
 
 
 class DegenerateColumnError(ValueError):
-    """A design column is constant and was asked to be standardized."""
+    """A design column asked to be standardized is constant, or its sd is not finite."""
 
 
 @dataclass(frozen=True)
@@ -163,26 +165,34 @@ def _raw_design(cohort: Cohort) -> tuple[np.ndarray, list[str]]:
     return X, names
 
 
+@np.errstate(over="ignore", invalid="ignore")  # finite rows, means and sds can still overflow
+def standardize_rows(X: np.ndarray, means, sds, what: str) -> np.ndarray:
+    """(X - means) / sds, or a ValueError naming the rows `what` if any of it is not finite."""
+    X = (X - means) / sds
+    if not np.all(np.isfinite(X)):
+        raise ValueError(f"{what} are not finite after standardization")
+    return X
+
+
 def _design(cohort: Cohort, X: np.ndarray, names: list[str], means, sds) -> DesignMatrix:
-    """The cohort's design from its raw design X, mapped by (X - means) / sds unless means is None."""
-    X = X if means is None else (X - means) / sds
+    """The cohort's design from its raw design X, standardized unless means is None."""
+    X = X if means is None else standardize_rows(X, means, sds, "scored rows")
     return DesignMatrix(X, names, cohort.time, cohort.event, cohort.schema, means, sds)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a huge cell overflows its column's sd
 def encode(cohort: Cohort, standardize: bool = False) -> DesignMatrix:
-    """Encode a cohort, optionally centering/scaling every design column
-    to sample mean 0 and (population) sd 1."""
+    """Encode a cohort, optionally centering/scaling every design column to sample
+    mean 0 and (population) sd 1; each sd must be finite and at least SD_FLOOR."""
     X, names = _raw_design(cohort)
     means = sds = None
     if standardize:
-        means = X.mean(axis=0)
-        sds = X.std(axis=0)
-        flat = np.nonzero(sds < 1e-12)[0]
-        if flat.size:
-            raise DegenerateColumnError(
-                f"constant design column(s) cannot be standardized: "
-                f"{[names[j] for j in flat]}"
-            )
+        means, sds = X.mean(axis=0), X.std(axis=0)
+        for bad, which in ((sds < SD_FLOOR, "constant design column(s)"),
+                           (~np.isfinite(sds), "design column(s) whose sd is not finite")):
+            if bad.any():
+                raise DegenerateColumnError(
+                    f"{which} cannot be standardized: {[names[j] for j in np.flatnonzero(bad)]}")
     return _design(cohort, X, names, means, sds)
 
 

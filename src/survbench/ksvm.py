@@ -66,14 +66,9 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.exp(K, out=K)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # finite rows, means and sds can still overflow
-def kernel_rows(rows: np.ndarray, what: str, means=0.0, sds=1.0) -> np.ndarray:
-    """(rows - means) / sds if all finite, and each row's squared norm finite too, as
-    the RBF kernel adds it; else a ValueError naming them `what`. A load standardizes a
-    file's raw support rows with it, and scoring checks its rows for all but the linear kernel."""
-    rows = (rows - means) / sds
-    if not np.all(np.isfinite(rows)):
-        raise ValueError(f"{what} are not finite after standardization")
+@np.errstate(over="ignore")  # finite rows can have squared norms that overflow the RBF kernel
+def kernel_rows(rows: np.ndarray, what: str) -> np.ndarray:
+    """Standardized `rows`, or a ValueError naming them `what` if a squared norm is not finite."""
     if not np.all(np.isfinite((rows * rows).sum(axis=1))):
         raise ValueError(f"{what} have squared norms too large to be finite")
     return rows
@@ -81,7 +76,7 @@ def kernel_rows(rows: np.ndarray, what: str, means=0.0, sds=1.0) -> np.ndarray:
 
 @dataclass
 class KsvmModel:
-    """Its file holds the support rows raw; a load standardizes them with the file's means and sds."""
+    """Its file holds the support rows raw; a load maps them by `data.standardize_rows`."""
 
     kernel: KernelSpec
     support_rows: np.ndarray  # standardized
@@ -190,6 +185,7 @@ def fit_ksvm(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a polynomial kernel can overflow; C-index refuses
 def ksvm_risk(model: KsvmModel, design: DesignMatrix) -> np.ndarray:
     if design.names != model.column_names:
         raise ValueError("design columns do not match the fitted model")

@@ -24,7 +24,7 @@ from survbench import deepsurv, ksvm, rsf, workers
 from survbench.bench import MODELS, model_options, write_csv
 from survbench.cli import main
 from survbench.data import (Cohort, Column, CovariateSchema, cohort_table, encode, encode_like,
-                            ingest_csv)
+                            ingest_csv, split)
 from survbench.datagen import GeneratorConfig, generate
 from survbench.metrics import concordance_index
 
@@ -146,19 +146,28 @@ def test_fit_then_eval_round_trip(tmp_path, capsys):
     assert f"C-index: {format(expected, '.6g')}" in line
 
 
-def with_huge_income(src, dst):
-    """A copy of cohort CSV `src` at `dst` whose first Income cell is 1e200."""
+def with_cell(src, dst, column="Income", value="1e200"):
+    """A copy of cohort CSV `src` at `dst` whose first `column` cell is `value`."""
     with open(src, newline="") as fh:
         rows = list(csv.reader(fh))
-    rows[1][rows[0].index("Income")] = "1e200"
+    rows[1][rows[0].index(column)] = value
     with open(dst, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
     return dst
 
 
-@pytest.mark.parametrize("kind", ["rbf", "polynomial", "linear"])
+NORMS_REFUSED = "scored rows have squared norms too large to be finite"
+
+
+@pytest.mark.parametrize("kind, income, error", [
+    ("rbf", "1e200", NORMS_REFUSED),
+    ("polynomial", "1e200", NORMS_REFUSED),
+    ("linear", "1e200", None),
+    # finite squared norms, but their dot products cubed overflow: the scores are refused
+    ("polynomial", "1e120", "scores must be finite"),
+], ids=["rbf", "polynomial", "linear", "polynomial-power-overflows"])
 @pytest.mark.filterwarnings("error")  # a warning would print more than the one line
-def test_eval_refuses_rows_that_overflow_the_kernel(tmp_path, capsys, kind):
+def test_eval_refuses_rows_that_overflow_the_kernel(tmp_path, capsys, kind, income, error):
     # a cell of 1e200 standardizes to a row whose squared norm overflows: the RBF kernel
     # adds that norm and the polynomial kernel cubes the row's dot products, so both
     # refuse the rows; the linear kernel's dot products stay finite, and it scores them
@@ -168,13 +177,43 @@ def test_eval_refuses_rows_that_overflow_the_kernel(tmp_path, capsys, kind):
     assert main(["fit", "--model", "ksvm", "--input", str(cohort_csv), "--config", str(config),
                  "--out", str(model_path)]) == 0
     capsys.readouterr()
-    huge_csv = with_huge_income(cohort_csv, tmp_path / "huge.csv")
+    huge_csv = with_cell(cohort_csv, tmp_path / "huge.csv", value=income)
     rc = main(["eval", "--model-file", str(model_path), "--input", str(huge_csv)])
-    if kind == "linear":
+    if error is None:
         assert rc == 0 and capsys.readouterr().out.startswith("ksvm C-index: ")
     else:
         assert rc == 2
-        assert_one_line_error(capsys, "scored rows have squared norms too large to be finite")
+        assert_one_line_error(capsys, error)
+
+
+@pytest.mark.parametrize("name", [name for name, spec in MODELS.items() if spec.standardize])
+@pytest.mark.filterwarnings("error")  # a warning would print more than the one line
+def test_fit_refuses_a_column_whose_sd_overflows(tmp_path, capsys, name):
+    # an Income cell of 1e200 overflows the column's sd: the standardized models refuse
+    # the column by name and write no file, where a fit on an infinite sd would map every
+    # other row's Income to 0 and write sds that no load accepts
+    huge_csv = with_cell(make_cohort_csv(tmp_path), tmp_path / "huge.csv")
+    capsys.readouterr()
+    model_path = tmp_path / f"{name}.json"
+    assert main(["fit", "--model", name, "--input", str(huge_csv), "--out", str(model_path)]) == 2
+    assert_one_line_error(
+        capsys, "design column(s) whose sd is not finite cannot be standardized: ['Income']")
+    assert not model_path.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_bench_reports_a_column_whose_sd_overflows_as_each_standardized_models_error(tmp_path):
+    huge_csv = with_cell(make_cohort_csv(tmp_path), tmp_path / "huge.csv")
+    train, _ = split(ingest_csv(str(huge_csv)), 0.3, 0)
+    assert 1e200 in train.covariates["Income"]  # the training split holds the huge cell
+    config, out = tmp_path / "cfg.json", tmp_path / "out"
+    config.write_text(json.dumps({"model_options": {"rsf": {"b": 5}}, "km_groups": []}))
+    assert main(["bench", "--input", str(huge_csv), "--config", str(config),
+                 "--out", str(out)]) == 1
+    with open(out / "report.csv", newline="") as fh:
+        status = {row["model"]: row["status"] for row in csv.DictReader(fh)}
+    error = "error: design column(s) whose sd is not finite cannot be standardized: ['Income']"
+    assert status == {name: "ok" if name == "rsf" else error for name in MODELS}
 
 
 def test_eval_on_held_out_cohort(tmp_path, capsys):
@@ -213,6 +252,26 @@ def test_every_model_file_reloads_and_scores(tmp_path, capsys, name):
     model = spec.fit(design, model_options(name, TINY_OPTIONS.get(name, {})), 3)
     res = concordance_index(design.times, design.events, spec.risk(model, design))
     assert line == f"{name} C-index: {format(res.cindex, '.6g')} ({res.comparable} comparable pairs)"
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+@pytest.mark.filterwarnings("error")  # a warning would print more than the one line
+def test_eval_refuses_rows_that_overflow_when_standardized(tmp_path, capsys, name):
+    # a PurchaseHistory cell of -1.79e308 over its training sd, 0.98 on this cohort, overflows
+    # the standardization map, which refuses the rows; the forest splits raw values and scores them
+    cohort_csv = make_cohort_csv(tmp_path)
+    config, model_path = tmp_path / "cfg.json", tmp_path / f"{name}.json"
+    config.write_text(json.dumps({"model_options": TINY_OPTIONS}))
+    assert main(["fit", "--model", name, "--input", str(cohort_csv), "--seed", "3",
+                 "--config", str(config), "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    huge_csv = with_cell(cohort_csv, tmp_path / "huge.csv", "PurchaseHistory", "-1.79e308")
+    rc = main(["eval", "--model-file", str(model_path), "--input", str(huge_csv)])
+    if name == "rsf":
+        assert rc == 0 and capsys.readouterr().out.startswith("rsf C-index: ")
+    else:
+        assert rc == 2
+        assert_one_line_error(capsys, "scored rows are not finite after standardization")
 
 
 def rewrite_rows(src, dst, keep):

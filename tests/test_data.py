@@ -142,6 +142,14 @@ def test_constant_column_refuses_standardization():
     assert encode(c).X.shape == (2, 2)
 
 
+def test_column_whose_sd_overflows_refuses_standardization():
+    # a cell of 1e200 overflows the sd of x1, and two cells of 1.7e308 overflow its sum
+    for x1 in ([1e200, 1.0, 2.0], [1.7e308, 1.7e308, 0.0]):
+        c = numeric_cohort(np.column_stack([[1.0, 2.0, 3.0], x1]), [1.0, 2.0, 3.0], [1, 1, 1])
+        with pytest.raises(DegenerateColumnError, match=r"sd is not finite .*\['x1'\]"):
+            encode(c, standardize=True)
+
+
 def test_encode_like_replays_affine_map():
     rng = np.random.default_rng(5)
     train = numeric_cohort(rng.normal(3.0, 2.0, (40, 2)), rng.uniform(1, 5, 40),
