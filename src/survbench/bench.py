@@ -30,7 +30,6 @@ from .datagen import GeneratorConfig, HazardSpec, generate
 from .metrics import concordance_index
 from .nonparametric import kaplan_meier
 from .rng import derive_seed
-from .stepfun import StepFunction
 from .svg import bar_chart, step_chart
 
 
@@ -95,13 +94,9 @@ MODELS: dict[str, ModelSpec] = {
         file_fields=(
             _NAMES,
             ("beta", 0.0, ("p",), lambda m, _: m.beta.tolist()),
-            ("baseline_times", 0.0, ("m",), lambda m, _: m.baseline_cum_hazard.times.tolist()),
-            ("baseline_values", 0.0, ("m",), lambda m, _: m.baseline_cum_hazard.values.tolist()),
             _CONVERGENCE,
         ),
-        build=lambda f: cox.CoxModel(
-            f["beta"], StepFunction(f["baseline_times"], f["baseline_values"], initial=0.0),
-            f["column_names"], f["convergence"]),
+        build=lambda f: cox.CoxModel(f["beta"], f["column_names"], f["convergence"]),
     ),
     "mtlr": ModelSpec(
         standardize=True,

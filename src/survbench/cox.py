@@ -1,5 +1,5 @@
 """Cox proportional hazards: Breslow-tie partial likelihood, Newton
-fitting (the shared maximizer in `common`), Breslow baseline hazard.
+fitting (the shared maximizer in `common`).
 
 The model is h(t|x) = h0(t) * exp(beta.x). Fitting maximizes the Breslow
 log partial likelihood, optionally ridge-penalized; the reported gradient
@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .common import Convergence, newton_maximize
-from .data import DesignMatrix
+from .data import DesignMatrix, column_list
 from .riskset import breslow_loglik, risk_set_sums, risk_sets
-from .stepfun import StepFunction
 
 _BETA_BOUND = 50.0
 
@@ -41,7 +40,6 @@ class MonotoneLikelihoodError(ValueError):
 @dataclass(frozen=True)
 class CoxModel:
     beta: np.ndarray
-    baseline_cum_hazard: StepFunction
     column_names: list[str]
     convergence: Convergence
 
@@ -64,6 +62,8 @@ def cox_loglik_grad_hess(design: DesignMatrix, beta) -> tuple[float, np.ndarray,
     return loglik, X.T @ dl_deta, hess
 
 
+# a rejected Newton trial step can overflow; newton_maximize never accepts a non-finite one
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def fit_cox(
     design: DesignMatrix,
     max_iter: int = 100,
@@ -79,9 +79,7 @@ def fit_cox(
     spans = design.X.max(axis=0) - design.X.min(axis=0) if design.n else np.array([])
     flat = np.nonzero(spans <= 0)[0]
     if flat.size:
-        raise ValueError(
-            f"constant design column(s): {[design.names[j] for j in flat]}"
-        )
+        raise ValueError(f"constant design column(s): {column_list(design.names[j] for j in flat)}")
 
     def penalized(beta):
         ll, g, H = cox_loglik_grad_hess(design, beta)
@@ -93,24 +91,7 @@ def fit_cox(
         raise MonotoneLikelihoodError(
             "coefficients diverging (monotone likelihood); refit with ridge > 0"
         )
-    return CoxModel(
-        beta=beta,
-        baseline_cum_hazard=_breslow_baseline(design, beta),
-        column_names=list(design.names),
-        convergence=convergence,
-    )
-
-
-def _breslow_baseline(design: DesignMatrix, beta) -> StepFunction:
-    """Jump at each distinct event time: d_g / sum of exp(eta) over its
-    risk set (no stabilization needed at the fitted beta's scale)."""
-    rs = risk_sets(design.times, design.events)
-    eta = (design.X @ beta)[rs.order]
-    m = eta.max()
-    W = risk_set_sums(rs, np.exp(eta - m))
-    keep = rs.n_events > 0
-    jumps = rs.n_events[keep] / (W[keep] * np.exp(m))
-    return StepFunction(times=rs.times[keep], values=np.cumsum(jumps), initial=0.0)
+    return CoxModel(beta=beta, column_names=list(design.names), convergence=convergence)
 
 
 def predict_risk(model: CoxModel, design: DesignMatrix) -> np.ndarray:

@@ -180,6 +180,13 @@ def _design(cohort: Cohort, X: np.ndarray, names: list[str], means, sds) -> Desi
     return DesignMatrix(X, names, cohort.time, cohort.event, cohort.schema, means, sds)
 
 
+def column_list(names) -> str:
+    """`names` as a list in a refusal: the first 5, then how many more."""
+    names = list(names)
+    more = f", ... and {len(names) - 5} more" if len(names) > 5 else ""
+    return f"{str(names[:5])[:-1]}{more}]"
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a huge cell overflows its column's sd
 def encode(cohort: Cohort, standardize: bool = False) -> DesignMatrix:
     """Encode a cohort, optionally centering/scaling every design column to sample
@@ -191,8 +198,8 @@ def encode(cohort: Cohort, standardize: bool = False) -> DesignMatrix:
         for bad, which in ((sds < SD_FLOOR, "constant design column(s)"),
                            (~np.isfinite(sds), "design column(s) whose sd is not finite")):
             if bad.any():
-                raise DegenerateColumnError(
-                    f"{which} cannot be standardized: {[names[j] for j in np.flatnonzero(bad)]}")
+                cols = column_list(names[j] for j in np.flatnonzero(bad))
+                raise DegenerateColumnError(f"{which} cannot be standardized: {cols}")
     return _design(cohort, X, names, means, sds)
 
 

@@ -201,6 +201,18 @@ def test_fit_refuses_a_column_whose_sd_overflows(tmp_path, capsys, name):
     assert not model_path.exists()
 
 
+@pytest.mark.filterwarnings("error")  # a warning would print more than the one line
+def test_cox_fit_that_diverges_on_a_wide_design_ends_in_one_line(tmp_path, capsys):
+    # a blank Income cell makes Income categorical, one level per row, and Cox's
+    # Newton trial steps on that wide design overflow before it is refused
+    blank_csv = with_cell(make_cohort_csv(tmp_path), tmp_path / "blank.csv", value="")
+    capsys.readouterr()
+    model_path = tmp_path / "cox.json"
+    assert main(["fit", "--model", "cox", "--input", str(blank_csv), "--out", str(model_path)]) == 2
+    assert_one_line_error(capsys, "refit with ridge > 0")
+    assert not model_path.exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_bench_reports_a_column_whose_sd_overflows_as_each_standardized_models_error(tmp_path):
     huge_csv = with_cell(make_cohort_csv(tmp_path), tmp_path / "huge.csv")
@@ -369,8 +381,9 @@ SEED_REFUSED = "malformed rsf model file: seed must be a JSON integer"
          "malformed ksvm model file: kernel gamma must be positive"),
         ("cox", lambda doc: doc["convergence"].update(gradient_norm=math.nan),
          "malformed cox model file: convergence gradient_norm must be a finite number, not NaN"),
-        ("cox", lambda doc: doc.update(baseline_times=doc["baseline_times"][::-1]),
-         "malformed cox model file: times must be strictly increasing"),
+        ("cox", lambda doc: doc["beta"].pop(),  # the cohort's design has 15 columns
+         "malformed cox model file: beta must be finite numbers of shape (p), "
+         "p = 15 from column_names"),
         ("mtlr", lambda doc: doc.update(boundaries=doc["boundaries"][::-1]),
          "malformed mtlr model file: boundaries must be strictly increasing"),
         ("rsf", lambda doc: doc["event_grid"].__setitem__(1, True), GRID_REFUSED),
@@ -408,7 +421,7 @@ SEED_REFUSED = "malformed rsf model file: seed must be a JSON integer"
          "deepsurv-biases-layer-dropped", "ksvm-gamma-nan", "ksvm-gamma-infinite",
          "ksvm-polynomial-coef0-nan", "ksvm-degree-zero", "ksvm-kernel-unknown-key",
          "ksvm-gamma-negative",
-         "cox-gradient-norm-nan", "cox-baseline-times-reversed", "mtlr-boundaries-reversed",
+         "cox-gradient-norm-nan", "cox-beta-cut", "mtlr-boundaries-reversed",
          "rsf-event-grid-item-true", "rsf-event-grid-item-string", "rsf-event-grid-item-nested",
          "rsf-event-grid-number", "rsf-event-grid-reversed", "rsf-seed-string",
          "rsf-seed-fraction", "rsf-tree-seed-string", "rsf-tree-seed-true", "rsf-trees-number",
@@ -434,7 +447,7 @@ def test_eval_rejects_bad_model_file(tmp_path, capsys, name, edit, text):
 # the fields of numbers in each model file, and the standardization of each standardized
 # model; the forest's event_grid is left out, since a grid point no knot reaches can be dropped
 EDITABLE = {
-    "cox": ["beta", "baseline_times", "baseline_values", "standardization"],
+    "cox": ["beta", "standardization"],
     "mtlr": ["boundaries", "weights", "biases", "l2", "standardization"],
     "rsf": ["mtry", "min_leaf", "max_depth", "seed", "n"],
     "deepsurv": ["weights", "biases", "standardization"],
@@ -489,18 +502,18 @@ def test_eval_names_the_field_an_edit_breaks(fitted_files, data):
 
 
 def eval_edited(root, cohort_csv, name, edit):
-    """(exit code, stderr) of `eval` on the fitted file of `name` after `edit`,
-    with every warning an error."""
+    """(exit code, stdout, stderr) of `eval` on the fitted file of `name` after
+    `edit`, with every warning an error."""
     doc = json.loads((root / f"{name}.json").read_text())
     edit(doc)
     path = root / "edited.json"
     path.write_text(json.dumps(doc))
-    err = io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
         rc = main(["eval", "--model-file", str(path), "--input", str(cohort_csv)])
-    return rc, err.getvalue()
+    return rc, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("sds, text", [
@@ -512,36 +525,42 @@ def test_eval_refuses_ksvm_sds_before_standardizing_its_rows(fitted_files, sds, 
     # the raw support rows are divided by the file's sds only once they are checked,
     # so no inf or NaN row and no NumPy warning comes before the refusal
     root, cohort_csv = fitted_files
-    rc, err = eval_edited(root, cohort_csv, "ksvm", lambda doc: doc["standardization"].update(
+    rc, _, err = eval_edited(root, cohort_csv, "ksvm", lambda doc: doc["standardization"].update(
         sds=sds(len(doc["column_names"]))))
     assert rc == 2 and err.count("\n") == 1
     assert f"malformed ksvm model file: {text}" in err
 
 
-@pytest.mark.parametrize("name", list(EDITABLE))
-def test_eval_ignores_top_level_keys_the_file_table_does_not_name(fitted_files, name):
-    # only keys inside a record (kernel, spec, convergence) are refused when unknown
+@pytest.mark.parametrize("name, keys", [
+    *((name, {"note": "refit in May"}) for name in EDITABLE),
+    # a Cox file as written when a fit also saved its Breslow baseline hazard
+    ("cox", {"baseline_times": [0.5, 1.25, 3.0], "baseline_values": [0.01, 0.025, 0.06]}),
+], ids=[*EDITABLE, "cox-breslow-baseline"])
+def test_eval_ignores_top_level_keys_the_file_table_does_not_name(fitted_files, name, keys):
+    # only keys inside a record (kernel, spec, convergence) are refused when unknown,
+    # and the file scores the same line as without them
     root, cohort_csv = fitted_files
-    rc, err = eval_edited(root, cohort_csv, name, lambda doc: doc.update(note="refit in May"))
+    rc, out, err = eval_edited(root, cohort_csv, name, lambda doc: doc.update(keys))
     assert rc == 0 and err == ""
+    assert out == eval_edited(root, cohort_csv, name, lambda doc: None)[1]
 
 
 @pytest.mark.parametrize("name, edit, text", [
-    ("cox", lambda doc: doc.update(baseline_times=doc["baseline_times"][::-1],
-                                   schema=3), "schema must be a JSON list"),
-    ("cox", lambda doc: (doc.update(baseline_times=doc["baseline_times"][::-1]),
-                         doc["standardization"].update(sds=[0.0] * len(doc["beta"]))),
+    ("mtlr", lambda doc: doc.update(boundaries=doc["boundaries"][::-1], schema=3),
+     "schema must be a JSON list"),
+    ("mtlr", lambda doc: (doc.update(boundaries=doc["boundaries"][::-1]),
+                          doc["standardization"].update(sds=[0.0] * len(doc["column_names"]))),
      "standardization sds must be at least 1e-12"),
     ("rsf", lambda doc: (doc.update(trees=[{"seed": 1}]),
                          doc["standardization"].update(means=[0.0] * len(doc["column_names"]))),
      "standardization means and sds must be null"),
-], ids=["cox-schema", "cox-sds", "rsf-standardization"])
+], ids=["mtlr-schema", "mtlr-sds", "rsf-standardization"])
 def test_schema_and_standardization_are_checked_before_the_model_is_built(
         fitted_files, name, edit, text):
     # a file that fails both a check of the model's own and the schema or
     # standardization check is refused for the latter, which a build may read
     root, cohort_csv = fitted_files
-    rc, err = eval_edited(root, cohort_csv, name, edit)
+    rc, _, err = eval_edited(root, cohort_csv, name, edit)
     assert rc == 2 and f"malformed {name} model file: {text}" in err
 
 

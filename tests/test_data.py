@@ -6,6 +6,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from survbench.bench import write_csv
+from survbench.cox import fit_cox
 from survbench.data import (
     Cohort,
     Column,
@@ -14,6 +15,7 @@ from survbench.data import (
     ParseError,
     SchemaError,
     cohort_table,
+    column_list,
     encode,
     encode_like,
     infer_schema,
@@ -148,6 +150,20 @@ def test_column_whose_sd_overflows_refuses_standardization():
         c = numeric_cohort(np.column_stack([[1.0, 2.0, 3.0], x1]), [1.0, 2.0, 3.0], [1, 1, 1])
         with pytest.raises(DegenerateColumnError, match=r"sd is not finite .*\['x1'\]"):
             encode(c, standardize=True)
+
+
+def test_refusals_name_five_columns_and_count_the_rest():
+    # eight constant columns beside one that varies, refused by encode and by fit_cox
+    X = np.column_stack([np.full((3, 8), 5.0), [1.0, 2.0, 3.0]])
+    c = numeric_cohort(X, [1.0, 2.0, 3.0], [1, 1, 1])
+    names = "['x0', 'x1', 'x2', 'x3', 'x4', ... and 3 more]"
+    with pytest.raises(DegenerateColumnError) as info:
+        encode(c, standardize=True)
+    assert str(info.value) == f"constant design column(s) cannot be standardized: {names}"
+    with pytest.raises(ValueError) as info:
+        fit_cox(encode(c))
+    assert str(info.value) == f"constant design column(s): {names}"
+    assert column_list(["x0", "x1"]) == str(["x0", "x1"])
 
 
 def test_encode_like_replays_affine_map():
