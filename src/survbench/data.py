@@ -254,17 +254,19 @@ def cohort_table(cohort: Cohort) -> tuple[list[str], list[tuple[str, ...]]]:
 
 
 def infer_schema(names: list[str], columns: list[list[str]]) -> CovariateSchema:
-    """Columns of cells where every value parses as float are numeric; the
-    rest are categorical with levels sorted lexicographically."""
+    """Columns whose non-blank cells, at least one, all parse as float are
+    numeric (ingest refuses a blank cell in one); the rest are categorical
+    with levels sorted lexicographically."""
     cols = []
     for name, vals in zip(names, columns, strict=True):
         try:
             list(map(float, vals))
-            cols.append(Column(name=name, kind="numeric"))
-        except ValueError:
-            cols.append(
-                Column(name=name, kind="categorical", levels=tuple(sorted(set(vals))))
-            )
+            numeric = True
+        except ValueError:  # a blank cell does not make a level of every number
+            filled = [v for v in vals if v.strip()]
+            numeric = bool(filled) and all(_number(v) is not None for v in filled)
+        cols.append(Column(name=name, kind="numeric") if numeric else
+                    Column(name=name, kind="categorical", levels=tuple(sorted(set(vals)))))
     return CovariateSchema(columns=tuple(cols))
 
 
@@ -338,6 +340,8 @@ def ingest_csv(path, schema: CovariateSchema | None = None) -> Cohort:
             bad = np.flatnonzero(~np.isfinite(vals))
             if bad.size:  # a non-number anywhere is named before a non-finite number
                 i = next((i for i in bad.tolist() if _number(raw[i]) is None), int(bad[0]))
+                if not raw[i].strip():
+                    raise ParseError(f"row {i + 1}: empty cell in numeric column {col.name!r}")
                 what = "non-numeric" if _number(raw[i]) is None else "non-finite"
                 raise ParseError(f"row {i + 1}: {what} value {raw[i]!r} in {col.name!r}")
             cov[col.name] = vals

@@ -2,21 +2,26 @@
 Nelson-Aalen leaf estimates.
 
 The B trees grow in lockstep: each tree walks its nodes depth first,
-left subtree first, from its own stack, and each step searches every
-tree's next node that may split together, in batches of one power-of-two
-size class padded to their widest node, a class's nodes taken in order
-of event count so that a batch's nodes have similar widths and event
-times. A node holds its design rows in stable time order (a child keeps
-its parent's order) and reads its draws at its own tree's counter
-positions, so each tree draws what it would draw grown alone. Log-rank
-terms are summed in time order and padding adds only trailing +0.0
-terms, so no split depends on which nodes share a batch. A candidate's
-left count is read off the sorted column, so only candidates that leave
-min_leaf rows on each side get a row mask. As no tree depends on the
-trees grown with it, the trees grow in k contiguous shards, one per
-usable CPU but at most one per _SHARD_ROWS bootstrap rows, all but the
-last in forked workers (`workers.run`), and the forest does not depend
-on k.
+left subtree first, from its own stack of the nodes that may split, and
+each step pops every tree's next node and searches them together, in
+batches of one power-of-two size class padded to their widest node, a
+class's nodes taken in order of event count so that a batch's nodes have
+similar widths and event times. A tree's bootstrap rows lie in stable
+time order in one row of a matrix, and a node is a range of it: a split
+partitions the range in place, left rows first, so a child keeps its
+parent's order. A node reads its draws at its own tree's counter
+positions, so each tree draws what it would draw grown alone. A batch's
+candidates run along the fast axis: row masks are (row, candidate) and
+the log-rank counts (event time, candidate), so the sums over event
+times run down the rows in time order, one row after another, and a lone
+candidate is paired, as NumPy sums a single column pairwise. Padding
+adds only trailing +0.0 terms, so no split depends on which nodes share
+a batch. A candidate's left count is read off the sorted column, so only
+candidates that leave min_leaf rows on each side get a row mask. As no
+tree depends on the trees grown with it, the trees grow in k contiguous
+shards, one per usable CPU but at most one per _SHARD_ROWS bootstrap
+rows, all but the last in forked workers (`workers.run`), and the forest
+does not depend on k.
 
 A tree is one flat node table in growing order, node 0 its root, each
 child after its parent: a node's split column (-1 at a leaf), threshold
@@ -79,7 +84,6 @@ _MAX_THRESHOLDS = 32
 _CELLS = 1 << 14  # size-class rows times drawn columns per batch of the split search
 _PASS_CELLS = 1 << 15  # (row, tree) pairs a pass of the descent takes
 _STRIDE = 4  # levels the descent steps between compactions (3 to 8 took about as long)
-_NO_ROWS = np.zeros(0, dtype=np.int64)
 _SHARD_ROWS = 1 << 14  # bootstrap rows (trees times n) a shard takes at least: on 2 CPUs,
 # fewer made the fork, the pipe and the child's wait for an idle CPU cost more than they saved
 
@@ -140,17 +144,29 @@ class Forest:
 
 def _logrank(n_left, observed, n_events, n_at_risk):
     """Two-sample log-rank statistic |O-E|/sqrt(V) of each candidate, nan
-    where V = 0. The last axis runs over event times in time order; E and
-    V are running sums along it, so a candidate scores the same bits in
-    any batch, and padding terms (no events, one at risk) add +0.0."""
+    where V = 0. The arrays are C-contiguous (event time, candidate):
+    candidates run along the fast axis, and E and V are sums down the rows
+    in time order, which NumPy's reduction over axis 0 adds row by row when
+    there are two or more columns, so a candidate scores the same bits in
+    any batch, and padding terms (no events, one at risk) add +0.0. A lone
+    candidate is paired with itself, as NumPy sums one column pairwise."""
+    lone = n_left.shape[1] == 1
+    if lone:
+        n_left, n_events, n_at_risk = (np.repeat(a, 2, axis=1)
+                                       for a in (n_left, n_events, n_at_risk))
     frac = n_left / n_at_risk
     expected_terms = n_events * frac
     with np.errstate(invalid="ignore", divide="ignore"):
-        variance_terms = np.where(n_at_risk > 1, expected_terms * (1.0 - frac)
-                                  * (n_at_risk - n_events) / (n_at_risk - 1.0), 0.0)
-        expected = np.add.accumulate(expected_terms, axis=-1)[..., -1]
-        variance = np.add.accumulate(variance_terms, axis=-1)[..., -1]
-        return np.where(variance > 0.0, np.abs(observed - expected) / np.sqrt(variance), np.nan)
+        # expected * (1 - frac) * (n - d) / (n - 1), in place: large temporaries cost page faults
+        variance_terms = np.subtract(1.0, frac, out=frac)
+        variance_terms *= expected_terms
+        variance_terms *= n_at_risk - n_events
+        variance_terms /= n_at_risk - 1.0
+        np.copyto(variance_terms, 0.0, where=n_at_risk <= 1)
+        expected = np.add.reduce(expected_terms, axis=0)
+        variance = np.add.reduce(variance_terms, axis=0)
+        score = np.where(variance > 0.0, np.abs(observed - expected) / np.sqrt(variance), np.nan)
+    return score[:1] if lone else score
 
 
 def logrank_score(times, events, column_values, threshold) -> float:
@@ -165,9 +181,9 @@ def logrank_score(times, events, column_values, threshold) -> float:
         raise ValueError("no events; score undefined")
     rs = risk_sets(times, events)
     has = rs.n_events > 0
-    n_left = risk_set_sums(rs, left[rs.order].astype(np.float64))[has]
+    n_left = risk_set_sums(rs, left[rs.order].astype(np.float64))[has, None]  # one candidate
     observed = np.count_nonzero(left[rs.order] & rs.is_event)
-    score = _logrank(n_left, observed, rs.n_events[has], rs.n_at_risk[has])
+    score = _logrank(n_left, observed, rs.n_events[has, None], rs.n_at_risk[has, None])[0]
     if np.isnan(score):
         raise ValueError("zero log-rank variance; score undefined")
     return float(score)
@@ -196,14 +212,15 @@ def _best_splits(XT, times, events, seeds, counters, rows, sizes, mtry, min_leaf
     block = XT[cols[:, :, None], rows[:, None, :]]  # (K, mtry, w), rows in time order
     xs = np.sort(block, axis=2)
     step = (xs[..., 1:] != xs[..., :-1]) & (xs[..., 1:] < np.inf)  # a distinct value ends
-    wide = np.count_nonzero(step, axis=2) > _MAX_THRESHOLDS
-    k, j, i = np.nonzero(step & wide[..., None])  # node by node, in column order
+    wide = np.flatnonzero(np.count_nonzero(step, axis=2) > _MAX_THRESHOLDS)  # (node, column)s
+    r, i = np.nonzero(step.reshape(K * mtry, w - 1)[wide])  # node by node, in column order
+    k = wide[r] // mtry
     drawn = np.bincount(k, minlength=K)
     if k.size:  # keep the 32 thresholds of smallest draw per wide column
         first = np.cumsum(drawn) - drawn
-        u = np.full(step.shape, np.inf)
-        u[k, j, i] = uniform_at(seeds[k], counters[k] + p + np.arange(k.size) - first[k])
-        step[wide] = _smallest(u[wide], _MAX_THRESHOLDS)
+        u = np.full((wide.size, w - 1), np.inf)
+        u[r, i] = uniform_at(seeds[k], counters[k] + p + np.arange(k.size) - first[k])
+        step.reshape(K * mtry, w - 1)[wide] = _smallest(u, _MAX_THRESHOLDS)
     k, j, i = np.nonzero(step)
     mids = 0.5 * (xs[k, j, i] + xs[k, j, i + 1])
     n_left = i + 1  # the values up to step i (pads sort last), but a midpoint
@@ -211,7 +228,7 @@ def _best_splits(XT, times, events, seeds, counters, rows, sizes, mtry, min_leaf
     n_left[up] = np.count_nonzero(xs[k[up], j[up]] <= mids[up, None], axis=1)
     valid = (n_left >= min_leaf) & (sizes[k] - n_left >= min_leaf)
     k, j, mids = k[valid], j[valid], mids[valid]
-    masks = block[k, j] <= mids[:, None]  # each candidate's left rows
+    masks = np.take(block.reshape(K * mtry, w).T, k * mtry + j, axis=1) <= mids  # (w, C) left rows
 
     ends = np.cumsum(sizes)
     live = rows[np.arange(w) < sizes[:, None]]
@@ -219,14 +236,15 @@ def _best_splits(XT, times, events, seeds, counters, rows, sizes, mtry, min_leaf
     has = rs.n_events > 0  # each node's event times
     node = np.searchsorted(ends, rs.starts[has], side="right")
     slot = np.arange(node.size) - np.searchsorted(node, node)
-    from_end = np.zeros((K, slot.max() + 1), dtype=np.int64)  # padding: no events, 1 at risk
+    from_end = np.zeros((slot.max() + 1, K), dtype=np.int64)  # padding: no events, 1 at risk
     n_events, n_at_risk = np.zeros(from_end.shape), np.ones(from_end.shape)
-    from_end[node, slot] = w - 1 - (rs.starts[has] - (ends - sizes)[node])
-    n_events[node, slot], n_at_risk[node, slot] = rs.n_events[has], rs.n_at_risk[has]
-    observed = np.count_nonzero(masks & events[rows][k], axis=1)
+    from_end[slot, node] = w - 1 - (rs.starts[has] - (ends - sizes)[node])
+    n_events[slot, node], n_at_risk[slot, node] = rs.n_events[has], rs.n_at_risk[has]
+    observed = np.count_nonzero(masks & np.take(events[rows].T, k, axis=1), axis=0)
     n_left = np.take_along_axis(  # left rows at or after each event time
-        np.cumsum(masks[:, ::-1], axis=1, dtype=np.int32), from_end[k], axis=1)
-    scores = np.fmax(_logrank(n_left, observed, n_events[k], n_at_risk[k]), 0.0)  # nan scores 0
+        np.cumsum(masks[::-1], axis=0, dtype=np.int32), np.take(from_end, k, axis=1), axis=0)
+    scores = np.fmax(_logrank(n_left, observed, np.take(n_events, k, axis=1),
+                              np.take(n_at_risk, k, axis=1)), 0.0)  # nan scores 0
 
     best = np.zeros(K)
     np.maximum.at(best, k, scores)
@@ -236,77 +254,104 @@ def _best_splits(XT, times, events, seeds, counters, rows, sizes, mtry, min_leaf
     column, threshold, left_events = np.full(K, -1), np.zeros(K), np.zeros(K, dtype=np.int64)
     left = np.zeros((K, w), dtype=bool)
     column[split] = cols[split, j[c]]
-    threshold[split], left[split], left_events[split] = mids[c], masks[c], observed[c]
+    threshold[split], left[split], left_events[split] = mids[c], masks[:, c].T, observed[c]
     return column, threshold, left, left_events, p + drawn
 
 
-def _batch_order(entry):
-    """Nodes batch by size class, then by event count."""
-    return entry[0], entry[5]
+def _batch_order(step):
+    """Nodes batch by size class, then by event count: the sort keys of a
+    step's nodes, given their (size class, tree, node, start, end, events)."""
+    return step[0], step[5]
 
 
 def _grow_trees(design, seeds, min_leaf, max_depth, mtry, grid) -> list[NodeTable]:
     """The tables of trees grown in lockstep, each on the bootstrap its
     seed draws; a step's nodes are searched in batches of one size class
-    and at most _CELLS cells."""
+    and at most _CELLS cells. Tree t's rows, in time order, fill `flat`
+    from t * n on, and a node is a range of it: a split partitions its
+    range in place, left rows first, each side in its order. A tree's
+    stack holds only nodes that may split, so a step pops one per tree."""
     n, p = design.X.shape
     XT = np.vstack([design.X, np.full(p, np.inf)]).T.copy()  # row n is the batches' pad
     times = np.append(design.times, np.inf)
     events = np.append(design.events == 1, False)
-    nodes = [[None] for _ in seeds]  # (column, threshold, left, a leaf's rows)
-    inbags = (CounterRng(seed).integers(n, n) for seed in seeds)
-    stacks = [[(0, rows, 0, int(np.count_nonzero(events[rows])))] for rows in (
-        inbag[np.argsort(design.times[inbag], kind="stable")] for inbag in inbags)]
+    flat = np.concatenate([inbag[np.argsort(design.times[inbag], kind="stable")] for inbag in (
+        CounterRng(seed).integers(n, n) for seed in seeds)])
     seeds = np.array(seeds, dtype=np.uint64)
-    counters = np.full(len(stacks), n)  # the bootstrap drew the first n slots
+    counters = np.full(seeds.size, n)  # the bootstrap drew the first n slots
+    nodes, t = np.ones(seeds.size, dtype=np.int64), np.arange(seeds.size)  # node counts, trees
+    stack, top = np.zeros((5, seeds.size, 8), dtype=np.int64), 0 * t  # a tree's stack, its size
+    limit, splits = math.inf if max_depth is None else max_depth, []
+    made = [(t, 0 * t, t * n, t * n + n,  # the roots
+             np.count_nonzero(events[flat].reshape(-1, n), axis=1), 0 * t)]
     while True:
-        todo = []
-        for t, stack in enumerate(stacks):
-            while stack:
-                node, rows, depth, n_events = stack.pop()
-                if (rows.size >= 2 * min_leaf and n_events > 0
-                        and (max_depth is None or depth < max_depth)):
-                    todo.append((1 << (rows.size - 1).bit_length(), t, node, rows, depth, n_events))
-                    break
-                nodes[t][node] = (-1, 0.0, -1, rows)
-        todo.sort(key=_batch_order)
-        at = 0
-        while at < len(todo):
-            w = todo[at][0]
-            batch = [e for e in todo[at:at + max(1, _CELLS // (w * mtry))] if e[0] == w]
-            at += len(batch)
-            tree = np.array([e[1] for e in batch])
-            sizes = np.array([e[3].size for e in batch])
-            padded = np.full((len(batch), sizes.max()), n)
-            padded[np.arange(sizes.max()) < sizes[:, None]] = np.concatenate([e[3] for e in batch])
-            column, threshold, left, left_events, drawn = _best_splits(
-                XT, times, events, seeds[tree], counters[tree], padded, sizes, mtry, min_leaf)
-            counters[tree] += drawn
-            for (_, t, node, rows, depth, n_events), j, thr, go_left, n_left_events in zip(
-                    batch, column.tolist(), threshold.tolist(), left, left_events.tolist()):
-                if j < 0:
-                    nodes[t][node] = (-1, 0.0, -1, rows)
-                    continue
-                go_left, child = go_left[:rows.size], len(nodes[t])
-                nodes[t][node] = (j, thr, child, _NO_ROWS)
-                nodes[t] += [None, None]
-                stacks[t].append((child + 1, rows[~go_left], depth + 1, n_events - n_left_events))
-                stacks[t].append((child, rows[go_left], depth + 1, n_left_events))
-        if not todo:
-            return [_table(tree, times, events, grid) for tree in nodes]
+        for t, node, lo, hi, n_events, depth in made:  # of distinct trees, the left child last
+            go = (hi - lo >= 2 * min_leaf) & (n_events > 0) & (depth < limit)
+            stack = np.dstack([stack, stack]) if top.max() == stack.shape[2] else stack
+            stack[:, t[go], top[t[go]]] = np.stack([node, lo, hi, n_events, depth])[:, go]
+            top[t[go]] += 1
+        if not (t := np.flatnonzero(top)).size:
+            return _tables(flat, nodes, splits, times, events, grid)
+        top[t] -= 1
+        node, lo, hi, n_events, depth = stack[:, t, top[t]]
+        step = (np.left_shift(1, np.frexp(hi - lo - 1)[1]), t, node, lo, hi, n_events)
+        order = np.lexsort(_batch_order(step)[::-1])
+        w = step[0][order]  # size classes in batch order, and where each one ends
+        w, last, at = w.tolist(), np.searchsorted(w, w, "right").tolist(), 0
+        column, n_left, left_events = np.zeros((3, t.size), dtype=np.int64)
+        threshold = np.zeros(t.size)
+        while at < len(w):
+            end = min(at + max(1, _CELLS // (w[at] * mtry)), last[at])
+            b, at = order[at:end], end
+            sizes = hi[b] - lo[b]
+            cells = np.arange(sizes.max())
+            live = cells < sizes[:, None]
+            rows = np.where(live, np.take(flat, lo[b, None] + cells, mode="clip"), n)
+            column[b], threshold[b], left, left_events[b], drawn = _best_splits(
+                XT, times, events, seeds[t[b]], counters[t[b]], rows, sizes, mtry, min_leaf)
+            counters[t[b]] += drawn
+            ranks = np.cumsum(left, axis=1)  # left rows first, then the right, each in order
+            n_left[b] = ranks[:, -1]
+            to = np.where(left, ranks - 1, ranks[:, -1:] + cells - ranks)
+            flat[(lo[b, None] + to)[live]] = rows[live]
+        split = column >= 0
+        t, node, column, lo, mid, hi, n_events, left_events, depth = (a[split] for a in (
+            t, node, column, lo, lo + n_left, hi, n_events, left_events, depth + 1))
+        child = nodes[t]
+        nodes[t] += 2
+        splits.append((np.stack([t, node, column, child, lo, mid, hi]), threshold[split]))
+        made = [(t, child + 1, mid, hi, n_events - left_events, depth),
+                (t, child, lo, mid, left_events, depth)]
 
 
-def _table(nodes: list, times: np.ndarray, events: np.ndarray, grid: np.ndarray) -> NodeTable:
-    """A tree's table from its grown nodes, each leaf's knots found from
-    its rows, in time order, in one pass over the tree, and in `grid`."""
-    column, threshold, left, rows = zip(*nodes)
-    ends = np.cumsum([r.size for r in rows])
-    rows = np.concatenate(rows)
+def _tables(flat, nodes, splits, times, events, grid) -> list[NodeTable]:
+    """The trees' tables from their splits: a root holds its tree's range of
+    `flat`, and a split's children the two parts of the split's range."""
+    fields, thresholds = zip((np.zeros((7, 0), dtype=np.int64), np.zeros(0)), *splits)
+    tree, node, j, child, lo, mid, hi = np.concatenate(fields, axis=1)
+    roots, n = np.cumsum(nodes) - nodes, flat.size // nodes.size
+    split, kids = roots[tree] + node, roots[tree] + child
+    column, left, first, last = np.full((4, nodes.sum()), -1)
+    threshold = np.zeros(nodes.sum())
+    column[split], threshold[split], left[split] = j, np.concatenate(thresholds), child
+    first[np.r_[roots, kids, kids + 1]] = np.r_[np.arange(nodes.size) * n, lo, mid]
+    last[np.r_[roots, kids, kids + 1]] = np.r_[np.arange(nodes.size) * n + n, mid, hi]
+    sizes = np.where(column < 0, last - first, 0)  # a split holds no rows
+    return [_table(flat, *tree, times, events, grid) for tree in zip(
+        *(np.split(a, np.cumsum(nodes)[:-1]) for a in (column, threshold, left, first, sizes)))]
+
+
+def _table(flat, column, threshold, left, first, sizes, times, events, grid) -> NodeTable:
+    """A tree's table, each leaf's knots found from its rows (`sizes` of them
+    from `first` in `flat`), in time order, in one pass over the tree, and
+    in `grid`. One pass over all trees' leaves raised `bench`'s peak RSS."""
+    ends = np.cumsum(sizes)
+    rows = flat[np.repeat(first - ends + sizes, sizes) + np.arange(ends[-1])]
     rs = sorted_risk_sets(times[rows], events[rows], rows, ends)  # the leaves are its runs
     has = rs.n_events > 0  # a leaf's knots are the times of its events
-    sizes = np.bincount(np.searchsorted(ends, rs.starts[has], side="right"), minlength=len(nodes))
-    return NodeTable(*map(np.array, (column, threshold, left)), sizes,
-                     np.searchsorted(grid, rs.times[has]), rs.n_events[has].astype(np.int64),
+    counts = np.bincount(np.searchsorted(ends, rs.starts[has], side="right"), minlength=ends.size)
+    return NodeTable(column, threshold, left, counts, np.searchsorted(grid, rs.times[has]),
+                     rs.n_events[has].astype(np.int64),
                      rs.n_at_risk[has])  # integer counts, as in the forest file
 
 

@@ -203,13 +203,29 @@ def test_fit_refuses_a_column_whose_sd_overflows(tmp_path, capsys, name):
 
 @pytest.mark.filterwarnings("error")  # a warning would print more than the one line
 def test_cox_fit_that_diverges_on_a_wide_design_ends_in_one_line(tmp_path, capsys):
-    # a blank Income cell makes Income categorical, one level per row, and Cox's
-    # Newton trial steps on that wide design overflow before it is refused
+    # Income written with a currency sign is categorical, one level per row, and
+    # Cox's Newton trial steps on that wide design overflow before it is refused
+    with open(make_cohort_csv(tmp_path), newline="") as fh:
+        rows = list(csv.reader(fh))
+    j = rows[0].index("Income")
+    wide_csv = tmp_path / "wide.csv"
+    with open(wide_csv, "w", newline="") as fh:
+        csv.writer(fh).writerows([rows[0], *([*r[:j], f"${r[j]}", *r[j + 1:]] for r in rows[1:])])
+    capsys.readouterr()
+    model_path = tmp_path / "cox.json"
+    assert main(["fit", "--model", "cox", "--input", str(wide_csv), "--out", str(model_path)]) == 2
+    assert_one_line_error(capsys, "refit with ridge > 0")
+    assert not model_path.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_blank_cell_in_a_numeric_column_ends_in_one_line(tmp_path, capsys):
+    # a blank Income cell keeps Income numeric and is refused by its row
     blank_csv = with_cell(make_cohort_csv(tmp_path), tmp_path / "blank.csv", value="")
     capsys.readouterr()
     model_path = tmp_path / "cox.json"
     assert main(["fit", "--model", "cox", "--input", str(blank_csv), "--out", str(model_path)]) == 2
-    assert_one_line_error(capsys, "refit with ridge > 0")
+    assert_one_line_error(capsys, "row 1: empty cell in numeric column 'Income'")
     assert not model_path.exists()
 
 

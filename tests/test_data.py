@@ -378,7 +378,7 @@ GOOD_CELLS = {
     "event": st.sampled_from(["0", "1", "true", "False", " TRUE ", "1 "]),
 }
 BAD_CELLS = {
-    "x": ["abc", "", "inf", "-inf", "nan", "NaN", "1e999"],
+    "x": ["abc", "", "inf", "-inf", "nan", "NaN", "1e999", " "],
     "time": ["soon", "", "-1", "-0.5", "inf", "-inf", "nan", "1e999"],
     "g": ["c", "A", " a", ""],
     "event": ["yes", "2", "", "-1", "0.0"],
@@ -402,6 +402,8 @@ def first_bad_cell(rows):
         try:
             float(x)
         except ValueError:
+            if not x.strip():
+                return f"row {i + 1}: empty cell in numeric column 'x'"
             return f"row {i + 1}: non-numeric value {x!r} in 'x'"
     for i, (x, _, _, _) in enumerate(rows):
         if not math.isfinite(float(x)):
@@ -437,10 +439,18 @@ def test_ingest_reads_each_cell_as_float_and_names_the_first_bad_row(tmp_path_fa
 
 
 def test_infer_schema_types_and_levels():
-    s = infer_schema(["a", "b"], [["1.5", "2", "3e1"], ["x", "y", "x"]])
-    assert s.columns[0].kind == "numeric"
-    assert s.columns[1].kind == "categorical"
+    # a blank cell leaves a column of numbers numeric, not one level per value
+    s = infer_schema(["a", "b", "c", "d"], [["1.5", "2", "3e1"], ["x", "y", "x"],
+                                            ["1.5", "", " "], ["", " ", ""]])
+    assert [c.kind for c in s.columns] == ["numeric", "categorical", "numeric", "categorical"]
     assert s.columns[1].levels == ("x", "y")
+
+
+def test_ingest_refuses_a_blank_cell_in_an_inferred_numeric_column(tmp_path):
+    path = tmp_path / "c.csv"
+    write_csv(path, ["x", "time", "event"], [["1.5", "1", "1"], ["", "2", "0"], ["3", "3", "1"]])
+    with pytest.raises(ParseError, match=r"^row 2: empty cell in numeric column 'x'$"):
+        ingest_csv(path)
 
 
 def test_column_validation():

@@ -124,11 +124,11 @@ def test_batch_scores_equal_scores_alone(data_seed, n, c, pad):
     rs = risk_sets(times, events)
     has = rs.n_events > 0
     left = x[rs.order] <= thresholds[:, None]
-    n_left = np.hstack([risk_set_sums(rs, left.astype(float))[:, has],
-                        rng.integers(0, n, (c, pad))])  # a pad's left count is arbitrary
+    n_left = np.vstack([risk_set_sums(rs, left.astype(float))[:, has].T,  # (event time, candidate)
+                        rng.integers(0, n, (pad, c))])  # a pad's left count is arbitrary
     batch = _logrank(n_left, np.count_nonzero(left & rs.is_event, axis=1),
-                     np.concatenate([rs.n_events[has], np.zeros(pad)]),
-                     np.concatenate([rs.n_at_risk[has], np.ones(pad)]))
+                     np.concatenate([rs.n_events[has], np.zeros(pad)])[:, None],
+                     np.concatenate([rs.n_at_risk[has], np.ones(pad)])[:, None])
     for thr, score in zip(thresholds, batch):
         try:
             alone = logrank_score(times, events, x, thr)
@@ -136,6 +136,38 @@ def test_batch_scores_equal_scores_alone(data_seed, n, c, pad):
             assert np.isnan(score)
             continue
         assert score == alone
+
+
+def looped_logrank(n_left, observed, n_events, n_at_risk):
+    """One candidate's score and E, with E and V summed over event times
+    left to right in Python floats, each term as `_logrank` writes it."""
+    expected = variance = 0.0
+    for left, d, r in zip(n_left.tolist(), n_events.tolist(), n_at_risk.tolist()):
+        frac = left / r
+        expected += d * frac
+        variance += d * frac * (1.0 - frac) * (r - d) / (r - 1.0) if r > 1 else 0.0
+    return abs(observed - expected) / math.sqrt(variance) if variance > 0 else math.nan, expected
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.sampled_from([1, 2, 3, 9]))
+@settings(max_examples=80, deadline=None)
+@example(0, 1, 1)  # one event time, one candidate
+@example(0, 1, 2)
+@example(1, 30, 1)  # NumPy sums one column of 30 pairwise
+def test_logrank_sums_run_left_to_right_over_event_times(data_seed, e, c):
+    # E and V are sums down the rows in time order, bit for bit, for a lone
+    # candidate, two and many: each score is the loop's, and an observed count
+    # of the loop's E scores exactly 0, so E itself has the loop's bits
+    rng = np.random.default_rng(data_seed)
+    n_at_risk = rng.integers(1, 200, (e, c)).astype(float)
+    n_events, n_left = np.floor(rng.uniform(size=(2, e, c)) * (n_at_risk + 1))
+    observed = rng.integers(0, 50, c)
+    want, expected = np.array([looped_logrank(n_left[:, i], observed[i], n_events[:, i],
+                                              n_at_risk[:, i]) for i in range(c)]).T
+    got = _logrank(n_left, observed, n_events, n_at_risk)
+    assert got.tobytes() == want.tobytes()
+    at_expected = _logrank(n_left, expected, n_events, n_at_risk)
+    assert np.all((at_expected == 0.0) | np.isnan(want))
 
 
 # --- split search ------------------------------------------------------------
