@@ -11,12 +11,13 @@ and every CSV goes through `write_csv` on top of it.
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from functools import partial
 from typing import Callable
 
@@ -53,6 +54,20 @@ class ModelSpec:
     build: Callable
 
 
+def _defaults(*takers, **unsigned) -> dict:
+    """Each option's one default: `unsigned`, which no signature holds, then each taker's
+    defaulted parameters in order, but the seeds a run derives and record-valued ones."""
+    return {**unsigned, **{p.name: p.default for taker in takers
+                           for p in inspect.signature(taker).parameters.values()
+                           if p.default is not p.empty and not is_dataclass(p.default)
+                           and p.name not in ("seed", "weight_init_seed")}}
+
+
+def _record(cls, opts: dict, **given):
+    """A `cls` record of `given` and the options that name its fields, popped from `opts`."""
+    return cls(**{f.name: opts.pop(f.name) for f in fields(cls) if f.name in opts}, **given)
+
+
 def _fit_mtlr(design, opts: dict, seed: int):
     opts = dict(opts)
     return mtlr.fit_mtlr(design, mtlr.make_grid(design, opts.pop("k")), **opts)
@@ -60,18 +75,14 @@ def _fit_mtlr(design, opts: dict, seed: int):
 
 def _fit_deepsurv(design, opts: dict, seed: int):
     opts = dict(opts)
-    net = deepsurv.MlpSpec(
-        layer_widths=(design.p, *opts.pop("hidden"), 1),
-        activation=opts.pop("activation"),
-        dropout_rate=opts.pop("dropout_rate"),
-        weight_init_seed=derive_seed(seed, 1),
-    )
+    net = _record(deepsurv.MlpSpec, opts, layer_widths=(design.p, *opts.pop("hidden"), 1),
+                  weight_init_seed=derive_seed(seed, 1))
     return deepsurv.fit_deepsurv(design, net, seed=seed, **opts)
 
 
 def _fit_ksvm(design, opts: dict, seed: int):
     opts = dict(opts)
-    kernel = ksvm.KernelSpec(**{k: opts.pop(k) for k in ("kind", "gamma", "degree", "coef0")})
+    kernel = _record(ksvm.KernelSpec, opts)
     return ksvm.fit_ksvm(design, kernel, **opts)
 
 
@@ -88,7 +99,7 @@ _CONVERGENCE = ("convergence", Convergence(True, 0, 0.0), None, lambda m, _: asd
 MODELS: dict[str, ModelSpec] = {
     "cox": ModelSpec(
         standardize=True,
-        defaults={"max_iter": 100, "tol": 1e-8, "ridge": 0.0},
+        defaults=_defaults(cox.fit_cox),
         fit=lambda design, opts, seed: cox.fit_cox(design, **opts),
         risk=lambda model, design: cox.predict_risk(model, design),
         file_fields=(
@@ -100,7 +111,7 @@ MODELS: dict[str, ModelSpec] = {
     ),
     "mtlr": ModelSpec(
         standardize=True,
-        defaults={"k": 10, "l2": 1.0, "max_iter": 100, "tol": 1e-3},
+        defaults=_defaults(mtlr.fit_mtlr, k=10),  # make_grid requires k
         fit=_fit_mtlr,
         risk=lambda model, design: mtlr.mtlr_risk(model, design),
         file_fields=(
@@ -116,7 +127,7 @@ MODELS: dict[str, ModelSpec] = {
     ),
     "rsf": ModelSpec(
         standardize=False,
-        defaults={"b": 200, "mtry": None, "min_leaf": 15, "max_depth": None},
+        defaults=_defaults(rsf.fit_forest),
         fit=lambda design, opts, seed: rsf.fit_forest(design, seed=seed, **opts),
         risk=lambda model, design: rsf.rsf_risk(model, design),
         file_fields=(
@@ -134,15 +145,7 @@ MODELS: dict[str, ModelSpec] = {
     ),
     "deepsurv": ModelSpec(
         standardize=True,
-        defaults={
-            "hidden": [32],
-            "activation": "relu",
-            "dropout_rate": 0.0,
-            "epochs": 300,
-            "batch_size": 64,
-            "learning_rate": 1e-3,
-            "l2": 1e-4,
-        },
+        defaults=_defaults(deepsurv.MlpSpec, deepsurv.fit_deepsurv, hidden=[32]),  # layer_widths
         fit=_fit_deepsurv,
         risk=lambda model, design: deepsurv.predict_log_risk(model, design),
         file_fields=(
@@ -159,15 +162,7 @@ MODELS: dict[str, ModelSpec] = {
     ),
     "ksvm": ModelSpec(
         standardize=True,
-        defaults={
-            "kind": "rbf",
-            "gamma": None,
-            "degree": 3,
-            "coef0": 1.0,
-            "c": 10_000.0,
-            "max_iter": 30,
-            "tol": 1e-3,
-        },
+        defaults=_defaults(ksvm.KernelSpec, ksvm.fit_ksvm),
         fit=_fit_ksvm,
         risk=lambda model, design: ksvm.ksvm_risk(model, design),
         file_fields=(
@@ -375,7 +370,7 @@ def bench_config_from_dict(doc: dict) -> BenchConfig:
     doc = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
     source, gen = doc.pop("input", {}), None
     if "generator" in source:
-        g = {"seed": doc.get("seed", 0), **source["generator"]}
+        g = {"seed": doc.get("seed", BenchConfig.seed), **source["generator"]}
         hz = g.pop("hazard", {})
         gen = GeneratorConfig(**g, hazard=HazardSpec(**{**hz, "beta": tuple(hz.get("beta", ()))}))
     return BenchConfig(csv_path=source.get("csv"), generator=gen, **doc)

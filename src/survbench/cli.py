@@ -30,6 +30,7 @@ from .bench import (
 from .common import fmt6
 from .data import cohort_table, encode, encode_like, ingest_csv
 from .datagen import (
+    HAZARD_KINDS,
     GeneratorConfig,
     HazardSpec,
     calibrate_censoring,
@@ -75,7 +76,7 @@ def _cmd_datagen(args) -> int:
     )
     cfg = GeneratorConfig(
         n=args.n,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
         hazard=hazard,
         baseline_rate=args.baseline_rate,
         censor_rate=args.censor_rate,
@@ -103,8 +104,8 @@ def _cmd_fit(args) -> int:
     out, raw = args.out or f"{args.model}.json", encode(cohort).X  # KSVM files hold raw rows
     write_text_atomic(out, json.dumps(model_to_dict(args.model, model, design, raw)) + "\n")
     if getattr(model, "training_log", None):
-        rows = "".join(f"{i},{v!r}\n" for i, v in enumerate(model.training_log))
-        write_text_atomic(f"{os.path.splitext(out)[0]}_training_log.csv", "epoch,loss\n" + rows)
+        write_csv(f"{os.path.splitext(out)[0]}_training_log.csv", ["epoch", "loss"],
+                  [[i, repr(v)] for i, v in enumerate(model.training_log)])
     print(f"wrote {out}")
     return 0
 
@@ -166,15 +167,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("datagen", help="generate a synthetic cohort CSV")
     _add_shared(p, "--seed", "--out")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--hazard", choices=["nonlinear", "proportional"], default="nonlinear")
+    gen = GeneratorConfig()
+    p.add_argument("--n", type=int, default=gen.n)
+    p.add_argument("--hazard", choices=HAZARD_KINDS, default=gen.hazard.kind)
     p.add_argument("--beta", default=None, help="comma-separated proportional betas")
-    p.add_argument("--baseline-rate", type=float, default=GeneratorConfig().baseline_rate)
-    p.add_argument("--censor-rate", type=float, default=GeneratorConfig().censor_rate)
-    p.add_argument("--censor-horizon", type=float, default=GeneratorConfig().censor_horizon)
+    p.add_argument("--baseline-rate", type=float, default=gen.baseline_rate)
+    p.add_argument("--censor-rate", type=float, default=gen.censor_rate)
+    p.add_argument("--censor-horizon", type=float, default=gen.censor_horizon)
     p.add_argument("--target-censoring", type=float, default=None,
                    help="calibrate the horizon to this censored fraction first")
-    p.set_defaults(func=_cmd_datagen)
+    p.set_defaults(func=_cmd_datagen, seed=gen.seed)
 
     p = sub.add_parser("fit", help="fit one model on a cohort CSV")
     _add_shared(p, "--seed", "--out", "--config")

@@ -254,17 +254,12 @@ def cohort_table(cohort: Cohort) -> tuple[list[str], list[tuple[str, ...]]]:
 
 
 def infer_schema(names: list[str], columns: list[list[str]]) -> CovariateSchema:
-    """Columns whose non-blank cells, at least one, all parse as float are
-    numeric (ingest refuses a blank cell in one); the rest are categorical
-    with levels sorted lexicographically."""
+    """A column with any cell that parses as float is numeric (ingest then names its
+    first cell that does not, so no stray word makes a level of every number); the rest
+    are categorical with levels sorted lexicographically."""
     cols = []
     for name, vals in zip(names, columns, strict=True):
-        try:
-            list(map(float, vals))
-            numeric = True
-        except ValueError:  # a blank cell does not make a level of every number
-            filled = [v for v in vals if v.strip()]
-            numeric = bool(filled) and all(_number(v) is not None for v in filled)
+        numeric = any(_number(v) is not None for v in set(vals))
         cols.append(Column(name=name, kind="numeric") if numeric else
                     Column(name=name, kind="categorical", levels=tuple(sorted(set(vals)))))
     return CovariateSchema(columns=tuple(cols))

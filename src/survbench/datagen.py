@@ -59,6 +59,9 @@ POPULATION_MOMENTS = {
 }
 
 
+HAZARD_KINDS = ("nonlinear", "proportional")
+
+
 @dataclass(frozen=True)
 class HazardSpec:
     """proportional: risk = sum beta_k * z(numeric covariate k), numeric
@@ -70,7 +73,7 @@ class HazardSpec:
     beta: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("proportional", "nonlinear"):
+        if self.kind not in HAZARD_KINDS:
             raise ValueError(f"unknown hazard kind: {self.kind!r}")
         if self.kind == "proportional":
             if not 1 <= len(self.beta) <= len(POPULATION_MOMENTS):

@@ -145,9 +145,10 @@ def fit_deepsurv(
     """SGD with momentum 0.9. Batches are a seeded shuffle each epoch,
     cut into batch_size chunks (full batch when batch_size is None);
     event-free chunks are skipped with a warning. Each epoch is planned
-    before its first step (time order, risk sets and dropout draws of all
-    its chunks, with the bits of a chunk-by-chunk loop), and a step
-    updates one flat vector of which the weights and biases are views."""
+    before its first step (time order and risk sets of all its chunks, with
+    the bits of a chunk-by-chunk loop); a step draws its chunk's dropout
+    masks, hidden layer by layer, and updates one flat vector of which the
+    weights and biases are views."""
     if not design.standardized:
         raise ValueError("deepsurv expects a standardized design")
     if design.events.sum() < 1:
@@ -188,18 +189,14 @@ def fit_deepsurv(
         starts_in_batch = starts % chunk
         group_bounds = np.searchsorted(starts, bounds).tolist()
         batch_events = np.add.reduceat(is_event, batch_starts).tolist()
-        if spec.dropout_rate > 0.0:  # each event batch's masks, hidden layer by layer
-            mask_shapes = [(hi - lo, w) for lo, hi, k in zip(bounds, bounds[1:], batch_events)
-                           if k for w in hidden]
-            u = rng.uniform(sum(r * w for r, w in mask_shapes))
-            drops = iter(_views((u < keep) / keep, mask_shapes))
         batch_losses = []
         for b, k in enumerate(batch_events):
             if not k:
                 warnings.warn(f"skipping event-free batch at epoch {epoch}")
                 continue
             lo, hi = bounds[b], bounds[b + 1]
-            masks = [next(drops) for _ in hidden] if spec.dropout_rate > 0.0 else None
+            masks = [(rng.uniform((hi - lo) * w).reshape(hi - lo, w) < keep) / keep
+                     for w in hidden] if spec.dropout_rate > 0.0 else None
             groups = slice(group_bounds[b], group_bounds[b + 1])
             with np.errstate(all="ignore"):  # a diverged loss is refused below
                 g, acts, zs = _forward(weights, biases, Xs[lo:hi], spec.activation, masks)

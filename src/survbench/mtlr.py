@@ -91,10 +91,12 @@ def _tails(X, interval, is_event, weights, biases):
     # tail[:, m] = P(interval >= m); column 0 is 1 by construction
     tail = np.cumsum(np.exp(logp)[:, ::-1], axis=1)[:, ::-1]
     rows = np.arange(X.shape[0])
-    with np.errstate(divide="ignore"):
-        ll = np.where(is_event, logp[rows, interval], np.log(tail[rows, interval]))
     cut = np.maximum(interval[:, None], np.arange(1, weights.shape[0] + 1))
-    censored = tail[rows[:, None], cut] / tail[rows, interval][:, None]
+    # a tail can underflow to 0: an event's quotient is unused, and a censored record's
+    # log-likelihood is then -inf, a value newton_maximize never accepts
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ll = np.where(is_event, logp[rows, interval], np.log(tail[rows, interval]))
+        censored = tail[rows[:, None], cut] / tail[rows, interval][:, None]
     return ll, tail[:, 1:], np.where(is_event[:, None], cut == interval[:, None], censored)
 
 
@@ -174,6 +176,7 @@ def predict_pmf(model: MtlrModel, X) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # huge scored rows can overflow; C-index refuses
 def mtlr_risk(model: MtlrModel, design: DesignMatrix) -> np.ndarray:
     """Risk score for ranking: negative expected event-interval index."""
     if design.names != model.column_names:

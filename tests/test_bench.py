@@ -257,6 +257,19 @@ def test_registry_defaults_match_signature_defaults():
                 assert [p.default for p in params] == [value], (name, option)
 
 
+def test_model_option_keys_are_pinned():
+    # the defaults are read off the takers' signatures, so a defaulted keyword added to
+    # one would become a config key; each model's keys, in order, are its config surface
+    assert {name: list(spec.defaults) for name, spec in MODELS.items()} == {
+        "cox": ["max_iter", "tol", "ridge"],
+        "mtlr": ["k", "l2", "max_iter", "tol"],
+        "rsf": ["b", "mtry", "min_leaf", "max_depth"],
+        "deepsurv": ["hidden", "activation", "dropout_rate", "epochs", "batch_size",
+                     "learning_rate", "l2"],
+        "ksvm": ["kind", "gamma", "degree", "coef0", "c", "max_iter", "tol"],
+    }
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(30, 60), st.integers(1, 3))
 @settings(max_examples=8, deadline=None)
 def test_model_dicts_survive_json_with_identical_scores(seed, n, p):

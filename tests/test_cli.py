@@ -25,7 +25,7 @@ from survbench.bench import MODELS, model_options, write_csv
 from survbench.cli import main
 from survbench.data import (Cohort, Column, CovariateSchema, cohort_table, encode, encode_like,
                             ingest_csv, split)
-from survbench.datagen import GeneratorConfig, generate
+from survbench.datagen import DEFAULT_SCHEMA, GeneratorConfig, generate
 from survbench.metrics import concordance_index
 
 from conftest import (cohorts_equal, forest_fields, forest_lists, forked_shards_killed,
@@ -226,6 +226,19 @@ def test_a_blank_cell_in_a_numeric_column_ends_in_one_line(tmp_path, capsys):
     model_path = tmp_path / "cox.json"
     assert main(["fit", "--model", "cox", "--input", str(blank_csv), "--out", str(model_path)]) == 2
     assert_one_line_error(capsys, "row 1: empty cell in numeric column 'Income'")
+    assert not model_path.exists()
+
+
+@pytest.mark.parametrize("word", ["NA", "N/A", "null", " None ", "unknown", "?", "-"])
+@pytest.mark.filterwarnings("error")
+def test_a_word_in_a_numeric_column_ends_in_one_line(tmp_path, capsys, word):
+    # a word such as NA keeps Income numeric, not one level per value, and is
+    # refused by its row before any model file is written
+    na_csv = with_cell(make_cohort_csv(tmp_path), tmp_path / "na.csv", value=word)
+    capsys.readouterr()
+    model_path = tmp_path / "mtlr.json"
+    assert main(["fit", "--model", "mtlr", "--input", str(na_csv), "--out", str(model_path)]) == 2
+    assert_one_line_error(capsys, f"row 1: non-numeric value {word!r} in 'Income'")
     assert not model_path.exists()
 
 
@@ -517,6 +530,16 @@ def test_eval_names_the_field_an_edit_breaks(fitted_files, data):
     assert name in text and key in text, text
 
 
+def run_main(argv):
+    """(exit code, stdout, stderr) of `main(argv)`, with every warning an error."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
 def eval_edited(root, cohort_csv, name, edit):
     """(exit code, stdout, stderr) of `eval` on the fitted file of `name` after
     `edit`, with every warning an error."""
@@ -524,12 +547,7 @@ def eval_edited(root, cohort_csv, name, edit):
     edit(doc)
     path = root / "edited.json"
     path.write_text(json.dumps(doc))
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(err):
-        warnings.simplefilter("error")
-        rc = main(["eval", "--model-file", str(path), "--input", str(cohort_csv)])
-    return rc, out.getvalue(), err.getvalue()
+    return run_main(["eval", "--model-file", str(path), "--input", str(cohort_csv)])
 
 
 @pytest.mark.parametrize("sds, text", [
@@ -578,6 +596,45 @@ def test_schema_and_standardization_are_checked_before_the_model_is_built(
     root, cohort_csv = fitted_files
     rc, _, err = eval_edited(root, cohort_csv, name, edit)
     assert rc == 2 and f"malformed {name} model file: {text}" in err
+
+
+# cells a hand-edited or exported cohort may hold: a blank, a missing-value marker, the
+# extremes of float64, a number too long to be finite, spaces around a number, a new level
+HOSTILE_CELLS = ["", "NA", "inf", "nan", "1e308", "-1e308", "5e-324", "-0.0", "1" * 400,
+                 " 42.5 ", "Unseen"]
+
+
+@given(st.lists(st.tuples(st.integers(0, 119), st.sampled_from([*DEFAULT_SCHEMA.names, "time",
+                                                                  "event"]),
+                          st.sampled_from(HOSTILE_CELLS)), min_size=1, max_size=3))
+@example([(0, "Income", "NA")])
+@example([(0, "Income", "")])
+@example([(1, "Gender", "NA"), (73, "OnlineBehavior", "NA")])  # an MTLR tail underflows
+@example([(0, "PurchaseHistory", "1e308"), (0, "CustomerExperience", "1e308")])  # MTLR scores
+@settings(max_examples=25, deadline=None)
+def test_a_hostile_cohort_ends_in_exit_0_or_one_line(fitted_files, edits):
+    # `fit` on a cohort with one to three cells edited, and `eval` of a clean fit on
+    # it, for every model: exit 0 with a finite C-index, or exit 2 with one short line,
+    # never a warning or a traceback
+    root, cohort_csv = fitted_files
+    with open(cohort_csv, newline="") as fh:
+        rows = list(csv.reader(fh))
+    for i, column, value in edits:
+        rows[1 + i % (len(rows) - 1)][rows[0].index(column)] = value
+    edited = root / "hostile.csv"
+    with open(edited, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    for name in EDITABLE:
+        for argv in (["fit", "--model", name, "--input", str(edited),
+                      "--config", str(root / "cfg.json"), "--out", str(root / "hostile.json")],
+                     ["eval", "--model-file", str(root / f"{name}.json"), "--input", str(edited)]):
+            rc, out, err = run_main(argv)
+            if rc == 0:
+                assert err == ""
+                assert argv[0] == "fit" or math.isfinite(float(out.split()[2])), (argv, out)
+            else:
+                assert rc == 2 and err.startswith("survbench: error: "), (argv, err)
+                assert err.count("\n") == 1 and len(err) < 1000, (argv, err)
 
 
 def test_bench_prints_not_converged_only_beside_a_fitted_model(tmp_path, capsys):
@@ -966,8 +1023,10 @@ def test_fit_deepsurv_writes_training_log(tmp_path):
         ]
     )
     assert rc == 0
-    with open(tmp_path / "net_training_log.csv") as fh:
-        lines = fh.read().strip().splitlines()
+    with open(tmp_path / "net_training_log.csv", newline="") as fh:
+        text = fh.read()
+    assert text.endswith("\r\n") and text.count("\n") == text.count("\r\n")  # write_csv's rows
+    lines = text.splitlines()
     assert lines[0] == "epoch,loss"
     assert len(lines) == 6
     losses = [float(l.split(",")[1]) for l in lines[1:]]

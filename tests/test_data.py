@@ -378,7 +378,7 @@ GOOD_CELLS = {
     "event": st.sampled_from(["0", "1", "true", "False", " TRUE ", "1 "]),
 }
 BAD_CELLS = {
-    "x": ["abc", "", "inf", "-inf", "nan", "NaN", "1e999", " "],
+    "x": ["abc", "", "inf", "-inf", "nan", "NaN", "1e999", " ", "NA"],
     "time": ["soon", "", "-1", "-0.5", "inf", "-inf", "nan", "1e999"],
     "g": ["c", "A", " a", ""],
     "event": ["yes", "2", "", "-1", "0.0"],
@@ -416,7 +416,7 @@ def first_bad_cell(rows):
 
 @given(st.lists(st.fixed_dictionaries(GOOD_CELLS), min_size=1, max_size=12),
        st.lists(st.tuples(st.integers(0, 11), st.sampled_from(list(BAD_CELLS)),
-                          st.integers(0, 7)), max_size=3))
+                          st.integers(0, 8)), max_size=3))
 @settings(max_examples=300, deadline=None)
 def test_ingest_reads_each_cell_as_float_and_names_the_first_bad_row(tmp_path_factory, rows,
                                                                       edits):
@@ -439,11 +439,27 @@ def test_ingest_reads_each_cell_as_float_and_names_the_first_bad_row(tmp_path_fa
 
 
 def test_infer_schema_types_and_levels():
-    # a blank cell leaves a column of numbers numeric, not one level per value
-    s = infer_schema(["a", "b", "c", "d"], [["1.5", "2", "3e1"], ["x", "y", "x"],
-                                            ["1.5", "", " "], ["", " ", ""]])
-    assert [c.kind for c in s.columns] == ["numeric", "categorical", "numeric", "categorical"]
+    # a column with any number in it is numeric, whatever else it holds (ingest refuses
+    # the rest), so no blank or word makes it one level per value; a column of blanks
+    # and words is categorical, each distinct cell a level
+    words = ["NA", " n/a ", "#N/A", "NULL", "None"]
+    s = infer_schema(["a", "b", "c", "d", "e", "f", "g", "h"],
+                     [["1.5", "2", "3e1"], ["x", "y", "x"], ["1.5", "", " "], ["", " ", ""],
+                      ["1.5", *words], ["", *words], ["x", *words], ["None", "1", "2"]])
+    assert [c.kind for c in s.columns] == ["numeric", "categorical", "numeric", "categorical",
+                                           "numeric", "categorical", "categorical", "numeric"]
     assert s.columns[1].levels == ("x", "y")
+    assert s.columns[6].levels == (" n/a ", "#N/A", "NA", "NULL", "None", "x")
+
+
+@pytest.mark.parametrize("word", ["NA", "unknown", "None"])
+def test_ingest_refuses_a_word_in_an_inferred_numeric_column(tmp_path, word):
+    # a column of numbers and words, such as a count with None for 0, is numeric, and
+    # its first word is named, not made a level beside each distinct number
+    path = tmp_path / "c.csv"
+    write_csv(path, ["x", "time", "event"], [["1", "1", "1"], [word, "2", "0"], ["2", "3", "1"]])
+    with pytest.raises(ParseError, match=rf"^row 2: non-numeric value '{word}' in 'x'$"):
+        ingest_csv(path)
 
 
 def test_ingest_refuses_a_blank_cell_in_an_inferred_numeric_column(tmp_path):
