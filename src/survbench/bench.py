@@ -138,7 +138,7 @@ MODELS: dict[str, ModelSpec] = {
             ("seed", 0, None, lambda m, _: m.seed),
             ("event_grid", 0.0, ("g",), lambda m, _: m.event_grid.tolist()),
             ("n", 0, None, lambda m, _: m.trees[0].n),
-            ("trees", [{"seed": 0}], None, lambda m, _: [rsf.tree_to_dict(t) for t in m.trees]),
+            ("trees", [{"seed": 0}], None, lambda m, _: rsf.trees_to_dict(m.trees)),
         ),
         build=lambda f: rsf.Forest(rsf.trees_from_dict(f), f["mtry"], f["min_leaf"], f["max_depth"],
                                    f["seed"], f["event_grid"], f["column_names"]),

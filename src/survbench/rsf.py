@@ -46,7 +46,8 @@ in the stacked table and takes the math.fsum over B at each knot.
 A tree holds its seed and the training size n, not its bootstrap rows:
 its `inbag`, the first n draws of its seed's stream, is drawn when read.
 A forest file holds the grid and n once, each tree's seed, and only what its
-nodes hold as strings of numbers; loading rebuilds and checks all trees at once.
+nodes hold: thresholds as decimals, the integers as base-32 digits with no
+separator; loading rebuilds and checks all trees at once.
 
 Per-tree randomness comes from a child seed mixed out of (master seed,
 tree index), so any tree is reproducible in isolation. Within a node the
@@ -63,7 +64,6 @@ score in column-then-threshold order wins.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from collections import namedtuple
@@ -481,42 +481,89 @@ def rsf_risk(forest: Forest, design: DesignMatrix) -> np.ndarray:
     return _mortality(forest, np.asarray(design.X, dtype=np.float64))
 
 
+_LAST, _MORE = "0123456789abcdefghijklmnopqrstuv", "ABCDEFGHIJKLMNOPQRSTUVWXYZwxyz+/"
+_DIGITS = np.frombuffer((_LAST + _MORE).encode(), dtype=np.uint8)  # a last digit d, else 32 + d
+_CODES = np.array([(_LAST + _MORE + chr(c)).index(chr(c)) for c in range(256)],
+                  dtype=np.uint8)  # each byte's place in _DIGITS, 64 outside it
+
+
+def _encode_digits(values, counts) -> list[str]:
+    """Integers >= 0 as base-32 digits, most significant first, with no separator: a
+    number's last digit from _LAST, each before it from _MORE; one string per count."""
+    values = np.asarray(values, dtype=np.int64)
+    size = 1 + np.searchsorted(32 ** np.arange(1, 13), values, side="right")  # its digits
+    ends = np.cumsum(np.append(0, size))
+    text = np.zeros(ends[-1], dtype=np.uint8)
+    for d in range(size.max(initial=0)):  # the digits d places before the last
+        at = np.flatnonzero(size > d)
+        text[ends[at + 1] - 1 - d] = _DIGITS[(values[at] >> 5 * d & 31) + 32 * (d > 0)]
+    text, cuts = text.tobytes().decode(), ends[np.cumsum(np.append(0, counts), dtype=int)].tolist()
+    return [text[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _decode_digits(texts: list[str], key: str = "field") -> tuple[np.ndarray, np.ndarray]:
+    """The numbers of `texts` as `_encode_digits` writes them, joined, and each text's
+    count. Refuses a character of neither set, a text that ends in a digit but a last
+    one, and a number of more than 12 digits (2**60 or more), before reading any number."""
+    lengths = np.cumsum([len(text) for text in texts], dtype=int)
+    codes = _CODES[np.frombuffer(("".join(texts) + "0").encode("utf-8", "replace"), np.uint8)]
+    ends = np.flatnonzero(codes < 32)[:-1]  # each number's last digit, not the 0 put last
+    size = np.diff(ends, prepend=-1)
+    if np.any(codes == 64) or np.any(codes[lengths - 1] >= 32) or np.any(size > 12):
+        raise ValueError(f"a tree's {key} must be base-32 numbers of at most 12 digits")
+    values = sum(((codes[ends - d] & 31).astype(np.int64) * (size > d) << 5 * d
+                  for d in range(size.max(initial=0))), np.zeros(ends.size, dtype=np.int64))
+    return values, np.diff(np.searchsorted(ends, lengths), prepend=0)
+
+
 def _flat(trees: list, key: str) -> tuple[np.ndarray, np.ndarray]:
-    """The trees' strings `key` parsed at once (numbers for thresholds, else
-    integers) and each one's count, its spaces plus one. With a 0 put last, a
-    bad token or other spacing makes NumPy parse fewer; other whitespace is refused."""
-    dtype, what = (np.float64, "numbers") if key == "threshold" else (np.int64, "integers")
+    """The trees' strings `key` read at once, and each one's count: thresholds parsed by
+    NumPy, each count its spaces plus one (with a 0 put last, a bad token or other spacing
+    makes NumPy parse fewer; other whitespace is refused), the rest by `_decode_digits`."""
     texts, a = [tree[key] for tree in trees], None
     if any(isinstance(text, list) for text in texts):
         raise ValueError(f"a tree's {key} is a list, an older file format; refit the model")
-    texts = [text if isinstance(text, str) else "x" for text in texts]  # "x": a bad token
+    texts = [text if isinstance(text, str) else "!" for text in texts]  # "!": a bad token
+    if key == "column" and any("-" in text for text in texts):
+        raise ValueError("a tree's column holds -1, an older file format; refit the model")
+    if key != "threshold":
+        return _decode_digits(texts, key)
     text, lengths = " ".join([*texts, "0"]), np.array([t.count(" ") + 1 if t else 0 for t in texts])
     with warnings.catch_warnings(), suppress(ValueError):  # NumPy raises at a bad token,
         warnings.simplefilter("ignore", DeprecationWarning)  # an older one warns and stops
-        a = np.fromstring(text, dtype=dtype, sep=" ")
+        a = np.fromstring(text, dtype=np.float64, sep=" ")
     if a is None or a.size != lengths.sum() + 1 or any(c in text for c in "\t\n\v\f\r"):
-        raise ValueError(f"a tree's {key} must be a list of {what}")
+        raise ValueError(f"a tree's {key} must be a list of numbers")
     return a[:-1], lengths
 
 
-def tree_to_dict(tree: SurvivalTree) -> dict:
-    """A tree as a forest file holds it: its seed, then each of FILE_FIELDS as one
-    string of numbers one space apart; a knot holds its step from the leaf's last
-    (the first from 0), its events, and the rows censored from it to the next."""
-    t, split = tree.nodes, tree.nodes.column >= 0
-    start = np.isin(np.arange(t.knots.size + 1), np.cumsum([0, *t.knot_counts]))  # leaf starts
-    fields = (t.column, t.threshold[split], t.left[split], t.knot_counts[~split],
+def trees_to_dict(trees: list[SurvivalTree]) -> list[dict]:
+    """Trees as a forest file holds them: each one's seed, then each of FILE_FIELDS as one
+    string, encoded once over all trees and cut at each tree's count: thresholds as shortest
+    decimals one space apart, the rest (column plus one, so a leaf 0) as `_encode_digits`
+    writes them; a knot holds its step from the leaf's last (the first from 0), its events,
+    and the rows censored from it to the next."""
+    t = NodeTable(*map(np.concatenate, zip(*(tree.nodes for tree in trees))))
+    split = t.column >= 0
+    start = np.isin(np.arange(t.knots.size + 1), np.cumsum(np.append(0, t.knot_counts)))
+    nodes, knots = np.array([(tree.nodes.column.size, tree.nodes.knots.size) for tree in trees]).T
+    splits = np.add.reduceat(split, np.cumsum(nodes) - nodes, dtype=np.int64)
+    fields = (t.column + 1, t.left[split], t.knot_counts[~split],
               np.where(start[:-1], t.knots, np.diff(t.knots, prepend=0)), t.events,
               t.at_risk - t.events - np.where(start[1:], 0, np.append(t.at_risk[1:], 0)))
-    return {"seed": tree.seed, **{k: json.dumps(v.tolist(), separators=(" ", ":"))[1:-1]
-                                  for k, v in zip(FILE_FIELDS, fields)}}  # no brackets
+    texts = [_encode_digits(*f) for f in zip(fields, (nodes, splits, nodes - splits, *[knots] * 3))]
+    texts.insert(1, [" ".join(map(repr, a.tolist()))
+                     for a in np.split(t.threshold[split], np.cumsum(splits)[:-1])])
+    return [{"seed": tree.seed, **dict(zip(FILE_FIELDS, row))}
+            for tree, row in zip(trees, zip(*texts))]
 
 
 def trees_from_dict(f: dict) -> list[SurvivalTree]:
     """The trees of forest file fields `f`, their tables rebuilt and checked at once on
     their fields joined: split columns in [0, p), finite thresholds, a threshold and left
     child per split and a knot count per leaf, each node but a root the child of one split
-    before it, knots rising in the grid, 1 <= events, 0 <= censored, at_risk <= n."""
+    before it, knots rising in the grid, 1 <= events, at_risk <= n. The digits are
+    unsigned, so no lower bound but these needs a check."""
     trees, grid_size, p, n = f["trees"], len(f["event_grid"]), len(f["column_names"]), f["n"]
     if n < 1:
         raise ValueError("the training size n must be an integer >= 1")
@@ -527,16 +574,17 @@ def trees_from_dict(f: dict) -> list[SurvivalTree]:
             raise ValueError(f"{what}, an older file format; refit the model")
     fields, lengths = zip(*(_flat(trees, key) for key in FILE_FIELDS))
     column, threshold, left, counts, steps, events, censored = fields
-    if not (np.all((column >= -1) & (column < p)) and np.all(np.isfinite(threshold))):
+    column = column - 1  # stored plus one, so a leaf is 0
+    if not (np.all(column < p) and np.all(np.isfinite(threshold))):
         raise ValueError(f"split columns must be in [0, {p}) and thresholds finite")
     m, split = lengths[0], column != -1
     splits = np.bincount(np.repeat(np.arange(m.size), m)[split], minlength=m.size)
     if not (np.all(m >= 1) and np.array_equal(lengths[1:4], [splits, splits, m - splits])):
         raise ValueError("a tree's node lists must be nonempty, with a threshold and left child "
                          "per split and a knot count per leaf")
-    k = np.diff(np.append(0, np.cumsum(np.clip(counts, 0, grid_size)))[np.cumsum(m - splits)],
+    k = np.diff(np.append(0, np.cumsum(np.minimum(counts, grid_size)))[np.cumsum(m - splits)],
                 prepend=0)  # each tree's knots
-    if not (np.all((counts >= 0) & (counts <= grid_size)) and np.array_equal(lengths[4:], [k] * 3)):
+    if not (np.all(counts <= grid_size) and np.array_equal(lengths[4:], [k] * 3)):
         raise ValueError(f"knot counts must be in [0, {grid_size}] and add up to the length of "
                          "a tree's knot_steps, events and censored")
     root = np.repeat(np.cumsum(m) - m, m)  # each node's tree's root
@@ -548,14 +596,14 @@ def trees_from_dict(f: dict) -> list[SurvivalTree]:
         raise ValueError("each node but the root must be the child of one split before it")
     ends = np.cumsum(counts)
     starts = np.repeat(ends - counts, counts)  # each knot's leaf's first knot
-    knots = np.cumsum(np.clip(steps, 0, grid_size))  # no wrap
+    knots = np.cumsum(np.minimum(steps, grid_size))  # no wrap
     knots -= np.append(0, knots)[starts]
     if not np.all((steps >= (np.arange(steps.size) != starts)) & (knots < grid_size)):
         raise ValueError("leaf knots must be increasing indices into the event grid")
     bound = min(n, 2**62 // max(1, steps.size))  # so no sum wraps
-    after = np.cumsum((np.clip(events, 0, bound) + np.clip(censored, 0, bound))[::-1])[::-1]
+    after = np.cumsum((np.minimum(events, bound) + np.minimum(censored, bound))[::-1])[::-1]
     at_risk = after - np.append(after, 0)[np.repeat(ends, counts)]  # the sum to the leaf's end
-    if not (np.all((events >= 1) & (events <= bound) & (censored >= 0) & (censored <= bound))
+    if not (np.all((events >= 1) & (events <= bound) & (censored <= bound))
             and np.all(at_risk <= n)):
         raise ValueError("leaf counts must satisfy 1 <= events, 0 <= censored and at_risk <= n")
     full = np.zeros(column.size), np.full(column.size, -1), 0 * column  # threshold, left, counts

@@ -63,24 +63,33 @@ def load_forest(doc: dict):
 
 
 def forest_fields(**fields) -> dict:
-    """Fields of a tree in a forest file, as `rsf.tree_to_dict` writes
-    them: each list of numbers one string, the numbers one space apart."""
-    return {key: " ".join(map(str, values)) for key, values in fields.items()}
+    """Fields of a tree in a forest file, as `rsf.trees_to_dict` writes
+    them: thresholds one string of numbers one space apart, every other list
+    one string of `rsf._encode_digits` digits, column plus one. A string in
+    a list is written as it is, in place of a number."""
+    def text(key, values):
+        if key == "threshold":
+            return " ".join(map(str, values))
+        numbers = [v + (key == "column") for v in values if not isinstance(v, str)]
+        digits = iter(rsf._encode_digits(numbers, [1] * len(numbers)))
+        return "".join(v if isinstance(v, str) else next(digits) for v in values)
+    return {key: text(key, values) for key, values in fields.items()}
 
 
 def tree_file(seed=0, **table) -> dict:
     """A tree of a forest file whose `rsf.NodeTable` has the given lists, as
-    `rsf.tree_to_dict` writes it."""
+    `rsf.trees_to_dict` writes it."""
     nodes = rsf.NodeTable(**{key: np.array(values, dtype=float if key == "threshold" else int)
                              for key, values in table.items()})
-    return rsf.tree_to_dict(rsf.SurvivalTree(seed, 1, nodes))
+    return rsf.trees_to_dict([rsf.SurvivalTree(seed, 1, nodes)])[0]
 
 
 def forest_lists(tree: dict) -> dict:
     """The fields of a tree in a forest file as lists of numbers, the
     inverse of `forest_fields`."""
-    return {key: json.loads(f"[{text.replace(' ', ',')}]") for key, text in tree.items()
-            if key != "seed"}
+    return {key: json.loads(f"[{text.replace(' ', ',')}]") if key == "threshold"
+            else (rsf._decode_digits([text])[0] - (key == "column")).tolist()
+            for key, text in tree.items() if key != "seed"}
 
 
 def shard_failing_at(tree, mp):

@@ -706,6 +706,21 @@ def test_eval_asks_to_refit_a_forest_file_of_lists(tmp_path, capsys):
                                   "is a list, an older file format; refit the model")
 
 
+def test_eval_asks_to_refit_a_forest_file_of_decimals(tmp_path, capsys):
+    # each field of a tree one string of decimals one space apart, a leaf's
+    # column -1, as forest files were written before their integers were digits
+    model_path, cohort_csv = fit_small_forest(tmp_path)
+    doc = json.loads(model_path.read_text())
+    for tree in doc["trees"]:
+        tree.update({key: " ".join(map(str, values)) for key, values in forest_lists(tree).items()})
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["eval", "--model-file", str(model_path), "--input", str(cohort_csv)])
+    assert rc == 2
+    assert_one_line_error(capsys, f"{model_path}: malformed rsf model file: a tree's column "
+                                  "holds -1, an older file format; refit the model")
+
+
 def test_eval_refuses_a_forest_split_on_no_column(tmp_path, capsys):
     # column -1 marks a leaf; on a split it once scored the last column
     model_path, cohort_csv = fit_small_forest(tmp_path)

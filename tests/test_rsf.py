@@ -319,7 +319,7 @@ def test_forest_file_digest_is_pinned():
     d = golden_design()
     f = fit_forest(d, b=5, min_leaf=4, mtry=2, seed=3)
     digest = hashlib.sha256(json.dumps(forest_file(f, d)).encode()).hexdigest()
-    assert digest == "6ec8225c03e9f166f4c9f80d45a8a760f818b50626c2879f72c7140917038f48"
+    assert digest == "557dc52354c4e8249678f1b88a66007b4166989e3a2afcbee46c7c1a073eb20b"
 
 
 def test_golden_scores_are_pinned():
@@ -942,6 +942,48 @@ def set_field(key, change):
 
 KNOTS = "add up to the length of a tree's knot_steps, events and censored"
 COUNTS = "leaf counts must satisfy 1 <= events, 0 <= censored and at_risk <= n"
+DIGITS = "must be base-32 numbers of at most 12 digits"
+OLDER = "an older file format; refit the model"
+LARGEST, LONG = 2**60 - 1, 2**60  # the largest number of 12 digits, and the smallest of 13
+
+
+def digits_of(number):
+    """One number's digits, by the loop the file format describes: the last
+    digit from 0-9a-v, each one before it from A-Z, w-z, + and /."""
+    text, number = "0123456789abcdefghijklmnopqrstuv"[number % 32], number // 32
+    while number:
+        text, number = "ABCDEFGHIJKLMNOPQRSTUVWXYZwxyz+/"[number % 32] + text, number // 32
+    return text
+
+
+@given(st.lists(st.lists(st.one_of(st.integers(0, 1100), st.integers(0, LARGEST)), max_size=8),
+                max_size=5))
+@example([[0, 31], [], [32, 1023, 1024, LARGEST]])
+@example([[], [0], []])
+@example([])
+def test_decoding_encoded_digits_gives_them_back(trees):
+    # over the joined strings, and cut at each string's count into each array
+    counts = [len(tree) for tree in trees]
+    texts = rsf._encode_digits([v for tree in trees for v in tree], counts)
+    assert texts == ["".join(map(digits_of, tree)) for tree in trees]
+    values, got = rsf._decode_digits(texts)
+    ends = np.cumsum(got, dtype=int)
+    assert values.dtype == np.int64 and got.tolist() == counts
+    assert [values[end - size:end].tolist() for end, size in zip(ends, got)] == trees
+    assert [rsf._decode_digits([text])[0].tolist() for text in texts] == trees
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [["1 2"], ["1-2"], ["-1"], ["1?"], ["1\u00e9"], ["12A"], ["1A", "2"], ["A" * 12 + "1"],
+     [rsf._encode_digits([LONG], [1])[0]]],
+    ids=["space", "minus-inside", "minus-first", "outside-both-sets", "not-ascii",
+         "ends-in-a-digit-before-the-last", "number-cut-between-strings", "13-digits-of-1",
+         "13-digits-of-2-to-the-60"],
+)
+def test_decoding_refuses_what_no_encoding_writes(texts):
+    with pytest.raises(ValueError, match=f"a tree's field {DIGITS}$"):
+        rsf._decode_digits(["1", *texts])
 
 
 @functools.cache
@@ -957,40 +999,41 @@ def small_forest_file() -> str:
         (lambda doc: doc["trees"][1].update(root={"chf_times": [1.0], "chf_values": [0.5]}),
          "refit the model"),
         (set_leaf(knot_steps=[1, 0], events=[1, 1], censored=[0, 3]), "increasing indices"),
-        (set_leaf(knot_steps=[2, -1], events=[1, 1], censored=[0, 3]), "increasing indices"),
-        (set_leaf(knot_steps=[-1], events=[1], censored=[4]), "increasing indices"),
+        (set_leaf(knot_steps=[2, "-1"], events=[1, 1], censored=[0, 3]), DIGITS),
+        (set_leaf(knot_steps=["-1"], events=[1], censored=[4]), DIGITS),
         (lambda doc: set_leaf(knot_steps=[len(doc["event_grid"])], events=[1],
                               censored=[4])(doc), "increasing indices"),
         (lambda doc: set_leaf(knot_steps=[len(doc["event_grid"]) - 1, 1], events=[1, 1],
                               censored=[0, 3])(doc), "increasing indices"),
-        (set_leaf(knot_steps=[1, 99999999999999999999], events=[1, 1], censored=[0, 3]),
-         "increasing indices"),
+        (set_leaf(knot_steps=[1, LONG], events=[1, 1], censored=[0, 3]), DIGITS),
+        (set_leaf(knot_steps=[1, LARGEST], events=[1, 1], censored=[0, 3]), "increasing indices"),
         (set_leaf(knot_steps=[0], events=[0], censored=[5]), COUNTS),
-        (set_leaf(knot_steps=[0], events=[6], censored=[-1]), COUNTS),
+        (set_leaf(knot_steps=[0], events=[6], censored=["-1"]), DIGITS),
         (lambda doc: set_leaf(knot_steps=[0], events=[1], censored=[doc["n"]])(doc),
          COUNTS),
         (lambda doc: set_leaf(knot_steps=[0, 1], events=[doc["n"], 1], censored=[0, 0])(doc),
          COUNTS),
-        (set_leaf(knot_steps=[0], events=[1], censored=[99999999999999999999]),
-         COUNTS),
-        (set_leaf(knot_steps=[0], events=[99999999999999999999], censored=[1]),
-         COUNTS),
-        (set_leaf(knot_steps=[0, 1], events=[1, 1], censored=[-1, 3]), COUNTS),
+        (set_leaf(knot_steps=[0], events=[1], censored=[LONG]), DIGITS),
+        (set_leaf(knot_steps=[0], events=[1], censored=[LARGEST]), COUNTS),
+        (set_leaf(knot_steps=[0], events=[LONG], censored=[1]), DIGITS),
+        (set_leaf(knot_steps=[0], events=[LARGEST], censored=[1]), COUNTS),
+        (set_leaf(knot_steps=[0, 1], events=[1, 1], censored=["-1", 3]), DIGITS),
         (set_leaf(knot_steps=[0, 1], events=[1], censored=[3, 1]), KNOTS),
         (set_leaf(knot_steps=[0, 1], events=[1, 1], censored=[3]), KNOTS),
-        (set_leaf(knot_steps=[0], events=[1.5], censored=[5]), "integers"),
-        (set_leaf(knot_steps=[[0]], events=[1], censored=[5]), "integers"),
+        (set_leaf(knot_steps=[0], events=["1.5"], censored=[5]), DIGITS),
+        (set_leaf(knot_steps=["[0]"], events=[1], censored=[5]), DIGITS),
         (lambda doc: doc.update(event_grid=doc["event_grid"][::-1]), "strictly increasing"),
         (lambda doc: doc["trees"][0].update(root={"knots": [0], "events": [1], "at_risk": [1]}),
          "nested, an older file format; refit the model"),
         (set_node(0, column=-1), "node lists"),
-        (set_node(0, column=-2), r"split columns must be in \[0, 3\)"),
+        (set_node(0, column="-1"), f"column holds -1, {OLDER}"),  # no sign but the old one
         (set_node(0, column=99), r"split columns must be in \[0, 3\)"),
         (set_node(0, threshold=math.inf), "thresholds finite"),
         (set_node(0, threshold="a"), "threshold must be a list of numbers"),
         (set_node(0, left=0), "child of one split"),
         (set_node(1, left=2), "child of one split"),
-        (set_node(0, left=10**20), "child of one split"),
+        (set_node(0, left=LONG), DIGITS),
+        (set_node(0, left=LARGEST), "child of one split"),
         (lambda doc: set_node(0, left=len(first_tree(doc)["column"]) - 1)(doc),
          "child of one split"),
         (set_field("left", lambda left, doc: [*left, 2]), "node lists"),
@@ -1001,11 +1044,11 @@ def small_forest_file() -> str:
         (lambda doc: doc["trees"][0].update(first_tree(doc)),
          "a tree's column is a list, an older file format; refit the model"),
         (set_field("knot_counts", lambda counts, doc: [0, *counts]), "node lists"),
-        (set_field("knot_counts", lambda counts, doc: [-1, *counts[1:]]), KNOTS),
+        (set_field("knot_counts", lambda counts, doc: ["-1", *counts[1:]]), DIGITS),
         (set_field("knot_counts", lambda counts, doc: [len(doc["event_grid"]) + 1, *counts[1:]]),
          KNOTS),
-        (set_field("knot_counts", lambda counts, doc: [99999999999999999999, *counts[1:]]),
-         KNOTS),
+        (set_field("knot_counts", lambda counts, doc: [LONG, *counts[1:]]), DIGITS),
+        (set_field("knot_counts", lambda counts, doc: [LARGEST, *counts[1:]]), KNOTS),
         (lambda doc: doc["trees"][0].update(offsets=doc["trees"][0].pop("knot_counts")),
          "a tree has offsets, an older file format; refit the model"),
         (lambda doc: doc.update(trees=[]), "at least one tree"),
@@ -1019,17 +1062,19 @@ def small_forest_file() -> str:
         (lambda doc: doc.update(max_depth="deep"), "max_depth must be a JSON number or null"),
     ],
     ids=["curve-leaves", "repeated-knot", "decreasing-knots", "negative-knot",
-         "knot-past-grid", "knot-steps-past-grid", "knot-step-oversized", "no-events",
-         "events-above-at-risk", "at-risk-past-n", "at-risk-past-n-summed",
-         "at-risk-oversized", "events-oversized", "at-risk-not-falling", "length-mismatch",
+         "knot-past-grid", "knot-steps-past-grid", "knot-step-oversized", "knot-step-largest",
+         "no-events", "events-above-at-risk", "at-risk-past-n", "at-risk-past-n-summed",
+         "at-risk-oversized", "at-risk-largest", "events-oversized", "events-largest",
+         "at-risk-not-falling", "length-mismatch",
          "censored-length-mismatch", "fractional-count", "nested-knot", "grid-decreasing",
          "nested-tree",
          "split-column-minus-one", "split-column-negative", "split-column-past-p",
          "threshold-infinite", "threshold-string", "child-before-parent", "child-twice",
-         "child-past-the-end", "child-one-past-the-end",
+         "child-past-the-end", "child-largest", "child-one-past-the-end",
          "leaf-with-child", "node-lists-differ", "no-nodes", "list-format",
          "knots-at-a-split", "knot-count-negative", "knot-count-past-grid",
-         "knot-count-oversized", "offsets-format", "no-trees", "n-negative", "n-fraction",
+         "knot-count-oversized", "knot-count-largest", "offsets-format", "no-trees", "n-negative",
+         "n-fraction",
          "mtry-negative", "mtry-fraction", "min-leaf-zero", "min-leaf-null", "max-depth-negative",
          "max-depth-string"],
 )
@@ -1046,28 +1091,45 @@ def test_load_refuses_bad_leaves(edit, text):
 
 
 NODE_FIELDS = ("column", "threshold", "left", "knot_counts")
-OVERSIZED = {"column": "split columns must be in", "left": "child of one split",
-             "knot_counts": KNOTS, "knot_steps": "increasing indices",
-             "events": COUNTS, "censored": COUNTS}
+
+
+def tokens_of(key, text):
+    """A field's numbers as text, each as the forest file writes it, and
+    what joins them: thresholds one space apart, digits with nothing."""
+    if key == "threshold":
+        return text.split(" "), " "
+    numbers = rsf._decode_digits([text])[0]
+    return rsf._encode_digits(numbers, [1] * numbers.size), ""
 
 
 def mangle(key, how, tokens, i):
-    """A field's text with one mangle at token or space i, and the message
-    that refuses it, or None where the mangle leaves a valid field."""
-    parse = rf"a tree's {key} must be a list of (numbers|integers)$"
+    """A field's text with one mangle at number or gap i, and the message
+    that refuses it, or None where the mangle leaves a valid field or is not
+    one of this field's: "long" is a number of 13 digits, and "tail" a digit
+    other than a last one after the field's last number."""
+    parse = rf"a tree's {key} must be a list of numbers$"
+    tokens, sep = tokens
+    digits = rf"a tree's {key} {DIGITS}$"
     if how == "drop":
-        return " ".join(tokens[:i] + tokens[i + 1:]), (
+        return sep.join(tokens[:i] + tokens[i + 1:]), (
             "node lists" if key in NODE_FIELDS else KNOTS)
-    if how in ("  ", "\n"):
-        return " ".join(tokens[:i + 1]) + how + " ".join(tokens[i + 1:]), parse
-    if how in ("leading", "trailing"):
-        return " " * (how == "leading") + " ".join(tokens) + " " * (how == "trailing"), parse
-    if key == "threshold":  # a number in place of a threshold
-        message = {"x": parse, "-": parse, "nan": "thresholds finite",
+    if key == "threshold":
+        message = {"  ": parse, "\n": parse, "leading": parse, "trailing": parse, "x": parse,
+                   "-": parse, "!": parse, "nan": "thresholds finite",
                    "1e999": "thresholds finite"}.get(how)
+    elif how in ("x", "nan", "1e999", "99999999999999999999"):  # digits of either set
+        return None, None
     else:
-        message = OVERSIZED[key] if how == "99999999999999999999" else parse
-    return " ".join(tokens[:i] + [how] + tokens[i + 1:]), message
+        message = f"column holds -1, {OLDER}" if key == "column" and how == "-" else digits
+    if how in ("  ", "\n"):
+        return sep.join(tokens[:i + 1]) + how + sep.join(tokens[i + 1:]), message
+    if how in ("leading", "trailing", "tail"):
+        end = {"leading": " ", "trailing": " ", "tail": "A"}[how]
+        return (end if how == "leading" else "") + sep.join(tokens) + (
+            "" if how == "leading" else end), message
+    if how == "long":
+        how = rsf._encode_digits([LONG], [1])[0]
+    return sep.join(tokens[:i] + [how] + tokens[i + 1:]), message
 
 
 NUMPY_FROMSTRING = np.fromstring
@@ -1091,25 +1153,29 @@ def older_fromstring(text, dtype, sep):
 
 
 @given(st.sampled_from(rsf.FILE_FIELDS),
-       st.sampled_from(["drop", "  ", "\n", "leading", "trailing", "x", "-", "1.5", "nan",
-                        "1e999", "99999999999999999999"]),
+       st.sampled_from(["drop", "  ", "\n", "leading", "trailing", "x", "-", "!", "1.5", "nan",
+                        "1e999", "99999999999999999999", "long", "tail"]),
        st.integers(0, 2), st.integers(-1, 10**6), st.booleans())
-@example("knot_steps", "-", 2, -1, False)  # the last token of the last tree
+@example("knot_steps", "-", 2, -1, False)  # the last number of the last tree
+@example("column", "-", 1, 0, False)
 @example("events", "1.5", 2, -1, True)
-@example("censored", "99999999999999999999", 0, 0, False)
-@example("knot_steps", "99999999999999999999", 1, 3, False)
-@example("knot_counts", "99999999999999999999", 0, 0, True)
+@example("threshold", "x", 2, -1, True)
+@example("censored", "long", 0, 0, False)
+@example("knot_steps", "long", 1, 3, False)
+@example("knot_counts", "long", 0, 0, True)
+@example("left", "tail", 0, 0, False)
+@example("events", "tail", 2, 0, False)
 @settings(max_examples=300, deadline=None)
 def test_load_refuses_a_mangled_field(key, how, t, at, older):
     # each field of each tree is refused with its own message after any one
     # of these edits, never loaded with its numbers shifted into another
-    # tree, whether NumPy raises at a bad token or (older) warns and stops;
-    # no warning gets out
+    # tree, whether NumPy raises at a bad threshold token or (older) warns
+    # and stops; no warning gets out
     doc = json.loads(small_forest_file())
-    tokens = doc["trees"][t][key].split(" ")
+    tokens = tokens_of(key, doc["trees"][t][key])
     spaces = how in ("  ", "\n")
-    assume(len(tokens) > spaces)
-    i = at % (len(tokens) - spaces)
+    assume(len(tokens[0]) > spaces)
+    i = at % (len(tokens[0]) - spaces)
     doc["trees"][t][key], message = mangle(key, how, tokens, i)
     assume(message is not None)
     with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
@@ -1121,13 +1187,16 @@ def test_load_refuses_a_mangled_field(key, how, t, at, older):
 
 
 def test_load_refuses_spacing_that_would_shift_numbers_between_trees():
-    # a tab where one tree has a space and a doubled space in the next keep
-    # the count of numbers NumPy parses, but not each tree's
+    # a leading zero digit that ends one tree's string joins the next tree's
+    # first number: joined, the strings read the same numbers, but a number
+    # is cut between two trees
     doc = json.loads(small_forest_file())
     first, second = doc["trees"][0], doc["trees"][1]
-    first["knot_steps"] = first["knot_steps"].replace(" ", "\t", 1)
-    second["knot_steps"] = second["knot_steps"].replace(" ", "  ", 1)
-    with pytest.raises(ValueError, match="a tree's knot_steps must be a list of integers"):
+    both = first["knot_steps"] + second["knot_steps"]
+    first["knot_steps"] += "A"
+    assert np.array_equal(rsf._decode_digits([first["knot_steps"] + second["knot_steps"]])[0],
+                          rsf._decode_digits([both])[0])
+    with pytest.raises(ValueError, match=f"a tree's knot_steps {DIGITS}"):
         load_forest(doc)
 
 
