@@ -491,17 +491,14 @@ def _encode_digits(values, counts) -> list[str]:
     """Integers >= 0 as base-32 digits, most significant first, with no separator: a
     number's last digit from _LAST, each before it from _MORE; one string per count."""
     values = np.asarray(values, dtype=np.int64)
-    size = 1 + np.searchsorted(32 ** np.arange(1, 13), values, side="right")  # its digits
-    ends = np.cumsum(np.append(0, size))
-    text = np.zeros(ends[-1], dtype=np.uint8)
-    for d in range(size.max(initial=0)):  # the digits d places before the last
-        at = np.flatnonzero(size > d)
-        text[ends[at + 1] - 1 - d] = _DIGITS[(values[at] >> 5 * d & 31) + 32 * (d > 0)]
-    text, cuts = text.tobytes().decode(), ends[np.cumsum(np.append(0, counts), dtype=int)].tolist()
-    return [text[a:b] for a, b in zip(cuts, cuts[1:])]
+    shift = 5 * np.arange(-(-int(values.max(initial=1)).bit_length() // 5))[::-1, None]  # places
+    keep = (values >> shift > 0) | (shift == 0)  # a number's digits, from its first nonzero
+    text = _DIGITS[(values >> shift & 31) + 32 * (shift > 0)].T[keep.T].tobytes().decode()
+    cuts = np.cumsum(np.append(0, keep.sum(0)))[np.cumsum(np.append(0, counts), dtype=int)]
+    return [text[a:b] for a, b in zip(cuts.tolist(), cuts[1:].tolist())]
 
 
-def _decode_digits(texts: list[str], key: str = "field") -> tuple[np.ndarray, np.ndarray]:
+def _decode_digits(texts: list[str], key: str) -> tuple[np.ndarray, np.ndarray]:
     """The numbers of `texts` as `_encode_digits` writes them, joined, and each text's
     count. Refuses a character of neither set, a text that ends in a digit but a last
     one, and a number of more than 12 digits (2**60 or more), before reading any number."""
@@ -511,9 +508,9 @@ def _decode_digits(texts: list[str], key: str = "field") -> tuple[np.ndarray, np
     size = np.diff(ends, prepend=-1)
     if np.any(codes == 64) or np.any(codes[lengths - 1] >= 32) or np.any(size > 12):
         raise ValueError(f"a tree's {key} must be base-32 numbers of at most 12 digits")
-    values = sum(((codes[ends - d] & 31).astype(np.int64) * (size > d) << 5 * d
-                  for d in range(size.max(initial=0))), np.zeros(ends.size, dtype=np.int64))
-    return values, np.diff(np.searchsorted(ends, lengths), prepend=0)
+    place = np.arange(size.max(initial=0))[:, None]  # each digit's place before the last
+    digits = np.where(place < size, codes[ends - place] & 31, 0)
+    return (digits << 5 * place).sum(0), np.diff(np.searchsorted(ends, lengths), prepend=0)
 
 
 def _flat(trees: list, key: str) -> tuple[np.ndarray, np.ndarray]:
@@ -539,21 +536,20 @@ def _flat(trees: list, key: str) -> tuple[np.ndarray, np.ndarray]:
 
 def trees_to_dict(trees: list[SurvivalTree]) -> list[dict]:
     """Trees as a forest file holds them: each one's seed, then each of FILE_FIELDS as one
-    string, encoded once over all trees and cut at each tree's count: thresholds as shortest
-    decimals one space apart, the rest (column plus one, so a leaf 0) as `_encode_digits`
-    writes them; a knot holds its step from the leaf's last (the first from 0), its events,
-    and the rows censored from it to the next."""
-    t = NodeTable(*map(np.concatenate, zip(*(tree.nodes for tree in trees))))
+    string: thresholds as shortest decimals one space apart, the rest (column plus one, so a
+    leaf 0) in `_encode_digits` digits, encoded once over all trees; a knot holds its step from
+    the leaf's last (the first from 0), its events, and the rows censored from it to the next."""
+    tables = [tree.nodes for tree in trees]
+    t = NodeTable(*map(np.concatenate, zip(*tables)))
     split = t.column >= 0
     start = np.isin(np.arange(t.knots.size + 1), np.cumsum(np.append(0, t.knot_counts)))
-    nodes, knots = np.array([(tree.nodes.column.size, tree.nodes.knots.size) for tree in trees]).T
-    splits = np.add.reduceat(split, np.cumsum(nodes) - nodes, dtype=np.int64)
+    nodes, splits, knots = np.array([(s.column.size, np.sum(s.column >= 0), s.knots.size)
+                                     for s in tables]).T
     fields = (t.column + 1, t.left[split], t.knot_counts[~split],
               np.where(start[:-1], t.knots, np.diff(t.knots, prepend=0)), t.events,
               t.at_risk - t.events - np.where(start[1:], 0, np.append(t.at_risk[1:], 0)))
     texts = [_encode_digits(*f) for f in zip(fields, (nodes, splits, nodes - splits, *[knots] * 3))]
-    texts.insert(1, [" ".join(map(repr, a.tolist()))
-                     for a in np.split(t.threshold[split], np.cumsum(splits)[:-1])])
+    texts.insert(1, [" ".join(map(repr, s.threshold[s.column >= 0].tolist())) for s in tables])
     return [{"seed": tree.seed, **dict(zip(FILE_FIELDS, row))}
             for tree, row in zip(trees, zip(*texts))]
 

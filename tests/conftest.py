@@ -88,7 +88,7 @@ def forest_lists(tree: dict) -> dict:
     """The fields of a tree in a forest file as lists of numbers, the
     inverse of `forest_fields`."""
     return {key: json.loads(f"[{text.replace(' ', ',')}]") if key == "threshold"
-            else (rsf._decode_digits([text])[0] - (key == "column")).tolist()
+            else (rsf._decode_digits([text], key)[0] - (key == "column")).tolist()
             for key, text in tree.items() if key != "seed"}
 
 

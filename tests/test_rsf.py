@@ -966,11 +966,11 @@ def test_decoding_encoded_digits_gives_them_back(trees):
     counts = [len(tree) for tree in trees]
     texts = rsf._encode_digits([v for tree in trees for v in tree], counts)
     assert texts == ["".join(map(digits_of, tree)) for tree in trees]
-    values, got = rsf._decode_digits(texts)
+    values, got = rsf._decode_digits(texts, "field")
     ends = np.cumsum(got, dtype=int)
     assert values.dtype == np.int64 and got.tolist() == counts
     assert [values[end - size:end].tolist() for end, size in zip(ends, got)] == trees
-    assert [rsf._decode_digits([text])[0].tolist() for text in texts] == trees
+    assert [rsf._decode_digits([text], "field")[0].tolist() for text in texts] == trees
 
 
 @pytest.mark.parametrize(
@@ -983,7 +983,7 @@ def test_decoding_encoded_digits_gives_them_back(trees):
 )
 def test_decoding_refuses_what_no_encoding_writes(texts):
     with pytest.raises(ValueError, match=f"a tree's field {DIGITS}$"):
-        rsf._decode_digits(["1", *texts])
+        rsf._decode_digits(["1", *texts], "field")
 
 
 @functools.cache
@@ -1098,7 +1098,7 @@ def tokens_of(key, text):
     what joins them: thresholds one space apart, digits with nothing."""
     if key == "threshold":
         return text.split(" "), " "
-    numbers = rsf._decode_digits([text])[0]
+    numbers = rsf._decode_digits([text], "field")[0]
     return rsf._encode_digits(numbers, [1] * numbers.size), ""
 
 
@@ -1106,7 +1106,8 @@ def mangle(key, how, tokens, i):
     """A field's text with one mangle at number or gap i, and the message
     that refuses it, or None where the mangle leaves a valid field or is not
     one of this field's: "long" is a number of 13 digits, and "tail" a digit
-    other than a last one after the field's last number."""
+    other than a last one after the field's last number. In a digit field, "x"
+    is a digit but a last one, and each character of the other numbers a last one."""
     parse = rf"a tree's {key} must be a list of numbers$"
     tokens, sep = tokens
     digits = rf"a tree's {key} {DIGITS}$"
@@ -1117,8 +1118,13 @@ def mangle(key, how, tokens, i):
         message = {"  ": parse, "\n": parse, "leading": parse, "trailing": parse, "x": parse,
                    "-": parse, "!": parse, "nan": "thresholds finite",
                    "1e999": "thresholds finite"}.get(how)
-    elif how in ("x", "nan", "1e999", "99999999999999999999"):  # digits of either set
-        return None, None
+    elif how == "x" and i == len(tokens) - 1:  # a digit but a last one, left last
+        message = digits
+    elif how in ("x", "nan", "1e999", "99999999999999999999"):
+        # "x" joins the next number as its first digit; the others are last
+        # digits, each one more number; a column past p is refused first
+        message = ("split columns must be in" if key == "column"
+                   else "node lists" if key in NODE_FIELDS else KNOTS)
     else:
         message = f"column holds -1, {OLDER}" if key == "column" and how == "-" else digits
     if how in ("  ", "\n"):
@@ -1165,6 +1171,10 @@ def older_fromstring(text, dtype, sep):
 @example("knot_counts", "long", 0, 0, True)
 @example("left", "tail", 0, 0, False)
 @example("events", "tail", 2, 0, False)
+@example("column", "x", 0, 0, False)  # joins the next number, a column past p
+@example("knot_counts", "x", 1, -1, False)  # left last
+@example("left", "99999999999999999999", 0, 1, False)
+@example("events", "nan", 1, 0, False)
 @settings(max_examples=300, deadline=None)
 def test_load_refuses_a_mangled_field(key, how, t, at, older):
     # each field of each tree is refused with its own message after any one
@@ -1187,15 +1197,25 @@ def test_load_refuses_a_mangled_field(key, how, t, at, older):
 
 
 def test_load_refuses_spacing_that_would_shift_numbers_between_trees():
-    # a leading zero digit that ends one tree's string joins the next tree's
-    # first number: joined, the strings read the same numbers, but a number
-    # is cut between two trees
+    # thresholds: a tab where one tree has a space and a doubled space in the
+    # next keep the count of numbers NumPy parses, but not each tree's
+    doc = json.loads(small_forest_file())
+    first, second = doc["trees"][0], doc["trees"][1]
+    assert " " in first["threshold"] and " " in second["threshold"]
+    first["threshold"] = first["threshold"].replace(" ", "\t", 1)
+    second["threshold"] = second["threshold"].replace(" ", "  ", 1)
+    with pytest.raises(ValueError, match="a tree's threshold must be a list of numbers"):
+        load_forest(doc)
+    # digits: a leading zero digit that ends one tree's string joins the next
+    # tree's first number; joined, the strings read the same numbers, but a
+    # number is cut between two trees
     doc = json.loads(small_forest_file())
     first, second = doc["trees"][0], doc["trees"][1]
     both = first["knot_steps"] + second["knot_steps"]
     first["knot_steps"] += "A"
-    assert np.array_equal(rsf._decode_digits([first["knot_steps"] + second["knot_steps"]])[0],
-                          rsf._decode_digits([both])[0])
+    joined = first["knot_steps"] + second["knot_steps"]
+    assert np.array_equal(rsf._decode_digits([joined], "field")[0],
+                          rsf._decode_digits([both], "field")[0])
     with pytest.raises(ValueError, match=f"a tree's knot_steps {DIGITS}"):
         load_forest(doc)
 
