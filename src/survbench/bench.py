@@ -138,7 +138,8 @@ MODELS: dict[str, ModelSpec] = {
             ("seed", 0, None, lambda m, _: m.seed),
             ("event_grid", 0.0, ("g",), lambda m, _: m.event_grid.tolist()),
             ("n", 0, None, lambda m, _: m.trees[0].n),
-            ("trees", [{"seed": 0}], None, lambda m, _: rsf.trees_to_dict(m.trees)),
+            ("trees", dict.fromkeys(rsf.FILE_FIELDS, ""), None,
+             lambda m, _: rsf.trees_to_dict(m.trees)),
         ),
         build=lambda f: rsf.Forest(rsf.trees_from_dict(f), f["mtry"], f["min_leaf"], f["max_depth"],
                                    f["seed"], f["event_grid"], f["column_names"]),
@@ -266,6 +267,8 @@ def model_from_dict(doc, path: str):
         checked, sizes = {"column_names": names}, {"p": (len(names), "column_names")}
         if name == "ksvm" and "support_rows" in doc:  # rows standardized, not raw
             raise TypeError("support_rows is an older file format; refit the model")
+        if name == "rsf" and isinstance(doc.get("trees"), list):  # as every older layout
+            raise TypeError("trees is a list, an older file format; refit the model")
         for key, kind, shape, _ in spec.file_fields:
             checked[key] = _field(key, kind, shape, doc[key], checked, sizes)
         columns = _field("schema", _SCHEMA, None, doc["schema"], {}, {})

@@ -45,9 +45,10 @@ in the stacked table and takes the math.fsum over B at each knot.
 
 A tree holds its seed and the training size n, not its bootstrap rows:
 its `inbag`, the first n draws of its seed's stream, is drawn when read.
-A forest file holds the grid and n once, each tree's seed, and only what its
-nodes hold: thresholds as decimals, the integers as base-32 digits with no
-separator; loading rebuilds and checks all trees at once.
+A forest file holds the grid and n once, and each field of the trees' nodes as
+one string of base-32 digits over all trees, a threshold as its two 32-bit halves;
+a tree's seed is derived from the forest's, as the fit derived it. Loading
+rebuilds and checks all trees at once.
 
 Per-tree randomness comes from a child seed mixed out of (master seed,
 tree index), so any tree is reproducible in isolation. Within a node the
@@ -65,9 +66,7 @@ score in column-then-threshold order wins.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import namedtuple
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -104,7 +103,7 @@ class NodeTable(NamedTuple):
     at_risk: np.ndarray
 
 
-FILE_FIELDS = ("column", "threshold", "left", "knot_counts", "knot_steps", "events", "censored")
+FILE_FIELDS = ("nodes", "column", "threshold", "left", "knot_counts", "knot_steps", "events", "censored")
 Node = namedtuple("Node", "column threshold is_leaf")  # a read-only view of one node
 
 
@@ -487,102 +486,72 @@ _CODES = np.array([(_LAST + _MORE + chr(c)).index(chr(c)) for c in range(256)],
                   dtype=np.uint8)  # each byte's place in _DIGITS, 64 outside it
 
 
-def _encode_digits(values, counts) -> list[str]:
+def _encode_digits(values) -> str:
     """Integers >= 0 as base-32 digits, most significant first, with no separator: a
-    number's last digit from _LAST, each before it from _MORE; one string per count."""
+    number's last digit from _LAST, each before it from _MORE."""
     values = np.asarray(values, dtype=np.int64)
     shift = 5 * np.arange(-(-int(values.max(initial=1)).bit_length() // 5))[::-1, None]  # places
     keep = (values >> shift > 0) | (shift == 0)  # a number's digits, from its first nonzero
-    text = _DIGITS[(values >> shift & 31) + 32 * (shift > 0)].T[keep.T].tobytes().decode()
-    cuts = np.cumsum(np.append(0, keep.sum(0)))[np.cumsum(np.append(0, counts), dtype=int)]
-    return [text[a:b] for a, b in zip(cuts.tolist(), cuts[1:].tolist())]
+    return _DIGITS[(values >> shift & 31) + 32 * (shift > 0)].T[keep.T].tobytes().decode()
 
 
-def _decode_digits(texts: list[str], key: str) -> tuple[np.ndarray, np.ndarray]:
-    """The numbers of `texts` as `_encode_digits` writes them, joined, and each text's
-    count. Refuses a character of neither set, a text that ends in a digit but a last
-    one, and a number of more than 12 digits (2**60 or more), before reading any number."""
-    lengths = np.cumsum([len(text) for text in texts], dtype=int)
-    codes = _CODES[np.frombuffer(("".join(texts) + "0").encode("utf-8", "replace"), np.uint8)]
-    ends = np.flatnonzero(codes < 32)[:-1]  # each number's last digit, not the 0 put last
+def _decode_digits(text: str, key: str) -> np.ndarray:
+    """The numbers of `text` as `_encode_digits` writes them. Refuses a character of
+    neither set, a text that ends in a digit but a last one, and a number of more than
+    12 digits (2**60 or more), before reading any number."""
+    codes = _CODES[np.frombuffer(text.encode("utf-8", "replace"), np.uint8)]
+    ends = np.flatnonzero(codes < 32)  # each number's last digit
     size = np.diff(ends, prepend=-1)
-    if np.any(codes == 64) or np.any(codes[lengths - 1] >= 32) or np.any(size > 12):
-        raise ValueError(f"a tree's {key} must be base-32 numbers of at most 12 digits")
+    if np.any(codes == 64) or np.any(codes[-1:] >= 32) or np.any(size > 12):
+        raise ValueError(f"trees {key} must be base-32 numbers of at most 12 digits")
     place = np.arange(size.max(initial=0))[:, None]  # each digit's place before the last
     digits = np.where(place < size, codes[ends - place] & 31, 0)
-    return (digits << 5 * place).sum(0), np.diff(np.searchsorted(ends, lengths), prepend=0)
+    return (digits << 5 * place).sum(0)
 
 
-def _flat(trees: list, key: str) -> tuple[np.ndarray, np.ndarray]:
-    """The trees' strings `key` read at once, and each one's count: thresholds parsed by
-    NumPy, each count its spaces plus one (with a 0 put last, a bad token or other spacing
-    makes NumPy parse fewer; other whitespace is refused), the rest by `_decode_digits`."""
-    texts, a = [tree[key] for tree in trees], None
-    if any(isinstance(text, list) for text in texts):
-        raise ValueError(f"a tree's {key} is a list, an older file format; refit the model")
-    texts = [text if isinstance(text, str) else "!" for text in texts]  # "!": a bad token
-    if key == "column" and any("-" in text for text in texts):
-        raise ValueError("a tree's column holds -1, an older file format; refit the model")
-    if key != "threshold":
-        return _decode_digits(texts, key)
-    text, lengths = " ".join([*texts, "0"]), np.array([t.count(" ") + 1 if t else 0 for t in texts])
-    with warnings.catch_warnings(), suppress(ValueError):  # NumPy raises at a bad token,
-        warnings.simplefilter("ignore", DeprecationWarning)  # an older one warns and stops
-        a = np.fromstring(text, dtype=np.float64, sep=" ")
-    if a is None or a.size != lengths.sum() + 1 or any(c in text for c in "\t\n\v\f\r"):
-        raise ValueError(f"a tree's {key} must be a list of numbers")
-    return a[:-1], lengths
-
-
-def trees_to_dict(trees: list[SurvivalTree]) -> list[dict]:
-    """Trees as a forest file holds them: each one's seed, then each of FILE_FIELDS as one
-    string: thresholds as shortest decimals one space apart, the rest (column plus one, so a
-    leaf 0) in `_encode_digits` digits, encoded once over all trees; a knot holds its step from
-    the leaf's last (the first from 0), its events, and the rows censored from it to the next."""
-    tables = [tree.nodes for tree in trees]
-    t = NodeTable(*map(np.concatenate, zip(*tables)))
+def trees_to_dict(trees: list[SurvivalTree]) -> dict:
+    """Trees as a forest file holds them: each of FILE_FIELDS one string of `_encode_digits`
+    digits over all trees in order: each tree's node count, each node's column plus one (a
+    leaf 0), each split's threshold (its float64's 32-bit halves, low first) and left child,
+    each leaf's knot count, and a knot's step from the leaf's last (the first from 0), its
+    events, and the rows censored from it to the next."""
+    t = NodeTable(*map(np.concatenate, zip(*(tree.nodes for tree in trees))))
     split = t.column >= 0
     start = np.isin(np.arange(t.knots.size + 1), np.cumsum(np.append(0, t.knot_counts)))
-    nodes, splits, knots = np.array([(s.column.size, np.sum(s.column >= 0), s.knots.size)
-                                     for s in tables]).T
-    fields = (t.column + 1, t.left[split], t.knot_counts[~split],
+    fields = ([tree.nodes.column.size for tree in trees], t.column + 1,
+              t.threshold[split].astype("<f8").view("<u4"), t.left[split], t.knot_counts[~split],
               np.where(start[:-1], t.knots, np.diff(t.knots, prepend=0)), t.events,
               t.at_risk - t.events - np.where(start[1:], 0, np.append(t.at_risk[1:], 0)))
-    texts = [_encode_digits(*f) for f in zip(fields, (nodes, splits, nodes - splits, *[knots] * 3))]
-    texts.insert(1, [" ".join(map(repr, s.threshold[s.column >= 0].tolist())) for s in tables])
-    return [{"seed": tree.seed, **dict(zip(FILE_FIELDS, row))}
-            for tree, row in zip(trees, zip(*texts))]
+    return dict(zip(FILE_FIELDS, map(_encode_digits, fields)))
 
 
 def trees_from_dict(f: dict) -> list[SurvivalTree]:
-    """The trees of forest file fields `f`, their tables rebuilt and checked at once on
-    their fields joined: split columns in [0, p), finite thresholds, a threshold and left
-    child per split and a knot count per leaf, each node but a root the child of one split
-    before it, knots rising in the grid, 1 <= events, at_risk <= n. The digits are
-    unsigned, so no lower bound but these needs a check."""
-    trees, grid_size, p, n = f["trees"], len(f["event_grid"]), len(f["column_names"]), f["n"]
+    """The trees of forest file fields `f`, their tables rebuilt and checked at once: node
+    counts >= 1, split columns in [0, p), finite thresholds, a threshold and left child per
+    split and a knot count per leaf, each node but a root the child of one split before it in
+    its tree, knots rising in the grid, 1 <= events, at_risk <= n (the digits are unsigned, so
+    no lower bound needs a check); tree i's seed is derive_seed(seed, i), as the fit drew it."""
+    grid_size, p, n = len(f["event_grid"]), len(f["column_names"]), f["n"]
     if n < 1:
         raise ValueError("the training size n must be an integer >= 1")
-    if not trees:
+    m, column, halves, left, counts, steps, events, censored = (
+        _decode_digits(f["trees"][key], key) for key in FILE_FIELDS)
+    if not m.size:
         raise ValueError("a forest needs at least one tree")
-    for key, what in ("root", "the forest's trees are nested"), ("offsets", "a tree has offsets"):
-        if any(key in tree for tree in trees):
-            raise ValueError(f"{what}, an older file format; refit the model")
-    fields, lengths = zip(*(_flat(trees, key) for key in FILE_FIELDS))
-    column, threshold, left, counts, steps, events, censored = fields
-    column = column - 1  # stored plus one, so a leaf is 0
+    if not (halves.size % 2 == 0 and np.all(halves < 2**32)):
+        raise ValueError("trees threshold must be pairs of 32-bit halves")
+    threshold, column = halves.astype("<u4").view("<f8"), column - 1  # a leaf's column is 0
     if not (np.all(column < p) and np.all(np.isfinite(threshold))):
         raise ValueError(f"split columns must be in [0, {p}) and thresholds finite")
-    m, split = lengths[0], column != -1
-    splits = np.bincount(np.repeat(np.arange(m.size), m)[split], minlength=m.size)
-    if not (np.all(m >= 1) and np.array_equal(lengths[1:4], [splits, splits, m - splits])):
-        raise ValueError("a tree's node lists must be nonempty, with a threshold and left child "
-                         "per split and a knot count per leaf")
-    k = np.diff(np.append(0, np.cumsum(np.minimum(counts, grid_size)))[np.cumsum(m - splits)],
-                prepend=0)  # each tree's knots
-    if not (np.all(counts <= grid_size) and np.array_equal(lengths[4:], [k] * 3)):
+    split = column != -1
+    if not (np.all((m >= 1) & (m <= column.size)) and m.sum() == column.size
+            and threshold.size == left.size == split.sum() == column.size - counts.size):
+        raise ValueError("the trees' node lists must add up to their node counts, each >= 1, "
+                         "with a threshold and left child per split and a knot count per leaf")
+    if not (np.all(counts <= grid_size) and counts.sum() == steps.size == events.size
+            == censored.size):
         raise ValueError(f"knot counts must be in [0, {grid_size}] and add up to the length of "
-                         "a tree's knot_steps, events and censored")
+                         "trees knot_steps, events and censored")
     root = np.repeat(np.cumsum(m) - m, m)  # each node's tree's root
     node = np.arange(column.size) - root
     first = left + root[split]  # each split's left child in the joined tables
@@ -604,6 +573,8 @@ def trees_from_dict(f: dict) -> list[SurvivalTree]:
         raise ValueError("leaf counts must satisfy 1 <= events, 0 <= censored and at_risk <= n")
     full = np.zeros(column.size), np.full(column.size, -1), 0 * column  # threshold, left, counts
     full[0][split], full[1][split], full[2][~split] = threshold, left, counts
-    tables = zip(*(np.split(a, np.cumsum(m)[:-1]) for a in (column, *full)),
-                 *(np.split(a, np.cumsum(k)[:-1]) for a in (knots, events, at_risk)))
-    return [SurvivalTree(tree["seed"], n, NodeTable(*table)) for tree, table in zip(trees, tables)]
+    cuts = np.cumsum(m)[:-1]
+    tables = zip(*(np.split(a, cuts) for a in (column, *full)),
+                 *(np.split(a, np.cumsum(full[2])[cuts - 1]) for a in (knots, events, at_risk)))
+    return [SurvivalTree(derive_seed(f["seed"], i), n, NodeTable(*table))
+            for i, table in enumerate(tables)]

@@ -63,33 +63,59 @@ def load_forest(doc: dict):
 
 
 def forest_fields(**fields) -> dict:
-    """Fields of a tree in a forest file, as `rsf.trees_to_dict` writes
-    them: thresholds one string of numbers one space apart, every other list
-    one string of `rsf._encode_digits` digits, column plus one. A string in
-    a list is written as it is, in place of a number."""
-    def text(key, values):
+    """Fields of the trees of a forest file, as `rsf.trees_to_dict` writes
+    them: each list one string of `rsf._encode_digits` digits, a column plus
+    one and a threshold its float64's two 32-bit halves, low first. A string
+    in a list is written as it is, in place of a number."""
+    def digits(key, value):
+        if isinstance(value, str):
+            return value
         if key == "threshold":
-            return " ".join(map(str, values))
-        numbers = [v + (key == "column") for v in values if not isinstance(v, str)]
-        digits = iter(rsf._encode_digits(numbers, [1] * len(numbers)))
-        return "".join(v if isinstance(v, str) else next(digits) for v in values)
-    return {key: text(key, values) for key, values in fields.items()}
+            return rsf._encode_digits(np.array([value], dtype="<f8").view("<u4"))
+        return rsf._encode_digits([value + (key == "column")])
+    return {key: "".join(digits(key, v) for v in values) for key, values in fields.items()}
 
 
-def tree_file(seed=0, **table) -> dict:
-    """A tree of a forest file whose `rsf.NodeTable` has the given lists, as
-    `rsf.trees_to_dict` writes it."""
+def forest_lists(trees: dict) -> dict:
+    """The fields of the trees of a forest file as lists of numbers, the
+    inverse of `forest_fields`."""
+    def numbers(key, text):
+        values = rsf._decode_digits(text, key)
+        if key == "threshold":
+            return values.astype("<u4").view("<f8").tolist()
+        return (values - (key == "column")).tolist()
+    return {key: numbers(key, text) for key, text in trees.items()}
+
+
+def tree_file(**table) -> dict:
+    """The trees of a forest file of one tree whose `rsf.NodeTable` has the
+    given lists, as `rsf.trees_to_dict` writes them."""
     nodes = rsf.NodeTable(**{key: np.array(values, dtype=float if key == "threshold" else int)
                              for key, values in table.items()})
-    return rsf.trees_to_dict([rsf.SurvivalTree(seed, 1, nodes)])[0]
+    return rsf.trees_to_dict([rsf.SurvivalTree(0, 1, nodes)])
 
 
-def forest_lists(tree: dict) -> dict:
-    """The fields of a tree in a forest file as lists of numbers, the
-    inverse of `forest_fields`."""
-    return {key: json.loads(f"[{text.replace(' ', ',')}]") if key == "threshold"
-            else (rsf._decode_digits([text], key)[0] - (key == "column")).tolist()
-            for key, text in tree.items() if key != "seed"}
+def joined(trees: list[dict]) -> dict:
+    """The trees of a forest file that holds the trees of each of `trees`
+    in turn: each field's strings joined, as each number ends in its last digit."""
+    return {key: "".join(tree[key] for tree in trees) for key in rsf.FILE_FIELDS}
+
+
+def forest_trees(trees: dict) -> list[dict]:
+    """The trees of a forest file, each as a forest file of that tree alone
+    holds it: the inverse of `joined`."""
+    lists = {key: np.array(values) for key, values in forest_lists(trees).items()}
+    last = np.cumsum(lists["nodes"], dtype=int) - 1  # each tree's last node
+    split = lists["column"] >= 0
+    knots = np.zeros(split.size, dtype=int)
+    knots[~split] = lists["knot_counts"]
+    ends = {"nodes": np.arange(1, last.size + 1), "column": last + 1,
+            "threshold": np.cumsum(split)[last], "left": np.cumsum(split)[last],
+            "knot_counts": np.cumsum(~split)[last],
+            **dict.fromkeys(("knot_steps", "events", "censored"), np.cumsum(knots)[last])}
+    pieces = {key: np.split(lists[key], ends[key][:-1]) for key in rsf.FILE_FIELDS}
+    return [forest_fields(**{key: pieces[key][i].tolist() for key in rsf.FILE_FIELDS})
+            for i in range(last.size)]
 
 
 def shard_failing_at(tree, mp):

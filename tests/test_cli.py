@@ -28,8 +28,8 @@ from survbench.data import (Cohort, Column, CovariateSchema, cohort_table, encod
 from survbench.datagen import DEFAULT_SCHEMA, GeneratorConfig, generate
 from survbench.metrics import concordance_index
 
-from conftest import (cohorts_equal, forest_fields, forest_lists, forked_shards_killed,
-                      shard_failing_at)
+from conftest import (cohorts_equal, forest_fields, forest_lists, forest_trees,
+                      forked_shards_killed, joined, shard_failing_at)
 
 
 def make_cohort_csv(tmp_path, n=150, seed=2, name="cohort.csv"):
@@ -359,8 +359,9 @@ def negated(values):
 
 
 GRID_REFUSED = "malformed rsf model file: event_grid must be finite numbers of shape (g)"
-TREES_REFUSED = ("malformed rsf model file: trees must be a JSON list of objects with an "
-                 "integer seed")
+TREES_REFUSED = ("malformed rsf model file: trees must be a JSON object with a string nodes, "
+                 "a string column, a string threshold, a string left, a string knot_counts, "
+                 "a string knot_steps, a string events and a string censored")
 SEED_REFUSED = "malformed rsf model file: seed must be a JSON integer"
 
 
@@ -424,8 +425,10 @@ SEED_REFUSED = "malformed rsf model file: seed must be a JSON integer"
          "malformed rsf model file: event_grid must be strictly increasing"),
         ("rsf", lambda doc: doc.update(seed="5"), SEED_REFUSED),
         ("rsf", lambda doc: doc.update(seed=2.7), SEED_REFUSED),
-        ("rsf", lambda doc: doc["trees"][0].update(seed="7"), TREES_REFUSED),
-        ("rsf", lambda doc: doc["trees"][0].update(seed=True), TREES_REFUSED),
+        # a field of the trees that is not a string, where a tree's seed was once
+        # a string or true
+        ("rsf", lambda doc: doc["trees"].update(column=7), TREES_REFUSED),
+        ("rsf", lambda doc: doc["trees"].update(nodes=True), TREES_REFUSED),
         ("rsf", lambda doc: doc.update(trees=5), TREES_REFUSED),
         ("cox", lambda doc: doc["schema"][0].update(name=5),
          "malformed cox model file: schema must be a JSON list of objects with a string name, "
@@ -585,7 +588,7 @@ def test_eval_ignores_top_level_keys_the_file_table_does_not_name(fitted_files, 
     ("mtlr", lambda doc: (doc.update(boundaries=doc["boundaries"][::-1]),
                           doc["standardization"].update(sds=[0.0] * len(doc["column_names"]))),
      "standardization sds must be at least 1e-12"),
-    ("rsf", lambda doc: (doc.update(trees=[{"seed": 1}]),
+    ("rsf", lambda doc: (doc["trees"].update(nodes=""),
                          doc["standardization"].update(means=[0.0] * len(doc["column_names"]))),
      "standardization means and sds must be null"),
 ], ids=["mtlr-schema", "mtlr-sds", "rsf-standardization"])
@@ -674,36 +677,51 @@ def fit_small_forest(tmp_path):
     return model_path, cohort_csv
 
 
+OLDER_FOREST = "malformed rsf model file: trees is a list, an older file format; refit the model"
+
+
 def test_eval_asks_to_refit_an_old_forest_file(tmp_path, capsys):
     # trees nested node in node, with leaves held as counts and, before
-    # that, as curves
+    # that, as curves; and each tree an object of its own seed and strings,
+    # its integers base-32 digits and its thresholds decimals
     model_path, cohort_csv = fit_small_forest(tmp_path)
     doc = json.loads(model_path.read_text())
     leaf = {"knots": [0], "events": [1], "at_risk": [2]}
-    for root in ({"column": 0, "threshold": 0.5, "left": leaf, "right": leaf},
-                 {"chf_times": doc["event_grid"][:1], "chf_values": [0.5]}):
-        doc["trees"] = [{"seed": 1, "root": root}]
+    strings = [{"seed": 1, **{key: text for key, text in tree.items() if key != "nodes"},
+                "threshold": " ".join(map(repr, forest_lists(tree)["threshold"]))}
+               for tree in forest_trees(doc["trees"])]
+    for trees in ([{"seed": 1, "root": {"column": 0, "threshold": 0.5, "left": leaf,
+                                        "right": leaf}}],
+                  [{"seed": 1, "root": {"chf_times": doc["event_grid"][:1],
+                                        "chf_values": [0.5]}}],
+                  strings):
+        doc["trees"] = trees
         model_path.write_text(json.dumps(doc))
         capsys.readouterr()
         rc = main(["eval", "--model-file", str(model_path), "--input", str(cohort_csv)])
         assert rc == 2
-        assert_one_line_error(capsys, f"{model_path}: malformed rsf model file: the forest's "
-                                      "trees are nested, an older file format; refit the model")
+        assert_one_line_error(capsys, f"{model_path}: {OLDER_FOREST}")
+
+
+def older_trees(doc, write):
+    """The trees of forest file `doc` in a list, each an object of its own
+    seed and of its fields, less its node count, each written by `write`."""
+    return [{"seed": 1, **{key: write(values) for key, values in forest_lists(tree).items()
+                           if key != "nodes"}} for tree in forest_trees(doc["trees"])]
 
 
 def test_eval_asks_to_refit_a_forest_file_of_lists(tmp_path, capsys):
     # each field of a tree a JSON list, with the right children listed too
     model_path, cohort_csv = fit_small_forest(tmp_path)
     doc = json.loads(model_path.read_text())
+    doc["trees"] = older_trees(doc, list)
     for tree in doc["trees"]:
-        tree.update(forest_lists(tree))
         tree["right"] = [c + 1 if c >= 0 else -1 for c in tree["left"]]
     model_path.write_text(json.dumps(doc))
     capsys.readouterr()
     rc = main(["eval", "--model-file", str(model_path), "--input", str(cohort_csv)])
     assert rc == 2
-    assert_one_line_error(capsys, f"{model_path}: malformed rsf model file: a tree's column "
-                                  "is a list, an older file format; refit the model")
+    assert_one_line_error(capsys, f"{model_path}: {OLDER_FOREST}")
 
 
 def test_eval_asks_to_refit_a_forest_file_of_decimals(tmp_path, capsys):
@@ -711,25 +729,25 @@ def test_eval_asks_to_refit_a_forest_file_of_decimals(tmp_path, capsys):
     # column -1, as forest files were written before their integers were digits
     model_path, cohort_csv = fit_small_forest(tmp_path)
     doc = json.loads(model_path.read_text())
-    for tree in doc["trees"]:
-        tree.update({key: " ".join(map(str, values)) for key, values in forest_lists(tree).items()})
+    doc["trees"] = older_trees(doc, lambda values: " ".join(map(str, values)))
     model_path.write_text(json.dumps(doc))
     capsys.readouterr()
     rc = main(["eval", "--model-file", str(model_path), "--input", str(cohort_csv)])
     assert rc == 2
-    assert_one_line_error(capsys, f"{model_path}: malformed rsf model file: a tree's column "
-                                  "holds -1, an older file format; refit the model")
+    assert_one_line_error(capsys, f"{model_path}: {OLDER_FOREST}")
 
 
 def test_eval_refuses_a_forest_split_on_no_column(tmp_path, capsys):
     # column -1 marks a leaf; on a split it once scored the last column
     model_path, cohort_csv = fit_small_forest(tmp_path)
     doc = json.loads(model_path.read_text())
-    tree = forest_lists(doc["trees"][0])
-    assert tree["column"][0] >= 0  # the root splits; make it a leaf without knots
-    doc["trees"][0].update(forest_fields(
+    trees = forest_trees(doc["trees"])
+    tree = forest_lists(trees[0])
+    assert tree["column"][0] >= 0  # the first root splits; make it a leaf without knots
+    trees[0].update(forest_fields(
         column=[-1, *tree["column"][1:]], threshold=tree["threshold"][1:], left=tree["left"][1:],
         knot_counts=[0, *tree["knot_counts"]]))
+    doc["trees"] = joined(trees)
     model_path.write_text(json.dumps(doc))
     capsys.readouterr()
     rc = main(["eval", "--model-file", str(model_path), "--input", str(cohort_csv)])

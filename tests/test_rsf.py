@@ -35,8 +35,8 @@ from survbench.rsf import (
 from survbench.rng import CounterRng, derive_seed, uniform_at
 from survbench.stepfun import StepFunction
 
-from conftest import (forest_fields, forest_file, forest_lists, load_forest, numeric_design,
-                      shard_failing_at, tree_file)
+from conftest import (forest_fields, forest_file, forest_lists, forest_trees, joined, load_forest,
+                      numeric_design, shard_failing_at, tree_file)
 
 
 def naive_logrank(times, events, groups):
@@ -319,7 +319,7 @@ def test_forest_file_digest_is_pinned():
     d = golden_design()
     f = fit_forest(d, b=5, min_leaf=4, mtry=2, seed=3)
     digest = hashlib.sha256(json.dumps(forest_file(f, d)).encode()).hexdigest()
-    assert digest == "557dc52354c4e8249678f1b88a66007b4166989e3a2afcbee46c7c1a073eb20b"
+    assert digest == "3ce9574fc9568be8c4574906e5ed3165b814dbc3c608ef038bec232cee2a3c3a"
 
 
 def test_golden_scores_are_pinned():
@@ -427,7 +427,7 @@ def test_a_tree_does_not_depend_on_the_trees_grown_with_it():
     forest = forest_file(fit_forest(d, b=5, min_leaf=5, seed=2), d)
     for i in range(5):
         fewer = forest_file(fit_forest(d, b=i + 1, min_leaf=5, seed=2), d)
-        assert fewer["trees"][i] == forest["trees"][i]
+        assert forest_trees(fewer["trees"])[i] == forest_trees(forest["trees"])[i]
 
 
 # --- degenerate forests ----------------------------------------------------
@@ -460,16 +460,16 @@ def test_max_depth_zero_forces_stumps():
     assert all(t.root.is_leaf for t in f.trees)
 
 
-def leaf_tree(knots, events, at_risk, seed=0):
+def leaf_tree(knots, events, at_risk):
     """A one-node tree of a forest file: a leaf whose knots index the grid."""
-    return tree_file(seed, column=[-1], threshold=[0.0], left=[-1], knot_counts=[len(knots)],
+    return tree_file(column=[-1], threshold=[0.0], left=[-1], knot_counts=[len(knots)],
                      knots=knots, events=events, at_risk=at_risk)
 
 
 def forest_doc(trees, grid, columns=("x0",)):
     return {"model": "rsf", "column_names": list(columns), "mtry": 1, "min_leaf": 1,
             "max_depth": None, "seed": 0, "event_grid": list(map(float, grid)), "n": 10**4,
-            "trees": trees}
+            "trees": joined(trees)}
 
 
 def falling_counts(rng, size, most_censored):
@@ -483,7 +483,7 @@ def falling_counts(rng, size, most_censored):
 def test_two_tree_averaging_hand_fixture():
     forest = load_forest(forest_doc([
         leaf_tree([0], [1], [2]),  # 0.5 from t=1
-        leaf_tree([0, 1], [1, 1], [4, 1], seed=1),  # 0.25 from t=1, 1.25 from t=2
+        leaf_tree([0, 1], [1, 1], [4, 1]),  # 0.25 from t=1, 1.25 from t=2
     ], [1.0, 2.0]))
     chf = predict_chf(forest, np.zeros(1))
     np.testing.assert_array_equal(chf.times, [1.0, 2.0])
@@ -496,7 +496,7 @@ def test_two_tree_averaging_hand_fixture():
 def test_predict_chf_counts_a_knotless_leaf_as_zero():
     forest = load_forest(forest_doc([
         leaf_tree([0, 1], [1, 1], [2, 1]),  # 0.5 from t=1, 1.5 from t=2
-        leaf_tree([], [], [], seed=1),
+        leaf_tree([], [], []),
     ], [1.0, 2.0, 3.0]))
     chf = predict_chf(forest, np.zeros(1))
     np.testing.assert_array_equal(chf.times, [1.0, 2.0])
@@ -518,7 +518,7 @@ def test_predict_chf_is_independent_of_tree_order():
     rng = np.random.default_rng(0)
     grid = np.sort(rng.uniform(0, 10, 30))
     leaves = random_leaves(rng, 12, grid.size)
-    trees = [leaf_tree(*leaf, seed=seed) for seed, leaf in enumerate(leaves)]
+    trees = [leaf_tree(*leaf) for leaf in leaves]
     chf = predict_chf(load_forest(forest_doc(trees, grid)), np.zeros(1))
     back = predict_chf(load_forest(forest_doc(trees[::-1], grid)), np.zeros(1))
     np.testing.assert_array_equal(back.times, chf.times)
@@ -669,7 +669,7 @@ def test_rows_on_thresholds_or_holding_nan_score_as_a_node_by_node_walk(data_see
     d = numeric_design(X, times, events)
     f = fit_forest(d, b=b, min_leaf=3, seed=data_seed)
     doc, grid = forest_file(f, d), f.event_grid
-    for tree, tree_doc in zip(f.trees, doc["trees"]):
+    for tree, tree_doc in zip(f.trees, forest_trees(doc["trees"])):
         nodes = tree.nodes
         # each cell a threshold of a split on its column, or a training value
         # where the column has none, or NaN
@@ -684,7 +684,7 @@ def test_rows_on_thresholds_or_holding_nan_score_as_a_node_by_node_walk(data_see
             span = slice(ends[leaf], ends[leaf + 1])
             want.append(knot_sum(grid.size, nodes.knots[span], nodes.events[span],
                                  nodes.at_risk[span]))
-        one_tree = load_forest({**doc, "trees": [tree_doc]})
+        one_tree = load_forest({**doc, "trees": tree_doc})
         design = numeric_design(np.zeros((rows.shape[0], 3)), np.ones(rows.shape[0]),
                                 np.ones(rows.shape[0], dtype=int))
         design.X[:] = rows  # a cohort refuses NaN; scoring takes it
@@ -786,13 +786,15 @@ def test_serialization_round_trip_including_json():
 
 
 def test_reloaded_forest_rebuilds_inbag():
+    # the file holds the forest's seed, not each tree's seed or rows
     d = bigger_design(seed=7, n=80)
     f = fit_forest(d, b=3, min_leaf=15, seed=8)
     doc = json.loads(json.dumps(forest_file(f, d)))
-    assert doc["n"] == d.n
-    assert all("inbag" not in t for t in doc["trees"])
+    assert doc["n"] == d.n and doc["seed"] == 8
+    assert list(doc["trees"]) == list(rsf.FILE_FIELDS)
     back = load_forest(doc)
     for fitted, reloaded in zip(f.trees, back.trees, strict=True):
+        assert reloaded.seed == fitted.seed
         np.testing.assert_array_equal(reloaded.inbag, fitted.inbag)
 
 
@@ -877,6 +879,8 @@ def test_forest_file_rebuilds_the_fitted_tables(data_seed, n, b, min_leaf, max_d
     f = fit_forest(d, b=b, min_leaf=min_leaf, max_depth=max_depth, seed=data_seed)
     back = load_forest(json.loads(json.dumps(forest_file(f, d))))
     for fitted, reloaded in zip(f.trees, back.trees, strict=True):
+        assert reloaded.seed == fitted.seed
+        np.testing.assert_array_equal(reloaded.inbag, fitted.inbag)
         for a, r in zip(fitted.nodes, reloaded.nodes, strict=True):
             assert r.dtype.kind == a.dtype.kind
             np.testing.assert_array_equal(r, a)
@@ -903,47 +907,57 @@ def test_every_tree_holds_a_knot_count_per_node(data_seed, n, b, min_leaf, max_d
         assert t.knot_counts.sum() == t.knots.size == t.events.size == t.at_risk.size
 
 
-def first_tree(doc):
-    """The first tree of a forest file, its fields as lists."""
-    return forest_lists(doc["trees"][0])
+def tree_lists(doc):
+    """The trees of a forest file, their fields as lists."""
+    return forest_lists(doc["trees"])
 
 
 def set_leaf(**fields):
-    """An edit of the first tree's first leaf: each list given replaces the
+    """An edit of the trees' first leaf: each list given replaces the
     leaf's part of that knot list, and its knot count follows knot_steps."""
     def edit(doc):
-        tree = first_tree(doc)
+        tree = tree_lists(doc)
         size = tree["knot_counts"][0]
         for key, values in fields.items():
             tree[key][:size] = values
         tree["knot_counts"][0] = len(fields["knot_steps"])
-        doc["trees"][0].update(forest_fields(**tree))
+        doc["trees"].update(forest_fields(**tree))
     return edit
 
 
 def set_node(i, **fields):
-    """An edit of node i of the first tree, whose root splits: its column,
+    """An edit of node i of the trees, whose first root splits: its column,
     or the threshold or left child it holds as a split."""
     def edit(doc):
-        tree = first_tree(doc)
+        tree = tree_lists(doc)
         for key, value in fields.items():
             at = i if key == "column" else sum(c >= 0 for c in tree["column"][:i])
             tree[key][at] = value
-        doc["trees"][0].update(forest_fields(**tree))
+        doc["trees"].update(forest_fields(**tree))
     return edit
 
 
 def set_field(key, change):
-    """An edit of the first tree's list `key` by change(list, doc)."""
+    """An edit of the trees' list `key` by change(list, doc)."""
     def edit(doc):
-        doc["trees"][0].update(forest_fields(**{key: change(first_tree(doc)[key], doc)}))
+        doc["trees"].update(forest_fields(**{key: change(tree_lists(doc)[key], doc)}))
     return edit
 
 
-KNOTS = "add up to the length of a tree's knot_steps, events and censored"
+def set_halves(change):
+    """An edit of the trees' thresholds as their 32-bit halves, by change(halves)."""
+    def edit(doc):
+        halves = rsf._decode_digits(doc["trees"]["threshold"], "threshold").tolist()
+        doc["trees"]["threshold"] = rsf._encode_digits(change(halves))
+    return edit
+
+
+KNOTS = "add up to the length of trees knot_steps, events and censored"
 COUNTS = "leaf counts must satisfy 1 <= events, 0 <= censored and at_risk <= n"
 DIGITS = "must be base-32 numbers of at most 12 digits"
-OLDER = "an older file format; refit the model"
+HALVES = "trees threshold must be pairs of 32-bit halves"
+FINITE = "thresholds finite"
+OLDER = "trees is a list, an older file format; refit the model"
 LARGEST, LONG = 2**60 - 1, 2**60  # the largest number of 12 digits, and the smallest of 13
 
 
@@ -956,34 +970,43 @@ def digits_of(number):
     return text
 
 
-@given(st.lists(st.lists(st.one_of(st.integers(0, 1100), st.integers(0, LARGEST)), max_size=8),
-                max_size=5))
-@example([[0, 31], [], [32, 1023, 1024, LARGEST]])
-@example([[], [0], []])
+@given(st.lists(st.one_of(st.integers(0, 1100), st.integers(0, LARGEST)), max_size=20))
+@example([0, 31, 32, 1023, 1024, 2**32 - 1, LARGEST])
+@example([0])
 @example([])
-def test_decoding_encoded_digits_gives_them_back(trees):
-    # over the joined strings, and cut at each string's count into each array
-    counts = [len(tree) for tree in trees]
-    texts = rsf._encode_digits([v for tree in trees for v in tree], counts)
-    assert texts == ["".join(map(digits_of, tree)) for tree in trees]
-    values, got = rsf._decode_digits(texts, "field")
-    ends = np.cumsum(got, dtype=int)
-    assert values.dtype == np.int64 and got.tolist() == counts
-    assert [values[end - size:end].tolist() for end, size in zip(ends, got)] == trees
-    assert [rsf._decode_digits([text], "field")[0].tolist() for text in texts] == trees
+def test_decoding_encoded_digits_gives_them_back(numbers):
+    text = rsf._encode_digits(numbers)
+    assert text == "".join(map(digits_of, numbers))
+    values = rsf._decode_digits(text, "field")
+    assert values.dtype == np.int64 and values.tolist() == numbers
 
 
 @pytest.mark.parametrize(
-    "texts",
-    [["1 2"], ["1-2"], ["-1"], ["1?"], ["1\u00e9"], ["12A"], ["1A", "2"], ["A" * 12 + "1"],
-     [rsf._encode_digits([LONG], [1])[0]]],
+    "text",
+    ["1 2", "1-2", "-1", "1?", "1é", "12A", "A" * 12 + "1", rsf._encode_digits([LONG])],
     ids=["space", "minus-inside", "minus-first", "outside-both-sets", "not-ascii",
-         "ends-in-a-digit-before-the-last", "number-cut-between-strings", "13-digits-of-1",
-         "13-digits-of-2-to-the-60"],
+         "ends-in-a-digit-before-the-last", "13-digits-of-1", "13-digits-of-2-to-the-60"],
 )
-def test_decoding_refuses_what_no_encoding_writes(texts):
-    with pytest.raises(ValueError, match=f"a tree's field {DIGITS}$"):
-        rsf._decode_digits(["1", *texts], "field")
+def test_decoding_refuses_what_no_encoding_writes(text):
+    with pytest.raises(ValueError, match=f"trees field {DIGITS}$"):
+        rsf._decode_digits("1" + text, "field")
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(5e-324)
+@example(1.7976931348623157e308)
+@example(-1.7976931348623157e308)
+def test_a_threshold_reloads_bit_for_bit(value):
+    # a threshold is its float64's two 32-bit halves, so every finite one,
+    # the signed zero, subnormals and the largest included, reloads as it was
+    trees = tree_file(column=[0, -1, -1], threshold=[value, 0.0, 0.0], left=[1, -1, -1],
+                      knot_counts=[0, 1, 1], knots=[0, 0], events=[1, 1], at_risk=[1, 2])
+    assert forest_lists(trees)["threshold"] == [value]
+    forest = load_forest(forest_doc([trees], [1.0]))
+    assert forest.trees[0].nodes.threshold[:1].view(np.uint64) == np.array([value]).view(np.uint64)
+    assert rsf.trees_to_dict(forest.trees) == trees
+    assert mortality_score(forest, np.array([value])) == 1.0  # on the threshold goes left
 
 
 @functools.cache
@@ -996,8 +1019,8 @@ def small_forest_file() -> str:
 @pytest.mark.parametrize(
     "edit, text",
     [
-        (lambda doc: doc["trees"][1].update(root={"chf_times": [1.0], "chf_values": [0.5]}),
-         "refit the model"),
+        (lambda doc: doc.update(trees=[{"seed": 1, "root": {"chf_times": [1.0],
+                                                            "chf_values": [0.5]}}]), OLDER),
         (set_leaf(knot_steps=[1, 0], events=[1, 1], censored=[0, 3]), "increasing indices"),
         (set_leaf(knot_steps=[2, "-1"], events=[1, 1], censored=[0, 3]), DIGITS),
         (set_leaf(knot_steps=["-1"], events=[1], censored=[4]), DIGITS),
@@ -1023,35 +1046,41 @@ def small_forest_file() -> str:
         (set_leaf(knot_steps=[0], events=["1.5"], censored=[5]), DIGITS),
         (set_leaf(knot_steps=["[0]"], events=[1], censored=[5]), DIGITS),
         (lambda doc: doc.update(event_grid=doc["event_grid"][::-1]), "strictly increasing"),
-        (lambda doc: doc["trees"][0].update(root={"knots": [0], "events": [1], "at_risk": [1]}),
-         "nested, an older file format; refit the model"),
+        (lambda doc: doc.update(trees=[{"seed": 0, "root": {"knots": [0], "events": [1],
+                                                            "at_risk": [1]}}]), OLDER),
         (set_node(0, column=-1), "node lists"),
-        (set_node(0, column="-1"), f"column holds -1, {OLDER}"),  # no sign but the old one
+        (set_node(0, column="-1"), f"trees column {DIGITS}"),  # no sign but the old one
         (set_node(0, column=99), r"split columns must be in \[0, 3\)"),
-        (set_node(0, threshold=math.inf), "thresholds finite"),
-        (set_node(0, threshold="a"), "threshold must be a list of numbers"),
+        (set_node(0, threshold=math.inf), FINITE),
+        (set_node(0, threshold="a"), HALVES),  # one half more
+        (set_halves(lambda halves: [2**32, *halves[1:]]), HALVES),
+        (set_halves(lambda halves: halves[:-1]), HALVES),
+        (set_halves(lambda halves: [0, 0x7FF80000, *halves[2:]]), FINITE),
+        (set_halves(lambda halves: [0, 0x7FF00000, *halves[2:]]), FINITE),
+        (set_halves(lambda halves: [0, 0xFFF00000, *halves[2:]]), FINITE),
         (set_node(0, left=0), "child of one split"),
         (set_node(1, left=2), "child of one split"),
         (set_node(0, left=LONG), DIGITS),
         (set_node(0, left=LARGEST), "child of one split"),
-        (lambda doc: set_node(0, left=len(first_tree(doc)["column"]) - 1)(doc),
+        (lambda doc: set_node(0, left=len(tree_lists(doc)["column"]) - 1)(doc),
          "child of one split"),
         (set_field("left", lambda left, doc: [*left, 2]), "node lists"),
-        (lambda doc: doc["trees"][0].update(
-            forest_fields(threshold=first_tree(doc)["threshold"][:-1])), "node lists"),
-        (lambda doc: doc["trees"][0].update({key: "" for key in doc["trees"][0] if key != "seed"}),
-         "node lists"),
-        (lambda doc: doc["trees"][0].update(first_tree(doc)),
-         "a tree's column is a list, an older file format; refit the model"),
+        (lambda doc: doc["trees"].update(
+            forest_fields(threshold=tree_lists(doc)["threshold"][:-1])), "node lists"),
+        (lambda doc: doc["trees"].update(dict.fromkeys(rsf.FILE_FIELDS, ""),
+                                         **forest_fields(nodes=[0])), "node lists"),
+        (lambda doc: doc.update(trees=[{"seed": 0, **tree_lists(doc)}]), OLDER),
         (set_field("knot_counts", lambda counts, doc: [0, *counts]), "node lists"),
         (set_field("knot_counts", lambda counts, doc: ["-1", *counts[1:]]), DIGITS),
         (set_field("knot_counts", lambda counts, doc: [len(doc["event_grid"]) + 1, *counts[1:]]),
          KNOTS),
         (set_field("knot_counts", lambda counts, doc: [LONG, *counts[1:]]), DIGITS),
         (set_field("knot_counts", lambda counts, doc: [LARGEST, *counts[1:]]), KNOTS),
-        (lambda doc: doc["trees"][0].update(offsets=doc["trees"][0].pop("knot_counts")),
-         "a tree has offsets, an older file format; refit the model"),
-        (lambda doc: doc.update(trees=[]), "at least one tree"),
+        (lambda doc: doc.update(trees=[{"seed": 0, "offsets": doc["trees"].pop("knot_counts"),
+                                        **doc["trees"]}]), OLDER),
+        (lambda doc: doc.update(trees={key: doc["trees"][key] for key in rsf.FILE_FIELDS[:-1]}),
+         "no 'censored' in the rsf model file"),
+        (lambda doc: doc.update(trees=dict.fromkeys(rsf.FILE_FIELDS, "")), "at least one tree"),
         (lambda doc: doc.update(n=-3), "n must be an integer >= 1"),
         (lambda doc: doc.update(n=80.5), "n must be a JSON integer"),
         (lambda doc: doc.update(mtry=-5), "mtry must be >= 1"),
@@ -1069,154 +1098,125 @@ def small_forest_file() -> str:
          "censored-length-mismatch", "fractional-count", "nested-knot", "grid-decreasing",
          "nested-tree",
          "split-column-minus-one", "split-column-negative", "split-column-past-p",
-         "threshold-infinite", "threshold-string", "child-before-parent", "child-twice",
+         "threshold-infinite", "threshold-string", "threshold-half-oversized",
+         "threshold-halves-odd", "threshold-halves-nan", "threshold-halves-infinite",
+         "threshold-halves-minus-infinite", "child-before-parent", "child-twice",
          "child-past-the-end", "child-largest", "child-one-past-the-end",
          "leaf-with-child", "node-lists-differ", "no-nodes", "list-format",
          "knots-at-a-split", "knot-count-negative", "knot-count-past-grid",
-         "knot-count-oversized", "knot-count-largest", "offsets-format", "no-trees", "n-negative",
-         "n-fraction",
+         "knot-count-oversized", "knot-count-largest", "offsets-format", "trees-field-missing",
+         "no-trees", "n-negative", "n-fraction",
          "mtry-negative", "mtry-fraction", "min-leaf-zero", "min-leaf-null", "max-depth-negative",
          "max-depth-string"],
 )
 def test_load_refuses_bad_leaves(edit, text):
-    # the trees are checked joined, so each edit is also made on the last
-    # tree, past the other trees' nodes and knots
+    # each field is one string over all trees, so an edit of the trees' fields
+    # is made on the first tree and again on the last, past the other trees'
+    # nodes and knots; an edit that replaces the trees replaces them all
     for last in (False, True):
         doc = json.loads(small_forest_file())
+        others = forest_trees(doc["trees"])
+        doc["trees"] = tree = others.pop(0)
         edit(doc)
-        if last:
-            doc["trees"] = doc["trees"][1:] + doc["trees"][:1]
+        if doc["trees"] is tree:
+            doc["trees"] = joined([*others, tree] if last else [tree, *others])
         with pytest.raises(ValueError, match=text):
             load_forest(doc)
 
 
-NODE_FIELDS = ("column", "threshold", "left", "knot_counts")
+NODE_FIELDS = ("nodes", "column", "threshold", "left", "knot_counts")
 
 
-def tokens_of(key, text):
-    """A field's numbers as text, each as the forest file writes it, and
-    what joins them: thresholds one space apart, digits with nothing."""
-    if key == "threshold":
-        return text.split(" "), " "
-    numbers = rsf._decode_digits([text], "field")[0]
-    return rsf._encode_digits(numbers, [1] * numbers.size), ""
+def tokens_of(text):
+    """A field's numbers, each as the forest file writes it."""
+    return [rsf._encode_digits([v]) for v in rsf._decode_digits(text, "field")]
 
 
-def mangle(key, how, tokens, i):
-    """A field's text with one mangle at number or gap i, and the message
-    that refuses it, or None where the mangle leaves a valid field or is not
-    one of this field's: "long" is a number of 13 digits, and "tail" a digit
-    other than a last one after the field's last number. In a digit field, "x"
-    is a digit but a last one, and each character of the other numbers a last one."""
-    parse = rf"a tree's {key} must be a list of numbers$"
-    tokens, sep = tokens
-    digits = rf"a tree's {key} {DIGITS}$"
-    if how == "drop":
-        return sep.join(tokens[:i] + tokens[i + 1:]), (
-            "node lists" if key in NODE_FIELDS else KNOTS)
-    if key == "threshold":
-        message = {"  ": parse, "\n": parse, "leading": parse, "trailing": parse, "x": parse,
-                   "-": parse, "!": parse, "nan": "thresholds finite",
-                   "1e999": "thresholds finite"}.get(how)
-    elif how == "x" and i == len(tokens) - 1:  # a digit but a last one, left last
+def mangle(key, how, tokens, i, last):
+    """A tree's part of a field with one mangle at number or gap i, and the
+    message that refuses it, or None where the mangle leaves a valid field;
+    `last` if the part ends the field. "long" is a number of 13 digits, and
+    "tail" a digit other than a last one after the part's last number. "x"
+    is a digit but a last one, and each character of the other numbers a
+    last one; so "x" joins the next number, and "nan" is two numbers more."""
+    digits = rf"trees {key} {DIGITS}$"
+    fewer_or_more = {"drop": -1, "x": -1, "nan": 2, "1e999": 4, "99999999999999999999": 19}
+    if how == "tail" and not last:
+        message = None  # a leading zero of the next tree's first number
+    elif how == "tail" or how == "x" and last and i == len(tokens) - 1:  # ends the field
         message = digits
-    elif how in ("x", "nan", "1e999", "99999999999999999999"):
-        # "x" joins the next number as its first digit; the others are last
-        # digits, each one more number; a column past p is refused first
-        message = ("split columns must be in" if key == "column"
+    elif how in fewer_or_more:
+        # a column past p is refused first; an odd count of threshold
+        # halves before that, and an even one adds or drops whole thresholds
+        message = ("split columns must be in" if key == "column" and how != "drop"
+                   else HALVES if key == "threshold" and fewer_or_more[how] % 2
                    else "node lists" if key in NODE_FIELDS else KNOTS)
     else:
-        message = f"column holds -1, {OLDER}" if key == "column" and how == "-" else digits
+        message = digits
+    if how == "drop":
+        return "".join(tokens[:i] + tokens[i + 1:]), message
     if how in ("  ", "\n"):
-        return sep.join(tokens[:i + 1]) + how + sep.join(tokens[i + 1:]), message
+        return "".join(tokens[:i + 1]) + how + "".join(tokens[i + 1:]), message
     if how in ("leading", "trailing", "tail"):
         end = {"leading": " ", "trailing": " ", "tail": "A"}[how]
-        return (end if how == "leading" else "") + sep.join(tokens) + (
+        return (end if how == "leading" else "") + "".join(tokens) + (
             "" if how == "leading" else end), message
     if how == "long":
-        how = rsf._encode_digits([LONG], [1])[0]
-    return sep.join(tokens[:i] + [how] + tokens[i + 1:]), message
-
-
-NUMPY_FROMSTRING = np.fromstring
-
-
-def older_fromstring(text, dtype, sep):
-    """np.fromstring as an older NumPy reads a bad token: a
-    DeprecationWarning, not a ValueError, and the numbers before it, here
-    with the bad token read as one more number (as "1.5" reads as 1)."""
-    try:
-        return NUMPY_FROMSTRING(text, dtype=dtype, sep=sep)
-    except ValueError:
-        warnings.warn("string or file could not be read to its end", DeprecationWarning)
-        good = []
-        for token in text.split(sep):
-            try:
-                NUMPY_FROMSTRING(sep.join([*good, token]), dtype=dtype, sep=sep)
-            except ValueError:
-                return NUMPY_FROMSTRING(sep.join([*good, "0"]), dtype=dtype, sep=sep)
-            good.append(token)
+        how = rsf._encode_digits([LONG])
+    return "".join(tokens[:i] + [how] + tokens[i + 1:]), message
 
 
 @given(st.sampled_from(rsf.FILE_FIELDS),
        st.sampled_from(["drop", "  ", "\n", "leading", "trailing", "x", "-", "!", "1.5", "nan",
                         "1e999", "99999999999999999999", "long", "tail"]),
-       st.integers(0, 2), st.integers(-1, 10**6), st.booleans())
-@example("knot_steps", "-", 2, -1, False)  # the last number of the last tree
-@example("column", "-", 1, 0, False)
-@example("events", "1.5", 2, -1, True)
-@example("threshold", "x", 2, -1, True)
-@example("censored", "long", 0, 0, False)
-@example("knot_steps", "long", 1, 3, False)
-@example("knot_counts", "long", 0, 0, True)
-@example("left", "tail", 0, 0, False)
-@example("events", "tail", 2, 0, False)
-@example("column", "x", 0, 0, False)  # joins the next number, a column past p
-@example("knot_counts", "x", 1, -1, False)  # left last
-@example("left", "99999999999999999999", 0, 1, False)
-@example("events", "nan", 1, 0, False)
+       st.integers(0, 2), st.integers(-1, 10**6))
+@example("knot_steps", "-", 2, -1)  # the last number of the last tree
+@example("column", "-", 1, 0)
+@example("events", "1.5", 2, -1)
+@example("threshold", "x", 2, -1)
+@example("threshold", "x", 0, 0)
+@example("threshold", "nan", 1, 1)
+@example("nodes", "x", 0, 0)
+@example("nodes", "nan", 2, 0)
+@example("censored", "long", 0, 0)
+@example("knot_steps", "long", 1, 3)
+@example("knot_counts", "long", 0, 0)
+@example("left", "tail", 2, 0)
+@example("events", "tail", 2, 0)
+@example("column", "x", 0, 0)  # joins the next number, a column past p
+@example("knot_counts", "x", 2, -1)  # left last
+@example("left", "99999999999999999999", 0, 1)
+@example("events", "nan", 1, 0)
 @settings(max_examples=300, deadline=None)
-def test_load_refuses_a_mangled_field(key, how, t, at, older):
+def test_load_refuses_a_mangled_field(key, how, t, at):
     # each field of each tree is refused with its own message after any one
     # of these edits, never loaded with its numbers shifted into another
-    # tree, whether NumPy raises at a bad threshold token or (older) warns
-    # and stops; no warning gets out
+    # tree; no warning gets out
     doc = json.loads(small_forest_file())
-    tokens = tokens_of(key, doc["trees"][t][key])
+    trees = forest_trees(doc["trees"])
+    tokens = tokens_of(trees[t][key])
     spaces = how in ("  ", "\n")
-    assume(len(tokens[0]) > spaces)
-    i = at % (len(tokens[0]) - spaces)
-    doc["trees"][t][key], message = mangle(key, how, tokens, i)
+    assume(len(tokens) > spaces)
+    i = at % (len(tokens) - spaces)
+    trees[t][key], message = mangle(key, how, tokens, i, t == len(trees) - 1)
     assume(message is not None)
-    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+    doc["trees"] = joined(trees)
+    with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if older:
-            mp.setattr(np, "fromstring", older_fromstring)
         with pytest.raises(ValueError, match=message):
             load_forest(doc)
 
 
-def test_load_refuses_spacing_that_would_shift_numbers_between_trees():
-    # thresholds: a tab where one tree has a space and a doubled space in the
-    # next keep the count of numbers NumPy parses, but not each tree's
+def test_load_refuses_node_counts_that_would_shift_nodes_between_trees():
+    # the node counts cut each field into trees: two nodes moved from the
+    # second tree to the first keep every field's length, but leave the
+    # second tree's root no split's child
     doc = json.loads(small_forest_file())
-    first, second = doc["trees"][0], doc["trees"][1]
-    assert " " in first["threshold"] and " " in second["threshold"]
-    first["threshold"] = first["threshold"].replace(" ", "\t", 1)
-    second["threshold"] = second["threshold"].replace(" ", "  ", 1)
-    with pytest.raises(ValueError, match="a tree's threshold must be a list of numbers"):
-        load_forest(doc)
-    # digits: a leading zero digit that ends one tree's string joins the next
-    # tree's first number; joined, the strings read the same numbers, but a
-    # number is cut between two trees
-    doc = json.loads(small_forest_file())
-    first, second = doc["trees"][0], doc["trees"][1]
-    both = first["knot_steps"] + second["knot_steps"]
-    first["knot_steps"] += "A"
-    joined = first["knot_steps"] + second["knot_steps"]
-    assert np.array_equal(rsf._decode_digits([joined], "field")[0],
-                          rsf._decode_digits([both], "field")[0])
-    with pytest.raises(ValueError, match=f"a tree's knot_steps {DIGITS}"):
+    nodes = forest_lists(doc["trees"])["nodes"]
+    assert nodes[1] > 2
+    doc["trees"].update(forest_fields(nodes=[nodes[0] + 2, nodes[1] - 2, *nodes[2:]]))
+    with pytest.raises(ValueError, match="each node but the root must be the child of one "
+                                         "split before it"):
         load_forest(doc)
 
 

@@ -4,7 +4,7 @@ import pytest
 from survbench.rsf import predict_chf
 from survbench.stepfun import StepFunction
 
-from conftest import load_forest, tree_file
+from conftest import joined, load_forest, tree_file
 
 
 def test_right_continuous_lookup():
@@ -45,10 +45,10 @@ def two_leaf_forest(trees):
     leaf's (knots, events, at_risk), knots indexing the grid."""
     return {"model": "rsf", "column_names": ["x0"], "mtry": 1, "min_leaf": 1,
             "max_depth": None, "seed": 0, "event_grid": [1.0, 2.0], "n": 2,
-            "trees": [tree_file(seed, column=[-1], threshold=[0.0], left=[-1],
-                                knot_counts=[len(knots)], knots=knots, events=events,
-                                at_risk=at_risk)
-                      for seed, (knots, events, at_risk) in enumerate(trees)]}
+            "trees": joined([tree_file(column=[-1], threshold=[0.0], left=[-1],
+                                       knot_counts=[len(knots)], knots=knots, events=events,
+                                       at_risk=at_risk)
+                             for knots, events, at_risk in trees])}
 
 
 # The pointwise mean of step functions on the union of their knots is taken
