@@ -290,7 +290,7 @@ def ingest_csv(path, schema: CovariateSchema | None = None) -> Cohort:
     header order; they must match `schema` when one is supplied, and are
     type-inferred otherwise. Parse failures name the offending data row.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # a spreadsheet's byte order mark
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -312,9 +312,10 @@ def ingest_csv(path, schema: CovariateSchema | None = None) -> Cohort:
     if schema is None:
         schema = infer_schema(cov_names, [columns[j] for j in cov_js])
     elif schema.names != cov_names:
-        raise SchemaError(
-            f"CSV covariate columns {cov_names} do not match schema {schema.names}"
-        )
+        j = next(j for j, pair in enumerate(zip([*cov_names, None], [*schema.names, None]))
+                 if pair[0] != pair[1])  # the first covariate that differs
+        raise SchemaError(f"CSV covariate columns {column_list(cov_names[j:])} do not match "
+                          f"schema {column_list(schema.names[j:])} from covariate {j + 1} on")
     t_raw, e_raw = columns[t_j], columns[e_j]
     time = _floats(t_raw)
     event = np.array([_EVENT_TOKENS.get(v.strip().lower(), -1) for v in e_raw])

@@ -14,9 +14,10 @@ Hessian is K + s K L K, s = c/|P|, L the Laplacian of the active pairs
 (f_i - f_j < 1). A Newton step solves (I + s L K) d = -(beta + g) by CG
 in the K inner product u'K v, where that operator is self-adjoint with
 every eigenvalue >= 1: CG needs few iterations however small K's
-eigenvalues are. Each costs one K matvec and one pass over the active-pair
-masks; K is never factorized. P is `riskset.comparable_blocks`, the pair
-blocks the C-index counts, and a mask is a block & (f_i - f_j < 1).
+eigenvalues are. Each costs one K matvec and O(n) work per block of BLOCK
+event rows in time order (Pölsterl, Navab & Katouzian 2016): rows inside its time
+span through a (block x span) mask, rows after it sorted by f once per point J
+is evaluated at. K is never factorized; the loss and g come from L and pair degrees.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .common import Convergence, newton_maximize
 from .data import DesignMatrix
-from .riskset import comparable_blocks
+from .riskset import BLOCK
 
 
 @dataclass(frozen=True)
@@ -87,35 +88,66 @@ class KsvmModel:
     support: np.ndarray | None = None  # their rows in the fitted design; None once loaded
 
 
-def _active_blocks(pairs, f):
-    """(rows, mask) per block of `pairs`: the pairs active at scores f."""
-    for rows, later in pairs:
-        yield rows, later & (f[rows, None] - f < 1.0)
+def _pair_blocks(times, events):
+    """(rows, span, later, after) per BLOCK event rows in time order: later[a, b] is
+    T_span[b] > T_rows[a] over the rows `span` inside the block's time span, and each
+    row of `after` is later than every row of `rows`. Each comparable pair is in one block."""
+    order = np.argsort(times, kind="stable")
+    t, at = times[order], np.flatnonzero(events[order] == 1)
+    for start in range(0, at.size, BLOCK):
+        pos = at[start:start + BLOCK]
+        lo, hi = t.searchsorted(t[pos[[0, -1]]], "right")
+        yield order[pos], order[lo:hi], t[pos, None] < t[lo:hi], order[hi:]
 
 
-def _laplacian(pairs, f):
-    """v -> L v, with L the Laplacian of the `pairs` active at scores f;
-    the masks are made float64 once for all CG iterations of a step."""
-    blocks = [(rows, mask.astype(np.float64)) for rows, mask in _active_blocks(pairs, f)]
-    degree = np.zeros(f.size)
-    for rows, m in blocks:
-        degree[rows] += m.sum(axis=1)
-        degree += m.sum(axis=0)
+def _first_active(fs, fi):
+    """Per score fi, the first k with fi - fs[k] < 1.0 in ascending fs (fs.size if none).
+    That rounded test is monotone in fs, so a searchsorted guess moves, a run of equal
+    scores at a time, until the test itself agrees with it."""
+    k = fs.searchsorted(fi - 1.0, "right")
+    while fs.size:
+        below, at = fs[k - 1], fs[np.minimum(k, fs.size - 1)]
+        down, up = (k > 0) & (fi - below < 1.0), (k < fs.size) & ~(fi - at < 1.0)
+        if not (down | up).any():
+            break
+        k = np.where(down, fs.searchsorted(below), np.where(up, fs.searchsorted(at, "right"), k))
+    return k
 
-    def apply(v):
-        out = degree * v
-        for rows, m in blocks:
-            out[rows] -= m @ v
-            out -= v[rows] @ m
+
+def _pair_terms(blocks, f):
+    """The sum of (1 - f_i + f_j)^2 over the pairs (i, j) of `blocks` active at scores f
+    (f_i - f_j < 1.0), half its f-gradient, and v -> L v, L the active pairs' Laplacian.
+    With A[i, j] = 1 on an active pair and d = A1 - A'1, L = diag(A1 + A'1) - A - A',
+    the half-gradient is L f - d and the sum is |A| + f'(L f - 2d)."""
+    parts = []
+    for rows, span, later, after in blocks:
+        by_f, o = np.argsort(f[span], kind="stable"), after[np.argsort(f[after], kind="stable")]
+        first, k = _first_active(f[span[by_f]], f[rows]), _first_active(f[o], f[rows])
+        parts.append((rows, span, later & (np.argsort(by_f) >= first[:, None]), o, k))
+
+    def adjacent(v, sign):
+        """A v + sign A'v; after a block, row i sums v over the f-sorted rows from k_i on."""
+        out = np.zeros(v.size)
+        for rows, span, act, o, k in parts:
+            out[rows] += np.einsum("ij,j->i", act, v[span])
+            out[rows] += np.cumsum(np.append(v[o], 0.0)[::-1])[::-1][k]
+            out[span] += sign * np.einsum("i,ij->j", v[rows], act)
+            out[o] += sign * np.cumsum(np.bincount(k, v[rows], o.size + 1)[:-1])
         return out
 
-    return apply
+    degree, d = adjacent(np.ones(f.size), 1.0), adjacent(np.ones(f.size), -1.0)
+
+    def laplacian(v):
+        return degree * v - adjacent(v, 1.0)
+
+    g = laplacian(f) - d
+    return 0.5 * float(degree.sum()) + float(f @ (g - d)), g, laplacian
 
 
 def _primal(design: DesignMatrix, kernel: KernelSpec, c: float):
     """beta -> (-J, its gradient, Newton-CG step), as newton_maximize takes it."""
-    pairs = list(comparable_blocks(design.times, design.events))
-    n_pairs = sum(np.count_nonzero(later) for _, later in pairs)
+    pairs = list(_pair_blocks(design.times, design.events))
+    n_pairs = sum(np.count_nonzero(later) + rows.size * rest.size for rows, _, later, rest in pairs)
     if n_pairs == 0:
         raise ValueError("no comparable pairs; cannot fit a ranking model")
     s = c / n_pairs
@@ -123,20 +155,13 @@ def _primal(design: DesignMatrix, kernel: KernelSpec, c: float):
 
     def negated(beta):
         f = K @ beta
-        g = np.zeros(design.n)  # f-gradient of the pair loss, over s
-        loss = 0.0
-        for rows, mask in _active_blocks(pairs, f):
-            r = np.where(mask, 1.0 - f[rows, None] + f, 0.0)
-            loss += float(np.vdot(r, r))
-            g[rows] -= r.sum(axis=1)
-            g += r.sum(axis=0)
-        g *= s
+        loss, g, laplacian = _pair_terms(pairs, f)
+        g *= s  # the f-gradient of the pair loss, 0.5 s loss
         grad = f + K @ g
 
         def direction():
             """CG in the K inner product on (I + s L K) d = -(beta + g), to the
             forcing term min(0.5, sqrt(|grad|_inf)) or non-positive curvature."""
-            laplacian = _laplacian(pairs, f)
             r, Kr = -(beta + g), -grad  # the residual at d = 0, and K times it
             d, p, Kp = np.zeros(beta.size), r, Kr
             rr = float(r @ Kr)

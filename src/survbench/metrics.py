@@ -4,8 +4,8 @@ A pair (i, j) is comparable when T_i < T_j and subject i had the event:
 the model should rank i as higher risk. Concordant means score_i >
 score_j; equal scores count half. Pairs tied on time are not comparable.
 
-`concordance_index` counts over the pair blocks the kernel survival SVM
-fits on (`riskset.comparable_blocks`), in O(events x n) work: with 60%
+`concordance_index` counts over the comparable-pair blocks
+(`riskset.comparable_blocks`), in O(events x n) work: with 60%
 events 4x faster than an O(n log n) Fenwick tree over score ranks at
 n=700 and n=3,500, slower above about 12,000 rows (221 vs 165 ms at
 n=20,000, one Xeon core); no survbench workload goes above n=5,000.

@@ -13,7 +13,8 @@ epochs all read their counts from one `RiskSets` record, built by
 The Breslow likelihood is written once, in `sorted_breslow_loglik` on
 time-ordered rows (DeepSurv's minibatches); `breslow_loglik` wraps it.
 `comparable_blocks` lists the comparable pairs (event i, T_i < T_j) for
-the C-index (`metrics.concordance_index`) and the kernel survival SVM.
+the C-index (`metrics.concordance_index`); the kernel survival SVM reads
+them BLOCK event rows at a time too, in time order (`ksvm.py`).
 """
 
 from __future__ import annotations

@@ -534,6 +534,8 @@ def trees_from_dict(f: dict) -> list[SurvivalTree]:
     grid_size, p, n = len(f["event_grid"]), len(f["column_names"]), f["n"]
     if n < 1:
         raise ValueError("the training size n must be an integer >= 1")
+    if missing := next((key for key in FILE_FIELDS if key not in f["trees"]), None):
+        raise KeyError(f"trees {missing}")  # a key of `trees`, not of the file
     m, column, halves, left, counts, steps, events, censored = (
         _decode_digits(f["trees"][key], key) for key in FILE_FIELDS)
     if not m.size:

@@ -354,6 +354,22 @@ def test_eval_uses_the_stored_schema(tmp_path, capsys, keep):
     assert line.startswith(f"cox C-index: {format(expected, '.6g')} ")
 
 
+def test_a_csv_with_a_byte_order_mark_fits_the_model_of_the_clean_file(tmp_path, capsys):
+    # a spreadsheet's "CSV UTF-8" starts with a byte order mark; it is not part of
+    # the first column's name, so the fit writes the clean file's model, which
+    # scores the clean file
+    clean = make_cohort_csv(tmp_path)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + clean.read_bytes())
+    for source in (clean, marked):
+        out = tmp_path / f"{source.stem}.json"
+        assert main(["fit", "--model", "cox", "--input", str(source), "--out", str(out)]) == 0
+    assert (tmp_path / "marked.json").read_bytes() == (tmp_path / "cohort.json").read_bytes()
+    capsys.readouterr()
+    assert main(["eval", "--model-file", str(tmp_path / "marked.json"), "--input", str(clean)]) == 0
+    assert capsys.readouterr().out.startswith("cox C-index: ")
+
+
 def negated(values):
     return [-v for v in values]
 

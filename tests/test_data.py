@@ -360,6 +360,35 @@ def test_ingest_schema_mismatch(tmp_path):
         ingest_csv(p, schema=other)
 
 
+@pytest.mark.parametrize(
+    "schema_names, first",
+    [([*map(str, range(700)), "other", *map(str, range(701, 1000))], 701),
+     ([str(j) for j in range(999)], 1000),
+     ([str(j) for j in range(1001)], 1001)],
+    ids=["renamed", "csv-longer", "csv-shorter"],
+)
+def test_ingest_schema_mismatch_names_the_first_differing_covariate(tmp_path, schema_names,
+                                                                     first):
+    # a cohort of 1,000 covariates is refused in a line of bounded length that
+    # starts at the first covariate the CSV and the schema disagree on
+    p = tmp_path / "c.csv"
+    names = [str(j) for j in range(1000)]
+    p.write_text(",".join([*names, "time", "event"]) + "\n" + ",".join(["1"] * 1002) + "\n")
+    schema = CovariateSchema(tuple(Column(name, "numeric") for name in schema_names))
+    with pytest.raises(SchemaError, match=f"from covariate {first} on$") as info:
+        ingest_csv(p, schema=schema)
+    message = str(info.value)
+    assert len(message) < 200
+    assert message.startswith(f"CSV covariate columns {column_list(names[first - 1:])} ")
+    assert f" schema {column_list(schema_names[first - 1:])} " in message
+
+
+def test_ingest_reads_past_a_byte_order_mark(tmp_path):
+    p = tmp_path / "c.csv"
+    p.write_bytes("\ufeffx,time,event\n1,1.0,1\n".encode("utf-8"))
+    assert ingest_csv(p).schema.names == ["x"]
+
+
 def test_ingest_unknown_level_with_schema(tmp_path):
     p = tmp_path / "c.csv"
     p.write_text("g,time,event\nz,1.0,1\n")

@@ -1,28 +1,32 @@
-"""Ranking SVM: the primal objective against a pair-by-pair sum, kernel
-algebra, the Newton-CG system against finite differences, the gradient
-at convergence, and the linear-kernel fit against a dense all-pairs
-reference."""
+"""Ranking SVM: the primal objective against a pair-by-pair sum, the pair
+terms read from sorted scores against a dense mask, kernel algebra, the
+Newton-CG system against finite differences, the gradient at convergence,
+the linear-kernel fit against a dense all-pairs reference, and the fit's
+memory beside the Gram matrix."""
 
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from survbench import ksvm
 from survbench.bench import MODELS, model_from_dict, model_options, model_to_dict
 from survbench.data import Cohort, Column, CovariateSchema, encode, encode_like, split
 from survbench.datagen import GeneratorConfig, generate
 from survbench.ksvm import (
     KernelSpec,
-    _laplacian,
+    _pair_blocks,
+    _pair_terms,
     _primal,
     fit_ksvm,
     kernel_matrix,
     ksvm_risk,
 )
 from survbench.metrics import concordance_index
-from survbench.riskset import comparable_blocks
 
 from conftest import numeric_design, reloaded
 
@@ -82,6 +86,60 @@ def test_objective_matches_brute_force_pair_sum(times, data):
     loss, g = brute_pair_loss(K @ beta, times, events, c)
     assert -value == pytest.approx(0.5 * beta @ K @ beta + loss, rel=1e-12)
     np.testing.assert_allclose(-grad, K @ (beta + g), rtol=1e-10, atol=1e-12)
+
+
+def dense_pair_terms(times, events, f):
+    """The squared-hinge sum, half its f-gradient and the Laplacian at scores f,
+    from the dense mask of the active pairs (event i, T_i < T_j, f_i - f_j < 1.0)."""
+    active = (events[:, None] == 1) & (times[:, None] < times) & (f[:, None] - f < 1.0)
+    r = np.where(active, 1.0 - f[:, None] + f, 0.0)
+    laplacian = np.diag(active.sum(axis=1) + active.sum(axis=0)) - active - active.T
+    return float(np.vdot(r, r)), r.sum(axis=0) - r.sum(axis=1), laplacian
+
+
+@st.composite
+def boundary_scores(draw, n):
+    """n scores drawn from x, x + 1 and their nextafter neighbours: many pairs
+    sit at f_i - f_j == 1.0 or one rounding step either side of it."""
+    x = draw(st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.0, 3.0]),
+                       st.floats(-4.0, 4.0, allow_nan=False)))
+    pool = [v for base in (x, x + 1.0) for v in (np.nextafter(base, -np.inf), base,
+                                                 np.nextafter(base, np.inf))]
+    return np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+
+
+@given(st.lists(st.integers(1, 6), min_size=2, max_size=40), st.integers(1, 7), st.data())
+@settings(max_examples=200, deadline=None)
+def test_pair_terms_match_a_dense_mask(times, block, data):
+    # tied times, censored rows, and blocks of a few event rows, so that most
+    # pairs go through the sorted rows after a block; the active set is compared
+    # bit for bit through the Laplacian's entries, each a count of pairs
+    n = len(times)
+    times = np.asarray(times, dtype=float)
+    events = np.asarray(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    f = data.draw(boundary_scores(n))
+    v = np.asarray(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    with mock.patch.object(ksvm, "BLOCK", block):
+        loss, g, laplacian = _pair_terms(list(_pair_blocks(times, events)), f)
+    want_loss, want_g, want_laplacian = dense_pair_terms(times, events, f)
+    assert np.array_equal(np.column_stack([laplacian(e) for e in np.eye(n)]), want_laplacian)
+    assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(g, want_g, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(laplacian(v), want_laplacian @ v, rtol=1e-12, atol=1e-12)
+
+
+def test_fit_holds_little_beside_the_gram_matrix():
+    # the pair work keeps no (event rows x n) array: the traced peak of a fit on
+    # the default generated cohort is the Gram matrix's bytes and at most 1.5 MB more
+    cohort, _ = generate(GeneratorConfig(n=1000))
+    design = encode(cohort, standardize=True)
+    tracemalloc.start()
+    try:
+        fit_ksvm(design)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= design.n**2 * 8 + 1_500_000
 
 
 # --- kernels ---------------------------------------------------------------
@@ -177,7 +235,7 @@ def test_hessian_vector_product_matches_finite_differences():
     s = c / len(brute_pairs(d.times, d.events))
     objective = _primal(d, spec, c)
     beta, v = rng.normal(size=d.n), rng.normal(size=d.n)
-    lap = _laplacian(list(comparable_blocks(d.times, d.events)), K @ beta)
+    lap = _pair_terms(list(_pair_blocks(d.times, d.events)), K @ beta)[2]
     hv = K @ v + s * K @ lap(K @ v)
     eps = 1e-6
     fd = (objective(beta - eps * v)[1] - objective(beta + eps * v)[1]) / (2 * eps)

@@ -1079,7 +1079,7 @@ def small_forest_file() -> str:
         (lambda doc: doc.update(trees=[{"seed": 0, "offsets": doc["trees"].pop("knot_counts"),
                                         **doc["trees"]}]), OLDER),
         (lambda doc: doc.update(trees={key: doc["trees"][key] for key in rsf.FILE_FIELDS[:-1]}),
-         "no 'censored' in the rsf model file"),
+         "no 'trees censored' in the rsf model file"),
         (lambda doc: doc.update(trees=dict.fromkeys(rsf.FILE_FIELDS, "")), "at least one tree"),
         (lambda doc: doc.update(n=-3), "n must be an integer >= 1"),
         (lambda doc: doc.update(n=80.5), "n must be a JSON integer"),
