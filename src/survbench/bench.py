@@ -26,7 +26,7 @@ import numpy as np
 from . import cox, deepsurv, ksvm, mtlr, rsf, workers
 from .common import Convergence, fmt6, has_json_kind, json_kind
 from .data import (SD_FLOOR, Cohort, Column, CovariateSchema, DesignMatrix, encode, encode_like,
-                   ingest_csv, split, standardize_rows)
+                   ingest_csv, quoted, split, standardize_rows)
 from .datagen import GeneratorConfig, HazardSpec, generate
 from .metrics import concordance_index
 from .nonparametric import kaplan_meier
@@ -137,12 +137,12 @@ MODELS: dict[str, ModelSpec] = {
             ("max_depth", None, None, lambda m, _: m.max_depth),
             ("seed", 0, None, lambda m, _: m.seed),
             ("event_grid", 0.0, ("g",), lambda m, _: m.event_grid.tolist()),
-            ("n", 0, None, lambda m, _: m.trees[0].n),
+            ("n", 0, None, lambda m, _: m.n),
             ("trees", dict.fromkeys(rsf.FILE_FIELDS, ""), None,
-             lambda m, _: rsf.trees_to_dict(m.trees)),
+             lambda m, _: rsf.trees_to_dict(m.nodes, m.tree_sizes)),
         ),
-        build=lambda f: rsf.Forest(rsf.trees_from_dict(f), f["mtry"], f["min_leaf"], f["max_depth"],
-                                   f["seed"], f["event_grid"], f["column_names"]),
+        build=lambda f: rsf.Forest(*rsf.trees_from_dict(f), f["n"], f["mtry"], f["min_leaf"],
+                                   f["max_depth"], f["seed"], f["event_grid"], f["column_names"]),
     ),
     "deepsurv": ModelSpec(
         standardize=True,
@@ -304,9 +304,9 @@ def check_km_groups(cohort: Cohort, names) -> None:
     that cannot name a KM file of their own."""
     for name in names:
         if name not in cohort.schema.names:
-            raise ValueError(f"unknown covariate: {name!r}")
+            raise ValueError(f"unknown covariate: {quoted(name)}")
         if name in (".", "..", "overall") or any(sep and sep in name for sep in (os.sep, os.altsep)):
-            raise ValueError(f"cannot name a KM file after column {name!r}")
+            raise ValueError(f"cannot name a KM file after column {quoted(name)}")
 
 
 @dataclass(frozen=True)

@@ -180,11 +180,16 @@ def _design(cohort: Cohort, X: np.ndarray, names: list[str], means, sds) -> Desi
     return DesignMatrix(X, names, cohort.time, cohort.event, cohort.schema, means, sds)
 
 
+def quoted(text: str) -> str:
+    """`text` as a refusal echoes a name or cell: quoted, its first 40 characters then `...`."""
+    return repr(text[:40]) + "..." * (len(text) > 40)
+
+
 def column_list(names) -> str:
-    """`names` as a list in a refusal: the first 5, then how many more."""
+    """`names` as a list in a refusal: the first 5, each `quoted`, then how many more."""
     names = list(names)
     more = f", ... and {len(names) - 5} more" if len(names) > 5 else ""
-    return f"{str(names[:5])[:-1]}{more}]"
+    return f"[{', '.join(map(quoted, names[:5]))}{more}]"
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a huge cell overflows its column's sd
@@ -324,27 +329,27 @@ def ingest_csv(path, schema: CovariateSchema | None = None) -> Cohort:
     if bad.any():  # the first bad row; a row's time is read before its event
         i = int(np.argmax(bad))
         if not bad_time[i]:
-            raise ParseError(f"row {i + 1}: bad event value {e_raw[i]!r}")
+            raise ParseError(f"row {i + 1}: bad event value {quoted(e_raw[i])}")
         if _number(t_raw[i]) is None:
-            raise ParseError(f"row {i + 1}: non-numeric time {t_raw[i]!r}")
-        raise ParseError(f"row {i + 1}: time must be finite and >= 0, got {t_raw[i]!r}")
+            raise ParseError(f"row {i + 1}: non-numeric time {quoted(t_raw[i])}")
+        raise ParseError(f"row {i + 1}: time must be finite and >= 0, got {quoted(t_raw[i])}")
     cov = {}
     for j, col in zip(cov_js, schema.columns):
-        raw = columns[j]
+        raw, name = columns[j], quoted(col.name)
         if col.kind == "numeric":
             vals = _floats(raw)
             bad = np.flatnonzero(~np.isfinite(vals))
             if bad.size:  # a non-number anywhere is named before a non-finite number
                 i = next((i for i in bad.tolist() if _number(raw[i]) is None), int(bad[0]))
                 if not raw[i].strip():
-                    raise ParseError(f"row {i + 1}: empty cell in numeric column {col.name!r}")
+                    raise ParseError(f"row {i + 1}: empty cell in numeric column {name}")
                 what = "non-numeric" if _number(raw[i]) is None else "non-finite"
-                raise ParseError(f"row {i + 1}: {what} value {raw[i]!r} in {col.name!r}")
+                raise ParseError(f"row {i + 1}: {what} value {quoted(raw[i])} in {name}")
             cov[col.name] = vals
         else:
             known = set(col.levels)
             if not known.issuperset(raw):
                 i = next(i for i, v in enumerate(raw) if v not in known)
-                raise ParseError(f"row {i + 1}: unknown level {raw[i]!r} in {col.name!r}")
+                raise ParseError(f"row {i + 1}: unknown level {quoted(raw[i])} in {name}")
             cov[col.name] = np.array(raw, dtype=object)
     return Cohort(schema, cov, time, event)

@@ -23,32 +23,34 @@ shards, one per usable CPU but at most one per _SHARD_ROWS bootstrap
 rows, all but the last in forked workers (`workers.run`), and the forest
 does not depend on k.
 
-A tree is one flat node table in growing order, node 0 its root, each
-child after its parent: a node's split column (-1 at a leaf), threshold
-and left child, and its leaf's knots (the distinct event times of its
-rows as indices into the event grid) and integer event and at-risk
-counts at each, one array per field over all leaves with each node's
-knot count (0 at a split). No leaf's curve is ever built on the whole grid.
+A forest is one flat node table, its trees in turn, and each tree's node
+count; fit, file and scoring share it. A tree's nodes are in growing
+order, node 0 its root, each child after its parent: a node's split
+column (-1 at a leaf), threshold and left child, and its leaf's knots
+(the distinct event times of its rows as indices into the event grid)
+and integer event and at-risk counts at each, one array per field over
+all leaves with each node's knot count (0 at a split). No leaf's curve
+is ever built on the whole grid.
 
 The ensemble cumulative hazard is the mean of the B leaf curves a row
 falls into, so its mortality (that curve summed over the training
-event-time grid) is the mean of one scalar per leaf. Scoring stacks the
-B tables on each call and descends all trees together over a (rows, B)
-matrix of node indices. A right child follows its left, so a level
-moves an entry to left + 1 unless its value is <= the threshold: a NaN
-goes right; a leaf steps to itself, so a pass compacts every _STRIDE
-levels. A reached leaf's sum, each knot's value times the grid points it
-holds for, is taken by knot position over all reached leaves; math.fsum
-averages a row's B leaf mortalities, so tree order does not matter.
+event-time grid) is the mean of one scalar per leaf. Scoring descends
+the table's trees together over a (rows, B) matrix of node indices. A
+right child follows its left, so a level moves an entry to left + 1
+unless its value is <= the threshold: a NaN goes right; a leaf steps to
+itself, so a pass compacts every _STRIDE levels. A reached leaf's sum,
+each knot's value times the grid points it holds for, is taken by knot
+position over all reached leaves; math.fsum averages a row's B leaf
+mortalities, so tree order does not matter.
 `predict_chf` reads each reached leaf's curve off its own slice of knots
-in the stacked table and takes the math.fsum over B at each knot.
+in the table and takes the math.fsum over B at each knot.
 
-A tree holds its seed and the training size n, not its bootstrap rows:
-its `inbag`, the first n draws of its seed's stream, is drawn when read.
-A forest file holds the grid and n once, and each field of the trees' nodes as
-one string of base-32 digits over all trees, a threshold as its two 32-bit halves;
-a tree's seed is derived from the forest's, as the fit derived it. Loading
-rebuilds and checks all trees at once.
+A forest holds the training size n, not its trees' bootstrap rows: a
+tree, a view built when read, draws its `inbag`, n draws of its seed's
+stream. A forest file holds the grid and n once, and each field of the
+table as one string of base-32 digits over all trees, a threshold as its
+two 32-bit halves; a tree's seed is derived from the forest's, as the
+fit derived it. Loading rebuilds and checks the whole table at once.
 
 Per-tree randomness comes from a child seed mixed out of (master seed,
 tree index), so any tree is reproducible in isolation. Within a node the
@@ -88,8 +90,8 @@ _SHARD_ROWS = 1 << 14  # bootstrap rows (trees times n) a shard takes at least: 
 
 
 class NodeTable(NamedTuple):
-    """A tree's nodes in growing order: node i splits on column[i] (a row
-    goes left when its value is <= threshold[i]) into nodes left[i] and
+    """Trees' nodes in growing order: node i splits on column[i] (a row goes
+    left when its value is <= threshold[i]) into its tree's nodes left[i] and
     left[i] + 1 (knot_counts[i] 0), or is a leaf (column and left -1) whose
     knot_counts[i] knots (indices into the forest's event grid), event and
     at-risk counts follow the earlier nodes' in knots, events and at_risk."""
@@ -127,7 +129,9 @@ class SurvivalTree:
 
 @dataclass
 class Forest:
-    trees: list[SurvivalTree]
+    nodes: NodeTable  # every tree's nodes, tree after tree
+    tree_sizes: np.ndarray  # each tree's node count
+    n: int  # the training size
     mtry: int
     min_leaf: int
     max_depth: int | None
@@ -139,6 +143,16 @@ class Forest:
         _check_settings(self.mtry, self.min_leaf, self.max_depth)
         if not np.all(np.diff(self.event_grid) > 0):
             raise ValueError("event_grid must be strictly increasing")
+
+    @property
+    def trees(self) -> tuple[SurvivalTree, ...]:
+        """The trees in order, built when read: tree i's seed derive_seed(seed, i), as the
+        fit drew it, and its nodes views of its part of the table."""
+        cuts = np.cumsum(self.tree_sizes)[:-1]
+        parts = zip(*(np.split(a, cuts) for a in self.nodes[:4]), *(np.split(
+            a, np.cumsum(self.nodes.knot_counts)[cuts - 1]) for a in self.nodes[4:]))
+        return tuple(SurvivalTree(derive_seed(self.seed, i), self.n, NodeTable(*part))
+                     for i, part in enumerate(parts))
 
 
 def _logrank(n_left, observed, n_events, n_at_risk):
@@ -263,8 +277,8 @@ def _batch_order(step):
     return step[0], step[5]
 
 
-def _grow_trees(design, seeds, min_leaf, max_depth, mtry, grid) -> list[NodeTable]:
-    """The tables of trees grown in lockstep, each on the bootstrap its
+def _grow_trees(design, seeds, min_leaf, max_depth, mtry, grid) -> tuple[NodeTable, np.ndarray]:
+    """The table and node counts of trees grown in lockstep, each on the bootstrap its
     seed draws; a step's nodes are searched in batches of one size class
     and at most _CELLS cells. Tree t's rows, in time order, fill `flat`
     from t * n on, and a node is a range of it: a split partitions its
@@ -323,9 +337,9 @@ def _grow_trees(design, seeds, min_leaf, max_depth, mtry, grid) -> list[NodeTabl
                 (t, child, lo, mid, left_events, depth)]
 
 
-def _tables(flat, nodes, splits, times, events, grid) -> list[NodeTable]:
-    """The trees' tables from their splits: a root holds its tree's range of
-    `flat`, and a split's children the two parts of the split's range."""
+def _tables(flat, nodes, splits, times, events, grid) -> tuple[NodeTable, np.ndarray]:
+    """The trees' table from their splits, and their node counts: a root holds its
+    tree's range of `flat`, and a split's children the two parts of the split's range."""
     fields, thresholds = zip((np.zeros((7, 0), dtype=np.int64), np.zeros(0)), *splits)
     tree, node, j, child, lo, mid, hi = np.concatenate(fields, axis=1)
     roots, n = np.cumsum(nodes) - nodes, flat.size // nodes.size
@@ -336,26 +350,26 @@ def _tables(flat, nodes, splits, times, events, grid) -> list[NodeTable]:
     first[np.r_[roots, kids, kids + 1]] = np.r_[np.arange(nodes.size) * n, lo, mid]
     last[np.r_[roots, kids, kids + 1]] = np.r_[np.arange(nodes.size) * n + n, mid, hi]
     sizes = np.where(column < 0, last - first, 0)  # a split holds no rows
-    return [_table(flat, *tree, times, events, grid) for tree in zip(
-        *(np.split(a, np.cumsum(nodes)[:-1]) for a in (column, threshold, left, first, sizes)))]
+    leaves = zip(*(_leaves(flat, first[lo:hi], sizes[lo:hi], times, events, grid)
+                   for lo, hi in zip(roots, roots + nodes)))
+    return NodeTable(column, threshold, left, *map(np.concatenate, leaves)), nodes
 
 
-def _table(flat, column, threshold, left, first, sizes, times, events, grid) -> NodeTable:
-    """A tree's table, each leaf's knots found from its rows (`sizes` of them
-    from `first` in `flat`), in time order, in one pass over the tree, and
-    in `grid`. One pass over all trees' leaves raised `bench`'s peak RSS."""
+def _leaves(flat, first, sizes, times, events, grid) -> tuple:
+    """A tree's knot counts, knots, event and at-risk counts, each leaf's knots found
+    from its rows (`sizes` of them from `first` in `flat`), in time order, in one pass
+    over the tree, and in `grid`. One pass over all trees' leaves raised `bench`'s peak RSS."""
     ends = np.cumsum(sizes)
     rows = flat[np.repeat(first - ends + sizes, sizes) + np.arange(ends[-1])]
     rs = sorted_risk_sets(times[rows], events[rows], rows, ends)  # the leaves are its runs
     has = rs.n_events > 0  # a leaf's knots are the times of its events
     counts = np.bincount(np.searchsorted(ends, rs.starts[has], side="right"), minlength=ends.size)
-    return NodeTable(column, threshold, left, counts, np.searchsorted(grid, rs.times[has]),
-                     rs.n_events[has].astype(np.int64),
-                     rs.n_at_risk[has])  # integer counts, as in the forest file
+    return (counts, np.searchsorted(grid, rs.times[has]), rs.n_events[has].astype(np.int64),
+            rs.n_at_risk[has])  # integer counts, as in the forest file
 
 
-def _grow_in_shards(design, seeds, *settings) -> list[NodeTable]:
-    """`_grow_trees` in k contiguous shards of the trees, all but the last forked."""
+def _grow_in_shards(design, seeds, *settings) -> tuple[NodeTable, np.ndarray]:
+    """`_grow_trees` in k contiguous shards of the trees, all but the last forked, joined."""
     k = max(1, min(len(seeds), workers.usable_cpus(), len(seeds) * design.n // _SHARD_ROWS))
     cuts = [len(seeds) * i // k for i in range(k + 1)]
     shards = workers.run([partial(_grow_trees, design, seeds[lo:hi], *settings)
@@ -363,7 +377,8 @@ def _grow_in_shards(design, seeds, *settings) -> list[NodeTable]:
     for shard in shards:  # the forest needs every shard: the first error is raised
         if isinstance(shard, Exception):
             raise shard
-    return [table for shard in shards for table in shard]
+    tables, sizes = zip(*shards)
+    return NodeTable(*map(np.concatenate, zip(*tables))), np.concatenate(sizes)
 
 
 def fit_forest(
@@ -383,16 +398,8 @@ def fit_forest(
     mtry = min(int(mtry), design.p)
     seeds = [derive_seed(seed, i) for i in range(b)]
     grid = np.unique(design.times[design.events == 1])
-    tables = _grow_in_shards(design, seeds, min_leaf, max_depth, mtry, grid)
-    return Forest(
-        trees=[SurvivalTree(seed=s, n=design.n, nodes=t) for s, t in zip(seeds, tables)],
-        mtry=mtry,
-        min_leaf=int(min_leaf),
-        max_depth=max_depth,
-        seed=seed,
-        event_grid=grid,
-        column_names=list(design.names),
-    )
+    return Forest(*_grow_in_shards(design, seeds, min_leaf, max_depth, mtry, grid), design.n,
+                  mtry, int(min_leaf), max_depth, seed, grid, list(design.names))
 
 
 def _check_settings(mtry, min_leaf, max_depth) -> None:
@@ -407,14 +414,12 @@ def _check_settings(mtry, min_leaf, max_depth) -> None:
             raise ValueError(f"{name} must be {'null or ' * (not low)}>= {low}")
 
 
-def _descend(trees: list[SurvivalTree], X: np.ndarray) -> tuple[NodeTable, np.ndarray]:
-    """The trees' tables stacked into one, each node keeping its knot count, and the
-    (rows, B) matrix of the node each row of X reaches in each tree. A level moves
-    an entry to left + 1 unless X[row, column] <= threshold (a NaN goes right), and
-    a leaf to itself (column 0, threshold NaN, left its index - 1): see _STRIDE."""
-    sizes = [tree.nodes.column.size for tree in trees]
-    roots = np.cumsum([0, *sizes[:-1]])
-    nodes = NodeTable(*map(np.concatenate, zip(*(tree.nodes for tree in trees))))
+def _descend(forest: Forest, X: np.ndarray) -> np.ndarray:
+    """The (rows, B) matrix of the node of the table each row of X reaches in each tree.
+    A level moves an entry to left + 1 unless X[row, column] <= threshold (a NaN goes
+    right), and a leaf to itself (column 0, threshold NaN, left its index - 1): see _STRIDE."""
+    nodes, sizes = forest.nodes, forest.tree_sizes
+    roots = np.cumsum(sizes) - sizes
     split = nodes.column >= 0
     column, threshold = np.where(split, nodes.column, 0), np.where(split, nodes.threshold, np.nan)
     left = np.where(split, nodes.left + np.repeat(roots, sizes), np.arange(split.size) - 1)
@@ -429,7 +434,7 @@ def _descend(trees: list[SurvivalTree], X: np.ndarray) -> tuple[NodeTable, np.nd
             at[live] = node
             keep = np.flatnonzero(split[node])
             live, base, node = live[keep], base[keep], node[keep]
-    return nodes, at.reshape(X.shape[0], roots.size)
+    return at.reshape(X.shape[0], roots.size)
 
 
 def _mortality(forest: Forest, X: np.ndarray) -> np.ndarray:
@@ -438,7 +443,7 @@ def _mortality(forest: Forest, X: np.ndarray) -> np.ndarray:
     grid, is a running sum in knot order of each value times the grid points
     it holds for; taken most knots first, the reached leaves with a knot j
     are a prefix, and knot j adds to two running vectors for them all."""
-    nodes, at = _descend(forest.trees, X)
+    nodes, at = forest.nodes, _descend(forest, X)
     sizes = nodes.knot_counts
     reached = np.flatnonzero(np.bincount(at.ravel(), minlength=nodes.column.size))
     reached = reached[np.argsort(-sizes[reached], kind="stable")]
@@ -457,7 +462,7 @@ def _mortality(forest: Forest, X: np.ndarray) -> np.ndarray:
 def predict_chf(forest: Forest, x) -> StepFunction:
     """Ensemble cumulative hazard: at each knot of the B leaves x reaches, the
     math.fsum over B of each leaf's value there, so tree order does not matter."""
-    nodes, at = _descend(forest.trees, np.asarray(x, dtype=np.float64)[None, :])
+    nodes, at = forest.nodes, _descend(forest, np.asarray(x, dtype=np.float64)[None, :])
     ends = np.cumsum(np.append(0, nodes.knot_counts))  # each node's first knot, then the end
     leaves = [slice(ends[leaf], ends[leaf + 1]) for leaf in at[0]]  # each leaf's own knots
     knots = np.unique(np.concatenate([nodes.knots[s] for s in leaves]))
@@ -509,28 +514,27 @@ def _decode_digits(text: str, key: str) -> np.ndarray:
     return (digits << 5 * place).sum(0)
 
 
-def trees_to_dict(trees: list[SurvivalTree]) -> dict:
-    """Trees as a forest file holds them: each of FILE_FIELDS one string of `_encode_digits`
-    digits over all trees in order: each tree's node count, each node's column plus one (a
-    leaf 0), each split's threshold (its float64's 32-bit halves, low first) and left child,
-    each leaf's knot count, and a knot's step from the leaf's last (the first from 0), its
-    events, and the rows censored from it to the next."""
-    t = NodeTable(*map(np.concatenate, zip(*(tree.nodes for tree in trees))))
+def trees_to_dict(t: NodeTable, sizes) -> dict:
+    """Table `t` of trees of `sizes` nodes as a forest file holds it: each of FILE_FIELDS one
+    string of `_encode_digits` digits over all trees in order: each tree's node count, each
+    node's column plus one (a leaf 0), each split's threshold (its float64's 32-bit halves,
+    low first) and left child, each leaf's knot count, and a knot's step from the leaf's last
+    (the first from 0), its events, and the rows censored from it to the next."""
     split = t.column >= 0
     start = np.isin(np.arange(t.knots.size + 1), np.cumsum(np.append(0, t.knot_counts)))
-    fields = ([tree.nodes.column.size for tree in trees], t.column + 1,
-              t.threshold[split].astype("<f8").view("<u4"), t.left[split], t.knot_counts[~split],
+    fields = (sizes, t.column + 1, t.threshold[split].astype("<f8").view("<u4"), t.left[split],
+              t.knot_counts[~split],
               np.where(start[:-1], t.knots, np.diff(t.knots, prepend=0)), t.events,
               t.at_risk - t.events - np.where(start[1:], 0, np.append(t.at_risk[1:], 0)))
     return dict(zip(FILE_FIELDS, map(_encode_digits, fields)))
 
 
-def trees_from_dict(f: dict) -> list[SurvivalTree]:
-    """The trees of forest file fields `f`, their tables rebuilt and checked at once: node
+def trees_from_dict(f: dict) -> tuple[NodeTable, np.ndarray]:
+    """The table and node counts of the trees of forest file fields `f`, checked at once: node
     counts >= 1, split columns in [0, p), finite thresholds, a threshold and left child per
     split and a knot count per leaf, each node but a root the child of one split before it in
     its tree, knots rising in the grid, 1 <= events, at_risk <= n (the digits are unsigned, so
-    no lower bound needs a check); tree i's seed is derive_seed(seed, i), as the fit drew it."""
+    no lower bound needs a check)."""
     grid_size, p, n = len(f["event_grid"]), len(f["column_names"]), f["n"]
     if n < 1:
         raise ValueError("the training size n must be an integer >= 1")
@@ -575,8 +579,4 @@ def trees_from_dict(f: dict) -> list[SurvivalTree]:
         raise ValueError("leaf counts must satisfy 1 <= events, 0 <= censored and at_risk <= n")
     full = np.zeros(column.size), np.full(column.size, -1), 0 * column  # threshold, left, counts
     full[0][split], full[1][split], full[2][~split] = threshold, left, counts
-    cuts = np.cumsum(m)[:-1]
-    tables = zip(*(np.split(a, cuts) for a in (column, *full)),
-                 *(np.split(a, np.cumsum(full[2])[cuts - 1]) for a in (knots, events, at_risk)))
-    return [SurvivalTree(derive_seed(f["seed"], i), n, NodeTable(*table))
-            for i, table in enumerate(tables)]
+    return NodeTable(column, *full, knots, events, at_risk), m

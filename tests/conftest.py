@@ -92,7 +92,7 @@ def tree_file(**table) -> dict:
     given lists, as `rsf.trees_to_dict` writes them."""
     nodes = rsf.NodeTable(**{key: np.array(values, dtype=float if key == "threshold" else int)
                              for key, values in table.items()})
-    return rsf.trees_to_dict([rsf.SurvivalTree(0, 1, nodes)])
+    return rsf.trees_to_dict(nodes, [nodes.column.size])
 
 
 def joined(trees: list[dict]) -> dict:
@@ -101,21 +101,10 @@ def joined(trees: list[dict]) -> dict:
     return {key: "".join(tree[key] for tree in trees) for key in rsf.FILE_FIELDS}
 
 
-def forest_trees(trees: dict) -> list[dict]:
-    """The trees of a forest file, each as a forest file of that tree alone
-    holds it: the inverse of `joined`."""
-    lists = {key: np.array(values) for key, values in forest_lists(trees).items()}
-    last = np.cumsum(lists["nodes"], dtype=int) - 1  # each tree's last node
-    split = lists["column"] >= 0
-    knots = np.zeros(split.size, dtype=int)
-    knots[~split] = lists["knot_counts"]
-    ends = {"nodes": np.arange(1, last.size + 1), "column": last + 1,
-            "threshold": np.cumsum(split)[last], "left": np.cumsum(split)[last],
-            "knot_counts": np.cumsum(~split)[last],
-            **dict.fromkeys(("knot_steps", "events", "censored"), np.cumsum(knots)[last])}
-    pieces = {key: np.split(lists[key], ends[key][:-1]) for key in rsf.FILE_FIELDS}
-    return [forest_fields(**{key: pieces[key][i].tolist() for key in rsf.FILE_FIELDS})
-            for i in range(last.size)]
+def forest_trees(doc: dict) -> list[dict]:
+    """The trees of forest file `doc`, each as a forest file of that tree alone
+    holds it, from the views of the loaded forest: the inverse of `joined`."""
+    return [tree_file(**tree.nodes._asdict()) for tree in load_forest(doc).trees]
 
 
 def shard_failing_at(tree, mp):

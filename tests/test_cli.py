@@ -618,9 +618,10 @@ def test_schema_and_standardization_are_checked_before_the_model_is_built(
 
 
 # cells a hand-edited or exported cohort may hold: a blank, a missing-value marker, the
-# extremes of float64, a number too long to be finite, spaces around a number, a new level
+# extremes of float64, a number too long to be finite, spaces around a number, a new level,
+# and a word too long to echo in full
 HOSTILE_CELLS = ["", "NA", "inf", "nan", "1e308", "-1e308", "5e-324", "-0.0", "1" * 400,
-                 " 42.5 ", "Unseen"]
+                 " 42.5 ", "Unseen", "x" * 5000]
 
 
 @given(st.lists(st.tuples(st.integers(0, 119), st.sampled_from([*DEFAULT_SCHEMA.names, "time",
@@ -630,6 +631,9 @@ HOSTILE_CELLS = ["", "NA", "inf", "nan", "1e308", "-1e308", "5e-324", "-0.0", "1
 @example([(0, "Income", "")])
 @example([(1, "Gender", "NA"), (73, "OnlineBehavior", "NA")])  # an MTLR tail underflows
 @example([(0, "PurchaseHistory", "1e308"), (0, "CustomerExperience", "1e308")])  # MTLR scores
+@example([(0, "Income", "x" * 5000)])  # a non-numeric value, echoed cut short
+@example([(0, "Gender", "x" * 5000)])  # a new level, unknown to a clean fit
+@example([(0, "event", "x" * 5000)])
 @settings(max_examples=25, deadline=None)
 def test_a_hostile_cohort_ends_in_exit_0_or_one_line(fitted_files, edits):
     # `fit` on a cohort with one to three cells edited, and `eval` of a clean fit on
@@ -705,7 +709,7 @@ def test_eval_asks_to_refit_an_old_forest_file(tmp_path, capsys):
     leaf = {"knots": [0], "events": [1], "at_risk": [2]}
     strings = [{"seed": 1, **{key: text for key, text in tree.items() if key != "nodes"},
                 "threshold": " ".join(map(repr, forest_lists(tree)["threshold"]))}
-               for tree in forest_trees(doc["trees"])]
+               for tree in forest_trees(doc)]
     for trees in ([{"seed": 1, "root": {"column": 0, "threshold": 0.5, "left": leaf,
                                         "right": leaf}}],
                   [{"seed": 1, "root": {"chf_times": doc["event_grid"][:1],
@@ -723,7 +727,7 @@ def older_trees(doc, write):
     """The trees of forest file `doc` in a list, each an object of its own
     seed and of its fields, less its node count, each written by `write`."""
     return [{"seed": 1, **{key: write(values) for key, values in forest_lists(tree).items()
-                           if key != "nodes"}} for tree in forest_trees(doc["trees"])]
+                           if key != "nodes"}} for tree in forest_trees(doc)]
 
 
 def test_eval_asks_to_refit_a_forest_file_of_lists(tmp_path, capsys):
@@ -757,7 +761,7 @@ def test_eval_refuses_a_forest_split_on_no_column(tmp_path, capsys):
     # column -1 marks a leaf; on a split it once scored the last column
     model_path, cohort_csv = fit_small_forest(tmp_path)
     doc = json.loads(model_path.read_text())
-    trees = forest_trees(doc["trees"])
+    trees = forest_trees(doc)
     tree = forest_lists(trees[0])
     assert tree["column"][0] >= 0  # the first root splits; make it a leaf without knots
     trees[0].update(forest_fields(
@@ -864,6 +868,15 @@ def test_bench_without_the_default_km_columns_leaves_no_output_dir(tmp_path, cap
                  "--out", str(tmp_path / "o")]) == 2
     assert_one_line_error(capsys, "unknown covariate: 'OnlineBehavior'")
     assert not (tmp_path / "o").exists()
+
+
+def test_km_echoes_a_long_covariate_name_cut_short(tmp_path, capsys):
+    path = tmp_path / "c.csv"
+    path.write_text("x,time,event\n" + "".join(
+        f"{i},{i + 1}.0,{i % 3 > 0:d}\n" for i in range(10)))
+    assert main(["km", "--input", str(path), "--by", "z" * 5000,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert_one_line_error(capsys, f"unknown covariate: '{'z' * 40}'...")
 
 
 @pytest.mark.parametrize("name", ["a/b", "..", ".", "overall"])

@@ -360,20 +360,26 @@ def test_ingest_schema_mismatch(tmp_path):
         ingest_csv(p, schema=other)
 
 
+THOUSAND = [str(j) for j in range(1000)]
+
+
 @pytest.mark.parametrize(
-    "schema_names, first",
-    [([*map(str, range(700)), "other", *map(str, range(701, 1000))], 701),
-     ([str(j) for j in range(999)], 1000),
-     ([str(j) for j in range(1001)], 1001)],
-    ids=["renamed", "csv-longer", "csv-shorter"],
+    "names, schema_names, first",
+    [(THOUSAND, [*THOUSAND[:700], "other", *THOUSAND[701:]], 701),
+     (THOUSAND, THOUSAND[:999], 1000),
+     (THOUSAND, [*THOUSAND, "1000"], 1001),
+     (["x" * 5000], ["x"], 1),
+     ([*THOUSAND[:3], "4", "3", *THOUSAND[5:]], THOUSAND, 4)],
+    ids=["renamed", "csv-longer", "csv-shorter", "long-header", "reordered"],
 )
-def test_ingest_schema_mismatch_names_the_first_differing_covariate(tmp_path, schema_names,
-                                                                     first):
-    # a cohort of 1,000 covariates is refused in a line of bounded length that
-    # starts at the first covariate the CSV and the schema disagree on
+def test_ingest_schema_mismatch_names_the_first_differing_covariate(tmp_path, names,
+                                                                     schema_names, first):
+    # a cohort of 1,000 covariates, or one whose header name is 5,000 characters, is refused
+    # in a line of bounded length that starts at the first covariate the CSV and the schema
+    # disagree on; covariates that match the schema by name but not by order are refused
     p = tmp_path / "c.csv"
-    names = [str(j) for j in range(1000)]
-    p.write_text(",".join([*names, "time", "event"]) + "\n" + ",".join(["1"] * 1002) + "\n")
+    p.write_text(",".join([*names, "time", "event"]) + "\n"
+                 + ",".join(["1"] * (len(names) + 2)) + "\n")
     schema = CovariateSchema(tuple(Column(name, "numeric") for name in schema_names))
     with pytest.raises(SchemaError, match=f"from covariate {first} on$") as info:
         ingest_csv(p, schema=schema)

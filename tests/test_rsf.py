@@ -427,7 +427,7 @@ def test_a_tree_does_not_depend_on_the_trees_grown_with_it():
     forest = forest_file(fit_forest(d, b=5, min_leaf=5, seed=2), d)
     for i in range(5):
         fewer = forest_file(fit_forest(d, b=i + 1, min_leaf=5, seed=2), d)
-        assert forest_trees(fewer["trees"])[i] == forest_trees(forest["trees"])[i]
+        assert forest_trees(fewer)[i] == forest_trees(forest)[i]
 
 
 # --- degenerate forests ----------------------------------------------------
@@ -669,7 +669,7 @@ def test_rows_on_thresholds_or_holding_nan_score_as_a_node_by_node_walk(data_see
     d = numeric_design(X, times, events)
     f = fit_forest(d, b=b, min_leaf=3, seed=data_seed)
     doc, grid = forest_file(f, d), f.event_grid
-    for tree, tree_doc in zip(f.trees, forest_trees(doc["trees"])):
+    for tree, tree_doc in zip(f.trees, forest_trees(doc)):
         nodes = tree.nodes
         # each cell a threshold of a split on its column, or a training value
         # where the column has none, or NaN
@@ -716,9 +716,14 @@ def test_risk_does_not_depend_on_the_size_of_a_scoring_pass():
 
 
 def test_risk_is_independent_of_tree_order():
+    # the forest's table with its trees in reverse order, through its file
     d = bigger_design(seed=4, n=80)
     f = fit_forest(d, b=7, min_leaf=10, seed=3)
-    reversed_forest = replace(f, trees=f.trees[::-1])
+    doc = forest_file(f, d)
+    reversed_forest = load_forest({**doc, "trees": joined(forest_trees(doc)[::-1])})
+    assert [t.nodes.column.tolist() for t in reversed_forest.trees] == [
+        t.nodes.column.tolist() for t in f.trees[::-1]]
+    assert not np.array_equal(reversed_forest.nodes.column, f.nodes.column)
     np.testing.assert_array_equal(rsf_risk(reversed_forest, d), rsf_risk(f, d))
 
 
@@ -727,17 +732,18 @@ def test_scoring_after_the_trees_change_uses_the_new_trees():
     f = fit_forest(d, b=7, min_leaf=10, seed=3)
     first = rsf_risk(f, d)
     np.testing.assert_array_equal(rsf_risk(f, d), first)  # a second call agrees
-    other = fit_forest(d, b=1, min_leaf=10, seed=3)
+    other = fit_forest(d, b=1, min_leaf=10, seed=3)  # the first tree alone
     one_tree = rsf_risk(other, d)
-    np.testing.assert_array_equal(rsf_risk(replace(f, trees=f.trees[:1]), d), one_tree)
-    all_trees = f.trees[:]
-    f.trees[:] = other.trees  # the same list object, new contents
-    np.testing.assert_array_equal(rsf_risk(f, d), one_tree)
-    f.trees = all_trees
-    np.testing.assert_array_equal(rsf_risk(f, d), first)
-    f.trees = f.trees[:1]
-    np.testing.assert_array_equal(rsf_risk(f, d), one_tree)
     assert not np.array_equal(one_tree, first)
+    first_tree = replace(f, nodes=f.trees[0].nodes, tree_sizes=f.tree_sizes[:1])  # its view
+    np.testing.assert_array_equal(rsf_risk(first_tree, d), one_tree)
+    all_trees = f.nodes, f.tree_sizes
+    f.nodes, f.tree_sizes = other.nodes, other.tree_sizes
+    np.testing.assert_array_equal(rsf_risk(f, d), one_tree)
+    f.nodes, f.tree_sizes = all_trees
+    np.testing.assert_array_equal(rsf_risk(f, d), first)
+    f.nodes.events[:] *= 2  # the same arrays, new contents: each leaf's hazard doubles
+    np.testing.assert_array_equal(rsf_risk(f, d), 2 * first)
 
 
 @given(
@@ -1005,7 +1011,7 @@ def test_a_threshold_reloads_bit_for_bit(value):
     assert forest_lists(trees)["threshold"] == [value]
     forest = load_forest(forest_doc([trees], [1.0]))
     assert forest.trees[0].nodes.threshold[:1].view(np.uint64) == np.array([value]).view(np.uint64)
-    assert rsf.trees_to_dict(forest.trees) == trees
+    assert rsf.trees_to_dict(forest.nodes, forest.tree_sizes) == trees
     assert mortality_score(forest, np.array([value])) == 1.0  # on the threshold goes left
 
 
@@ -1115,7 +1121,7 @@ def test_load_refuses_bad_leaves(edit, text):
     # nodes and knots; an edit that replaces the trees replaces them all
     for last in (False, True):
         doc = json.loads(small_forest_file())
-        others = forest_trees(doc["trees"])
+        others = forest_trees(doc)
         doc["trees"] = tree = others.pop(0)
         edit(doc)
         if doc["trees"] is tree:
@@ -1193,7 +1199,7 @@ def test_load_refuses_a_mangled_field(key, how, t, at):
     # of these edits, never loaded with its numbers shifted into another
     # tree; no warning gets out
     doc = json.loads(small_forest_file())
-    trees = forest_trees(doc["trees"])
+    trees = forest_trees(doc)
     tokens = tokens_of(trees[t][key])
     spaces = how in ("  ", "\n")
     assume(len(tokens) > spaces)
