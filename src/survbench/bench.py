@@ -25,8 +25,8 @@ import numpy as np
 
 from . import cox, deepsurv, ksvm, mtlr, rsf, workers
 from .common import Convergence, fmt6, has_json_kind, json_kind
-from .data import (SD_FLOOR, Cohort, Column, CovariateSchema, DesignMatrix, encode, encode_like,
-                   ingest_csv, quoted, split, standardize_rows)
+from .data import (SD_FLOOR, Cohort, Column, CovariateSchema, DesignMatrix, column_list, cut,
+                   encode, encode_like, ingest_csv, quoted, split, standardize_rows)
 from .datagen import GeneratorConfig, HazardSpec, generate
 from .metrics import concordance_index
 from .nonparametric import kaplan_meier
@@ -187,19 +187,20 @@ def _checked(what: str, example: dict, doc) -> dict:
     and finite (json reads NaN, which a range check lets through), and an object checked
     the same way where its example has keys; a refusal is a ValueError naming the path."""
     if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be a JSON object, not {json.dumps(doc)}")
+        raise ValueError(f"{what} must be a JSON object, not {cut(json.dumps(doc))}")
     unknown = set(doc) - set(example)
     if unknown:
-        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {what} keys: {column_list(sorted(unknown))}")
     for key, value in doc.items():
         at, kind = f"{what} {key}", example[key]
         if isinstance(kind, dict) and kind:
             _checked(at, kind, value)
         elif not has_json_kind(kind, value):
-            raise ValueError(f"{at} must be a JSON {json_kind(kind)}, not {json.dumps(value)}")
+            raise ValueError(
+                f"{at} must be a JSON {json_kind(kind)}, not {cut(json.dumps(value))}")
         for v in value if isinstance(value, list) else [value]:
             if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError(f"{at} must be a finite number, not {json.dumps(v)}")
+                raise ValueError(f"{at} must be a finite number, not {cut(json.dumps(v))}")
     return doc
 
 
@@ -258,7 +259,7 @@ def model_from_dict(doc, path: str):
     malformed file is one ValueError naming `path`, the model and the field."""
     name = doc.get("model") if isinstance(doc, dict) else None
     if name not in MODELS:
-        raise ValueError(f"{path}: unknown model {name!r}")
+        raise ValueError(f"{path}: unknown model {cut(repr(name))}")
     if "schema" not in doc:
         raise ValueError(f"{path}: no covariate schema; refit the model")
     spec = MODELS[name]

@@ -42,11 +42,11 @@ class Column:
 
     def __post_init__(self):
         if self.kind not in ("numeric", "categorical"):
-            raise ValueError(f"unknown column kind: {self.kind!r}")
+            raise ValueError(f"unknown column kind: {cut(repr(self.kind))}")
         if self.kind == "categorical" and not self.levels:
-            raise ValueError(f"categorical column {self.name!r} needs a level")
+            raise ValueError(f"categorical column {quoted(self.name)} needs a level")
         if self.kind == "numeric" and self.levels:
-            raise ValueError(f"numeric column {self.name!r} cannot have levels")
+            raise ValueError(f"numeric column {quoted(self.name)} cannot have levels")
 
 
 @dataclass(frozen=True)
@@ -183,6 +183,11 @@ def _design(cohort: Cohort, X: np.ndarray, names: list[str], means, sds) -> Desi
 def quoted(text: str) -> str:
     """`text` as a refusal echoes a name or cell: quoted, its first 40 characters then `...`."""
     return repr(text[:40]) + "..." * (len(text) > 40)
+
+
+def cut(text: str) -> str:
+    """`text`, a value as a refusal echoes it (its repr or JSON), to 40 characters then `...`."""
+    return text[:40] + "..." * (len(text) > 40)
 
 
 def column_list(names) -> str:

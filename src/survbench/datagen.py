@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Cohort, Column, CovariateSchema
+from .data import Cohort, Column, CovariateSchema, cut
 from .rng import CounterRng
 
 DEFAULT_SCHEMA = CovariateSchema(
@@ -74,7 +74,7 @@ class HazardSpec:
 
     def __post_init__(self):
         if self.kind not in HAZARD_KINDS:
-            raise ValueError(f"unknown hazard kind: {self.kind!r}")
+            raise ValueError(f"unknown hazard kind: {cut(repr(self.kind))}")
         if self.kind == "proportional":
             if not 1 <= len(self.beta) <= len(POPULATION_MOMENTS):
                 raise ValueError(

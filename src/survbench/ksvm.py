@@ -14,10 +14,11 @@ Hessian is K + s K L K, s = c/|P|, L the Laplacian of the active pairs
 (f_i - f_j < 1). A Newton step solves (I + s L K) d = -(beta + g) by CG
 in the K inner product u'K v, where that operator is self-adjoint with
 every eigenvalue >= 1: CG needs few iterations however small K's
-eigenvalues are. Each costs one K matvec and O(n) work per block of BLOCK
-event rows in time order (Pölsterl, Navab & Katouzian 2016): rows inside its time
-span through a (block x span) mask, rows after it sorted by f once per point J
-is evaluated at. K is never factorized; the loss and g come from L and pair degrees.
+eigenvalues are. Each costs one K matvec and O(n) work per block of event
+rows in time order (`riskset.pair_blocks`; Pölsterl, Navab & Katouzian 2016):
+rows inside its time span through a (block x span) mask, rows after it sorted
+by f once per point J is evaluated at. K is never factorized; the loss and g
+come from L and pair degrees.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .common import Convergence, newton_maximize
-from .data import DesignMatrix
-from .riskset import BLOCK
+from .data import DesignMatrix, cut
+from .riskset import pair_blocks
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.kind not in ("linear", "rbf", "polynomial"):
-            raise ValueError(f"unknown kernel kind: {self.kind!r}")
+            raise ValueError(f"unknown kernel kind: {cut(repr(self.kind))}")
         if self.gamma is not None and self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if self.degree < 1:
@@ -86,18 +87,6 @@ class KsvmModel:
     column_names: list[str]
     convergence: Convergence
     support: np.ndarray | None = None  # their rows in the fitted design; None once loaded
-
-
-def _pair_blocks(times, events):
-    """(rows, span, later, after) per BLOCK event rows in time order: later[a, b] is
-    T_span[b] > T_rows[a] over the rows `span` inside the block's time span, and each
-    row of `after` is later than every row of `rows`. Each comparable pair is in one block."""
-    order = np.argsort(times, kind="stable")
-    t, at = times[order], np.flatnonzero(events[order] == 1)
-    for start in range(0, at.size, BLOCK):
-        pos = at[start:start + BLOCK]
-        lo, hi = t.searchsorted(t[pos[[0, -1]]], "right")
-        yield order[pos], order[lo:hi], t[pos, None] < t[lo:hi], order[hi:]
 
 
 def _first_active(fs, fi):
@@ -146,7 +135,7 @@ def _pair_terms(blocks, f):
 
 def _primal(design: DesignMatrix, kernel: KernelSpec, c: float):
     """beta -> (-J, its gradient, Newton-CG step), as newton_maximize takes it."""
-    pairs = list(_pair_blocks(design.times, design.events))
+    pairs = list(pair_blocks(design.times, design.events))
     n_pairs = sum(np.count_nonzero(later) + rows.size * rest.size for rows, _, later, rest in pairs)
     if n_pairs == 0:
         raise ValueError("no comparable pairs; cannot fit a ranking model")

@@ -4,11 +4,11 @@ A pair (i, j) is comparable when T_i < T_j and subject i had the event:
 the model should rank i as higher risk. Concordant means score_i >
 score_j; equal scores count half. Pairs tied on time are not comparable.
 
-`concordance_index` counts over the comparable-pair blocks
-(`riskset.comparable_blocks`), in O(events x n) work: with 60%
-events 4x faster than an O(n log n) Fenwick tree over score ranks at
-n=700 and n=3,500, slower above about 12,000 rows (221 vs 165 ms at
-n=20,000, one Xeon core); no survbench workload goes above n=5,000.
+`concordance_index` counts over the comparable-pair blocks of
+`riskset.pair_blocks`, the ones the kernel survival SVM trains on: the
+rows inside a block's time span through its (block x span) mask, and
+the rows after it by two binary searches of their sorted scores, in
+O(n log n) work per block of event rows and O(block x span) memory.
 `concordance_brute` is the quadratic reference. Both return exact
 integer counts and must agree.
 """
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .riskset import comparable_blocks
+from .riskset import pair_blocks
 
 
 class UndefinedMetricError(ValueError):
@@ -53,11 +53,12 @@ def concordance_index(time, event, score) -> ConcordanceResult:
     """Comparable, score_i > score_j and score_i == score_j pairs, per block."""
     time, event, score = _check(time, event, score)
     concordant = tied = comparable = 0
-    for rows, later in comparable_blocks(time, event):
-        s = score[rows, None]
-        comparable += np.count_nonzero(later)
-        concordant += np.count_nonzero(later & (s > score))
-        tied += np.count_nonzero(later & (s == score))
+    for rows, span, later, after in pair_blocks(time, event):
+        s, rest = score[rows], np.sort(score[after])
+        below, upto = rest.searchsorted(s, "left"), rest.searchsorted(s, "right")
+        comparable += np.count_nonzero(later) + rows.size * after.size
+        concordant += np.count_nonzero(later & (s[:, None] > score[span])) + below.sum()
+        tied += np.count_nonzero(later & (s[:, None] == score[span])) + (upto - below).sum()
     if comparable == 0:
         raise UndefinedMetricError("no comparable pairs")
     return ConcordanceResult(

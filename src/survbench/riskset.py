@@ -12,9 +12,9 @@ epochs all read their counts from one `RiskSets` record, built by
 `risk_sets` or `sorted_risk_sets` (the last two over runs of rows).
 The Breslow likelihood is written once, in `sorted_breslow_loglik` on
 time-ordered rows (DeepSurv's minibatches); `breslow_loglik` wraps it.
-`comparable_blocks` lists the comparable pairs (event i, T_i < T_j) for
-the C-index (`metrics.concordance_index`); the kernel survival SVM reads
-them BLOCK event rows at a time too, in time order (`ksvm.py`).
+`pair_blocks` lists the comparable pairs (event i, T_i < T_j), BLOCK
+event rows at a time in time order, for the C-index
+(`metrics.concordance_index`) and the kernel survival SVM (`ksvm.py`).
 """
 
 from __future__ import annotations
@@ -102,11 +102,13 @@ def sorted_breslow_loglik(g, is_event, starts, sizes, d) -> tuple[float, np.ndar
     return float(loglik), is_event - w * q.cumsum().repeat(sizes)
 
 
-def comparable_blocks(times, events):
-    """(rows, later) for each block of up to BLOCK event rows, in row order;
-    later[a, j] is T_j > T_rows[a]. Each comparable pair is True once."""
-    times = np.asarray(times, dtype=np.float64)
-    event_rows = np.flatnonzero(np.asarray(events) == 1)
-    for start in range(0, event_rows.size, BLOCK):
-        rows = event_rows[start:start + BLOCK]
-        yield rows, times[rows, None] < times
+def pair_blocks(times, events):
+    """(rows, span, later, after) per BLOCK event rows in time order: later[a, b] is
+    T_span[b] > T_rows[a] over the rows `span` inside the block's time span, and each
+    row of `after` is later than every row of `rows`. Each comparable pair is in one block."""
+    order = np.argsort(times, kind="stable")
+    t, at = times[order], np.flatnonzero(events[order] == 1)
+    for start in range(0, at.size, BLOCK):
+        pos = at[start:start + BLOCK]
+        lo, hi = t.searchsorted(t[pos[[0, -1]]], "right")
+        yield order[pos], order[lo:hi], t[pos, None] < t[lo:hi], order[hi:]

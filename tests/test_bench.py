@@ -2,6 +2,7 @@
 of the score dumps, figure files."""
 
 import csv
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -287,6 +288,19 @@ def test_model_dicts_survive_json_with_identical_scores(seed, n, p):
         doc = json.loads(json.dumps(model_to_dict(name, model, design, numeric_design(X, t, e).X)))
         _, back, _ = model_from_dict(doc, f"{name}.json")
         assert np.array_equal(spec.risk(back, design), spec.risk(model, design)), name
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_each_risk_refuses_a_design_with_other_columns(name):
+    # the same rows under names the model was not fitted on are refused, not scored
+    rng = np.random.default_rng(4)
+    X, t, e = rng.normal(size=(40, 2)), rng.integers(1, 9, 40) + 0.5, np.arange(40) % 3 > 0
+    spec = MODELS[name]
+    design = numeric_design(X, t, e.astype(int), standardize=spec.standardize)
+    tiny = {"mtlr": {"k": 3}, "rsf": {"b": 2}, "deepsurv": {"epochs": 2}, "ksvm": {"max_iter": 3}}
+    model = spec.fit(design, model_options(name, tiny.get(name, {})), 0)
+    with pytest.raises(ValueError, match="design columns do not match"):
+        spec.risk(model, dataclasses.replace(design, names=design.names[::-1]))
 
 
 def test_run_benchmark_small(tmp_path):

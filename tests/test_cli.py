@@ -660,6 +660,109 @@ def test_a_hostile_cohort_ends_in_exit_0_or_one_line(fitted_files, edits):
                 assert err.count("\n") == 1 and len(err) < 1000, (argv, err)
 
 
+def edited_cell(rows, i, j, edit):
+    return [[edit(c) if (a, b) == (i, j) else c for b, c in enumerate(r)]
+            for a, r in enumerate(rows)]
+
+
+def swapped(cells, j, k):
+    cells = list(cells)
+    if max(j, k) < len(cells):
+        cells[j], cells[k] = cells[k], cells[j]
+    return cells
+
+
+# byte-level edits a spreadsheet, an editor or a hand may make to a CSV, in the order they
+# are made: DIALECT's to its rows of cells (datagen quotes none), given a data row i and
+# columns j and k, then KEEPS', which change no value, to its bytes
+DIALECT = {
+    "quoted comma": lambda rows, i, j, k: edited_cell(rows, i, j, lambda c: b'"%s,"' % c),
+    "quoted newline": lambda rows, i, j, k: edited_cell(rows, i, j, lambda c: b'"\n%s"' % c),
+    "spaced name": lambda rows, i, j, k: edited_cell(rows, 0, j, lambda c: b" %s " % c),
+    "duplicate name": lambda rows, i, j, k: edited_cell(rows, 0, j, lambda c: rows[0][k]),
+    "latin-1 byte": lambda rows, i, j, k: edited_cell(rows, i, j, lambda c: c + b"\xe9"),
+    "short line": lambda rows, i, j, k: rows + [rows[i][:k]],
+    "reordered": lambda rows, i, j, k: [swapped(r, j, k) for r in rows],
+    "header only": lambda rows, i, j, k: rows[:1],
+    "empty": lambda rows, i, j, k: [],
+}
+KEEPS = {
+    "bom": lambda raw: b"\xef\xbb\xbf" + raw,
+    "lf": lambda raw: raw.replace(b"\r\n", b"\n"),
+    "cr": lambda raw: raw.replace(b"\r\n", b"\r"),
+    "blank lines": lambda raw: raw + b"\r\n\r\n",
+}
+ORDER = [*DIALECT, *KEEPS]
+
+
+@given(st.lists(st.sampled_from(ORDER), min_size=1, max_size=2, unique=True).map(
+           lambda edits: sorted(edits, key=ORDER.index)),
+       st.integers(1, 120), st.integers(0, 11), st.integers(0, 11))
+@example(["bom"], 1, 0, 0)
+@example(["cr", "blank lines"], 1, 0, 0)
+@example(["reordered"], 1, 0, 1)
+@settings(max_examples=25, deadline=None)
+def test_a_csv_dialect_ends_in_the_clean_line_or_one_line(fitted_files, edits, i, j, k):
+    # `fit` on the cohort's bytes after one or two edits, and `eval` of a clean fit on
+    # them, for every model: exit 0 with a finite C-index, the clean file's model and
+    # line when no value changed, or exit 2 with one short line
+    root, cohort_csv = fitted_files
+    rows = [line.split(b",") for line in cohort_csv.read_bytes().split(b"\r\n")[:-1]]
+    for edit in edits:
+        rows = DIALECT[edit](rows, i, j, k) if edit in DIALECT else rows
+    raw = b"".join(b",".join(cells) + b"\r\n" for cells in rows)
+    for edit in edits:
+        raw = KEEPS[edit](raw) if edit in KEEPS else raw
+    edited, fitted = root / "dialect.csv", root / "dialect.json"
+    edited.write_bytes(raw)
+    for name in EDITABLE:
+        clean = root / f"{name}.json"
+        fit = run_main(["fit", "--model", name, "--input", str(edited),
+                        "--config", str(root / "cfg.json"), "--out", str(fitted)])
+        scored = run_main(["eval", "--model-file", str(clean), "--input", str(edited)])
+        for argv0, (rc, out, err) in [("fit", fit), ("eval", scored)]:
+            if rc == 0:
+                assert err == "" and (argv0 == "fit" or math.isfinite(float(out.split()[2])))
+            else:
+                assert rc == 2 and err.startswith("survbench: error: "), (argv0, err)
+                assert err.count("\n") == 1 and len(err) < 300, (argv0, err)
+        if set(edits) <= set(KEEPS):
+            assert fitted.read_bytes() == clean.read_bytes(), (name, edits)
+            assert scored == run_main(["eval", "--model-file", str(clean),
+                                       "--input", str(cohort_csv)]), (name, edits)
+
+
+def long_config(root, config):
+    path = root / "long.json"
+    path.write_text(json.dumps(config))
+    return ["bench", "--config", str(path), "--out", str(root / "long_bench")]
+
+
+def long_field(root, cohort_csv, name, edit):
+    doc = json.loads((root / f"{name}.json").read_text())
+    edit(doc)
+    path = root / "long_field.json"
+    path.write_text(json.dumps(doc))
+    return ["eval", "--model-file", str(path), "--input", str(cohort_csv)]
+
+
+@pytest.mark.parametrize("argv", [
+    lambda root, _: long_config(root, {"seed": "x" * 5000}),
+    lambda root, _: long_config(root, {"x" * 5000: 1}),
+    lambda *files: long_field(*files, "cox", lambda d: d.update(model="y" * 5000)),
+    lambda *files: long_field(*files, "cox", lambda d: d["schema"][0].update(kind="k" * 5000)),
+    lambda *files: long_field(*files, "cox", lambda d: d["schema"][0].update(
+        name="n" * 5000, kind="numeric", levels=["a"])),
+    lambda *files: long_field(*files, "ksvm", lambda d: d["kernel"].update(kind="k" * 5000)),
+    lambda root, _: long_config(root, {"input": {"generator": {"hazard": {"kind": "h" * 5000}}}}),
+], ids=["config value", "config key", "model", "schema kind", "schema name", "kernel kind", "hazard kind"])
+def test_a_refusal_echoes_a_long_value_cut_short(fitted_files, argv):
+    # a config or model-file value of 5,000 characters, echoed by the check that refuses it
+    rc, _, err = run_main(argv(*fitted_files))
+    assert rc == 2 and err.startswith("survbench: error: ")
+    assert err.count("\n") == 1 and len(err) < 300, err
+
+
 def test_bench_prints_not_converged_only_beside_a_fitted_model(tmp_path, capsys):
     # an error row says why the fit failed and no more; report.csv keeps its
     # converged column of False for it

@@ -13,13 +13,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from survbench import ksvm
+from survbench import riskset
 from survbench.bench import MODELS, model_from_dict, model_options, model_to_dict
 from survbench.data import Cohort, Column, CovariateSchema, encode, encode_like, split
 from survbench.datagen import GeneratorConfig, generate
 from survbench.ksvm import (
     KernelSpec,
-    _pair_blocks,
     _pair_terms,
     _primal,
     fit_ksvm,
@@ -27,6 +26,7 @@ from survbench.ksvm import (
     ksvm_risk,
 )
 from survbench.metrics import concordance_index
+from survbench.riskset import pair_blocks
 
 from conftest import numeric_design, reloaded
 
@@ -119,8 +119,8 @@ def test_pair_terms_match_a_dense_mask(times, block, data):
     events = np.asarray(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
     f = data.draw(boundary_scores(n))
     v = np.asarray(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
-    with mock.patch.object(ksvm, "BLOCK", block):
-        loss, g, laplacian = _pair_terms(list(_pair_blocks(times, events)), f)
+    with mock.patch.object(riskset, "BLOCK", block):
+        loss, g, laplacian = _pair_terms(list(pair_blocks(times, events)), f)
     want_loss, want_g, want_laplacian = dense_pair_terms(times, events, f)
     assert np.array_equal(np.column_stack([laplacian(e) for e in np.eye(n)]), want_laplacian)
     assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
@@ -235,7 +235,7 @@ def test_hessian_vector_product_matches_finite_differences():
     s = c / len(brute_pairs(d.times, d.events))
     objective = _primal(d, spec, c)
     beta, v = rng.normal(size=d.n), rng.normal(size=d.n)
-    lap = _pair_terms(list(_pair_blocks(d.times, d.events)), K @ beta)[2]
+    lap = _pair_terms(list(pair_blocks(d.times, d.events)), K @ beta)[2]
     hv = K @ v + s * K @ lap(K @ v)
     eps = 1e-6
     fd = (objective(beta - eps * v)[1] - objective(beta + eps * v)[1]) / (2 * eps)

@@ -16,7 +16,7 @@ from survbench.cox import cox_loglik_grad_hess
 from survbench.deepsurv import cox_nll_loss
 from survbench.metrics import concordance_brute, concordance_index
 from survbench.nonparametric import kaplan_meier, nelson_aalen
-from survbench.riskset import (BLOCK, RiskSets, comparable_blocks, risk_set_sums, risk_sets,
+from survbench.riskset import (BLOCK, RiskSets, pair_blocks, risk_set_sums, risk_sets,
                                sorted_risk_sets)
 
 from conftest import numeric_design
@@ -199,11 +199,14 @@ def many_events(draw):
 @settings(max_examples=20, deadline=None)
 def test_blocks_hold_each_comparable_pair_once(cohort):
     t, e, _ = cohort
-    blocks = list(comparable_blocks(t, e))
-    assert [rows.size for rows, _ in blocks[:-1]] == [BLOCK] * (len(blocks) - 1)
-    np.testing.assert_array_equal(np.concatenate([rows for rows, _ in blocks]),
-                                  np.flatnonzero(e == 1))
-    got = [(int(rows[a]), int(j)) for rows, later in blocks for a, j in np.argwhere(later)]
+    blocks = list(pair_blocks(t, e))
+    assert [rows.size for rows, *_ in blocks[:-1]] == [BLOCK] * (len(blocks) - 1)
+    order = np.argsort(t, kind="stable")
+    np.testing.assert_array_equal(np.concatenate([rows for rows, *_ in blocks]),
+                                  order[e[order] == 1])
+    got = [(int(rows[a]), int(span[b])) for rows, span, later, _ in blocks
+           for a, b in np.argwhere(later)]
+    got += [(int(i), int(j)) for rows, _, _, after in blocks for i in rows for j in after]
     want = [(i, j) for i in range(t.size) if e[i] == 1 for j in range(t.size) if t[i] < t[j]]
     assert sorted(got) == want
 
