@@ -26,7 +26,7 @@ import numpy as np
 from . import cox, deepsurv, ksvm, mtlr, rsf, workers
 from .common import Convergence, fmt6, has_json_kind, json_kind
 from .data import (SD_FLOOR, Cohort, Column, CovariateSchema, DesignMatrix, column_list, cut,
-                   encode, encode_like, ingest_csv, quoted, split, standardize_rows)
+                   design_names, encode, encode_like, ingest_csv, quoted, split, standardize_rows)
 from .datagen import GeneratorConfig, HazardSpec, generate
 from .metrics import concordance_index
 from .nonparametric import kaplan_meier
@@ -41,10 +41,10 @@ class ModelSpec:
     attributes sees calls made through the registry. Gradient-trained
     models get standardized designs; trees split raw values. A model file
     holds the `file_fields` rows (key, kind, shape, read) in order: a kind is
-    an example value, and a shape is in the file's sizes (p = len(column_names),
-    other letters bound by the first field with them) or per-layer lengths from
-    the fields before; a read takes the model and its design's raw rows. `build`
-    makes the model from the checked fields and standardization `means`/`sds`."""
+    an example value, and a shape is in the file's sizes (p = the schema's design columns,
+    other letters bound by the first field with them) or per-layer lengths from the
+    fields before; a read takes the model and its design's raw rows. `build` makes the
+    model from the checked fields, `column_names` and standardization `means`/`sds`."""
 
     standardize: bool
     defaults: dict
@@ -87,12 +87,13 @@ def _fit_ksvm(design, opts: dict, seed: int):
 
 
 def _mlp_layers(f: dict) -> list[tuple[int, int]]:
-    """(fan-in, fan-out) of each layer of a DeepSurv file's spec, from the p columns in."""
-    widths = (len(f["column_names"]), *f["spec"].layer_widths[1:])
+    """(fan-in, fan-out) of each layer of a DeepSurv file's spec, whose input is the p columns."""
+    widths, p = f["spec"].layer_widths, len(f["column_names"])
+    if widths[0] != p:
+        raise TypeError(f"spec layer_widths must start with p = {p} from schema, not {widths[0]}")
     return list(zip(widths[:-1], widths[1:]))
 
 
-_NAMES = ("column_names", [""], None, lambda m, _: m.column_names)
 _CONVERGENCE = ("convergence", Convergence(True, 0, 0.0), None, lambda m, _: asdict(m.convergence))
 
 # in report order; a model's position also derives its seed in a bench run
@@ -103,7 +104,6 @@ MODELS: dict[str, ModelSpec] = {
         fit=lambda design, opts, seed: cox.fit_cox(design, **opts),
         risk=lambda model, design: cox.predict_risk(model, design),
         file_fields=(
-            _NAMES,
             ("beta", 0.0, ("p",), lambda m, _: m.beta.tolist()),
             _CONVERGENCE,
         ),
@@ -115,7 +115,6 @@ MODELS: dict[str, ModelSpec] = {
         fit=_fit_mtlr,
         risk=lambda model, design: mtlr.mtlr_risk(model, design),
         file_fields=(
-            _NAMES,
             ("boundaries", 0.0, ("k",), lambda m, _: m.grid.boundaries.tolist()),
             ("weights", 0.0, ("k", "p"), lambda m, _: m.weights.tolist()),
             ("biases", 0.0, ("k",), lambda m, _: m.biases.tolist()),
@@ -131,7 +130,6 @@ MODELS: dict[str, ModelSpec] = {
         fit=lambda design, opts, seed: rsf.fit_forest(design, seed=seed, **opts),
         risk=lambda model, design: rsf.rsf_risk(model, design),
         file_fields=(
-            _NAMES,
             ("mtry", 0, None, lambda m, _: m.mtry),
             ("min_leaf", 0, None, lambda m, _: m.min_leaf),
             ("max_depth", None, None, lambda m, _: m.max_depth),
@@ -155,7 +153,6 @@ MODELS: dict[str, ModelSpec] = {
              lambda m, _: [W.ravel().tolist() for W in m.weights]),  # each layer flat
             ("biases", 0.0, lambda f: [o for _, o in _mlp_layers(f)],
              lambda m, _: [b.tolist() for b in m.biases]),
-            _NAMES,
         ),
         build=lambda f: deepsurv.DeepSurvModel(
             f["spec"], [W.reshape(io) for W, io in zip(f["weights"], _mlp_layers(f))],
@@ -171,7 +168,6 @@ MODELS: dict[str, ModelSpec] = {
             ("raw_support_rows", 0.0, ("s", "p"), lambda m, raw: raw[m.support].tolist()),
             ("coefficients", 0.0, ("s",), lambda m, _: m.coefficients.tolist()),
             ("c", 0.0, (), lambda m, _: m.c),
-            _NAMES,
             _CONVERGENCE,
         ),
         build=lambda f: ksvm.KsvmModel(f["kernel"], ksvm.kernel_rows(standardize_rows(
@@ -243,20 +239,21 @@ def _field(key: str, kind, shape, value, checked: dict, sizes: dict):
 
 def model_to_dict(name: str, model, design: DesignMatrix, raw: np.ndarray) -> dict:
     """The file of model `name` fitted on `design`, `raw` being its rows unstandardized:
-    its fields, then the schema and standardization that encode new rows as `design`'s were."""
+    its fields, then the schema and (if standardized) standardization that encode new rows."""
     body = {key: read(model, raw) for key, _, _, read in MODELS[name].file_fields}
-    return {"model": name, **body, "schema": [asdict(c) for c in design.schema.columns],
-            "standardization": {"means": None if design.means is None else design.means.tolist(),
-                                "sds": None if design.sds is None else design.sds.tolist()}}
+    doc = {"model": name, **body, "schema": [asdict(c) for c in design.schema.columns]}
+    if MODELS[name].standardize:
+        doc["standardization"] = {"means": design.means.tolist(), "sds": design.sds.tolist()}
+    return doc
 
 
 def model_from_dict(doc, path: str):
     """(name, model, template) from the model file read from `path`; the
     template has no rows, as `encode_like` reads only its schema and affine map.
-    A standardized model needs p finite means and sds >= SD_FLOOR, as `encode`
-    allows, checked before `build` reads them; the forest's are null. Extra top-level
-    keys are ignored, a record's (`kernel`, `spec`, `convergence`) are refused; a
-    malformed file is one ValueError naming `path`, the model and the field."""
+    The schema's p design columns are `build`'s `column_names`; a standardized model needs
+    p finite means and sds >= SD_FLOOR, as `encode` allows, checked before `build` reads
+    them. Extra top-level keys are ignored, a record's (`kernel`, `spec`, `convergence`)
+    are refused; a malformed file is one ValueError naming `path`, the model and the field."""
     name = doc.get("model") if isinstance(doc, dict) else None
     if name not in MODELS:
         raise ValueError(f"{path}: unknown model {cut(repr(name))}")
@@ -264,26 +261,24 @@ def model_from_dict(doc, path: str):
         raise ValueError(f"{path}: no covariate schema; refit the model")
     spec = MODELS[name]
     try:  # the checks name the field; the model is named here
-        names = _field(*_NAMES[:3], doc["column_names"], {}, {})
-        checked, sizes = {"column_names": names}, {"p": (len(names), "column_names")}
+        columns = _field("schema", _SCHEMA, None, doc["schema"], {}, {})
+        schema = CovariateSchema(tuple(Column(c["name"], c["kind"], tuple(c["levels"]))
+                                       for c in columns))
+        names = design_names(schema)
+        checked, sizes = {"column_names": names}, {"p": (len(names), "schema")}
+        means = sds = None
+        if spec.standardize:
+            std = _field("standardization", {}, None, doc["standardization"], {}, {})
+            means, sds = (_field(f"standardization {k}", 0.0, ("p",), std[k], {}, sizes)
+                          for k in ("means", "sds"))
+            if not np.all(sds >= SD_FLOOR):
+                raise TypeError(f"standardization sds must be at least {SD_FLOOR}")
         if name == "ksvm" and "support_rows" in doc:  # rows standardized, not raw
             raise TypeError("support_rows is an older file format; refit the model")
         if name == "rsf" and isinstance(doc.get("trees"), list):  # as every older layout
             raise TypeError("trees is a list, an older file format; refit the model")
         for key, kind, shape, _ in spec.file_fields:
             checked[key] = _field(key, kind, shape, doc[key], checked, sizes)
-        columns = _field("schema", _SCHEMA, None, doc["schema"], {}, {})
-        schema = CovariateSchema(tuple(Column(c["name"], c["kind"], tuple(c["levels"]))
-                                       for c in columns))
-        std = _field("standardization", {}, None, doc["standardization"], {}, {})
-        means = sds = None
-        if spec.standardize:
-            means, sds = (_field(f"standardization {k}", 0.0, ("p",), std[k], {}, sizes)
-                          for k in ("means", "sds"))
-            if not np.all(sds >= SD_FLOOR):
-                raise TypeError(f"standardization sds must be at least {SD_FLOOR}")
-        elif std["means"] is not None or std["sds"] is not None:
-            raise TypeError("standardization means and sds must be null: trees split raw values")
         model = spec.build({**checked, "means": means, "sds": sds})
     except KeyError as exc:
         raise ValueError(f"{path}: no {exc} in the {name} model file") from None

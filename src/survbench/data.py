@@ -9,6 +9,7 @@ or integrates over it.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,19 +151,20 @@ class DesignMatrix:
         return self.means is not None
 
 
+def design_names(schema: CovariateSchema) -> list[str]:
+    """The design columns of `schema`, in order: a numeric column's name, and
+    `name=level` for each level of a categorical column but its first, the reference."""
+    return [name for c in schema.columns for name in
+            ([c.name] if c.kind == "numeric" else [f"{c.name}={lv}" for lv in c.levels[1:]])]
+
+
 def _raw_design(cohort: Cohort) -> tuple[np.ndarray, list[str]]:
-    cols, names = [], []
+    cols = []
     for col in cohort.schema.columns:
         vals = cohort.covariates[col.name]
-        if col.kind == "numeric":
-            cols.append(np.asarray(vals, dtype=np.float64))
-            names.append(col.name)
-        else:
-            for lv in col.levels[1:]:
-                cols.append((vals == lv).astype(np.float64))
-                names.append(f"{col.name}={lv}")
-    X = np.column_stack(cols) if cols else np.empty((cohort.n, 0))
-    return X, names
+        cols.extend([vals] if col.kind == "numeric" else [vals == lv for lv in col.levels[1:]])
+    X = np.column_stack(cols).astype(np.float64, copy=False) if cols else np.empty((cohort.n, 0))
+    return X, design_names(cohort.schema)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # finite rows, means and sds can still overflow
@@ -300,13 +302,22 @@ def ingest_csv(path, schema: CovariateSchema | None = None) -> Cohort:
     header order; they must match `schema` when one is supplied, and are
     type-inferred otherwise. Parse failures name the offending data row.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:  # a spreadsheet's byte order mark
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("empty CSV") from None
-        rows = [r for r in reader if r]
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8").removeprefix("\ufeff")  # a spreadsheet's byte order mark
+    except UnicodeDecodeError as exc:  # the byte's line: the lines up to it and through it
+        raise ParseError(f"{path}: line {len(raw[:exc.start + 1].splitlines())}: "
+                         f"byte 0x{raw[exc.start]:02x} is not UTF-8 text") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError("empty CSV") from None
+    rows = [r for r in reader if r]
+    if len(set(header)) < len(header):  # named before the schema is inferred or compared
+        name = next(h for j, h in enumerate(header) if h in header[:j])
+        raise SchemaError(f"{path}: column {quoted(name)} appears twice in the header")
     if not rows:
         raise SchemaError(f"{path}: a header but no data rows")
     for required in ("time", "event"):

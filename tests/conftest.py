@@ -46,20 +46,20 @@ def numeric_design(X, times, events, standardize=False):
     return encode(numeric_cohort(X, times, events), standardize=standardize)
 
 
+def numeric_schema(names) -> list[dict]:
+    """The `schema` of a model file whose covariates are the numeric columns `names`."""
+    return [{"name": name, "kind": "numeric", "levels": []} for name in names]
+
+
 def forest_file(forest, design) -> dict:
-    """The file of `forest` fitted on `design`, as `bench.model_to_dict`
-    writes it, less the schema and standardization that `load_forest` adds."""
-    doc = model_to_dict("rsf", forest, design, design.X)
-    del doc["schema"], doc["standardization"]
-    return doc
+    """The file of `forest` fitted on `design`, as `bench.model_to_dict` writes it."""
+    return model_to_dict("rsf", forest, design, design.X)
 
 
 def load_forest(doc: dict):
-    """The forest of file `doc`, given the schema and standardization of its
-    columns as numeric covariates, as `bench.model_from_dict` reads it."""
-    schema = [{"name": name, "kind": "numeric", "levels": []} for name in doc["column_names"]]
-    return model_from_dict({**doc, "schema": schema,
-                            "standardization": {"means": None, "sds": None}}, "rsf.json")[1]
+    """The forest of file `doc` written as JSON text and read back by
+    `bench.model_from_dict`, as `eval` reads it."""
+    return model_from_dict(json.loads(json.dumps(doc)), "rsf.json")[1]
 
 
 def forest_fields(**fields) -> dict:

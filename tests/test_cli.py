@@ -406,13 +406,14 @@ SEED_REFUSED = "malformed rsf model file: seed must be a JSON integer"
          "malformed cox model file: standardization sds must be at least 1e-12"),
         ("cox", lambda doc: doc["standardization"]["means"].pop(),
          "malformed cox model file: standardization means must be finite numbers"),
-        ("rsf", lambda doc: doc.update(standardization={"means": [0.0] * len(doc["column_names"]),
-                                                         "sds": [1.0] * len(doc["column_names"])}),
-         "malformed rsf model file: standardization means and sds must be null"),
         ("deepsurv", lambda doc: doc["weights"].pop(0),
          "malformed deepsurv model file: weights must be a JSON list of 2 layers"),
         ("deepsurv", lambda doc: doc["biases"].pop(),
          "malformed deepsurv model file: biases must be a JSON list of 2 layers"),
+        # a spec whose input width is not the p design columns of the schema
+        ("deepsurv", lambda doc: doc["spec"]["layer_widths"].__setitem__(0, 99),
+         "malformed deepsurv model file: spec layer_widths must start with p = 15 from schema, "
+         "not 99"),
         ("ksvm", lambda doc: doc["kernel"].update(gamma=math.nan),
          "malformed ksvm model file: kernel gamma must be a finite number, not NaN"),
         ("ksvm", lambda doc: doc["kernel"].update(gamma=math.inf),
@@ -429,7 +430,7 @@ SEED_REFUSED = "malformed rsf model file: seed must be a JSON integer"
          "malformed cox model file: convergence gradient_norm must be a finite number, not NaN"),
         ("cox", lambda doc: doc["beta"].pop(),  # the cohort's design has 15 columns
          "malformed cox model file: beta must be finite numbers of shape (p), "
-         "p = 15 from column_names"),
+         "p = 15 from schema"),
         ("mtlr", lambda doc: doc.update(boundaries=doc["boundaries"][::-1]),
          "malformed mtlr model file: boundaries must be strictly increasing"),
         ("rsf", lambda doc: doc["event_grid"].__setitem__(1, True), GRID_REFUSED),
@@ -465,8 +466,8 @@ SEED_REFUSED = "malformed rsf model file: seed must be a JSON integer"
     ids=["no-schema", "unknown-model", "no-beta", "no-levels", "schema-not-a-list",
          "ksvm-coefficients-cut", "mtlr-weights-one-number", "ksvm-support-rows-a-number",
          "cox-beta-nan", "no-standardization", "null-standardization", "negative-sds", "zero-sds",
-         "short-means", "forest-standardized", "deepsurv-weights-layer-dropped",
-         "deepsurv-biases-layer-dropped", "ksvm-gamma-nan", "ksvm-gamma-infinite",
+         "short-means", "deepsurv-weights-layer-dropped", "deepsurv-biases-layer-dropped",
+         "deepsurv-input-width", "ksvm-gamma-nan", "ksvm-gamma-infinite",
          "ksvm-polynomial-coef0-nan", "ksvm-degree-zero", "ksvm-kernel-unknown-key",
          "ksvm-gamma-negative",
          "cox-gradient-norm-nan", "cox-beta-cut", "mtlr-boundaries-reversed",
@@ -579,7 +580,7 @@ def test_eval_refuses_ksvm_sds_before_standardizing_its_rows(fitted_files, sds, 
     # so no inf or NaN row and no NumPy warning comes before the refusal
     root, cohort_csv = fitted_files
     rc, _, err = eval_edited(root, cohort_csv, "ksvm", lambda doc: doc["standardization"].update(
-        sds=sds(len(doc["column_names"]))))
+        sds=sds(len(doc["standardization"]["sds"]))))
     assert rc == 2 and err.count("\n") == 1
     assert f"malformed ksvm model file: {text}" in err
 
@@ -598,16 +599,47 @@ def test_eval_ignores_top_level_keys_the_file_table_does_not_name(fitted_files, 
     assert out == eval_edited(root, cohort_csv, name, lambda doc: None)[1]
 
 
+@pytest.mark.parametrize("first", [None, "zzz"], ids=["as-written", "first-renamed"])
+@pytest.mark.parametrize("name", EDITABLE)
+def test_eval_scores_a_file_that_still_names_its_design_columns(fitted_files, name, first):
+    # files once held the design columns a second time, as column_names, and the
+    # forest's a null standardization; both are top-level keys no table names, so
+    # the file scores the line of the file without them, whatever the names say
+    root, cohort_csv = fitted_files
+    names = encode(ingest_csv(str(cohort_csv))).names
+    older = {"column_names": [first or names[0], *names[1:]],
+             **({"standardization": {"means": None, "sds": None}} if name == "rsf" else {})}
+    rc, out, err = eval_edited(root, cohort_csv, name, lambda doc: doc.update(older))
+    assert rc == 0 and err == ""
+    assert out == eval_edited(root, cohort_csv, name, lambda doc: None)[1]
+
+
+def test_eval_takes_the_design_columns_from_the_schema(fitted_files, tmp_path):
+    # a Cox file whose schema renames the categorical Location scores a CSV whose
+    # header renames it too, with the line of the clean file on the clean CSV
+    root, cohort_csv = fitted_files
+    text = cohort_csv.read_text()
+    renamed = tmp_path / "renamed.csv"
+    renamed.write_text(text.replace("Location", "Region", 1), newline="")
+    doc = json.loads((root / "cox.json").read_text())
+    next(c for c in doc["schema"] if c["name"] == "Location")["name"] = "Region"
+    path = tmp_path / "renamed.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run_main(["eval", "--model-file", str(path), "--input", str(renamed)])
+    assert (rc, err) == (0, "")
+    assert out == run_main(["eval", "--model-file", str(root / "cox.json"),
+                            "--input", str(cohort_csv)])[1]
+
+
 @pytest.mark.parametrize("name, edit, text", [
     ("mtlr", lambda doc: doc.update(boundaries=doc["boundaries"][::-1], schema=3),
      "schema must be a JSON list"),
     ("mtlr", lambda doc: (doc.update(boundaries=doc["boundaries"][::-1]),
-                          doc["standardization"].update(sds=[0.0] * len(doc["column_names"]))),
+                          doc["standardization"].update(sds=[0.0 for _ in doc["weights"][0]])),
      "standardization sds must be at least 1e-12"),
-    ("rsf", lambda doc: (doc["trees"].update(nodes=""),
-                         doc["standardization"].update(means=[0.0] * len(doc["column_names"]))),
-     "standardization means and sds must be null"),
-], ids=["mtlr-schema", "mtlr-sds", "rsf-standardization"])
+    ("rsf", lambda doc: (doc["trees"].update(nodes=""), doc.update(schema=3)),
+     "schema must be a JSON list"),
+], ids=["mtlr-schema", "mtlr-sds", "rsf-schema"])
 def test_schema_and_standardization_are_checked_before_the_model_is_built(
         fitted_files, name, edit, text):
     # a file that fails both a check of the model's own and the schema or
@@ -701,6 +733,8 @@ ORDER = [*DIALECT, *KEEPS]
 @example(["bom"], 1, 0, 0)
 @example(["cr", "blank lines"], 1, 0, 0)
 @example(["reordered"], 1, 0, 1)
+@example(["latin-1 byte"], 2, 1, 0)
+@example(["duplicate name"], 1, 2, 0)
 @settings(max_examples=25, deadline=None)
 def test_a_csv_dialect_ends_in_the_clean_line_or_one_line(fitted_files, edits, i, j, k):
     # `fit` on the cohort's bytes after one or two edits, and `eval` of a clean fit on
@@ -730,6 +764,24 @@ def test_a_csv_dialect_ends_in_the_clean_line_or_one_line(fitted_files, edits, i
             assert fitted.read_bytes() == clean.read_bytes(), (name, edits)
             assert scored == run_main(["eval", "--model-file", str(clean),
                                        "--input", str(cohort_csv)]), (name, edits)
+
+
+@pytest.mark.parametrize("line, edit, text", [
+    (3, lambda cells: cells + b"\xe9", "line 3: byte 0xe9 is not UTF-8 text"),
+    (1, lambda cells: cells.replace(b"Income", b"Age"), "column 'Age' appears twice in the header"),
+], ids=["latin-1 byte", "duplicate name"])
+def test_fit_and_eval_refuse_a_csv_in_the_same_line(fitted_files, line, edit, text):
+    # a byte that is not UTF-8, and a name the header repeats, are refused as the CSV
+    # is read, before a schema is inferred or compared: one line naming the file
+    root, cohort_csv = fitted_files
+    lines = cohort_csv.read_bytes().split(b"\r\n")
+    lines[line - 1] = edit(lines[line - 1])
+    edited = root / "refused.csv"
+    edited.write_bytes(b"\r\n".join(lines))
+    fit = run_main(["fit", "--model", "cox", "--input", str(edited),
+                    "--out", str(root / "refused.json")])
+    scored = run_main(["eval", "--model-file", str(root / "cox.json"), "--input", str(edited)])
+    assert fit == scored == (2, "", f"survbench: error: {edited}: {text}\n")
 
 
 def long_config(root, config):

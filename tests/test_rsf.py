@@ -36,7 +36,7 @@ from survbench.rng import CounterRng, derive_seed, uniform_at
 from survbench.stepfun import StepFunction
 
 from conftest import (forest_fields, forest_file, forest_lists, forest_trees, joined, load_forest,
-                      numeric_design, shard_failing_at, tree_file)
+                      numeric_design, numeric_schema, shard_failing_at, tree_file)
 
 
 def naive_logrank(times, events, groups):
@@ -319,7 +319,7 @@ def test_forest_file_digest_is_pinned():
     d = golden_design()
     f = fit_forest(d, b=5, min_leaf=4, mtry=2, seed=3)
     digest = hashlib.sha256(json.dumps(forest_file(f, d)).encode()).hexdigest()
-    assert digest == "3ce9574fc9568be8c4574906e5ed3165b814dbc3c608ef038bec232cee2a3c3a"
+    assert digest == "29091bd8fd64f34bf4e3b134f68452049d57f8a8a7520cb910ce3ff730c2af3e"
 
 
 def test_golden_scores_are_pinned():
@@ -467,9 +467,9 @@ def leaf_tree(knots, events, at_risk):
 
 
 def forest_doc(trees, grid, columns=("x0",)):
-    return {"model": "rsf", "column_names": list(columns), "mtry": 1, "min_leaf": 1,
-            "max_depth": None, "seed": 0, "event_grid": list(map(float, grid)), "n": 10**4,
-            "trees": joined(trees)}
+    return {"model": "rsf", "mtry": 1, "min_leaf": 1, "max_depth": None, "seed": 0,
+            "event_grid": list(map(float, grid)), "n": 10**4, "trees": joined(trees),
+            "schema": numeric_schema(columns)}
 
 
 def falling_counts(rng, size, most_censored):

@@ -4,7 +4,7 @@ import pytest
 from survbench.rsf import predict_chf
 from survbench.stepfun import StepFunction
 
-from conftest import joined, load_forest, tree_file
+from conftest import joined, load_forest, numeric_schema, tree_file
 
 
 def test_right_continuous_lookup():
@@ -43,7 +43,7 @@ def test_shape_mismatch():
 def two_leaf_forest(trees):
     """A forest file of one-leaf trees on the grid [1, 2]: each tree is its
     leaf's (knots, events, at_risk), knots indexing the grid."""
-    return {"model": "rsf", "column_names": ["x0"], "mtry": 1, "min_leaf": 1,
+    return {"model": "rsf", "schema": numeric_schema(["x0"]), "mtry": 1, "min_leaf": 1,
             "max_depth": None, "seed": 0, "event_grid": [1.0, 2.0], "n": 2,
             "trees": joined([tree_file(column=[-1], threshold=[0.0], left=[-1],
                                        knot_counts=[len(knots)], knots=knots, events=events,
