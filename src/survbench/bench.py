@@ -5,7 +5,7 @@ Determinism contract: report.csv and every data CSV depend only on the
 config (seed included); wall-clock timings are confined to report.json.
 
 `write_text_atomic` is the only code in the package that creates files,
-and every CSV goes through `write_csv` on top of it.
+and every CSV is the text of `csv_text`.
 """
 
 from __future__ import annotations
@@ -94,7 +94,12 @@ def _mlp_layers(f: dict) -> list[tuple[int, int]]:
     return list(zip(widths[:-1], widths[1:]))
 
 
-_CONVERGENCE = ("convergence", Convergence(True, 0, 0.0), None, lambda m, _: asdict(m.convergence))
+def _json(record) -> dict:
+    """The fields of dataclass `record` as a model file holds them, a tuple as a list."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(record).items()}
+
+
+_CONVERGENCE = ("convergence", Convergence(True, 0, 0.0), None, lambda m, _: _json(m.convergence))
 
 # in report order; a model's position also derives its seed in a bench run
 MODELS: dict[str, ModelSpec] = {
@@ -148,7 +153,7 @@ MODELS: dict[str, ModelSpec] = {
         fit=_fit_deepsurv,
         risk=lambda model, design: deepsurv.predict_log_risk(model, design),
         file_fields=(
-            ("spec", deepsurv.MlpSpec((1, 1)), None, lambda m, _: asdict(m.spec)),
+            ("spec", deepsurv.MlpSpec((1, 1)), None, lambda m, _: _json(m.spec)),
             ("weights", 0.0, lambda f: [i * o for i, o in _mlp_layers(f)],
              lambda m, _: [W.ravel().tolist() for W in m.weights]),  # each layer flat
             ("biases", 0.0, lambda f: [o for _, o in _mlp_layers(f)],
@@ -164,7 +169,7 @@ MODELS: dict[str, ModelSpec] = {
         fit=_fit_ksvm,
         risk=lambda model, design: ksvm.ksvm_risk(model, design),
         file_fields=(
-            ("kernel", ksvm.KernelSpec(), None, lambda m, _: asdict(m.kernel)),
+            ("kernel", ksvm.KernelSpec(), None, lambda m, _: _json(m.kernel)),
             ("raw_support_rows", 0.0, ("s", "p"), lambda m, raw: raw[m.support].tolist()),
             ("coefficients", 0.0, ("s",), lambda m, _: m.coefficients.tolist()),
             ("c", 0.0, (), lambda m, _: m.c),
@@ -241,7 +246,7 @@ def model_to_dict(name: str, model, design: DesignMatrix, raw: np.ndarray) -> di
     """The file of model `name` fitted on `design`, `raw` being its rows unstandardized:
     its fields, then the schema and (if standardized) standardization that encode new rows."""
     body = {key: read(model, raw) for key, _, _, read in MODELS[name].file_fields}
-    doc = {"model": name, **body, "schema": [asdict(c) for c in design.schema.columns]}
+    doc = {"model": name, **body, "schema": [_json(c) for c in design.schema.columns]}
     if MODELS[name].standardize:
         doc["standardization"] = {"means": design.means.tolist(), "sds": design.sds.tolist()}
     return doc
@@ -393,12 +398,16 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def write_csv(path: str, header, rows) -> None:
-    """One CSV artifact in `csv.writer`'s default dialect (CRLF rows),
-    written atomically."""
+def csv_text(header, rows) -> str:
+    """One CSV artifact in `csv.writer`'s default dialect (CRLF rows)."""
     buf = io.StringIO()
     csv.writer(buf).writerows([header, *rows])
-    write_text_atomic(path, buf.getvalue())
+    return buf.getvalue()
+
+
+def write_csv(path: str, header, rows) -> None:
+    """The `csv_text` of `header` and `rows`, written atomically to `path`."""
+    write_text_atomic(path, csv_text(header, rows))
 
 
 def fit_model(name: str, cohort: Cohort, overrides: dict, seed: int):
@@ -410,6 +419,34 @@ def fit_model(name: str, cohort: Cohort, overrides: dict, seed: int):
     return spec.fit(design, opts, seed), design
 
 
+def _failed(name: str, exc: Exception, wall_time_ms: float):
+    """`evaluate`'s outcome for a model that failed with `exc`: no scores, no model."""
+    return ModelRow(name, math.nan, math.nan, wall_time_ms, f"error: {exc}", False), None, None
+
+
+def evaluate(name: str, train: Cohort, test: Cohort, config: BenchConfig):
+    """Model `name`'s row, the text of its scores CSV and the model, all made in
+    this process: its options merged, fitted on `train` by `fit_model`, both splits
+    scored and C-indexed, the row's time counting all of that. If a step raises,
+    the row is that error, with no scores and no model."""
+    started = time.perf_counter()
+    try:
+        model, train_design = fit_model(name, train, config.model_options.get(name, {}),
+                                        derive_seed(config.seed, list(MODELS).index(name)))
+        parts = [(part, d, MODELS[name].risk(model, d)) for part, d in (
+            ("train", train_design), ("test", encode_like(test, train_design)))]
+        cindexes = [concordance_index(d.times, d.events, risk).cindex for _, d, risk in parts]
+    except Exception as exc:
+        return _failed(name, exc, (time.perf_counter() - started) * 1000.0)
+    conv = getattr(model, "convergence", None)  # the forest has none
+    row = ModelRow(name, *cindexes, (time.perf_counter() - started) * 1000.0, "ok",
+                   conv is None or conv.converged)
+    scores = csv_text(["split", "index", "time", "event", "score"], [
+        [part, i, repr(t), e, repr(float(r))] for part, d, risk in parts
+        for i, (t, e, r) in enumerate(zip(d.times.tolist(), d.events.tolist(), risk))])
+    return row, scores, model
+
+
 def run_benchmark(config: BenchConfig) -> BenchReport:
     if config.csv_path is not None:
         cohort = ingest_csv(config.csv_path)
@@ -418,58 +455,25 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     check_km_groups(cohort, config.km_groups)
     train, test = split(cohort, config.test_fraction, config.seed)
     names = [name for name in MODELS if name in config.models]
-
-    def fit(name):
-        """`fit_model` on the training split, or the exception it raised, and its seconds."""
-        started = time.perf_counter()
-        fitted = workers.outcome(partial(fit_model, name, train, config.model_options.get(name, {}),
-                                         derive_seed(config.seed, list(MODELS).index(name))))
-        return fitted, time.perf_counter() - started
-
-    # DeepSurv and KSVM fit in forked workers beside the rest if there is more than one CPU
+    # DeepSurv and KSVM run in forked workers beside the rest if there is more than one CPU
     forked = [name for name in names if name in ("deepsurv", "ksvm") and workers.usable_cpus() > 1]
     here = [name for name in names if name not in forked]
-    fits = workers.run([*(partial(fit, name) for name in forked),
-                        lambda: [fit(name) for name in here]])
-    # each fit held once; a dead worker's outcome is its error, and it has no fit time
-    fits = dict(zip(forked + here, [(f, 0.0) if isinstance(f, Exception) else f for f in fits[:-1]]
-                    + fits[-1]))
+    outcomes = workers.run([*(partial(evaluate, name, train, test, config) for name in forked),
+                            lambda: [evaluate(name, train, test, config) for name in here]])
+    outcomes = dict(zip(forked + here, outcomes[:-1] + outcomes[-1]))
     rows = []
-    mtlr_model = None  # the weight figure's source
-    for name in names:
-        started, spec = time.perf_counter(), MODELS[name]
-        fitted, fit_s = fits.pop(name)
-        try:
-            if isinstance(fitted, Exception):
-                raise fitted
-            model, train_design = fitted
-            parts = [(part, d, spec.risk(model, d)) for part, d in (
-                ("train", train_design), ("test", encode_like(test, train_design)))]
-            train_cindex, test_cindex = (
-                concordance_index(d.times, d.events, risk).cindex for _, d, risk in parts)
-            conv = getattr(model, "convergence", None)  # the forest has none
-            status, converged = "ok", conv is None or conv.converged
-            elapsed = fit_s + time.perf_counter() - started
-            if name == "mtlr":
-                mtlr_model = model
-            write_csv(
-                os.path.join(config.out_dir, f"scores_{name}.csv"),
-                ["split", "index", "time", "event", "score"],
-                [[part, i, repr(t), e, repr(float(r))] for part, d, risk in parts
-                 for i, (t, e, r) in enumerate(zip(d.times.tolist(), d.events.tolist(), risk))],
-            )
-        except Exception as exc:
-            elapsed = fit_s + time.perf_counter() - started
-            train_cindex = test_cindex = float("nan")
-            status, converged = f"error: {exc}", False
-        rows.append(ModelRow(name, train_cindex, test_cindex, elapsed * 1000.0, status, converged))
-        fitted = model = parts = None  # free this fit and its scores before the next model's
+    for name in names:  # each model's scores and model freed once its files are written
+        out = outcomes.pop(name)  # a dead worker's error is its row, with no time
+        row, scores, model = _failed(name, out, 0.0) if isinstance(out, Exception) else out
+        rows.append(row)
+        if scores is not None:
+            write_text_atomic(os.path.join(config.out_dir, f"scores_{name}.csv"), scores)
+        if name == "mtlr" and model is not None:  # the weight figure's source
+            emit_weight_figure(model, config.out_dir)
     report = BenchReport(rows, config.seed, cohort.n, cohort.n_events, cohort.censoring_rate,
                          train.n, test.n)
     _write_report(config, report)
     emit_km_figures(cohort, list(config.km_groups), config.out_dir)
-    if mtlr_model is not None:
-        emit_weight_figure(mtlr_model, config.out_dir)
     return report
 
 

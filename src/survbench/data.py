@@ -313,16 +313,20 @@ def ingest_csv(path, schema: CovariateSchema | None = None) -> Cohort:
     try:
         header = next(reader)
     except StopIteration:
-        raise SchemaError("empty CSV") from None
+        raise SchemaError(f"{path}: empty CSV") from None
     rows = [r for r in reader if r]
-    if len(set(header)) < len(header):  # named before the schema is inferred or compared
+    # refused before the schema is inferred or compared
+    blank = next((j for j, h in enumerate(header) if not h.strip()), None)
+    if blank is not None:
+        raise SchemaError(f"{path}: column {blank + 1} of the header has no name")
+    if len(set(header)) < len(header):
         name = next(h for j, h in enumerate(header) if h in header[:j])
         raise SchemaError(f"{path}: column {quoted(name)} appears twice in the header")
     if not rows:
         raise SchemaError(f"{path}: a header but no data rows")
     for required in ("time", "event"):
         if required not in header:
-            raise SchemaError(f"missing column {required!r}")
+            raise SchemaError(f"{path}: missing column {required!r}")
     t_j, e_j = header.index("time"), header.index("event")
     cov_js = [j for j in range(len(header)) if j not in (t_j, e_j)]
     cov_names = [header[j] for j in cov_js]

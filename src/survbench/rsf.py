@@ -271,12 +271,6 @@ def _best_splits(XT, times, events, seeds, counters, rows, sizes, mtry, min_leaf
     return column, threshold, left, left_events, p + drawn
 
 
-def _batch_order(step):
-    """Nodes batch by size class, then by event count: the sort keys of a
-    step's nodes, given their (size class, tree, node, start, end, events)."""
-    return step[0], step[5]
-
-
 def _grow_trees(design, seeds, min_leaf, max_depth, mtry, grid) -> tuple[NodeTable, np.ndarray]:
     """The table and node counts of trees grown in lockstep, each on the bootstrap its
     seed draws; a step's nodes are searched in batches of one size class
@@ -307,9 +301,9 @@ def _grow_trees(design, seeds, min_leaf, max_depth, mtry, grid) -> tuple[NodeTab
             return _tables(flat, nodes, splits, times, events, grid)
         top[t] -= 1
         node, lo, hi, n_events, depth = stack[:, t, top[t]]
-        step = (np.left_shift(1, np.frexp(hi - lo - 1)[1]), t, node, lo, hi, n_events)
-        order = np.lexsort(_batch_order(step)[::-1])
-        w = step[0][order]  # size classes in batch order, and where each one ends
+        size_class = np.left_shift(1, np.frexp(hi - lo - 1)[1])
+        order = np.lexsort((n_events, size_class))  # nodes batch by size class, then event count
+        w = size_class[order]  # size classes in batch order, and where each one ends
         w, last, at = w.tolist(), np.searchsorted(w, w, "right").tolist(), 0
         column, n_left, left_events = np.zeros((3, t.size), dtype=np.int64)
         threshold = np.zeros(t.size)

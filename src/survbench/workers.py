@@ -22,20 +22,15 @@ def usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def outcome(job):
-    """`job()`, or the exception it raised."""
-    try:
-        return job()
-    except Exception as exc:
-        return exc
-
-
 def _serve(job, w: int):
     """In a child: pipe back the outcome of `job` and its warnings, then
     exit, with status 0 only if all was written."""
     try:
         with warnings.catch_warnings(record=True) as caught:
-            result = outcome(job)
+            try:
+                result = job()
+            except Exception as exc:
+                result = exc
         reply = (result, [(m.message, m.category, m.filename, m.lineno) for m in caught])
         view = memoryview(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
         while view:

@@ -274,7 +274,8 @@ def test_model_option_keys_are_pinned():
 @given(st.integers(0, 2**32 - 1), st.integers(30, 60), st.integers(1, 3))
 @settings(max_examples=8, deadline=None)
 def test_model_dicts_survive_json_with_identical_scores(seed, n, p):
-    # model_to_dict -> JSON text -> model_from_dict must score every row bit for bit
+    # model_to_dict -> model_from_dict, in memory and through JSON text, must score
+    # every row bit for bit
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, p))
     t = np.round(rng.exponential(np.exp(-X[:, 0])), 2) + 0.01
@@ -285,9 +286,10 @@ def test_model_dicts_survive_json_with_identical_scores(seed, n, p):
     for name, spec in MODELS.items():
         design = numeric_design(X, t, e, standardize=spec.standardize)  # as `fit` encodes
         model = spec.fit(design, model_options(name, tiny.get(name, {})), seed)
-        doc = json.loads(json.dumps(model_to_dict(name, model, design, numeric_design(X, t, e).X)))
-        _, back, _ = model_from_dict(doc, f"{name}.json")
-        assert np.array_equal(spec.risk(back, design), spec.risk(model, design)), name
+        doc = model_to_dict(name, model, design, numeric_design(X, t, e).X)
+        for read in (doc, json.loads(json.dumps(doc))):
+            _, back, _ = model_from_dict(read, f"{name}.json")
+            assert np.array_equal(spec.risk(back, design), spec.risk(model, design)), name
 
 
 @pytest.mark.parametrize("name", MODELS)

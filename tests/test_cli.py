@@ -712,6 +712,7 @@ DIALECT = {
     "quoted newline": lambda rows, i, j, k: edited_cell(rows, i, j, lambda c: b'"\n%s"' % c),
     "spaced name": lambda rows, i, j, k: edited_cell(rows, 0, j, lambda c: b" %s " % c),
     "duplicate name": lambda rows, i, j, k: edited_cell(rows, 0, j, lambda c: rows[0][k]),
+    "blank name": lambda rows, i, j, k: edited_cell(rows, 0, j, lambda c: b""),
     "latin-1 byte": lambda rows, i, j, k: edited_cell(rows, i, j, lambda c: c + b"\xe9"),
     "short line": lambda rows, i, j, k: rows + [rows[i][:k]],
     "reordered": lambda rows, i, j, k: [swapped(r, j, k) for r in rows],
@@ -735,6 +736,7 @@ ORDER = [*DIALECT, *KEEPS]
 @example(["reordered"], 1, 0, 1)
 @example(["latin-1 byte"], 2, 1, 0)
 @example(["duplicate name"], 1, 2, 0)
+@example(["blank name"], 1, 2, 0)
 @settings(max_examples=25, deadline=None)
 def test_a_csv_dialect_ends_in_the_clean_line_or_one_line(fitted_files, edits, i, j, k):
     # `fit` on the cohort's bytes after one or two edits, and `eval` of a clean fit on
@@ -769,10 +771,11 @@ def test_a_csv_dialect_ends_in_the_clean_line_or_one_line(fitted_files, edits, i
 @pytest.mark.parametrize("line, edit, text", [
     (3, lambda cells: cells + b"\xe9", "line 3: byte 0xe9 is not UTF-8 text"),
     (1, lambda cells: cells.replace(b"Income", b"Age"), "column 'Age' appears twice in the header"),
-], ids=["latin-1 byte", "duplicate name"])
+    (1, lambda cells: cells.replace(b"Gender", b""), "column 2 of the header has no name"),
+], ids=["latin-1 byte", "duplicate name", "blank name"])
 def test_fit_and_eval_refuse_a_csv_in_the_same_line(fitted_files, line, edit, text):
-    # a byte that is not UTF-8, and a name the header repeats, are refused as the CSV
-    # is read, before a schema is inferred or compared: one line naming the file
+    # a byte that is not UTF-8, and a name the header repeats or leaves blank, are refused
+    # as the CSV is read, before a schema is inferred or compared: one line naming the file
     root, cohort_csv = fitted_files
     lines = cohort_csv.read_bytes().split(b"\r\n")
     lines[line - 1] = edit(lines[line - 1])
@@ -1368,10 +1371,16 @@ def report_lines(out_dir):
         return {line.split(",")[0]: line for line in fh}
 
 
-@pytest.mark.parametrize("killed", ["deepsurv", "ksvm"])
-def test_a_killed_bench_worker_is_its_models_row(tmp_path, monkeypatch, killed):
-    # each forked fit in turn: its worker is killed, and the run writes the
-    # other rows and every figure as a run without the kill does
+@pytest.mark.parametrize("killed, stage", [
+    pytest.param("deepsurv", "fit_deepsurv", id="deepsurv"),
+    pytest.param("ksvm", "fit_ksvm", id="ksvm"),
+    pytest.param("deepsurv", "predict_log_risk", id="deepsurv-scoring"),
+    pytest.param("ksvm", "ksvm_risk", id="ksvm-scoring"),
+])
+def test_a_killed_bench_worker_is_its_models_row(tmp_path, monkeypatch, killed, stage):
+    # each forked model in turn, its worker killed as it fits or as it scores: the run
+    # writes the other rows and every figure as a run without the kill does, and the
+    # killed model's scores file is not written, as only this process writes files
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"input": {"generator": {"n": 60}},
                                   "model_options": TINY_OPTIONS}))
@@ -1380,12 +1389,12 @@ def test_a_killed_bench_worker_is_its_models_row(tmp_path, monkeypatch, killed):
     assert main([*argv, "--out", str(tmp_path / "whole")]) == 0
     here, module = os.getpid(), {"deepsurv": deepsurv, "ksvm": ksvm}[killed]
 
-    def fit(*args, **kwargs):
+    def die(*args, **kwargs):
         if os.getpid() != here:
             os.kill(os.getpid(), signal.SIGKILL)
-        raise AssertionError(f"{killed} was fitted in this process")
+        raise AssertionError(f"{killed} reached {stage} in this process")
 
-    monkeypatch.setattr(module, f"fit_{killed}", fit)
+    monkeypatch.setattr(module, stage, die)
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     rows, whole = report_lines(tmp_path / "out"), report_lines(tmp_path / "whole")
     assert rows.pop(killed) == (f"{killed},nan,nan,error: a worker process was killed by "

@@ -352,6 +352,26 @@ def test_ingest_empty_file(tmp_path):
         ingest_csv(p)
 
 
+@pytest.mark.parametrize("text, refusal", [
+    ("", "empty CSV"),
+    ("x,when,event\n1,1.0,1\n", "missing column 'time'"),
+    ("x,time,what\n1,1.0,1\n", "missing column 'event'"),
+    ("x,time,event\n", "a header but no data rows"),
+    ("x,time,x,event\n1,1.0,2,1\n", "column 'x' appears twice in the header"),
+    ("x,time,,event\n1,1.0,2,1\n", "column 3 of the header has no name"),
+    (" ,time,event, \n1,1.0,1,2\n", "column 1 of the header has no name"),
+], ids=["empty", "no time", "no event", "header only", "repeated name", "blank name",
+        "spaces for names"])
+def test_a_refusal_of_the_whole_file_names_it(tmp_path, text, refusal):
+    # with or without a schema to compare, before the schema is inferred or compared
+    p = tmp_path / "c.csv"
+    p.write_text(text)
+    for schema in (None, CovariateSchema((Column("y", "numeric"),))):
+        with pytest.raises(SchemaError) as info:
+            ingest_csv(p, schema=schema)
+        assert str(info.value) == f"{p}: {refusal}"
+
+
 def test_ingest_schema_mismatch(tmp_path):
     p = tmp_path / "c.csv"
     p.write_text("x,time,event\n1,1.0,1\n")
