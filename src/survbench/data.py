@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -314,7 +315,7 @@ def ingest_csv(path, schema: CovariateSchema | None = None) -> Cohort:
         header = next(reader)
     except StopIteration:
         raise SchemaError(f"{path}: empty CSV") from None
-    rows = [r for r in reader if r]
+    rows = list(filter(None, reader))
     # refused before the schema is inferred or compared
     blank = next((j for j, h in enumerate(header) if not h.strip()), None)
     if blank is not None:
@@ -330,9 +331,9 @@ def ingest_csv(path, schema: CovariateSchema | None = None) -> Cohort:
     t_j, e_j = header.index("time"), header.index("event")
     cov_js = [j for j in range(len(header)) if j not in (t_j, e_j)]
     cov_names = [header[j] for j in cov_js]
-    for i, r in enumerate(rows):
-        if len(r) != len(header):
-            raise ParseError(f"row {i + 1}: expected {len(header)} fields, got {len(r)}")
+    if set(map(len, rows)) != {len(header)}:  # the first row that differs is named
+        i, r = next((i, r) for i, r in enumerate(rows) if len(r) != len(header))
+        raise ParseError(f"row {i + 1}: expected {len(header)} fields, got {len(r)}")
     columns = list(zip(*rows))
     if schema is None:
         schema = infer_schema(cov_names, [columns[j] for j in cov_js])
@@ -343,7 +344,9 @@ def ingest_csv(path, schema: CovariateSchema | None = None) -> Cohort:
                           f"schema {column_list(schema.names[j:])} from covariate {j + 1} on")
     t_raw, e_raw = columns[t_j], columns[e_j]
     time = _floats(t_raw)
-    event = np.array([_EVENT_TOKENS.get(v.strip().lower(), -1) for v in e_raw])
+    event = np.fromiter(map(_EVENT_TOKENS.get, e_raw, repeat(-1)), dtype=int, count=len(e_raw))
+    miss = np.flatnonzero(event < 0)  # only these cells are stripped and lower-cased
+    event[miss] = [_EVENT_TOKENS.get(e_raw[i].strip().lower(), -1) for i in miss.tolist()]
     bad_time = ~(np.isfinite(time) & (time >= 0))
     bad = bad_time | (event < 0)
     if bad.any():  # the first bad row; a row's time is read before its event

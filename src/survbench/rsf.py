@@ -40,8 +40,10 @@ right child follows its left, so a level moves an entry to left + 1
 unless its value is <= the threshold: a NaN goes right; a leaf steps to
 itself, so a pass compacts every _STRIDE levels. A reached leaf's sum,
 each knot's value times the grid points it holds for, is taken by knot
-position over all reached leaves; math.fsum averages a row's B leaf
-mortalities, so tree order does not matter.
+position over all reached leaves. A row's B leaf mortalities are averaged
+exactly, as math.fsum over B, so tree order does not matter: cut at binades
+26 bits apart, a cut's parts sum exactly over the trees, in blocks of
+_MEAN_ROWS rows, and math.fsum adds a row's few part sums (_row_means).
 `predict_chf` reads each reached leaf's curve off its own slice of knots
 in the table and takes the math.fsum over B at each knot.
 
@@ -84,6 +86,7 @@ from .stepfun import StepFunction
 _MAX_THRESHOLDS = 32
 _CELLS = 1 << 14  # size-class rows times drawn columns per batch of the split search
 _PASS_CELLS = 1 << 15  # (row, tree) pairs a pass of the descent takes
+_MEAN_ROWS = 256  # rows of the (rows, B) node matrix a block of the exact mean takes
 _STRIDE = 4  # levels the descent steps between compactions (3 to 8 took about as long)
 _SHARD_ROWS = 1 << 14  # bootstrap rows (trees times n) a shard takes at least: on 2 CPUs,
 # fewer made the fork, the pipe and the child's wait for an idle CPU cost more than they saved
@@ -419,24 +422,24 @@ def _descend(forest: Forest, X: np.ndarray) -> np.ndarray:
     left = np.where(split, nodes.left + np.repeat(roots, sizes), np.arange(split.size) - 1)
     x = np.ascontiguousarray(X, dtype=np.float64).ravel()
     at = np.tile(roots, X.shape[0])
-    for lo in range(0, at.size, _PASS_CELLS):
-        live = lo + np.flatnonzero(split[at[lo:lo + _PASS_CELLS]])
-        base, node = live // roots.size * X.shape[1], at[live]
+    for lo in range(0, at.size, _PASS_CELLS):  # 1-D gathers by take, faster than indexing
+        live = lo + np.flatnonzero(split.take(at[lo:lo + _PASS_CELLS]))
+        base, node = live // roots.size * X.shape[1], at.take(live)
         while live.size:
             for _ in range(_STRIDE):
-                node = left[node] + ~(x[base + column[node]] <= threshold[node])
+                node = left.take(node) + ~(x.take(base + column.take(node)) <= threshold.take(node))
             at[live] = node
-            keep = np.flatnonzero(split[node])
-            live, base, node = live[keep], base[keep], node[keep]
+            keep = np.flatnonzero(split.take(node))
+            live, base, node = live.take(keep), base.take(keep), node.take(keep)
     return at.reshape(X.shape[0], roots.size)
 
 
 def _mortality(forest: Forest, X: np.ndarray) -> np.ndarray:
-    """Ensemble mortality of each row of X: the math.fsum of its B leaf
-    mortalities over B. A leaf's mortality, its curve summed over the event
-    grid, is a running sum in knot order of each value times the grid points
-    it holds for; taken most knots first, the reached leaves with a knot j
-    are a prefix, and knot j adds to two running vectors for them all."""
+    """Ensemble mortality of each row of X, the mean of its B leaf mortalities by
+    _row_means. A leaf's mortality, its curve summed over the event grid, is a
+    running sum in knot order of each value times the grid points it holds
+    for; taken most knots first, the reached leaves with a knot j are a
+    prefix, and knot j adds to two running vectors for them all."""
     nodes, at = forest.nodes, _descend(forest, X)
     sizes = nodes.knot_counts
     reached = np.flatnonzero(np.bincount(at.ravel(), minlength=nodes.column.size))
@@ -446,11 +449,26 @@ def _mortality(forest: Forest, X: np.ndarray) -> np.ndarray:
     hazard, mortality = np.zeros(reached.size), np.zeros(nodes.column.size)
     for j, r in enumerate(np.searchsorted(-count, -np.arange(count.max(initial=0)))):
         k = first[:r] + j  # the leaves with a knot j, and that knot
-        hazard[:r] += nodes.events[k] / nodes.at_risk[k]
-        end = np.where(j + 1 < count[:r], knots[k + 1], forest.event_grid.size)
-        mortality[reached[:r]] += hazard[:r] * (end - knots[k])  # times the grid points held
-    leaf = mortality[at]  # fsum reads a row through a memoryview, not a list
-    return np.array([math.fsum(memoryview(row)) / at.shape[1] for row in leaf])
+        hazard[:r] += nodes.events.take(k) / nodes.at_risk.take(k)
+        end = np.where(j + 1 < count[:r], knots.take(k + 1), forest.event_grid.size)
+        mortality[reached[:r]] += hazard[:r] * (end - knots.take(k))  # times the grid points held
+    return _row_means(mortality, at)
+
+
+def _row_means(values, at) -> np.ndarray:
+    """Each row's math.fsum(values[at[row]]) / B, bit for bit (finite values, B < 2**27)."""
+    e = np.frexp(values[values != 0])[1]  # |value| < 2**e, and a multiple of 2**(e - 53)
+    cuts = range(int(e.max(initial=-1074)) - 26, max(int(e.min(initial=1024)) - 53, -1074), -26)
+    sums = np.zeros((len(cuts) + 1, at.shape[0]))  # each cut's part sums, then the rest's
+    rest, part = np.empty((2, min(at.shape[0], _MEAN_ROWS), at.shape[1]))
+    for lo in range(0, at.shape[0], _MEAN_ROWS):
+        s = sums[:, lo:lo + _MEAN_ROWS]
+        r, p = np.take(values, at[lo:lo + _MEAN_ROWS], out=rest[:s.shape[1]]), part[:s.shape[1]]
+        for i, cut in enumerate(cuts):  # the bits of r at or above 2**cut, then the rest
+            r -= np.ldexp(np.trunc(np.ldexp(r, -cut, out=p), out=p), cut, out=p)
+            p.sum(axis=1, out=s[i])
+        r.sum(axis=1, out=s[-1])
+    return np.array([math.fsum(row) / at.shape[1] for row in sums.T.tolist()])
 
 
 def predict_chf(forest: Forest, x) -> StepFunction:
@@ -469,8 +487,7 @@ def predict_chf(forest: Forest, x) -> StepFunction:
 def mortality_score(forest: Forest, x) -> float:
     """Sum of the ensemble CHF over the training event-time grid; higher
     means earlier predicted purchase."""
-    x = np.asarray(x, dtype=np.float64)
-    return float(_mortality(forest, x[None, :])[0])
+    return float(_mortality(forest, np.asarray(x, dtype=np.float64)[None, :])[0])
 
 
 def rsf_risk(forest: Forest, design: DesignMatrix) -> np.ndarray:
@@ -498,13 +515,13 @@ def _decode_digits(text: str, key: str) -> np.ndarray:
     """The numbers of `text` as `_encode_digits` writes them. Refuses a character of
     neither set, a text that ends in a digit but a last one, and a number of more than
     12 digits (2**60 or more), before reading any number."""
-    codes = _CODES[np.frombuffer(text.encode("utf-8", "replace"), np.uint8)]
+    codes = _CODES.take(np.frombuffer(text.encode("utf-8", "replace"), np.uint8))
     ends = np.flatnonzero(codes < 32)  # each number's last digit
     size = np.diff(ends, prepend=-1)
     if np.any(codes == 64) or np.any(codes[-1:] >= 32) or np.any(size > 12):
         raise ValueError(f"trees {key} must be base-32 numbers of at most 12 digits")
     place = np.arange(size.max(initial=0))[:, None]  # each digit's place before the last
-    digits = np.where(place < size, codes[ends - place] & 31, 0)
+    digits = np.where(place < size, codes.take(ends - place) & 31, 0)  # < 0 only where masked
     return (digits << 5 * place).sum(0)
 
 

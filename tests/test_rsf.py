@@ -12,6 +12,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -738,6 +739,60 @@ def test_risk_is_independent_of_tree_order():
         t.nodes.column.tolist() for t in f.trees[::-1]]
     assert not np.array_equal(reversed_forest.nodes.column, f.nodes.column)
     np.testing.assert_array_equal(rsf_risk(reversed_forest, d), rsf_risk(f, d))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 600),
+       st.integers(-1074, 1000), st.integers(-1074, 1000), st.floats(0.0, 1.0))
+@settings(max_examples=60, deadline=None)
+@example(0, 300, 600, -1074, 1000, 0.2)  # every binade, rows past two blocks
+@example(0, 1, 1, -1074, -1074, 0.0)  # one subnormal
+def test_the_exact_mean_is_the_fsum_of_each_row(data_seed, b, rows, lowest, highest, zeros):
+    # a row's mean of its B values, cut at binades and summed over whole blocks of
+    # rows, must give math.fsum's bits over B, for values of any exponent and sign,
+    # zeros and rows of only zeros, and for blocks of one row, the default block and
+    # one block past every row
+    rng = np.random.default_rng(data_seed)
+    exponents = rng.integers(min(lowest, highest), max(lowest, highest) + 1, 50)
+    mantissas = rng.integers(1, 2**53, 50) * rng.choice([-1, 1], 50)
+    values = np.ldexp(mantissas.astype(float), exponents - 53)  # rounds below 2**-1074
+    values[rng.uniform(size=50) < zeros] = 0.0
+    values[0] = 0.0
+    at = rng.integers(0, 50, size=(rows, b))
+    at[rng.uniform(size=rows) < zeros] = 0  # rows of only zeros
+    want = [math.fsum(r) / b for r in values[at]]
+    with pytest.MonkeyPatch.context() as mp:
+        for block in (1, rsf._MEAN_ROWS, rows + 1):
+            mp.setattr(rsf, "_MEAN_ROWS", block)
+            assert rsf._row_means(values, at).tobytes() == np.array(want).tobytes()
+
+
+def test_the_exact_mean_keeps_the_last_bit_past_a_tie():
+    # 1 + 2**-53 is a tie between 1 and the next float; 128 values in [2**-74,
+    # 2**-73) and their negatives, one an ulp (2**-126) short, push each row's
+    # exact sum just past it. Summed over the trees, the low bits of 128 such
+    # values need more than 53 bits, so a mean that makes one cut too few
+    # rounds that last bit away
+    rng = np.random.default_rng(0)
+    w = np.ldexp(rng.integers(2**52, 2**53, (20, 128)).astype(float), -126)
+    short = -w
+    short[:, 0] += 2.0**-126
+    values = np.hstack([np.ones((20, 1)), np.full((20, 1), 2.0**-53), w, short]).ravel()
+    at = np.arange(values.size).reshape(20, -1)
+    assert rsf._row_means(values, at).tolist() == [(1 + 2**-52) / at.shape[1]] * 20
+
+
+def test_the_exact_mean_holds_no_matrix_of_leaf_values():
+    # blocks of rows bound the mean's memory: its peak stays under half of one
+    # (rows, B) float64 matrix of the values its 2,000 x 200 node indices reach
+    rng = np.random.default_rng(0)
+    values, at = rng.exponential(10.0, 5000), rng.integers(0, 5000, size=(2000, 200))
+    tracemalloc.start()
+    try:
+        rsf._row_means(values, at)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < at.size * 8 / 2
 
 
 def test_scoring_after_the_trees_change_uses_the_new_trees():
